@@ -1,14 +1,13 @@
 """Command-line entry point: construction, verification, extraction, and
 basis workflows, emitting machine-readable JSON reports.
 
-Reports are byte-stable across runs and thread counts: payloads are exact
-rational strings plus fixed-width decimals, dict key order is fixed, and
-wall-clock timings are only included when explicitly requested.  The
-KSLAB_THREADS environment variable caps parallelism over independent
-measure indices; results are independent of it.
+Reports are byte-stable across runs: payloads are exact rational strings
+plus fixed-width decimals, witness bitsets are 0x-hex integers, dict key
+order is fixed, and wall-clock timings are only included when explicitly
+requested.
 
 Exit codes: 0 = all certified checks pass; 1 = a mathematical check failed
-or was undecided; 2 = usage or parse error.
+or was undecided; 2 = usage or parse error, or an unwritable output file.
 """
 
 from __future__ import annotations
@@ -17,10 +16,8 @@ import argparse
 import csv
 import itertools
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import ks_measure, normal_subseq, rect_sup, schauder, tensor_bounds
@@ -28,14 +25,6 @@ from .exactnum import decimal_str, format_rational
 from .ks_measure import EXPLICIT_MAX_N, build, support_size, total_variation
 from .rect_sup import BRUTE_MAX_N, certify_bound2, sup_rect_bruteforce, sup_rect_fast
 from .tensor_bounds import TENSOR_MAX_N, certify_bound3, tensor_sup_exact
-
-
-def _threads() -> int:
-    raw = os.environ.get("KSLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -101,15 +90,7 @@ def _row_failure(row: dict) -> str | None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     n_max = args.n_max
-    rows_and_times: list[tuple[dict, float]]
-    threads = _threads()
-    ns = range(1, n_max + 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows_and_times = list(pool.map(_verify_one, ns))
-    else:
-        rows_and_times = [_verify_one(n) for n in ns]
-
+    rows_and_times = [_verify_one(n) for n in range(1, n_max + 1)]
     rows = [r for r, _ in rows_and_times]
     if args.timings:
         for row, dt in rows_and_times:
@@ -303,8 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     if args.command == "verify" and args.n_max < 1:
         parser.error("--n-max must be >= 1")
-    if args.command == "subseq" and args.n < 1:
-        parser.error("--n must be >= 1")
+    if args.command == "subseq":
+        if args.n < 1:
+            parser.error("--n must be >= 1")
+        if args.stream_step < 1:
+            parser.error("--stream-step must be >= 1")
     if args.command == "schauder":
         if args.n < 1:
             parser.error("--n must be >= 1")
@@ -324,7 +308,11 @@ def main(argv: list[str] | None = None) -> int:
         _validate(args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # subcommands report their own read errors, so this is a write
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -117,8 +117,12 @@ def format_rational(q: Rational) -> str:
 
 
 def parse_rational(text: str) -> Rational:
-    """Inverse of format_rational; accepts "p" and "p/q"."""
-    return Fraction(text.strip())
+    """Inverse of format_rational; accepts "p" and "p/q".  Raises ValueError
+    on malformed text, including a zero denominator."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
 
 
 def decimal_str(q: Rational, digits: int = 30) -> str:

@@ -124,29 +124,16 @@ def build(
 
 
 def total_variation(m: KSMeasure) -> Rational:
-    """Sum of |weight| over all atoms; equals 1 exactly for every n.
+    """Sum of |weight| over all atoms: n * 2^n atoms of magnitude scale, so 1.
 
-    Explicit mode sums the per-row atom magnitudes; implicit mode uses the
-    count n * 2^n directly (every sign has magnitude 1) without touching
-    atoms.
+    Every sign has magnitude 1 in both representations, so no atom is read;
+    the atom-level check materializes the list with as_signed_measure.
     """
-    if m.is_explicit():
-        total = 0
-        for s in range(m.rows):
-            minus = m.row_pattern(s).bit_count()
-            total += minus + (m.n - minus)
-        return total * m.scale
     return Fraction(m.n << m.n, 1) * m.scale
 
 
 def support_size(m: KSMeasure) -> int:
-    """Number of atoms with nonzero weight; equals n * 2^n."""
-    if m.is_explicit():
-        count = 0
-        for s in range(m.rows):
-            minus = m.row_pattern(s).bit_count()
-            count += minus + (m.n - minus)
-        return count
+    """Number of atoms with nonzero weight: every atom, n * 2^n."""
     return m.n << m.n
 
 

@@ -5,24 +5,29 @@ over A a set of rows and B a set of columns of the support grid, so
 rectangles are bitsets.  Two routes compute it:
 
 * a brute-force oracle enumerating every (A, B) pair (n <= 4), and
-* a fast path: for fixed B with |B| = b, linearity in the indicator of A
-  plus the +/- mirror symmetry of the full sign cube make
+* a closed form.  For fixed B with |B| = b, linearity in the indicator of
+  A plus the +/- mirror symmetry of the full sign cube make
   A* = {rows with positive partial sum over B} optimal, and the row sums
-  over B realize each pattern of b independent signs exactly 2^(n-b) times,
-  giving sup over A equal to (1/(n*2^b)) * sum over sign patterns of
-  max(0, pattern sum), a pure binomial quantity.  The answer is the max
-  over b = 1..n.
+  over B realize each pattern of b independent signs exactly 2^(n-b)
+  times, so the supremum at width b is E[S_b^+] / n for a walk S_b of b
+  independent +/-1 steps.  E[S_b^+] = b * C(b-1, floor((b-1)/2)) / 2^b
+  does not decrease in b and ties only at b = 2k-1, 2k, so the widest
+  rectangles win:
 
-The fast path is never trusted on derivation alone: it is checked against
-the oracle at small n and against the certified two-sided bound
-1/(2 sqrt(pi n)) < sup < 2/sqrt(pi n) at every n.
+      sup = C(n-1, floor((n-1)/2)) / 2^n,
+
+  attained first at b = n for odd n and b = n-1 for even n.
+
+The closed form is never trusted on derivation alone: the tests check it
+against the brute-force oracle (n <= 4) and the per-width sums (n <= 300),
+and it is certified against 1/(2 sqrt(pi n)) < sup < 2/sqrt(pi n) at
+every n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -125,41 +130,19 @@ def sup_rect_bruteforce(m: KSMeasure, pi: PiEnclosure = PI) -> RectangleSupRepor
     )
 
 
-@lru_cache(maxsize=None)
-def _positive_part_sum(b: int) -> int:
-    """Sum over sign patterns in {-1,+1}^b of max(0, pattern sum).
-
-    A pattern with k plus signs sums to 2k - b and occurs C(b, k) times.
-    """
-    return sum(binomial(b, k) * (2 * k - b) for k in range(b // 2 + 1, b + 1))
-
-
-def fast_per_width_values(m: KSMeasure) -> list[Rational]:
-    """Per-|B| suprema of |rect_mass| for |B| = 1..n (fast reduction)."""
-    n = m.n
-    return [Fraction(_positive_part_sum(b), n << b) for b in range(1, n + 1)]
-
-
 def sup_rect_fast(m: KSMeasure, pi: PiEnclosure = PI) -> RectangleSupReport:
-    """Fast-path supremum: max over b of the per-width binomial value.
+    """Closed-form supremum C(n-1, floor((n-1)/2)) / 2^n.
 
     Works in implicit mode.  A witness (B = first b columns, A = rows with
-    positive partial sum) is materialized only at explicit scale and only
-    for the smallest maximizing width.
+    positive partial sum) is materialized only at explicit scale, for the
+    smallest maximizing width b.
     """
     n = m.n
-    best_num = -1
-    best_b = 1
-    for b in range(1, n + 1):
-        # compare over the common denominator n * 2^n
-        num = _positive_part_sum(b) << (n - b)
-        if num > best_num:
-            best_num = num
-            best_b = b
-    sup = Fraction(best_num, n << n)
+    sup = Fraction(binomial(n - 1, (n - 1) // 2), 1 << n)
 
     witness: Rectangle | None = None
     if n <= EXPLICIT_MAX_N:
+        best_b = n if n % 2 else n - 1
         col_bits = (1 << best_b) - 1
         buf = bytearray((m.rows + 7) // 8)
         for s in range(m.rows):
@@ -192,8 +175,8 @@ def report_to_json(report: RectangleSupReport) -> dict:
     witness = None
     if report.witness is not None:
         witness = {
-            "A_bits": str(report.witness.row_bits),
-            "B_bits": str(report.witness.col_bits),
+            "A_bits": hex(report.witness.row_bits),
+            "B_bits": hex(report.witness.col_bits),
         }
     return {
         "n": report.n,

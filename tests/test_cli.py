@@ -1,7 +1,6 @@
 """CLI workflows: exit codes, report contents, and byte stability."""
 
 import json
-import os
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,7 @@ import pytest
 from kslab.cli import main
 from kslab.exactnum import format_rational
 from kslab.ks_measure import build
-from kslab.rect_sup import sup_rect_bruteforce
+from kslab.rect_sup import Rectangle, rect_mass, sup_rect_bruteforce
 from kslab.tensor_bounds import combo_to_json, standard_test_family
 
 
@@ -117,6 +116,26 @@ class TestSubseq:
         assert code == 0
         assert json.loads(out.read_text())["certificate"]["indices"] == [2, 16]
 
+    @pytest.mark.parametrize("step", ["0", "-1"])
+    def test_nonpositive_stream_step_usage_error(self, tmp_path, step):
+        family = tmp_path / "family.json"
+        family.write_text("[]", encoding="utf-8")
+        out = tmp_path / "subseq.json"
+        code = run(
+            ["subseq", "--n", "2", "--family", str(family), "--out", str(out), "--stream-step", step]
+        )
+        assert code == 2
+        assert not out.exists()
+
+    def test_zero_denominator_in_family_parse_error(self, tmp_path):
+        family = tmp_path / "family.json"
+        family.write_text(
+            json.dumps([{"name": "bad", "terms": [{"profile": "sign_centered", "coeff": "1/0"}]}]),
+            encoding="utf-8",
+        )
+        out = tmp_path / "subseq.json"
+        assert run(["subseq", "--n", "2", "--family", str(family), "--out", str(out)]) == 2
+
 
 class TestSchauder:
     def test_unit_generators(self, tmp_path):
@@ -174,6 +193,29 @@ class TestSchauder:
             == 2
         )
 
+    def test_zero_denominator_in_generators_parse_error(self, tmp_path):
+        gens = tmp_path / "gens.jsonl"
+        gens.write_text('{"coords": {"1": "1/0"}}\n', encoding="utf-8")
+        out = tmp_path / "x.json"
+        assert (
+            run(["schauder", "--generators", str(gens), "--n", "1", "--horizon", "1", "--out", str(out)])
+            == 2
+        )
+
+    def test_zero_denominator_in_target_parse_error(self, tmp_path):
+        gens = tmp_path / "gens.jsonl"
+        gens.write_text(unit_generator_lines(2), encoding="utf-8")
+        targets = tmp_path / "targets.json"
+        targets.write_text(json.dumps({"targets": [["1", "1/0"]]}), encoding="utf-8")
+        out = tmp_path / "x.json"
+        code = run(
+            [
+                "schauder", "--generators", str(gens), "--n", "2", "--horizon", "2",
+                "--target", str(targets), "--out", str(out),
+            ]
+        )
+        assert code == 2
+
     def test_horizon_validation(self, tmp_path):
         gens = tmp_path / "gens.jsonl"
         gens.write_text(unit_generator_lines(3), encoding="utf-8")
@@ -203,19 +245,26 @@ class TestSup:
     def test_brute_guard_is_usage_error(self, tmp_path):
         assert run(["sup", "--n", "5", "--brute", "--out", str(tmp_path / "x.json")]) == 2
 
+    def test_witness_hex_round_trip_above_str_digit_limit(self, tmp_path):
+        # A_bits has 2^14 bits, more than 4300 decimal digits
+        out = tmp_path / "sup.json"
+        assert run(["sup", "--n", "14", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        witness = doc["witness"]
+        assert witness["A_bits"].startswith("0x") and witness["B_bits"].startswith("0x")
+        rect = Rectangle(int(witness["A_bits"], 16), int(witness["B_bits"], 16))
+        assert format_rational(abs(rect_mass(build(14), rect))) == doc["sup"]
 
-class TestThreading:
-    def test_thread_count_does_not_change_bytes(self, tmp_path):
-        out1, out4 = tmp_path / "t1.json", tmp_path / "t4.json"
-        old = os.environ.get("KSLAB_THREADS")
-        try:
-            os.environ["KSLAB_THREADS"] = "1"
-            assert run(["verify", "--n-max", "6", "--out", str(out1)]) == 0
-            os.environ["KSLAB_THREADS"] = "4"
-            assert run(["verify", "--n-max", "6", "--out", str(out4)]) == 0
-        finally:
-            if old is None:
-                os.environ.pop("KSLAB_THREADS", None)
-            else:
-                os.environ["KSLAB_THREADS"] = old
-        assert out1.read_bytes() == out4.read_bytes()
+
+class TestOutputErrors:
+    @pytest.mark.parametrize("argv", [["verify", "--n-max", "2"], ["sup", "--n", "3"]])
+    def test_unwritable_out_usage_error(self, tmp_path, capsys, argv):
+        missing = tmp_path / "no_such_dir" / "x.json"
+        assert run(argv + ["--out", str(missing)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and str(missing) in err
+
+    def test_unwritable_csv_usage_error(self, tmp_path):
+        out = tmp_path / "verify.json"
+        missing = tmp_path / "no_such_dir" / "x.csv"
+        assert run(["verify", "--n-max", "2", "--out", str(out), "--csv", str(missing)]) == 2

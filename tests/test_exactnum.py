@@ -167,6 +167,11 @@ class TestSerialization:
     def test_roundtrip(self, q):
         assert parse_rational(format_rational(q)) == q
 
+    @pytest.mark.parametrize("text", ["1/0", " -3/0 "])
+    def test_zero_denominator_is_value_error(self, text):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+
     def test_decimal_str(self):
         assert decimal_str(Fraction(1, 2), 6) == "0.500000"
         assert decimal_str(Fraction(-1, 3), 5) == "-0.33333"

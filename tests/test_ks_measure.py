@@ -221,6 +221,14 @@ class TestSignedMeasureView:
         assert mu.total_variation() == 1
         assert len(mu.support()) == 4 * 16
 
+    @pytest.mark.parametrize("bijection", [CANONICAL, RowPermutation(7), RowPermutation(8)])
+    def test_atom_list_matches_mass_and_support_formulas(self, bijection):
+        for n in range(1, 11):
+            m = build(n, bijection)
+            mu = as_signed_measure(m)
+            assert mu.total_variation() == total_variation(m) == 1
+            assert len(mu.support()) == support_size(m) == n << n
+
     def test_distinct_keys_enforced(self):
         with pytest.raises(ValueError):
             FiniteSignedMeasure(atoms=(((0, 0), Fraction(1)), ((0, 0), Fraction(1))))

@@ -1,21 +1,40 @@
-"""Rectangle suprema: brute-force oracle agreement, witness validity,
-per-width monotonicity, and certified two-sided bounds."""
+"""Rectangle suprema: brute-force and per-width oracle agreement, witness
+validity, per-width monotonicity, and certified two-sided bounds."""
 
+import functools
 from fractions import Fraction
 
 import pytest
 
-from kslab.exactnum import Cmp, PI
-from kslab.ks_measure import CANONICAL, RowPermutation, build
+from kslab.exactnum import Cmp, PI, binomial
+from kslab.ks_measure import CANONICAL, EXPLICIT_MAX_N, RowPermutation, build
 from kslab.rect_sup import (
     Rectangle,
     certify_bound2,
-    fast_per_width_values,
     rect_mass,
     report_to_json,
     sup_rect_bruteforce,
     sup_rect_fast,
 )
+
+
+@functools.cache
+def positive_part_sum(b):
+    """Sum over sign patterns in {-1,+1}^b of max(0, pattern sum).
+
+    A pattern with k plus signs sums to 2k - b and occurs C(b, k) times.
+    """
+    return sum(binomial(b, k) * (2 * k - b) for k in range(b // 2 + 1, b + 1))
+
+
+def per_width_values(n):
+    """Oracle: supremum of |rect_mass| at each width |B| = b = 1..n.
+
+    A* = rows with positive partial sum over B is optimal for fixed B, and
+    each of the 2^b sign patterns over B occurs 2^(n-b) times, so the value
+    is positive_part_sum(b) / (n 2^b).
+    """
+    return [Fraction(positive_part_sum(b), n << b) for b in range(1, n + 1)]
 
 
 class TestRectMass:
@@ -98,9 +117,19 @@ class TestFastPath:
 
     def test_per_width_values_nondecreasing(self):
         for n in (1, 2, 3, 8, 33):
-            values = fast_per_width_values(build(n))
+            values = per_width_values(n)
             assert all(values[i] <= values[i + 1] for i in range(len(values) - 1))
             assert max(values) == values[-1] == sup_rect_fast(build(n)).sup
+
+    def test_closed_form_matches_per_width_oracle(self):
+        # the witness width is the smallest width attaining the maximum
+        for n in range(1, 301):
+            values = per_width_values(n)
+            report = sup_rect_fast(build(n))
+            assert report.sup == max(values)
+            if n <= EXPLICIT_MAX_N:
+                smallest_b = values.index(report.sup) + 1
+                assert report.witness.col_bits == (1 << smallest_b) - 1
 
     def test_certified_at_n64(self):
         report = sup_rect_fast(build(64))
@@ -144,6 +173,7 @@ class TestReportJson:
         assert doc["sup_decimal"].startswith("0.1875")
         assert doc["method"] == "FastPath"
         assert set(doc["witness"]) == {"A_bits", "B_bits"}
+        assert doc["witness"]["B_bits"] == "0x7"
         assert doc["lower_ok"] == "CERT_GT"
         assert doc["upper_ok"] == "CERT_LT"
 
