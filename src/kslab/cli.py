@@ -45,7 +45,7 @@ def _verify_one(n: int) -> tuple[dict, float]:
         "n": n,
         "total_variation": format_rational(tv),
         "tv_ok": tv == 1,
-        "support_size": str(supp),
+        "support_size": format_rational(supp),
         "support_ok": supp == n * (1 << n),
         "sup": format_rational(report.sup),
         "sup_decimal": decimal_str(report.sup),

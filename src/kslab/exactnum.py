@@ -108,19 +108,38 @@ def recip_sqrt_upper(s: int) -> Rational:
     return Fraction(x0 * x0 + s, 2 * x0 * s)
 
 
+# Integers of this magnitude or more have over 4300 decimal digits, past
+# CPython's default int<->str conversion limit; they serialize as 0x hex,
+# which has no limit and converts in linear time.  A fixed constant, so the
+# output never depends on interpreter settings.
+HEX_FROM = 10**4300
+
+
+def _int_text(v: int) -> str:
+    return hex(v) if abs(v) >= HEX_FROM else str(v)
+
+
 def format_rational(q: Rational) -> str:
-    """Serialize in lowest terms: "p/q", or "p" when the denominator is 1."""
+    """Serialize in lowest terms: "p/q", or "p" when the denominator is 1.
+
+    A numerator or denominator of magnitude >= HEX_FROM is written as 0x hex
+    ("-0x.../0x..."); everything smaller is plain decimal.
+    """
     q = Fraction(q)
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _int_text(q.numerator)
+    return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
 
 
 def parse_rational(text: str) -> Rational:
-    """Inverse of format_rational; accepts "p" and "p/q".  Raises ValueError
-    on malformed text, including a zero denominator."""
+    """Inverse of format_rational; accepts "p" and "p/q", each part decimal
+    or 0x hex.  Raises ValueError on malformed text, including a zero
+    denominator."""
     try:
-        return Fraction(text.strip())
+        if "0x" not in text.lower():
+            return Fraction(text.strip())
+        num, slash, den = text.partition("/")
+        return Fraction(int(num, 0), int(den, 0) if slash else 1)
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {text!r}") from exc
 

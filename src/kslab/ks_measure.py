@@ -16,10 +16,10 @@ are computed on demand from the row index (implicit representation).
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .exactnum import Rational, binomial, format_rational
@@ -57,6 +57,10 @@ class KSMeasure:
     bijection: Canonical | RowPermutation
     representation: str
     _patterns: tuple[int, ...] | None = None  # row index -> sign pattern
+    # filled by central_mass; a declared field, so that filling it overwrites
+    # a slot __init__ made instead of adding one to the instance, which would
+    # slow every later attribute load on it (the 2^n-row loops read m often)
+    _central_mass: Rational | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def rows(self) -> int:
@@ -69,6 +73,18 @@ class KSMeasure:
     @property
     def scale(self) -> Rational:
         return Fraction(1, self.n << self.n)
+
+    @property
+    def central_mass(self) -> Rational:
+        """c_n = C(n-1, floor((n-1)/2)) / 2^n, computed once per measure.
+
+        The rectangle supremum, and by Abel summation (eval_symmetric) the
+        value of every named plus-count profile that jumps at the middle.
+        """
+        if self._central_mass is None:
+            c = Fraction(binomial(self.n - 1, (self.n - 1) // 2), 1 << self.n)
+            object.__setattr__(self, "_central_mass", c)
+        return self._central_mass
 
     def row_pattern(self, s: int) -> int:
         if self._patterns is not None:
@@ -165,37 +181,35 @@ def eval_tensor(m: KSMeasure, f: Sequence, g: Sequence) -> Rational:
     return m.scale * total
 
 
-@lru_cache(maxsize=8)
-def _binomial_row(n: int) -> tuple[int, ...]:
-    """Row (C(n,0), ..., C(n,n)) built iteratively; cached for reuse."""
-    row = [1] * (n + 1)
-    for k in range(1, n + 1):
-        row[k] = row[k - 1] * (n - k + 1) // k
-    return tuple(row)
-
-
 def eval_symmetric(m: KSMeasure, F: Sequence, gsum: Rational) -> Rational:
     """Tensor evaluation for f depending only on a row's count of +1 signs.
 
     Equals eval_tensor with f(s) = F(#plus signs in row s) and any g whose
     column sum is gsum: per column, rows with k plus signs split into
-    C(n-1, k-1) rows signed +1 and C(n-1, k) rows signed -1, so
+    C(n-1, k-1) rows signed +1 and C(n-1, k) rows signed -1, and Abel
+    summation turns the signed sum into forward differences of F:
 
-        value = scale * gsum * sum_k F(k) * (C(n-1, k-1) - C(n-1, k)).
+        value = scale * gsum * sum_{k<n} C(n-1, k) * (F(k+1) - F(k)).
 
-    O(n) big-integer work; valid in both representations (only bijectivity
-    onto the sign cube matters), usable for n in the thousands.
+    One walk along the binomial row over a common denominator of F, skipping
+    zero differences: O(n^2) bit work, valid in both representations (only
+    bijectivity onto the sign cube matters).  The table oracle for the
+    closed-form profile values in tensor_bounds.
     """
     n = m.n
     if len(F) != n + 1:
         raise ValueError(f"F has {len(F)} entries, expected {n + 1}")
-    row = _binomial_row(n - 1)
-    total = Fraction(0)
-    for k in range(n + 1):
-        d = (row[k - 1] if k >= 1 else 0) - (row[k] if k <= n - 1 else 0)
-        if d and F[k]:
-            total += Fraction(F[k]) * d
-    return m.scale * Fraction(gsum) * total
+    F = [Fraction(v) for v in F]
+    den = math.lcm(*(v.denominator for v in F))
+    ints = [v.numerator * (den // v.denominator) for v in F]
+    total = 0
+    c = 1  # C(n-1, k)
+    for k in range(n):
+        d = ints[k + 1] - ints[k]
+        if d:
+            total += c * d
+        c = c * (n - 1 - k) // (k + 1)
+    return m.scale * Fraction(gsum) * Fraction(total, den)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ from .exactnum import (
     PI,
     PiEnclosure,
     Rational,
-    binomial,
     decimal_str,
     format_rational,
 )
@@ -138,7 +137,7 @@ def sup_rect_fast(m: KSMeasure, pi: PiEnclosure = PI) -> RectangleSupReport:
     smallest maximizing width b.
     """
     n = m.n
-    sup = Fraction(binomial(n - 1, (n - 1) // 2), 1 << n)
+    sup = m.central_mass
 
     witness: Rectangle | None = None
     if n <= EXPLICIT_MAX_N:

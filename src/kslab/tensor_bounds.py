@@ -10,10 +10,15 @@ and by the inequality tensor_sup >= rectangle_sup (indicators lie in the
 cube), never trusted alone.
 
 Tensor combinations h = sum_i f_i (x) g_i come in two term forms: explicit
-tables pinned to one measure index, and symmetric profiles F(plus-count)
-with constant g, which are defined at every index and evaluable in O(n) via
-the symmetric fast path.  Decay rows certify |mu_n(h)| <= (8/sqrt(pi n)) *
-norm_bound through exact squared comparisons against the pi enclosure.
+tables pinned to one measure index, and named symmetric profiles
+F(plus-count) with constant g, which are defined at every index.  By Abel
+summation mu_n(F (x) 1) = 2^-n * sum_k C(n-1, k) (F(k+1) - F(k)), so each
+named profile has a closed form in c_n = C(n-1, floor((n-1)/2)) / 2^n, the
+rectangle supremum: one binomial per index, shared by every term evaluated
+on the same measure.  The tables and ks_measure.eval_symmetric remain as
+the oracle the tests hold the closed forms to.  Decay rows certify
+|mu_n(h)| <= (8/sqrt(pi n)) * norm_bound through exact squared comparisons
+against the pi enclosure.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .exactnum import (
     parse_rational,
     sqrt_enclosure,
 )
-from .ks_measure import GridFunction, KSMeasure, build, eval_symmetric, eval_tensor
+from .ks_measure import GridFunction, KSMeasure, build, eval_tensor
 
 TENSOR_MAX_N = 12
 
@@ -125,19 +130,37 @@ def random_tensor_probe(m: KSMeasure, trials: int, seed: int) -> float:
 # Tensor combinations
 
 
+@dataclass(frozen=True)
+class _Profile:
+    """A named plus-count profile: its table entry F(k) at index n, and its
+    closed-form value mu_n(F (x) 1) read off the forward differences of F."""
+
+    entry: Callable[[int, int], Fraction]
+    value: Callable[[KSMeasure], Rational]
+
+
 # Named plus-count profiles F(k), k = 0..n, all with sup norm 1 at every n.
-_PROFILES: dict[str, Callable[[int, int], Fraction]] = {
-    "sign_centered": lambda n, k: Fraction((2 * k > n) - (2 * k < n)),
-    "linear_centered": lambda n, k: Fraction(2 * k - n, n),
-    "abs_centered": lambda n, k: Fraction(abs(2 * k - n), n),
-    "majority": lambda n, k: Fraction(1 if 2 * k > n else 0),
-    "constant_one": lambda n, k: Fraction(1),
+# sign_centered steps by 2 across the middle (one step of 2 for odd n, two
+# steps of 1 at C(n-1, n/2 - 1) = C(n-1, n/2) for even n), majority by 1;
+# linear_centered steps by 2/n everywhere and the row sums to 2^(n-1);
+# abs_centered and constant_one are symmetric under k <-> n-k, which
+# negates every column's signed count, so they vanish.
+_PROFILES: dict[str, _Profile] = {
+    "sign_centered": _Profile(
+        lambda n, k: Fraction((2 * k > n) - (2 * k < n)), lambda m: 2 * m.central_mass
+    ),
+    "linear_centered": _Profile(lambda n, k: Fraction(2 * k - n, n), lambda m: Fraction(1, m.n)),
+    "abs_centered": _Profile(lambda n, k: Fraction(abs(2 * k - n), n), lambda m: Fraction(0)),
+    "majority": _Profile(lambda n, k: Fraction(1 if 2 * k > n else 0), lambda m: m.central_mass),
+    "constant_one": _Profile(lambda n, k: Fraction(1), lambda m: Fraction(0)),
 }
 
 
 def profile_table(name: str, n: int) -> list[Fraction]:
-    fn = _PROFILES[name]
-    return [fn(n, k) for k in range(n + 1)]
+    """The table F(0..n) of a named profile; the oracle input for
+    eval_symmetric, never built on the evaluation path."""
+    entry = _PROFILES[name].entry
+    return [entry(n, k) for k in range(n + 1)]
 
 
 @dataclass(frozen=True)
@@ -145,7 +168,9 @@ class SymmetricTerm:
     """coeff * F_profile (x) g with g constant on the columns.
 
     Defined for every measure index; sup norm |coeff| * |g_const| since all
-    named profiles have sup norm 1.
+    named profiles have sup norm 1.  value_at is coeff * g_const times the
+    profile's closed form, equal to coeff * eval_symmetric(m, table,
+    g_const * n) without building the table.
     """
 
     profile: str
@@ -163,9 +188,7 @@ class SymmetricTerm:
         return abs(Fraction(self.coeff)) * abs(Fraction(self.g_const))
 
     def value_at(self, m: KSMeasure) -> Rational:
-        table = profile_table(self.profile, m.n)
-        gsum = Fraction(self.g_const) * m.n
-        return Fraction(self.coeff) * eval_symmetric(m, table, gsum)
+        return Fraction(self.coeff) * Fraction(self.g_const) * _PROFILES[self.profile].value(m)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,16 @@
 """CLI workflows: exit codes, report contents, and byte stability."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
-from kslab.cli import main
-from kslab.exactnum import format_rational
-from kslab.ks_measure import build
+from kslab.cli import _verify_one, main
+from kslab.exactnum import format_rational, parse_rational
+from kslab.ks_measure import build, eval_symmetric
 from kslab.rect_sup import Rectangle, rect_mass, sup_rect_bruteforce
-from kslab.tensor_bounds import combo_to_json, standard_test_family
+from kslab.tensor_bounds import combo_to_json, profile_table, standard_test_family
 
 
 def run(args):
@@ -36,6 +37,13 @@ class TestVerify:
         assert sups == oracle == ["1/2", "1/4", "1/4", "3/16"]
         assert all(row["bound2"] == "PASS" for row in doc["checks"])
         assert all(row["brute_matches"] for row in doc["checks"])
+
+    def test_row_encodes_past_str_digit_limit(self):
+        # n * 2^n and the 2^n denominator of sup exceed 4300 digits here
+        row, _ = _verify_one(15000)
+        assert parse_rational(row["support_size"]) == 15000 << 15000
+        assert parse_rational(row["sup"]) == Fraction(math.comb(14999, 7499), 1 << 15000)
+        assert row["bound2"] == "PASS"
 
     def test_zero_n_max_usage_error(self, tmp_path):
         assert run(["verify", "--n-max", "0", "--out", str(tmp_path / "x.json")]) == 2
@@ -78,6 +86,30 @@ class TestSubseq:
         doc = json.loads(out.read_text())
         assert doc["certificate"]["indices"] == [1, 16, 81, 256]
         assert doc["verdict"] == "PASS"
+
+    def test_length_11_writes_hex_rationals(self, tmp_path):
+        # index 14641 gives prefix sums with 2^14641 denominators, past the
+        # 4300-digit int->str limit; they must serialize, not fail
+        family = tmp_path / "family.json"
+        combos = standard_test_family()
+        write_family(family, combos)
+        out = tmp_path / "subseq.json"
+        assert run(["subseq", "--n", "11", "--family", str(family), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        indices = doc["certificate"]["indices"]
+        assert indices[-1] == 14641 and doc["verdict"] == "PASS"
+        assert any("0x" in p for row in doc["rows"] for p in row["partial_sums"])
+        for h, row in zip(combos, doc["rows"], strict=True):
+            running = Fraction(0)
+            for s, text in zip(indices, row["partial_sums"], strict=True):
+                m = build(s)
+                running += abs(
+                    sum(
+                        t.coeff * eval_symmetric(m, profile_table(t.profile, s), t.g_const * s)
+                        for t in h.terms
+                    )
+                )
+                assert parse_rational(text) == running
 
     def test_empty_family_vacuous(self, tmp_path):
         family = tmp_path / "family.json"

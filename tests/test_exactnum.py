@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kslab.exactnum import (
+    HEX_FROM,
     PI,
     Cmp,
     PiEnclosure,
@@ -162,12 +163,34 @@ class TestSerialization:
         assert format_rational(Fraction(3, 16)) == "3/16"
         assert format_rational(Fraction(5)) == "5"
         assert format_rational(Fraction(-7, 2)) == "-7/2"
+        # parts past the 4300 digits CPython converts to str by default are hex
+        assert format_rational(Fraction(HEX_FROM - 1)) == "9" * 4300
+        assert format_rational(Fraction(-1, HEX_FROM)) == "-1/" + hex(HEX_FROM)
 
     @given(st.fractions(min_value=-100, max_value=100))
     def test_roundtrip(self, q):
         assert parse_rational(format_rational(q)) == q
 
-    @pytest.mark.parametrize("text", ["1/0", " -3/0 "])
+    @pytest.mark.parametrize(
+        "q",
+        [
+            Fraction(HEX_FROM - 1),
+            Fraction(-(HEX_FROM - 1), 3),
+            Fraction(7, HEX_FROM - 1),
+            Fraction(HEX_FROM),
+            Fraction(-HEX_FROM - 1, 3),
+            Fraction(-7, 2**15000),
+            Fraction(3**9100, 2**15000),
+        ],
+    )
+    def test_roundtrip_at_the_hex_threshold(self, q):
+        text = format_rational(q)
+        parts = text.lstrip("-").split("/")
+        for part, v in zip(parts, (q.numerator, q.denominator)):
+            assert part.startswith("0x") == (abs(v) >= HEX_FROM)
+        assert parse_rational(text) == q
+
+    @pytest.mark.parametrize("text", ["1/0", " -3/0 ", "0x1/0x0", "-0x5/0"])
     def test_zero_denominator_is_value_error(self, text):
         with pytest.raises(ValueError):
             parse_rational(text)

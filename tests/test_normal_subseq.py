@@ -2,6 +2,7 @@
 bounded-partial-sum verification of tensor families."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -132,6 +133,20 @@ class TestReport:
         report = strongly_normal_report(cert, [TensorCombo(terms=(), name="null")])
         assert report["verdict"] == "PASS"
         assert report["rows"][0]["bound_upper"] == "0"
+
+    def test_one_binomial_per_index_for_the_standard_family(self, monkeypatch):
+        calls = []
+        comb = math.comb
+
+        def counted(n, k):
+            calls.append(n)
+            return comb(n, k)
+
+        monkeypatch.setattr(math, "comb", counted)
+        cert = extract(full_stream(), 6)
+        report = strongly_normal_report(cert, standard_test_family())
+        assert report["verdict"] == "PASS"
+        assert sorted(calls) == [s - 1 for s in cert.indices]
 
     def test_selected_indices_carry_unit_norm(self):
         cert = extract(full_stream(), 4)

@@ -8,7 +8,14 @@ from fractions import Fraction
 import pytest
 
 from kslab.exactnum import PI
-from kslab.ks_measure import CANONICAL, GridFunction, RowPermutation, build, eval_tensor
+from kslab.ks_measure import (
+    CANONICAL,
+    GridFunction,
+    RowPermutation,
+    build,
+    eval_symmetric,
+    eval_tensor,
+)
 from kslab.rect_sup import sup_rect_fast
 from kslab.tensor_bounds import (
     DecayRow,
@@ -26,6 +33,9 @@ from kslab.tensor_bounds import (
     standard_test_family,
     tensor_sup_exact,
 )
+
+
+PROFILE_NAMES = ("sign_centered", "linear_centered", "abs_centered", "majority", "constant_one")
 
 
 def brute_sup_over_sign_tables(m) -> Fraction:
@@ -143,6 +153,22 @@ class TestCombos:
                 g = [term.g_const] * 6
                 total += term.coeff * eval_tensor(m, f, g)
             assert table_value == total
+
+    def test_closed_forms_match_table_oracle(self):
+        coeff, g_const = Fraction(-3, 7), Fraction(5, 2)
+        for n in [*range(1, 301), 1000, 4096, 10000]:
+            m = build(n)
+            for name in PROFILE_NAMES:
+                closed = SymmetricTerm(name, coeff, g_const).value_at(m)
+                oracle = coeff * eval_symmetric(m, profile_table(name, n), g_const * n)
+                assert closed == oracle, (name, n)
+
+    def test_closed_forms_match_rectangle_and_tensor_suprema(self):
+        for n in range(1, 11):
+            for m in (build(n), build(n, RowPermutation(n))):
+                sup = sup_rect_fast(m).sup
+                assert SymmetricTerm("majority").value_at(m) == sup
+                assert SymmetricTerm("sign_centered").value_at(m) == 2 * sup == tensor_sup_exact(m)
 
     def test_explicit_term_pinned_to_index(self):
         term = ExplicitTerm(n=2, grid=GridFunction((1, -1, 1, -1), (1, 0)))
