@@ -19,13 +19,12 @@ carry an explicit caveat and quantify the finite shadow only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .exactnum import Rational, format_rational
+from .exactnum import EchelonStore, Rational, format_rational
 from .ks_measure import build
 from .tensor_bounds import TensorCombo
 
@@ -56,32 +55,13 @@ class FiniteSection:
         return len(self.rows[0]) if self.rows else 0
 
 
-def _exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    mat = [list(map(Fraction, r)) for r in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][c]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        for r in range(len(mat)):
-            if r != rank and mat[r][c]:
-                f = mat[r][c] / mat[rank][c]
-                for c2 in range(c, cols):
-                    mat[r][c2] -= f * mat[rank][c2]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
 def check_section(section: FiniteSection) -> None:
     """Raise DegenerateSectionError on a zero row or dependent rows."""
     for i, row in enumerate(section.rows):
         if all(v == 0 for v in row):
             raise DegenerateSectionError(f"functional {i} is zero on the test family")
-    if _exact_rank(section.rows) < section.n_functionals:
+    store = EchelonStore(section.n_tests)
+    if not all(store.add(dict(enumerate(row, start=1))) for row in section.rows):
         raise DegenerateSectionError("section rows are linearly dependent")
 
 

@@ -200,7 +200,7 @@ def cmd_schauder(args: argparse.Namespace) -> int:
         )
         return 1
 
-    basis = schauder.build_triangular_basis(gens, args.n, args.horizon)
+    basis = schauder.basis_from_density(density, gens, args.horizon)
     doc["basis"] = schauder.basis_to_json(basis)
     all_grids_true = True
     for vec in targets:

@@ -5,6 +5,10 @@ nonnegative rational and a constant of the form (c_num/c_den) / sqrt(pi * n).
 Squaring both sides removes the square root, so the comparison is decided by
 exact integer arithmetic against a fixed rational enclosure of pi.  No
 floating point ever enters a certification path.
+
+The exact linear algebra lives here too: EchelonStore, an incremental
+row-echelon form that records how each stored row combines its inputs,
+decides density, builds triangular bases and checks section rank.
 """
 
 from __future__ import annotations
@@ -142,6 +146,81 @@ def parse_rational(text: str) -> Rational:
         return Fraction(int(num, 0), int(den, 0) if slash else 1)
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {text!r}") from exc
+
+
+def _sub_scaled(target: dict[int, Fraction], factor: Fraction, source: dict[int, Fraction]) -> None:
+    """target -= factor * source on sparse vectors, dropping entries that cancel."""
+    for k, x in source.items():
+        nv = target.get(k, 0) - factor * x
+        if nv:
+            target[k] = nv
+        else:
+            target.pop(k, None)
+
+
+class EchelonStore:
+    """Row-echelon form of sparse rational vectors restricted to coordinates
+    1..m, built one input at a time; the package's one exact elimination.
+
+    Inputs are numbered 0, 1, ... in the order they are added.  add() reduces
+    an input against the stored rows in storage order and stores the
+    remainder, pivoting on its first nonzero coordinate; an input that
+    reduces to zero depends on earlier ones and is dropped.  The stored rows
+    therefore come from the first independent inputs, and their pivots are
+    the coordinates k whose projection is independent of those on 1..k-1.
+    Each row also records the combination of inputs it equals (a dict from
+    input number to weight), so the stored rows can be solved back into
+    combinations of the original inputs.
+    """
+
+    def __init__(self, m: int):
+        self.m = m
+        self.inputs = 0
+        self.rows: list[tuple[int, dict[int, Fraction], dict[int, Fraction]]] = []  # (pivot, vector, combination)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def add(self, vec: dict[int, Rational]) -> bool:
+        """Reduce one input and store it; False when it depends on earlier inputs."""
+        v = {k: Fraction(x) for k, x in vec.items() if k <= self.m and x}
+        combo = {self.inputs: Fraction(1)}
+        self.inputs += 1
+        for pivot, row, row_combo in self.rows:
+            coef = v.get(pivot)
+            if coef:
+                factor = coef / row[pivot]
+                _sub_scaled(v, factor, row)
+                _sub_scaled(combo, factor, row_combo)
+        if not v:
+            return False
+        self.rows.append((min(v), v, combo))
+        return True
+
+    def first_gap(self) -> int | None:
+        """The least coordinate in 1..m that no stored row pivots on."""
+        pivots = {pivot for pivot, _, _ in self.rows}
+        return next((k for k in range(1, self.m + 1) if k not in pivots), None)
+
+    def unit_combinations(self) -> list[dict[int, Fraction]]:
+        """For full rank m: the input combinations whose profiles on 1..m are
+        the unit vectors e_1..e_m, by back-substituting the pivot rows from m
+        down to 1 (the row pivoting on n is zero before n, so it needs only
+        the combinations for n+1..m).  On a fixed set of independent inputs
+        these combinations are unique."""
+        if self.rank != self.m:
+            raise ValueError(f"rank {self.rank} is short of {self.m}")
+        by_pivot = {pivot: (row, combo) for pivot, row, combo in self.rows}
+        units: dict[int, dict[int, Fraction]] = {}
+        for n in range(self.m, 0, -1):
+            row, combo = by_pivot[n]
+            acc = dict(combo)
+            for k, x in row.items():
+                if k != n:
+                    _sub_scaled(acc, x, units[k])
+            units[n] = {i: w / row[n] for i, w in acc.items()}
+        return [units[n] for n in range(1, self.m + 1)]
 
 
 def decimal_str(q: Rational, digits: int = 30) -> str:

@@ -31,14 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactnum import (
-    Cmp,
-    PI,
-    PiEnclosure,
-    Rational,
-    decimal_str,
-    format_rational,
-)
+from .exactnum import PI, Cmp, Rational, cmp_sq_below, decimal_str, format_rational
 from .ks_measure import EXPLICIT_MAX_N, KSMeasure
 
 BRUTE_MAX_N = 4
@@ -88,15 +81,13 @@ def rect_mass(m: KSMeasure, r: Rectangle) -> Rational:
     return total * m.scale
 
 
-def _certify_pair(sup: Rational, n: int, pi: PiEnclosure) -> tuple[Cmp, Cmp]:
-    from .exactnum import cmp_sq_below
-
-    lower_ok = cmp_sq_below(sup, 1, 2, pi, n)  # want CERT_GT vs 1/(2 sqrt(pi n))
-    upper_ok = cmp_sq_below(sup, 2, 1, pi, n)  # want CERT_LT vs 2/sqrt(pi n)
+def _certify_pair(sup: Rational, n: int) -> tuple[Cmp, Cmp]:
+    lower_ok = cmp_sq_below(sup, 1, 2, PI, n)  # want CERT_GT vs 1/(2 sqrt(pi n))
+    upper_ok = cmp_sq_below(sup, 2, 1, PI, n)  # want CERT_LT vs 2/sqrt(pi n)
     return lower_ok, upper_ok
 
 
-def sup_rect_bruteforce(m: KSMeasure, pi: PiEnclosure = PI) -> RectangleSupReport:
+def sup_rect_bruteforce(m: KSMeasure) -> RectangleSupReport:
     """Exhaustive maximum of |rect_mass| over all 2^(2^n) * 2^n rectangles.
 
     Ties broken by the lexicographically smallest (B, A) bit pattern, which
@@ -122,14 +113,14 @@ def sup_rect_bruteforce(m: KSMeasure, pi: PiEnclosure = PI) -> RectangleSupRepor
             best = vmax
             best_rect = Rectangle(int(np.argmax(absT == vmax)), col_bits)
     sup = Fraction(best, n << n)
-    lower_ok, upper_ok = _certify_pair(sup, n, pi)
+    lower_ok, upper_ok = _certify_pair(sup, n)
     return RectangleSupReport(
         n=n, sup=sup, witness=best_rect, lower_ok=lower_ok, upper_ok=upper_ok,
         method="BruteForce",
     )
 
 
-def sup_rect_fast(m: KSMeasure, pi: PiEnclosure = PI) -> RectangleSupReport:
+def sup_rect_fast(m: KSMeasure) -> RectangleSupReport:
     """Closed-form supremum C(n-1, floor((n-1)/2)) / 2^n.
 
     Works in implicit mode.  A witness (B = first b columns, A = rows with
@@ -150,19 +141,19 @@ def sup_rect_fast(m: KSMeasure, pi: PiEnclosure = PI) -> RectangleSupReport:
                 buf[s >> 3] |= 1 << (s & 7)
         witness = Rectangle(int.from_bytes(bytes(buf), "little"), col_bits)
 
-    lower_ok, upper_ok = _certify_pair(sup, n, pi)
+    lower_ok, upper_ok = _certify_pair(sup, n)
     return RectangleSupReport(
         n=n, sup=sup, witness=witness, lower_ok=lower_ok, upper_ok=upper_ok,
         method="FastPath",
     )
 
 
-def certify_bound2(report: RectangleSupReport, pi: PiEnclosure = PI) -> str:
+def certify_bound2(report: RectangleSupReport) -> str:
     """PASS iff 1/(2 sqrt(pi n)) < sup < 2/sqrt(pi n), both rationally
     certified; UNDECIDED signals an insufficient enclosure."""
     if report.sup < 0:
         raise ValueError("supremum must be nonnegative")
-    lower_ok, upper_ok = _certify_pair(report.sup, report.n, pi)
+    lower_ok, upper_ok = _certify_pair(report.sup, report.n)
     if lower_ok is Cmp.UNDECIDED or upper_ok is Cmp.UNDECIDED:
         return UNDECIDED
     if lower_ok is Cmp.CERT_GT and upper_ok is Cmp.CERT_LT:

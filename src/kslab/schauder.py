@@ -5,11 +5,13 @@ A span of finitely supported generators is dense in the product topology
 iff every finite-coordinate projection of it is surjective.  Surjectivity
 onto an initial segment {1..m} implies it for every subset of {1..m}
 (a coordinate subprojection of a surjection is surjective), so the check
-reduces to one exact rank computation on the matrix of generator
-coordinates restricted to rows 1..m.
+feeds the generators, restricted to 1..m, into one exact row-echelon store
+(exactnum.EchelonStore) until its rank reaches m.
 
-From a generator set dense up to N, the construction solves, for each n,
-an exact linear system for a combination b_n with coordinate profile
+From a generator set dense up to N, that store holds one pivot row per
+coordinate 1..N together with the generator combination it equals.
+Back-substituting the rows from N down to 1 gives combinations b_n with
+the unit profile delta_{kn} on all of 1..N, so in particular the profile
 (0, ..., 0, 1) on 1..n.  The resulting triangular family expands any target
 sequence through the recursion a_n = y_n - sum_{k<n} a_k * pi_n(b_k), whose
 partial sums stabilize coordinatewise: pi_m(S_N') = y_m for every N' >= m.
@@ -24,11 +26,11 @@ coordinate, so a horizon loses nothing testable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .exactnum import Rational, format_rational, parse_rational
+from .exactnum import EchelonStore, Rational, format_rational, parse_rational
 
 SparseVec = dict[int, Fraction]  # 1-based coordinate -> value, finite support
 
@@ -89,6 +91,8 @@ class GeneratorSet:
             try:
                 doc = json.loads(line)
                 coords = doc["coords"]
+                if not isinstance(coords, dict):
+                    raise ValueError(f"coords must be an object, got {coords!r}")
                 vectors.append(
                     _validate_sparse({int(k): parse_rational(str(v)) for k, v in coords.items()})
                 )
@@ -128,73 +132,40 @@ class DensityResult:
     m: int
     rank: int
     pivot_generators: tuple[int, ...]  # generator indices witnessing the rank
+    echelon: EchelonStore = field(compare=False, repr=False)  # the scan's elimination
     failing: tuple[int, ...] = ()  # the finite set {1..m} when NOT_DENSE
 
 
-class _IncrementalRank:
-    """Row-echelon store over coordinates 1..m, fed one generator at a time."""
-
-    def __init__(self, m: int):
-        self.m = m
-        self.reduced: list[tuple[int, SparseVec]] = []  # (pivot coord, vector)
-
-    def add(self, vec: SparseVec) -> bool:
-        v = {k: x for k, x in vec.items() if k <= self.m}
-        for pivot, basis_vec in self.reduced:
-            coef = v.get(pivot)
-            if coef:
-                factor = coef / basis_vec[pivot]
-                for k, x in basis_vec.items():
-                    nv = v.get(k, Fraction(0)) - factor * x
-                    if nv:
-                        v[k] = nv
-                    else:
-                        v.pop(k, None)
-        if not v:
-            return False
-        pivot = min(v)
-        self.reduced.append((pivot, v))
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.reduced)
-
-
-def density_check(G: GeneratorSet, m: int, max_scan: int | None = None) -> DensityResult:
+def density_check(G: GeneratorSet, m: int) -> DensityResult:
     """Decide surjectivity of the projection onto coordinates 1..m.
 
-    Finite sets yield DENSE_UP_TO or NOT_DENSE.  For a stream the scan stops
-    after max_scan generators (default STREAM_SCAN_FACTOR * m): a verdict of
-    INCONCLUSIVE means the rank could still grow with more generators; an
+    Feeds the generators in order into one EchelonStore over 1..m until its
+    rank reaches m.  Finite sets yield DENSE_UP_TO or NOT_DENSE.  For a
+    stream the scan stops after STREAM_SCAN_FACTOR * m generators: a verdict
+    of INCONCLUSIVE means the rank could still grow with more generators; an
     exhausted stream was finite after all and rank deficiency is decisive.
     """
     if m < 1:
         raise ValueError(f"segment length must be >= 1, got {m}")
-    tracker = _IncrementalRank(m)
+    store = EchelonStore(m)
     pivots: list[int] = []
-    budget: int | None = None
-    if G.is_stream():
-        budget = max_scan if max_scan is not None else STREAM_SCAN_FACTOR * m
+    budget = STREAM_SCAN_FACTOR * m if G.is_stream() else None
+    status = DENSE_UP_TO
     idx = 0
-    while tracker.rank < m:
+    while store.rank < m:
         got = G.fetch(idx + 1)
         if len(got) <= idx:
-            # source ended: the family is finite, deficiency is decisive
-            return DensityResult(
-                status=NOT_DENSE, m=m, rank=tracker.rank,
-                pivot_generators=tuple(pivots), failing=tuple(range(1, m + 1)),
-            )
-        if tracker.add(got[idx]):
+            status = NOT_DENSE  # source ended: the family is finite, deficiency is decisive
+            break
+        if store.add(got[idx]):
             pivots.append(idx)
         idx += 1
-        if budget is not None and idx >= budget and tracker.rank < m:
-            return DensityResult(
-                status=INCONCLUSIVE, m=m, rank=tracker.rank,
-                pivot_generators=tuple(pivots),
-            )
+        if budget is not None and idx >= budget and store.rank < m:
+            status = INCONCLUSIVE
+            break
     return DensityResult(
-        status=DENSE_UP_TO, m=m, rank=tracker.rank, pivot_generators=tuple(pivots)
+        status=status, m=m, rank=store.rank, pivot_generators=tuple(pivots), echelon=store,
+        failing=tuple(range(1, m + 1)) if status == NOT_DENSE else (),
     )
 
 
@@ -219,75 +190,46 @@ class TriangularBasis:
         return self.vectors[n - 1].coords[k - 1]
 
 
-def _solve_unit_profiles(gens: list[SparseVec], N: int) -> list[list[Fraction]]:
-    """For each n <= N, the generator combination whose coordinate profile on
-    1..N is the n-th unit vector: one forward elimination with first-nonzero
-    pivoting, N unit right-hand sides, free variables fixed to zero.  Raises
-    DensityError naming the coordinate of the first zero row."""
-    g = len(gens)
-    a = [[gens[c].get(i + 1, Fraction(0)) for c in range(g)] for i in range(N)]
-    rhs = [[Fraction(1) if i == j else Fraction(0) for j in range(N)] for i in range(N)]
-    pivot_cols: list[int] = []
-    for r in range(N):
-        pivot = next((c for c in range(g) if a[r][c]), None)
-        if pivot is None:
-            raise DensityError(coordinate=r + 1)
-        pivot_cols.append(pivot)
-        for r2 in range(r + 1, N):
-            if a[r2][pivot]:
-                factor = a[r2][pivot] / a[r][pivot]
-                for c in range(g):
-                    if a[r][c]:
-                        a[r2][c] -= factor * a[r][c]
-                for j in range(N):
-                    if rhs[r][j]:
-                        rhs[r2][j] -= factor * rhs[r][j]
-    solutions: list[list[Fraction]] = []
-    for j in range(N):
-        x = [Fraction(0)] * g
-        for r in range(N - 1, -1, -1):
-            p = pivot_cols[r]
-            acc = rhs[r][j]
-            for r2 in range(r + 1, N):
-                c2 = pivot_cols[r2]
-                if a[r][c2] and x[c2]:
-                    acc -= a[r][c2] * x[c2]
-            x[p] = acc / a[r][p]
-        solutions.append(x)
-    return solutions
-
-
 def build_triangular_basis(G: GeneratorSet, N: int, horizon: int) -> TriangularBasis:
     """Construct b_1..b_N on the given horizon with pi_k(b_n) = delta_{kn}
-    for every k <= N (stronger than the triangular requirement k <= n, and
-    the deterministic choice: first-nonzero pivoting, zero free variables).
+    for every k <= N (stronger than the triangular requirement k <= n):
+    density_check up to N, then basis_from_density on its echelon store.
     Requires the generators to be dense up to N; rank deficiency raises a
-    DensityError naming the first uncovered coordinate.
+    DensityError naming the first uncovered coordinate, and N < 1 or a
+    horizon shorter than N raise ValueError.
     """
-    if N < 1:
-        raise ValueError(f"basis length must be >= 1, got {N}")
+    return basis_from_density(density_check(G, N), G, horizon)
+
+
+def basis_from_density(density: DensityResult, G: GeneratorSet, horizon: int) -> TriangularBasis:
+    """The triangular basis b_1..b_N, N = density.m, from the echelon store
+    the density check of G built, without eliminating again.
+
+    The store holds one pivot row per coordinate 1..N, each made of the
+    first generators independent on 1..N; back-substituting those rows from
+    N down to 1 gives the unique combination of them whose profile on 1..N
+    is the n-th unit vector.  b_n is that combination evaluated on the
+    horizon.  A coordinate without a pivot raises DensityError at the first
+    such coordinate; an inconclusive stream scan raises ValueError.
+    """
+    N = density.m
     if horizon < N:
         raise ValueError(f"horizon {horizon} shorter than basis length {N}")
-
-    if G.is_stream():
-        verdict = density_check(G, N)
-        if verdict.status == INCONCLUSIVE:
-            raise ValueError(
-                f"stream scan inconclusive at rank {verdict.rank} of {N}; "
-                "supply more generators or raise the scan budget"
-            )
-        gens = G.fetch(verdict.pivot_generators[-1] + 1) if verdict.status == DENSE_UP_TO else G.fetch_all()
-    else:
-        gens = G.fetch_all()
+    if density.status == INCONCLUSIVE:
+        raise ValueError(
+            f"stream scan inconclusive at rank {density.rank} of {N}; supply more generators"
+        )
+    store = density.echelon
+    gap = store.first_gap()
+    if gap is not None:
+        raise DensityError(coordinate=gap)
+    gens = G.fetch(store.inputs)
 
     vectors = []
-    for n, x in enumerate(_solve_unit_profiles(gens, N), start=1):
+    for n, combo in enumerate(store.unit_combinations(), start=1):
         coords = [Fraction(0)] * horizon
-        combination = []
-        for c, weight in enumerate(x):
-            if not weight:
-                continue
-            combination.append((c, weight))
+        combination = tuple(sorted(combo.items()))
+        for c, weight in combination:
             for k, v in gens[c].items():
                 if k <= horizon:
                     coords[k - 1] += weight * v
@@ -295,7 +237,7 @@ def build_triangular_basis(G: GeneratorSet, N: int, horizon: int) -> TriangularB
             expected = Fraction(1) if k == n else Fraction(0)
             if coords[k - 1] != expected:
                 raise AssertionError(f"unit coordinate profile violated at pi_{k}(b_{n})")
-        vectors.append(BasisVector(coords=tuple(coords), combination=tuple(combination)))
+        vectors.append(BasisVector(coords=tuple(coords), combination=combination))
     return TriangularBasis(vectors=tuple(vectors), horizon=horizon)
 
 

@@ -33,7 +33,6 @@ import numpy as np
 
 from .exactnum import (
     PI,
-    PiEnclosure,
     Rational,
     cmp_sq_below,
     Cmp,
@@ -76,12 +75,7 @@ def tensor_sup_exact(m: KSMeasure) -> Rational:
     return Fraction(best, n << n)
 
 
-def certify_bound3(
-    n: int,
-    sup: Rational,
-    pi: PiEnclosure = PI,
-    rect_sup: Rational | None = None,
-) -> str:
+def certify_bound3(n: int, sup: Rational, rect_sup: Rational | None = None) -> str:
     """PASS iff sup < 8/sqrt(pi n) is rationally certified.
 
     When the rectangle supremum is supplied, sup >= rect_sup is also
@@ -92,7 +86,7 @@ def certify_bound3(
         raise ValueError("supremum must be nonnegative")
     if rect_sup is not None and sup < rect_sup:
         return FAIL
-    verdict = cmp_sq_below(sup, 8, 1, pi, n)
+    verdict = cmp_sq_below(sup, 8, 1, PI, n)
     if verdict is Cmp.CERT_LT:
         return PASS
     if verdict is Cmp.CERT_GT:
@@ -269,22 +263,24 @@ def combo_to_json(combo: TensorCombo) -> dict:
 
 
 def combo_from_json(doc: dict) -> TensorCombo:
-    if not isinstance(doc, dict) or "terms" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("terms"), list):
         raise ValueError("combo document must be an object with a 'terms' list")
     terms = []
     for td in doc["terms"]:
+        if not isinstance(td, dict):
+            raise ValueError(f"term must be an object, got {td!r}")
         kind = td.get("type", "symmetric")
         if kind == "symmetric":
             terms.append(
                 SymmetricTerm(
                     profile=td["profile"],
-                    coeff=parse_rational(td.get("coeff", "1")),
-                    g_const=parse_rational(td.get("g_const", "1")),
+                    coeff=parse_rational(str(td.get("coeff", "1"))),
+                    g_const=parse_rational(str(td.get("g_const", "1"))),
                 )
             )
         elif kind == "explicit":
-            f = tuple(parse_rational(v) for v in td["f"])
-            g = tuple(parse_rational(v) for v in td["g"])
+            f = tuple(parse_rational(str(v)) for v in td["f"])
+            g = tuple(parse_rational(str(v)) for v in td["g"])
             n = int(td["n"])
             if len(f) != (1 << n) or len(g) != n:
                 raise ValueError(f"explicit term tables do not match n={n}")

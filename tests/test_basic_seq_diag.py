@@ -110,6 +110,48 @@ class TestBasisConstant:
             basis_constant(section)
 
 
+def gram_det(rows):
+    """det(R R^T) by cofactor expansion: nonzero iff the rows are independent."""
+    gram = [[sum((a * b for a, b in zip(r, s)), Fraction(0)) for s in rows] for r in rows]
+
+    def det(mat):
+        if len(mat) == 1:
+            return mat[0][0]
+        return sum(
+            (-1) ** j * mat[0][j] * det([row[:j] + row[j + 1 :] for row in mat[1:]])
+            for j in range(len(mat))
+            if mat[0][j]
+        )
+
+    return det(gram)
+
+
+class TestCheckSectionRank:
+    def test_agrees_with_gram_determinant_oracle(self):
+        rng = random.Random(59)
+        verdicts = {True: 0, False: 0}
+        for trial in range(300):
+            n, f = rng.randint(1, 5), rng.randint(1, 7)
+            rows = [
+                [Fraction(rng.choice([0, 0, 1, -1, 2, -3]), rng.randint(1, 4)) for _ in range(f)]
+                for _ in range(n)
+            ]
+            if n >= 3 and trial % 2:
+                # plant a row that is a rational combination of two others
+                i, j, k = rng.sample(range(n), 3)
+                a, b = Fraction(rng.randint(-5, 5), rng.randint(1, 5)), Fraction(rng.randint(1, 5), 3)
+                rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+            independent = gram_det(rows) != 0
+            verdicts[independent] += 1
+            try:
+                check_section(FiniteSection(rows=frac_rows(rows)))
+                accepted = True
+            except DegenerateSectionError:
+                accepted = False
+            assert accepted == independent, rows
+        assert min(verdicts.values()) >= 50, verdicts
+
+
 class TestSectionOfKs:
     def test_constant_family_gives_zero_column(self):
         # column balance wipes the constant tensor, flagged downstream

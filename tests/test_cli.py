@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from kslab.cli import _verify_one, main
-from kslab.exactnum import format_rational, parse_rational
+from kslab.exactnum import EchelonStore, format_rational, parse_rational
 from kslab.ks_measure import build, eval_symmetric
 from kslab.rect_sup import Rectangle, rect_mass, sup_rect_bruteforce
 from kslab.tensor_bounds import combo_to_json, profile_table, standard_test_family
@@ -169,6 +169,31 @@ class TestSubseq:
         assert run(["subseq", "--n", "2", "--family", str(family), "--out", str(out)]) == 2
 
 
+    @pytest.mark.parametrize(
+        "terms", [["sign_centered"], [["majority"]], "sign_centered", {"profile": "majority"}, None]
+    )
+    def test_non_object_terms_parse_error(self, tmp_path, capsys, terms):
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps([{"name": "bad", "terms": terms}]), encoding="utf-8")
+        out = tmp_path / "subseq.json"
+        assert run(["subseq", "--n", "2", "--family", str(family), "--out", str(out)]) == 2
+        assert "cannot parse family file" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_numeric_rationals_read_as_their_text(self, tmp_path):
+        reports = []
+        for coeff in ("1/2", 0.5):
+            family = tmp_path / "family.json"
+            family.write_text(
+                json.dumps([{"name": "h", "terms": [{"profile": "majority", "coeff": coeff, "g_const": 2}]}]),
+                encoding="utf-8",
+            )
+            out = tmp_path / f"subseq_{len(reports)}.json"
+            assert run(["subseq", "--n", "2", "--family", str(family), "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+
 class TestSchauder:
     def test_unit_generators(self, tmp_path):
         gens = tmp_path / "gens.jsonl"
@@ -233,6 +258,47 @@ class TestSchauder:
             run(["schauder", "--generators", str(gens), "--n", "1", "--horizon", "1", "--out", str(out)])
             == 2
         )
+
+    @pytest.mark.parametrize("coords", ["[1, 2]", '"1"', "3", "null"])
+    def test_non_object_coords_parse_error(self, tmp_path, capsys, coords):
+        gens = tmp_path / "gens.jsonl"
+        gens.write_text('{"coords": {"1": "1"}}\n{"coords": %s}\n' % coords, encoding="utf-8")
+        out = tmp_path / "x.json"
+        assert (
+            run(["schauder", "--generators", str(gens), "--n", "1", "--horizon", "1", "--out", str(out)])
+            == 2
+        )
+        assert "generator line 2:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_elimination_per_run(self, tmp_path, monkeypatch):
+        # the basis comes from the density check's echelon store: one store,
+        # each scanned generator reduced once
+        stores, adds = [], []
+        init, add = EchelonStore.__init__, EchelonStore.add
+
+        def counting_init(self, m):
+            stores.append(m)
+            init(self, m)
+
+        def counting_add(self, vec):
+            adds.append(vec)
+            return add(self, vec)
+
+        monkeypatch.setattr(EchelonStore, "__init__", counting_init)
+        monkeypatch.setattr(EchelonStore, "add", counting_add)
+        gens = tmp_path / "gens.jsonl"
+        gens.write_text(
+            '{"coords": {"1": "1", "2": "1"}}\n{"coords": {"1": "2", "2": "2"}}\n'
+            '{"coords": {"2": "1", "3": "5"}}\n{"coords": {"3": "1"}}\n{"coords": {"4": "1"}}\n',
+            encoding="utf-8",
+        )
+        out = tmp_path / "basis.json"
+        code = run(["schauder", "--generators", str(gens), "--n", "3", "--horizon", "4", "--out", str(out)])
+        assert code == 0
+        assert stores == [3] and len(adds) == 4
+        vectors = json.loads(out.read_text())["basis"]["vectors"]
+        assert [vec["coords"][:3] for vec in vectors] == [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
 
     def test_zero_denominator_in_target_parse_error(self, tmp_path):
         gens = tmp_path / "gens.jsonl"

@@ -1,6 +1,8 @@
 """Exact arithmetic layer: binomials against a Pascal-triangle oracle,
-certified comparisons against a 50-digit decimal oracle."""
+certified comparisons against a 50-digit decimal oracle, and the echelon
+store against its own recorded combinations."""
 
+import random
 from fractions import Fraction
 
 import mpmath
@@ -12,6 +14,7 @@ from kslab.exactnum import (
     HEX_FROM,
     PI,
     Cmp,
+    EchelonStore,
     PiEnclosure,
     binomial,
     cmp_sq_below,
@@ -199,3 +202,42 @@ class TestSerialization:
         assert decimal_str(Fraction(1, 2), 6) == "0.500000"
         assert decimal_str(Fraction(-1, 3), 5) == "-0.33333"
         assert len(decimal_str(Fraction(1, 7)).split(".")[1]) == 30
+
+
+class TestEchelonStore:
+    def test_dependent_inputs_dropped(self):
+        store = EchelonStore(3)
+        inputs = [{1: 1, 2: 1}, {1: 2, 2: 2}, {2: 1, 3: 5, 9: 4}, {3: 1}]
+        assert [store.add(v) for v in inputs] == [True, False, True, True]
+        assert [pivot for pivot, _, _ in store.rows] == [1, 2, 3]
+        assert store.inputs == 4 and store.first_gap() is None
+
+    def test_rows_and_units_against_recorded_combinations(self):
+        rng = random.Random(8)
+        for _ in range(200):
+            m = rng.randint(1, 6)
+            inputs = [
+                {c: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for c in rng.sample(range(1, m + 3), 2)}
+                for _ in range(rng.randint(1, m + 2))
+            ]
+            store = EchelonStore(m)
+            for v in inputs:
+                store.add(v)
+
+            def profile(combo):
+                out = [Fraction(0)] * m
+                for i, w in combo.items():
+                    for k, x in inputs[i].items():
+                        if k <= m:
+                            out[k - 1] += w * x
+                return out
+
+            for pivot, row, combo in store.rows:
+                assert profile(combo) == [row.get(k, 0) for k in range(1, m + 1)]
+                assert min(row) == pivot
+            if store.first_gap() is not None:
+                with pytest.raises(ValueError):
+                    store.unit_combinations()
+                continue
+            for n, combo in enumerate(store.unit_combinations(), start=1):
+                assert profile(combo) == [int(k == n) for k in range(1, m + 1)]

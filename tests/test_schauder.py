@@ -1,6 +1,7 @@
 """Density checks, triangular basis construction, expansion recursion,
 stabilization grids, and coefficient functionals, all exact."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -372,3 +373,117 @@ class TestSerialization:
         exp_doc = expansion_to_json(exp)
         assert exp_doc["coefficients"] == ["2", "3"]
         assert exp_doc["stabilization_log"] == [1, 2]
+
+
+def reference_unit_profiles(gens, N):
+    """The dense solver the triangular basis was built with before the echelon
+    store: for each n <= N, the generator combination whose profile on 1..N
+    is the n-th unit vector, by one forward elimination over the coordinate
+    rows with first-nonzero pivoting, N unit right-hand sides and free
+    variables fixed to zero.  Raises DensityError naming the coordinate of
+    the first zero row."""
+    g = len(gens)
+    a = [[gens[c].get(i + 1, Fraction(0)) for c in range(g)] for i in range(N)]
+    rhs = [[Fraction(1) if i == j else Fraction(0) for j in range(N)] for i in range(N)]
+    pivot_cols = []
+    for r in range(N):
+        pivot = next((c for c in range(g) if a[r][c]), None)
+        if pivot is None:
+            raise DensityError(coordinate=r + 1)
+        pivot_cols.append(pivot)
+        for r2 in range(r + 1, N):
+            if a[r2][pivot]:
+                factor = a[r2][pivot] / a[r][pivot]
+                for c in range(g):
+                    if a[r][c]:
+                        a[r2][c] -= factor * a[r][c]
+                for j in range(N):
+                    if rhs[r][j]:
+                        rhs[r2][j] -= factor * rhs[r][j]
+    solutions = []
+    for j in range(N):
+        x = [Fraction(0)] * g
+        for r in range(N - 1, -1, -1):
+            p = pivot_cols[r]
+            acc = rhs[r][j]
+            for r2 in range(r + 1, N):
+                c2 = pivot_cols[r2]
+                if a[r][c2] and x[c2]:
+                    acc -= a[r][c2] * x[c2]
+            x[p] = acc / a[r][p]
+        solutions.append(x)
+    return solutions
+
+
+def reference_basis(gens, N, horizon):
+    vectors = []
+    for x in reference_unit_profiles(gens, N):
+        coords = [Fraction(0)] * horizon
+        combination = []
+        for c, weight in enumerate(x):
+            if weight:
+                combination.append((c, weight))
+                for k, v in gens[c].items():
+                    if k <= horizon:
+                        coords[k - 1] += weight * v
+        vectors.append(BasisVector(coords=tuple(coords), combination=tuple(combination)))
+    return TriangularBasis(vectors=tuple(vectors), horizon=horizon)
+
+
+def random_mixed_generators(rng, N, horizon):
+    """Generators near density up to N: one vector per coordinate k <= N,
+    nonzero at k and at up to two random coordinates on either side, plus
+    exact duplicates, rational combinations of two generators and junk
+    supported beyond N.  In about a third of the sets one or two coordinates
+    are touched by no generator, so they are rank deficient."""
+    def entry():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+
+    gens = []
+    for k in range(1, N + 1):
+        vec = {k: entry()}
+        others = [c for c in range(1, horizon + 1) if c != k]
+        for c in rng.sample(others, k=min(len(others), rng.randint(0, 2))):
+            vec[c] = entry()
+        gens.append(vec)
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.choice(["duplicate", "dependent", "junk"])
+        if kind == "duplicate":
+            gens.append(dict(rng.choice(gens)))
+        elif kind == "dependent" and len(gens) >= 2:
+            u, w = rng.sample(gens, 2)
+            a, b = entry(), entry()
+            gens.append({k: a * u.get(k, 0) + b * w.get(k, 0) for k in set(u) | set(w)})
+        elif horizon > N:
+            gens.append({c: entry() for c in rng.sample(range(N + 1, horizon + 1), k=1)})
+    if rng.random() < 0.3:
+        missing = rng.sample(range(1, N + 1), k=rng.randint(1, min(2, N)))
+        gens = [{k: v for k, v in g.items() if k not in missing} for g in gens]
+    rng.shuffle(gens)
+    return [{k: v for k, v in g.items() if v} for g in gens]
+
+
+class TestAgainstReferenceSolver:
+    def test_random_finite_and_stream_sets(self):
+        # streams stay shorter than the scan budget (STREAM_SCAN_FACTOR * N),
+        # so every stream ends decisively, and free generators get weight
+        # zero, so solving on the whole list equals solving on the prefix
+        rng = random.Random(4242)
+        cases = {"finite": 0, "stream": 0, "deficient": 0}
+        for trial in range(1000):
+            N = rng.randint(1, 6)
+            horizon = N + rng.randint(0, 3)
+            vectors = random_mixed_generators(rng, N, horizon)
+            stream = trial % 2 == 1
+            G = GeneratorSet(iter(vectors), count=None) if stream else GeneratorSet.from_vectors(vectors)
+            cases["stream" if stream else "finite"] += 1
+            try:
+                expected = json.dumps(basis_to_json(reference_basis(vectors, N, horizon)))
+            except DensityError as exc:
+                cases["deficient"] += 1
+                with pytest.raises(DensityError) as err:
+                    build_triangular_basis(G, N, horizon)
+                assert err.value.coordinate == exc.coordinate
+                continue
+            assert json.dumps(basis_to_json(build_triangular_basis(G, N, horizon))) == expected
+        assert min(cases.values()) >= 200, cases
