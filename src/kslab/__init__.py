@@ -1,56 +1,10 @@
 """kslab: exact-arithmetic construction and certification of sign-cube
 measures on product grids, their rectangle and tensor bounds, summable
 subsequence certificates, and triangular bases of dense sequence subspaces.
-"""
 
-from .exactnum import (
-    Cmp,
-    PI,
-    PiEnclosure,
-    Rational,
-    binomial,
-    cmp_sq_below,
-    format_rational,
-    parse_rational,
-)
-from .ks_measure import (
-    CANONICAL,
-    Canonical,
-    KSMeasure,
-    RowPermutation,
-    build,
-    eval_symmetric,
-    eval_tensor,
-    support_size,
-    total_variation,
-)
-from .rect_sup import (
-    Rectangle,
-    RectangleSupReport,
-    certify_bound2,
-    rect_mass,
-    sup_rect_bruteforce,
-    sup_rect_fast,
-)
-from .tensor_bounds import (
-    TensorCombo,
-    SymmetricTerm,
-    certify_bound3,
-    decay_profile,
-    random_tensor_probe,
-    standard_test_family,
-    tensor_sup_exact,
-)
-from .normal_subseq import SubseqCertificate, extract, strongly_normal_report
-from .schauder import (
-    GeneratorSet,
-    TriangularBasis,
-    build_triangular_basis,
-    coefficient_functional,
-    density_check,
-    expand,
-    verify_stabilization,
-)
-from .basic_seq_diag import FiniteSection, basis_constant, section_of_ks
+The API is the submodules (``kslab.ks_measure``, ``kslab.rect_sup``, ...).
+This package module re-exports nothing, so loading it or ``kslab.cli``
+pulls in no SciPy.
+"""
 
 __version__ = "0.1.0"

@@ -36,7 +36,8 @@ CAVEAT = (
 
 
 class DegenerateSectionError(ValueError):
-    """A section row is zero or the rows are linearly dependent."""
+    """A section is empty, its rows differ in length, a row is zero, or the
+    rows are linearly dependent."""
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,13 @@ class FiniteSection:
 
 
 def check_section(section: FiniteSection) -> None:
-    """Raise DegenerateSectionError on a zero row or dependent rows."""
+    """Raise DegenerateSectionError on an empty section, rows of unequal
+    length, a zero row or dependent rows."""
+    if not section.rows:
+        raise DegenerateSectionError("section has no functionals")
+    widths = {len(row) for row in section.rows}
+    if len(widths) > 1:
+        raise DegenerateSectionError(f"section rows differ in length: {sorted(widths)}")
     for i, row in enumerate(section.rows):
         if all(v == 0 for v in row):
             raise DegenerateSectionError(f"functional {i} is zero on the test family")
@@ -115,15 +122,7 @@ def section_of_ks(indices: Sequence[int], test_family: Sequence[TensorCombo]) ->
         raise ValueError("at least one measure index is required")
     if not test_family:
         raise ValueError("the test family must be non-empty")
-    rows = []
-    for s in indices:
-        m = build(s)
-        row = []
-        for h in test_family:
-            if not h.evaluable_at(s, m.is_explicit()):
-                raise ValueError(f"combination {h.name!r} not evaluable at index {s}")
-            row.append(h.value_at(m))
-        rows.append(tuple(row))
+    rows = (tuple(h.value_at(m) for h in test_family) for m in map(build, indices))
     return FiniteSection(rows=tuple(rows))
 
 

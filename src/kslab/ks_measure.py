@@ -10,8 +10,10 @@ that is ever modeled.
 Rows are encoded as bit patterns: bit j of the pattern set means
 sign(s, j) = -1.  The canonical bijection uses the row index itself as the
 pattern; a seeded row permutation composes it with a shuffle of the row
-indices.  Above EXPLICIT_MAX_N the atom table is unmaterializable and signs
-are computed on demand from the row index (implicit representation).
+indices.  The index alone decides what can be materialized: up to
+EXPLICIT_MAX_N the measure is explicit (full row tables, atom lists, row
+permutations); above it the atom table is unmaterializable, signs are
+computed on demand from the row index, and only closed forms apply.
 """
 
 from __future__ import annotations
@@ -25,9 +27,6 @@ from typing import Sequence
 from .exactnum import Rational, binomial, format_rational
 
 EXPLICIT_MAX_N = 20
-
-EXPLICIT = "explicit"
-IMPLICIT = "implicit"
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,6 @@ class KSMeasure:
 
     n: int
     bijection: Canonical | RowPermutation
-    representation: str
     _patterns: tuple[int, ...] | None = None  # row index -> sign pattern
     # filled by central_mass; a declared field, so that filling it overwrites
     # a slot __init__ made instead of adding one to the instance, which would
@@ -98,31 +96,17 @@ class KSMeasure:
         return -1 if (self.row_pattern(s) >> j) & 1 else 1
 
     def is_explicit(self) -> bool:
-        return self.representation == EXPLICIT
+        return self.n <= EXPLICIT_MAX_N
 
 
-def build(
-    n: int,
-    bijection: Canonical | RowPermutation = CANONICAL,
-    representation: str | None = None,
-) -> KSMeasure:
+def build(n: int, bijection: Canonical | RowPermutation = CANONICAL) -> KSMeasure:
     """Construct the measure with index n.
 
-    representation defaults to explicit for n <= EXPLICIT_MAX_N and implicit
-    above; requesting explicit above the guard is an error.  A seeded row
-    permutation requires materializing a table of 2^n row indices and is
-    therefore only available at explicit scale.
+    A seeded row permutation requires materializing a table of 2^n row
+    indices and is therefore only available at explicit scale.
     """
     if n < 1:
         raise ValueError(f"measure index must be >= 1, got n={n}")
-    if representation is None:
-        representation = EXPLICIT if n <= EXPLICIT_MAX_N else IMPLICIT
-    if representation not in (EXPLICIT, IMPLICIT):
-        raise ValueError(f"unknown representation {representation!r}")
-    if representation == EXPLICIT and n > EXPLICIT_MAX_N:
-        raise MemoryGuardError(
-            f"explicit representation limited to n <= {EXPLICIT_MAX_N}, got n={n}"
-        )
 
     patterns: tuple[int, ...] | None = None
     if isinstance(bijection, RowPermutation):
@@ -136,13 +120,13 @@ def build(
     elif not isinstance(bijection, Canonical):
         raise TypeError(f"unknown bijection {bijection!r}")
 
-    return KSMeasure(n=n, bijection=bijection, representation=representation, _patterns=patterns)
+    return KSMeasure(n=n, bijection=bijection, _patterns=patterns)
 
 
 def total_variation(m: KSMeasure) -> Rational:
     """Sum of |weight| over all atoms: n * 2^n atoms of magnitude scale, so 1.
 
-    Every sign has magnitude 1 in both representations, so no atom is read;
+    Every sign has magnitude 1 at every index, so no atom is read;
     the atom-level check materializes the list with as_signed_measure.
     """
     return Fraction(m.n << m.n, 1) * m.scale
@@ -156,7 +140,7 @@ def support_size(m: KSMeasure) -> int:
 def eval_tensor(m: KSMeasure, f: Sequence, g: Sequence) -> Rational:
     """Apply the measure to f (x) g: scale * sum_s sum_j sign(s,j) f(s) g(j).
 
-    Requires the explicit representation (f is a table over all 2^n rows).
+    Requires an explicit measure (f is a table over all 2^n rows).
     Exact when the inputs are rational.
     """
     if not m.is_explicit():
@@ -192,7 +176,7 @@ def eval_symmetric(m: KSMeasure, F: Sequence, gsum: Rational) -> Rational:
         value = scale * gsum * sum_{k<n} C(n-1, k) * (F(k+1) - F(k)).
 
     One walk along the binomial row over a common denominator of F, skipping
-    zero differences: O(n^2) bit work, valid in both representations (only
+    zero differences: O(n^2) bit work, valid at every index (only
     bijectivity onto the sign cube matters).  The table oracle for the
     closed-form profile values in tensor_bounds.
     """
@@ -252,9 +236,9 @@ class FiniteSignedMeasure:
 
 
 def as_signed_measure(m: KSMeasure) -> FiniteSignedMeasure:
-    """Materialize the atom list (explicit representation only)."""
+    """Materialize the atom list (explicit measures only)."""
     if not m.is_explicit():
-        raise MemoryGuardError("atom list unmaterializable in implicit mode")
+        raise MemoryGuardError(f"atom list limited to n <= {EXPLICIT_MAX_N}, got n={m.n}")
     atoms = []
     for s in range(m.rows):
         p = m.row_pattern(s)
@@ -265,7 +249,7 @@ def as_signed_measure(m: KSMeasure) -> FiniteSignedMeasure:
 
 
 def measure_to_json(m: KSMeasure) -> dict:
-    """Wire format: explicit measures list atoms, implicit ones the rule."""
+    """Wire format: explicit measures list atoms, larger ones the rule."""
     if m.is_explicit():
         atoms = []
         for s in range(m.rows):

@@ -139,8 +139,8 @@ def strongly_normal_partial_sums(
 ) -> PartialSumCheck:
     """Exact prefix sums over the first M selected indices, plus the bound.
 
-    Evaluability: above the explicit-scale guard only symmetric-profile
-    terms can be evaluated, so general explicit tables are rejected there.
+    Explicit terms are pinned to one index and raise ValueError at any
+    other; symmetric-profile terms are evaluable everywhere.
     """
     return _partial_sum_check(cert, h, _measures(cert, M))
 
@@ -160,8 +160,6 @@ def _partial_sum_check(
     partials: list[Rational] = []
     running = Fraction(0)
     for m in measures:
-        if not h.evaluable_at(m.n, m.is_explicit()):
-            raise ValueError(f"combination {h.name!r} not evaluable at index {m.n}")
         running += abs(h.value_at(m))
         partials.append(running)
 

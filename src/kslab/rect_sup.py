@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exactnum import PI, Cmp, Rational, cmp_sq_below, decimal_str, format_rational
-from .ks_measure import EXPLICIT_MAX_N, KSMeasure
+from .ks_measure import KSMeasure
 
 BRUTE_MAX_N = 4
 
@@ -123,15 +123,15 @@ def sup_rect_bruteforce(m: KSMeasure) -> RectangleSupReport:
 def sup_rect_fast(m: KSMeasure) -> RectangleSupReport:
     """Closed-form supremum C(n-1, floor((n-1)/2)) / 2^n.
 
-    Works in implicit mode.  A witness (B = first b columns, A = rows with
-    positive partial sum) is materialized only at explicit scale, for the
+    Works at every index.  A witness (B = first b columns, A = rows with
+    positive partial sum) is materialized only for explicit measures, for the
     smallest maximizing width b.
     """
     n = m.n
     sup = m.central_mass
 
     witness: Rectangle | None = None
-    if n <= EXPLICIT_MAX_N:
+    if m.is_explicit():
         best_b = n if n % 2 else n - 1
         col_bits = (1 << best_b) - 1
         buf = bytearray((m.rows + 7) // 8)

@@ -100,10 +100,6 @@ class GeneratorSet:
                 raise ValueError(f"generator line {lineno}: {exc}") from exc
         return cls(vectors)
 
-    @property
-    def declared_count(self) -> int | None:
-        return self._count
-
     def is_stream(self) -> bool:
         return self._count is None
 

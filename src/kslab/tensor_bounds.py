@@ -36,7 +36,6 @@ from .exactnum import (
     Rational,
     cmp_sq_below,
     Cmp,
-    decimal_str,
     format_rational,
     parse_rational,
     sqrt_enclosure,
@@ -98,7 +97,7 @@ def random_tensor_probe(m: KSMeasure, trials: int, seed: int) -> float:
     """Max |measure(f (x) g)| over seeded uniform samples from the cube.
 
     A sanity probe for tensor_sup_exact: the result can never exceed it.
-    Deterministic per seed; explicit representation required.
+    Deterministic per seed; explicit measures only.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -175,9 +174,6 @@ class SymmetricTerm:
         if self.profile not in _PROFILES:
             raise ValueError(f"unknown profile {self.profile!r}")
 
-    def evaluable_at(self, n: int, explicit: bool) -> bool:
-        return True
-
     def sup_norm(self) -> Rational:
         return abs(Fraction(self.coeff)) * abs(Fraction(self.g_const))
 
@@ -192,15 +188,12 @@ class ExplicitTerm:
     n: int
     grid: GridFunction
 
-    def evaluable_at(self, n: int, explicit: bool) -> bool:
-        return explicit and n == self.n
-
     def sup_norm(self) -> Rational:
         return self.grid.sup_norm()
 
     def value_at(self, m: KSMeasure) -> Rational:
-        if not self.evaluable_at(m.n, m.is_explicit()):
-            raise ValueError(f"explicit term defined at n={self.n}, measure has n={m.n}")
+        if m.n != self.n:
+            raise ValueError(f"explicit term pinned to n={self.n} is not evaluable at n={m.n}")
         return eval_tensor(m, self.grid.f_values, self.grid.g_values)
 
 
@@ -214,9 +207,6 @@ class TensorCombo:
     @property
     def norm_bound(self) -> Rational:
         return sum((t.sup_norm() for t in self.terms), Fraction(0))
-
-    def evaluable_at(self, n: int, explicit: bool) -> bool:
-        return all(t.evaluable_at(n, explicit) for t in self.terms)
 
     def value_at(self, m: KSMeasure) -> Rational:
         return sum((t.value_at(m) for t in self.terms), Fraction(0))
@@ -324,16 +314,13 @@ def _certified_tensor_dominance(value: Rational, norm_bound: Rational, n: int) -
 def decay_profile(h: TensorCombo, n_list: Sequence[int]) -> list[DecayRow]:
     """Exact |mu_n(h)| with the certified dominating bound at each index.
 
-    Raises when some term is not evaluable at a requested index (general
-    explicit tables exist at a single n; symmetric terms everywhere).
+    Raises ValueError when an explicit term is pinned to another index
+    (symmetric terms are defined everywhere).
     """
     nb = h.norm_bound
     rows = []
     for n in n_list:
-        m = build(n)
-        if not h.evaluable_at(n, m.is_explicit()):
-            raise ValueError(f"combination {h.name!r} not evaluable at n={n}")
-        value = abs(h.value_at(m))
+        value = abs(h.value_at(build(n)))
         lo, hi = _tensor_bound_enclosure(nb, n)
         ok = _certified_tensor_dominance(value, nb, n)
         rows.append(DecayRow(n=n, value=value, bound_lower=lo, bound_upper=hi, dominated=ok))
@@ -363,17 +350,3 @@ def decay_csv(rows: Sequence[DecayRow]) -> str:
             ]
         )
     return out.getvalue()
-
-
-def decay_rows_to_json(rows: Sequence[DecayRow]) -> list[dict]:
-    return [
-        {
-            "n": r.n,
-            "value": format_rational(r.value),
-            "value_decimal": decimal_str(r.value),
-            "bound_lower": format_rational(r.bound_lower),
-            "bound_upper": format_rational(r.bound_upper),
-            "pass": r.dominated,
-        }
-        for r in rows
-    ]

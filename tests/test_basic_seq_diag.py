@@ -109,6 +109,17 @@ class TestBasisConstant:
         with pytest.raises(DegenerateSectionError):
             basis_constant(section)
 
+    def test_empty_section(self):
+        with pytest.raises(DegenerateSectionError, match="no functionals"):
+            section_report(FiniteSection(rows=()))
+
+    @pytest.mark.parametrize("rows", [[[1, 0], [0, 1, 5]], [[1], [0, 1]]])
+    def test_rows_of_unequal_length(self, rows):
+        # the second case is independent under any zero padding; it must not
+        # be reported as dependent because the width is read off row 0
+        with pytest.raises(DegenerateSectionError, match="differ in length"):
+            section_report(FiniteSection(rows=frac_rows(rows)))
+
 
 def gram_det(rows):
     """det(R R^T) by cofactor expansion: nonzero iff the rows are independent."""

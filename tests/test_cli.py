@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -366,3 +370,19 @@ class TestOutputErrors:
         out = tmp_path / "verify.json"
         missing = tmp_path / "no_such_dir" / "x.csv"
         assert run(["verify", "--n-max", "2", "--out", str(out), "--csv", str(missing)]) == 2
+
+
+class TestImports:
+    def test_cli_import_loads_no_scipy(self):
+        # the package module re-exports nothing, so no subcommand pays for
+        # the LP layer of basic_seq_diag and SciPy behind it
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import kslab, kslab.cli, sys; "
+            "print(sorted(m for m in ('scipy', 'kslab.basic_seq_diag') if m in sys.modules))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "[]"

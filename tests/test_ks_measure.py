@@ -67,18 +67,9 @@ class TestBuild:
         with pytest.raises(ValueError):
             build(0)
 
-    def test_explicit_guard(self):
-        with pytest.raises(MemoryGuardError):
-            build(EXPLICIT_MAX_N + 1, representation="explicit")
-
     def test_permutation_needs_explicit_scale(self):
         with pytest.raises(MemoryGuardError):
             build(EXPLICIT_MAX_N + 1, RowPermutation(1))
-
-    def test_implicit_allowed_at_small_n(self):
-        m = build(3, representation="implicit")
-        assert not m.is_explicit()
-        assert total_variation(m) == 1
 
 
 class TestTotalVariationAndSupport:
@@ -134,7 +125,7 @@ class TestEvalTensor:
             eval_tensor(m, [1] * 4, [1])
 
     def test_implicit_mode_rejected(self):
-        m = build(3, representation="implicit")
+        m = build(EXPLICIT_MAX_N + 1)
         with pytest.raises(ValueError):
             eval_tensor(m, [1] * 8, [1] * 3)
 

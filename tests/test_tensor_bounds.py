@@ -10,6 +10,7 @@ import pytest
 from kslab.exactnum import PI
 from kslab.ks_measure import (
     CANONICAL,
+    EXPLICIT_MAX_N,
     GridFunction,
     RowPermutation,
     build,
@@ -124,7 +125,7 @@ class TestRandomProbe:
 
     def test_needs_explicit(self):
         with pytest.raises(ValueError):
-            random_tensor_probe(build(3, representation="implicit"), 10, seed=1)
+            random_tensor_probe(build(EXPLICIT_MAX_N + 1), 10, seed=1)
 
 
 class TestCombos:
@@ -173,10 +174,9 @@ class TestCombos:
     def test_explicit_term_pinned_to_index(self):
         term = ExplicitTerm(n=2, grid=GridFunction((1, -1, 1, -1), (1, 0)))
         combo = TensorCombo(terms=(term,), name="pinned")
-        assert combo.evaluable_at(2, True)
-        assert not combo.evaluable_at(3, True)
-        assert not combo.evaluable_at(2, False)
-        with pytest.raises(ValueError):
+        m = build(2)
+        assert combo.value_at(m) == eval_tensor(m, term.grid.f_values, term.grid.g_values)
+        with pytest.raises(ValueError, match="not evaluable"):
             combo.value_at(build(3))
 
     def test_norm_bound_dominates_grid_sup(self):
