@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -71,16 +72,24 @@ def cmp_sq_below(
     r^2 * pi.lower * n > (c_num/c_den)^2, which implies the reverse strict
     inequality; UNDECIDED when the enclosure is too coarse to decide.
     CERT_LT and CERT_GT are mutually exclusive by construction.
+    Each side cross-multiplies integers, p^2 n c_den^2 a against
+    c_num^2 q^2 d for r = p/q and pi's bound a/d, reducing no fraction.
+    r must be an int or a Fraction; a float, whose rounding would decide,
+    raises TypeError.
     """
+    if not isinstance(r, numbers.Rational):
+        raise TypeError(f"cmp_sq_below requires an int or Fraction r, got {type(r).__name__}")
     if n <= 0:
         raise ValueError(f"cmp_sq_below requires n >= 1, got n={n}")
     if r < 0:
         raise ValueError(f"cmp_sq_below requires r >= 0, got r={r}")
-    c_sq = Fraction(c_num, c_den) ** 2
-    r_sq = r * r
-    if r_sq * pi.upper * n < c_sq:
+    if c_den == 0:
+        raise ValueError("cmp_sq_below requires c_den != 0")
+    lhs = r.numerator**2 * n * c_den**2
+    rhs = c_num**2 * r.denominator**2
+    if lhs * pi.upper.numerator < rhs * pi.upper.denominator:
         return Cmp.CERT_LT
-    if r_sq * pi.lower * n > c_sq:
+    if lhs * pi.lower.numerator > rhs * pi.lower.denominator:
         return Cmp.CERT_GT
     return Cmp.UNDECIDED
 

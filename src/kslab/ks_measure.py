@@ -89,6 +89,10 @@ class KSMeasure:
             return self._patterns[s]
         return s
 
+    def by_row(self, table: bytes) -> bytes:
+        """A byte table over sign patterns reindexed by row: entry s is table[row_pattern(s)]."""
+        return table if self._patterns is None else bytes(map(table.__getitem__, self._patterns))
+
     def sign(self, s: int, j: int) -> int:
         """Sign of the atom at row s, column j; always -1 or +1."""
         if not (0 <= s < self.rows and 0 <= j < self.n):

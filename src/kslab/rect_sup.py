@@ -22,6 +22,9 @@ The closed form is never trusted on derivation alone: the tests check it
 against the brute-force oracle (n <= 4) and the per-width sums (n <= 300),
 and it is certified against 1/(2 sqrt(pi n)) < sup < 2/sqrt(pi n) at
 every n.
+
+For explicit measures the witness A* is a bytes table over sign patterns
+read as one base-2 integer, with no loop over the 2^n rows (sup_rect_fast).
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from .exactnum import PI, Cmp, Rational, cmp_sq_below, decimal_str, format_ratio
 from .ks_measure import KSMeasure
 
 BRUTE_MAX_N = 4
+# byte c -> c + 1; minus counts stay <= EXPLICIT_MAX_N, so none wraps
+_INC = bytes(range(1, 256)) + b"\0"
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -124,22 +129,25 @@ def sup_rect_fast(m: KSMeasure) -> RectangleSupReport:
     """Closed-form supremum C(n-1, floor((n-1)/2)) / 2^n.
 
     Works at every index.  A witness (B = first b columns, A = rows with
-    positive partial sum) is materialized only for explicit measures, for the
-    smallest maximizing width b.
+    positive partial sum, i.e. fewer than b/2 minus signs there) is
+    materialized only for explicit measures, for the smallest maximizing
+    width b.  The minus counts of the 2^b patterns double b times (patterns
+    with bit k set count one more), a threshold table maps them to ASCII
+    '1'/'0', repeated 2^(n-b) times for the columns outside B; reindexed by
+    row and reversed (row 0 last), the table parses as a base-2 integer.
     """
     n = m.n
     sup = m.central_mass
 
     witness: Rectangle | None = None
     if m.is_explicit():
-        best_b = n if n % 2 else n - 1
-        col_bits = (1 << best_b) - 1
-        buf = bytearray((m.rows + 7) // 8)
-        for s in range(m.rows):
-            minus = (m.row_pattern(s) & col_bits).bit_count()
-            if best_b - 2 * minus > 0:
-                buf[s >> 3] |= 1 << (s & 7)
-        witness = Rectangle(int.from_bytes(bytes(buf), "little"), col_bits)
+        b = n if n % 2 else n - 1
+        minus = b"\0"
+        for _ in range(b):
+            minus += minus.translate(_INC)
+        below = (b + 1) // 2  # counts c with 2c < b
+        member = minus.translate(b"1" * below + b"0" * (256 - below)) * (1 << (n - b))
+        witness = Rectangle(int(m.by_row(member)[::-1], 2), (1 << b) - 1)
 
     lower_ok, upper_ok = _certify_pair(sup, n)
     return RectangleSupReport(

@@ -116,10 +116,19 @@ class TestCmpSqBelow:
                 lt = r * r * PI.upper * n < c_sq
                 gt = r * r * PI.lower * n > c_sq
                 assert not (lt and gt)
-                if verdict is Cmp.CERT_LT:
-                    assert lt
-                if verdict is Cmp.CERT_GT:
-                    assert gt
+                expected = Cmp.CERT_LT if lt else Cmp.CERT_GT if gt else Cmp.UNDECIDED
+                assert verdict is expected, (num, n)
+
+    def test_rejects_float(self):
+        # a float r would let rounding decide a certified verdict
+        with pytest.raises(TypeError):
+            cmp_sq_below(0.5, 2, 1, PI, 1)
+        with pytest.raises(TypeError):
+            cmp_sq_below(10.0, 2, 1, PI, 1)
+
+    def test_accepts_int(self):
+        assert cmp_sq_below(10, 2, 1, PI, 1) is Cmp.CERT_GT
+        assert cmp_sq_below(0, 2, 1, PI, 5) is Cmp.CERT_LT
 
     @settings(max_examples=200)
     @given(

@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-from kslab.exactnum import PI
 from kslab.ks_measure import build, total_variation
 from kslab.normal_subseq import (
     GREEDY_RULE,

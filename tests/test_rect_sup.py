@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from kslab.exactnum import Cmp, PI, binomial
+from kslab.exactnum import Cmp, binomial
 from kslab.ks_measure import CANONICAL, EXPLICIT_MAX_N, RowPermutation, build
 from kslab.rect_sup import (
     Rectangle,
@@ -35,6 +35,20 @@ def per_width_values(n):
     is positive_part_sum(b) / (n 2^b).
     """
     return [Fraction(positive_part_sum(b), n << b) for b in range(1, n + 1)]
+
+
+def per_row_witness(m):
+    """Oracle: the witness by a loop over rows, setting bit s when row s has
+    fewer than b/2 minus signs among the first b columns (b = n for odd n,
+    n - 1 for even n)."""
+    b = m.n if m.n % 2 else m.n - 1
+    col_bits = (1 << b) - 1
+    buf = bytearray((m.rows + 7) // 8)
+    for s in range(m.rows):
+        minus = (m.row_pattern(s) & col_bits).bit_count()
+        if b - 2 * minus > 0:
+            buf[s >> 3] |= 1 << (s & 7)
+    return Rectangle(int.from_bytes(bytes(buf), "little"), col_bits)
 
 
 class TestRectMass:
@@ -109,6 +123,16 @@ class TestFastPath:
             m = build(n, RowPermutation(4) if n <= 8 else CANONICAL)
             report = sup_rect_fast(m)
             assert abs(rect_mass(m, report.witness)) == report.sup
+
+    def test_witness_matches_per_row_oracle(self):
+        cases = [
+            (n, bijection)
+            for n in range(1, 17)
+            for bijection in (CANONICAL, RowPermutation(7), RowPermutation(8))
+        ]
+        for n, bijection in cases + [(17, CANONICAL), (20, CANONICAL)]:
+            m = build(n, bijection)
+            assert sup_rect_fast(m).witness == per_row_witness(m), (n, bijection)
 
     def test_no_witness_above_explicit_scale(self):
         report = sup_rect_fast(build(24))

@@ -3,15 +3,16 @@ and random probing, certified bounds, combination plumbing."""
 
 import itertools
 import json
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from kslab.exactnum import PI
 from kslab.ks_measure import (
-    CANONICAL,
     EXPLICIT_MAX_N,
     GridFunction,
+    KSMeasure,
     RowPermutation,
     build,
     eval_symmetric,
@@ -19,12 +20,10 @@ from kslab.ks_measure import (
 )
 from kslab.rect_sup import sup_rect_fast
 from kslab.tensor_bounds import (
-    DecayRow,
     ExplicitTerm,
     SymmetricTerm,
     TensorCombo,
     certify_bound3,
-    combo_from_json,
     combo_to_json,
     decay_csv,
     decay_profile,
@@ -49,6 +48,19 @@ def brute_sup_over_sign_tables(m) -> Fraction:
         for g in itertools.product((1, -1), repeat=m.n):
             best = max(best, abs(eval_tensor(m, f, g)))
     return best
+
+
+def vertex_enumeration(m) -> Fraction:
+    """Oracle: loop over the 2^n vertices g, the optimal f taking the sign
+    of each row's inner sum n - 2 * popcount(pattern ^ g)."""
+    n = m.n
+    patterns = np.array([m.row_pattern(s) for s in range(m.rows)], dtype=np.int64)
+    popcount = np.array([i.bit_count() for i in range(1 << n)], dtype=np.int64)
+    best = 0
+    for g_vertex in range(1 << n):
+        sums = n - 2 * popcount[np.bitwise_xor(patterns, g_vertex)]
+        best = max(best, int(np.abs(sums).sum()))
+    return Fraction(best, n << n)
 
 
 class TestTensorSupExact:
@@ -76,6 +88,22 @@ class TestTensorSupExact:
             base = tensor_sup_exact(build(n))
             for seed in (1, 5, 9):
                 assert tensor_sup_exact(build(n, RowPermutation(seed))) == base
+
+    def test_matches_vertex_enumeration_oracle(self):
+        for n in range(1, 11):
+            for m in [build(n)] + [build(n, RowPermutation(seed)) for seed in (1, 2, 3)]:
+                assert tensor_sup_exact(m) == vertex_enumeration(m), (n, m.bijection)
+
+    def test_matches_oracle_on_repeated_patterns(self):
+        # a bijection makes every vertex value equal; row tables that repeat
+        # and miss patterns make them differ, so the transforms must locate
+        # the maximizing vertex
+        rng = random.Random(11)
+        for n in range(1, 11):
+            for _ in range(3):
+                patterns = tuple(rng.randrange(1 << n) for _ in range(1 << n))
+                m = KSMeasure(n=n, bijection=RowPermutation(0), _patterns=patterns)
+                assert tensor_sup_exact(m) == vertex_enumeration(m), (n, patterns)
 
     def test_dominates_rectangle_supremum(self):
         for n in range(1, 9):
