@@ -23,7 +23,7 @@ from pathlib import Path
 from . import ks_measure, normal_subseq, rect_sup, schauder, tensor_bounds
 from .exactnum import decimal_str, format_rational
 from .ks_measure import EXPLICIT_MAX_N, build, support_size, total_variation
-from .rect_sup import BRUTE_MAX_N, certify_bound2, sup_rect_bruteforce, sup_rect_fast
+from .rect_sup import BRUTE_MAX_N, bound2_verdict, sup_rect_bruteforce, sup_rect_fast
 from .tensor_bounds import TENSOR_MAX_N, certify_bound3, tensor_sup_exact
 
 
@@ -51,7 +51,7 @@ def _verify_one(n: int) -> tuple[dict, float]:
         "sup_decimal": decimal_str(report.sup),
         "lower_ok": report.lower_ok.value,
         "upper_ok": report.upper_ok.value,
-        "bound2": certify_bound2(report),
+        "bound2": bound2_verdict(report.lower_ok, report.upper_ok),
         "brute_sup": None,
         "brute_matches": None,
         "tensor_sup": None,
@@ -227,7 +227,7 @@ def cmd_schauder(args: argparse.Namespace) -> int:
 def cmd_sup(args: argparse.Namespace) -> int:
     m = build(args.n)
     report = sup_rect_bruteforce(m) if args.brute else sup_rect_fast(m)
-    verdict = certify_bound2(report)
+    verdict = bound2_verdict(report.lower_ok, report.upper_ok)
     doc = rect_sup.report_to_json(report)
     doc["bound2"] = verdict
     _write_json(args.out, doc)

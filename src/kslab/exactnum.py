@@ -8,7 +8,8 @@ floating point ever enters a certification path.
 
 The exact linear algebra lives here too: EchelonStore, an incremental
 row-echelon form that records how each stored row combines its inputs,
-decides density, builds triangular bases and checks section rank.
+decides density, builds triangular bases and checks section rank on
+primitive integer rows, building a Fraction only per returned weight.
 """
 
 from __future__ import annotations
@@ -157,10 +158,13 @@ def parse_rational(text: str) -> Rational:
         raise ValueError(f"zero denominator in {text!r}") from exc
 
 
-def _sub_scaled(target: dict[int, Fraction], factor: Fraction, source: dict[int, Fraction]) -> None:
-    """target -= factor * source on sparse vectors, dropping entries that cancel."""
+def _sub_scaled(target: dict[int, int], a: int, b: int, source: dict[int, int]) -> None:
+    """target <- a * target - b * source in place on sparse int vectors, dropping zeros."""
+    if a != 1:
+        for k in target:
+            target[k] *= a
     for k, x in source.items():
-        nv = target.get(k, 0) - factor * x
+        nv = target.get(k, 0) - b * x
         if nv:
             target[k] = nv
         else:
@@ -179,13 +183,15 @@ class EchelonStore:
     the coordinates k whose projection is independent of those on 1..k-1.
     Each row also records the combination of inputs it equals (a dict from
     input number to weight), so the stored rows can be solved back into
-    combinations of the original inputs.
+    combinations of the original inputs.  Rows and combinations hold ints:
+    inputs are scaled by the lcm of their denominators, reduction
+    cross-multiplies pivots, and rows are primitive (joint gcd 1).
     """
 
     def __init__(self, m: int):
         self.m = m
         self.inputs = 0
-        self.rows: list[tuple[int, dict[int, Fraction], dict[int, Fraction]]] = []  # (pivot, vector, combination)
+        self.rows: list[tuple[int, dict[int, int], dict[int, int]]] = []  # (pivot, vector, combination)
 
     @property
     def rank(self) -> int:
@@ -193,17 +199,22 @@ class EchelonStore:
 
     def add(self, vec: dict[int, Rational]) -> bool:
         """Reduce one input and store it; False when it depends on earlier inputs."""
-        v = {k: Fraction(x) for k, x in vec.items() if k <= self.m and x}
-        combo = {self.inputs: Fraction(1)}
+        q = {k: Fraction(x) for k, x in vec.items() if k <= self.m and x}
+        d = math.lcm(*(x.denominator for x in q.values()))
+        v = {k: x.numerator * (d // x.denominator) for k, x in q.items()}
+        combo = {self.inputs: d}
         self.inputs += 1
         for pivot, row, row_combo in self.rows:
             coef = v.get(pivot)
             if coef:
-                factor = coef / row[pivot]
-                _sub_scaled(v, factor, row)
-                _sub_scaled(combo, factor, row_combo)
+                g = math.gcd(coef, row[pivot])
+                a, b = row[pivot] // g, coef // g  # a * coef == b * row[pivot]
+                _sub_scaled(v, a, b, row)
+                _sub_scaled(combo, a, b, row_combo)
         if not v:
             return False
+        g = math.gcd(*v.values(), *combo.values())
+        v, combo = {k: x // g for k, x in v.items()}, {i: w // g for i, w in combo.items()}
         self.rows.append((min(v), v, combo))
         return True
 
@@ -217,19 +228,23 @@ class EchelonStore:
         the unit vectors e_1..e_m, by back-substituting the pivot rows from m
         down to 1 (the row pivoting on n is zero before n, so it needs only
         the combinations for n+1..m).  On a fixed set of independent inputs
-        these combinations are unique."""
+        these combinations are unique.  Unit n is int weights U_n over s_n:
+        U_n = L combo - sum_k row[k] (L/s_k) U_k, s_n = L row[n], L the lcm of
+        the s_k row n touches, reduced jointly; Fractions only on return."""
         if self.rank != self.m:
             raise ValueError(f"rank {self.rank} is short of {self.m}")
         by_pivot = {pivot: (row, combo) for pivot, row, combo in self.rows}
-        units: dict[int, dict[int, Fraction]] = {}
+        units: dict[int, tuple[dict[int, int], int]] = {}
         for n in range(self.m, 0, -1):
             row, combo = by_pivot[n]
-            acc = dict(combo)
+            lcm = math.lcm(*(units[k][1] for k in row if k != n))
+            acc = {i: lcm * w for i, w in combo.items()}
             for k, x in row.items():
                 if k != n:
-                    _sub_scaled(acc, x, units[k])
-            units[n] = {i: w / row[n] for i, w in acc.items()}
-        return [units[n] for n in range(1, self.m + 1)]
+                    _sub_scaled(acc, 1, x * (lcm // units[k][1]), units[k][0])
+            g = math.gcd(lcm * row[n], *acc.values()) * (-1 if row[n] < 0 else 1)
+            units[n] = ({i: w // g for i, w in acc.items()}, lcm * row[n] // g)
+        return [{i: Fraction(w, units[n][1]) for i, w in units[n][0].items()} for n in range(1, self.m + 1)]
 
 
 def decimal_str(q: Rational, digits: int = 30) -> str:

@@ -156,17 +156,22 @@ def sup_rect_fast(m: KSMeasure) -> RectangleSupReport:
     )
 
 
-def certify_bound2(report: RectangleSupReport) -> str:
-    """PASS iff 1/(2 sqrt(pi n)) < sup < 2/sqrt(pi n), both rationally
-    certified; UNDECIDED signals an insufficient enclosure."""
-    if report.sup < 0:
-        raise ValueError("supremum must be nonnegative")
-    lower_ok, upper_ok = _certify_pair(report.sup, report.n)
+def bound2_verdict(lower_ok: Cmp, upper_ok: Cmp) -> str:
+    """The bound2 verdict of a (lower_ok, upper_ok) pair of comparisons."""
     if lower_ok is Cmp.UNDECIDED or upper_ok is Cmp.UNDECIDED:
         return UNDECIDED
     if lower_ok is Cmp.CERT_GT and upper_ok is Cmp.CERT_LT:
         return PASS
     return FAIL
+
+
+def certify_bound2(report: RectangleSupReport) -> str:
+    """PASS iff 1/(2 sqrt(pi n)) < sup < 2/sqrt(pi n), both rationally
+    certified; UNDECIDED signals an insufficient enclosure.  Re-derived from
+    sup, not read from the report's recorded comparisons."""
+    if report.sup < 0:
+        raise ValueError("supremum must be nonnegative")
+    return bound2_verdict(*_certify_pair(report.sup, report.n))
 
 
 def report_to_json(report: RectangleSupReport) -> dict:

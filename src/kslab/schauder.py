@@ -12,9 +12,10 @@ From a generator set dense up to N, that store holds one pivot row per
 coordinate 1..N together with the generator combination it equals.
 Back-substituting the rows from N down to 1 gives combinations b_n with
 the unit profile delta_{kn} on all of 1..N, so in particular the profile
-(0, ..., 0, 1) on 1..n.  The resulting triangular family expands any target
-sequence through the recursion a_n = y_n - sum_{k<n} a_k * pi_n(b_k), whose
-partial sums stabilize coordinatewise: pi_m(S_N') = y_m for every N' >= m.
+(0, ..., 0, 1) on 1..n; b_n is summed on the horizon in integers.  The
+resulting triangular family expands any target sequence through the
+recursion a_n = y_n - sum_{k<n} a_k * pi_n(b_k), whose partial sums (of the
+nonzero terms only) stabilize coordinatewise: pi_m(S_N') = y_m for N' >= m.
 Coefficient functionals unroll the same recursion into finite combinations
 of coordinate projections, which is their continuity witness.
 
@@ -26,6 +27,7 @@ coordinate, so a horizon loses nothing testable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -219,20 +221,25 @@ def basis_from_density(density: DensityResult, G: GeneratorSet, horizon: int) ->
     gap = store.first_gap()
     if gap is not None:
         raise DensityError(coordinate=gap)
-    gens = G.fetch(store.inputs)
+    scaled = []  # generator c as (D_c, D_c * G_c on 1..H), D_c the lcm of its denominators
+    for g in G.fetch(store.inputs):
+        d = math.lcm(*(v.denominator for v in g.values()))
+        scaled.append((d, [(k, v.numerator * (d // v.denominator)) for k, v in g.items() if k <= horizon]))
 
     vectors = []
     for n, combo in enumerate(store.unit_combinations(), start=1):
-        coords = [Fraction(0)] * horizon
         combination = tuple(sorted(combo.items()))
-        for c, weight in combination:
-            for k, v in gens[c].items():
-                if k <= horizon:
-                    coords[k - 1] += weight * v
+        # b_n = sum_c w_c G_c = (1 / den) sum_c (den w_c / D_c) (D_c G_c), all integers
+        den = math.lcm(*(w.denominator * scaled[c][0] for c, w in combination))
+        acc = [0] * horizon
+        for c, w in combination:
+            factor = w.numerator * (den // (w.denominator * scaled[c][0]))
+            for k, x in scaled[c][1]:
+                acc[k - 1] += factor * x
         for k in range(1, N + 1):
-            expected = Fraction(1) if k == n else Fraction(0)
-            if coords[k - 1] != expected:
+            if acc[k - 1] != (den if k == n else 0):
                 raise AssertionError(f"unit coordinate profile violated at pi_{k}(b_{n})")
+        coords = [Fraction(int(k == n)) for k in range(1, N + 1)] + [Fraction(x, den) for x in acc[N:]]
         vectors.append(BasisVector(coords=tuple(coords), combination=combination))
     return TriangularBasis(vectors=tuple(vectors), horizon=horizon)
 
@@ -244,6 +251,18 @@ class CoeffExpansion:
     stabilization_log: tuple[int, ...]  # per m: least N' with stable pi_m
 
 
+def _partial_sum_changes(terms: list, basis: TriangularBasis, m: int, target: Fraction) -> dict[int, bool]:
+    """pi_m(S_N') == y_m at N' = 0 and wherever a term (N', a_N' != 0) moves pi_m(S_N')."""
+    partial = Fraction(0)
+    changes = {0: target == 0}
+    for np_, a in terms:
+        pi = basis.coord(np_, m)
+        if pi:
+            partial += a * pi
+            changes[np_] = partial == target
+    return changes
+
+
 def expand(y: Sequence, basis: TriangularBasis) -> CoeffExpansion:
     """Coefficients a_1 = y_1, a_n = y_n - sum_{k<n} a_k pi_n(b_k), exact."""
     H = basis.horizon
@@ -252,25 +271,20 @@ def expand(y: Sequence, basis: TriangularBasis) -> CoeffExpansion:
     yf = tuple(Fraction(v) for v in y[:H])
     N = len(basis)
     coeffs: list[Fraction] = []
+    terms: list[tuple[int, Fraction]] = []  # (n, a_n) for a_n != 0
     for n in range(1, N + 1):
-        a_n = yf[n - 1]
-        for k in range(1, n):
-            pik = basis.coord(k, n)
-            if pik and coeffs[k - 1]:
-                a_n -= coeffs[k - 1] * pik
+        a_n = yf[n - 1] - sum((a_k * pik for k, a_k in terms if (pik := basis.coord(k, n))), Fraction(0))
         coeffs.append(a_n)
+        if a_n:
+            terms.append((n, a_n))
 
     log: list[int] = []
     for m in range(1, N + 1):
-        partial = Fraction(0)
-        last_bad = 0
-        for np_ in range(1, N + 1):
-            partial += coeffs[np_ - 1] * basis.coord(np_, m)
-            if partial != yf[m - 1]:
-                last_bad = np_
-        if last_bad >= N:
+        changes = _partial_sum_changes(terms, basis, m, yf[m - 1])
+        last = max(changes)
+        if not changes[last]:
             raise AssertionError(f"coordinate {m} never stabilized on the horizon")
-        log.append(last_bad + 1)
+        log.append(max(last, 1))  # before its last move S_N' was not y_m
     return CoeffExpansion(target=yf, coefficients=tuple(coeffs), stabilization_log=tuple(log))
 
 
@@ -289,13 +303,15 @@ def verify_stabilization(
         N = len(basis)
     N = min(N, len(basis))
     yf = [Fraction(v) for v in y[: basis.horizon]]
+    terms = [(n, a) for n, a in enumerate(exp.coefficients[:N], start=1) if a]
     grid: dict[tuple[int, int], bool] = {}
     for m in range(1, N + 1):
-        partial = Fraction(0)
+        changes = _partial_sum_changes(terms, basis, m, yf[m - 1])
+        ok = changes[0]
         for np_ in range(1, N + 1):
-            partial += exp.coefficients[np_ - 1] * basis.coord(np_, m)
+            ok = changes.get(np_, ok)
             if np_ >= m:
-                grid[(m, np_)] = partial == yf[m - 1]
+                grid[(m, np_)] = ok
     return StabilizationReport(N=N, grid=grid, all_true=all(grid.values()))
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import io
 import csv
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -322,10 +323,13 @@ def _certified_tensor_dominance(value: Rational, norm_bound: Rational, n: int) -
     """Exact check that |value| <= 8 * norm_bound / sqrt(pi * n).
 
     value^2 * pi.upper * n <= 64 * norm_bound^2 certifies it (strictly,
-    unless value = 0), since pi < pi.upper.
+    unless value = 0), since pi < pi.upper; decided on integers.  A float
+    operand, whose rounding would decide, raises TypeError.
     """
-    v = abs(Fraction(value))
-    return v * v * PI.upper * n <= 64 * Fraction(norm_bound) ** 2
+    if not (isinstance(value, numbers.Rational) and isinstance(norm_bound, numbers.Rational)):
+        raise TypeError(f"tensor dominance requires ints or Fractions, got {value!r}, {norm_bound!r}")
+    lhs = (value.numerator * norm_bound.denominator) ** 2 * n * PI.upper.numerator
+    return lhs <= 64 * (norm_bound.numerator * value.denominator) ** 2 * PI.upper.denominator
 
 
 def decay_profile(h: TensorCombo, n_list: Sequence[int]) -> list[DecayRow]:

@@ -10,11 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from kslab import rect_sup, tensor_bounds
 from kslab.cli import _verify_one, main
-from kslab.exactnum import EchelonStore, format_rational, parse_rational
+from kslab.exactnum import EchelonStore, cmp_sq_below, format_rational, parse_rational
 from kslab.ks_measure import build, eval_symmetric
-from kslab.rect_sup import Rectangle, rect_mass, sup_rect_bruteforce
-from kslab.tensor_bounds import combo_to_json, profile_table, standard_test_family
+from kslab.rect_sup import BRUTE_MAX_N, Rectangle, rect_mass, sup_rect_bruteforce
+from kslab.tensor_bounds import TENSOR_MAX_N, combo_to_json, profile_table, standard_test_family
 
 
 def run(args):
@@ -78,6 +79,22 @@ class TestVerify:
         doc_timed = json.loads(timed.read_text())
         assert all("wall_time_s" not in row for row in doc_plain["checks"])
         assert all("wall_time_s" in row for row in doc_timed["checks"])
+
+
+    def test_each_supremum_certified_once(self, tmp_path, monkeypatch):
+        # bound2 reads the comparisons the report already holds: two per
+        # index, plus the brute-force report's own two (n <= BRUTE_MAX_N)
+        # and certify_bound3's one (n <= TENSOR_MAX_N)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return cmp_sq_below(*args, **kwargs)
+
+        monkeypatch.setattr(rect_sup, "cmp_sq_below", counting)
+        monkeypatch.setattr(tensor_bounds, "cmp_sq_below", counting)
+        assert run(["verify", "--n-max", "64", "--out", str(tmp_path / "v.json")]) == 0
+        assert len(calls) == 2 * 64 + 2 * BRUTE_MAX_N + TENSOR_MAX_N
 
 
 class TestSubseq:

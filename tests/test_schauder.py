@@ -9,6 +9,7 @@ import pytest
 
 from kslab.schauder import (
     BasisVector,
+    CoeffExpansion,
     DENSE_UP_TO,
     DensityError,
     GeneratorSet,
@@ -306,6 +307,80 @@ class TestStabilization:
             assert logged <= max(m, 1)
             for np_ in range(m, len(basis) + 1):
                 assert report.grid[(m, np_)] == (np_ >= logged)
+
+
+def reference_expansion(y, basis):
+    """The dense expansion: every (m, N') pair adds a_N' pi_m(b_N') to the
+    partial sum and compares it with y_m.  Returns the coefficients and the
+    stabilization log, or None where a coordinate never stabilizes."""
+    yf = [Fraction(v) for v in y[: basis.horizon]]
+    N = len(basis)
+    coeffs = []
+    for n in range(1, N + 1):
+        coeffs.append(yf[n - 1] - sum((coeffs[k - 1] * basis.coord(k, n) for k in range(1, n)), Fraction(0)))
+    log = []
+    for m in range(1, N + 1):
+        partial, last_bad = Fraction(0), 0
+        for np_ in range(1, N + 1):
+            partial += coeffs[np_ - 1] * basis.coord(np_, m)
+            if partial != yf[m - 1]:
+                last_bad = np_
+        log.append(None if last_bad >= N else last_bad + 1)
+    return tuple(coeffs), tuple(log)
+
+
+def reference_grid(coeffs, basis, y, N):
+    yf = [Fraction(v) for v in y[: basis.horizon]]
+    grid = {}
+    for m in range(1, N + 1):
+        partial = Fraction(0)
+        for np_ in range(1, N + 1):
+            partial += coeffs[np_ - 1] * basis.coord(np_, m)
+            if np_ >= m:
+                grid[(m, np_)] = partial == yf[m - 1]
+    return grid
+
+
+def random_handmade_basis(rng, N, horizon, triangular):
+    """b_n with pi_n(b_n) = 1 and entries in {-1, 0, 1, 2} after n (the
+    paper's triangular profile), and also before n unless triangular."""
+    vectors = []
+    for n in range(1, N + 1):
+        coords = [
+            Fraction(1) if k == n
+            else Fraction(rng.choice([-1, 0, 0, 1, 2])) if k > n or not triangular
+            else Fraction(0)
+            for k in range(1, horizon + 1)
+        ]
+        vectors.append(BasisVector(coords=tuple(coords), combination=()))
+    return TriangularBasis(vectors=tuple(vectors), horizon=horizon)
+
+
+class TestSparseExpansionAgainstDenseLoop:
+    def test_handmade_bases_with_entries_off_the_unit_profile(self):
+        rng = random.Random(7071)
+        stabilized = moved = 0
+        for trial in range(400):
+            N = rng.randint(1, 7)
+            horizon = N + rng.randint(0, 2)
+            basis = random_handmade_basis(rng, N, horizon, triangular=trial % 2 == 0)
+            y = [Fraction(rng.choice([-2, -1, 0, 0, 1, 3]), rng.randint(1, 2)) for _ in range(horizon)]
+            coeffs, log = reference_expansion(y, basis)
+            if None in log:
+                with pytest.raises(AssertionError, match=f"coordinate {log.index(None) + 1} never"):
+                    expand(y, basis)
+            else:
+                exp = expand(y, basis)
+                assert exp.coefficients == coeffs and exp.stabilization_log == log
+                stabilized += 1
+                moved += sum(1 for m, logged in enumerate(log, start=1) if logged != 1 and m > 1)
+            fake = CoeffExpansion(target=tuple(y), coefficients=coeffs, stabilization_log=())
+            for n_cap in (None, max(1, N - 1)):
+                report = verify_stabilization(fake, basis, y, n_cap)
+                expected = reference_grid(coeffs, basis, y, report.N)
+                assert list(report.grid.items()) == list(expected.items())
+                assert report.all_true == all(expected.values())
+        assert stabilized >= 200 and moved >= 400, (stabilized, moved)
 
 
 class TestCoefficientFunctional:

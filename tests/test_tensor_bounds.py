@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kslab.exactnum import PI
 from kslab.ks_measure import (
     EXPLICIT_MAX_N,
     GridFunction,
@@ -23,6 +24,7 @@ from kslab.tensor_bounds import (
     ExplicitTerm,
     SymmetricTerm,
     TensorCombo,
+    _certified_tensor_dominance,
     certify_bound3,
     combo_to_json,
     decay_csv,
@@ -287,6 +289,26 @@ class TestDecayProfile:
         )
         with pytest.raises(ValueError):
             decay_profile(h, [2, 3])
+
+    def test_dominance_rejects_floats(self):
+        # a float would let rounding decide a certified decay row
+        with pytest.raises(TypeError):
+            _certified_tensor_dominance(0.1, 1, 4)
+        with pytest.raises(TypeError):
+            _certified_tensor_dominance(Fraction(1, 10), 1.0, 4)
+
+    def test_dominance_matches_fraction_products(self):
+        rng = random.Random(31)
+        for _ in range(500):
+            value = Fraction(rng.randint(-60, 60), rng.randint(1, 40))
+            bound = rng.choice([0, rng.randint(0, 5), Fraction(rng.randint(0, 30), rng.randint(1, 9))])
+            n = rng.randint(1, 400)
+            expected = value * value * PI.upper * n <= 64 * Fraction(bound) ** 2
+            assert _certified_tensor_dominance(value, bound, n) is expected
+        # at n = u d the two sides meet when value = 8/u (pi.upper = u/d)
+        u, d = PI.upper.numerator, PI.upper.denominator
+        assert _certified_tensor_dominance(Fraction(-8, u), 1, u * d)
+        assert not _certified_tensor_dominance(Fraction(8 * u + 1, u * u), 1, u * d)
 
     def test_csv_export(self):
         h = TensorCombo(terms=(SymmetricTerm("sign_centered"),), name="sgn")
