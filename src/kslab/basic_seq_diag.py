@@ -11,22 +11,29 @@ Each projection norm is a polyhedral optimization
     max |sum_{i<=m} c_i v_i(h)|  over h in the family,
     subject to |sum_i c_i v_i(h')| <= 1 for every h',
 
-solved as a family of linear programs in the coefficients c.  The weak-star
-limit property of an infinite sequence is not finitely checkable; reports
-carry an explicit caveat and quantify the finite shadow only.
+over the coefficients c.  Every (m, h) shares the feasible set K, so one
+integer-only vertex simplex per section walks K from optimum to optimum:
+rows are scaled to primitive integer vectors (a positive row scaling leaves
+every norm unchanged), no float enters, and each norm is an exact Fraction.
+The weak-star limit property of an infinite sequence is not finitely
+checkable; reports carry an explicit caveat and quantify the finite shadow
+only.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
-from typing import Sequence
+from fractions import Fraction
+from operator import mul
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-import numpy as np
-from scipy.optimize import linprog
-
-from .exactnum import EchelonStore, Rational, format_rational
+from .exactnum import EchelonStore, Rational, decimal_str, format_rational
 from .ks_measure import build
-from .tensor_bounds import TensorCombo
+
+if TYPE_CHECKING:
+    from .tensor_bounds import TensorCombo
 
 CAVEAT = (
     "Finite-section evidence only: projection norms are computed on the "
@@ -58,13 +65,17 @@ class FiniteSection:
 
 def check_section(section: FiniteSection) -> None:
     """Raise DegenerateSectionError on an empty section, rows of unequal
-    length, a zero row or dependent rows."""
+    length, a zero row or dependent rows, and TypeError on an entry that is
+    not an int or Fraction (a float would be certified at its binary value)."""
     if not section.rows:
         raise DegenerateSectionError("section has no functionals")
     widths = {len(row) for row in section.rows}
     if len(widths) > 1:
         raise DegenerateSectionError(f"section rows differ in length: {sorted(widths)}")
     for i, row in enumerate(section.rows):
+        bad = next((v for v in row if not isinstance(v, numbers.Rational)), None)
+        if bad is not None:
+            raise TypeError(f"functional {i} has a {type(bad).__name__} entry; use int or Fraction")
         if all(v == 0 for v in row):
             raise DegenerateSectionError(f"functional {i} is zero on the test family")
     store = EchelonStore(section.n_tests)
@@ -72,46 +83,110 @@ def check_section(section: FiniteSection) -> None:
         raise DegenerateSectionError("section rows are linearly dependent")
 
 
-def _projection_norm(values: np.ndarray, m: int) -> float:
-    """Operator norm of P_m on the span, sup-over-family norm on both sides.
+def _primitive(row: Sequence[Rational]) -> list[int]:
+    """The positive multiple of a nonzero rational row that is an integer
+    vector with joint gcd 1."""
+    q = [Fraction(v) for v in row]
+    d = math.lcm(*(x.denominator for x in q))
+    ints = [x.numerator * (d // x.denominator) for x in q]
+    g = math.gcd(*ints)
+    return [v // g for v in ints]
 
-    values: N x F float matrix.  For each family column h, maximize the
-    prefix evaluation subject to the full evaluations lying in [-1, 1];
-    the norm is the maximum over h (the +-h symmetry removes the sign).
+
+class _VertexSimplex:
+    """Vertices of K = {c : |a . c| <= 1 for every column a}, for integer
+    columns a that span Q^N, walked by a fraction-free simplex.
+
+    A vertex is a basis of N (column h, sign s) pairs whose normals s a_h,
+    the rows of M, are tight: c = M^-1 1.  M^-1 is adj / det, det > 0 and
+    adj an integer matrix stored by columns.  Replacing row r by u is a
+    Sherman-Morrison update, exact in integers: det' = (u^T adj)_r and
+    adj' = (det' adj - adj[:, r] (u^T adj)) / det off column r, which keeps
+    its values.  The first vertex comes from N forced pivots out of the
+    origin: row r starts as e_r (c_r = 0, right side 0) and the ray that
+    keeps the other rows fixed replaces it by the first constraint it meets.
     """
-    n, f = values.shape
-    a_full = values.T  # F x N: (a_full @ c)[h'] = full evaluation at h'
-    a_ub = np.vstack([a_full, -a_full])
-    b_ub = np.ones(2 * f)
-    prefix = np.zeros((f, n))
-    prefix[:, :m] = values[:m].T
-    best = 0.0
-    for h in range(f):
-        res = linprog(
-            -prefix[h],
-            A_ub=a_ub,
-            b_ub=b_ub,
-            bounds=[(None, None)] * n,
-            method="highs",
-        )
-        if not res.success:
-            raise RuntimeError(f"projection-norm LP failed: {res.message}")
-        best = max(best, -res.fun)
-    return best
+
+    def __init__(self, cols: list[list[int]]):
+        n = len(cols[0])
+        self.cols = cols
+        self.det = 1
+        self.adj = [[int(i == j) for i in range(n)] for j in range(n)]  # adj[j] = column j
+        self.basis: list[tuple[int, int] | None] = [None] * n  # (h, s) of each row
+        for r in range(n):
+            self._pivot(r, 1)
+
+    def point(self) -> list[int]:
+        """Numerators of the current point c over det."""
+        live = [self.adj[r] for r, b in enumerate(self.basis) if b is not None]
+        return [sum(xs) for xs in zip(*live)] if live else [0] * len(self.adj)
+
+    def _pivot(self, r: int, sigma: int) -> None:
+        """Move along sigma * adj[:, r], which keeps every other row's value,
+        to the first constraint the ray meets (smallest h among ties) and
+        make it row r.  Only columns with a_h . d = 0 are skipped: that
+        drops the other basic rows and keeps row r's own column, with the
+        opposite sign, in the ratio test."""
+        adj, det = self.adj, self.det
+        x, d = self.point(), adj[r]
+        best = None  # (h, s, num, den): the step to this constraint is num / den
+        for h, a in enumerate(self.cols):
+            y = sigma * sum(map(mul, a, d))
+            if y:
+                s = 1 if y > 0 else -1
+                num, den = det - s * sum(map(mul, a, x)), abs(y)
+                if best is None or num * best[3] < best[2] * den:
+                    best = (h, s, num, den)
+        h, s, _, _ = best
+        w = [s * sum(map(mul, self.cols[h], col)) for col in adj]
+        new_det = w[r]
+        for j, col in enumerate(adj):
+            if j != r:
+                adj[j] = [(new_det * v - w[j] * vr) // det for v, vr in zip(col, d)]
+        if new_det < 0:
+            new_det = -new_det
+            self.adj = [[-v for v in col] for col in adj]
+        self.det = new_det
+        self.basis[r] = (h, s)
+
+    def maximize(self, p: list[int]) -> list[int]:
+        """Pivot to a vertex that maximizes p . c over K and return the
+        multiplier numerators mu = adj^T p: p = sum_r (mu_r / det) s_r a_{h_r}
+        with every mu_r >= 0, so the optimum is sum(mu) / det.  Bland's
+        rule: the row with the smallest column among negative multipliers
+        leaves."""
+        while True:
+            mu = [sum(map(mul, p, col)) for col in self.adj]
+            neg = [r for r in range(len(mu)) if mu[r] < 0]
+            if not neg:
+                return mu
+            self._pivot(min(neg, key=lambda r: self.basis[r][0]), -1)
 
 
-def basis_constant(section: FiniteSection) -> tuple[float, list[float]]:
-    """K = max over 1 <= m < N of ||P_m||, plus the per-m norms.
+def _optima(rows: Sequence[Sequence[Rational]]) -> Iterator[tuple[int, int, _VertexSimplex, list[int]]]:
+    """(m, h, simplex, mu) at the optimum of max sum_{i<m} c_i a_h[i] for
+    every 1 <= m < N, h outer and m inner, all from one simplex on the
+    columns a_h of the primitive integer rows (simplex.cols)."""
+    n = len(rows)
+    cols = [list(col) for col in zip(*map(_primitive, rows))]
+    lp = _VertexSimplex(cols)
+    for h, a in enumerate(cols):
+        for m in range(1, n):
+            yield m, h, lp, lp.maximize(a[:m] + [0] * (n - m))
+
+
+def basis_constant(section: FiniteSection) -> tuple[Fraction, list[Fraction]]:
+    """K = max over 1 <= m < N of ||P_m||, plus the per-m norms, exactly.
 
     N = 1 has no proper partial sums and reports K = 1 by convention.
-    Norms are floating point (LP-based); all section data stays rational.
     """
     check_section(section)
     n = section.n_functionals
     if n == 1:
-        return 1.0, [1.0]
-    values = np.array([[float(v) for v in row] for row in section.rows], dtype=np.float64)
-    per_m = [_projection_norm(values, m) for m in range(1, n)]
+        return Fraction(1), [Fraction(1)]
+    per_m = [Fraction(0)] * (n - 1)
+    for m, _, lp, mu in _optima(section.rows):
+        per_m[m - 1] = max(per_m[m - 1], Fraction(sum(mu), lp.det))
     return max(per_m), per_m
 
 
@@ -132,7 +207,9 @@ def section_report(section: FiniteSection) -> dict:
         "n_functionals": section.n_functionals,
         "n_tests": section.n_tests,
         "values": [[format_rational(v) for v in row] for row in section.rows],
-        "basis_constant": f"{k:.30g}",
-        "per_m_projection_norms": [f"{v:.30g}" for v in per_m],
+        "basis_constant": decimal_str(k),
+        "per_m_projection_norms": [decimal_str(v) for v in per_m],
+        "basis_constant_exact": format_rational(k),
+        "per_m_projection_norms_exact": [format_rational(v) for v in per_m],
         "caveat": CAVEAT,
     }

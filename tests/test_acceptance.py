@@ -41,7 +41,7 @@ from kslab.tensor_bounds import (
     tensor_sup_exact,
 )
 
-LP_TOL = 1e-7  # float tolerance for LP-based projection norms (criterion 8)
+LP_TOL = 1e-7  # float tolerance of criterion 8, kept beside its exact assertions
 
 
 def criterion(num, desc, budget_s=None):
@@ -203,6 +203,7 @@ def test_criterion_8_diagnostics():
         k, per_m = basis_constant(FiniteSection(rows=rows))
         assert abs(k - 1.0) <= LP_TOL
         assert all(abs(v - 1.0) <= LP_TOL for v in per_m)
+        assert k == 1 and per_m == [1] * (size - 1)
 
     rng = random.Random(881)
     for trial in range(100):
@@ -220,6 +221,7 @@ def test_criterion_8_diagnostics():
         _, per_m_scaled = basis_constant(FiniteSection(rows=tuple(tuple(r) for r in rows)))
         for a, b in zip(per_m, per_m_scaled):
             assert abs(a - b) <= LP_TOL * max(1.0, abs(a))
+        assert per_m_scaled == per_m
 
         # appending a functional never decreases the constant
         extra = _random_section(rng, 1, f).rows[0]

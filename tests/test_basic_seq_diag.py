@@ -1,6 +1,8 @@
 """Finite-section diagnostics: projection norms, basis constants, and the
 section builder over measures."""
 
+import json
+import math
 import random
 from fractions import Fraction
 
@@ -9,11 +11,14 @@ import pytest
 from kslab.basic_seq_diag import (
     DegenerateSectionError,
     FiniteSection,
+    _optima,
+    _primitive,
     basis_constant,
     check_section,
     section_of_ks,
     section_report,
 )
+from kslab.exactnum import parse_rational
 from kslab.ks_measure import build, eval_symmetric
 from kslab.schauder import (
     GeneratorSet,
@@ -22,6 +27,7 @@ from kslab.schauder import (
     coefficient_functional,
 )
 from kslab.tensor_bounds import SymmetricTerm, TensorCombo, profile_table, standard_test_family
+from oracles import LP_TOL, projection_norms_highs
 
 TOL = 1e-9
 
@@ -52,6 +58,7 @@ class TestBasisConstant:
         k, per_m = basis_constant(section)
         assert abs(k - 1.0) < TOL
         assert all(abs(v - 1.0) < TOL for v in per_m)
+        assert k == 1 and per_m == [1, 1]
 
     def test_single_row_convention(self):
         section = FiniteSection(rows=frac_rows([[2, 3]]))
@@ -65,6 +72,7 @@ class TestBasisConstant:
         assert k >= 10
         assert abs(k - 11.0) < 1e-6
         assert per_m == [k]
+        assert k == 11
 
     def test_k_at_least_one(self):
         rng = random.Random(11)
@@ -83,6 +91,7 @@ class TestBasisConstant:
         assert all(
             abs(a - b) <= TOL * max(1.0, abs(a)) for a, b in zip(per_m, per_m_scaled)
         )
+        assert per_m_scaled == per_m
 
     def test_appending_row_never_decreases(self):
         rng = random.Random(37)
@@ -119,6 +128,93 @@ class TestBasisConstant:
         # be reported as dependent because the width is read off row 0
         with pytest.raises(DegenerateSectionError, match="differ in length"):
             section_report(FiniteSection(rows=frac_rows(rows)))
+
+
+def diag_sections(count):
+    """The first `count` 7 x 12 sections drawn from Random("diag-41"); the
+    first is the first random section of the diag benchmark at seed 41."""
+    rng = random.Random("diag-41")
+    return [random_section(rng, 7, 12) for _ in range(count)]
+
+
+class TestExactNorms:
+    def test_agrees_with_highs_oracle(self):
+        for section in diag_sections(20):
+            _, per_m = basis_constant(section)
+            reference = projection_norms_highs(section.rows)
+            assert len(per_m) == len(reference) == 6
+            for exact, approx in zip(per_m, reference):
+                assert abs(float(exact) - approx) <= LP_TOL * max(1.0, approx)
+
+    def test_leaving_constraint_stays_in_ratio_test(self):
+        # ||P_5|| = 3.37508...; dropping the leaving column's opposite sign
+        # from the ratio test steps outside K here and reports 3.4140...
+        _, per_m = basis_constant(diag_sections(1)[0])
+        assert per_m[4] == Fraction(2971886708516, 880536079197)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+            [[1, 0], [1, Fraction(1, 10)]],
+            # a zero column and a column parallel to another one
+            [[1, 0, 2, -1, 3], [0, 0, 0, 2, 1], [Fraction(1, 2), 0, 1, 1, Fraction(-2, 3)]],
+        ],
+    )
+    def test_optimality_certificates_small(self, rows):
+        self.check_certificates(FiniteSection(rows=frac_rows(rows)))
+
+    def test_optimality_certificates_diag(self):
+        for section in diag_sections(3):
+            self.check_certificates(section)
+
+    @staticmethod
+    def check_certificates(section):
+        """At every (m, h) the vertex lies in K, its value is <c, p>, and the
+        multipliers are >= 0 and reproduce p: an exact optimality proof."""
+        n = section.n_functionals
+        best = [Fraction(0)] * (n - 1)
+        seen = []
+        for m, h, lp, mu in _optima(section.rows):
+            cols = lp.cols
+            seen.append((h, m))
+            p = cols[h][:m] + [0] * (n - m)
+            c = [Fraction(x, lp.det) for x in lp.point()]
+            assert all(abs(sum(a_i * c_i for a_i, c_i in zip(a, c))) <= 1 for a in cols)
+            lam = [Fraction(v, lp.det) for v in mu]
+            assert all(v >= 0 for v in lam)
+            for col, sign in lp.basis:
+                assert sign * sum(a_i * c_i for a_i, c_i in zip(cols[col], c)) == 1
+            combo = [
+                sum(lam_r * sign * cols[col][i] for lam_r, (col, sign) in zip(lam, lp.basis))
+                for i in range(n)
+            ]
+            assert combo == p
+            value = Fraction(sum(mu), lp.det)
+            assert value == sum(p_i * c_i for p_i, c_i in zip(p, c))
+            best[m - 1] = max(best[m - 1], value)
+        assert seen == [(h, m) for h in range(len(cols)) for m in range(1, n)]
+        assert basis_constant(section) == (max(best), best)
+
+    def test_primitive_rows(self):
+        rng = random.Random(71)
+        for _ in range(200):
+            row = [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(6)]
+            if not any(row):
+                continue
+            ints = _primitive(row)
+            assert all(type(v) is int for v in ints)
+            assert math.gcd(*ints) == 1
+            k = next(Fraction(a) / b for a, b in zip(ints, row) if b)
+            assert k > 0 and [k * v for v in row] == ints
+
+    def test_float_entries_rejected(self):
+        section = FiniteSection(rows=((1.0, 0.5), (0.0, 1.0)))
+        for call in (check_section, basis_constant, section_report):
+            with pytest.raises(TypeError, match="float"):
+                call(section)
+        with pytest.raises(TypeError):
+            check_section(FiniteSection(rows=((1, 0), (0, Fraction(1, 2)), (0.1, 1))))
 
 
 def gram_det(rows):
@@ -230,3 +326,12 @@ class TestSectionReport:
         assert doc["values"] == [["1", "0"], ["0", "1"]]
         assert "caveat" in doc
         assert float(doc["basis_constant"]) == pytest.approx(1.0, abs=1e-9)
+
+    def test_exact_fields_and_byte_stability(self):
+        section = random_section(random.Random(5), 4, 6)
+        doc = section_report(section)
+        k, per_m = basis_constant(section)
+        assert parse_rational(doc["basis_constant_exact"]) == k
+        assert [parse_rational(v) for v in doc["per_m_projection_norms_exact"]] == per_m
+        assert float(doc["basis_constant"]) == pytest.approx(float(k), rel=1e-15)
+        assert json.dumps(section_report(section)) == json.dumps(doc)

@@ -403,3 +403,16 @@ class TestImports:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert proc.stdout.strip() == "[]"
+
+    def test_diag_import_loads_no_scipy_or_numpy(self):
+        # projection norms come from the exact vertex simplex, with no float library
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import kslab.basic_seq_diag, sys; "
+            "print(sorted(m for m in ('scipy', 'numpy') if m in sys.modules))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "[]"
