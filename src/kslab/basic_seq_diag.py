@@ -15,6 +15,9 @@ over the coefficients c.  Every (m, h) shares the feasible set K, so one
 integer-only vertex simplex per section walks K from optimum to optimum:
 rows are scaled to primitive integer vectors (a positive row scaling leaves
 every norm unchanged), no float enters, and each norm is an exact Fraction.
+The constraints are two-sided, so at any basis p . c <= sum(|mu|) / det on K
+for the simplex multipliers mu; an objective whose bound cannot beat the best
+value of its m is dropped, which leaves every maximum, so every norm, exact.
 The weak-star limit property of an infinite sequence is not finitely
 checkable; reports carry an explicit caveat and quantify the finite shadow
 only.
@@ -27,7 +30,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .exactnum import EchelonStore, Rational, decimal_str, format_rational
 from .ks_measure import build
@@ -86,16 +89,16 @@ def check_section(section: FiniteSection) -> None:
 def _primitive(row: Sequence[Rational]) -> list[int]:
     """The positive multiple of a nonzero rational row that is an integer
     vector with joint gcd 1."""
-    q = [Fraction(v) for v in row]
-    d = math.lcm(*(x.denominator for x in q))
-    ints = [x.numerator * (d // x.denominator) for x in q]
+    d = math.lcm(*(v.denominator for v in row))
+    ints = [v.numerator * (d // v.denominator) for v in row]
     g = math.gcd(*ints)
     return [v // g for v in ints]
 
 
 class _VertexSimplex:
-    """Vertices of K = {c : |a . c| <= 1 for every column a}, for integer
-    columns a that span Q^N, walked by a fraction-free simplex.
+    """Vertices of K = {c : |a . c| <= 1 for every column a of the primitive
+    integer rows}, for rows independent over Q, walked by a fraction-free
+    simplex (cols holds the columns).
 
     A vertex is a basis of N (column h, sign s) pairs whose normals s a_h,
     the rows of M, are tight: c = M^-1 1.  M^-1 is adj / det, det > 0 and
@@ -107,9 +110,9 @@ class _VertexSimplex:
     keeps the other rows fixed replaces it by the first constraint it meets.
     """
 
-    def __init__(self, cols: list[list[int]]):
-        n = len(cols[0])
-        self.cols = cols
+    def __init__(self, rows: Sequence[Sequence[Rational]]):
+        n = len(rows)
+        self.cols = [list(col) for col in zip(*map(_primitive, rows))]
         self.det = 1
         self.adj = [[int(i == j) for i in range(n)] for j in range(n)]  # adj[j] = column j
         self.basis: list[tuple[int, int] | None] = [None] * n  # (h, s) of each row
@@ -149,44 +152,40 @@ class _VertexSimplex:
         self.det = new_det
         self.basis[r] = (h, s)
 
-    def maximize(self, p: list[int]) -> list[int]:
+    def maximize(self, p: list[int], floor: Fraction) -> list[int] | None:
         """Pivot to a vertex that maximizes p . c over K and return the
         multiplier numerators mu = adj^T p: p = sum_r (mu_r / det) s_r a_{h_r}
         with every mu_r >= 0, so the optimum is sum(mu) / det.  Bland's
         rule: the row with the smallest column among negative multipliers
-        leaves."""
+        leaves.  Return None instead once sum(|mu|) / det, a bound on K at
+        any basis, is <= floor; at floor 0 that needs mu = 0, already optimal."""
         while True:
             mu = [sum(map(mul, p, col)) for col in self.adj]
             neg = [r for r in range(len(mu)) if mu[r] < 0]
             if not neg:
                 return mu
+            if sum(map(abs, mu)) * floor.denominator <= floor.numerator * self.det:
+                return None
             self._pivot(min(neg, key=lambda r: self.basis[r][0]), -1)
-
-
-def _optima(rows: Sequence[Sequence[Rational]]) -> Iterator[tuple[int, int, _VertexSimplex, list[int]]]:
-    """(m, h, simplex, mu) at the optimum of max sum_{i<m} c_i a_h[i] for
-    every 1 <= m < N, h outer and m inner, all from one simplex on the
-    columns a_h of the primitive integer rows (simplex.cols)."""
-    n = len(rows)
-    cols = [list(col) for col in zip(*map(_primitive, rows))]
-    lp = _VertexSimplex(cols)
-    for h, a in enumerate(cols):
-        for m in range(1, n):
-            yield m, h, lp, lp.maximize(a[:m] + [0] * (n - m))
 
 
 def basis_constant(section: FiniteSection) -> tuple[Fraction, list[Fraction]]:
     """K = max over 1 <= m < N of ||P_m||, plus the per-m norms, exactly.
 
-    N = 1 has no proper partial sums and reports K = 1 by convention.
+    Objectives run h outer, m inner, on one simplex, each floored by its m's
+    best value.  N = 1 reports K = 1 by convention (no proper partial sums).
     """
     check_section(section)
     n = section.n_functionals
     if n == 1:
         return Fraction(1), [Fraction(1)]
+    lp = _VertexSimplex(section.rows)
     per_m = [Fraction(0)] * (n - 1)
-    for m, _, lp, mu in _optima(section.rows):
-        per_m[m - 1] = max(per_m[m - 1], Fraction(sum(mu), lp.det))
+    for a in lp.cols:
+        for m in range(1, n):
+            mu = lp.maximize(a[:m] + [0] * (n - m), per_m[m - 1])
+            if mu is not None:
+                per_m[m - 1] = max(per_m[m - 1], Fraction(sum(mu), lp.det))
     return max(per_m), per_m
 
 

@@ -137,9 +137,11 @@ def format_rational(q: Rational) -> str:
     """Serialize in lowest terms: "p/q", or "p" when the denominator is 1.
 
     A numerator or denominator of magnitude >= HEX_FROM is written as 0x hex
-    ("-0x.../0x..."); everything smaller is plain decimal.
+    ("-0x.../0x..."); everything smaller is plain decimal.  q must be an int
+    or a Fraction; anything else, a float included, raises TypeError.
     """
-    q = Fraction(q)
+    if not isinstance(q, (int, Fraction)):
+        raise TypeError(f"format_rational requires an int or Fraction, got {type(q).__name__}")
     if q.denominator == 1:
         return _int_text(q.numerator)
     return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
@@ -249,8 +251,10 @@ class EchelonStore:
 
 def decimal_str(q: Rational, digits: int = 30) -> str:
     """Decimal expansion with exactly `digits` fractional digits (truncated
-    toward zero).  Deterministic, used for report payloads only."""
-    q = Fraction(q)
+    toward zero).  Deterministic, used for report payloads only.  q must be
+    an int or a Fraction, as in format_rational."""
+    if not isinstance(q, (int, Fraction)):
+        raise TypeError(f"decimal_str requires an int or Fraction, got {type(q).__name__}")
     sign = "-" if q < 0 else ""
     q = abs(q)
     scaled = (q.numerator * 10**digits) // q.denominator

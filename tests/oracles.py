@@ -1,12 +1,18 @@
-"""Floating-point oracles for exact code paths, kept out of the package.
+"""Oracles for the projection norms of basic_seq_diag, kept out of the package.
 
 projection_norms_highs is the LP layer basic_seq_diag used before its
 exact vertex simplex: one SciPy HiGHS linprog per (m, h).  SciPy is a test
-dependency only.
+dependency only.  simplex_optima is the full enumeration the exact simplex
+ran before it pruned objectives by their dual bound: every (m, h) solved to
+optimality.
 """
+
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
+
+from kslab.basic_seq_diag import _VertexSimplex
 
 LP_TOL = 1e-7  # float tolerance when an exact value is compared with HiGHS
 
@@ -43,3 +49,15 @@ def projection_norms_highs(rows) -> list[float]:
     """||P_m|| for 1 <= m < N of a section given as rational rows."""
     values = np.array([[float(v) for v in row] for row in rows], dtype=np.float64)
     return [projection_norm_highs(values, m) for m in range(1, len(rows))]
+
+
+def simplex_optima(rows):
+    """(m, h, simplex, mu) at the optimum of max sum_{i<m} c_i a_h[i] for
+    every 1 <= m < N, h outer and m inner, all from one simplex on the
+    columns a_h of the primitive integer rows (simplex.cols).  Floor 0
+    never prunes, so every mu is an optimality certificate."""
+    n = len(rows)
+    lp = _VertexSimplex(rows)
+    for h, a in enumerate(lp.cols):
+        for m in range(1, n):
+            yield m, h, lp, lp.maximize(a[:m] + [0] * (n - m), Fraction(0))

@@ -1,6 +1,7 @@
 """Finite-section diagnostics: projection norms, basis constants, and the
 section builder over measures."""
 
+import copy
 import json
 import math
 import random
@@ -11,8 +12,8 @@ import pytest
 from kslab.basic_seq_diag import (
     DegenerateSectionError,
     FiniteSection,
-    _optima,
     _primitive,
+    _VertexSimplex,
     basis_constant,
     check_section,
     section_of_ks,
@@ -27,7 +28,7 @@ from kslab.schauder import (
     coefficient_functional,
 )
 from kslab.tensor_bounds import SymmetricTerm, TensorCombo, profile_table, standard_test_family
-from oracles import LP_TOL, projection_norms_highs
+from oracles import LP_TOL, projection_norms_highs, simplex_optima
 
 TOL = 1e-9
 
@@ -175,7 +176,7 @@ class TestExactNorms:
         n = section.n_functionals
         best = [Fraction(0)] * (n - 1)
         seen = []
-        for m, h, lp, mu in _optima(section.rows):
+        for m, h, lp, mu in simplex_optima(section.rows):
             cols = lp.cols
             seen.append((h, m))
             p = cols[h][:m] + [0] * (n - m)
@@ -215,6 +216,99 @@ class TestExactNorms:
                 call(section)
         with pytest.raises(TypeError):
             check_section(FiniteSection(rows=((1, 0), (0, Fraction(1, 2)), (0.1, 1))))
+
+
+def enumeration_maxima(section):
+    """||P_m|| for 1 <= m < N from the full enumeration: no objective pruned."""
+    best = [Fraction(0)] * (section.n_functionals - 1)
+    for m, _, lp, mu in simplex_optima(section.rows):
+        best[m - 1] = max(best[m - 1], Fraction(sum(mu), lp.det))
+    return best
+
+
+def rescaled_row(section, i, factor):
+    rows = [list(r) for r in section.rows]
+    rows[i] = [factor * v for v in rows[i]]
+    return FiniteSection(rows=frac_rows(rows))
+
+
+class TestPrunedObjectives:
+    """basis_constant drops an objective once its dual bound sum(|mu|) / det
+    cannot beat the best value of its m; the full enumeration is the oracle."""
+
+    def test_matches_enumeration_diag(self):
+        for section in diag_sections(20):
+            best = enumeration_maxima(section)
+            assert basis_constant(section) == (max(best), best)
+
+    @pytest.mark.parametrize(
+        "section",
+        [
+            FiniteSection(rows=frac_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])),
+            # a zero column: its objectives vanish for every m
+            FiniteSection(rows=frac_rows([[1, 0, 2, -1], [0, 0, 1, 3], [2, 0, -1, 1]])),
+            # column 2 is -2 times column 0: their objectives tie for every m
+            FiniteSection(rows=frac_rows([[1, 2, -2, 0], [0, 1, 0, 1], [3, -1, -6, 1]])),
+            FiniteSection(rows=frac_rows([[1, 1, 0], [1, -1, Fraction(1, 2)]])),
+            rescaled_row(diag_sections(1)[0], 3, Fraction(7, 3)),
+        ],
+        ids=["identity", "zero-column", "parallel-columns", "n2", "rescaled-row"],
+    )
+    def test_matches_enumeration_ties(self, section):
+        best = enumeration_maxima(section)
+        assert basis_constant(section) == (max(best), best)
+
+    def test_matches_enumeration_small_integer_sections(self):
+        # entries in {-1, 0, 1}: many tied objectives and degenerate vertices
+        rng = random.Random(83)
+        checked = 0
+        while checked < 150:
+            n, f = rng.randint(2, 4), rng.randint(2, 6)
+            section = FiniteSection(rows=tuple(tuple(rng.randint(-1, 1) for _ in range(f)) for _ in range(n)))
+            try:
+                check_section(section)
+            except DegenerateSectionError:
+                continue
+            best = enumeration_maxima(section)
+            assert basis_constant(section) == (max(best), best), section.rows
+            checked += 1
+
+    def test_pruned_objectives_cannot_raise_the_norm(self, monkeypatch):
+        # solve every pruned objective to optimality on a copy of the simplex
+        maximize = _VertexSimplex.maximize
+        pruned = []
+
+        def checked(lp, p, floor):
+            before = copy.deepcopy(lp)
+            mu = maximize(lp, p, floor)
+            if mu is None:
+                full = maximize(before, p, Fraction(0))
+                assert Fraction(sum(full), before.det) <= floor
+                pruned.append(floor)
+            return mu
+
+        monkeypatch.setattr(_VertexSimplex, "maximize", checked)
+        for section in diag_sections(3):
+            basis_constant(section)
+        assert pruned and all(floor > 0 for floor in pruned)
+
+    def test_fewer_pivots_than_enumeration(self, monkeypatch):
+        # fails when the pruning is unwired and every objective runs to its optimum
+        pivot = _VertexSimplex._pivot
+        calls = [0]
+
+        def counted(lp, r, sigma):
+            calls[0] += 1
+            pivot(lp, r, sigma)
+
+        monkeypatch.setattr(_VertexSimplex, "_pivot", counted)
+        for section in diag_sections(6):
+            calls[0] = 0
+            basis_constant(section)
+            pruned = calls[0]
+            calls[0] = 0
+            enumeration_maxima(section)
+            assert pruned < calls[0]
 
 
 def gram_det(rows):

@@ -5,6 +5,7 @@ reference store."""
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -213,6 +214,29 @@ class TestSerialization:
         assert decimal_str(Fraction(1, 2), 6) == "0.500000"
         assert decimal_str(Fraction(-1, 3), 5) == "-0.33333"
         assert len(decimal_str(Fraction(1, 7)).split(".")[1]) == 30
+
+    @pytest.mark.parametrize("q", [0.1, 1.0, float("nan"), Decimal("0.1"), "1/3", 1j])
+    def test_inexact_values_rejected(self, q):
+        # format_rational(0.1) once wrote 0.1's binary value, 3602879701896397/2**55
+        for call in (format_rational, decimal_str):
+            with pytest.raises(TypeError, match=type(q).__name__):
+                call(q)
+
+    @pytest.mark.parametrize(
+        "v",
+        [0, 7, -12, HEX_FROM - 1, -HEX_FROM, 3**9100, Fraction(-7, 2**15000), Fraction(3**9100, 5)],
+        ids=["zero", "int", "negative", "below-hex", "hex", "big-int", "hex-denominator", "hex-numerator"],
+    )
+    def test_int_and_fraction_output_unchanged(self, v):
+        # an int and the equal Fraction serialize alike, decimal or hex
+        q = Fraction(v)
+        assert format_rational(v) == format_rational(q)
+        if abs(q) < 10**100:  # decimal_str writes the whole part in decimal
+            assert decimal_str(v) == decimal_str(q)
+        num = hex(q.numerator) if abs(q.numerator) >= HEX_FROM else str(q.numerator)
+        den = hex(q.denominator) if q.denominator >= HEX_FROM else str(q.denominator)
+        assert format_rational(v) == (num if q.denominator == 1 else f"{num}/{den}")
+        assert format_rational(-5) == "-5" and decimal_str(-5, 2) == "-5.00"
 
 
 class TestEchelonStore:
