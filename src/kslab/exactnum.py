@@ -251,12 +251,14 @@ class EchelonStore:
 
 def decimal_str(q: Rational, digits: int = 30) -> str:
     """Decimal expansion with exactly `digits` fractional digits (truncated
-    toward zero).  Deterministic, used for report payloads only.  q must be
-    an int or a Fraction, as in format_rational."""
+    toward zero).  Deterministic, used for report payloads only.  A whole
+    part of magnitude >= HEX_FROM is written as 0x hex, as in
+    format_rational; the fractional digits stay decimal.  q must be an int
+    or a Fraction, as there."""
     if not isinstance(q, (int, Fraction)):
         raise TypeError(f"decimal_str requires an int or Fraction, got {type(q).__name__}")
     sign = "-" if q < 0 else ""
     q = abs(q)
     scaled = (q.numerator * 10**digits) // q.denominator
     whole, frac = divmod(scaled, 10**digits)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    return f"{sign}{_int_text(whole)}.{frac:0{digits}d}"

@@ -11,7 +11,7 @@ Rows are encoded as bit patterns: bit j of the pattern set means
 sign(s, j) = -1.  The canonical bijection uses the row index itself as the
 pattern; a seeded row permutation composes it with a shuffle of the row
 indices.  The index alone decides what can be materialized: up to
-EXPLICIT_MAX_N the measure is explicit (full row tables, atom lists, row
+EXPLICIT_MAX_N the measure is explicit (full row tables, row
 permutations); above it the atom table is unmaterializable, signs are
 computed on demand from the row index, and only closed forms apply.
 """
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import Rational, binomial, format_rational
+from .exactnum import Rational, binomial
 
 EXPLICIT_MAX_N = 20
 
@@ -63,10 +63,6 @@ class KSMeasure:
     @property
     def rows(self) -> int:
         return 1 << self.n
-
-    @property
-    def cols(self) -> int:
-        return self.n
 
     @property
     def scale(self) -> Rational:
@@ -130,8 +126,8 @@ def build(n: int, bijection: Canonical | RowPermutation = CANONICAL) -> KSMeasur
 def total_variation(m: KSMeasure) -> Rational:
     """Sum of |weight| over all atoms: n * 2^n atoms of magnitude scale, so 1.
 
-    Every sign has magnitude 1 at every index, so no atom is read;
-    the atom-level check materializes the list with as_signed_measure.
+    Every sign has magnitude 1 at every index, so no atom is read; the
+    tests check it against the materialized atom list (tests/oracles.py).
     """
     return Fraction(m.n << m.n, 1) * m.scale
 
@@ -217,49 +213,3 @@ class GridFunction:
 
     def value(self, s: int, j: int) -> Rational:
         return Fraction(self.f_values[s]) * Fraction(self.g_values[j])
-
-
-@dataclass(frozen=True)
-class FiniteSignedMeasure:
-    """Generic finite atomic signed measure: distinct keys, nonzero weights."""
-
-    atoms: tuple[tuple[tuple[int, int], Rational], ...]
-
-    def __post_init__(self) -> None:
-        keys = [k for k, _ in self.atoms]
-        if len(set(keys)) != len(keys):
-            raise ValueError("atom keys must be distinct")
-        if any(w == 0 for _, w in self.atoms):
-            raise ValueError("atom weights must be nonzero")
-
-    def total_variation(self) -> Rational:
-        return sum((abs(w) for _, w in self.atoms), Fraction(0))
-
-    def support(self) -> frozenset[tuple[int, int]]:
-        return frozenset(k for k, _ in self.atoms)
-
-
-def as_signed_measure(m: KSMeasure) -> FiniteSignedMeasure:
-    """Materialize the atom list (explicit measures only)."""
-    if not m.is_explicit():
-        raise MemoryGuardError(f"atom list limited to n <= {EXPLICIT_MAX_N}, got n={m.n}")
-    atoms = []
-    for s in range(m.rows):
-        p = m.row_pattern(s)
-        for j in range(m.n):
-            w = -m.scale if (p >> j) & 1 else m.scale
-            atoms.append(((s, j), w))
-    return FiniteSignedMeasure(atoms=tuple(atoms))
-
-
-def measure_to_json(m: KSMeasure) -> dict:
-    """Wire format: explicit measures list atoms, larger ones the rule."""
-    if m.is_explicit():
-        atoms = []
-        for s in range(m.rows):
-            p = m.row_pattern(s)
-            for j in range(m.n):
-                atoms.append([s, j, "-1" if (p >> j) & 1 else "1"])
-        return {"n": m.n, "scale": format_rational(m.scale), "atoms": atoms}
-    bij = "canonical" if isinstance(m.bijection, Canonical) else {"perm_seed": m.bijection.seed}
-    return {"n": m.n, "scale": format_rational(m.scale), "bijection": bij}

@@ -4,7 +4,9 @@ By atomicity the supremum over arbitrary product sets equals the supremum
 over A a set of rows and B a set of columns of the support grid, so
 rectangles are bitsets.  Two routes compute it:
 
-* a brute-force oracle enumerating every (A, B) pair (n <= 4), and
+* a brute-force oracle enumerating every (A, B) pair (n <= 4): for each
+  column set B the subset sums over all row sets A are one bytes table,
+  doubled per row by translate, and searched for the largest |sum|, and
 * a closed form.  For fixed B with |B| = b, linearity in the indicator of
   A plus the +/- mirror symmetry of the full sign cube make
   A* = {rows with positive partial sum over B} optimal, and the row sums
@@ -32,14 +34,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .exactnum import PI, Cmp, Rational, cmp_sq_below, decimal_str, format_rational
 from .ks_measure import KSMeasure
 
 BRUTE_MAX_N = 4
-# byte c -> c + 1; minus counts stay <= EXPLICIT_MAX_N, so none wraps
-_INC = bytes(range(1, 256)) + b"\0"
+# _ADD[d] maps byte c to c + d mod 256, so _ADD[-d] subtracts d
+_ADD = [bytes(range(d, 256)) + bytes(range(d)) for d in range(256)]
+# byte of a zero subset sum; |sum| <= n * 2^n <= 64 for n <= BRUTE_MAX_N, so
+# _OFF + sum lies in 0..128 and no byte wraps
+_OFF = 64
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -64,28 +67,6 @@ class RectangleSupReport:
     method: str  # "BruteForce" | "FastPath"
 
 
-def rect_mass(m: KSMeasure, r: Rectangle) -> Rational:
-    """scale * sum over selected atoms of sign(s, j); exact, sign retained."""
-    if not (0 <= r.row_bits < (1 << m.rows)):
-        raise ValueError(f"row bitset exceeds width 2^{m.rows}")
-    if not (0 <= r.col_bits < (1 << m.n)):
-        raise ValueError(f"column bitset exceeds width {m.n}")
-    b = r.col_bits.bit_count()
-    total = 0
-    # walk the row bitset bytewise: mutating a 2^n-bit integer per row would
-    # be quadratic in the number of rows
-    data = r.row_bits.to_bytes((m.rows + 7) // 8, "little")
-    for byte_idx, byte in enumerate(data):
-        base = byte_idx * 8
-        while byte:
-            low = byte & -byte
-            s = base + low.bit_length() - 1
-            byte ^= low
-            minus = (m.row_pattern(s) & r.col_bits).bit_count()
-            total += b - 2 * minus
-    return total * m.scale
-
-
 def _certify_pair(sup: Rational, n: int) -> tuple[Cmp, Cmp]:
     lower_ok = cmp_sq_below(sup, 1, 2, PI, n)  # want CERT_GT vs 1/(2 sqrt(pi n))
     upper_ok = cmp_sq_below(sup, 2, 1, PI, n)  # want CERT_LT vs 2/sqrt(pi n)
@@ -93,9 +74,12 @@ def _certify_pair(sup: Rational, n: int) -> tuple[Cmp, Cmp]:
 
 
 def sup_rect_bruteforce(m: KSMeasure) -> RectangleSupReport:
-    """Exhaustive maximum of |rect_mass| over all 2^(2^n) * 2^n rectangles.
+    """Exhaustive maximum of |measure(A x B)| over all 2^(2^n) * 2^n rectangles.
 
-    Ties broken by the lexicographically smallest (B, A) bit pattern, which
+    For each B, byte A of the table t is _OFF plus the signed count over
+    A x B: appending t shifted by row i's signed count sets bit i of A.  The
+    largest |sum| is the largest v with _OFF + v or _OFF - v in t.  Ties
+    are broken by the lexicographically smallest (B, A) bit pattern, which
     is the natural iteration order.  Guarded at n <= 4.
     """
     n = m.n
@@ -107,16 +91,16 @@ def sup_rect_bruteforce(m: KSMeasure) -> RectangleSupReport:
     for col_bits in range(1 << n):
         b = col_bits.bit_count()
         sig = [b - 2 * (m.row_pattern(s) & col_bits).bit_count() for s in range(rows)]
-        # subset sums over A: T[A] enumerates every row subset
-        t = np.zeros(1 << rows, dtype=np.int64)
-        for i in range(rows):
-            size = 1 << i
-            t[size : 2 * size] = t[:size] + sig[i]
-        absT = np.abs(t)
-        vmax = int(absT.max())
-        if vmax > best:
-            best = vmax
-            best_rect = Rectangle(int(np.argmax(absT == vmax)), col_bits)
+        t = bytes([_OFF])
+        for d in sig:
+            t += t.translate(_ADD[d])
+        v = sum(map(abs, sig))
+        while _OFF + v not in t and _OFF - v not in t:
+            v -= 1
+        if v > best:
+            best = v
+            hits = [i for i in (t.find(_OFF + v), t.find(_OFF - v)) if i >= 0]
+            best_rect = Rectangle(min(hits), col_bits)
     sup = Fraction(best, n << n)
     lower_ok, upper_ok = _certify_pair(sup, n)
     return RectangleSupReport(
@@ -144,7 +128,7 @@ def sup_rect_fast(m: KSMeasure) -> RectangleSupReport:
         b = n if n % 2 else n - 1
         minus = b"\0"
         for _ in range(b):
-            minus += minus.translate(_INC)
+            minus += minus.translate(_ADD[1])  # counts stay <= b, so none wraps
         below = (b + 1) // 2  # counts c with 2c < b
         member = minus.translate(b"1" * below + b"0" * (256 - below)) * (1 << (n - b))
         witness = Rectangle(int(m.by_row(member)[::-1], 2), (1 << b) - 1)
@@ -163,15 +147,6 @@ def bound2_verdict(lower_ok: Cmp, upper_ok: Cmp) -> str:
     if lower_ok is Cmp.CERT_GT and upper_ok is Cmp.CERT_LT:
         return PASS
     return FAIL
-
-
-def certify_bound2(report: RectangleSupReport) -> str:
-    """PASS iff 1/(2 sqrt(pi n)) < sup < 2/sqrt(pi n), both rationally
-    certified; UNDECIDED signals an insufficient enclosure.  Re-derived from
-    sup, not read from the report's recorded comparisons."""
-    if report.sup < 0:
-        raise ValueError("supremum must be nonnegative")
-    return bound2_verdict(*_certify_pair(report.sup, report.n))
 
 
 def report_to_json(report: RectangleSupReport) -> dict:

@@ -80,10 +80,6 @@ class GeneratorSet:
         self._cache: list[SparseVec] = []
 
     @classmethod
-    def from_vectors(cls, vectors: Sequence[Mapping[int, object]]) -> "GeneratorSet":
-        return cls(list(vectors))
-
-    @classmethod
     def from_jsonl(cls, text: str) -> "GeneratorSet":
         """One generator per line: {"coords": {"1": "3/2", ...}}."""
         vectors = []
@@ -117,11 +113,6 @@ class GeneratorSet:
                 break
             self._cache.append(_validate_sparse(raw))
         return self._cache[:k]
-
-    def fetch_all(self) -> list[SparseVec]:
-        if self._count is None:
-            raise ValueError("cannot materialize an unbounded stream")
-        return self.fetch(self._count)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ cube is attained at a vertex g in {-1,+1}^n.  tensor_sup_exact evaluates
 every vertex at once: the value at g is an XOR convolution of the row
 patterns with |n - 2 popcount|, which three exact integer Walsh-Hadamard
 transforms compute in O(n 2^n) with no per-vertex loop.  The convexity
-derivation is validated by random probing and by the inequality
-tensor_sup >= rectangle_sup (indicators lie in the cube), never trusted
-alone.
+derivation is never trusted alone: the tests hold it to a per-vertex loop,
+to a float random probe of the cube (tests/oracles.py) and to the
+inequality tensor_sup >= rectangle_sup (indicators lie in the cube).
 
 Tensor combinations h = sum_i f_i (x) g_i come in two term forms: explicit
 tables pinned to one measure index, and named symmetric profiles
@@ -26,15 +26,11 @@ against the pi enclosure.
 
 from __future__ import annotations
 
-import io
-import csv
 import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .exactnum import (
     PI,
@@ -52,13 +48,6 @@ TENSOR_MAX_N = 12
 PASS = "PASS"
 FAIL = "FAIL"
 UNDECIDED = "UNDECIDED"
-
-
-def _sign_matrix(m: KSMeasure) -> np.ndarray:
-    """Dense +-1 matrix of shape (2^n, n); explicit scale only."""
-    patterns = np.array([m.row_pattern(s) for s in range(m.rows)], dtype=np.int64)
-    bits = (patterns[:, None] >> np.arange(m.n)[None, :]) & 1
-    return 1 - 2 * bits
 
 
 def _fwht(v: list[int]) -> list[int]:
@@ -109,32 +98,6 @@ def certify_bound3(n: int, sup: Rational, rect_sup: Rational | None = None) -> s
     if verdict is Cmp.CERT_GT:
         return FAIL
     return UNDECIDED
-
-
-def random_tensor_probe(m: KSMeasure, trials: int, seed: int) -> float:
-    """Max |measure(f (x) g)| over seeded uniform samples from the cube.
-
-    A sanity probe for tensor_sup_exact: the result can never exceed it.
-    Deterministic per seed; explicit measures only.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not m.is_explicit():
-        raise ValueError("random_tensor_probe needs an explicit measure")
-    rng = np.random.default_rng(seed)
-    signs = _sign_matrix(m).astype(np.float64)
-    scale = float(m.scale)
-    best = 0.0
-    chunk = 1024
-    done = 0
-    while done < trials:
-        k = min(chunk, trials - done)
-        f = rng.uniform(-1.0, 1.0, size=(k, m.rows))
-        g = rng.uniform(-1.0, 1.0, size=(k, m.n))
-        vals = np.abs(np.einsum("ij,ij->i", f @ signs, g)) * scale
-        best = max(best, float(vals.max()))
-        done += k
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -354,20 +317,3 @@ def _tensor_bound_enclosure(norm_bound: Rational, n: int) -> tuple[Rational, Rat
     _, hi_s2 = sqrt_enclosure(PI.upper * n)
     nb = Fraction(norm_bound)
     return 8 * nb / hi_s2, 8 * nb / lo_s
-
-
-def decay_csv(rows: Sequence[DecayRow]) -> str:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["n", "value", "bound_lower", "bound_upper", "pass"])
-    for r in rows:
-        w.writerow(
-            [
-                r.n,
-                format_rational(r.value),
-                format_rational(r.bound_lower),
-                format_rational(r.bound_upper),
-                "true" if r.dominated else "false",
-            ]
-        )
-    return out.getvalue()

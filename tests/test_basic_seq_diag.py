@@ -395,9 +395,7 @@ class TestSectionOfKs:
 class TestFunctionalSections:
     def test_triangular_functionals_have_constant_one(self):
         # rows b_n^*(b_m) form the identity, so K = 1 exactly
-        gens = GeneratorSet.from_vectors(
-            [{1: 1, 2: 1}, {2: 1, 3: -2}, {3: 1, 4: 1}, {4: 2}]
-        )
+        gens = GeneratorSet([{1: 1, 2: 1}, {2: 1, 3: -2}, {3: 1, 4: 1}, {4: 2}])
         basis = build_triangular_basis(gens, 4, 5)
         rows = []
         for n in range(1, 5):
@@ -429,3 +427,14 @@ class TestSectionReport:
         assert [parse_rational(v) for v in doc["per_m_projection_norms_exact"]] == per_m
         assert float(doc["basis_constant"]) == pytest.approx(float(k), rel=1e-15)
         assert json.dumps(section_report(section)) == json.dumps(doc)
+
+    def test_norm_past_str_digit_limit(self):
+        # K has 14,618 bits, so its whole part has over 4300 decimal digits;
+        # the decimal field writes that part in hex, as the exact field does
+        section = FiniteSection(rows=((1, 1), (1, 1 + Fraction(1, 10**4400))))
+        doc = section_report(section)
+        k = parse_rational(doc["basis_constant_exact"])
+        assert k.numerator.bit_length() - k.denominator.bit_length() > 14000
+        whole, _, frac = doc["basis_constant"].partition(".")
+        assert whole.startswith("0x") and int(whole, 16) == math.floor(k)
+        assert frac == str(math.floor(k * 10**30) % 10**30).zfill(30)

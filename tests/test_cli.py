@@ -14,8 +14,11 @@ from kslab import rect_sup, tensor_bounds
 from kslab.cli import _verify_one, main
 from kslab.exactnum import EchelonStore, cmp_sq_below, format_rational, parse_rational
 from kslab.ks_measure import build, eval_symmetric
-from kslab.rect_sup import BRUTE_MAX_N, Rectangle, rect_mass, sup_rect_bruteforce
+from kslab.rect_sup import BRUTE_MAX_N, Rectangle, sup_rect_bruteforce
 from kslab.tensor_bounds import TENSOR_MAX_N, combo_to_json, profile_table, standard_test_family
+from oracles import rect_mass
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(args):
@@ -392,26 +395,45 @@ class TestOutputErrors:
 class TestImports:
     def test_cli_import_loads_no_scipy(self):
         # the package module re-exports nothing, so no subcommand pays for
-        # the LP layer of basic_seq_diag and SciPy behind it
-        src = Path(__file__).resolve().parents[1] / "src"
+        # the LP layer of basic_seq_diag; and kslab needs nothing beyond the
+        # standard library, so importing the CLI loads no third-party module
         code = (
-            "import kslab, kslab.cli, sys; "
-            "print(sorted(m for m in ('scipy', 'kslab.basic_seq_diag') if m in sys.modules))"
+            "import sys; before = set(sys.modules); import kslab, kslab.cli; "
+            "print(sorted(m for m in ('scipy', 'kslab.basic_seq_diag') if m in sys.modules)); "
+            "print(sorted(m for m in set(sys.modules) - before if m.partition('.')[0] "
+            "not in sys.stdlib_module_names and m.partition('.')[0] != 'kslab'))"
         )
-        env = {**os.environ, "PYTHONPATH": str(src)}
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.split("\n")[:2] == ["[]", "[]"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--n-max", "6"], ["sup", "--n", "4", "--brute"]],
+        ids=["verify", "sup-brute"],
+    )
+    def test_runs_without_site_packages(self, tmp_path, argv):
+        # python -S leaves site-packages off sys.path: the subcommands run on
+        # the standard library alone and write what an in-process run writes
+        inproc, isolated = tmp_path / "inproc.json", tmp_path / "isolated.json"
+        assert run(argv + ["--out", str(inproc)]) == 0
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-S", "-m", "kslab.cli", *argv, "--out", str(isolated)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert isolated.read_bytes() == inproc.read_bytes()
 
     def test_diag_import_loads_no_scipy_or_numpy(self):
         # projection norms come from the exact vertex simplex, with no float library
-        src = Path(__file__).resolve().parents[1] / "src"
         code = (
             "import kslab.basic_seq_diag, sys; "
             "print(sorted(m for m in ('scipy', 'numpy') if m in sys.modules))"
         )
-        env = {**os.environ, "PYTHONPATH": str(src)}
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )

@@ -231,12 +231,17 @@ class TestSerialization:
         # an int and the equal Fraction serialize alike, decimal or hex
         q = Fraction(v)
         assert format_rational(v) == format_rational(q)
-        if abs(q) < 10**100:  # decimal_str writes the whole part in decimal
-            assert decimal_str(v) == decimal_str(q)
+        assert decimal_str(v) == decimal_str(q)
         num = hex(q.numerator) if abs(q.numerator) >= HEX_FROM else str(q.numerator)
         den = hex(q.denominator) if q.denominator >= HEX_FROM else str(q.denominator)
         assert format_rational(v) == (num if q.denominator == 1 else f"{num}/{den}")
         assert format_rational(-5) == "-5" and decimal_str(-5, 2) == "-5.00"
+
+    def test_decimal_whole_part_past_str_digit_limit(self):
+        # a whole part of 4300 digits or more is written in hex, as format_rational does
+        assert decimal_str(3**9100, 4) == hex(3**9100) + ".0000"
+        assert decimal_str(-Fraction(3**9100 * 8 + 5, 8), 3) == "-" + hex(3**9100) + ".625"
+        assert decimal_str(HEX_FROM - 1, 2) == "9" * 4300 + ".00"
 
 
 class TestEchelonStore:

@@ -11,18 +11,16 @@ from kslab.ks_measure import (
     CANONICAL,
     EXPLICIT_MAX_N,
     GridFunction,
-    FiniteSignedMeasure,
     KSMeasure,
     MemoryGuardError,
     RowPermutation,
-    as_signed_measure,
     build,
     eval_symmetric,
     eval_tensor,
-    measure_to_json,
     support_size,
     total_variation,
 )
+from oracles import atom_list
 
 
 def brute_eval_tensor(m: KSMeasure, f, g) -> Fraction:
@@ -207,41 +205,18 @@ class TestGridFunction:
 
 class TestSignedMeasureView:
     def test_atomic_total_variation_and_support(self):
-        m = build(4, RowPermutation(1))
-        mu = as_signed_measure(m)
-        assert mu.total_variation() == 1
-        assert len(mu.support()) == 4 * 16
+        atoms = atom_list(build(4, RowPermutation(1)))
+        assert sum(abs(w) for _, w in atoms) == 1
+        assert len({k for k, w in atoms if w}) == len(atoms) == 4 * 16
 
     @pytest.mark.parametrize("bijection", [CANONICAL, RowPermutation(7), RowPermutation(8)])
     def test_atom_list_matches_mass_and_support_formulas(self, bijection):
         for n in range(1, 11):
             m = build(n, bijection)
-            mu = as_signed_measure(m)
-            assert mu.total_variation() == total_variation(m) == 1
-            assert len(mu.support()) == support_size(m) == n << n
-
-    def test_distinct_keys_enforced(self):
-        with pytest.raises(ValueError):
-            FiniteSignedMeasure(atoms=(((0, 0), Fraction(1)), ((0, 0), Fraction(1))))
-
-    def test_nonzero_weights_enforced(self):
-        with pytest.raises(ValueError):
-            FiniteSignedMeasure(atoms=(((0, 0), Fraction(0)),))
+            atoms = atom_list(m)
+            assert sum(abs(w) for _, w in atoms) == total_variation(m) == 1
+            assert len({k for k, w in atoms if w}) == len(atoms) == support_size(m) == n << n
 
     def test_implicit_rejected(self):
         with pytest.raises(MemoryGuardError):
-            as_signed_measure(build(30))
-
-
-class TestJsonExport:
-    def test_explicit_document(self):
-        doc = measure_to_json(build(1))
-        assert doc == {
-            "n": 1,
-            "scale": "1/2",
-            "atoms": [[0, 0, "1"], [1, 0, "-1"]],
-        }
-
-    def test_implicit_document(self):
-        doc = measure_to_json(build(25))
-        assert doc == {"n": 25, "scale": "1/838860800", "bijection": "canonical"}
+            atom_list(build(30))

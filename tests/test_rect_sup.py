@@ -2,20 +2,15 @@
 validity, per-width monotonicity, and certified two-sided bounds."""
 
 import functools
+import random
 from fractions import Fraction
 
 import pytest
 
 from kslab.exactnum import Cmp, binomial
-from kslab.ks_measure import CANONICAL, EXPLICIT_MAX_N, RowPermutation, build
-from kslab.rect_sup import (
-    Rectangle,
-    certify_bound2,
-    rect_mass,
-    report_to_json,
-    sup_rect_bruteforce,
-    sup_rect_fast,
-)
+from kslab.ks_measure import CANONICAL, EXPLICIT_MAX_N, KSMeasure, RowPermutation, build
+from kslab.rect_sup import Rectangle, report_to_json, sup_rect_bruteforce, sup_rect_fast
+from oracles import certify_bound2, rect_mass
 
 
 @functools.cache
@@ -95,13 +90,40 @@ class TestBruteForce:
     def test_witness_lexicographic_tiebreak(self):
         # iterate (B, A) ascending: the stored witness must be the first
         # attaining pair, so no smaller (B, A) may attain the supremum
-        m = build(2)
-        report = sup_rect_bruteforce(m)
-        w = report.witness
-        for col_bits in range(w.col_bits + 1):
-            a_limit = w.row_bits if col_bits == w.col_bits else 1 << m.rows
-            for row_bits in range(a_limit):
-                assert abs(rect_mass(m, Rectangle(row_bits, col_bits))) < report.sup
+        rng = random.Random(12)
+        measures = [
+            build(n, bijection)
+            for n in (1, 2, 3)
+            for bijection in (CANONICAL, RowPermutation(1), RowPermutation(2), RowPermutation(3))
+        ]
+        # row tables that repeat and miss patterns: positive and negative
+        # maxima differ, so both table searches must work
+        measures += [
+            KSMeasure(n, RowPermutation(0), tuple(rng.randrange(1 << n) for _ in range(1 << n)))
+            for n in (1, 2, 3)
+            for _ in range(4)
+        ]
+        for m in measures:
+            report = sup_rect_bruteforce(m)
+            w = report.witness
+            assert abs(rect_mass(m, w)) == report.sup
+            for col_bits in range(w.col_bits + 1):
+                a_limit = w.row_bits if col_bits == w.col_bits else 1 << m.rows
+                for row_bits in range(a_limit):
+                    assert abs(rect_mass(m, Rectangle(row_bits, col_bits))) < report.sup
+
+    def test_canonical_witnesses_pinned(self):
+        pinned = {1: (0x1, 0x1), 2: (0x5, 0x1), 3: (0x17, 0x7), 4: (0x1717, 0x7)}
+        for n, (a_bits, b_bits) in pinned.items():
+            assert sup_rect_bruteforce(build(n)).witness == Rectangle(a_bits, b_bits), n
+
+    def test_constant_tables_reach_the_offset_bound(self):
+        # every row alike: |sum| reaches n * 2^n = 64 at A = all rows, B = all
+        # columns, the most the byte table's offset allows, with either sign
+        for pattern in (0x0, 0xF):
+            m = KSMeasure(4, RowPermutation(0), (pattern,) * 16)
+            report = sup_rect_bruteforce(m)
+            assert report.sup == 1 and report.witness == Rectangle(0xFFFF, 0xF)
 
     def test_permutation_leaves_supremum(self):
         for n in (1, 2, 3):

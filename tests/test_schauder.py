@@ -28,7 +28,7 @@ from kslab.schauder import (
 
 
 def unit_generators(count):
-    return GeneratorSet.from_vectors([{k: 1} for k in range(1, count + 1)])
+    return GeneratorSet([{k: 1} for k in range(1, count + 1)])
 
 
 def det3(rows):
@@ -70,7 +70,7 @@ def random_dense_generators(rng, m=20, horizon=30, junk=5):
         }
         gens.append({k: v for k, v in vec.items() if v})
     rng.shuffle(gens)
-    return GeneratorSet.from_vectors(gens)
+    return GeneratorSet(gens)
 
 
 class TestDensityCheck:
@@ -80,20 +80,20 @@ class TestDensityCheck:
         assert result.rank == 10
 
     def test_missing_first_coordinate(self):
-        gens = GeneratorSet.from_vectors([{k: 1} for k in range(2, 12)])
+        gens = GeneratorSet([{k: 1} for k in range(2, 12)])
         result = density_check(gens, 1)
         assert result.status == NOT_DENSE
         assert result.failing == (1,)
 
     def test_three_generator_example_with_det_oracle(self):
         vectors = [{1: 1, 2: 1}, {2: 1, 3: 1}, {3: 1}]
-        result = density_check(GeneratorSet.from_vectors(vectors), 3)
+        result = density_check(GeneratorSet(vectors), 3)
         assert result.status == DENSE_UP_TO
         matrix = [[Fraction(v.get(c, 0)) for v in vectors] for c in (1, 2, 3)]
         assert det3(matrix) != 0  # elimination oracle agrees
 
     def test_dependent_generators_counted_by_rank(self):
-        gens = GeneratorSet.from_vectors([{1: 1}, {1: 2}, {1: 3, 2: 1}])
+        gens = GeneratorSet([{1: 1}, {1: 2}, {1: 3, 2: 1}])
         result = density_check(gens, 2)
         assert result.status == DENSE_UP_TO
         assert result.pivot_generators == (0, 2)
@@ -126,7 +126,7 @@ class TestDensityCheck:
         # surjective; check rank |F| on random subsets F of {1..m}
         rng = random.Random(123)
         gens = random_dense_generators(rng, m=10, horizon=16)
-        vectors = gens.fetch_all()
+        vectors = gens.fetch(15)  # 10 core + 5 junk
         assert density_check(gens, 10).status == DENSE_UP_TO
         for _ in range(20):
             subset = rng.sample(range(1, 11), k=rng.randint(1, 10))
@@ -149,14 +149,14 @@ class TestBuildTriangularBasis:
 
     def test_two_generator_worked_example(self):
         # b_1 = (e_1 + e_2) - e_2 = e_1 and b_2 = e_2, by a 2x2 exact solve
-        gens = GeneratorSet.from_vectors([{1: 1, 2: 1}, {2: 1}])
+        gens = GeneratorSet([{1: 1, 2: 1}, {2: 1}])
         basis = build_triangular_basis(gens, 2, 4)
         assert basis.vectors[0].coords == (1, 0, 0, 0)
         assert basis.vectors[0].combination == ((0, Fraction(1)), (1, Fraction(-1)))
         assert basis.vectors[1].coords == (0, 1, 0, 0)
 
     def test_rank_deficiency_names_coordinate(self):
-        gens = GeneratorSet.from_vectors([{1: 1, 2: 1}, {2: 1}])
+        gens = GeneratorSet([{1: 1, 2: 1}, {2: 1}])
         with pytest.raises(DensityError) as err:
             build_triangular_basis(gens, 3, 5)
         assert err.value.coordinate == 3
@@ -177,7 +177,7 @@ class TestBuildTriangularBasis:
     def test_vectors_lie_in_generator_span(self):
         rng = random.Random(31)
         gens = random_dense_generators(rng, m=6, horizon=10)
-        vectors = gens.fetch_all()
+        vectors = gens.fetch(11)  # 6 core + 5 junk
         basis = build_triangular_basis(gens, 6, 10)
         for vec in basis.vectors:
             rebuilt = [Fraction(0)] * 10
@@ -203,7 +203,7 @@ class TestBuildTriangularBasis:
 
 class TestExpand:
     def _basis(self):
-        gens = GeneratorSet.from_vectors([{1: 1, 2: 1}, {2: 1}])
+        gens = GeneratorSet([{1: 1, 2: 1}, {2: 1}])
         return build_triangular_basis(gens, 2, 4)
 
     def test_basis_vector_expands_to_unit(self):
@@ -275,7 +275,7 @@ class TestStabilization:
         }
 
     def test_sum_of_two_basis_vectors(self):
-        gens = GeneratorSet.from_vectors([{1: 1, 2: 1}, {2: 1, 3: 2}, {3: 1}])
+        gens = GeneratorSet([{1: 1, 2: 1}, {2: 1, 3: 2}, {3: 1}])
         basis = build_triangular_basis(gens, 3, 5)
         y = [a + b for a, b in zip(basis.vectors[0].coords, basis.vectors[1].coords)]
         exp = expand(y, basis)
@@ -397,7 +397,7 @@ class TestCoefficientFunctional:
             )
 
     def test_worked_two_generator_example(self):
-        gens = GeneratorSet.from_vectors([{1: 1, 2: 1}, {2: 1}])
+        gens = GeneratorSet([{1: 1, 2: 1}, {2: 1}])
         basis = build_triangular_basis(gens, 2, 4)
         weights = coefficient_functional(basis, 2)
         assert apply_functional(weights, basis.vectors[0].coords) == 0
@@ -428,7 +428,7 @@ class TestSerialization:
     def test_jsonl_ingest(self):
         text = '{"coords": {"1": "1", "2": "1/2"}}\n\n{"coords": {"2": "1"}}\n'
         gens = GeneratorSet.from_jsonl(text)
-        assert gens.fetch_all() == [{1: Fraction(1), 2: Fraction(1, 2)}, {2: Fraction(1)}]
+        assert gens.fetch(3) == [{1: Fraction(1), 2: Fraction(1, 2)}, {2: Fraction(1)}]
 
     def test_jsonl_rejects_garbage(self):
         with pytest.raises(ValueError, match="line 1"):
@@ -437,7 +437,7 @@ class TestSerialization:
             GeneratorSet.from_jsonl('{"coords": {"1": "1"}}\n{"coords": {"0": "1"}}\n')
 
     def test_basis_and_expansion_json(self):
-        gens = GeneratorSet.from_vectors([{1: 1, 2: 1}, {2: 1}])
+        gens = GeneratorSet([{1: 1, 2: 1}, {2: 1}])
         basis = build_triangular_basis(gens, 2, 3)
         doc = basis_to_json(basis)
         assert doc["horizon"] == 3
@@ -550,7 +550,7 @@ class TestAgainstReferenceSolver:
             horizon = N + rng.randint(0, 3)
             vectors = random_mixed_generators(rng, N, horizon)
             stream = trial % 2 == 1
-            G = GeneratorSet(iter(vectors), count=None) if stream else GeneratorSet.from_vectors(vectors)
+            G = GeneratorSet(iter(vectors), count=None) if stream else GeneratorSet(vectors)
             cases["stream" if stream else "finite"] += 1
             try:
                 expected = json.dumps(basis_to_json(reference_basis(vectors, N, horizon)))
