@@ -30,13 +30,9 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .exactnum import EchelonStore, Rational, decimal_str, format_rational
-from .ks_measure import build
-
-if TYPE_CHECKING:
-    from .tensor_bounds import TensorCombo
 
 CAVEAT = (
     "Finite-section evidence only: projection norms are computed on the "
@@ -187,17 +183,6 @@ def basis_constant(section: FiniteSection) -> tuple[Fraction, list[Fraction]]:
             if mu is not None:
                 per_m[m - 1] = max(per_m[m - 1], Fraction(sum(mu), lp.det))
     return max(per_m), per_m
-
-
-def section_of_ks(indices: Sequence[int], test_family: Sequence[TensorCombo]) -> FiniteSection:
-    """Rows are the exact evaluations of the indexed measures against the
-    family; degeneracy (e.g. an all-zero row) surfaces via check_section."""
-    if not indices:
-        raise ValueError("at least one measure index is required")
-    if not test_family:
-        raise ValueError("the test family must be non-empty")
-    rows = (tuple(h.value_at(m) for h in test_family) for m in map(build, indices))
-    return FiniteSection(rows=tuple(rows))
 
 
 def section_report(section: FiniteSection) -> dict:

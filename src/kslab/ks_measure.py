@@ -18,7 +18,6 @@ computed on demand from the row index, and only closed forms apply.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -72,8 +71,9 @@ class KSMeasure:
     def central_mass(self) -> Rational:
         """c_n = C(n-1, floor((n-1)/2)) / 2^n, computed once per measure.
 
-        The rectangle supremum, and by Abel summation (eval_symmetric) the
-        value of every named plus-count profile that jumps at the middle.
+        The rectangle supremum, half the tensor supremum, and by Abel
+        summation the value of every named plus-count profile that jumps
+        at the middle.
         """
         if self._central_mass is None:
             c = Fraction(binomial(self.n - 1, (self.n - 1) // 2), 1 << self.n)
@@ -88,12 +88,6 @@ class KSMeasure:
     def by_row(self, table: bytes) -> bytes:
         """A byte table over sign patterns reindexed by row: entry s is table[row_pattern(s)]."""
         return table if self._patterns is None else bytes(map(table.__getitem__, self._patterns))
-
-    def sign(self, s: int, j: int) -> int:
-        """Sign of the atom at row s, column j; always -1 or +1."""
-        if not (0 <= s < self.rows and 0 <= j < self.n):
-            raise IndexError(f"atom ({s}, {j}) outside the {self.rows}x{self.n} grid")
-        return -1 if (self.row_pattern(s) >> j) & 1 else 1
 
     def is_explicit(self) -> bool:
         return self.n <= EXPLICIT_MAX_N
@@ -163,37 +157,6 @@ def eval_tensor(m: KSMeasure, f: Sequence, g: Sequence) -> Rational:
             row += -gj if (p >> j) & 1 else gj
         total += Fraction(fs) * row
     return m.scale * total
-
-
-def eval_symmetric(m: KSMeasure, F: Sequence, gsum: Rational) -> Rational:
-    """Tensor evaluation for f depending only on a row's count of +1 signs.
-
-    Equals eval_tensor with f(s) = F(#plus signs in row s) and any g whose
-    column sum is gsum: per column, rows with k plus signs split into
-    C(n-1, k-1) rows signed +1 and C(n-1, k) rows signed -1, and Abel
-    summation turns the signed sum into forward differences of F:
-
-        value = scale * gsum * sum_{k<n} C(n-1, k) * (F(k+1) - F(k)).
-
-    One walk along the binomial row over a common denominator of F, skipping
-    zero differences: O(n^2) bit work, valid at every index (only
-    bijectivity onto the sign cube matters).  The table oracle for the
-    closed-form profile values in tensor_bounds.
-    """
-    n = m.n
-    if len(F) != n + 1:
-        raise ValueError(f"F has {len(F)} entries, expected {n + 1}")
-    F = [Fraction(v) for v in F]
-    den = math.lcm(*(v.denominator for v in F))
-    ints = [v.numerator * (den // v.denominator) for v in F]
-    total = 0
-    c = 1  # C(n-1, k)
-    for k in range(n):
-        d = ints[k + 1] - ints[k]
-        if d:
-            total += c * d
-        c = c * (n - 1 - k) // (k + 1)
-    return m.scale * Fraction(gsum) * Fraction(total, den)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,9 @@ the unit profile delta_{kn} on all of 1..N, so in particular the profile
 resulting triangular family expands any target sequence through the
 recursion a_n = y_n - sum_{k<n} a_k * pi_n(b_k), whose partial sums (of the
 nonzero terms only) stabilize coordinatewise: pi_m(S_N') = y_m for N' >= m.
-Coefficient functionals unroll the same recursion into finite combinations
-of coordinate projections, which is their continuity witness.
+The recursion makes each coefficient a_n a finite combination of the
+coordinates y_1..y_n, which is the continuity witness of the coefficient
+functionals; the tests unroll it (tests/oracles.py).
 
 Elements of the sequence space are represented on explicit finite horizons;
 coordinatewise convergence stabilizes after finitely many steps per
@@ -38,10 +39,6 @@ SparseVec = dict[int, Fraction]  # 1-based coordinate -> value, finite support
 
 DENSE_UP_TO = "DENSE_UP_TO"
 NOT_DENSE = "NOT_DENSE"
-INCONCLUSIVE = "INCONCLUSIVE"
-
-# generators scanned per requested rank before a stream verdict is abandoned
-STREAM_SCAN_FACTOR = 16
 
 
 class DensityError(ValueError):
@@ -65,19 +62,13 @@ def _validate_sparse(vec: Mapping[int, object]) -> SparseVec:
 
 
 class GeneratorSet:
-    """An indexed family of finitely supported rational sequences.
+    """A finite indexed family of finitely supported rational sequences.
 
-    Finite families know their count; a stream (count None) is consumed
-    lazily and may be unbounded.  Generators need not be independent: rank,
-    not count, decides density.
+    Generators need not be independent: rank, not count, decides density.
     """
 
-    def __init__(self, source: Iterable[Mapping[int, object]], count: int | None = None):
-        if count is None and isinstance(source, (list, tuple)):
-            count = len(source)
-        self._it: Iterator[Mapping[int, object]] | None = iter(source)
-        self._count = count
-        self._cache: list[SparseVec] = []
+    def __init__(self, source: Iterable[Mapping[int, object]]):
+        self._vectors = [_validate_sparse(raw) for raw in source]
 
     @classmethod
     def from_jsonl(cls, text: str) -> "GeneratorSet":
@@ -98,26 +89,17 @@ class GeneratorSet:
                 raise ValueError(f"generator line {lineno}: {exc}") from exc
         return cls(vectors)
 
-    def is_stream(self) -> bool:
-        return self._count is None
+    def __iter__(self) -> Iterator[SparseVec]:
+        return iter(self._vectors)
 
     def fetch(self, k: int) -> list[SparseVec]:
-        """Materialize up to k generators; shorter means the source ended."""
-        while len(self._cache) < k and self._it is not None:
-            try:
-                raw = next(self._it)
-            except StopIteration:
-                self._it = None
-                if self._count is None:
-                    self._count = len(self._cache)
-                break
-            self._cache.append(_validate_sparse(raw))
-        return self._cache[:k]
+        """The first k generators, or all of them when there are fewer."""
+        return self._vectors[:k]
 
 
 @dataclass(frozen=True)
 class DensityResult:
-    status: str  # DENSE_UP_TO | NOT_DENSE | INCONCLUSIVE
+    status: str  # DENSE_UP_TO | NOT_DENSE
     m: int
     rank: int
     pivot_generators: tuple[int, ...]  # generator indices witnessing the rank
@@ -129,29 +111,18 @@ def density_check(G: GeneratorSet, m: int) -> DensityResult:
     """Decide surjectivity of the projection onto coordinates 1..m.
 
     Feeds the generators in order into one EchelonStore over 1..m until its
-    rank reaches m.  Finite sets yield DENSE_UP_TO or NOT_DENSE.  For a
-    stream the scan stops after STREAM_SCAN_FACTOR * m generators: a verdict
-    of INCONCLUSIVE means the rank could still grow with more generators; an
-    exhausted stream was finite after all and rank deficiency is decisive.
+    rank reaches m; a family that ends first is NOT_DENSE.
     """
     if m < 1:
         raise ValueError(f"segment length must be >= 1, got {m}")
     store = EchelonStore(m)
     pivots: list[int] = []
-    budget = STREAM_SCAN_FACTOR * m if G.is_stream() else None
-    status = DENSE_UP_TO
-    idx = 0
-    while store.rank < m:
-        got = G.fetch(idx + 1)
-        if len(got) <= idx:
-            status = NOT_DENSE  # source ended: the family is finite, deficiency is decisive
+    for idx, g in enumerate(G):
+        if store.rank == m:
             break
-        if store.add(got[idx]):
+        if store.add(g):
             pivots.append(idx)
-        idx += 1
-        if budget is not None and idx >= budget and store.rank < m:
-            status = INCONCLUSIVE
-            break
+    status = DENSE_UP_TO if store.rank == m else NOT_DENSE
     return DensityResult(
         status=status, m=m, rank=store.rank, pivot_generators=tuple(pivots), echelon=store,
         failing=tuple(range(1, m + 1)) if status == NOT_DENSE else (),
@@ -199,15 +170,11 @@ def basis_from_density(density: DensityResult, G: GeneratorSet, horizon: int) ->
     N down to 1 gives the unique combination of them whose profile on 1..N
     is the n-th unit vector.  b_n is that combination evaluated on the
     horizon.  A coordinate without a pivot raises DensityError at the first
-    such coordinate; an inconclusive stream scan raises ValueError.
+    such coordinate.
     """
     N = density.m
     if horizon < N:
         raise ValueError(f"horizon {horizon} shorter than basis length {N}")
-    if density.status == INCONCLUSIVE:
-        raise ValueError(
-            f"stream scan inconclusive at rank {density.rank} of {N}; supply more generators"
-        )
     store = density.echelon
     gap = store.first_gap()
     if gap is not None:
@@ -304,31 +271,6 @@ def verify_stabilization(
             if np_ >= m:
                 grid[(m, np_)] = ok
     return StabilizationReport(N=N, grid=grid, all_true=all(grid.values()))
-
-
-def coefficient_functional(basis: TriangularBasis, n: int) -> tuple[Rational, ...]:
-    """Weights (c_1..c_n) with b_n^*(y) = sum_k c_k pi_k(y).
-
-    Unrolls b_n^* = pi_n - sum_{k<n} pi_n(b_k) b_k^*; the finiteness of the
-    result is the continuity witness.
-    """
-    if not (1 <= n <= len(basis)):
-        raise ValueError(f"functional index {n} out of range 1..{len(basis)}")
-    funcs: list[list[Fraction]] = []
-    for i in range(1, n + 1):
-        w = [Fraction(0)] * i
-        w[i - 1] = Fraction(1)
-        for k in range(1, i):
-            pik = basis.coord(k, i)
-            if pik:
-                for j in range(k):
-                    w[j] -= pik * funcs[k - 1][j]
-        funcs.append(w)
-    return tuple(funcs[n - 1])
-
-
-def apply_functional(weights: Sequence[Rational], y: Sequence) -> Rational:
-    return sum((Fraction(w) * Fraction(y[i]) for i, w in enumerate(weights)), Fraction(0))
 
 
 def basis_to_json(basis: TriangularBasis) -> dict:

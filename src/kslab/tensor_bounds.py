@@ -1,140 +1,56 @@
-"""Bilinear supremum of |measure(f (x) g)| over the unit sup-norm cubes,
-certification of the 8/sqrt(pi n) tensor bound, and decay verification.
+"""Tensor combinations h = sum_i f_i (x) g_i and their exact values at
+every measure index, plus the closed form of the tensor supremum.
 
-For fixed g the optimal f is the sign pattern of the per-row inner sums
-(rows with zero inner sum contribute nothing; their f value is set to 0 by
-convention).  The objective is then convex in g, so the maximum over the
-cube is attained at a vertex g in {-1,+1}^n.  tensor_sup_exact evaluates
-every vertex at once: the value at g is an XOR convolution of the row
-patterns with |n - 2 popcount|, which three exact integer Walsh-Hadamard
-transforms compute in O(n 2^n) with no per-vertex loop.  The convexity
-derivation is never trusted alone: the tests hold it to a per-vertex loop,
-to a float random probe of the cube (tests/oracles.py) and to the
-inequality tensor_sup >= rectangle_sup (indicators lie in the cube).
+The supremum of |mu_n(f (x) g)| over the sup-norm unit cubes is 2 c_n,
+with c_n = C(n-1, floor((n-1)/2)) / 2^n the rectangle supremum.  For fixed
+g the optimal f is the sign of each row's inner sum, and the objective is
+then convex in g, so the maximum is attained at a vertex g of {-1,+1}^n.
+A row with sign pattern p has inner sum n - 2|p ^ g|, and the rows run
+over the whole sign cube, so XOR by g permutes them: every vertex has the
+value sum_x |n - 2|x|| / (n 2^n) = E|S_n| / n = 2 c_n, S_n a sum of n
+independent random signs.  The verify sweep reports it at every index and
+reads the 8/sqrt(pi n) bound on it off the certified c_n < 2/sqrt(pi n).
+The tests hold the closed form to an enumeration of all 2^n vertices
+(three integer Walsh-Hadamard transforms) under the canonical and permuted
+bijections, and to a float random probe of the cube (tests/oracles.py).
 
-Tensor combinations h = sum_i f_i (x) g_i come in two term forms: explicit
-tables pinned to one measure index, and named symmetric profiles
-F(plus-count) with constant g, which are defined at every index.  By Abel
-summation mu_n(F (x) 1) = 2^-n * sum_k C(n-1, k) (F(k+1) - F(k)), so each
-named profile has a closed form in c_n = C(n-1, floor((n-1)/2)) / 2^n, the
-rectangle supremum: one binomial per index, shared by every term evaluated
-on the same measure.  The tables and ks_measure.eval_symmetric remain as
-the oracle the tests hold the closed forms to.  Decay rows certify
-|mu_n(h)| <= (8/sqrt(pi n)) * norm_bound through exact squared comparisons
-against the pi enclosure.
+Terms come in two forms: explicit tables pinned to one measure index, and
+named symmetric profiles F(plus-count) with constant g, which are defined
+at every index.  By Abel summation mu_n(F (x) 1) = 2^-n * sum_k C(n-1, k)
+(F(k+1) - F(k)), so each named profile has a closed form in c_n: one
+binomial per index, shared by every term evaluated on the same measure.
+The profile tables and that binomial walk are the tests' oracle.
 """
 
 from __future__ import annotations
 
-import numbers
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
-from .exactnum import (
-    PI,
-    Rational,
-    cmp_sq_below,
-    Cmp,
-    format_rational,
-    parse_rational,
-    sqrt_enclosure,
-)
-from .ks_measure import GridFunction, KSMeasure, build, eval_tensor
-
-TENSOR_MAX_N = 12
-
-PASS = "PASS"
-FAIL = "FAIL"
-UNDECIDED = "UNDECIDED"
-
-
-def _fwht(v: list[int]) -> list[int]:
-    """Unnormalized Walsh-Hadamard transform, entry y = sum_x (-1)^|x & y| v[x].
-
-    Each pass sends entries 2i, 2i+1 to their sum at i and difference at
-    i + len/2, rotating the index bits by one; log2(len) passes restore them.
-    """
-    for _ in range(len(v).bit_length() - 1):
-        even, odd = v[0::2], v[1::2]
-        v = [*map(operator.add, even, odd), *map(operator.sub, even, odd)]
-    return v
-
-
-def tensor_sup_exact(m: KSMeasure) -> Rational:
-    """Max of |measure(f (x) g)| over sup-norm unit cubes, with f eliminated
-    in closed form, over all 2^n vertices g.  Guarded at n <= 12.
-
-    A row with pattern p has inner sum n - 2|p ^ g|, so the value at g is
-    sum_p hits[p] * dist[p ^ g]: three Walsh-Hadamard transforms give this
-    XOR convolution everywhere, and the inverse's 1/2^n is a shift.
-    """
-    n = m.n
-    if n > TENSOR_MAX_N:
-        raise ValueError(f"vertex enumeration limited to n <= {TENSOR_MAX_N}, got n={n}")
-    hits = [0] * m.rows
-    for s in range(m.rows):
-        hits[m.row_pattern(s)] += 1
-    dist = [abs(n - 2 * x.bit_count()) for x in range(m.rows)]
-    values = _fwht([h * d for h, d in zip(_fwht(hits), _fwht(dist))])
-    return Fraction(max(values) >> n, n << n)
-
-
-def certify_bound3(n: int, sup: Rational, rect_sup: Rational | None = None) -> str:
-    """PASS iff sup < 8/sqrt(pi n) is rationally certified.
-
-    When the rectangle supremum is supplied, sup >= rect_sup is also
-    required (indicator functions lie in the unit cube), as an exact
-    consistency check between the two routes.
-    """
-    if sup < 0:
-        raise ValueError("supremum must be nonnegative")
-    if rect_sup is not None and sup < rect_sup:
-        return FAIL
-    verdict = cmp_sq_below(sup, 8, 1, PI, n)
-    if verdict is Cmp.CERT_LT:
-        return PASS
-    if verdict is Cmp.CERT_GT:
-        return FAIL
-    return UNDECIDED
+from .exactnum import Rational, format_rational, parse_rational
+from .ks_measure import GridFunction, KSMeasure, eval_tensor
 
 
 # ---------------------------------------------------------------------------
 # Tensor combinations
 
 
-@dataclass(frozen=True)
-class _Profile:
-    """A named plus-count profile: its table entry F(k) at index n, and its
-    closed-form value mu_n(F (x) 1) read off the forward differences of F."""
-
-    entry: Callable[[int, int], Fraction]
-    value: Callable[[KSMeasure], Rational]
-
-
-# Named plus-count profiles F(k), k = 0..n, all with sup norm 1 at every n.
-# sign_centered steps by 2 across the middle (one step of 2 for odd n, two
-# steps of 1 at C(n-1, n/2 - 1) = C(n-1, n/2) for even n), majority by 1;
-# linear_centered steps by 2/n everywhere and the row sums to 2^(n-1);
-# abs_centered and constant_one are symmetric under k <-> n-k, which
-# negates every column's signed count, so they vanish.
-_PROFILES: dict[str, _Profile] = {
-    "sign_centered": _Profile(
-        lambda n, k: Fraction((2 * k > n) - (2 * k < n)), lambda m: 2 * m.central_mass
-    ),
-    "linear_centered": _Profile(lambda n, k: Fraction(2 * k - n, n), lambda m: Fraction(1, m.n)),
-    "abs_centered": _Profile(lambda n, k: Fraction(abs(2 * k - n), n), lambda m: Fraction(0)),
-    "majority": _Profile(lambda n, k: Fraction(1 if 2 * k > n else 0), lambda m: m.central_mass),
-    "constant_one": _Profile(lambda n, k: Fraction(1), lambda m: Fraction(0)),
+# Closed-form values mu_n(F (x) 1) of the named plus-count profiles F(k),
+# k = 0..n, all with sup norm 1 at every n, read off the forward
+# differences of F.  sign_centered, F(k) = sign(2k - n), steps by 2 across
+# the middle (one step of 2 for odd n, two steps of 1 at C(n-1, n/2 - 1) =
+# C(n-1, n/2) for even n) and majority, F(k) = [2k > n], by 1;
+# linear_centered, F(k) = (2k - n)/n, steps by 2/n everywhere and the row
+# sums to 2^(n-1); abs_centered, |2k - n|/n, and constant_one are symmetric
+# under k <-> n-k, which negates every column's signed count, so they vanish.
+_PROFILES: dict[str, Callable[[KSMeasure], Rational]] = {
+    "sign_centered": lambda m: 2 * m.central_mass,
+    "linear_centered": lambda m: Fraction(1, m.n),
+    "abs_centered": lambda m: Fraction(0),
+    "majority": lambda m: m.central_mass,
+    "constant_one": lambda m: Fraction(0),
 }
-
-
-def profile_table(name: str, n: int) -> list[Fraction]:
-    """The table F(0..n) of a named profile; the oracle input for
-    eval_symmetric, never built on the evaluation path."""
-    entry = _PROFILES[name].entry
-    return [entry(n, k) for k in range(n + 1)]
 
 
 @dataclass(frozen=True)
@@ -143,8 +59,7 @@ class SymmetricTerm:
 
     Defined for every measure index; sup norm |coeff| * |g_const| since all
     named profiles have sup norm 1.  value_at is coeff * g_const times the
-    profile's closed form, equal to coeff * eval_symmetric(m, table,
-    g_const * n) without building the table.
+    profile's closed form; no table is built.
     """
 
     profile: str
@@ -159,7 +74,7 @@ class SymmetricTerm:
         return abs(Fraction(self.coeff)) * abs(Fraction(self.g_const))
 
     def value_at(self, m: KSMeasure) -> Rational:
-        return Fraction(self.coeff) * Fraction(self.g_const) * _PROFILES[self.profile].value(m)
+        return Fraction(self.coeff) * Fraction(self.g_const) * _PROFILES[self.profile](m)
 
 
 @dataclass(frozen=True)
@@ -268,52 +183,3 @@ def family_from_json(doc) -> list[TensorCombo]:
         raise ValueError("family document must be a list or {'combos': [...]}")
     return [combo_from_json(item) for item in doc]
 
-
-# ---------------------------------------------------------------------------
-# Decay profiles
-
-
-@dataclass(frozen=True)
-class DecayRow:
-    n: int
-    value: Rational  # exact |mu_n(h)|
-    bound_lower: Rational
-    bound_upper: Rational
-    dominated: bool  # certified value <= (8/sqrt(pi n)) * norm_bound
-
-
-def _certified_tensor_dominance(value: Rational, norm_bound: Rational, n: int) -> bool:
-    """Exact check that |value| <= 8 * norm_bound / sqrt(pi * n).
-
-    value^2 * pi.upper * n <= 64 * norm_bound^2 certifies it (strictly,
-    unless value = 0), since pi < pi.upper; decided on integers.  A float
-    operand, whose rounding would decide, raises TypeError.
-    """
-    if not (isinstance(value, numbers.Rational) and isinstance(norm_bound, numbers.Rational)):
-        raise TypeError(f"tensor dominance requires ints or Fractions, got {value!r}, {norm_bound!r}")
-    lhs = (value.numerator * norm_bound.denominator) ** 2 * n * PI.upper.numerator
-    return lhs <= 64 * (norm_bound.numerator * value.denominator) ** 2 * PI.upper.denominator
-
-
-def decay_profile(h: TensorCombo, n_list: Sequence[int]) -> list[DecayRow]:
-    """Exact |mu_n(h)| with the certified dominating bound at each index.
-
-    Raises ValueError when an explicit term is pinned to another index
-    (symmetric terms are defined everywhere).
-    """
-    nb = h.norm_bound
-    rows = []
-    for n in n_list:
-        value = abs(h.value_at(build(n)))
-        lo, hi = _tensor_bound_enclosure(nb, n)
-        ok = _certified_tensor_dominance(value, nb, n)
-        rows.append(DecayRow(n=n, value=value, bound_lower=lo, bound_upper=hi, dominated=ok))
-    return rows
-
-
-def _tensor_bound_enclosure(norm_bound: Rational, n: int) -> tuple[Rational, Rational]:
-    """Rational enclosure of (8/sqrt(pi n)) * norm_bound."""
-    lo_s, hi_s = sqrt_enclosure(PI.lower * n)
-    _, hi_s2 = sqrt_enclosure(PI.upper * n)
-    nb = Fraction(norm_bound)
-    return 8 * nb / hi_s2, 8 * nb / lo_s

@@ -8,21 +8,39 @@ by their dual bound: every (m, h) solved to optimality.
 rect_mass sums a rectangle's atoms one row at a time, certify_bound2
 re-derives the bound2 verdict from a report's sup alone, and atom_list
 materializes every atom of an explicit measure for the total-variation and
-support checks.  random_tensor_probe samples the unit cube in floating
-point; it can never exceed tensor_sup_exact.
+support checks; sign reads one atom's sign.
+
+tensor_sup_exact enumerates all 2^n vertices of the tensor supremum, which
+the package reports as 2 c_n in closed form, and certify_bound3 certifies
+8/sqrt(pi n) on a supremum by its own squared comparison.
+random_tensor_probe samples the unit cube in floating point; it can never
+exceed tensor_sup_exact.  profile_table and eval_symmetric evaluate a named
+plus-count profile from its table, the oracle of the closed forms, and
+decay_profile certifies |mu_n(h)| <= (8/sqrt(pi n)) * norm_bound row by row.
+section_of_ks tabulates a family on measure indices; the standard family's
+values lie in span{c_n, 1/n}, so such sections of three or more indices are
+dependent and the package builds none.  coefficient_functional unrolls the
+expansion recursion of a triangular basis into coordinate weights.
 
 NumPy and SciPy are test dependencies only; kslab itself needs neither.
 """
 
+import math
+import numbers
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 
-from kslab.basic_seq_diag import _VertexSimplex
-from kslab.exactnum import PI, Rational, cmp_sq_below
-from kslab.ks_measure import EXPLICIT_MAX_N, KSMeasure, MemoryGuardError
+from kslab.basic_seq_diag import FiniteSection, _VertexSimplex
+from kslab.exactnum import PI, Cmp, Rational, cmp_sq_below, sqrt_enclosure
+from kslab.ks_measure import EXPLICIT_MAX_N, KSMeasure, MemoryGuardError, build
 from kslab.rect_sup import Rectangle, RectangleSupReport, bound2_verdict
+from kslab.schauder import TriangularBasis
+from kslab.tensor_bounds import TensorCombo
 
 LP_TOL = 1e-7  # float tolerance when an exact value is compared with HiGHS
 
@@ -106,6 +124,13 @@ def certify_bound2(report: RectangleSupReport) -> str:
     return bound2_verdict(lower_ok, upper_ok)
 
 
+def sign(m: KSMeasure, s: int, j: int) -> int:
+    """Sign of the atom at row s, column j; always -1 or +1."""
+    if not (0 <= s < m.rows and 0 <= j < m.n):
+        raise IndexError(f"atom ({s}, {j}) outside the {m.rows}x{m.n} grid")
+    return -1 if (m.row_pattern(s) >> j) & 1 else 1
+
+
 def atom_list(m: KSMeasure) -> list[tuple[tuple[int, int], Rational]]:
     """Every atom ((s, j), weight) of an explicit measure."""
     if not m.is_explicit():
@@ -149,3 +174,199 @@ def random_tensor_probe(m: KSMeasure, trials: int, seed: int) -> float:
         best = max(best, float(vals.max()))
         done += k
     return best
+
+
+# ---------------------------------------------------------------------------
+# Tensor supremum by vertex enumeration
+
+TENSOR_MAX_N = 12
+
+
+def _fwht(v: list[int]) -> list[int]:
+    """Unnormalized Walsh-Hadamard transform, entry y = sum_x (-1)^|x & y| v[x].
+
+    Each pass sends entries 2i, 2i+1 to their sum at i and difference at
+    i + len/2, rotating the index bits by one; log2(len) passes restore them.
+    """
+    for _ in range(len(v).bit_length() - 1):
+        even, odd = v[0::2], v[1::2]
+        v = [*map(operator.add, even, odd), *map(operator.sub, even, odd)]
+    return v
+
+
+def tensor_sup_exact(m: KSMeasure) -> Rational:
+    """Max of |measure(f (x) g)| over sup-norm unit cubes, with f eliminated
+    in closed form, over all 2^n vertices g.  Guarded at n <= 12.
+
+    A row with pattern p has inner sum n - 2|p ^ g|, so the value at g is
+    sum_p hits[p] * dist[p ^ g]: three Walsh-Hadamard transforms give this
+    XOR convolution everywhere, and the inverse's 1/2^n is a shift.  Any
+    row table works, so repeated or missing patterns are allowed.
+    """
+    n = m.n
+    if n > TENSOR_MAX_N:
+        raise ValueError(f"vertex enumeration limited to n <= {TENSOR_MAX_N}, got n={n}")
+    hits = [0] * m.rows
+    for s in range(m.rows):
+        hits[m.row_pattern(s)] += 1
+    dist = [abs(n - 2 * x.bit_count()) for x in range(m.rows)]
+    values = _fwht([h * d for h, d in zip(_fwht(hits), _fwht(dist))])
+    return Fraction(max(values) >> n, n << n)
+
+
+def certify_bound3(n: int, sup: Rational, rect_sup: Rational | None = None) -> str:
+    """PASS iff sup < 8/sqrt(pi n) is rationally certified.
+
+    When the rectangle supremum is supplied, sup >= rect_sup is also
+    required (indicator functions lie in the unit cube), as an exact
+    consistency check between the two routes.
+    """
+    if sup < 0:
+        raise ValueError("supremum must be nonnegative")
+    if rect_sup is not None and sup < rect_sup:
+        return "FAIL"
+    verdict = cmp_sq_below(sup, 8, 1, PI, n)
+    if verdict is Cmp.CERT_LT:
+        return "PASS"
+    if verdict is Cmp.CERT_GT:
+        return "FAIL"
+    return "UNDECIDED"
+
+
+# ---------------------------------------------------------------------------
+# Symmetric profiles from their tables
+
+# The table entry F(k) at index n of each named plus-count profile.
+PROFILE_ENTRIES = {
+    "sign_centered": lambda n, k: Fraction((2 * k > n) - (2 * k < n)),
+    "linear_centered": lambda n, k: Fraction(2 * k - n, n),
+    "abs_centered": lambda n, k: Fraction(abs(2 * k - n), n),
+    "majority": lambda n, k: Fraction(1 if 2 * k > n else 0),
+    "constant_one": lambda n, k: Fraction(1),
+}
+
+
+def profile_table(name: str, n: int) -> list[Fraction]:
+    """The table F(0..n) of a named profile, the input of eval_symmetric."""
+    entry = PROFILE_ENTRIES[name]
+    return [entry(n, k) for k in range(n + 1)]
+
+
+def eval_symmetric(m: KSMeasure, F: Sequence, gsum: Rational) -> Rational:
+    """Tensor evaluation for f depending only on a row's count of +1 signs.
+
+    Equals eval_tensor with f(s) = F(#plus signs in row s) and any g whose
+    column sum is gsum: per column, rows with k plus signs split into
+    C(n-1, k-1) rows signed +1 and C(n-1, k) rows signed -1, and Abel
+    summation turns the signed sum into forward differences of F:
+
+        value = scale * gsum * sum_{k<n} C(n-1, k) * (F(k+1) - F(k)).
+
+    One walk along the binomial row over a common denominator of F, skipping
+    zero differences: O(n^2) bit work, valid at every index (only
+    bijectivity onto the sign cube matters).
+    """
+    n = m.n
+    if len(F) != n + 1:
+        raise ValueError(f"F has {len(F)} entries, expected {n + 1}")
+    F = [Fraction(v) for v in F]
+    den = math.lcm(*(v.denominator for v in F))
+    ints = [v.numerator * (den // v.denominator) for v in F]
+    total = 0
+    c = 1  # C(n-1, k)
+    for k in range(n):
+        d = ints[k + 1] - ints[k]
+        if d:
+            total += c * d
+        c = c * (n - 1 - k) // (k + 1)
+    return m.scale * Fraction(gsum) * Fraction(total, den)
+
+
+# ---------------------------------------------------------------------------
+# Decay rows
+
+
+@dataclass(frozen=True)
+class DecayRow:
+    n: int
+    value: Rational  # exact |mu_n(h)|
+    bound_lower: Rational
+    bound_upper: Rational
+    dominated: bool  # certified value <= (8/sqrt(pi n)) * norm_bound
+
+
+def _certified_tensor_dominance(value: Rational, norm_bound: Rational, n: int) -> bool:
+    """Exact check that |value| <= 8 * norm_bound / sqrt(pi * n).
+
+    value^2 * pi.upper * n <= 64 * norm_bound^2 certifies it (strictly,
+    unless value = 0), since pi < pi.upper; decided on integers.  A float
+    operand, whose rounding would decide, raises TypeError.
+    """
+    if not (isinstance(value, numbers.Rational) and isinstance(norm_bound, numbers.Rational)):
+        raise TypeError(f"tensor dominance requires ints or Fractions, got {value!r}, {norm_bound!r}")
+    lhs = (value.numerator * norm_bound.denominator) ** 2 * n * PI.upper.numerator
+    return lhs <= 64 * (norm_bound.numerator * value.denominator) ** 2 * PI.upper.denominator
+
+
+def _tensor_bound_enclosure(norm_bound: Rational, n: int) -> tuple[Rational, Rational]:
+    """Rational enclosure of (8/sqrt(pi n)) * norm_bound."""
+    lo_s, _ = sqrt_enclosure(PI.lower * n)
+    _, hi_s2 = sqrt_enclosure(PI.upper * n)
+    nb = Fraction(norm_bound)
+    return 8 * nb / hi_s2, 8 * nb / lo_s
+
+
+def decay_profile(h: TensorCombo, n_list: Sequence[int]) -> list[DecayRow]:
+    """Exact |mu_n(h)| with the certified dominating bound at each index.
+
+    Raises ValueError when an explicit term is pinned to another index
+    (symmetric terms are defined everywhere).
+    """
+    nb = h.norm_bound
+    rows = []
+    for n in n_list:
+        value = abs(h.value_at(build(n)))
+        lo, hi = _tensor_bound_enclosure(nb, n)
+        ok = _certified_tensor_dominance(value, nb, n)
+        rows.append(DecayRow(n=n, value=value, bound_lower=lo, bound_upper=hi, dominated=ok))
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# Sections over measures and coefficient functionals
+
+
+def section_of_ks(indices: Sequence[int], test_family: Sequence[TensorCombo]) -> FiniteSection:
+    """Rows are the exact evaluations of the indexed measures against the
+    family; degeneracy (e.g. an all-zero row) surfaces via check_section."""
+    if not indices:
+        raise ValueError("at least one measure index is required")
+    if not test_family:
+        raise ValueError("the test family must be non-empty")
+    rows = (tuple(h.value_at(m) for h in test_family) for m in map(build, indices))
+    return FiniteSection(rows=tuple(rows))
+
+
+def coefficient_functional(basis: TriangularBasis, n: int) -> tuple[Rational, ...]:
+    """Weights (c_1..c_n) with b_n^*(y) = sum_k c_k pi_k(y).
+
+    Unrolls b_n^* = pi_n - sum_{k<n} pi_n(b_k) b_k^*; the finiteness of the
+    result is the continuity witness.
+    """
+    if not (1 <= n <= len(basis)):
+        raise ValueError(f"functional index {n} out of range 1..{len(basis)}")
+    funcs: list[list[Fraction]] = []
+    for i in range(1, n + 1):
+        w = [Fraction(0)] * i
+        w[i - 1] = Fraction(1)
+        for k in range(1, i):
+            pik = basis.coord(k, i)
+            if pik:
+                for j in range(k):
+                    w[j] -= pik * funcs[k - 1][j]
+        funcs.append(w)
+    return tuple(funcs[n - 1])
+
+
+def apply_functional(weights: Sequence[Rational], y: Sequence) -> Rational:
+    return sum((Fraction(w) * Fraction(y[i]) for i, w in enumerate(weights)), Fraction(0))

@@ -19,27 +19,28 @@ from kslab.basic_seq_diag import (
     check_section,
 )
 from kslab.cli import main as cli_main
-from kslab.exactnum import PI
+from kslab.exactnum import PI, parse_rational
 from kslab.ks_measure import CANONICAL, RowPermutation, build, support_size, total_variation
 from kslab.normal_subseq import extract, strongly_normal_partial_sums
 from kslab.rect_sup import sup_rect_bruteforce, sup_rect_fast
 from kslab.schauder import (
     DENSE_UP_TO,
     GeneratorSet,
-    apply_functional,
     build_triangular_basis,
-    coefficient_functional,
     density_check,
     expand,
     verify_stabilization,
 )
-from kslab.tensor_bounds import (
+from kslab.tensor_bounds import standard_test_family
+from oracles import (
+    apply_functional,
+    certify_bound2,
     certify_bound3,
+    coefficient_functional,
     decay_profile,
-    standard_test_family,
+    random_tensor_probe,
     tensor_sup_exact,
 )
-from oracles import certify_bound2, random_tensor_probe
 
 LP_TOL = 1e-7  # float tolerance of criterion 8, kept beside its exact assertions
 
@@ -100,14 +101,22 @@ def test_criterion_3_oracle_equivalence():
             assert brute.sup == documented[n]
 
 
-@criterion(4, "tensor bound certified for n = 1..12 with probes dominated", budget_s=600.0)
-def test_criterion_4_tensor_bound():
-    for n in range(1, 13):
+@criterion(4, "tensor bound certified for n = 1..12 with vertices and probes", budget_s=600.0)
+def test_criterion_4_tensor_bound(tmp_path):
+    # verify reports the closed form 2 c_n; every vertex, canonical and
+    # permuted, attains it, and the float probe stays below it
+    out = tmp_path / "verify.json"
+    assert cli_main(["verify", "--n-max", "12", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["checks"]
+    for n, row in enumerate(rows, start=1):
         m = build(n)
         tsup = tensor_sup_exact(m)
         rect = sup_rect_fast(m).sup
-        assert certify_bound3(n, tsup, rect_sup=rect) == "PASS"
-        assert tsup >= rect
+        assert parse_rational(row["tensor_sup"]) == tsup == 2 * rect
+        assert row["bound3"] == certify_bound3(n, tsup, rect_sup=rect) == "PASS"
+        if n <= 10:
+            for seed in (1, 2, 3):
+                assert tensor_sup_exact(build(n, RowPermutation(seed))) == tsup
         tsup_f = float(tsup)
         for seed in (1, 2, 3):
             assert random_tensor_probe(m, 10**4, seed) <= tsup_f

@@ -16,19 +16,22 @@ from kslab.basic_seq_diag import (
     _VertexSimplex,
     basis_constant,
     check_section,
-    section_of_ks,
     section_report,
 )
 from kslab.exactnum import parse_rational
-from kslab.ks_measure import build, eval_symmetric
-from kslab.schauder import (
-    GeneratorSet,
+from kslab.ks_measure import build
+from kslab.schauder import GeneratorSet, build_triangular_basis
+from kslab.tensor_bounds import SymmetricTerm, TensorCombo, standard_test_family
+from oracles import (
+    LP_TOL,
     apply_functional,
-    build_triangular_basis,
     coefficient_functional,
+    eval_symmetric,
+    profile_table,
+    projection_norms_highs,
+    section_of_ks,
+    simplex_optima,
 )
-from kslab.tensor_bounds import SymmetricTerm, TensorCombo, profile_table, standard_test_family
-from oracles import LP_TOL, projection_norms_highs, simplex_optima
 
 TOL = 1e-9
 

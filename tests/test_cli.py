@@ -1,5 +1,6 @@
 """CLI workflows: exit codes, report contents, and byte stability."""
 
+import dataclasses
 import json
 import math
 import os
@@ -10,13 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from kslab import rect_sup, tensor_bounds
+from kslab import cli
 from kslab.cli import _verify_one, main
-from kslab.exactnum import EchelonStore, cmp_sq_below, format_rational, parse_rational
-from kslab.ks_measure import build, eval_symmetric
+from kslab.exactnum import Cmp, EchelonStore, cmp_sq_below, format_rational, parse_rational
+from kslab.ks_measure import build
 from kslab.rect_sup import BRUTE_MAX_N, Rectangle, sup_rect_bruteforce
-from kslab.tensor_bounds import TENSOR_MAX_N, combo_to_json, profile_table, standard_test_family
-from oracles import rect_mass
+from kslab.tensor_bounds import combo_to_json, standard_test_family
+from oracles import certify_bound3, eval_symmetric, profile_table, rect_mass, tensor_sup_exact
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -65,14 +66,6 @@ class TestVerify:
         assert run(["verify", "--n-max", "6", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_csv_flattening(self, tmp_path):
-        out = tmp_path / "verify.json"
-        flat = tmp_path / "verify.csv"
-        assert run(["verify", "--n-max", "3", "--out", str(out), "--csv", str(flat)]) == 0
-        lines = flat.read_text().strip().split("\n")
-        assert lines[0].startswith("n,total_variation,support_size,sup")
-        assert len(lines) == 4
-
     def test_timings_flag_controls_wall_times(self, tmp_path):
         plain = tmp_path / "plain.json"
         timed = tmp_path / "timed.json"
@@ -83,21 +76,46 @@ class TestVerify:
         assert all("wall_time_s" not in row for row in doc_plain["checks"])
         assert all("wall_time_s" in row for row in doc_timed["checks"])
 
-
     def test_each_supremum_certified_once(self, tmp_path, monkeypatch):
-        # bound2 reads the comparisons the report already holds: two per
-        # index, plus the brute-force report's own two (n <= BRUTE_MAX_N)
-        # and certify_bound3's one (n <= TENSOR_MAX_N)
+        # bound2 and bound3 read the comparisons the report already holds:
+        # two per index, plus the brute-force report's own two (n <= BRUTE_MAX_N)
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args)
             return cmp_sq_below(*args, **kwargs)
 
-        monkeypatch.setattr(rect_sup, "cmp_sq_below", counting)
-        monkeypatch.setattr(tensor_bounds, "cmp_sq_below", counting)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("kslab.") and hasattr(module, "cmp_sq_below"):
+                monkeypatch.setattr(module, "cmp_sq_below", counting)
         assert run(["verify", "--n-max", "64", "--out", str(tmp_path / "v.json")]) == 0
-        assert len(calls) == 2 * 64 + 2 * BRUTE_MAX_N + TENSOR_MAX_N
+        assert len(calls) == 2 * 64 + 2 * BRUTE_MAX_N
+
+    def test_tensor_columns_at_every_index(self, tmp_path):
+        # the tensor supremum is 2 sup at every n; bound3 agrees with its own
+        # certified comparison, and with vertex enumeration where that runs
+        out = tmp_path / "verify.json"
+        assert run(["verify", "--n-max", "40", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert "tensor_max" not in doc["config"]
+        for n, row in enumerate(doc["checks"], start=1):
+            sup = parse_rational(row["sup"])
+            tsup = parse_rational(row["tensor_sup"])
+            assert tsup == 2 * sup, n
+            assert row["bound3"] == certify_bound3(n, 2 * sup, rect_sup=sup), n
+            assert row["tensor_ge_rect"] is True
+            if n <= 12:
+                assert tsup == tensor_sup_exact(build(n)), n
+
+    @pytest.mark.parametrize("upper_ok", [Cmp.UNDECIDED, Cmp.CERT_GT])
+    def test_bound3_needs_certified_upper_bound(self, monkeypatch, upper_ok):
+        # bound3 rests on the certified c_n < 2/sqrt(pi n) alone; without it
+        # 2 c_n < 8/sqrt(pi n) is not claimed, and the row fails
+        fast = cli.sup_rect_fast
+        monkeypatch.setattr(cli, "sup_rect_fast", lambda m: dataclasses.replace(fast(m), upper_ok=upper_ok))
+        row, _ = _verify_one(5)
+        assert row["bound3"] == "UNDECIDED" and row["tensor_sup"] == "3/8"
+        assert cli._row_failure(row) is not None
 
 
 class TestSubseq:
@@ -386,10 +404,13 @@ class TestOutputErrors:
         err = capsys.readouterr().err.strip()
         assert "\n" not in err and str(missing) in err
 
-    def test_unwritable_csv_usage_error(self, tmp_path):
+    @pytest.mark.parametrize("option", [["--csv", "verify.csv"]], ids=["csv"])
+    def test_removed_verify_option_usage_error(self, tmp_path, capsys, option):
         out = tmp_path / "verify.json"
-        missing = tmp_path / "no_such_dir" / "x.csv"
-        assert run(["verify", "--n-max", "2", "--out", str(out), "--csv", str(missing)]) == 2
+        assert run(["verify", "--n-max", "2", "--out", str(out), *option]) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestImports:

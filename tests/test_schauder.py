@@ -13,18 +13,16 @@ from kslab.schauder import (
     DENSE_UP_TO,
     DensityError,
     GeneratorSet,
-    INCONCLUSIVE,
     NOT_DENSE,
     TriangularBasis,
-    apply_functional,
     basis_to_json,
     build_triangular_basis,
-    coefficient_functional,
     density_check,
     expand,
     expansion_to_json,
     verify_stabilization,
 )
+from oracles import apply_functional, coefficient_functional
 
 
 def unit_generators(count):
@@ -106,21 +104,6 @@ class TestDensityCheck:
             fresh = random_dense_generators(random.Random(77), m=12, horizon=20)
             assert density_check(fresh, m).status == DENSE_UP_TO
 
-    def test_stream_inconclusive_within_budget(self):
-        stream = ({k: 1} for k in range(2, 10**6))  # never covers coordinate 1
-        result = density_check(GeneratorSet(stream, count=None), 1)
-        assert result.status == INCONCLUSIVE
-
-    def test_stream_exhaustion_is_decisive(self):
-        stream = iter([{2: 1}, {3: 1}])
-        result = density_check(GeneratorSet(stream, count=None), 1)
-        assert result.status == NOT_DENSE
-
-    def test_stream_success(self):
-        stream = ({k: 1} for k in range(1, 10**6))
-        result = density_check(GeneratorSet(stream, count=None), 6)
-        assert result.status == DENSE_UP_TO
-
     def test_random_subsets_inherit_surjectivity(self):
         # the documented reduction: a subprojection of a surjection is
         # surjective; check rank |F| on random subsets F of {1..m}
@@ -194,8 +177,9 @@ class TestBuildTriangularBasis:
         assert b1 == b2
 
     def test_stream_generators(self):
-        stream = ({k: 1, k + 1: Fraction(1, 2)} for k in range(1, 10**6))
-        basis = build_triangular_basis(GeneratorSet(stream, count=None), 4, 6)
+        # shifted pairs e_k + e_{k+1}/2, more of them than the basis uses
+        gens = GeneratorSet([{k: 1, k + 1: Fraction(1, 2)} for k in range(1, 100)])
+        basis = build_triangular_basis(gens, 4, 6)
         for n in range(1, 5):
             for k in range(1, 5):
                 assert basis.coord(n, k) == (1 if k == n else 0)
@@ -540,25 +524,22 @@ def random_mixed_generators(rng, N, horizon):
 
 class TestAgainstReferenceSolver:
     def test_random_finite_and_stream_sets(self):
-        # streams stay shorter than the scan budget (STREAM_SCAN_FACTOR * N),
-        # so every stream ends decisively, and free generators get weight
-        # zero, so solving on the whole list equals solving on the prefix
+        # free generators get weight zero, so solving on the whole list
+        # equals solving on the prefix the density scan consumed
         rng = random.Random(4242)
-        cases = {"finite": 0, "stream": 0, "deficient": 0}
-        for trial in range(1000):
+        deficient = 0
+        for _ in range(1000):
             N = rng.randint(1, 6)
             horizon = N + rng.randint(0, 3)
             vectors = random_mixed_generators(rng, N, horizon)
-            stream = trial % 2 == 1
-            G = GeneratorSet(iter(vectors), count=None) if stream else GeneratorSet(vectors)
-            cases["stream" if stream else "finite"] += 1
+            G = GeneratorSet(vectors)
             try:
                 expected = json.dumps(basis_to_json(reference_basis(vectors, N, horizon)))
             except DensityError as exc:
-                cases["deficient"] += 1
+                deficient += 1
                 with pytest.raises(DensityError) as err:
                     build_triangular_basis(G, N, horizon)
                 assert err.value.coordinate == exc.coordinate
                 continue
             assert json.dumps(basis_to_json(build_triangular_basis(G, N, horizon))) == expected
-        assert min(cases.values()) >= 200, cases
+        assert deficient >= 200, deficient

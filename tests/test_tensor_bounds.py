@@ -16,7 +16,6 @@ from kslab.ks_measure import (
     KSMeasure,
     RowPermutation,
     build,
-    eval_symmetric,
     eval_tensor,
 )
 from kslab.rect_sup import sup_rect_fast
@@ -24,16 +23,20 @@ from kslab.tensor_bounds import (
     ExplicitTerm,
     SymmetricTerm,
     TensorCombo,
+    combo_to_json,
+    family_from_json,
+    standard_test_family,
+)
+from oracles import (
     _certified_tensor_dominance,
     certify_bound3,
-    combo_to_json,
     decay_profile,
-    family_from_json,
+    eval_symmetric,
     profile_table,
-    standard_test_family,
+    random_tensor_probe,
+    sign,
     tensor_sup_exact,
 )
-from oracles import random_tensor_probe
 
 
 PROFILE_NAMES = ("sign_centered", "linear_centered", "abs_centered", "majority", "constant_one")
@@ -177,7 +180,7 @@ class TestCombos:
             for term in h.terms:
                 table = profile_table(term.profile, 6)
                 f = [
-                    table[sum(1 for j in range(6) if m.sign(s, j) == 1)]
+                    table[sum(1 for j in range(6) if sign(m, s, j) == 1)]
                     for s in range(64)
                 ]
                 g = [term.g_const] * 6
@@ -217,7 +220,7 @@ class TestCombos:
                     sum(
                         (
                             t.coeff
-                            * tab[sum(1 for j in range(4) if m.sign(s, j) == 1)]
+                            * tab[sum(1 for j in range(4) if sign(m, s, j) == 1)]
                             * t.g_const
                             for tab, t in tables
                         ),
