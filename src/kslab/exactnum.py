@@ -10,11 +10,17 @@ The exact linear algebra lives here too: EchelonStore, an incremental
 row-echelon form that records how each stored row combines its inputs,
 decides density, builds triangular bases and checks section rank on
 primitive integer rows, building a Fraction only per returned weight.
+
+central_binomial gives C(m, floor(m/2)), the numerator of every c_n, by
+Legendre's formula on one shared prime sieve and a balanced product tree,
+or by one Pascal step when m follows the previous call's m.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -54,13 +60,68 @@ PI = PiEnclosure(
 )
 
 
-def binomial(n: int, k: int) -> int:
-    """C(n, k); zero outside 0 <= k <= n.  Requires n >= 0."""
-    if n < 0:
-        raise ValueError(f"binomial requires n >= 0, got n={n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
+# (top, the primes up to top), shared by every central_binomial call of a
+# run; a larger m regrows it to at least double, so a run sieves O(log m)
+# times.  Each module-level cache is one tuple, read and replaced whole.
+_sieve: tuple[int, list[int]] = (1, [])
+# (m, C(m, floor(m/2))) of the last central_binomial call
+_last = (0, 1)
+
+
+def _primes_upto(m: int) -> list[int]:
+    global _sieve
+    top, primes = _sieve
+    if m > top:
+        top = max(m, 2 * top)
+        sieve = bytearray([1]) * (top + 1)
+        sieve[:2] = b"\0\0"
+        for p in range(2, math.isqrt(top) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes(len(range(p * p, top + 1, p)))
+        primes = list(itertools.compress(range(top + 1), sieve))
+        _sieve = (top, primes)
+    return primes[: bisect.bisect_right(primes, m)]
+
+
+def _product(xs: list[int]) -> int:
+    """Product by a balanced tree, so every multiplication pairs operands of
+    similar size."""
+    while len(xs) > 2:
+        xs = [math.prod(xs[i : i + 2]) for i in range(0, len(xs), 2)]
+    return math.prod(xs)
+
+
+def _factorized(m: int) -> int:
+    """C(m, k), k = floor(m/2), from its prime factorization: p enters with
+    Legendre's exponent sum_i floor(m/p^i) - floor(k/p^i) - floor((m-k)/p^i)."""
+    k = m // 2
+    powers = []
+    for p in _primes_upto(m):
+        e, q = 0, p
+        while q <= m:
+            e += m // q - k // q - (m - k) // q
+            q *= p
+        if e:
+            powers.append(p**e)
+    return _product(powers)
+
+
+def central_binomial(m: int) -> int:
+    """C(m, floor(m/2)) for m >= 0.
+
+    The call after the one for m - 1 takes one Pascal step,
+    C(m, floor(m/2)) = C(m-1, floor((m-1)/2)) * m / ceil(m/2), an exact
+    division; any other m is factorized (_factorized).
+    """
+    global _last
+    if m < 0:
+        raise ValueError(f"central_binomial requires m >= 0, got m={m}")
+    last_m, last_c = _last
+    if m == last_m:
+        return last_c
+    c = last_c * m // (m - m // 2) if m == last_m + 1 else _factorized(m)
+    _last = (m, c)
+    return c
 
 
 def cmp_sq_below(

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import Rational, binomial
+from .exactnum import Rational, central_binomial
 
 EXPLICIT_MAX_N = 20
 
@@ -73,10 +73,13 @@ class KSMeasure:
 
         The rectangle supremum, half the tensor supremum, and by Abel
         summation the value of every named plus-count profile that jumps
-        at the middle.
+        at the middle.  The binomial comes from exactnum.central_binomial:
+        one Pascal step from the previous index when the measures are built
+        in increasing order (a verify sweep), otherwise the prime
+        factorization.
         """
         if self._central_mass is None:
-            c = Fraction(binomial(self.n - 1, (self.n - 1) // 2), 1 << self.n)
+            c = Fraction(central_binomial(self.n - 1), 1 << self.n)
             object.__setattr__(self, "_central_mass", c)
         return self._central_mass
 

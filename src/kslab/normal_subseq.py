@@ -21,7 +21,9 @@ The report builds the measure at each selected index once and evaluates
 every combination on it.  Symmetric terms take their closed forms in
 c_n = C(n-1, floor((n-1)/2)) / 2^n (see tensor_bounds), which the measure
 computes once, so a family of symmetric terms costs one central binomial
-per index.  Prefix sums at indices past about 14,300 have denominators of
+per index: exactnum.central_binomial takes one Pascal step where two
+selected indices are consecutive and factorizes the binomial otherwise.
+Prefix sums at indices past about 14,300 have denominators of
 more than 4300 digits; exactnum.format_rational writes those parts as 0x
 hex.
 """
@@ -189,8 +191,8 @@ def strongly_normal_report(
 
     Finite evidence only; the report carries an explicit disclaimer field.
     Each selected index's measure is built once, checked to carry unit
-    norm, and shared by every combination, so the binomial behind the
-    closed-form profile values is computed once per index.
+    norm, and shared by every combination, so the central binomial behind
+    the closed-form profile values is computed once per index.
     """
     measures = _measures(cert, M)
     unit_norm = all(total_variation(m) == 1 for m in measures)

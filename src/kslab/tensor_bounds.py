@@ -18,8 +18,9 @@ Terms come in two forms: explicit tables pinned to one measure index, and
 named symmetric profiles F(plus-count) with constant g, which are defined
 at every index.  By Abel summation mu_n(F (x) 1) = 2^-n * sum_k C(n-1, k)
 (F(k+1) - F(k)), so each named profile has a closed form in c_n: one
-binomial per index, shared by every term evaluated on the same measure.
-The profile tables and that binomial walk are the tests' oracle.
+central binomial per index (KSMeasure.central_mass), shared by every term
+evaluated on the same measure.  The profile tables and that walk along the
+binomial row are the tests' oracle.
 """
 
 from __future__ import annotations

@@ -5,6 +5,10 @@ exact vertex simplex: one SciPy HiGHS linprog per (m, h).  simplex_optima
 is the full enumeration the exact simplex ran before it pruned objectives
 by their dual bound: every (m, h) solved to optimality.
 
+binomial is C(n, k) by math.comb, the reference of the Pascal-triangle
+tests and of the per-width sums; the package needs only the central
+binomials, from exactnum.central_binomial.
+
 rect_mass sums a rectangle's atoms one row at a time, certify_bound2
 re-derives the bound2 verdict from a report's sup alone, and atom_list
 materializes every atom of an explicit measure for the total-variation and
@@ -89,6 +93,15 @@ def simplex_optima(rows):
     for h, a in enumerate(lp.cols):
         for m in range(1, n):
             yield m, h, lp, lp.maximize(a[:m] + [0] * (n - m), Fraction(0))
+
+
+def binomial(n: int, k: int) -> int:
+    """C(n, k); zero outside 0 <= k <= n.  Requires n >= 0."""
+    if n < 0:
+        raise ValueError(f"binomial requires n >= 0, got n={n}")
+    if k < 0 or k > n:
+        return 0
+    return math.comb(n, k)
 
 
 def rect_mass(m: KSMeasure, r: Rectangle) -> Rational:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from kslab import cli
+from kslab import cli, exactnum
 from kslab.cli import _verify_one, main
 from kslab.exactnum import Cmp, EchelonStore, cmp_sq_below, format_rational, parse_rational
 from kslab.ks_measure import build
@@ -90,6 +90,25 @@ class TestVerify:
                 monkeypatch.setattr(module, "cmp_sq_below", counting)
         assert run(["verify", "--n-max", "64", "--out", str(tmp_path / "v.json")]) == 0
         assert len(calls) == 2 * 64 + 2 * BRUTE_MAX_N
+
+    def test_sweep_factorizes_at_most_once(self, tmp_path, monkeypatch):
+        # verify walks m = n - 1 = 0..63 in order: every central binomial but
+        # possibly the first is one Pascal step from the one before
+        factorized = []
+        factorize = exactnum._factorized
+
+        def counting(m):
+            factorized.append(m)
+            return factorize(m)
+
+        monkeypatch.setattr(exactnum, "_factorized", counting)
+        out = tmp_path / "v.json"
+        assert run(["verify", "--n-max", "64", "--out", str(out)]) == 0
+        assert len(factorized) <= 1
+        rows = json.loads(out.read_text())["checks"]
+        assert [parse_rational(r["sup"]) for r in rows] == [
+            Fraction(math.comb(n - 1, (n - 1) // 2), 1 << n) for n in range(1, 65)
+        ]
 
     def test_tensor_columns_at_every_index(self, tmp_path):
         # the tensor supremum is 2 sup at every n; bound3 agrees with its own

@@ -1,4 +1,5 @@
-"""Exact arithmetic layer: binomials against a Pascal-triangle oracle,
+"""Exact arithmetic layer: the binomial oracle against a Pascal triangle,
+central binomials (Pascal step and prime factorization) against math.comb,
 certified comparisons against a 50-digit decimal oracle, and the echelon
 store against its own recorded combinations and against a Fraction-row
 reference store."""
@@ -19,7 +20,7 @@ from kslab.exactnum import (
     Cmp,
     EchelonStore,
     PiEnclosure,
-    binomial,
+    central_binomial,
     cmp_sq_below,
     decimal_str,
     format_rational,
@@ -27,6 +28,7 @@ from kslab.exactnum import (
     recip_sqrt_upper,
     sqrt_enclosure,
 )
+from oracles import binomial
 
 
 def pascal_row(n: int) -> list[int]:
@@ -59,6 +61,32 @@ class TestBinomial:
     def test_pascal_identity(self, n, data):
         k = data.draw(st.integers(min_value=1, max_value=max(1, n - 1)))
         assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
+
+
+class TestCentralBinomial:
+    def test_ascending_takes_pascal_steps(self):
+        for m in range(2001):
+            assert central_binomial(m) == math.comb(m, m // 2), m
+
+    def test_descending_and_shuffled_factorize(self):
+        values = list(range(2001))
+        shuffled = values * 2
+        random.Random(1985).shuffle(shuffled)
+        for m in values[::-1] + shuffled:
+            assert central_binomial(m) == math.comb(m, m // 2), m
+
+    @pytest.mark.parametrize("m", [1 << 17, (1 << 17) + 1, 99991, 99992])
+    def test_large_both_parities(self, m):
+        # 99991 is prime; each m is factorized, then reached by the step from m - 1
+        expected = math.comb(m, m // 2)
+        central_binomial(0)
+        assert central_binomial(m) == expected
+        central_binomial(m - 1)
+        assert central_binomial(m) == expected
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            central_binomial(-1)
 
 
 class TestPiEnclosure:

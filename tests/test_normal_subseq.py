@@ -2,11 +2,12 @@
 bounded-partial-sum verification of tensor families."""
 
 import itertools
-import math
 from fractions import Fraction
 
 import pytest
 
+from kslab import ks_measure
+from kslab.exactnum import central_binomial
 from kslab.ks_measure import build, total_variation
 from kslab.normal_subseq import (
     GREEDY_RULE,
@@ -135,13 +136,12 @@ class TestReport:
 
     def test_one_binomial_per_index_for_the_standard_family(self, monkeypatch):
         calls = []
-        comb = math.comb
 
-        def counted(n, k):
-            calls.append(n)
-            return comb(n, k)
+        def counted(m):
+            calls.append(m)
+            return central_binomial(m)
 
-        monkeypatch.setattr(math, "comb", counted)
+        monkeypatch.setattr(ks_measure, "central_binomial", counted)
         cert = extract(full_stream(), 6)
         report = strongly_normal_report(cert, standard_test_family())
         assert report["verdict"] == "PASS"

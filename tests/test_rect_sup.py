@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from kslab.exactnum import Cmp, binomial
+from kslab.exactnum import Cmp
 from kslab.ks_measure import CANONICAL, EXPLICIT_MAX_N, KSMeasure, RowPermutation, build
 from kslab.rect_sup import Rectangle, report_to_json, sup_rect_bruteforce, sup_rect_fast
-from oracles import certify_bound2, rect_mass
+from oracles import binomial, certify_bound2, rect_mass
 
 
 @functools.cache
