@@ -51,7 +51,6 @@ class FiniteSection:
     """Rows = functionals, columns = test functions; exact rational entries."""
 
     rows: tuple[tuple[Rational, ...], ...]
-    norm_model: str = "SupOnFamily"
 
     @property
     def n_functionals(self) -> int:

@@ -3,11 +3,13 @@ basis workflows, emitting machine-readable JSON reports.
 
 Reports are byte-stable across runs: payloads are exact rational strings
 plus fixed-width decimals, witness bitsets are 0x-hex integers, dict key
-order is fixed, and wall-clock timings are only included when explicitly
-requested.
+order is fixed, and no wall-clock time is recorded.
 
 Exit codes: 0 = all certified checks pass; 1 = a mathematical check failed
 or was undecided; 2 = usage or parse error, or an unwritable output file.
+main is the one place that turns a failure into an exit code: an input
+file that cannot be read or parsed exits 2 through _load, and every
+family term is defined at every index, so evaluation never fails.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import argparse
 import itertools
 import json
 import sys
-import time
 from pathlib import Path
 
 from . import normal_subseq, rect_sup, schauder, tensor_bounds
@@ -29,12 +30,21 @@ def _write_json(path: str, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
+def _load(path: str, what: str, parse):
+    """parse() of the text of the file at path; a file that cannot be read
+    or parsed prints one line and exits 2."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"cannot parse {what} file: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 # ---------------------------------------------------------------------------
 # verify
 
 
-def _verify_one(n: int) -> tuple[dict, float]:
-    t0 = time.perf_counter()
+def _verify_one(n: int) -> dict:
     m = build(n)
     tv = total_variation(m)
     supp = support_size(m)
@@ -64,7 +74,7 @@ def _verify_one(n: int) -> tuple[dict, float]:
         brute = sup_rect_bruteforce(m)
         row["brute_sup"] = format_rational(brute.sup)
         row["brute_matches"] = brute.sup == report.sup
-    return row, time.perf_counter() - t0
+    return row
 
 
 def _row_failure(row: dict) -> str | None:
@@ -85,12 +95,7 @@ def _row_failure(row: dict) -> str | None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     n_max = args.n_max
-    rows_and_times = [_verify_one(n) for n in range(1, n_max + 1)]
-    rows = [r for r, _ in rows_and_times]
-    if args.timings:
-        for row, dt in rows_and_times:
-            row["wall_time_s"] = round(dt, 6)
-
+    rows = [_verify_one(n) for n in range(1, n_max + 1)]
     failure = next((f for f in map(_row_failure, rows) if f), None)
     doc = {
         "config": {
@@ -114,19 +119,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_subseq(args: argparse.Namespace) -> int:
-    try:
-        family_doc = json.loads(Path(args.family).read_text(encoding="utf-8"))
-        family = tensor_bounds.family_from_json(family_doc)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"cannot parse family file: {exc}", file=sys.stderr)
-        return 2
+    family = _load(args.family, "family", lambda text: tensor_bounds.family_from_json(json.loads(text)))
     stream = itertools.count(args.stream_start, args.stream_step)
     cert = normal_subseq.extract(stream, args.n)
-    try:
-        report = normal_subseq.strongly_normal_report(cert, family)
-    except ValueError as exc:
-        print(f"evaluation failed: {exc}", file=sys.stderr)
-        return 1
+    report = normal_subseq.strongly_normal_report(cert, family)
     _write_json(args.out, report)
     verdict = report["verdict"]
     print(f"subsequence {list(cert.indices)}: verdict {verdict} -> {args.out}")
@@ -137,27 +133,22 @@ def cmd_subseq(args: argparse.Namespace) -> int:
 # schauder
 
 
+def _parse_targets(text: str, horizon: int) -> list[list]:
+    doc = json.loads(text)
+    targets = []
+    for entry in doc["targets"] if isinstance(doc, dict) else doc:
+        vec = [schauder.parse_rational(str(v)) for v in entry]
+        targets.append(vec + [0] * max(0, horizon - len(vec)))
+    return targets
+
+
 def cmd_schauder(args: argparse.Namespace) -> int:
-    try:
-        gen_text = Path(args.generators).read_text(encoding="utf-8")
-        gens = schauder.GeneratorSet.from_jsonl(gen_text)
-    except (OSError, ValueError) as exc:
-        print(f"cannot parse generators file: {exc}", file=sys.stderr)
-        return 2
-
-    targets: list[list] = []
-    if args.target:
-        try:
-            doc = json.loads(Path(args.target).read_text(encoding="utf-8"))
-            raw = doc["targets"] if isinstance(doc, dict) else doc
-            for entry in raw:
-                vec = [schauder.parse_rational(str(v)) for v in entry]
-                vec += [0] * max(0, args.horizon - len(vec))
-                targets.append(vec)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            print(f"cannot parse target file: {exc}", file=sys.stderr)
-            return 2
-
+    gens = _load(args.generators, "generators", schauder.GeneratorSet.from_jsonl)
+    targets = (
+        _load(args.target, "target", lambda text: _parse_targets(text, args.horizon))
+        if args.target
+        else []
+    )
     density = schauder.density_check(gens, args.n)
     doc = {
         "density": {
@@ -227,11 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="full bound-verification sweep over n = 1..n_max")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument(
-        "--timings",
-        action="store_true",
-        help="include wall times per check (breaks byte-stability across runs)",
-    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("subseq", help="extract a summable subsequence and verify a family")
@@ -284,11 +270,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         _validate(args, parser)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         return args.func(args)
-    except OSError as exc:  # subcommands report their own read errors, so this is a write
+    except SystemExit as exc:  # usage errors, and input files _load cannot parse
+        return int(exc.code or 0)
+    except OSError as exc:  # _load reports every read error, so this is a write
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
 

@@ -124,14 +124,12 @@ def central_binomial(m: int) -> int:
     return c
 
 
-def cmp_sq_below(
-    r: Rational, c_num: int, c_den: int, pi: PiEnclosure = PI, n: int = 1
-) -> Cmp:
+def cmp_sq_below(r: Rational, c_num: int, c_den: int, n: int) -> Cmp:
     """Certified comparison of r >= 0 against (c_num/c_den) / sqrt(pi * n).
 
-    Returns CERT_LT only when r^2 * pi.upper * n < (c_num/c_den)^2, which
+    Returns CERT_LT only when r^2 * PI.upper * n < (c_num/c_den)^2, which
     implies r < (c_num/c_den)/sqrt(pi*n); CERT_GT only when
-    r^2 * pi.lower * n > (c_num/c_den)^2, which implies the reverse strict
+    r^2 * PI.lower * n > (c_num/c_den)^2, which implies the reverse strict
     inequality; UNDECIDED when the enclosure is too coarse to decide.
     CERT_LT and CERT_GT are mutually exclusive by construction.
     Each side cross-multiplies integers, p^2 n c_den^2 a against
@@ -149,9 +147,9 @@ def cmp_sq_below(
         raise ValueError("cmp_sq_below requires c_den != 0")
     lhs = r.numerator**2 * n * c_den**2
     rhs = c_num**2 * r.denominator**2
-    if lhs * pi.upper.numerator < rhs * pi.upper.denominator:
+    if lhs * PI.upper.numerator < rhs * PI.upper.denominator:
         return Cmp.CERT_LT
-    if lhs * pi.lower.numerator > rhs * pi.lower.denominator:
+    if lhs * PI.lower.numerator > rhs * PI.lower.denominator:
         return Cmp.CERT_GT
     return Cmp.UNDECIDED
 
@@ -310,16 +308,19 @@ class EchelonStore:
         return [{i: Fraction(w, units[n][1]) for i, w in units[n][0].items()} for n in range(1, self.m + 1)]
 
 
-def decimal_str(q: Rational, digits: int = 30) -> str:
+def decimal_str(q: Rational, digits: int = 30) -> str | None:
     """Decimal expansion with exactly `digits` fractional digits (truncated
     toward zero).  Deterministic, used for report payloads only.  A whole
-    part of magnitude >= HEX_FROM is written as 0x hex, as in
-    format_rational; the fractional digits stay decimal.  q must be an int
-    or a Fraction, as there."""
+    part of magnitude >= HEX_FROM has no decimal form a reader's str<->int
+    conversion accepts, so it gives None (JSON null); the report's exact
+    sibling field carries the value.  q must be an int or a Fraction, as in
+    format_rational."""
     if not isinstance(q, (int, Fraction)):
         raise TypeError(f"decimal_str requires an int or Fraction, got {type(q).__name__}")
     sign = "-" if q < 0 else ""
     q = abs(q)
+    if q >= HEX_FROM:
+        return None
     scaled = (q.numerator * 10**digits) // q.denominator
     whole, frac = divmod(scaled, 10**digits)
-    return f"{sign}{_int_text(whole)}.{frac:0{digits}d}"
+    return f"{sign}{whole}.{frac:0{digits}d}"

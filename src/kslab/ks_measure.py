@@ -21,7 +21,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 from .exactnum import Rational, central_binomial
 
@@ -132,50 +131,3 @@ def total_variation(m: KSMeasure) -> Rational:
 def support_size(m: KSMeasure) -> int:
     """Number of atoms with nonzero weight: every atom, n * 2^n."""
     return m.n << m.n
-
-
-def eval_tensor(m: KSMeasure, f: Sequence, g: Sequence) -> Rational:
-    """Apply the measure to f (x) g: scale * sum_s sum_j sign(s,j) f(s) g(j).
-
-    Requires an explicit measure (f is a table over all 2^n rows).
-    Exact when the inputs are rational.
-    """
-    if not m.is_explicit():
-        raise ValueError("eval_tensor needs an explicit measure (f is a full row table)")
-    if len(f) != m.rows:
-        raise ValueError(f"f has {len(f)} entries, expected {m.rows}")
-    if len(g) != m.n:
-        raise ValueError(f"g has {len(g)} entries, expected {m.n}")
-    total = Fraction(0)
-    for s in range(m.rows):
-        fs = f[s]
-        if not fs:
-            continue
-        p = m.row_pattern(s)
-        row = Fraction(0)
-        for j in range(m.n):
-            gj = g[j]
-            if not gj:
-                continue
-            row += -gj if (p >> j) & 1 else gj
-        total += Fraction(fs) * row
-    return m.scale * total
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """A tensor function on the support grid, stored as its two factors."""
-
-    f_values: tuple
-    g_values: tuple
-
-    def sup_norm(self) -> Rational:
-        """max over the grid of |f(s) g(j)| = max|f| * max|g|."""
-        if not self.f_values or not self.g_values:
-            return Fraction(0)
-        return Fraction(max(abs(Fraction(v)) for v in self.f_values)) * Fraction(
-            max(abs(Fraction(v)) for v in self.g_values)
-        )
-
-    def value(self, s: int, j: int) -> Rational:
-        return Fraction(self.f_values[s]) * Fraction(self.g_values[j])

@@ -10,18 +10,19 @@ comparison.  The certificate records rational upper enclosures of each
 1/sqrt(s_n) (exact at perfect squares), their sum P_N, and the tail bound,
 so the total bound P_N + 1/N is a purely rational object.
 
-Partial sums sum_{n<=M'} |mu_{s_n}(h)| over a tensor combination h are then
-uniformly dominated by (8/sqrt(pi)) * norm_bound * (P_M + tail), certified
-by squared comparison against the pi enclosure.  The exponent 4 is the
+Partial sums sum_{n<=M} |mu_{s_n}(h)| over a tensor combination h are then
+uniformly dominated by (8/sqrt(pi)) * norm_bound * (P_N + tail), certified
+by squared comparison against the pi enclosure; the report checks every
+prefix M <= N.  The exponent 4 is the
 smallest even power making 1/sqrt(n^p) summable with an elementary tail
 certificate; the rule is one admissible selection, chosen here for its
 closed-form tail, and reports label it as such.
 
 The report builds the measure at each selected index once and evaluates
-every combination on it.  Symmetric terms take their closed forms in
+every combination on it.  Every term is a symmetric profile defined at
+every index, so evaluation cannot fail; each takes its closed form in
 c_n = C(n-1, floor((n-1)/2)) / 2^n (see tensor_bounds), which the measure
-computes once, so a family of symmetric terms costs one central binomial
-per index: exactnum.central_binomial takes one Pascal step where two
+computes once, so a family costs one central binomial per index: exactnum.central_binomial takes one Pascal step where two
 selected indices are consecutive and factorizes the binomial otherwise.
 Prefix sums at indices past about 14,300 have denominators of
 more than 4300 digits; exactnum.format_rational writes those parts as 0x
@@ -30,6 +31,7 @@ hex.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -113,80 +115,39 @@ def extract(k_stream: Iterable[int], length: int) -> SubseqCertificate:
     )
 
 
-@dataclass(frozen=True)
-class PartialSumCheck:
-    """Prefix sums of |mu_{s_n}(h)| with their certified uniform bound."""
-
-    partial_sums: tuple[Rational, ...]
-    bound_lower: Rational
-    bound_upper: Rational
-    certified: bool  # every prefix sum dominated by (8/sqrt(pi)) * nb * total
-
-
-def uniform_bound_enclosure(
-    cert: SubseqCertificate, norm_bound: Rational, M: int | None = None
-) -> tuple[Rational, Rational]:
-    """Rational enclosure of (8/sqrt(pi)) * norm_bound * (P_M + tail)."""
-    if M is None:
-        M = len(cert.indices)
-    nb = Fraction(norm_bound)
-    total = sum(cert.recip_upper[:M], Fraction(0)) + cert.tail_bound
+def uniform_bound_enclosure(cert: SubseqCertificate, norm_bound: Rational) -> tuple[Rational, Rational]:
+    """Rational enclosure of (8/sqrt(pi)) * norm_bound * (P_N + tail)."""
+    total = 8 * Fraction(norm_bound) * cert.total_bound
     lo_s, _ = sqrt_enclosure(PI.lower)
     _, hi_s = sqrt_enclosure(PI.upper)
-    return 8 * nb * total / hi_s, 8 * nb * total / lo_s
+    return total / hi_s, total / lo_s
 
 
-def strongly_normal_partial_sums(
-    cert: SubseqCertificate, h: TensorCombo, M: int | None = None
-) -> PartialSumCheck:
-    """Exact prefix sums over the first M selected indices, plus the bound.
-
-    Explicit terms are pinned to one index and raise ValueError at any
-    other; symmetric-profile terms are evaluable everywhere.
-    """
-    return _partial_sum_check(cert, h, _measures(cert, M))
-
-
-def _measures(cert: SubseqCertificate, M: int | None) -> list[KSMeasure]:
-    """The measures at the first M selected indices (default: all)."""
-    if M is None:
-        M = len(cert.indices)
-    if not (1 <= M <= len(cert.indices)):
-        raise ValueError(f"M must be in 1..{len(cert.indices)}, got {M}")
-    return [build(s) for s in cert.indices[:M]]
-
-
-def _partial_sum_check(
-    cert: SubseqCertificate, h: TensorCombo, measures: Sequence[KSMeasure]
-) -> PartialSumCheck:
-    partials: list[Rational] = []
-    running = Fraction(0)
-    for m in measures:
-        running += abs(h.value_at(m))
-        partials.append(running)
-
-    M = len(measures)
+def _combo_row(cert: SubseqCertificate, h: TensorCombo, name: str, measures: Sequence[KSMeasure]) -> dict:
+    """One report row: the exact prefix sums of |mu_{s_n}(h)| over the
+    measures at the selected indices, and their certified uniform bound."""
+    partials = list(itertools.accumulate(abs(h.value_at(m)) for m in measures))
     nb = h.norm_bound
-    total = sum(cert.recip_upper[:M], Fraction(0)) + cert.tail_bound
+    total = cert.total_bound
     # partial <= 8 * nb * total / sqrt(pi), certified by squaring:
     # p^2 <= 64 nb^2 total^2 / pi.upper, cross-multiplied so that the huge
     # squared prefix sums are never reduced to lowest terms
     a, b = (64 * nb * nb * total * total / PI.upper).as_integer_ratio()
     certified = all(p.numerator**2 * b <= a * p.denominator**2 for p in partials)
-    bound_lower, bound_upper = uniform_bound_enclosure(cert, nb, M)
-    return PartialSumCheck(
-        partial_sums=tuple(partials),
-        bound_lower=bound_lower,
-        bound_upper=bound_upper,
-        certified=certified,
-    )
+    bound_lower, bound_upper = uniform_bound_enclosure(cert, nb)
+    return {
+        "combo": name,
+        "norm_bound": format_rational(nb),
+        "partial_sums": [format_rational(p) for p in partials],
+        "partial_sums_decimal": [decimal_str(p) for p in partials],
+        "bound_lower": format_rational(bound_lower),
+        "bound_upper": format_rational(bound_upper),
+        "bound_upper_decimal": decimal_str(bound_upper),
+        "verdict": "PASS" if certified else "FAIL",
+    }
 
 
-def strongly_normal_report(
-    cert: SubseqCertificate,
-    test_family: Sequence[TensorCombo],
-    M: int | None = None,
-) -> dict:
+def strongly_normal_report(cert: SubseqCertificate, test_family: Sequence[TensorCombo]) -> dict:
     """Per-combination bounded-partial-sum verdicts over the certificate.
 
     Finite evidence only; the report carries an explicit disclaimer field.
@@ -194,23 +155,9 @@ def strongly_normal_report(
     norm, and shared by every combination, so the central binomial behind
     the closed-form profile values is computed once per index.
     """
-    measures = _measures(cert, M)
+    measures = [build(s) for s in cert.indices]
     unit_norm = all(total_variation(m) == 1 for m in measures)
-    rows = []
-    for i, h in enumerate(test_family):
-        check = _partial_sum_check(cert, h, measures)
-        rows.append(
-            {
-                "combo": h.name or f"combo_{i}",
-                "norm_bound": format_rational(h.norm_bound),
-                "partial_sums": [format_rational(p) for p in check.partial_sums],
-                "partial_sums_decimal": [decimal_str(p) for p in check.partial_sums],
-                "bound_lower": format_rational(check.bound_lower),
-                "bound_upper": format_rational(check.bound_upper),
-                "bound_upper_decimal": decimal_str(check.bound_upper),
-                "verdict": "PASS" if check.certified else "FAIL",
-            }
-        )
+    rows = [_combo_row(cert, h, h.name or f"combo_{i}", measures) for i, h in enumerate(test_family)]
     if not rows:
         verdict = "VACUOUS"
     elif all(r["verdict"] == "PASS" for r in rows):

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import PI, Cmp, Rational, cmp_sq_below, decimal_str, format_rational
+from .exactnum import Cmp, Rational, cmp_sq_below, decimal_str, format_rational
 from .ks_measure import KSMeasure
 
 BRUTE_MAX_N = 4
@@ -68,8 +68,8 @@ class RectangleSupReport:
 
 
 def _certify_pair(sup: Rational, n: int) -> tuple[Cmp, Cmp]:
-    lower_ok = cmp_sq_below(sup, 1, 2, PI, n)  # want CERT_GT vs 1/(2 sqrt(pi n))
-    upper_ok = cmp_sq_below(sup, 2, 1, PI, n)  # want CERT_LT vs 2/sqrt(pi n)
+    lower_ok = cmp_sq_below(sup, 1, 2, n)  # want CERT_GT vs 1/(2 sqrt(pi n))
+    upper_ok = cmp_sq_below(sup, 2, 1, n)  # want CERT_LT vs 2/sqrt(pi n)
     return lower_ok, upper_ok
 
 

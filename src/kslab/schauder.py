@@ -253,13 +253,10 @@ class StabilizationReport:
     all_true: bool
 
 
-def verify_stabilization(
-    exp: CoeffExpansion, basis: TriangularBasis, y: Sequence, N: int | None = None
-) -> StabilizationReport:
-    """Exact boolean grid of pi_m(S_N') == y_m over m <= N' <= N."""
-    if N is None:
-        N = len(basis)
-    N = min(N, len(basis))
+def verify_stabilization(exp: CoeffExpansion, basis: TriangularBasis, y: Sequence) -> StabilizationReport:
+    """Exact boolean grid of pi_m(S_N') == y_m over m <= N' <= N, N the
+    basis length."""
+    N = len(basis)
     yf = [Fraction(v) for v in y[: basis.horizon]]
     terms = [(n, a) for n, a in enumerate(exp.coefficients[:N], start=1) if a]
     grid: dict[tuple[int, int], bool] = {}

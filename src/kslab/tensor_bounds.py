@@ -14,9 +14,9 @@ The tests hold the closed form to an enumeration of all 2^n vertices
 (three integer Walsh-Hadamard transforms) under the canonical and permuted
 bijections, and to a float random probe of the cube (tests/oracles.py).
 
-Terms come in two forms: explicit tables pinned to one measure index, and
-named symmetric profiles F(plus-count) with constant g, which are defined
-at every index.  By Abel summation mu_n(F (x) 1) = 2^-n * sum_k C(n-1, k)
+Every term is a named symmetric profile F(plus-count) with constant g,
+defined at every index, as a test function on the whole space must be; a
+value table pinned to one index is not a term.  By Abel summation mu_n(F (x) 1) = 2^-n * sum_k C(n-1, k)
 (F(k+1) - F(k)), so each named profile has a closed form in c_n: one
 central binomial per index (KSMeasure.central_mass), shared by every term
 evaluated on the same measure.  The profile tables and that walk along the
@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .exactnum import Rational, format_rational, parse_rational
-from .ks_measure import GridFunction, KSMeasure, eval_tensor
+from .ks_measure import KSMeasure
 
 
 # ---------------------------------------------------------------------------
@@ -79,26 +79,10 @@ class SymmetricTerm:
 
 
 @dataclass(frozen=True)
-class ExplicitTerm:
-    """A tensor factor pair pinned to a single measure index."""
-
-    n: int
-    grid: GridFunction
-
-    def sup_norm(self) -> Rational:
-        return self.grid.sup_norm()
-
-    def value_at(self, m: KSMeasure) -> Rational:
-        if m.n != self.n:
-            raise ValueError(f"explicit term pinned to n={self.n} is not evaluable at n={m.n}")
-        return eval_tensor(m, self.grid.f_values, self.grid.g_values)
-
-
-@dataclass(frozen=True)
 class TensorCombo:
     """h = sum of terms; norm_bound = sum of term sup norms >= ||h||_inf."""
 
-    terms: tuple
+    terms: tuple[SymmetricTerm, ...]
     name: str = ""
 
     @property
@@ -126,26 +110,15 @@ def standard_test_family() -> list[TensorCombo]:
 
 
 def combo_to_json(combo: TensorCombo) -> dict:
-    terms = []
-    for t in combo.terms:
-        if isinstance(t, SymmetricTerm):
-            terms.append(
-                {
-                    "type": "symmetric",
-                    "profile": t.profile,
-                    "coeff": format_rational(t.coeff),
-                    "g_const": format_rational(t.g_const),
-                }
-            )
-        else:
-            terms.append(
-                {
-                    "type": "explicit",
-                    "n": t.n,
-                    "f": [format_rational(v) for v in t.grid.f_values],
-                    "g": [format_rational(v) for v in t.grid.g_values],
-                }
-            )
+    terms = [
+        {
+            "type": "symmetric",
+            "profile": t.profile,
+            "coeff": format_rational(t.coeff),
+            "g_const": format_rational(t.g_const),
+        }
+        for t in combo.terms
+    ]
     return {"name": combo.name, "terms": terms}
 
 
@@ -157,23 +130,15 @@ def combo_from_json(doc: dict) -> TensorCombo:
         if not isinstance(td, dict):
             raise ValueError(f"term must be an object, got {td!r}")
         kind = td.get("type", "symmetric")
-        if kind == "symmetric":
-            terms.append(
-                SymmetricTerm(
-                    profile=td["profile"],
-                    coeff=parse_rational(str(td.get("coeff", "1"))),
-                    g_const=parse_rational(str(td.get("g_const", "1"))),
-                )
-            )
-        elif kind == "explicit":
-            f = tuple(parse_rational(str(v)) for v in td["f"])
-            g = tuple(parse_rational(str(v)) for v in td["g"])
-            n = int(td["n"])
-            if len(f) != (1 << n) or len(g) != n:
-                raise ValueError(f"explicit term tables do not match n={n}")
-            terms.append(ExplicitTerm(n=n, grid=GridFunction(f, g)))
-        else:
+        if kind != "symmetric":
             raise ValueError(f"unknown term type {kind!r}")
+        terms.append(
+            SymmetricTerm(
+                profile=td["profile"],
+                coeff=parse_rational(str(td.get("coeff", "1"))),
+                g_const=parse_rational(str(td.get("g_const", "1"))),
+            )
+        )
     return TensorCombo(terms=tuple(terms), name=str(doc.get("name", "")))
 
 

@@ -12,7 +12,9 @@ binomials, from exactnum.central_binomial.
 rect_mass sums a rectangle's atoms one row at a time, certify_bound2
 re-derives the bound2 verdict from a report's sup alone, and atom_list
 materializes every atom of an explicit measure for the total-variation and
-support checks; sign reads one atom's sign.
+support checks; sign reads one atom's sign.  eval_tensor applies an
+explicit measure to f (x) g given as full value tables, the reference of
+every closed-form term value; the package holds no such table.
 
 tensor_sup_exact enumerates all 2^n vertices of the tensor supremum, which
 the package reports as 2 c_n in closed form, and certify_bound3 certifies
@@ -132,8 +134,8 @@ def certify_bound2(report: RectangleSupReport) -> str:
     sup, not read from the report's recorded comparisons."""
     if report.sup < 0:
         raise ValueError("supremum must be nonnegative")
-    lower_ok = cmp_sq_below(report.sup, 1, 2, PI, report.n)
-    upper_ok = cmp_sq_below(report.sup, 2, 1, PI, report.n)
+    lower_ok = cmp_sq_below(report.sup, 1, 2, report.n)
+    upper_ok = cmp_sq_below(report.sup, 2, 1, report.n)
     return bound2_verdict(lower_ok, upper_ok)
 
 
@@ -154,6 +156,34 @@ def atom_list(m: KSMeasure) -> list[tuple[tuple[int, int], Rational]]:
         for j in range(m.n):
             atoms.append(((s, j), -m.scale if (p >> j) & 1 else m.scale))
     return atoms
+
+
+def eval_tensor(m: KSMeasure, f: Sequence, g: Sequence) -> Rational:
+    """Apply the measure to f (x) g: scale * sum_s sum_j sign(s,j) f(s) g(j).
+
+    Requires an explicit measure (f is a table over all 2^n rows).
+    Exact when the inputs are rational.
+    """
+    if not m.is_explicit():
+        raise ValueError("eval_tensor needs an explicit measure (f is a full row table)")
+    if len(f) != m.rows:
+        raise ValueError(f"f has {len(f)} entries, expected {m.rows}")
+    if len(g) != m.n:
+        raise ValueError(f"g has {len(g)} entries, expected {m.n}")
+    total = Fraction(0)
+    for s in range(m.rows):
+        fs = f[s]
+        if not fs:
+            continue
+        p = m.row_pattern(s)
+        row = Fraction(0)
+        for j in range(m.n):
+            gj = g[j]
+            if not gj:
+                continue
+            row += -gj if (p >> j) & 1 else gj
+        total += Fraction(fs) * row
+    return m.scale * total
 
 
 def _sign_matrix(m: KSMeasure) -> np.ndarray:
@@ -238,7 +268,7 @@ def certify_bound3(n: int, sup: Rational, rect_sup: Rational | None = None) -> s
         raise ValueError("supremum must be nonnegative")
     if rect_sup is not None and sup < rect_sup:
         return "FAIL"
-    verdict = cmp_sq_below(sup, 8, 1, PI, n)
+    verdict = cmp_sq_below(sup, 8, 1, n)
     if verdict is Cmp.CERT_LT:
         return "PASS"
     if verdict is Cmp.CERT_GT:
@@ -330,11 +360,8 @@ def _tensor_bound_enclosure(norm_bound: Rational, n: int) -> tuple[Rational, Rat
 
 
 def decay_profile(h: TensorCombo, n_list: Sequence[int]) -> list[DecayRow]:
-    """Exact |mu_n(h)| with the certified dominating bound at each index.
-
-    Raises ValueError when an explicit term is pinned to another index
-    (symmetric terms are defined everywhere).
-    """
+    """Exact |mu_n(h)| with the certified dominating bound at each index;
+    every term is defined at every index."""
     nb = h.norm_bound
     rows = []
     for n in n_list:

@@ -21,7 +21,7 @@ from kslab.basic_seq_diag import (
 from kslab.cli import main as cli_main
 from kslab.exactnum import PI, parse_rational
 from kslab.ks_measure import CANONICAL, RowPermutation, build, support_size, total_variation
-from kslab.normal_subseq import extract, strongly_normal_partial_sums
+from kslab.normal_subseq import extract, strongly_normal_report
 from kslab.rect_sup import sup_rect_bruteforce, sup_rect_fast
 from kslab.schauder import (
     DENSE_UP_TO,
@@ -145,10 +145,11 @@ def test_criterion_6_certificate():
     assert cert.indices == (1, 16, 81, 256, 625, 1296, 2401, 4096)
     # P_8 + tail <= pi^2/6 + 1/8, certified against the enclosure lower end
     assert cert.partial_sum_upper + cert.tail_bound <= PI.lower**2 / 6 + Fraction(1, 8)
-    for h in standard_test_family():
-        check = strongly_normal_partial_sums(cert, h, M=8)
-        assert check.certified  # every prefix within (8/sqrt(pi)) * (P_8 + tail)
-        assert all(a <= b for a, b in zip(check.partial_sums, check.partial_sums[1:]))
+    report = strongly_normal_report(cert, standard_test_family())
+    for row in report["rows"]:
+        assert row["verdict"] == "PASS"  # every prefix within (8/sqrt(pi)) * (P_8 + tail)
+        sums = [parse_rational(p) for p in row["partial_sums"]]
+        assert len(sums) == 8 and all(a <= b for a, b in zip(sums, sums[1:]))
 
 
 def _random_dense_generators(rng, m, horizon, junk=5):

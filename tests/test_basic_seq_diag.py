@@ -433,11 +433,11 @@ class TestSectionReport:
 
     def test_norm_past_str_digit_limit(self):
         # K has 14,618 bits, so its whole part has over 4300 decimal digits;
-        # the decimal field writes that part in hex, as the exact field does
+        # the decimal fields are null there and the exact fields carry K
         section = FiniteSection(rows=((1, 1), (1, 1 + Fraction(1, 10**4400))))
-        doc = section_report(section)
-        k = parse_rational(doc["basis_constant_exact"])
+        doc = json.loads(json.dumps(section_report(section)))
+        k, per_m = basis_constant(section)
         assert k.numerator.bit_length() - k.denominator.bit_length() > 14000
-        whole, _, frac = doc["basis_constant"].partition(".")
-        assert whole.startswith("0x") and int(whole, 16) == math.floor(k)
-        assert frac == str(math.floor(k * 10**30) % 10**30).zfill(30)
+        assert parse_rational(doc["basis_constant_exact"]) == k
+        assert doc["basis_constant"] is None
+        assert doc["per_m_projection_norms"] == [None] and per_m == [k]

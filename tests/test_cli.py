@@ -1,5 +1,6 @@
 """CLI workflows: exit codes, report contents, and byte stability."""
 
+import ast
 import dataclasses
 import json
 import math
@@ -49,7 +50,7 @@ class TestVerify:
 
     def test_row_encodes_past_str_digit_limit(self):
         # n * 2^n and the 2^n denominator of sup exceed 4300 digits here
-        row, _ = _verify_one(15000)
+        row = _verify_one(15000)
         assert parse_rational(row["support_size"]) == 15000 << 15000
         assert parse_rational(row["sup"]) == Fraction(math.comb(14999, 7499), 1 << 15000)
         assert row["bound2"] == "PASS"
@@ -65,16 +66,6 @@ class TestVerify:
         assert run(["verify", "--n-max", "6", "--out", str(out1)]) == 0
         assert run(["verify", "--n-max", "6", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
-
-    def test_timings_flag_controls_wall_times(self, tmp_path):
-        plain = tmp_path / "plain.json"
-        timed = tmp_path / "timed.json"
-        run(["verify", "--n-max", "2", "--out", str(plain)])
-        run(["verify", "--n-max", "2", "--out", str(timed), "--timings"])
-        doc_plain = json.loads(plain.read_text())
-        doc_timed = json.loads(timed.read_text())
-        assert all("wall_time_s" not in row for row in doc_plain["checks"])
-        assert all("wall_time_s" in row for row in doc_timed["checks"])
 
     def test_each_supremum_certified_once(self, tmp_path, monkeypatch):
         # bound2 and bound3 read the comparisons the report already holds:
@@ -132,7 +123,7 @@ class TestVerify:
         # 2 c_n < 8/sqrt(pi n) is not claimed, and the row fails
         fast = cli.sup_rect_fast
         monkeypatch.setattr(cli, "sup_rect_fast", lambda m: dataclasses.replace(fast(m), upper_ok=upper_ok))
-        row, _ = _verify_one(5)
+        row = _verify_one(5)
         assert row["bound3"] == "UNDECIDED" and row["tensor_sup"] == "3/8"
         assert cli._row_failure(row) is not None
 
@@ -185,7 +176,10 @@ class TestSubseq:
         out = tmp_path / "subseq.json"
         assert run(["subseq", "--n", "2", "--family", str(family), "--out", str(out)]) == 2
 
-    def test_unevaluable_family_is_math_failure(self, tmp_path):
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_explicit_term_family_parse_error(self, tmp_path, capsys, n):
+        # a value table pinned to one index is no test function on the whole
+        # space, so it is refused on reading, whatever the certificate length
         family = tmp_path / "family.json"
         family.write_text(
             json.dumps(
@@ -194,7 +188,11 @@ class TestSubseq:
             encoding="utf-8",
         )
         out = tmp_path / "subseq.json"
-        assert run(["subseq", "--n", "2", "--family", str(family), "--out", str(out)]) == 1
+        assert run(["subseq", "--n", n, "--family", str(family), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("cannot parse family file:") and "unknown term type 'explicit'" in err
+        assert "\n" not in err
+        assert not out.exists()
 
     def test_even_stream_option(self, tmp_path):
         family = tmp_path / "family.json"
@@ -311,6 +309,23 @@ class TestSchauder:
             == 2
         )
 
+    @pytest.mark.parametrize("missing", ["generators", "target"])
+    def test_missing_input_file_parse_error(self, tmp_path, capsys, missing):
+        gens = tmp_path / "gens.jsonl"
+        gens.write_text(unit_generator_lines(2), encoding="utf-8")
+        files = {"generators": gens, "target": tmp_path / "targets.json"}
+        files[missing] = tmp_path / "absent.json"
+        out = tmp_path / "x.json"
+        argv = [
+            "schauder", "--generators", str(files["generators"]), "--target", str(files["target"]),
+            "--n", "1", "--horizon", "2", "--out", str(out),
+        ]
+        assert run(argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"cannot parse {missing} file:") and "absent.json" in err
+        assert "\n" not in err
+        assert not out.exists()
+
     def test_zero_denominator_in_generators_parse_error(self, tmp_path):
         gens = tmp_path / "gens.jsonl"
         gens.write_text('{"coords": {"1": "1/0"}}\n', encoding="utf-8")
@@ -423,13 +438,26 @@ class TestOutputErrors:
         err = capsys.readouterr().err.strip()
         assert "\n" not in err and str(missing) in err
 
-    @pytest.mark.parametrize("option", [["--csv", "verify.csv"]], ids=["csv"])
+    @pytest.mark.parametrize("option", [["--csv", "verify.csv"], ["--timings"]], ids=["csv", "timings"])
     def test_removed_verify_option_usage_error(self, tmp_path, capsys, option):
         out = tmp_path / "verify.json"
         assert run(["verify", "--n-max", "2", "--out", str(out), *option]) == 2
         err = capsys.readouterr().err
         assert "unrecognized arguments" in err and "Traceback" not in err
         assert not out.exists()
+
+
+class TestErrorBoundary:
+    def test_only_main_maps_failures_to_exit_codes(self):
+        # the subcommands neither catch nor return 2: _load and main decide
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        commands = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.startswith("cmd_")]
+        assert {f.name for f in commands} == {"cmd_verify", "cmd_subseq", "cmd_schauder", "cmd_sup"}
+        for f in commands:
+            nodes = list(ast.walk(f))
+            assert not any(isinstance(node, ast.Try) for node in nodes), f.name
+            returns = [node.value for node in nodes if isinstance(node, ast.Return)]
+            assert not any(isinstance(v, ast.Constant) and v.value == 2 for v in returns), f.name
 
 
 class TestImports:

@@ -2,12 +2,14 @@
 central binomials (Pascal step and prime factorization) against math.comb,
 certified comparisons against a 50-digit decimal oracle, and the echelon
 store against its own recorded combinations and against a Fraction-row
-reference store."""
+reference store; and the package source, which holds no float."""
 
+import ast
 import math
 import random
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -108,22 +110,22 @@ class TestPiEnclosure:
 
 class TestCmpSqBelow:
     def test_zero_below_positive_bound(self):
-        assert cmp_sq_below(Fraction(0), 2, 1, PI, 5) is Cmp.CERT_LT
+        assert cmp_sq_below(Fraction(0), 2, 1, 5) is Cmp.CERT_LT
 
     def test_large_above(self):
-        assert cmp_sq_below(Fraction(10), 2, 1, PI, 1) is Cmp.CERT_GT
+        assert cmp_sq_below(Fraction(10), 2, 1, 1) is Cmp.CERT_GT
 
     def test_half_below_two(self):
         # (1/4) * pi.upper < 4, checked against the enclosure
-        assert cmp_sq_below(Fraction(1, 2), 2, 1, PI, 1) is Cmp.CERT_LT
+        assert cmp_sq_below(Fraction(1, 2), 2, 1, 1) is Cmp.CERT_LT
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
-            cmp_sq_below(Fraction(1), 1, 1, PI, 0)
+            cmp_sq_below(Fraction(1), 1, 1, 0)
 
     def test_rejects_negative_r(self):
         with pytest.raises(ValueError):
-            cmp_sq_below(Fraction(-1), 1, 1, PI, 1)
+            cmp_sq_below(Fraction(-1), 1, 1, 1)
 
     def test_undecided_when_enclosure_too_coarse(self):
         # construct r with r^2 inside [1/pi.upper, 1/pi.lower], so that
@@ -136,13 +138,13 @@ class TestCmpSqBelow:
 
         r = Fraction(math.isqrt(t) + 1, scale)
         assert lo_sq <= r * r <= hi_sq  # straddles the enclosure
-        assert cmp_sq_below(r, 1, 1, PI, 1) is Cmp.UNDECIDED
+        assert cmp_sq_below(r, 1, 1, 1) is Cmp.UNDECIDED
 
     def test_mutual_exclusion_sweep(self):
         for num in range(0, 40):
             for n in (1, 2, 7, 64):
                 r = Fraction(num, 13)
-                verdict = cmp_sq_below(r, 2, 3, PI, n)
+                verdict = cmp_sq_below(r, 2, 3, n)
                 c_sq = Fraction(2, 3) ** 2
                 lt = r * r * PI.upper * n < c_sq
                 gt = r * r * PI.lower * n > c_sq
@@ -153,13 +155,13 @@ class TestCmpSqBelow:
     def test_rejects_float(self):
         # a float r would let rounding decide a certified verdict
         with pytest.raises(TypeError):
-            cmp_sq_below(0.5, 2, 1, PI, 1)
+            cmp_sq_below(0.5, 2, 1, 1)
         with pytest.raises(TypeError):
-            cmp_sq_below(10.0, 2, 1, PI, 1)
+            cmp_sq_below(10.0, 2, 1, 1)
 
     def test_accepts_int(self):
-        assert cmp_sq_below(10, 2, 1, PI, 1) is Cmp.CERT_GT
-        assert cmp_sq_below(0, 2, 1, PI, 5) is Cmp.CERT_LT
+        assert cmp_sq_below(10, 2, 1, 1) is Cmp.CERT_GT
+        assert cmp_sq_below(0, 2, 1, 5) is Cmp.CERT_LT
 
     @settings(max_examples=200)
     @given(
@@ -169,7 +171,7 @@ class TestCmpSqBelow:
         st.integers(min_value=1, max_value=100),
     )
     def test_agrees_with_50_digit_decimal_oracle(self, r, c_num, c_den, n):
-        verdict = cmp_sq_below(r, c_num, c_den, PI, n)
+        verdict = cmp_sq_below(r, c_num, c_den, n)
         mpmath.mp.dps = 50
         r_mp = mpmath.mpf(r.numerator) / r.denominator
         target = (mpmath.mpf(c_num) / c_den) / mpmath.sqrt(mpmath.pi * n)
@@ -266,10 +268,35 @@ class TestSerialization:
         assert format_rational(-5) == "-5" and decimal_str(-5, 2) == "-5.00"
 
     def test_decimal_whole_part_past_str_digit_limit(self):
-        # a whole part of 4300 digits or more is written in hex, as format_rational does
-        assert decimal_str(3**9100, 4) == hex(3**9100) + ".0000"
-        assert decimal_str(-Fraction(3**9100 * 8 + 5, 8), 3) == "-" + hex(3**9100) + ".625"
+        # a whole part of 4300 digits or more has no decimal form that
+        # parse_rational or float() reads, so the field is null (None) and
+        # the exact sibling field, in format_rational's hex, carries the value
+        assert decimal_str(3**9100, 4) is None
+        assert decimal_str(-Fraction(3**9100 * 8 + 5, 8), 3) is None
+        assert decimal_str(Fraction(HEX_FROM * 3 + 1, 3)) is None
         assert decimal_str(HEX_FROM - 1, 2) == "9" * 4300 + ".00"
+        below = decimal_str(-Fraction(HEX_FROM * 8 - 3, 8), 3)
+        assert below == "-" + "9" * 4300 + ".625"
+        assert parse_rational(below) == -Fraction(HEX_FROM * 8 - 3, 8)
+
+
+class TestPackageSource:
+    def test_no_float_literal_call_or_clock(self):
+        # every certified value is exact: no module of the package writes a
+        # float literal, calls float() or round(), or reads the clock
+        found = []
+        for path in sorted((Path(__file__).resolve().parents[1] / "src" / "kslab").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+                if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                    found.append(f"{where} literal {node.value!r}")
+                elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("float", "round"):
+                    found.append(f"{where} {node.func.id}()")
+                elif isinstance(node, ast.Import) and any(a.name == "time" for a in node.names):
+                    found.append(f"{where} import time")
+                elif isinstance(node, ast.ImportFrom) and node.module == "time":
+                    found.append(f"{where} from time import")
+        assert found == []
 
 
 class TestEchelonStore:

@@ -10,16 +10,14 @@ from hypothesis import strategies as st
 from kslab.ks_measure import (
     CANONICAL,
     EXPLICIT_MAX_N,
-    GridFunction,
     KSMeasure,
     MemoryGuardError,
     RowPermutation,
     build,
-    eval_tensor,
     support_size,
     total_variation,
 )
-from oracles import atom_list, eval_symmetric, sign
+from oracles import atom_list, eval_symmetric, eval_tensor, sign
 
 
 def brute_eval_tensor(m: KSMeasure, f, g) -> Fraction:
@@ -187,19 +185,6 @@ class TestInvariants:
             sign(m, 4, 0)
         with pytest.raises(IndexError):
             sign(m, 0, 2)
-
-
-class TestGridFunction:
-    @given(
-        st.lists(st.fractions(min_value=-4, max_value=4), min_size=1, max_size=6),
-        st.lists(st.fractions(min_value=-4, max_value=4), min_size=1, max_size=4),
-    )
-    def test_tensor_sup_norm_factorizes(self, f, g):
-        grid = GridFunction(tuple(f), tuple(g))
-        direct = max(
-            abs(grid.value(s, j)) for s in range(len(f)) for j in range(len(g))
-        )
-        assert grid.sup_norm() == direct
 
 
 class TestSignedMeasureView:

@@ -3,17 +3,17 @@ bounded-partial-sum verification of tensor families."""
 
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from kslab import ks_measure
-from kslab.exactnum import central_binomial
+from kslab.exactnum import PI, central_binomial, format_rational, parse_rational
 from kslab.ks_measure import build, total_variation
 from kslab.normal_subseq import (
     GREEDY_RULE,
     certificate_to_json,
     extract,
-    strongly_normal_partial_sums,
     strongly_normal_report,
     uniform_bound_enclosure,
 )
@@ -22,6 +22,17 @@ from kslab.tensor_bounds import SymmetricTerm, TensorCombo, standard_test_family
 
 def full_stream():
     return itertools.count(1)
+
+
+def partial_sum_check(cert, h):
+    """The report row of h over the whole certificate, its exact fields read back."""
+    row = strongly_normal_report(cert, [h])["rows"][0]
+    return SimpleNamespace(
+        partial_sums=tuple(map(parse_rational, row["partial_sums"])),
+        bound_lower=parse_rational(row["bound_lower"]),
+        bound_upper=parse_rational(row["bound_upper"]),
+        certified=row["verdict"] == "PASS",
+    )
 
 
 class TestExtract:
@@ -65,7 +76,7 @@ class TestExtract:
 class TestPartialSums:
     def test_zero_combination(self):
         cert = extract(full_stream(), 3)
-        check = strongly_normal_partial_sums(cert, TensorCombo(terms=(), name="zero"))
+        check = partial_sum_check(cert, TensorCombo(terms=(), name="zero"))
         assert check.partial_sums == (0, 0, 0)
         assert check.certified
         assert check.bound_lower == check.bound_upper == 0
@@ -73,14 +84,14 @@ class TestPartialSums:
     def test_constant_profile_vanishes_with_positive_bound(self):
         cert = extract(full_stream(), 3)
         h = TensorCombo(terms=(SymmetricTerm("constant_one"),), name="ones")
-        check = strongly_normal_partial_sums(cert, h)
+        check = partial_sum_check(cert, h)
         assert all(p == 0 for p in check.partial_sums)
         assert check.bound_lower > 0
 
     def test_partial_sums_nondecreasing_and_certified(self):
         cert = extract(full_stream(), 4)
         for h in standard_test_family():
-            check = strongly_normal_partial_sums(cert, h)
+            check = partial_sum_check(cert, h)
             ps = check.partial_sums
             assert all(a <= b for a, b in zip(ps, ps[1:]))
             assert check.certified
@@ -92,20 +103,12 @@ class TestPartialSums:
         _, hi = uniform_bound_enclosure(cert, Fraction(1))
         assert hi <= Fraction(743, 100)
 
-    def test_prefix_rejects_bad_m(self):
-        cert = extract(full_stream(), 3)
-        h = standard_test_family()[0]
-        with pytest.raises(ValueError):
-            strongly_normal_partial_sums(cert, h, M=4)
-
-    def test_explicit_term_fails_at_large_index(self):
-        cert = extract(full_stream(), 3)  # includes 81 > explicit scale
-        from kslab.ks_measure import GridFunction
-        from kslab.tensor_bounds import ExplicitTerm
-
-        h = TensorCombo(terms=(ExplicitTerm(n=1, grid=GridFunction((1, -1), (1,))),))
-        with pytest.raises(ValueError, match="not evaluable"):
-            strongly_normal_partial_sums(cert, h)
+    def test_bound_reads_the_certificate_total(self):
+        # (8/sqrt(pi)) * norm_bound * (P_N + tail), enclosed around the total
+        cert = extract(full_stream(), 5)
+        lo, hi = uniform_bound_enclosure(cert, Fraction(3, 2))
+        assert lo < hi
+        assert lo * lo * PI.upper <= (12 * cert.total_bound) ** 2 <= hi * hi * PI.lower
 
 
 class TestReport:
@@ -121,12 +124,10 @@ class TestReport:
         report = strongly_normal_report(cert, standard_test_family()[:3])
         assert report["verdict"] == "PASS"
         assert [r["verdict"] for r in report["rows"]] == ["PASS"] * 3
-        # rows re-derivable through the partial-sum routine
+        # rows re-derivable from the closed-form values at each index
         for row, h in zip(report["rows"], standard_test_family()[:3]):
-            check = strongly_normal_partial_sums(cert, h)
-            from kslab.exactnum import format_rational
-
-            assert row["partial_sums"] == [format_rational(p) for p in check.partial_sums]
+            sums = itertools.accumulate(abs(h.value_at(build(s))) for s in cert.indices)
+            assert row["partial_sums"] == [format_rational(p) for p in sums]
 
     def test_zero_norm_combo_passes_with_zero_bound(self):
         cert = extract(full_stream(), 2)

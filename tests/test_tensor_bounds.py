@@ -10,17 +10,9 @@ import numpy as np
 import pytest
 
 from kslab.exactnum import PI
-from kslab.ks_measure import (
-    EXPLICIT_MAX_N,
-    GridFunction,
-    KSMeasure,
-    RowPermutation,
-    build,
-    eval_tensor,
-)
+from kslab.ks_measure import EXPLICIT_MAX_N, KSMeasure, RowPermutation, build
 from kslab.rect_sup import sup_rect_fast
 from kslab.tensor_bounds import (
-    ExplicitTerm,
     SymmetricTerm,
     TensorCombo,
     combo_to_json,
@@ -32,6 +24,7 @@ from oracles import (
     certify_bound3,
     decay_profile,
     eval_symmetric,
+    eval_tensor,
     profile_table,
     random_tensor_probe,
     sign,
@@ -203,14 +196,6 @@ class TestCombos:
                 assert SymmetricTerm("majority").value_at(m) == sup
                 assert SymmetricTerm("sign_centered").value_at(m) == 2 * sup == tensor_sup_exact(m)
 
-    def test_explicit_term_pinned_to_index(self):
-        term = ExplicitTerm(n=2, grid=GridFunction((1, -1, 1, -1), (1, 0)))
-        combo = TensorCombo(terms=(term,), name="pinned")
-        m = build(2)
-        assert combo.value_at(m) == eval_tensor(m, term.grid.f_values, term.grid.g_values)
-        with pytest.raises(ValueError, match="not evaluable"):
-            combo.value_at(build(3))
-
     def test_norm_bound_dominates_grid_sup(self):
         m = build(4)
         for h in standard_test_family():
@@ -248,22 +233,24 @@ class TestCombos:
         family = standard_test_family()
         family.append(
             TensorCombo(
-                terms=(ExplicitTerm(n=1, grid=GridFunction((Fraction(1), Fraction(-1)), (Fraction(1),))),),
-                name="explicit_pair",
+                terms=(SymmetricTerm("linear_centered", Fraction(-2, 3), Fraction(5, 4)),),
+                name="scaled_linear",
             )
         )
         doc = [combo_to_json(h) for h in family]
         back = family_from_json(json.loads(json.dumps(doc)))
-        assert [h.name for h in back] == [h.name for h in family]
+        assert back == family
         m = build(4)
-        for a, b in zip(family[:5], back[:5]):
+        for a, b in zip(family, back):
             assert a.value_at(m) == b.value_at(m)
 
     def test_family_parse_errors(self):
         with pytest.raises(ValueError):
             family_from_json({"not_combos": []})
-        with pytest.raises((ValueError, KeyError)):
-            family_from_json([{"terms": [{"type": "explicit", "n": 2, "f": ["1"], "g": ["1", "1"]}]}])
+        # a value table pinned to one index is no term: only symmetric profiles parse
+        explicit = {"type": "explicit", "n": 1, "f": ["1", "-1"], "g": ["1"]}
+        with pytest.raises(ValueError, match="unknown term type 'explicit'"):
+            family_from_json([{"terms": [explicit]}])
 
 
 class TestDecayProfile:
@@ -285,13 +272,6 @@ class TestDecayProfile:
             assert r.dominated
             assert r.value * r.value * r.n < coeff * coeff  # value < 4.5136/sqrt(n)
             assert r.bound_lower <= r.bound_upper
-
-    def test_unevaluable_term_raises(self):
-        h = TensorCombo(
-            terms=(ExplicitTerm(n=2, grid=GridFunction((1, 0, 0, 0), (1, 1))),)
-        )
-        with pytest.raises(ValueError):
-            decay_profile(h, [2, 3])
 
     def test_dominance_rejects_floats(self):
         # a float would let rounding decide a certified decay row
