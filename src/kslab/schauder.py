@@ -6,7 +6,9 @@ iff every finite-coordinate projection of it is surjective.  Surjectivity
 onto an initial segment {1..m} implies it for every subset of {1..m}
 (a coordinate subprojection of a surjection is surjective), so the check
 feeds the generators, restricted to 1..m, into one exact row-echelon store
-(exactnum.EchelonStore) until its rank reaches m.
+(exactnum.EchelonStore) until its rank reaches m.  A family that falls
+short names the least segment {1..k} it does not cover, k the store's
+first coordinate without a pivot, so the report stays small at any m.
 
 From a generator set dense up to N, that store holds one pivot row per
 coordinate 1..N together with the generator combination it equals.
@@ -16,9 +18,12 @@ the unit profile delta_{kn} on all of 1..N, so in particular the profile
 resulting triangular family expands any target sequence through the
 recursion a_n = y_n - sum_{k<n} a_k * pi_n(b_k), whose partial sums (of the
 nonzero terms only) stabilize coordinatewise: pi_m(S_N') = y_m for N' >= m.
-The recursion makes each coefficient a_n a finite combination of the
-coordinates y_1..y_n, which is the continuity witness of the coefficient
-functionals; the tests unroll it (tests/oracles.py).
+Both the recursion and the stabilization checks read the basis's row
+index (TriangularBasis.row_index: per coordinate m, the nonzero pi_m(b_n)),
+built once per basis, so the work per target follows the basis's nonzeros
+rather than all N^2 pairs.  The recursion makes each coefficient a_n a
+finite combination of the coordinates y_1..y_n, which is the continuity
+witness of the coefficient functionals; the tests unroll it (tests/oracles.py).
 
 Elements of the sequence space are represented on explicit finite horizons;
 coordinatewise convergence stabilizes after finitely many steps per
@@ -27,6 +32,7 @@ coordinate, so a horizon loses nothing testable.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -36,6 +42,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .exactnum import EchelonStore, Rational, format_rational, parse_rational
 
 SparseVec = dict[int, Fraction]  # 1-based coordinate -> value, finite support
+_ZERO, _ONE = Fraction(0), Fraction(1)  # shared by every unit head; Fraction is immutable
 
 DENSE_UP_TO = "DENSE_UP_TO"
 NOT_DENSE = "NOT_DENSE"
@@ -104,7 +111,7 @@ class DensityResult:
     rank: int
     pivot_generators: tuple[int, ...]  # generator indices witnessing the rank
     echelon: EchelonStore = field(compare=False, repr=False)  # the scan's elimination
-    failing: tuple[int, ...] = ()  # the finite set {1..m} when NOT_DENSE
+    failing: tuple[int, ...] = ()  # NOT_DENSE: the least segment {1..k} not covered, k the first gap
 
 
 def density_check(G: GeneratorSet, m: int) -> DensityResult:
@@ -125,7 +132,7 @@ def density_check(G: GeneratorSet, m: int) -> DensityResult:
     status = DENSE_UP_TO if store.rank == m else NOT_DENSE
     return DensityResult(
         status=status, m=m, rank=store.rank, pivot_generators=tuple(pivots), echelon=store,
-        failing=tuple(range(1, m + 1)) if status == NOT_DENSE else (),
+        failing=tuple(range(1, store.first_gap() + 1)) if status == NOT_DENSE else (),
     )
 
 
@@ -148,6 +155,18 @@ class TriangularBasis:
     def coord(self, n: int, k: int) -> Rational:
         """pi_k(b_n), both 1-based."""
         return self.vectors[n - 1].coords[k - 1]
+
+    @functools.cached_property
+    def row_index(self) -> tuple[tuple[tuple[int, Rational], ...], ...]:
+        """Entry m - 1 lists the nonzero (n, pi_m(b_n)) over n = 1..N in order
+        of n, for each coordinate m in 1..N; built once per basis."""
+        N = len(self.vectors)
+        rows: list[list[tuple[int, Rational]]] = [[] for _ in range(N)]
+        for n, vec in enumerate(self.vectors, start=1):
+            for row, v in zip(rows, vec.coords):
+                if v:
+                    row.append((n, v))
+        return tuple(map(tuple, rows))
 
 
 def build_triangular_basis(G: GeneratorSet, N: int, horizon: int) -> TriangularBasis:
@@ -197,7 +216,7 @@ def basis_from_density(density: DensityResult, G: GeneratorSet, horizon: int) ->
         for k in range(1, N + 1):
             if acc[k - 1] != (den if k == n else 0):
                 raise AssertionError(f"unit coordinate profile violated at pi_{k}(b_{n})")
-        coords = [Fraction(int(k == n)) for k in range(1, N + 1)] + [Fraction(x, den) for x in acc[N:]]
+        coords = [_ONE if k == n else _ZERO for k in range(1, N + 1)] + [Fraction(x, den) for x in acc[N:]]
         vectors.append(BasisVector(coords=tuple(coords), combination=combination))
     return TriangularBasis(vectors=tuple(vectors), horizon=horizon)
 
@@ -209,36 +228,42 @@ class CoeffExpansion:
     stabilization_log: tuple[int, ...]  # per m: least N' with stable pi_m
 
 
-def _partial_sum_changes(terms: list, basis: TriangularBasis, m: int, target: Fraction) -> dict[int, bool]:
-    """pi_m(S_N') == y_m at N' = 0 and wherever a term (N', a_N' != 0) moves pi_m(S_N')."""
-    partial = Fraction(0)
+def _partial_sum_changes(row: tuple, nonzero: dict[int, Fraction], target: Fraction) -> dict[int, bool]:
+    """pi_m(S_N') == y_m at N' = 0 and wherever a term a_N' pi_m(b_N') != 0
+    moves pi_m(S_N'); row is the basis's row index at m, nonzero the a_n != 0."""
+    partial = _ZERO
     changes = {0: target == 0}
-    for np_, a in terms:
-        pi = basis.coord(np_, m)
-        if pi:
+    for n, pi in row:
+        if a := nonzero.get(n):
             partial += a * pi
-            changes[np_] = partial == target
+            changes[n] = partial == target
     return changes
 
 
 def expand(y: Sequence, basis: TriangularBasis) -> CoeffExpansion:
-    """Coefficients a_1 = y_1, a_n = y_n - sum_{k<n} a_k pi_n(b_k), exact."""
+    """Coefficients a_1 = y_1, a_n = y_n - sum_{k<n} a_k pi_n(b_k), exact,
+    and the stabilization log, both read off basis.row_index."""
     H = basis.horizon
     if len(y) < H:
         raise ValueError(f"target has {len(y)} coordinates, horizon needs {H}")
     yf = tuple(Fraction(v) for v in y[:H])
-    N = len(basis)
+    rows = basis.row_index
     coeffs: list[Fraction] = []
-    terms: list[tuple[int, Fraction]] = []  # (n, a_n) for a_n != 0
-    for n in range(1, N + 1):
-        a_n = yf[n - 1] - sum((a_k * pik for k, a_k in terms if (pik := basis.coord(k, n))), Fraction(0))
+    nonzero: dict[int, Fraction] = {}  # n -> a_n for a_n != 0
+    for n, row in enumerate(rows, start=1):
+        a_n = yf[n - 1]
+        for k, pik in row:
+            if k >= n:
+                break
+            if a_k := nonzero.get(k):
+                a_n -= a_k * pik
         coeffs.append(a_n)
         if a_n:
-            terms.append((n, a_n))
+            nonzero[n] = a_n
 
     log: list[int] = []
-    for m in range(1, N + 1):
-        changes = _partial_sum_changes(terms, basis, m, yf[m - 1])
+    for m, row in enumerate(rows, start=1):
+        changes = _partial_sum_changes(row, nonzero, yf[m - 1])
         last = max(changes)
         if not changes[last]:
             raise AssertionError(f"coordinate {m} never stabilized on the horizon")
@@ -255,13 +280,12 @@ class StabilizationReport:
 
 def verify_stabilization(exp: CoeffExpansion, basis: TriangularBasis, y: Sequence) -> StabilizationReport:
     """Exact boolean grid of pi_m(S_N') == y_m over m <= N' <= N, N the
-    basis length."""
+    basis length, recomputed from exp.coefficients along the row index."""
     N = len(basis)
-    yf = [Fraction(v) for v in y[: basis.horizon]]
-    terms = [(n, a) for n, a in enumerate(exp.coefficients[:N], start=1) if a]
+    nonzero = {n: a for n, a in enumerate(exp.coefficients[:N], start=1) if a}
     grid: dict[tuple[int, int], bool] = {}
-    for m in range(1, N + 1):
-        changes = _partial_sum_changes(terms, basis, m, yf[m - 1])
+    for m, row in enumerate(basis.row_index, start=1):
+        changes = _partial_sum_changes(row, nonzero, Fraction(y[m - 1]))
         ok = changes[0]
         for np_ in range(1, N + 1):
             ok = changes.get(np_, ok)

@@ -280,6 +280,21 @@ class TestSchauder:
         assert doc["density"]["status"] == "NOT_DENSE"
         assert doc["density"]["failing"] == [1]
 
+    def test_not_dense_report_names_least_uncovered_segment(self, tmp_path):
+        # one generator covers coordinate 1 only: the report names {1, 2},
+        # not all of 1..n, so its size does not grow with --n
+        gens = tmp_path / "gens.jsonl"
+        gens.write_text('{"coords": {"1": "1"}}\n', encoding="utf-8")
+        out = tmp_path / "fail.json"
+        code = run(
+            ["schauder", "--generators", str(gens), "--n", "100000", "--horizon", "100000", "--out", str(out)]
+        )
+        assert code == 1
+        doc = json.loads(out.read_text())
+        assert doc["density"]["status"] == "NOT_DENSE"
+        assert doc["density"]["failing"] == [1, 2]
+        assert out.stat().st_size < 1024
+
     def test_target_expansion(self, tmp_path):
         gens = tmp_path / "gens.jsonl"
         gens.write_text(

@@ -365,6 +365,71 @@ class TestSparseExpansionAgainstDenseLoop:
             assert report.all_true == all(expected.values())
         assert stabilized >= 200 and moved >= 400, (stabilized, moved)
 
+    @pytest.mark.parametrize("kind", ["built", "handmade"])
+    def test_larger_bases(self, kind):
+        # a built basis at N = 20 (unit profile on 1..N, tails beyond N) and a
+        # paper-triangular hand-made one at N = 30 (entries after the diagonal);
+        # both are triangular, so every expansion stabilizes
+        rng = random.Random(f"larger-{kind}")
+        if kind == "built":
+            basis = build_triangular_basis(random_dense_generators(rng, m=20, horizon=30), 20, 30)
+        else:
+            basis = random_handmade_basis(rng, 30, 32, triangular=True)
+        for _ in range(4):
+            y = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(basis.horizon)]
+            coeffs, log = reference_expansion(y, basis)
+            exp = expand(y, basis)
+            assert exp.coefficients == coeffs and exp.stabilization_log == log
+            report = verify_stabilization(exp, basis, y)
+            assert list(report.grid.items()) == list(reference_grid(coeffs, basis, y, len(basis)).items())
+            assert report.all_true
+        if kind == "handmade":  # the recursion reads entries off the unit profile
+            assert sum(map(len, basis.row_index)) > 2 * len(basis)
+
+class TestRowIndex:
+    @staticmethod
+    def dense_nonzeros(basis):
+        N = len(basis)
+        return tuple(
+            tuple((n, basis.coord(n, m)) for n in range(1, N + 1) if basis.coord(n, m)) for m in range(1, N + 1)
+        )
+
+    @pytest.mark.parametrize("triangular", [True, False])
+    def test_handmade_bases(self, triangular):
+        rng = random.Random(f"index-{triangular}")
+        for _ in range(50):
+            N = rng.randint(1, 9)
+            basis = random_handmade_basis(rng, N, N + rng.randint(0, 3), triangular=triangular)
+            assert basis.row_index == self.dense_nonzeros(basis)
+
+    def test_built_basis(self):
+        gens = random_dense_generators(random.Random(2020), m=20, horizon=30)
+        basis = build_triangular_basis(gens, 20, 30)
+        assert basis.row_index == self.dense_nonzeros(basis)
+        assert basis.row_index == tuple(((m, 1),) for m in range(1, 21))  # the unit profile
+
+    def test_expansions_read_only_the_index(self, monkeypatch):
+        rng = random.Random(606)
+        basis = build_triangular_basis(random_dense_generators(rng, m=20, horizon=30), 20, 30)
+        calls = {"coord": 0, "index": 0}
+        coord, prop = TriangularBasis.coord, TriangularBasis.__dict__["row_index"]
+        build = prop.func
+
+        def counting_coord(self, n, k):
+            calls["coord"] += 1
+            return coord(self, n, k)
+
+        def counting_build(self):
+            calls["index"] += 1
+            return build(self)
+
+        monkeypatch.setattr(TriangularBasis, "coord", counting_coord)
+        monkeypatch.setattr(prop, "func", counting_build)
+        for _ in range(5):
+            y = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(30)]
+            assert verify_stabilization(expand(y, basis), basis, y).all_true
+        assert calls == {"coord": 0, "index": 1}
+
 
 class TestCoefficientFunctional:
     def test_first_functional_is_first_projection(self):
