@@ -59,6 +59,10 @@ PI = PiEnclosure(
     upper=Fraction(3141592653589794, 10**15),
 )
 
+# Fractional decimal digits of every decimal_str payload, and the width
+# 10^-DIGITS of sqrt_enclosure; reports depend on it byte for byte.
+DIGITS = 30
+
 
 # (top, the primes up to top), shared by every central_binomial call of a
 # run; a larger m regrows it to at least double, so a run sieves O(log m)
@@ -154,8 +158,8 @@ def cmp_sq_below(r: Rational, c_num: int, c_den: int, n: int) -> Cmp:
     return Cmp.UNDECIDED
 
 
-def sqrt_enclosure(x: Rational, scale_digits: int = 30) -> tuple[Rational, Rational]:
-    """Rational (lo, hi) with lo <= sqrt(x) <= hi, width about 10^-scale_digits.
+def sqrt_enclosure(x: Rational) -> tuple[Rational, Rational]:
+    """Rational (lo, hi) with lo <= sqrt(x) <= hi, width about 10^-DIGITS.
 
     sqrt(p/q) = sqrt(p*q)/q, and isqrt gives floor(S*sqrt(p*q)) exactly.
     """
@@ -164,7 +168,7 @@ def sqrt_enclosure(x: Rational, scale_digits: int = 30) -> tuple[Rational, Ratio
     if x == 0:
         return Fraction(0), Fraction(0)
     p, q = x.numerator, x.denominator
-    scale = 10**scale_digits
+    scale = 10**DIGITS
     t = math.isqrt(p * q * scale * scale)
     return Fraction(t, q * scale), Fraction(t + 1, q * scale)
 
@@ -308,8 +312,8 @@ class EchelonStore:
         return [{i: Fraction(w, units[n][1]) for i, w in units[n][0].items()} for n in range(1, self.m + 1)]
 
 
-def decimal_str(q: Rational, digits: int = 30) -> str | None:
-    """Decimal expansion with exactly `digits` fractional digits (truncated
+def decimal_str(q: Rational) -> str | None:
+    """Decimal expansion with exactly DIGITS fractional digits (truncated
     toward zero).  Deterministic, used for report payloads only.  A whole
     part of magnitude >= HEX_FROM has no decimal form a reader's str<->int
     conversion accepts, so it gives None (JSON null); the report's exact
@@ -321,6 +325,6 @@ def decimal_str(q: Rational, digits: int = 30) -> str | None:
     q = abs(q)
     if q >= HEX_FROM:
         return None
-    scaled = (q.numerator * 10**digits) // q.denominator
-    whole, frac = divmod(scaled, 10**digits)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    scaled = (q.numerator * 10**DIGITS) // q.denominator
+    whole, frac = divmod(scaled, 10**DIGITS)
+    return f"{sign}{whole}.{frac:0{DIGITS}d}"

@@ -67,7 +67,8 @@ class RectangleSupReport:
     method: str  # "BruteForce" | "FastPath"
 
 
-def _certify_pair(sup: Rational, n: int) -> tuple[Cmp, Cmp]:
+def certify_pair(sup: Rational, n: int) -> tuple[Cmp, Cmp]:
+    """(lower_ok, upper_ok): sup against 1/(2 sqrt(pi n)) and 2/sqrt(pi n)."""
     lower_ok = cmp_sq_below(sup, 1, 2, n)  # want CERT_GT vs 1/(2 sqrt(pi n))
     upper_ok = cmp_sq_below(sup, 2, 1, n)  # want CERT_LT vs 2/sqrt(pi n)
     return lower_ok, upper_ok
@@ -102,7 +103,7 @@ def sup_rect_bruteforce(m: KSMeasure) -> RectangleSupReport:
             hits = [i for i in (t.find(_OFF + v), t.find(_OFF - v)) if i >= 0]
             best_rect = Rectangle(min(hits), col_bits)
     sup = Fraction(best, n << n)
-    lower_ok, upper_ok = _certify_pair(sup, n)
+    lower_ok, upper_ok = certify_pair(sup, n)
     return RectangleSupReport(
         n=n, sup=sup, witness=best_rect, lower_ok=lower_ok, upper_ok=upper_ok,
         method="BruteForce",
@@ -133,7 +134,7 @@ def sup_rect_fast(m: KSMeasure) -> RectangleSupReport:
         member = minus.translate(b"1" * below + b"0" * (256 - below)) * (1 << (n - b))
         witness = Rectangle(int(m.by_row(member)[::-1], 2), (1 << b) - 1)
 
-    lower_ok, upper_ok = _certify_pair(sup, n)
+    lower_ok, upper_ok = certify_pair(sup, n)
     return RectangleSupReport(
         n=n, sup=sup, witness=witness, lower_ok=lower_ok, upper_ok=upper_ok,
         method="FastPath",

@@ -18,12 +18,16 @@ the unit profile delta_{kn} on all of 1..N, so in particular the profile
 resulting triangular family expands any target sequence through the
 recursion a_n = y_n - sum_{k<n} a_k * pi_n(b_k), whose partial sums (of the
 nonzero terms only) stabilize coordinatewise: pi_m(S_N') = y_m for N' >= m.
-Both the recursion and the stabilization checks read the basis's row
-index (TriangularBasis.row_index: per coordinate m, the nonzero pi_m(b_n)),
+Both the recursion and the stabilization log read the basis's row index
+(TriangularBasis.row_index: per coordinate m, the nonzero pi_m(b_n)),
 built once per basis, so the work per target follows the basis's nonzeros
-rather than all N^2 pairs.  The recursion makes each coefficient a_n a
-finite combination of the coordinates y_1..y_n, which is the continuity
-witness of the coefficient functionals; the tests unroll it (tests/oracles.py).
+rather than all N^2 pairs.  One walk per coordinate m sums the terms
+a_n pi_m(b_n) and logs the last n that moved the sum; the sum differs from
+y_m just before that move and equals it from then on, so the verdict
+pi_m(S_N') = y_m for every m <= N' <= N is read off the log as n <= m.
+The recursion makes each coefficient a_n a finite combination of the
+coordinates y_1..y_n, which is the continuity witness of the coefficient
+functionals; the tests unroll it (tests/oracles.py).
 
 Elements of the sequence space are represented on explicit finite horizons;
 coordinatewise convergence stabilizes after finitely many steps per
@@ -227,22 +231,18 @@ class CoeffExpansion:
     coefficients: tuple[Rational, ...]  # a_1..a_N
     stabilization_log: tuple[int, ...]  # per m: least N' with stable pi_m
 
-
-def _partial_sum_changes(row: tuple, nonzero: dict[int, Fraction], target: Fraction) -> dict[int, bool]:
-    """pi_m(S_N') == y_m at N' = 0 and wherever a term a_N' pi_m(b_N') != 0
-    moves pi_m(S_N'); row is the basis's row index at m, nonzero the a_n != 0."""
-    partial = _ZERO
-    changes = {0: target == 0}
-    for n, pi in row:
-        if a := nonzero.get(n):
-            partial += a * pi
-            changes[n] = partial == target
-    return changes
+    @property
+    def grid_all_true(self) -> bool:
+        """pi_m(S_N') == y_m at every m <= N' <= N: the partial sum at m
+        differs from y_m just before its last move, so this holds iff every
+        coordinate m is stable from N' = m on."""
+        return all(logged <= m for m, logged in enumerate(self.stabilization_log, start=1))
 
 
 def expand(y: Sequence, basis: TriangularBasis) -> CoeffExpansion:
     """Coefficients a_1 = y_1, a_n = y_n - sum_{k<n} a_k pi_n(b_k), exact,
-    and the stabilization log, both read off basis.row_index."""
+    and the stabilization log, both read off basis.row_index.  A coordinate
+    whose partial sum ends away from y_m raises AssertionError."""
     H = basis.horizon
     if len(y) < H:
         raise ValueError(f"target has {len(y)} coordinates, horizon needs {H}")
@@ -263,35 +263,15 @@ def expand(y: Sequence, basis: TriangularBasis) -> CoeffExpansion:
 
     log: list[int] = []
     for m, row in enumerate(rows, start=1):
-        changes = _partial_sum_changes(row, nonzero, yf[m - 1])
-        last = max(changes)
-        if not changes[last]:
+        partial, last = _ZERO, 0  # pi_m(S_N'), and the last N' whose term moved it
+        for n, pi in row:
+            if a := nonzero.get(n):
+                partial += a * pi
+                last = n
+        if partial != yf[m - 1]:
             raise AssertionError(f"coordinate {m} never stabilized on the horizon")
         log.append(max(last, 1))  # before its last move S_N' was not y_m
     return CoeffExpansion(target=yf, coefficients=tuple(coeffs), stabilization_log=tuple(log))
-
-
-@dataclass(frozen=True)
-class StabilizationReport:
-    N: int
-    grid: dict[tuple[int, int], bool]  # (m, N') -> pi_m(S_N') == y_m, m <= N'
-    all_true: bool
-
-
-def verify_stabilization(exp: CoeffExpansion, basis: TriangularBasis, y: Sequence) -> StabilizationReport:
-    """Exact boolean grid of pi_m(S_N') == y_m over m <= N' <= N, N the
-    basis length, recomputed from exp.coefficients along the row index."""
-    N = len(basis)
-    nonzero = {n: a for n, a in enumerate(exp.coefficients[:N], start=1) if a}
-    grid: dict[tuple[int, int], bool] = {}
-    for m, row in enumerate(basis.row_index, start=1):
-        changes = _partial_sum_changes(row, nonzero, Fraction(y[m - 1]))
-        ok = changes[0]
-        for np_ in range(1, N + 1):
-            ok = changes.get(np_, ok)
-            if np_ >= m:
-                grid[(m, np_)] = ok
-    return StabilizationReport(N=N, grid=grid, all_true=all(grid.values()))
 
 
 def basis_to_json(basis: TriangularBasis) -> dict:
@@ -312,4 +292,6 @@ def expansion_to_json(exp: CoeffExpansion) -> dict:
     return {
         "coefficients": [format_rational(a) for a in exp.coefficients],
         "stabilization_log": list(exp.stabilization_log),
+        "target": [format_rational(v) for v in exp.target],
+        "grid_all_true": exp.grid_all_true,
     }

@@ -26,7 +26,9 @@ decay_profile certifies |mu_n(h)| <= (8/sqrt(pi n)) * norm_bound row by row.
 section_of_ks tabulates a family on measure indices; the standard family's
 values lie in span{c_n, 1/n}, so such sections of three or more indices are
 dependent and the package builds none.  coefficient_functional unrolls the
-expansion recursion of a triangular basis into coordinate weights.
+expansion recursion of a triangular basis into coordinate weights, and
+reference_grid tabulates an expansion's partial sums against the target at
+every (m, N'), the dense oracle of CoeffExpansion.grid_all_true.
 
 NumPy and SciPy are test dependencies only; kslab itself needs neither.
 """
@@ -410,3 +412,17 @@ def coefficient_functional(basis: TriangularBasis, n: int) -> tuple[Rational, ..
 
 def apply_functional(weights: Sequence[Rational], y: Sequence) -> Rational:
     return sum((Fraction(w) * Fraction(y[i]) for i, w in enumerate(weights)), Fraction(0))
+
+
+def reference_grid(coeffs: Sequence, basis: TriangularBasis, y: Sequence) -> dict[tuple[int, int], bool]:
+    """(m, N') -> pi_m(S_N') == y_m over m <= N' <= N, N the basis length,
+    every pair summed densely."""
+    N = len(basis)
+    grid = {}
+    for m in range(1, N + 1):
+        partial, target = Fraction(0), Fraction(y[m - 1])
+        for np_ in range(1, N + 1):
+            partial += coeffs[np_ - 1] * basis.coord(np_, m)
+            if np_ >= m:
+                grid[(m, np_)] = partial == target
+    return grid

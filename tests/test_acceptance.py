@@ -29,7 +29,6 @@ from kslab.schauder import (
     build_triangular_basis,
     density_check,
     expand,
-    verify_stabilization,
 )
 from kslab.tensor_bounds import standard_test_family
 from oracles import (
@@ -39,6 +38,7 @@ from oracles import (
     coefficient_functional,
     decay_profile,
     random_tensor_probe,
+    reference_grid,
     tensor_sup_exact,
 )
 
@@ -187,7 +187,8 @@ def test_criterion_7_basis_suite():
         for _ in range(10):
             y = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(30)]
             exp = expand(y, basis)
-            assert verify_stabilization(exp, basis, y).all_true
+            assert exp.grid_all_true is True
+            assert all(reference_grid(exp.coefficients, basis, y).values())
 
 
 def _random_section(rng, n, f):

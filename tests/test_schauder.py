@@ -1,5 +1,6 @@
 """Density checks, triangular basis construction, expansion recursion,
-stabilization grids, and coefficient functionals, all exact."""
+stabilization verdicts against the dense grid oracle, and coefficient
+functionals, all exact."""
 
 import json
 import random
@@ -9,7 +10,6 @@ import pytest
 
 from kslab.schauder import (
     BasisVector,
-    CoeffExpansion,
     DENSE_UP_TO,
     DensityError,
     GeneratorSet,
@@ -20,9 +20,8 @@ from kslab.schauder import (
     density_check,
     expand,
     expansion_to_json,
-    verify_stabilization,
 )
-from oracles import apply_functional, coefficient_functional
+from oracles import apply_functional, coefficient_functional, reference_grid
 
 
 def unit_generators(count):
@@ -225,8 +224,8 @@ class TestExpand:
         a2 = y[1] - a1 * basis.coord(1, 2)
         a3 = y[2] - a1 * basis.coord(1, 3) - a2 * basis.coord(2, 3)
         assert exp.coefficients == (a1, a2, a3)
-        report = verify_stabilization(exp, basis, y)
-        assert report.all_true
+        assert exp.grid_all_true is True
+        assert all(reference_grid(exp.coefficients, basis, y).values())
 
     def test_triangular_dependence_of_coefficients(self):
         # perturbing y at coordinate m changes only a_n for n >= m
@@ -252,11 +251,8 @@ class TestStabilization:
         basis = build_triangular_basis(unit_generators(8), 6, 8)
         y = [Fraction(i * i - 3, 2) for i in range(1, 9)]
         exp = expand(y, basis)
-        report = verify_stabilization(exp, basis, y)
-        assert report.all_true
-        assert set(report.grid) == {
-            (m, np_) for m in range(1, 7) for np_ in range(m, 7)
-        }
+        assert exp.grid_all_true is True
+        assert all(reference_grid(exp.coefficients, basis, y).values())
 
     def test_sum_of_two_basis_vectors(self):
         gens = GeneratorSet([{1: 1, 2: 1}, {2: 1, 3: 2}, {3: 1}])
@@ -264,7 +260,8 @@ class TestStabilization:
         y = [a + b for a, b in zip(basis.vectors[0].coords, basis.vectors[1].coords)]
         exp = expand(y, basis)
         assert exp.coefficients == (1, 1, 0)
-        assert verify_stabilization(exp, basis, y).all_true
+        assert exp.grid_all_true is True
+        assert all(reference_grid(exp.coefficients, basis, y).values())
 
     def test_random_rational_targets(self):
         rng = random.Random(909)
@@ -273,8 +270,8 @@ class TestStabilization:
         for _ in range(5):
             y = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(20)]
             exp = expand(y, basis)
-            report = verify_stabilization(exp, basis, y)
-            assert report.all_true
+            assert exp.grid_all_true is True
+            assert all(reference_grid(exp.coefficients, basis, y).values())
 
     def test_stabilization_log_consistent_with_grid(self):
         basis = TriangularBasis(
@@ -286,11 +283,12 @@ class TestStabilization:
         )
         y = [Fraction(1), Fraction(0)]
         exp = expand(y, basis)
-        report = verify_stabilization(exp, basis, y)
+        grid = reference_grid(exp.coefficients, basis, y)
         for m, logged in enumerate(exp.stabilization_log, start=1):
             assert logged <= max(m, 1)
             for np_ in range(m, len(basis) + 1):
-                assert report.grid[(m, np_)] == (np_ >= logged)
+                assert grid[(m, np_)] == (np_ >= logged)
+        assert exp.grid_all_true is all(grid.values()) is True
 
 
 def reference_expansion(y, basis):
@@ -313,18 +311,6 @@ def reference_expansion(y, basis):
     return tuple(coeffs), tuple(log)
 
 
-def reference_grid(coeffs, basis, y, N):
-    yf = [Fraction(v) for v in y[: basis.horizon]]
-    grid = {}
-    for m in range(1, N + 1):
-        partial = Fraction(0)
-        for np_ in range(1, N + 1):
-            partial += coeffs[np_ - 1] * basis.coord(np_, m)
-            if np_ >= m:
-                grid[(m, np_)] = partial == yf[m - 1]
-    return grid
-
-
 def random_handmade_basis(rng, N, horizon, triangular):
     """b_n with pi_n(b_n) = 1 and entries in {-1, 0, 1, 2} after n (the
     paper's triangular profile), and also before n unless triangular."""
@@ -340,10 +326,19 @@ def random_handmade_basis(rng, N, horizon, triangular):
     return TriangularBasis(vectors=tuple(vectors), horizon=horizon)
 
 
+def with_entries(basis, entries):
+    """basis with pi_k(b_n) = v for each (n, k) -> v of entries."""
+    coords = [list(vec.coords) for vec in basis.vectors]
+    for (n, k), v in entries.items():
+        coords[n - 1][k - 1] = v
+    vectors = tuple(BasisVector(coords=tuple(c), combination=()) for c in coords)
+    return TriangularBasis(vectors=vectors, horizon=basis.horizon)
+
+
 class TestSparseExpansionAgainstDenseLoop:
     def test_handmade_bases_with_entries_off_the_unit_profile(self):
         rng = random.Random(7071)
-        stabilized = moved = 0
+        stabilized = moved = failed = 0
         for trial in range(400):
             N = rng.randint(1, 7)
             horizon = N + rng.randint(0, 2)
@@ -356,14 +351,24 @@ class TestSparseExpansionAgainstDenseLoop:
             else:
                 exp = expand(y, basis)
                 assert exp.coefficients == coeffs and exp.stabilization_log == log
+                assert exp.grid_all_true == all(reference_grid(coeffs, basis, y).values())
                 stabilized += 1
                 moved += sum(1 for m, logged in enumerate(log, start=1) if logged != 1 and m > 1)
-            fake = CoeffExpansion(target=tuple(y), coefficients=coeffs, stabilization_log=())
-            report = verify_stabilization(fake, basis, y)
-            expected = reference_grid(coeffs, basis, y, report.N)
-            assert list(report.grid.items()) == list(expected.items())
-            assert report.all_true == all(expected.values())
-        assert stabilized >= 200 and moved >= 400, (stabilized, moved)
+                failed += not exp.grid_all_true
+            nonzero = [n for n, a in enumerate(coeffs, start=1) if a]
+            if trial % 2 == 0 and len(nonzero) >= 2 and nonzero[-2] > 1:
+                # pi_1 terms a_n1 a_n2 and -a_n2 a_n1 cancel, and the recursion
+                # never reads row 1 past the diagonal: the coefficients stay, and
+                # pi_1(S_N') leaves y_1 at n1 and returns at n2, a FAIL verdict
+                n1, n2 = nonzero[-2:]
+                paired = with_entries(basis, {(n1, 1): coeffs[n2 - 1], (n2, 1): -coeffs[n1 - 1]})
+                exp = expand(y, paired)
+                assert (exp.coefficients, exp.stabilization_log) == reference_expansion(y, paired)
+                assert exp.stabilization_log[0] == n2
+                assert exp.grid_all_true is all(reference_grid(coeffs, paired, y).values()) is False
+                failed += 1
+        # a FAIL verdict needs an entry before the diagonal: non-triangular bases only
+        assert stabilized >= 200 and moved >= 400 and failed >= 120, (stabilized, moved, failed)
 
     @pytest.mark.parametrize("kind", ["built", "handmade"])
     def test_larger_bases(self, kind):
@@ -380,9 +385,8 @@ class TestSparseExpansionAgainstDenseLoop:
             coeffs, log = reference_expansion(y, basis)
             exp = expand(y, basis)
             assert exp.coefficients == coeffs and exp.stabilization_log == log
-            report = verify_stabilization(exp, basis, y)
-            assert list(report.grid.items()) == list(reference_grid(coeffs, basis, y, len(basis)).items())
-            assert report.all_true
+            assert exp.grid_all_true is True
+            assert all(reference_grid(coeffs, basis, y).values())
         if kind == "handmade":  # the recursion reads entries off the unit profile
             assert sum(map(len, basis.row_index)) > 2 * len(basis)
 
@@ -425,10 +429,12 @@ class TestRowIndex:
 
         monkeypatch.setattr(TriangularBasis, "coord", counting_coord)
         monkeypatch.setattr(prop, "func", counting_build)
-        for _ in range(5):
-            y = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(30)]
-            assert verify_stabilization(expand(y, basis), basis, y).all_true
+        targets = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(30)] for _ in range(5)]
+        expansions = [expand(y, basis) for y in targets]
         assert calls == {"coord": 0, "index": 1}
+        for y, exp in zip(targets, expansions):  # checked after the count: the oracle reads coord
+            assert exp.grid_all_true is True
+            assert all(reference_grid(exp.coefficients, basis, y).values())
 
 
 class TestCoefficientFunctional:
