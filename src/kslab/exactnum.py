@@ -13,7 +13,11 @@ primitive integer rows, building a Fraction only per returned weight.
 
 central_binomial gives C(m, floor(m/2)), the numerator of every c_n, by
 Legendre's formula on one shared prime sieve and a balanced product tree,
-or by one Pascal step when m follows the previous call's m.
+or by one Pascal step when m follows the previous call's m.  Dyadic holds
+c_n and every closed-form value built from it over a power of two times a
+small odd part, so no value pays a gcd of its huge numerator and
+denominator; format_rational and decimal_str serialize it as the equal
+Fraction, byte for byte.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import enum
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,6 +67,117 @@ PI = PiEnclosure(
 # Fractional decimal digits of every decimal_str payload, and the width
 # 10^-DIGITS of sqrt_enclosure; reports depend on it byte for byte.
 DIGITS = 30
+
+
+def _twos(x: int) -> int:
+    """The exponent of 2 in x != 0: its count of trailing zero bits."""
+    return (x & -x).bit_length() - 1
+
+
+def _compare(op):
+    """A Dyadic comparison method: op on the two operands over one
+    denominator, or NotImplemented for an operand of another type."""
+
+    def method(self: Dyadic, other) -> bool:
+        a = self._align(other)
+        return NotImplemented if a is None else op(a[0], a[1])
+
+    return method
+
+
+class Dyadic:
+    """An exact rational num / (odd * 2^exp) in lowest terms: odd > 0 is
+    odd, exp >= 0, num is odd when exp > 0, and gcd(num, odd) = 1.
+
+    Every closed-form value is a + b c_n with c_n = C / 2^n, so its
+    denominator is a power of two times a small odd part.  Reducing one
+    takes a trailing-zero count and a gcd with the odd part alone, where a
+    Fraction takes a gcd of the whole numerator and denominator, a million
+    bits each at n = 10^6.  It is registered as a numbers.Rational whose
+    numerator and denominator are the lowest terms, so Fraction(d)
+    converts with no gcd; +, -, *, abs, == and the orderings mix it with
+    int and Fraction operands.
+    """
+
+    __slots__ = ("num", "odd", "exp")
+
+    def __init__(self, num: int, den: int = 1, exp: int = 0):
+        """num / (den * 2^exp) for any int den != 0 and exp >= 0."""
+        if den == 0:
+            raise ZeroDivisionError("Dyadic with a zero denominator")
+        if den < 0:
+            num, den = -num, -den
+        t = _twos(den)
+        den, exp = den >> t, exp + t
+        if num == 0:
+            den, exp = 1, 0
+        elif exp and not num & 1:
+            t = min(_twos(num), exp)
+            num, exp = num >> t, exp - t
+        if den != 1:
+            g = math.gcd(num, den)
+            num, den = num // g, den // g
+        self.num, self.odd, self.exp = num, den, exp
+
+    numerator = property(lambda self: self.num)
+    denominator = property(lambda self: self.odd << self.exp)
+
+    def __repr__(self) -> str:
+        return f"Dyadic({self.num}, {self.odd}, {self.exp})"
+
+    def __hash__(self) -> int:
+        return hash(Fraction(self))
+
+    def __bool__(self) -> bool:
+        return self.num != 0
+
+    def __neg__(self) -> Dyadic:
+        return Dyadic(-self.num, self.odd, self.exp)
+
+    def __abs__(self) -> Dyadic:
+        return self if self.num >= 0 else -self
+
+    def _align(self, other) -> tuple[int, int, int, int] | None:
+        """(x, y, odd, e) with self = x / (odd 2^e) and other = y / (odd 2^e),
+        or None when other is not an int, Fraction or Dyadic."""
+        if not isinstance(other, Dyadic):
+            if not isinstance(other, (int, Fraction)):
+                return None
+            other = Dyadic(other.numerator, other.denominator)
+        odd = self.odd if self.odd == other.odd else math.lcm(self.odd, other.odd)
+        e = max(self.exp, other.exp)
+        x = self.num * (odd // self.odd) << e - self.exp
+        return x, other.num * (odd // other.odd) << e - other.exp, odd, e
+
+    def __add__(self, other) -> Dyadic:
+        a = self._align(other)
+        return NotImplemented if a is None else Dyadic(a[0] + a[1], a[2], a[3])
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> Dyadic:
+        a = self._align(other)
+        return NotImplemented if a is None else Dyadic(a[0] - a[1], a[2], a[3])
+
+    def __rsub__(self, other) -> Dyadic:
+        a = self._align(other)
+        return NotImplemented if a is None else Dyadic(a[1] - a[0], a[2], a[3])
+
+    def __mul__(self, other) -> Dyadic:
+        if isinstance(other, int):
+            return Dyadic(self.num * other, self.odd, self.exp)
+        if isinstance(other, Fraction):
+            other = Dyadic(other.numerator, other.denominator)
+        elif not isinstance(other, Dyadic):
+            return NotImplemented
+        return Dyadic(self.num * other.num, self.odd * other.odd, self.exp + other.exp)
+
+    __rmul__ = __mul__
+    __eq__, __lt__, __le__ = _compare(operator.eq), _compare(operator.lt), _compare(operator.le)
+    __gt__, __ge__ = _compare(operator.gt), _compare(operator.ge)
+
+
+numbers.Rational.register(Dyadic)
 
 
 # (top, the primes up to top), shared by every central_binomial call of a
@@ -128,7 +244,15 @@ def central_binomial(m: int) -> int:
     return c
 
 
-def cmp_sq_below(r: Rational, c_num: int, c_den: int, n: int) -> Cmp:
+def sq_terms(r: Rational | Dyadic) -> tuple[int, int]:
+    """(p^2, q^2) for r = p/q in lowest terms.  For a Dyadic, q^2 is odd^2
+    shifted left by 2 exp bits: no huge denominator is ever squared."""
+    if isinstance(r, Dyadic):
+        return r.num * r.num, r.odd * r.odd << 2 * r.exp
+    return r.numerator**2, r.denominator**2
+
+
+def cmp_sq_below(r: Rational | Dyadic, c_num: int, c_den: int, n: int) -> Cmp:
     """Certified comparison of r >= 0 against (c_num/c_den) / sqrt(pi * n).
 
     Returns CERT_LT only when r^2 * PI.upper * n < (c_num/c_den)^2, which
@@ -137,23 +261,25 @@ def cmp_sq_below(r: Rational, c_num: int, c_den: int, n: int) -> Cmp:
     inequality; UNDECIDED when the enclosure is too coarse to decide.
     CERT_LT and CERT_GT are mutually exclusive by construction.
     Each side cross-multiplies integers, p^2 n c_den^2 a against
-    c_num^2 q^2 d for r = p/q and pi's bound a/d, reducing no fraction.
-    r must be an int or a Fraction; a float, whose rounding would decide,
-    raises TypeError.
+    c_num^2 q^2 d for r = p/q and pi's bound a/d (sq_terms), reducing no
+    fraction.  r must be an int, Fraction or Dyadic; a float, whose
+    rounding would decide, raises TypeError.
     """
-    if not isinstance(r, numbers.Rational):
-        raise TypeError(f"cmp_sq_below requires an int or Fraction r, got {type(r).__name__}")
+    if not isinstance(r, (Dyadic, numbers.Rational)):
+        raise TypeError(f"cmp_sq_below requires an int, Fraction or Dyadic r, got {type(r).__name__}")
     if n <= 0:
         raise ValueError(f"cmp_sq_below requires n >= 1, got n={n}")
-    if r < 0:
+    if r.numerator < 0:
         raise ValueError(f"cmp_sq_below requires r >= 0, got r={r}")
     if c_den == 0:
         raise ValueError("cmp_sq_below requires c_den != 0")
-    lhs = r.numerator**2 * n * c_den**2
-    rhs = c_num**2 * r.denominator**2
-    if lhs * PI.upper.numerator < rhs * PI.upper.denominator:
+    # the small factors multiply first, so each side is one product with
+    # the square of a big number
+    p2, q2 = sq_terms(r)
+    k, c = n * c_den**2, c_num**2
+    if p2 * (k * PI.upper.numerator) < q2 * (c * PI.upper.denominator):
         return Cmp.CERT_LT
-    if lhs * PI.lower.numerator > rhs * PI.lower.denominator:
+    if p2 * (k * PI.lower.numerator) > q2 * (c * PI.lower.denominator):
         return Cmp.CERT_GT
     return Cmp.UNDECIDED
 
@@ -196,15 +322,17 @@ def _int_text(v: int) -> str:
     return hex(v) if abs(v) >= HEX_FROM else str(v)
 
 
-def format_rational(q: Rational) -> str:
+def format_rational(q: Rational | Dyadic) -> str:
     """Serialize in lowest terms: "p/q", or "p" when the denominator is 1.
 
     A numerator or denominator of magnitude >= HEX_FROM is written as 0x hex
-    ("-0x.../0x..."); everything smaller is plain decimal.  q must be an int
-    or a Fraction; anything else, a float included, raises TypeError.
+    ("-0x.../0x..."); everything smaller is plain decimal.  q must be an
+    int, a Fraction or a Dyadic, whose lowest terms an equal Fraction
+    shares, so both write the same text; anything else, a float included,
+    raises TypeError.
     """
-    if not isinstance(q, (int, Fraction)):
-        raise TypeError(f"format_rational requires an int or Fraction, got {type(q).__name__}")
+    if not isinstance(q, (int, Fraction, Dyadic)):
+        raise TypeError(f"format_rational requires an int, Fraction or Dyadic, got {type(q).__name__}")
     if q.denominator == 1:
         return _int_text(q.numerator)
     return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
@@ -312,19 +440,23 @@ class EchelonStore:
         return [{i: Fraction(w, units[n][1]) for i, w in units[n][0].items()} for n in range(1, self.m + 1)]
 
 
-def decimal_str(q: Rational) -> str | None:
+def decimal_str(q: Rational | Dyadic) -> str | None:
     """Decimal expansion with exactly DIGITS fractional digits (truncated
     toward zero).  Deterministic, used for report payloads only.  A whole
     part of magnitude >= HEX_FROM has no decimal form a reader's str<->int
     conversion accepts, so it gives None (JSON null); the report's exact
-    sibling field carries the value.  q must be an int or a Fraction, as in
-    format_rational."""
-    if not isinstance(q, (int, Fraction)):
-        raise TypeError(f"decimal_str requires an int or Fraction, got {type(q).__name__}")
-    sign = "-" if q < 0 else ""
-    q = abs(q)
-    if q >= HEX_FROM:
-        return None
-    scaled = (q.numerator * 10**DIGITS) // q.denominator
+    sibling field carries the value.  The cut reads the integer whole part,
+    so a 2^n denominator is never multiplied by HEX_FROM, and a Dyadic's
+    power of two is divided out by a shift.  q must be an int, a Fraction
+    or a Dyadic, as in format_rational."""
+    if isinstance(q, Dyadic):
+        scaled = abs(q.num) * 10**DIGITS // q.odd >> q.exp
+    elif isinstance(q, (int, Fraction)):
+        scaled = abs(q.numerator) * 10**DIGITS // q.denominator
+    else:
+        raise TypeError(f"decimal_str requires an int, Fraction or Dyadic, got {type(q).__name__}")
     whole, frac = divmod(scaled, 10**DIGITS)
+    if whole >= HEX_FROM:
+        return None
+    sign = "-" if q.numerator < 0 else ""
     return f"{sign}{whole}.{frac:0{DIGITS}d}"

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactnum import Rational, central_binomial
+from .exactnum import Dyadic, Rational, central_binomial
 
 EXPLICIT_MAX_N = 20
 
@@ -56,7 +56,7 @@ class KSMeasure:
     # filled by central_mass; a declared field, so that filling it overwrites
     # a slot __init__ made instead of adding one to the instance, which would
     # slow every later attribute load on it (the 2^n-row loops read m often)
-    _central_mass: Rational | None = field(default=None, init=False, repr=False, compare=False)
+    _central_mass: Dyadic | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def rows(self) -> int:
@@ -67,7 +67,7 @@ class KSMeasure:
         return Fraction(1, self.n << self.n)
 
     @property
-    def central_mass(self) -> Rational:
+    def central_mass(self) -> Dyadic:
         """c_n = C(n-1, floor((n-1)/2)) / 2^n, computed once per measure.
 
         The rectangle supremum, half the tensor supremum, and by Abel
@@ -75,10 +75,16 @@ class KSMeasure:
         at the middle.  The binomial comes from exactnum.central_binomial:
         one Pascal step from the previous index when the measures are built
         in increasing order (a verify sweep), otherwise the prime
-        factorization.
+        factorization.  Its lowest terms need no gcd: by Kummer's theorem
+        the binomial C(m, k) holds 2 to the power s(k) + s(m-k) - s(m), s
+        the binary digit sum, so c_n = (C >> v) / 2^(n-v), an exact Dyadic
+        with an odd numerator.
         """
         if self._central_mass is None:
-            c = Fraction(central_binomial(self.n - 1), 1 << self.n)
+            m = self.n - 1
+            k = m // 2
+            v = k.bit_count() + (m - k).bit_count() - m.bit_count()
+            c = Dyadic(central_binomial(m) >> v, 1, self.n - v)
             object.__setattr__(self, "_central_mass", c)
         return self._central_mass
 
@@ -119,13 +125,15 @@ def build(n: int, bijection: Canonical | RowPermutation = CANONICAL) -> KSMeasur
     return KSMeasure(n=n, bijection=bijection, _patterns=patterns)
 
 
-def total_variation(m: KSMeasure) -> Rational:
+def total_variation(m: KSMeasure) -> Dyadic:
     """Sum of |weight| over all atoms: n * 2^n atoms of magnitude scale, so 1.
 
     Every sign has magnitude 1 at every index, so no atom is read; the
     tests check it against the materialized atom list (tests/oracles.py).
+    As a Dyadic, the count over n * 2^n reduces by a trailing-zero count
+    and a gcd of the odd part of n alone.
     """
-    return Fraction(m.n << m.n, 1) * m.scale
+    return Dyadic(m.n << m.n, m.n << m.n)
 
 
 def support_size(m: KSMeasure) -> int:

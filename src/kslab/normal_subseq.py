@@ -12,21 +12,24 @@ so the total bound P_N + 1/N is a purely rational object.
 
 Partial sums sum_{n<=M} |mu_{s_n}(h)| over a tensor combination h are then
 uniformly dominated by (8/sqrt(pi)) * norm_bound * (P_N + tail), certified
-by squared comparison against the pi enclosure; the report checks every
-prefix M <= N.  The exponent 4 is the
-smallest even power making 1/sqrt(n^p) summable with an elementary tail
-certificate; the rule is one admissible selection, chosen here for its
-closed-form tail, and reports label it as such.
+by squared comparison against the pi enclosure.  The partial sums of
+absolute values never decrease, so the report certifies the last one,
+M = N, and with it every prefix.  The exponent 4 is the smallest even
+power making 1/sqrt(n^p) summable with an elementary tail certificate; the
+rule is one admissible selection, chosen here for its closed-form tail,
+and reports label it as such.
 
 The report builds the measure at each selected index once and evaluates
 every combination on it.  Every term is a symmetric profile defined at
 every index, so evaluation cannot fail; each takes its closed form in
 c_n = C(n-1, floor((n-1)/2)) / 2^n (see tensor_bounds), which the measure
-computes once, so a family costs one central binomial per index: exactnum.central_binomial takes one Pascal step where two
-selected indices are consecutive and factorizes the binomial otherwise.
-Prefix sums at indices past about 14,300 have denominators of
-more than 4300 digits; exactnum.format_rational writes those parts as 0x
-hex.
+computes once, so a family costs one central binomial per index:
+exactnum.central_binomial takes one Pascal step where two selected indices
+are consecutive and factorizes the binomial otherwise.  Values and prefix
+sums are exactnum.Dyadic: a denominator is a power of two times a small
+odd part, and no sum takes a gcd of its huge numerator and power of two.
+Prefix sums at indices past about 14,300 have denominators of more than
+4300 digits; exactnum.format_rational writes those parts as 0x hex.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .exactnum import (
     decimal_str,
     format_rational,
     recip_sqrt_upper,
+    sq_terms,
     sqrt_enclosure,
 )
 from .ks_measure import KSMeasure, build, total_variation
@@ -125,15 +129,20 @@ def uniform_bound_enclosure(cert: SubseqCertificate, norm_bound: Rational) -> tu
 
 def _combo_row(cert: SubseqCertificate, h: TensorCombo, name: str, measures: Sequence[KSMeasure]) -> dict:
     """One report row: the exact prefix sums of |mu_{s_n}(h)| over the
-    measures at the selected indices, and their certified uniform bound."""
+    measures at the selected indices, and their certified uniform bound.
+
+    The prefix sums are Dyadics: each step shifts the running sum onto the
+    larger power-of-two denominator and reduces by a trailing-zero count
+    and a gcd with the small odd part, never a gcd of the whole sum.  They
+    never decrease, so certifying the last one certifies every prefix."""
     partials = list(itertools.accumulate(abs(h.value_at(m)) for m in measures))
     nb = h.norm_bound
     total = cert.total_bound
-    # partial <= 8 * nb * total / sqrt(pi), certified by squaring:
-    # p^2 <= 64 nb^2 total^2 / pi.upper, cross-multiplied so that the huge
-    # squared prefix sums are never reduced to lowest terms
+    # last <= 8 * nb * total / sqrt(pi), certified by squaring:
+    # p^2 <= 64 nb^2 total^2 / pi.upper, cross-multiplied
     a, b = (64 * nb * nb * total * total / PI.upper).as_integer_ratio()
-    certified = all(p.numerator**2 * b <= a * p.denominator**2 for p in partials)
+    p2, q2 = sq_terms(partials[-1])
+    certified = p2 * b <= a * q2
     bound_lower, bound_upper = uniform_bound_enclosure(cert, nb)
     return {
         "combo": name,

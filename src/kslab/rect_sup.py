@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Cmp, Rational, cmp_sq_below, decimal_str, format_rational
+from .exactnum import Cmp, Dyadic, cmp_sq_below, decimal_str, format_rational
 from .ks_measure import KSMeasure
 
 BRUTE_MAX_N = 4
@@ -60,14 +60,14 @@ class Rectangle:
 @dataclass(frozen=True)
 class RectangleSupReport:
     n: int
-    sup: Rational
+    sup: Fraction | Dyadic  # Fraction from the brute force, Dyadic from the closed form
     witness: Rectangle | None
     lower_ok: Cmp
     upper_ok: Cmp
     method: str  # "BruteForce" | "FastPath"
 
 
-def certify_pair(sup: Rational, n: int) -> tuple[Cmp, Cmp]:
+def certify_pair(sup: Fraction | Dyadic, n: int) -> tuple[Cmp, Cmp]:
     """(lower_ok, upper_ok): sup against 1/(2 sqrt(pi n)) and 2/sqrt(pi n)."""
     lower_ok = cmp_sq_below(sup, 1, 2, n)  # want CERT_GT vs 1/(2 sqrt(pi n))
     upper_ok = cmp_sq_below(sup, 2, 1, n)  # want CERT_LT vs 2/sqrt(pi n)
@@ -111,7 +111,8 @@ def sup_rect_bruteforce(m: KSMeasure) -> RectangleSupReport:
 
 
 def sup_rect_fast(m: KSMeasure) -> RectangleSupReport:
-    """Closed-form supremum C(n-1, floor((n-1)/2)) / 2^n.
+    """Closed-form supremum C(n-1, floor((n-1)/2)) / 2^n, the measure's
+    Dyadic central_mass.
 
     Works at every index.  A witness (B = first b columns, A = rows with
     positive partial sum, i.e. fewer than b/2 minus signs there) is

@@ -19,8 +19,9 @@ defined at every index, as a test function on the whole space must be; a
 value table pinned to one index is not a term.  By Abel summation mu_n(F (x) 1) = 2^-n * sum_k C(n-1, k)
 (F(k+1) - F(k)), so each named profile has a closed form in c_n: one
 central binomial per index (KSMeasure.central_mass), shared by every term
-evaluated on the same measure.  The profile tables and that walk along the
-binomial row are the tests' oracle.
+evaluated on the same measure.  Values are exactnum.Dyadic, as c_n and 1/n
+are.  The profile tables and that walk along the binomial row are the
+tests' oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .exactnum import Rational, format_rational, parse_rational
+from .exactnum import Dyadic, Rational, format_rational, parse_rational
 from .ks_measure import KSMeasure
 
 
@@ -45,12 +46,12 @@ from .ks_measure import KSMeasure
 # linear_centered, F(k) = (2k - n)/n, steps by 2/n everywhere and the row
 # sums to 2^(n-1); abs_centered, |2k - n|/n, and constant_one are symmetric
 # under k <-> n-k, which negates every column's signed count, so they vanish.
-_PROFILES: dict[str, Callable[[KSMeasure], Rational]] = {
+_PROFILES: dict[str, Callable[[KSMeasure], Dyadic]] = {
     "sign_centered": lambda m: 2 * m.central_mass,
-    "linear_centered": lambda m: Fraction(1, m.n),
-    "abs_centered": lambda m: Fraction(0),
+    "linear_centered": lambda m: Dyadic(1, m.n),
+    "abs_centered": lambda m: Dyadic(0),
     "majority": lambda m: m.central_mass,
-    "constant_one": lambda m: Fraction(0),
+    "constant_one": lambda m: Dyadic(0),
 }
 
 
@@ -74,8 +75,8 @@ class SymmetricTerm:
     def sup_norm(self) -> Rational:
         return abs(Fraction(self.coeff)) * abs(Fraction(self.g_const))
 
-    def value_at(self, m: KSMeasure) -> Rational:
-        return Fraction(self.coeff) * Fraction(self.g_const) * _PROFILES[self.profile](m)
+    def value_at(self, m: KSMeasure) -> Dyadic:
+        return _PROFILES[self.profile](m) * (Fraction(self.coeff) * Fraction(self.g_const))
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,8 @@ class TensorCombo:
     def norm_bound(self) -> Rational:
         return sum((t.sup_norm() for t in self.terms), Fraction(0))
 
-    def value_at(self, m: KSMeasure) -> Rational:
-        return sum((t.value_at(m) for t in self.terms), Fraction(0))
+    def value_at(self, m: KSMeasure) -> Dyadic:
+        return sum((t.value_at(m) for t in self.terms), Dyadic(0))
 
 
 def standard_test_family() -> list[TensorCombo]:

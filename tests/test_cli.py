@@ -452,6 +452,15 @@ class TestPinnedReportBytes:
     # explicit-measure guard, and the schauder run is the console-script one.
     VERIFY_24 = "16acce1c408a8a2ed013236e2ebc33f93d4e9cc5567c7714df145b313d9446b1"
     SCHAUDER_3 = "4da1a7f1b19a53d89bf34f676d508a03f143ba91fc29542c430d2ef7d8f35a6b"
+    # written while closed-form values were still Fractions: sup at the last
+    # explicit index (with its witness) and past the hex cut, and subseq on
+    # the console-script family (index 14,641, hex parts) and the standard one
+    SUP = {
+        20: "789b0803ac10640ff4fbad6994e8791e23d9367bee8860c36c353c95e5a418dc",
+        100000: "57046aff8f70810859e9cd3f256822e027fbc2c376adee535afa486fab77ee31",
+    }
+    SUBSEQ_11_SIGN = "37f7080219757a8b9b4725fc93bda72e2988652dcc28b566b7c7d5f71ecbeabf"
+    SUBSEQ_10_STANDARD = "d674cc44512b73223031b656469133034a0ab942d63e5d95297ed27a5147e777"
 
     @staticmethod
     def digest(path):
@@ -474,6 +483,29 @@ class TestPinnedReportBytes:
         argv = ["schauder", "--generators", str(gens), "--n", "3", "--horizon", "4", "--target", str(targets)]
         assert run(argv + ["--out", str(out)]) == 0
         assert self.digest(out) == self.SCHAUDER_3
+
+    @pytest.mark.parametrize("n", sorted(SUP))
+    def test_sup(self, tmp_path, n):
+        out = tmp_path / "sup.json"
+        assert run(["sup", "--n", str(n), "--out", str(out)]) == 0
+        assert self.digest(out) == self.SUP[n]
+
+    def test_subseq_console_family(self, tmp_path):
+        family = tmp_path / "family.json"
+        family.write_text(
+            '[{"name": "sgn", "terms": [{"type": "symmetric", "profile": "sign_centered"}]}]\n',
+            encoding="utf-8",
+        )
+        out = tmp_path / "subseq.json"
+        assert run(["subseq", "--n", "11", "--family", str(family), "--out", str(out)]) == 0
+        assert self.digest(out) == self.SUBSEQ_11_SIGN
+
+    def test_subseq_standard_family(self, tmp_path):
+        family = tmp_path / "family.json"
+        write_family(family, standard_test_family())
+        out = tmp_path / "subseq.json"
+        assert run(["subseq", "--n", "10", "--family", str(family), "--out", str(out)]) == 0
+        assert self.digest(out) == self.SUBSEQ_10_STANDARD
 
 
 class TestOutputErrors:

@@ -1,7 +1,8 @@
 """Exact arithmetic layer: the binomial oracle against a Pascal triangle,
 central binomials (Pascal step and prime factorization) against math.comb,
-certified comparisons against a 50-digit decimal oracle, and the echelon
-store against its own recorded combinations and against a Fraction-row
+certified comparisons against a 50-digit decimal oracle, the Dyadic type
+against Fraction arithmetic and serialization, and the echelon store
+against its own recorded combinations and against a Fraction-row
 reference store; and the package source, which holds no float."""
 
 import ast
@@ -20,6 +21,7 @@ from kslab.exactnum import (
     HEX_FROM,
     PI,
     Cmp,
+    Dyadic,
     EchelonStore,
     PiEnclosure,
     central_binomial,
@@ -278,6 +280,88 @@ class TestSerialization:
         below = decimal_str(-Fraction(HEX_FROM * 8 - 3, 8))
         assert below == "-" + "9" * 4300 + ".625" + "0" * 27
         assert parse_rational(below) == -Fraction(HEX_FROM * 8 - 3, 8)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("den", [3, 7, 12])
+    def test_decimal_cut_reads_the_whole_part(self, den, sign):
+        # a non-dyadic denominator, the whole part just below and at the cut
+        rest = den - 1
+        below = sign * Fraction((HEX_FROM - 1) * den + rest, den)
+        digits = "9" * 4300 + "." + f"{rest * 10**30 // den:030d}"
+        assert decimal_str(below) == ("-" if sign < 0 else "") + digits
+        assert decimal_str(sign * Fraction(HEX_FROM * den + rest, den)) is None
+        assert decimal_str(sign * Fraction(HEX_FROM * den, den)) is None
+
+
+def fractions_over_dyadic_denominators():
+    """Fractions whose denominator is a small odd part times a power of two."""
+    den = st.builds(lambda odd, e: odd << e, st.integers(1, 45), st.integers(0, 70))
+    return st.builds(Fraction, st.integers(-(2**90), 2**90), den)
+
+
+class TestDyadic:
+    @settings(max_examples=300)
+    @given(st.integers(-(2**70), 2**70), st.integers(-60, 60).filter(bool), st.integers(0, 40))
+    def test_lowest_terms(self, num, den, exp):
+        d = Dyadic(num, den, exp)
+        q = Fraction(num, den << exp)
+        assert (d.numerator, d.denominator) == (q.numerator, q.denominator)
+        assert d.odd % 2 == 1 and d.exp >= 0 and math.gcd(d.num, d.odd) == 1
+        assert d.exp == 0 or d.num % 2 == 1
+        assert Fraction(d) == q and d == q and q == d and hash(d) == hash(q)
+
+    @settings(max_examples=300)
+    @given(fractions_over_dyadic_denominators(), fractions_over_dyadic_denominators())
+    def test_arithmetic_and_order_match_fraction(self, a, b):
+        da, db = Dyadic(a.numerator, a.denominator), Dyadic(b.numerator, b.denominator)
+        for x, y in ((da, db), (da, b), (a, db), (da, int(b)), (int(a), db)):
+            fa, fb = Fraction(x), Fraction(y)
+            for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v):
+                got = op(x, y)
+                assert isinstance(got, Dyadic) and got == op(fa, fb)
+            assert (x < y, x <= y, x > y, x >= y, x == y, x != y) == (
+                fa < fb, fa <= fb, fa > fb, fa >= fb, fa == fb, fa != fb
+            )
+        assert abs(da) == abs(a) and -da == -a and bool(da) == bool(a)
+
+    def test_zero_and_foreign_operands(self):
+        assert Dyadic(0, 12, 5) == 0 and (Dyadic(0).odd, Dyadic(0).exp) == (1, 0)
+        with pytest.raises(ZeroDivisionError):
+            Dyadic(1, 0)
+        with pytest.raises(TypeError):
+            Dyadic(1, 2) + 0.5
+        assert Dyadic(1, 2) != "1/2"
+
+    @pytest.mark.parametrize(
+        "q",
+        [
+            Fraction(0),
+            Fraction(-5),
+            Fraction(3, 16),
+            Fraction(-7, 24),
+            Fraction(-7, 2**15000),
+            Fraction(3**9100, 2**15000),
+            Fraction(3**9100, 5 * 2**15000),
+            Fraction(HEX_FROM * 2 - 1, 2),
+            Fraction(-(HEX_FROM * 2 + 1), 2),
+        ],
+    )
+    def test_serializes_as_the_equal_fraction(self, q):
+        d = Dyadic(q.numerator, q.denominator)
+        assert format_rational(d) == format_rational(q)
+        assert decimal_str(d) == decimal_str(q)
+        assert parse_rational(format_rational(d)) == d
+
+    @settings(max_examples=200)
+    @given(
+        fractions_over_dyadic_denominators().map(abs),
+        st.integers(1, 10**6),
+        st.integers(1, 50),
+        st.integers(1, 50),
+    )
+    def test_cmp_sq_below_as_the_equal_fraction(self, q, n, c_num, c_den):
+        d = Dyadic(q.numerator, q.denominator)
+        assert cmp_sq_below(d, c_num, c_den, n) is cmp_sq_below(q, c_num, c_den, n)
 
 
 class TestPackageSource:

@@ -1,12 +1,14 @@
 """Measure construction and evaluation, checked against atom-level brute
 force wherever a fast path exists."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kslab.exactnum import HEX_FROM, Dyadic, decimal_str, format_rational
 from kslab.ks_measure import (
     CANONICAL,
     EXPLICIT_MAX_N,
@@ -85,6 +87,23 @@ class TestTotalVariationAndSupport:
     def test_explicit_support_counts_atoms(self):
         m = build(5, RowPermutation(2))
         assert support_size(m) == 5 * 32
+
+
+class TestCentralMass:
+    # 2^e passes HEX_FROM at e = 14,285, where the denominator turns to hex
+    @pytest.mark.parametrize(
+        "ns", [range(1, 3001), range(14280, 14301), [15000]], ids=["1-3000", "hex-crossing", "15000"]
+    )
+    def test_against_math_comb(self, ns):
+        for n in ns:
+            c = build(n).central_mass
+            q = Fraction(math.comb(n - 1, (n - 1) // 2), 1 << n)
+            assert isinstance(c, Dyadic) and c == q, n
+            # lowest terms from Kummer's valuation: an odd numerator over 2^e
+            assert c.num % 2 == 1 and c.odd == 1 and q.denominator == 1 << c.exp, n
+            assert format_rational(c) == format_rational(q), n
+            assert format_rational(c).endswith(hex(1 << c.exp)) == (1 << c.exp >= HEX_FROM), n
+            assert decimal_str(c) == decimal_str(q), n
 
 
 class TestEvalTensor:

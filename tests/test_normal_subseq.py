@@ -18,6 +18,7 @@ from kslab.normal_subseq import (
     uniform_bound_enclosure,
 )
 from kslab.tensor_bounds import SymmetricTerm, TensorCombo, standard_test_family
+from oracles import eval_symmetric, profile_table
 
 
 def full_stream():
@@ -96,6 +97,37 @@ class TestPartialSums:
             assert all(a <= b for a, b in zip(ps, ps[1:]))
             assert check.certified
             assert ps[-1] <= check.bound_upper
+
+    @pytest.mark.parametrize(
+        "coeffs", [(1, -1), (Fraction(1, 4), Fraction(3, 2))], ids=["minus-majority", "quarter-three-halves"]
+    )
+    def test_mixed_sign_family_against_fraction_accumulation(self, coeffs):
+        # 1/s - c_s changes sign along the indices; 1/4 and 3/2 give values
+        # whose odd part and power of two both move
+        h = TensorCombo(
+            terms=(
+                SymmetricTerm("linear_centered", coeff=Fraction(coeffs[0])),
+                SymmetricTerm("majority", coeff=Fraction(coeffs[1])),
+            ),
+            name="mixed",
+        )
+        cert = extract(full_stream(), 7)
+        check = partial_sum_check(cert, h)
+        running, values = Fraction(0), []
+        for s, reported in zip(cert.indices, check.partial_sums, strict=True):
+            m = build(s)
+            value = sum(
+                t.coeff * eval_symmetric(m, profile_table(t.profile, s), t.g_const * s) for t in h.terms
+            )
+            values.append(value)
+            running += abs(value)
+            assert reported == running, s
+        if coeffs[1] < 0:
+            assert min(values) < 0 < max(values)
+        # every prefix, not only the last, against 8 nb (P + tail) / sqrt(pi)
+        bound_sq = 64 * h.norm_bound**2 * cert.total_bound**2
+        assert check.certified == all(p * p * PI.upper <= bound_sq for p in check.partial_sums)
+        assert check.certified
 
     def test_uniform_bound_below_743_hundredths_of_ten(self):
         # with norm_bound 1 the bound tends to (8/sqrt(pi)) * pi^2/6 < 7.43
