@@ -137,8 +137,13 @@ def cmd_subseq(args: argparse.Namespace) -> int:
 
 def _parse_targets(text: str, horizon: int) -> list[list]:
     doc = json.loads(text)
+    entries = doc["targets"] if isinstance(doc, dict) else doc
+    if not isinstance(entries, list):
+        raise ValueError(f"targets must be a list, got {entries!r}")
     targets = []
-    for entry in doc["targets"] if isinstance(doc, dict) else doc:
+    for entry in entries:
+        if not isinstance(entry, list):
+            raise ValueError(f"target must be a list, got {entry!r}")
         vec = [parse_rational(str(v)) for v in entry]
         targets.append(vec + [0] * max(0, horizon - len(vec)))
     return targets
@@ -197,7 +202,7 @@ def cmd_sup(args: argparse.Namespace) -> int:
     doc = rect_sup.report_to_json(report)
     doc["bound2"] = verdict
     _write_json(args.out, doc)
-    print(f"sup(n={args.n}) = {format_rational(report.sup)} [{verdict}] -> {args.out}")
+    print(f"sup(n={args.n}) = {doc['sup_decimal']} [{verdict}] -> {args.out}")
     return 0 if verdict == "PASS" else 1
 
 

@@ -5,45 +5,25 @@ The measure with index n lives on K_n x L_n with |K_n| = 2^n rows and
 assigns each atom (s, j) the weight sign(s, j) / (n * 2^n).  Every quantity
 this package certifies (total variation, rectangle masses, tensor
 functionals) is a function of this finite atomic data, so the grid is all
-that is ever modeled.
+that is ever modeled, and none depends on which bijection is used.
 
 Rows are encoded as bit patterns: bit j of the pattern set means
-sign(s, j) = -1.  The canonical bijection uses the row index itself as the
-pattern; a seeded row permutation composes it with a shuffle of the row
-indices.  The index alone decides what can be materialized: up to
-EXPLICIT_MAX_N the measure is explicit (full row tables, row
-permutations); above it the atom table is unmaterializable, signs are
-computed on demand from the row index, and only closed forms apply.
+sign(s, j) = -1.  The package builds the canonical bijection, which uses the
+row index itself as the pattern.  row_pattern and by_row are the one place
+the bijection is read; the tests override them with row permutations and
+arbitrary row tables (tests/oracles.py).  The index alone decides what can
+be materialized: up to EXPLICIT_MAX_N the measure is explicit (full row
+tables); above it the atom table is unmaterializable, signs are computed on
+demand from the row index, and only closed forms apply.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .exactnum import Dyadic, Rational, central_binomial
+from .exactnum import Dyadic, central_binomial
 
 EXPLICIT_MAX_N = 20
-
-
-@dataclass(frozen=True)
-class Canonical:
-    """Bijection sending row s to the pattern with bit j of s encoding -1."""
-
-
-@dataclass(frozen=True)
-class RowPermutation:
-    """Canonical bijection composed with a seeded shuffle of row indices."""
-
-    seed: int
-
-
-CANONICAL = Canonical()
-
-
-class MemoryGuardError(ValueError):
-    """Explicit materialization requested above the memory guard."""
 
 
 @dataclass(frozen=True)
@@ -51,8 +31,6 @@ class KSMeasure:
     """Immutable sign-cube measure; all evaluations are pure."""
 
     n: int
-    bijection: Canonical | RowPermutation
-    _patterns: tuple[int, ...] | None = None  # row index -> sign pattern
     # filled by central_mass; a declared field, so that filling it overwrites
     # a slot __init__ made instead of adding one to the instance, which would
     # slow every later attribute load on it (the 2^n-row loops read m often)
@@ -61,10 +39,6 @@ class KSMeasure:
     @property
     def rows(self) -> int:
         return 1 << self.n
-
-    @property
-    def scale(self) -> Rational:
-        return Fraction(1, self.n << self.n)
 
     @property
     def central_mass(self) -> Dyadic:
@@ -89,44 +63,26 @@ class KSMeasure:
         return self._central_mass
 
     def row_pattern(self, s: int) -> int:
-        if self._patterns is not None:
-            return self._patterns[s]
+        """The sign pattern of row s: the row index itself."""
         return s
 
     def by_row(self, table: bytes) -> bytes:
         """A byte table over sign patterns reindexed by row: entry s is table[row_pattern(s)]."""
-        return table if self._patterns is None else bytes(map(table.__getitem__, self._patterns))
+        return table
 
     def is_explicit(self) -> bool:
         return self.n <= EXPLICIT_MAX_N
 
 
-def build(n: int, bijection: Canonical | RowPermutation = CANONICAL) -> KSMeasure:
-    """Construct the measure with index n.
-
-    A seeded row permutation requires materializing a table of 2^n row
-    indices and is therefore only available at explicit scale.
-    """
+def build(n: int) -> KSMeasure:
+    """Construct the measure with index n."""
     if n < 1:
         raise ValueError(f"measure index must be >= 1, got n={n}")
-
-    patterns: tuple[int, ...] | None = None
-    if isinstance(bijection, RowPermutation):
-        if n > EXPLICIT_MAX_N:
-            raise MemoryGuardError(
-                f"row permutations need a 2^n table; limited to n <= {EXPLICIT_MAX_N}"
-            )
-        perm = list(range(1 << n))
-        random.Random(bijection.seed).shuffle(perm)
-        patterns = tuple(perm)
-    elif not isinstance(bijection, Canonical):
-        raise TypeError(f"unknown bijection {bijection!r}")
-
-    return KSMeasure(n=n, bijection=bijection, _patterns=patterns)
+    return KSMeasure(n)
 
 
 def total_variation(m: KSMeasure) -> Dyadic:
-    """Sum of |weight| over all atoms: n * 2^n atoms of magnitude scale, so 1.
+    """Sum of |weight| over all atoms: n * 2^n atoms of magnitude 1/(n * 2^n), so 1.
 
     Every sign has magnitude 1 at every index, so no atom is read; the
     tests check it against the materialized atom list (tests/oracles.py).

@@ -27,6 +27,9 @@ every n.
 
 For explicit measures the witness A* is a bytes table over sign patterns
 read as one base-2 integer, with no loop over the 2^n rows (sup_rect_fast).
+Both routes read the rows only through KSMeasure.row_pattern and by_row,
+so the tests also run them on row-permuted and repeated-row tables, a test
+oracle (tests/oracles.py); the package builds only the canonical measure.
 """
 
 from __future__ import annotations

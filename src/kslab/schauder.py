@@ -156,10 +156,6 @@ class TriangularBasis:
     def __len__(self) -> int:
         return len(self.vectors)
 
-    def coord(self, n: int, k: int) -> Rational:
-        """pi_k(b_n), both 1-based."""
-        return self.vectors[n - 1].coords[k - 1]
-
     @functools.cached_property
     def row_index(self) -> tuple[tuple[tuple[int, Rational], ...], ...]:
         """Entry m - 1 lists the nonzero (n, pi_m(b_n)) over n = 1..N in order
@@ -171,17 +167,6 @@ class TriangularBasis:
                 if v:
                     row.append((n, v))
         return tuple(map(tuple, rows))
-
-
-def build_triangular_basis(G: GeneratorSet, N: int, horizon: int) -> TriangularBasis:
-    """Construct b_1..b_N on the given horizon with pi_k(b_n) = delta_{kn}
-    for every k <= N (stronger than the triangular requirement k <= n):
-    density_check up to N, then basis_from_density on its echelon store.
-    Requires the generators to be dense up to N; rank deficiency raises a
-    DensityError naming the first uncovered coordinate, and N < 1 or a
-    horizon shorter than N raise ValueError.
-    """
-    return basis_from_density(density_check(G, N), G, horizon)
 
 
 def basis_from_density(density: DensityResult, G: GeneratorSet, horizon: int) -> TriangularBasis:

@@ -11,8 +11,9 @@ value sum_x |n - 2|x|| / (n 2^n) = E|S_n| / n = 2 c_n, S_n a sum of n
 independent random signs.  The verify sweep reports it at every index and
 reads the 8/sqrt(pi n) bound on it off the certified c_n < 2/sqrt(pi n).
 The tests hold the closed form to an enumeration of all 2^n vertices
-(three integer Walsh-Hadamard transforms) under the canonical and permuted
-bijections, and to a float random probe of the cube (tests/oracles.py).
+(three integer Walsh-Hadamard transforms) and to a float random probe of
+the cube (tests/oracles.py); the enumeration also runs on row-permuted
+measures, a test oracle, since the package builds only the canonical one.
 
 Every term is a named symmetric profile F(plus-count) with constant g,
 defined at every index, as a test function on the whole space must be; a
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .exactnum import Dyadic, Rational, format_rational, parse_rational
+from .exactnum import Dyadic, Rational, parse_rational
 from .ks_measure import KSMeasure
 
 
@@ -92,35 +93,6 @@ class TensorCombo:
 
     def value_at(self, m: KSMeasure) -> Dyadic:
         return sum((t.value_at(m) for t in self.terms), Dyadic(0))
-
-
-def standard_test_family() -> list[TensorCombo]:
-    """Five fixed symmetric combinations, each with norm_bound exactly 1."""
-    mk = lambda name, *terms: TensorCombo(terms=terms, name=name)
-    return [
-        mk("sign_centered", SymmetricTerm("sign_centered")),
-        mk("linear_centered", SymmetricTerm("linear_centered")),
-        mk("abs_centered", SymmetricTerm("abs_centered")),
-        mk("majority", SymmetricTerm("majority")),
-        mk(
-            "half_sign_half_majority",
-            SymmetricTerm("sign_centered", coeff=Fraction(1, 2)),
-            SymmetricTerm("majority", coeff=Fraction(1, 2)),
-        ),
-    ]
-
-
-def combo_to_json(combo: TensorCombo) -> dict:
-    terms = [
-        {
-            "type": "symmetric",
-            "profile": t.profile,
-            "coeff": format_rational(t.coeff),
-            "g_const": format_rational(t.g_const),
-        }
-        for t in combo.terms
-    ]
-    return {"name": combo.name, "terms": terms}
 
 
 def combo_from_json(doc: dict) -> TensorCombo:

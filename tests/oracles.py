@@ -1,5 +1,14 @@
 """Oracles kept out of the package: the tests hold the library to them.
 
+PermutedMeasure is a sign-cube measure whose rows carry an arbitrary table
+of sign patterns: a seeded shuffle of the canonical rows (RowPermutation,
+under the MemoryGuardError guard at n <= EXPLICIT_MAX_N) or any table, with
+repeats and gaps allowed.  It overrides KSMeasure.row_pattern and by_row,
+the one seam through which the package reads rows, so the brute-force
+rectangle supremum, the fast witness and every oracle below run the package
+code on it; measure(n, bijection) builds it, or the package's canonical
+measure for CANONICAL.  scale is the weight magnitude 1/(n 2^n) of an atom.
+
 projection_norms_highs is the LP layer basic_seq_diag used before its
 exact vertex simplex: one SciPy HiGHS linprog per (m, h).  simplex_optima
 is the full enumeration the exact simplex ran before it pruned objectives
@@ -29,6 +38,11 @@ dependent and the package builds none.  coefficient_functional unrolls the
 expansion recursion of a triangular basis into coordinate weights, and
 reference_grid tabulates an expansion's partial sums against the target at
 every (m, N'), the dense oracle of CoeffExpansion.grid_all_true.
+build_triangular_basis is the density check followed by basis_from_density,
+as the schauder subcommand runs them, and coord reads pi_k(b_n) off a
+basis.  standard_test_family is five fixed unit-norm symmetric combinations,
+and combo_to_json writes one in the family format the subseq subcommand
+reads.
 
 NumPy and SciPy are test dependencies only; kslab itself needs neither.
 """
@@ -36,6 +50,7 @@ NumPy and SciPy are test dependencies only; kslab itself needs neither.
 import math
 import numbers
 import operator
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -44,13 +59,68 @@ import numpy as np
 from scipy.optimize import linprog
 
 from kslab.basic_seq_diag import FiniteSection, _VertexSimplex
-from kslab.exactnum import PI, Cmp, Rational, cmp_sq_below, sqrt_enclosure
-from kslab.ks_measure import EXPLICIT_MAX_N, KSMeasure, MemoryGuardError, build
+from kslab.exactnum import PI, Cmp, Rational, cmp_sq_below, format_rational, sqrt_enclosure
+from kslab.ks_measure import EXPLICIT_MAX_N, KSMeasure, build
 from kslab.rect_sup import Rectangle, RectangleSupReport, bound2_verdict
-from kslab.schauder import TriangularBasis
-from kslab.tensor_bounds import TensorCombo
+from kslab.schauder import GeneratorSet, TriangularBasis, basis_from_density, density_check
+from kslab.tensor_bounds import SymmetricTerm, TensorCombo
 
 LP_TOL = 1e-7  # float tolerance when an exact value is compared with HiGHS
+
+
+# ---------------------------------------------------------------------------
+# Measures under other row bijections
+
+
+@dataclass(frozen=True)
+class Canonical:
+    """Bijection sending row s to the pattern with bit j of s encoding -1."""
+
+
+@dataclass(frozen=True)
+class RowPermutation:
+    """Canonical bijection composed with a seeded shuffle of row indices."""
+
+    seed: int
+
+
+CANONICAL = Canonical()
+
+
+class MemoryGuardError(ValueError):
+    """Explicit materialization requested above the memory guard."""
+
+
+@dataclass(frozen=True)
+class PermutedMeasure(KSMeasure):
+    """The measure with index n whose row s carries the sign pattern
+    patterns[s]; any table of 2^n patterns, repeats allowed."""
+
+    patterns: tuple[int, ...]  # row index -> sign pattern
+
+    def row_pattern(self, s: int) -> int:
+        return self.patterns[s]
+
+    def by_row(self, table: bytes) -> bytes:
+        return bytes(map(table.__getitem__, self.patterns))
+
+
+def measure(n: int, bijection: Canonical | RowPermutation) -> KSMeasure:
+    """The measure with index n under the given bijection: the package's
+    canonical measure, or a seeded row permutation of it.  A permutation
+    materializes a table of 2^n row indices, so only at explicit scale."""
+    if isinstance(bijection, Canonical):
+        return build(n)
+    if n > EXPLICIT_MAX_N:
+        raise MemoryGuardError(f"row permutations need a 2^n table; limited to n <= {EXPLICIT_MAX_N}")
+    perm = list(range(1 << n))
+    random.Random(bijection.seed).shuffle(perm)
+    return PermutedMeasure(n, tuple(perm))
+
+
+def scale(m: KSMeasure) -> Fraction:
+    """The magnitude 1/(n 2^n) of every atom's weight."""
+    return Fraction(1, m.n << m.n)
 
 
 def projection_norm_highs(values: np.ndarray, m: int) -> float:
@@ -127,7 +197,7 @@ def rect_mass(m: KSMeasure, r: Rectangle) -> Rational:
             byte ^= low
             minus = (m.row_pattern(s) & r.col_bits).bit_count()
             total += b - 2 * minus
-    return total * m.scale
+    return total * scale(m)
 
 
 def certify_bound2(report: RectangleSupReport) -> str:
@@ -152,11 +222,12 @@ def atom_list(m: KSMeasure) -> list[tuple[tuple[int, int], Rational]]:
     """Every atom ((s, j), weight) of an explicit measure."""
     if not m.is_explicit():
         raise MemoryGuardError(f"atom list limited to n <= {EXPLICIT_MAX_N}, got n={m.n}")
+    w = scale(m)
     atoms = []
     for s in range(m.rows):
         p = m.row_pattern(s)
         for j in range(m.n):
-            atoms.append(((s, j), -m.scale if (p >> j) & 1 else m.scale))
+            atoms.append(((s, j), -w if (p >> j) & 1 else w))
     return atoms
 
 
@@ -185,7 +256,7 @@ def eval_tensor(m: KSMeasure, f: Sequence, g: Sequence) -> Rational:
                 continue
             row += -gj if (p >> j) & 1 else gj
         total += Fraction(fs) * row
-    return m.scale * total
+    return scale(m) * total
 
 
 def _sign_matrix(m: KSMeasure) -> np.ndarray:
@@ -207,7 +278,7 @@ def random_tensor_probe(m: KSMeasure, trials: int, seed: int) -> float:
         raise ValueError("random_tensor_probe needs an explicit measure")
     rng = np.random.default_rng(seed)
     signs = _sign_matrix(m).astype(np.float64)
-    scale = float(m.scale)
+    atom = float(scale(m))
     best = 0.0
     chunk = 1024
     done = 0
@@ -215,7 +286,7 @@ def random_tensor_probe(m: KSMeasure, trials: int, seed: int) -> float:
         k = min(chunk, trials - done)
         f = rng.uniform(-1.0, 1.0, size=(k, m.rows))
         g = rng.uniform(-1.0, 1.0, size=(k, m.n))
-        vals = np.abs(np.einsum("ij,ij->i", f @ signs, g)) * scale
+        vals = np.abs(np.einsum("ij,ij->i", f @ signs, g)) * atom
         best = max(best, float(vals.max()))
         done += k
     return best
@@ -324,7 +395,7 @@ def eval_symmetric(m: KSMeasure, F: Sequence, gsum: Rational) -> Rational:
         if d:
             total += c * d
         c = c * (n - 1 - k) // (k + 1)
-    return m.scale * Fraction(gsum) * Fraction(total, den)
+    return scale(m) * Fraction(gsum) * Fraction(total, den)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +473,7 @@ def coefficient_functional(basis: TriangularBasis, n: int) -> tuple[Rational, ..
         w = [Fraction(0)] * i
         w[i - 1] = Fraction(1)
         for k in range(1, i):
-            pik = basis.coord(k, i)
+            pik = coord(basis, k, i)
             if pik:
                 for j in range(k):
                     w[j] -= pik * funcs[k - 1][j]
@@ -422,7 +493,57 @@ def reference_grid(coeffs: Sequence, basis: TriangularBasis, y: Sequence) -> dic
     for m in range(1, N + 1):
         partial, target = Fraction(0), Fraction(y[m - 1])
         for np_ in range(1, N + 1):
-            partial += coeffs[np_ - 1] * basis.coord(np_, m)
+            partial += coeffs[np_ - 1] * coord(basis, np_, m)
             if np_ >= m:
                 grid[(m, np_)] = partial == target
     return grid
+
+
+def coord(basis: TriangularBasis, n: int, k: int) -> Rational:
+    """pi_k(b_n), both 1-based."""
+    return basis.vectors[n - 1].coords[k - 1]
+
+
+def build_triangular_basis(G: GeneratorSet, N: int, horizon: int) -> TriangularBasis:
+    """Construct b_1..b_N on the given horizon with pi_k(b_n) = delta_{kn}
+    for every k <= N (stronger than the triangular requirement k <= n):
+    density_check up to N, then basis_from_density on its echelon store.
+    Requires the generators to be dense up to N; rank deficiency raises a
+    DensityError naming the first uncovered coordinate, and N < 1 or a
+    horizon shorter than N raise ValueError.
+    """
+    return basis_from_density(density_check(G, N), G, horizon)
+
+
+# ---------------------------------------------------------------------------
+# The standard test family
+
+
+def standard_test_family() -> list[TensorCombo]:
+    """Five fixed symmetric combinations, each with norm_bound exactly 1."""
+    mk = lambda name, *terms: TensorCombo(terms=terms, name=name)
+    return [
+        mk("sign_centered", SymmetricTerm("sign_centered")),
+        mk("linear_centered", SymmetricTerm("linear_centered")),
+        mk("abs_centered", SymmetricTerm("abs_centered")),
+        mk("majority", SymmetricTerm("majority")),
+        mk(
+            "half_sign_half_majority",
+            SymmetricTerm("sign_centered", coeff=Fraction(1, 2)),
+            SymmetricTerm("majority", coeff=Fraction(1, 2)),
+        ),
+    ]
+
+
+def combo_to_json(combo: TensorCombo) -> dict:
+    """combo in the family format the subseq subcommand reads."""
+    terms = [
+        {
+            "type": "symmetric",
+            "profile": t.profile,
+            "coeff": format_rational(t.coeff),
+            "g_const": format_rational(t.g_const),
+        }
+        for t in combo.terms
+    ]
+    return {"name": combo.name, "terms": terms}

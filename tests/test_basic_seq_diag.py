@@ -20,17 +20,19 @@ from kslab.basic_seq_diag import (
 )
 from kslab.exactnum import parse_rational
 from kslab.ks_measure import build
-from kslab.schauder import GeneratorSet, build_triangular_basis
-from kslab.tensor_bounds import SymmetricTerm, TensorCombo, standard_test_family
+from kslab.schauder import GeneratorSet
+from kslab.tensor_bounds import SymmetricTerm, TensorCombo
 from oracles import (
     LP_TOL,
     apply_functional,
+    build_triangular_basis,
     coefficient_functional,
     eval_symmetric,
     profile_table,
     projection_norms_highs,
     section_of_ks,
     simplex_optima,
+    standard_test_family,
 )
 
 TOL = 1e-9

@@ -17,8 +17,15 @@ from kslab.cli import _verify_one, main
 from kslab.exactnum import Cmp, EchelonStore, cmp_sq_below, format_rational, parse_rational
 from kslab.ks_measure import build
 from kslab.rect_sup import BRUTE_MAX_N, Rectangle, sup_rect_bruteforce
-from kslab.tensor_bounds import combo_to_json, standard_test_family
-from oracles import certify_bound3, eval_symmetric, profile_table, rect_mass, tensor_sup_exact
+from oracles import (
+    certify_bound3,
+    combo_to_json,
+    eval_symmetric,
+    profile_table,
+    rect_mass,
+    standard_test_family,
+    tensor_sup_exact,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -405,6 +412,27 @@ class TestSchauder:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "doc",
+        [{"targets": ["23"]}, {"targets": [{"7": "1", "9": "2"}]}, {"targets": [5]}, {"targets": "23"}, "23"],
+        ids=["string-entry", "object-entry", "number-entry", "string-targets", "string-document"],
+    )
+    def test_non_list_target_parse_error(self, tmp_path, capsys, doc):
+        # a string or an object is iterable, but it is not a target sequence
+        gens = tmp_path / "gens.jsonl"
+        gens.write_text(unit_generator_lines(9), encoding="utf-8")
+        targets = tmp_path / "targets.json"
+        targets.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "x.json"
+        argv = [
+            "schauder", "--generators", str(gens), "--n", "2", "--horizon", "9",
+            "--target", str(targets), "--out", str(out),
+        ]
+        assert run(argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("cannot parse target file:") and "\n" not in err
+        assert not out.exists()
+
     def test_horizon_validation(self, tmp_path):
         gens = tmp_path / "gens.jsonl"
         gens.write_text(unit_generator_lines(3), encoding="utf-8")
@@ -431,6 +459,14 @@ class TestSup:
         assert json.loads(fast.read_text())["sup"] == json.loads(brute.read_text())["sup"]
         assert json.loads(brute.read_text())["method"] == "BruteForce"
 
+    def test_stdout_line_is_short_past_the_hex_cut(self, tmp_path, capsys):
+        # the report carries the exact value; stdout shows only its decimal
+        out = tmp_path / "sup.json"
+        assert run(["sup", "--n", "100000", "--out", str(out)]) == 0
+        line = capsys.readouterr().out
+        assert len(line.encode()) < 200 < out.stat().st_size
+        assert json.loads(out.read_text())["sup_decimal"] in line
+
     def test_brute_guard_is_usage_error(self, tmp_path):
         assert run(["sup", "--n", "5", "--brute", "--out", str(tmp_path / "x.json")]) == 2
 
@@ -454,10 +490,15 @@ class TestPinnedReportBytes:
     SCHAUDER_3 = "4da1a7f1b19a53d89bf34f676d508a03f143ba91fc29542c430d2ef7d8f35a6b"
     # written while closed-form values were still Fractions: sup at the last
     # explicit index (with its witness) and past the hex cut, and subseq on
-    # the console-script family (index 14,641, hex parts) and the standard one
+    # the console-script family (index 14,641, hex parts) and the standard one.
+    # Written while KSMeasure still took a bijection: the brute force at
+    # n = 4, which reads row_pattern, and the odd-width witness at n = 13,
+    # which reads by_row.  Keys are the sup arguments after --n.
     SUP = {
-        20: "789b0803ac10640ff4fbad6994e8791e23d9367bee8860c36c353c95e5a418dc",
-        100000: "57046aff8f70810859e9cd3f256822e027fbc2c376adee535afa486fab77ee31",
+        "4 --brute": "365fbea61bc8487c7b1d414d09d54ac5bc2b779efd56abf14a5dd8db2faba9c0",
+        "13": "e3af4a32c6f43dd3786de388a3ab8ac4e42d0334ae5e985ac61e410740c8a060",
+        "20": "789b0803ac10640ff4fbad6994e8791e23d9367bee8860c36c353c95e5a418dc",
+        "100000": "57046aff8f70810859e9cd3f256822e027fbc2c376adee535afa486fab77ee31",
     }
     SUBSEQ_11_SIGN = "37f7080219757a8b9b4725fc93bda72e2988652dcc28b566b7c7d5f71ecbeabf"
     SUBSEQ_10_STANDARD = "d674cc44512b73223031b656469133034a0ab942d63e5d95297ed27a5147e777"
@@ -484,11 +525,11 @@ class TestPinnedReportBytes:
         assert run(argv + ["--out", str(out)]) == 0
         assert self.digest(out) == self.SCHAUDER_3
 
-    @pytest.mark.parametrize("n", sorted(SUP))
-    def test_sup(self, tmp_path, n):
+    @pytest.mark.parametrize("args", list(SUP))
+    def test_sup(self, tmp_path, args):
         out = tmp_path / "sup.json"
-        assert run(["sup", "--n", str(n), "--out", str(out)]) == 0
-        assert self.digest(out) == self.SUP[n]
+        assert run(["sup", "--n", *args.split(), "--out", str(out)]) == 0
+        assert self.digest(out) == self.SUP[args]
 
     def test_subseq_console_family(self, tmp_path):
         family = tmp_path / "family.json"

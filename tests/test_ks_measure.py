@@ -9,17 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kslab.exactnum import HEX_FROM, Dyadic, decimal_str, format_rational
-from kslab.ks_measure import (
+from kslab.ks_measure import EXPLICIT_MAX_N, KSMeasure, build, support_size, total_variation
+from oracles import (
     CANONICAL,
-    EXPLICIT_MAX_N,
-    KSMeasure,
     MemoryGuardError,
     RowPermutation,
-    build,
-    support_size,
-    total_variation,
+    atom_list,
+    eval_symmetric,
+    eval_tensor,
+    measure,
+    scale,
+    sign,
 )
-from oracles import atom_list, eval_symmetric, eval_tensor, sign
 
 
 def brute_eval_tensor(m: KSMeasure, f, g) -> Fraction:
@@ -28,7 +29,7 @@ def brute_eval_tensor(m: KSMeasure, f, g) -> Fraction:
     for s in range(m.rows):
         for j in range(m.n):
             total += Fraction(f[s]) * Fraction(g[j]) * sign(m, s, j)
-    return m.scale * total
+    return scale(m) * total
 
 
 def plus_count(m: KSMeasure, s: int) -> int:
@@ -39,24 +40,24 @@ class TestBuild:
     def test_n1_canonical(self):
         m = build(1)
         assert (sign(m, 0, 0), sign(m, 1, 0)) == (1, -1)
-        assert m.scale == Fraction(1, 2)
+        assert scale(m) == Fraction(1, 2)
 
     def test_n2_canonical_sign_matrix(self):
         m = build(2)
         rows = [tuple(sign(m, s, j) for j in range(2)) for s in range(4)]
         assert rows == [(1, 1), (-1, 1), (1, -1), (-1, -1)]
-        assert m.scale == Fraction(1, 8)
+        assert scale(m) == Fraction(1, 8)
 
     def test_permutation_same_row_multiset(self):
-        m = build(3, RowPermutation(seed=7))
+        m = measure(3, RowPermutation(seed=7))
         canonical_rows = sorted(range(8))
         permuted_rows = sorted(m.row_pattern(s) for s in range(8))
         assert permuted_rows == canonical_rows
-        assert m.scale == Fraction(1, 24)
+        assert scale(m) == Fraction(1, 24)
 
     def test_rows_enumerate_full_sign_cube(self):
         for bijection in (CANONICAL, RowPermutation(3), RowPermutation(11)):
-            m = build(4, bijection)
+            m = measure(4, bijection)
             patterns = {m.row_pattern(s) for s in range(16)}
             assert patterns == set(range(16))
 
@@ -66,7 +67,7 @@ class TestBuild:
 
     def test_permutation_needs_explicit_scale(self):
         with pytest.raises(MemoryGuardError):
-            build(EXPLICIT_MAX_N + 1, RowPermutation(1))
+            measure(EXPLICIT_MAX_N + 1, RowPermutation(1))
 
 
 class TestTotalVariationAndSupport:
@@ -85,7 +86,7 @@ class TestTotalVariationAndSupport:
         assert support_size(build(10)) == 10240
 
     def test_explicit_support_counts_atoms(self):
-        m = build(5, RowPermutation(2))
+        m = measure(5, RowPermutation(2))
         assert support_size(m) == 5 * 32
 
 
@@ -126,7 +127,7 @@ class TestEvalTensor:
 
         rng = random.Random(5)
         for n in (2, 3, 4):
-            m = build(n, RowPermutation(rng.randrange(100)))
+            m = measure(n, RowPermutation(rng.randrange(100)))
             f = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(m.rows)]
             g = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
             assert eval_tensor(m, f, g) == brute_eval_tensor(m, f, g)
@@ -174,7 +175,7 @@ class TestEvalSymmetric:
         st.data(),
     )
     def test_oracle_equivalence_on_symmetric_tables(self, n, seed, data):
-        m = build(n, RowPermutation(seed))
+        m = measure(n, RowPermutation(seed))
         F = data.draw(
             st.lists(
                 st.fractions(min_value=-3, max_value=3),
@@ -194,7 +195,7 @@ class TestInvariants:
     def test_column_balance(self):
         for n in (1, 2, 5):
             for bijection in (CANONICAL, RowPermutation(9)):
-                m = build(n, bijection)
+                m = measure(n, bijection)
                 for j in range(n):
                     assert sum(sign(m, s, j) for s in range(m.rows)) == 0
 
@@ -208,14 +209,14 @@ class TestInvariants:
 
 class TestSignedMeasureView:
     def test_atomic_total_variation_and_support(self):
-        atoms = atom_list(build(4, RowPermutation(1)))
+        atoms = atom_list(measure(4, RowPermutation(1)))
         assert sum(abs(w) for _, w in atoms) == 1
         assert len({k for k, w in atoms if w}) == len(atoms) == 4 * 16
 
     @pytest.mark.parametrize("bijection", [CANONICAL, RowPermutation(7), RowPermutation(8)])
     def test_atom_list_matches_mass_and_support_formulas(self, bijection):
         for n in range(1, 11):
-            m = build(n, bijection)
+            m = measure(n, bijection)
             atoms = atom_list(m)
             assert sum(abs(w) for _, w in atoms) == total_variation(m) == 1
             assert len({k for k, w in atoms if w}) == len(atoms) == support_size(m) == n << n

@@ -17,8 +17,8 @@ from kslab.normal_subseq import (
     strongly_normal_report,
     uniform_bound_enclosure,
 )
-from kslab.tensor_bounds import SymmetricTerm, TensorCombo, standard_test_family
-from oracles import eval_symmetric, profile_table
+from kslab.tensor_bounds import SymmetricTerm, TensorCombo
+from oracles import eval_symmetric, profile_table, standard_test_family
 
 
 def full_stream():

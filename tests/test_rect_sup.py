@@ -8,9 +8,17 @@ from fractions import Fraction
 import pytest
 
 from kslab.exactnum import Cmp
-from kslab.ks_measure import CANONICAL, EXPLICIT_MAX_N, KSMeasure, RowPermutation, build
+from kslab.ks_measure import EXPLICIT_MAX_N, build
 from kslab.rect_sup import Rectangle, report_to_json, sup_rect_bruteforce, sup_rect_fast
-from oracles import binomial, certify_bound2, rect_mass
+from oracles import (
+    CANONICAL,
+    PermutedMeasure,
+    RowPermutation,
+    binomial,
+    certify_bound2,
+    measure,
+    rect_mass,
+)
 
 
 @functools.cache
@@ -55,7 +63,7 @@ class TestRectMass:
     def test_full_row_set_vanishes(self):
         # column balance makes mass zero whenever A is everything
         for n in (1, 2, 4):
-            m = build(n, RowPermutation(3))
+            m = measure(n, RowPermutation(3))
             all_rows = (1 << m.rows) - 1
             for col_bits in range(1 << n):
                 assert rect_mass(m, Rectangle(all_rows, col_bits)) == 0
@@ -92,14 +100,14 @@ class TestBruteForce:
         # attaining pair, so no smaller (B, A) may attain the supremum
         rng = random.Random(12)
         measures = [
-            build(n, bijection)
+            measure(n, bijection)
             for n in (1, 2, 3)
             for bijection in (CANONICAL, RowPermutation(1), RowPermutation(2), RowPermutation(3))
         ]
         # row tables that repeat and miss patterns: positive and negative
         # maxima differ, so both table searches must work
         measures += [
-            KSMeasure(n, RowPermutation(0), tuple(rng.randrange(1 << n) for _ in range(1 << n)))
+            PermutedMeasure(n, tuple(rng.randrange(1 << n) for _ in range(1 << n)))
             for n in (1, 2, 3)
             for _ in range(4)
         ]
@@ -121,7 +129,7 @@ class TestBruteForce:
         # every row alike: |sum| reaches n * 2^n = 64 at A = all rows, B = all
         # columns, the most the byte table's offset allows, with either sign
         for pattern in (0x0, 0xF):
-            m = KSMeasure(4, RowPermutation(0), (pattern,) * 16)
+            m = PermutedMeasure(4, (pattern,) * 16)
             report = sup_rect_bruteforce(m)
             assert report.sup == 1 and report.witness == Rectangle(0xFFFF, 0xF)
 
@@ -129,20 +137,20 @@ class TestBruteForce:
         for n in (1, 2, 3):
             base = sup_rect_bruteforce(build(n)).sup
             for seed in (1, 2, 3):
-                assert sup_rect_bruteforce(build(n, RowPermutation(seed))).sup == base
+                assert sup_rect_bruteforce(measure(n, RowPermutation(seed))).sup == base
 
 
 class TestFastPath:
     def test_matches_oracle_small_n(self):
         for n in (1, 2, 3, 4):
             for bijection in (CANONICAL, RowPermutation(5), RowPermutation(6)):
-                m = build(n, bijection)
+                m = measure(n, bijection)
                 assert sup_rect_fast(m).sup == sup_rect_bruteforce(m).sup
 
     def test_fast_witness_attains_supremum(self):
         # every n where the witness is materializable, up to the guard
         for n in (1, 2, 5, 8, 12, 16, 20):
-            m = build(n, RowPermutation(4) if n <= 8 else CANONICAL)
+            m = measure(n, RowPermutation(4) if n <= 8 else CANONICAL)
             report = sup_rect_fast(m)
             assert abs(rect_mass(m, report.witness)) == report.sup
 
@@ -153,7 +161,7 @@ class TestFastPath:
             for bijection in (CANONICAL, RowPermutation(7), RowPermutation(8))
         ]
         for n, bijection in cases + [(17, CANONICAL), (20, CANONICAL)]:
-            m = build(n, bijection)
+            m = measure(n, bijection)
             assert sup_rect_fast(m).witness == per_row_witness(m), (n, bijection)
 
     def test_no_witness_above_explicit_scale(self):

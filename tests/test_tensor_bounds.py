@@ -10,24 +10,23 @@ import numpy as np
 import pytest
 
 from kslab.exactnum import PI
-from kslab.ks_measure import EXPLICIT_MAX_N, KSMeasure, RowPermutation, build
+from kslab.ks_measure import EXPLICIT_MAX_N, build
 from kslab.rect_sup import sup_rect_fast
-from kslab.tensor_bounds import (
-    SymmetricTerm,
-    TensorCombo,
-    combo_to_json,
-    family_from_json,
-    standard_test_family,
-)
+from kslab.tensor_bounds import SymmetricTerm, TensorCombo, family_from_json
 from oracles import (
+    PermutedMeasure,
+    RowPermutation,
     _certified_tensor_dominance,
     certify_bound3,
+    combo_to_json,
     decay_profile,
     eval_symmetric,
     eval_tensor,
+    measure,
     profile_table,
     random_tensor_probe,
     sign,
+    standard_test_family,
     tensor_sup_exact,
 )
 
@@ -84,12 +83,12 @@ class TestTensorSupExact:
         for n in (2, 4, 6):
             base = tensor_sup_exact(build(n))
             for seed in (1, 5, 9):
-                assert tensor_sup_exact(build(n, RowPermutation(seed))) == base
+                assert tensor_sup_exact(measure(n, RowPermutation(seed))) == base
 
     def test_matches_vertex_enumeration_oracle(self):
         for n in range(1, 11):
-            for m in [build(n)] + [build(n, RowPermutation(seed)) for seed in (1, 2, 3)]:
-                assert tensor_sup_exact(m) == vertex_enumeration(m), (n, m.bijection)
+            for m in [build(n)] + [measure(n, RowPermutation(seed)) for seed in (1, 2, 3)]:
+                assert tensor_sup_exact(m) == vertex_enumeration(m), (n, m)
 
     def test_matches_oracle_on_repeated_patterns(self):
         # a bijection makes every vertex value equal; row tables that repeat
@@ -99,7 +98,7 @@ class TestTensorSupExact:
         for n in range(1, 11):
             for _ in range(3):
                 patterns = tuple(rng.randrange(1 << n) for _ in range(1 << n))
-                m = KSMeasure(n=n, bijection=RowPermutation(0), _patterns=patterns)
+                m = PermutedMeasure(n, patterns)
                 assert tensor_sup_exact(m) == vertex_enumeration(m), (n, patterns)
 
     def test_dominates_rectangle_supremum(self):
@@ -166,7 +165,7 @@ class TestCombos:
                 assert max(abs(v) for v in table) == 1
 
     def test_symmetric_value_matches_atom_brute(self):
-        m = build(6, RowPermutation(2))
+        m = measure(6, RowPermutation(2))
         for h in standard_test_family():
             table_value = h.value_at(m)
             total = Fraction(0)
@@ -191,7 +190,7 @@ class TestCombos:
 
     def test_closed_forms_match_rectangle_and_tensor_suprema(self):
         for n in range(1, 11):
-            for m in (build(n), build(n, RowPermutation(n))):
+            for m in (build(n), measure(n, RowPermutation(n))):
                 sup = sup_rect_fast(m).sup
                 assert SymmetricTerm("majority").value_at(m) == sup
                 assert SymmetricTerm("sign_centered").value_at(m) == 2 * sup == tensor_sup_exact(m)
