@@ -15,7 +15,6 @@ family term is defined at every index, so evaluation never fails.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -122,8 +121,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_subseq(args: argparse.Namespace) -> int:
     family = _load(args.family, "family", lambda text: tensor_bounds.family_from_json(json.loads(text)))
-    stream = itertools.count(args.stream_start, args.stream_step)
-    cert = normal_subseq.extract(stream, args.n)
+    cert = normal_subseq.extract(args.stream_start, args.stream_step, args.n)
     report = normal_subseq.strongly_normal_report(cert, family)
     _write_json(args.out, report)
     verdict = report["verdict"]
@@ -137,11 +135,10 @@ def cmd_subseq(args: argparse.Namespace) -> int:
 
 def _parse_targets(text: str, horizon: int) -> list[list]:
     doc = json.loads(text)
-    entries = doc["targets"] if isinstance(doc, dict) else doc
-    if not isinstance(entries, list):
-        raise ValueError(f"targets must be a list, got {entries!r}")
+    if not isinstance(doc, dict) or not isinstance(doc.get("targets"), list):
+        raise ValueError("target document must be an object with a 'targets' list")
     targets = []
-    for entry in entries:
+    for entry in doc["targets"]:
         if not isinstance(entry, list):
             raise ValueError(f"target must be a list, got {entry!r}")
         vec = [parse_rational(str(v)) for v in entry]

@@ -1,9 +1,7 @@
 """Subsequence extraction with machine-checkable summability certificates.
 
-Given any strictly increasing unbounded index stream, the greedy rule
-
-    s_n = first unconsumed element >= max(s_{n-1} + 1, n^4)
-
+On the arithmetic index stream start, start + step, ... (step >= 1), the
+greedy rule s_n = least stream element >= t_n = max(s_{n-1} + 1, n^4)
 selects a subsequence with s_n >= n^4, hence 1/sqrt(s_n) <= 1/n^2 and the
 tail beyond position N is at most sum_{n>N} 1/n^2 <= 1/N by integral
 comparison.  The certificate records rational upper enclosures of each
@@ -37,7 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .exactnum import (
     PI,
@@ -65,7 +63,6 @@ DISCLAIMER = (
 class SubseqCertificate:
     """Strictly increasing indices with a certified bound on sum 1/sqrt(s_n)."""
 
-    rule: str
     indices: tuple[int, ...]
     recip_upper: tuple[Rational, ...]  # certified upper bounds on 1/sqrt(s_n)
     partial_sum_upper: Rational  # P_N = sum of recip_upper
@@ -76,42 +73,24 @@ class SubseqCertificate:
         return self.partial_sum_upper + self.tail_bound
 
 
-def extract(k_stream: Iterable[int], length: int) -> SubseqCertificate:
-    """Apply the greedy rule to the stream, materializing `length` indices.
+def extract(start: int, step: int, length: int) -> SubseqCertificate:
+    """The greedy rule's first `length` picks on start, start + step, ...
 
-    The stream must be strictly increasing (checked as consumed) and
-    unbounded (caller's contract); exhaustion before `length` selections
-    raises, signaling a finite or bounded stream.
-    """
+    s_n = start + step * max(0, ceil((t_n - start)/step)), one ceiling
+    division per position, so the cost grows with neither |start| nor s_n.
+    The tests hold it to the walk along the stream (oracles.greedy_walk)."""
     if length < 1:
         raise ValueError(f"certificate length must be >= 1, got {length}")
-    it: Iterator[int] = iter(k_stream)
+    if step < 1:
+        raise ValueError(f"stream step must be >= 1, got {step}")
     indices: list[int] = []
-    recips: list[Rational] = []
-    prev_stream: int | None = None
-    prev_pick = 0
+    pick = 0
     for pos in range(1, length + 1):
-        threshold = max(prev_pick + 1, pos**4)
-        while True:
-            try:
-                candidate = next(it)
-            except StopIteration:
-                raise ValueError(
-                    f"stream exhausted after {len(indices)} selections; "
-                    f"needed an element >= {threshold}"
-                ) from None
-            if prev_stream is not None and candidate <= prev_stream:
-                raise ValueError(
-                    f"stream not strictly increasing: {candidate} after {prev_stream}"
-                )
-            prev_stream = candidate
-            if candidate >= threshold:
-                break
-        indices.append(candidate)
-        recips.append(recip_sqrt_upper(candidate))
-        prev_pick = candidate
+        threshold = max(pick + 1, pos**4)
+        pick = start + step * max(0, -((start - threshold) // step))
+        indices.append(pick)
+    recips = [recip_sqrt_upper(s) for s in indices]
     return SubseqCertificate(
-        rule=GREEDY_RULE,
         indices=tuple(indices),
         recip_upper=tuple(recips),
         partial_sum_upper=sum(recips, Fraction(0)),
@@ -184,7 +163,7 @@ def strongly_normal_report(cert: SubseqCertificate, test_family: Sequence[Tensor
 
 def certificate_to_json(cert: SubseqCertificate) -> dict:
     return {
-        "rule": cert.rule,
+        "rule": GREEDY_RULE,
         "indices": list(cert.indices),
         "partial_sum_upper": format_rational(cert.partial_sum_upper),
         "tail_bound": format_rational(cert.tail_bound),

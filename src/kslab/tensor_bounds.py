@@ -98,6 +98,9 @@ class TensorCombo:
 def combo_from_json(doc: dict) -> TensorCombo:
     if not isinstance(doc, dict) or not isinstance(doc.get("terms"), list):
         raise ValueError("combo document must be an object with a 'terms' list")
+    # a key the reader does not read is a typo, not a default: refuse it
+    if unknown := sorted(set(doc) - {"name", "terms"}):
+        raise ValueError(f"unknown combo keys {unknown}; a combo reads name, terms")
     terms = []
     for td in doc["terms"]:
         if not isinstance(td, dict):
@@ -105,6 +108,8 @@ def combo_from_json(doc: dict) -> TensorCombo:
         kind = td.get("type", "symmetric")
         if kind != "symmetric":
             raise ValueError(f"unknown term type {kind!r}")
+        if unknown := sorted(set(td) - {"type", "profile", "coeff", "g_const"}):
+            raise ValueError(f"unknown term keys {unknown}; a term reads type, profile, coeff, g_const")
         terms.append(
             SymmetricTerm(
                 profile=td["profile"],
@@ -116,9 +121,6 @@ def combo_from_json(doc: dict) -> TensorCombo:
 
 
 def family_from_json(doc) -> list[TensorCombo]:
-    if isinstance(doc, dict):
-        doc = doc.get("combos", None)
     if not isinstance(doc, list):
-        raise ValueError("family document must be a list or {'combos': [...]}")
+        raise ValueError("family document must be a list of combos")
     return [combo_from_json(item) for item in doc]
-

@@ -42,7 +42,9 @@ build_triangular_basis is the density check followed by basis_from_density,
 as the schauder subcommand runs them, and coord reads pi_k(b_n) off a
 basis.  standard_test_family is five fixed unit-norm symmetric combinations,
 and combo_to_json writes one in the family format the subseq subcommand
-reads.
+reads.  greedy_walk applies the summable-subsequence rule to any increasing
+stream one element at a time, the oracle of normal_subseq.extract's closed
+form on the arithmetic stream.
 
 NumPy and SciPy are test dependencies only; kslab itself needs neither.
 """
@@ -53,7 +55,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -547,3 +549,20 @@ def combo_to_json(combo: TensorCombo) -> dict:
         for t in combo.terms
     ]
     return {"name": combo.name, "terms": terms}
+
+
+# ---------------------------------------------------------------------------
+# The greedy subsequence rule, walked
+
+
+def greedy_walk(stream: Iterable[int], length: int) -> tuple[int, ...]:
+    """s_n = first unconsumed element of the strictly increasing stream that
+    is >= max(s_{n-1} + 1, n^4), for n = 1..length."""
+    it = iter(stream)
+    picks: list[int] = []
+    pick = 0
+    for pos in range(1, length + 1):
+        threshold = max(pick + 1, pos**4)
+        pick = next(x for x in it if x >= threshold)
+        picks.append(pick)
+    return tuple(picks)

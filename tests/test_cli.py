@@ -1,7 +1,10 @@
 """CLI workflows: exit codes, report contents, and byte stability."""
 
 import ast
+import contextlib
 import hashlib
+import io
+import itertools
 import json
 import math
 import os
@@ -11,6 +14,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kslab import cli, exactnum
 from kslab.cli import _verify_one, main
@@ -21,6 +26,7 @@ from oracles import (
     certify_bound3,
     combo_to_json,
     eval_symmetric,
+    greedy_walk,
     profile_table,
     rect_mass,
     standard_test_family,
@@ -36,6 +42,15 @@ def run(args):
 
 def write_family(path, combos):
     path.write_text(json.dumps([combo_to_json(h) for h in combos]), encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def subseq_family(tmp_path_factory):
+    """The standard family's file and a report path, shared by the examples
+    of one property test."""
+    tmp = tmp_path_factory.mktemp("subseq")
+    write_family(tmp / "family.json", standard_test_family())
+    return tmp / "family.json", tmp / "subseq.json"
 
 
 def unit_generator_lines(count):
@@ -246,6 +261,50 @@ class TestSubseq:
         assert "cannot parse family file" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [{"name": "h", "terms": [{"profile": "sign_centered", "coef": "1/2"}]}],
+            [{"name": "h", "terms": [{"profile": "majority"}], "norm_bound": "1"}],
+            {"combos": [{"name": "h", "terms": [{"profile": "majority"}]}]},
+        ],
+        ids=["term-key-typo", "combo-key", "combos-wrapper"],
+    )
+    def test_undocumented_family_shape_parse_error(self, tmp_path, capsys, doc):
+        # a misspelt coeff must not default to 1 and certify another combination
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "subseq.json"
+        assert run(["subseq", "--n", "2", "--family", str(family), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("cannot parse family file:") and "\n" not in err
+        assert not out.exists()
+
+    def test_far_negative_stream_start(self, tmp_path):
+        # the first pick is 1 whatever the start: no walk up from -10^15
+        family = tmp_path / "family.json"
+        family.write_text("[]", encoding="utf-8")
+        out = tmp_path / "subseq.json"
+        argv = ["subseq", "--n", "1", "--family", str(family), "--out", str(out)]
+        assert run(argv + ["--stream-start", "-1000000000000000"]) == 0
+        assert json.loads(out.read_text())["certificate"]["indices"] == [1]
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(1, 6), start=st.integers(-50, 5000), step=st.integers(-2, 40))
+    def test_stream_options_against_the_walk(self, subseq_family, n, start, step):
+        family, out = subseq_family
+        out.unlink(missing_ok=True)
+        argv = ["subseq", "--n", str(n), "--family", str(family), "--out", str(out)]
+        argv += ["--stream-start", str(start), "--stream-step", str(step)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(argv)
+        assert code in (0, 2) and "Traceback" not in err.getvalue()
+        assert (code == 2) == (step < 1)
+        if code == 0:
+            indices = json.loads(out.read_text())["certificate"]["indices"]
+            assert indices == list(greedy_walk(itertools.count(start, step), n))
+
     def test_numeric_rationals_read_as_their_text(self, tmp_path):
         reports = []
         for coeff in ("1/2", 0.5):
@@ -414,11 +473,15 @@ class TestSchauder:
 
     @pytest.mark.parametrize(
         "doc",
-        [{"targets": ["23"]}, {"targets": [{"7": "1", "9": "2"}]}, {"targets": [5]}, {"targets": "23"}, "23"],
-        ids=["string-entry", "object-entry", "number-entry", "string-targets", "string-document"],
+        [
+            {"targets": ["23"]}, {"targets": [{"7": "1", "9": "2"}]}, {"targets": [5]}, {"targets": "23"}, "23",
+            [["2", "3", "5"]],
+        ],
+        ids=["string-entry", "object-entry", "number-entry", "string-targets", "string-document", "bare-list"],
     )
     def test_non_list_target_parse_error(self, tmp_path, capsys, doc):
-        # a string or an object is iterable, but it is not a target sequence
+        # a string or an object is iterable, but it is not a target sequence;
+        # and the file is the {"targets": [...]} object, never a bare list
         gens = tmp_path / "gens.jsonl"
         gens.write_text(unit_generator_lines(9), encoding="utf-8")
         targets = tmp_path / "targets.json"
@@ -502,6 +565,14 @@ class TestPinnedReportBytes:
     }
     SUBSEQ_11_SIGN = "37f7080219757a8b9b4725fc93bda72e2988652dcc28b566b7c7d5f71ecbeabf"
     SUBSEQ_10_STANDARD = "d674cc44512b73223031b656469133034a0ab942d63e5d95297ed27a5147e777"
+    # Written while extract still walked the stream one element at a time:
+    # an arithmetic stream whose picks need the ceiling division (3, 17, 87,
+    # ..., 6562), and a start past every n^4 threshold.  Keys are the subseq
+    # arguments; both runs read the standard family.
+    SUBSEQ_STREAM = {
+        "--n 9 --stream-start 3 --stream-step 7": "fd5a35d0479e5bee7829ca22bb9062d3f1cc986959c7fe2742df3d242e775f8e",
+        "--n 3 --stream-start 20000": "80804c50ef0f43d5d63b15efc0765d04ed54389f3c276807832a8dfe6519ff59",
+    }
 
     @staticmethod
     def digest(path):
@@ -547,6 +618,14 @@ class TestPinnedReportBytes:
         out = tmp_path / "subseq.json"
         assert run(["subseq", "--n", "10", "--family", str(family), "--out", str(out)]) == 0
         assert self.digest(out) == self.SUBSEQ_10_STANDARD
+
+    @pytest.mark.parametrize("args", list(SUBSEQ_STREAM))
+    def test_subseq_stream(self, tmp_path, args):
+        family = tmp_path / "family.json"
+        write_family(family, standard_test_family())
+        out = tmp_path / "subseq.json"
+        assert run(["subseq", *args.split(), "--family", str(family), "--out", str(out)]) == 0
+        assert self.digest(out) == self.SUBSEQ_STREAM[args]
 
 
 class TestOutputErrors:

@@ -6,6 +6,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kslab import ks_measure
 from kslab.exactnum import PI, central_binomial, format_rational, parse_rational
@@ -18,11 +20,7 @@ from kslab.normal_subseq import (
     uniform_bound_enclosure,
 )
 from kslab.tensor_bounds import SymmetricTerm, TensorCombo
-from oracles import eval_symmetric, profile_table, standard_test_family
-
-
-def full_stream():
-    return itertools.count(1)
+from oracles import eval_symmetric, greedy_walk, profile_table, standard_test_family
 
 
 def partial_sum_check(cert, h):
@@ -39,58 +37,84 @@ def partial_sum_check(cert, h):
 class TestExtract:
     def test_rule_on_full_stream(self):
         # by hand: s1 = 1; then max(2, 16) = 16; max(17, 81) = 81; max(82, 256)
-        assert extract(full_stream(), 4).indices == (1, 16, 81, 256)
+        assert extract(1, 1, 4).indices == (1, 16, 81, 256)
 
     def test_rule_on_even_stream(self):
         # first even >= 1 is 2; first even >= max(3, 16) is 16
-        evens = itertools.count(2, 2)
-        assert extract(evens, 2).indices == (2, 16)
+        assert extract(2, 2, 2).indices == (2, 16)
 
     def test_zero_length_rejected(self):
         with pytest.raises(ValueError):
-            extract(full_stream(), 0)
+            extract(1, 1, 0)
 
-    def test_exhausted_stream_signals_finiteness(self):
-        with pytest.raises(ValueError, match="exhausted"):
-            extract(iter(range(1, 50)), 3)  # needs an element >= 81
+    @pytest.mark.parametrize("step", [0, -1])
+    def test_nonpositive_step_rejected(self, step):
+        with pytest.raises(ValueError, match="step"):
+            extract(1, step, 3)
 
-    def test_non_increasing_stream_rejected(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            extract(iter([1, 5, 5, 90]), 3)
+    @pytest.mark.parametrize(
+        "start, step, indices",
+        [
+            # 3 + 7k: least >= 16 is 17, >= 81 is 87, >= max(88, 256) is 262
+            (3, 7, (3, 17, 87, 262, 626, 1298, 2404, 4098, 6562)),
+            # past every threshold: k = 0 at the first position, then one step each
+            (20000, 1, (20000, 20001, 20002)),
+            (20000, 5, (20000, 20005, 20010)),
+            # the walk would consume 10^15 + 1 elements before its first pick
+            (-(10**15), 1, (1, 16)),
+            (-(10**15) + 1, 3, (3, 18)),
+        ],
+        ids=["step-7", "late-start", "late-start-step-5", "far-negative", "far-negative-step-3"],
+    )
+    def test_closed_form_on_hand_picked_streams(self, start, step, indices):
+        assert extract(start, step, len(indices)).indices == indices
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        start=st.integers(-100, 10**5),
+        step=st.integers(1, 100),
+        length=st.integers(1, 10),
+    )
+    def test_closed_form_matches_the_walk(self, start, step, length):
+        assert extract(start, step, length).indices == greedy_walk(itertools.count(start, step), length)
+
+    def test_walk_on_a_non_arithmetic_stream(self):
+        # the oracle's rule on the cubes: 1, then the first cube >= 16, 81, 256
+        assert greedy_walk((k**3 for k in itertools.count(1)), 4) == (1, 27, 125, 343)
 
     def test_indices_dominate_fourth_powers(self):
-        cert = extract(itertools.count(3, 7), 12)
+        cert = extract(3, 7, 12)
         for pos, (s, u) in enumerate(zip(cert.indices, cert.recip_upper), 1):
             assert s >= pos**4
             assert u <= Fraction(1, pos * pos)
 
     def test_partial_sum_is_exact_on_perfect_squares(self):
-        cert = extract(full_stream(), 8)
+        cert = extract(1, 1, 8)
         assert cert.partial_sum_upper == sum(Fraction(1, i * i) for i in range(1, 9))
         assert cert.tail_bound == Fraction(1, 8)
 
     def test_total_bound_nonincreasing_in_length(self):
-        totals = [extract(full_stream(), n).total_bound for n in range(1, 9)]
+        totals = [extract(1, 1, n).total_bound for n in range(1, 9)]
         assert all(a >= b for a, b in zip(totals, totals[1:]))
 
 
 class TestPartialSums:
     def test_zero_combination(self):
-        cert = extract(full_stream(), 3)
+        cert = extract(1, 1, 3)
         check = partial_sum_check(cert, TensorCombo(terms=(), name="zero"))
         assert check.partial_sums == (0, 0, 0)
         assert check.certified
         assert check.bound_lower == check.bound_upper == 0
 
     def test_constant_profile_vanishes_with_positive_bound(self):
-        cert = extract(full_stream(), 3)
+        cert = extract(1, 1, 3)
         h = TensorCombo(terms=(SymmetricTerm("constant_one"),), name="ones")
         check = partial_sum_check(cert, h)
         assert all(p == 0 for p in check.partial_sums)
         assert check.bound_lower > 0
 
     def test_partial_sums_nondecreasing_and_certified(self):
-        cert = extract(full_stream(), 4)
+        cert = extract(1, 1, 4)
         for h in standard_test_family():
             check = partial_sum_check(cert, h)
             ps = check.partial_sums
@@ -111,7 +135,7 @@ class TestPartialSums:
             ),
             name="mixed",
         )
-        cert = extract(full_stream(), 7)
+        cert = extract(1, 1, 7)
         check = partial_sum_check(cert, h)
         running, values = Fraction(0), []
         for s, reported in zip(cert.indices, check.partial_sums, strict=True):
@@ -131,13 +155,13 @@ class TestPartialSums:
 
     def test_uniform_bound_below_743_hundredths_of_ten(self):
         # with norm_bound 1 the bound tends to (8/sqrt(pi)) * pi^2/6 < 7.43
-        cert = extract(full_stream(), 32)
+        cert = extract(1, 1, 32)
         _, hi = uniform_bound_enclosure(cert, Fraction(1))
         assert hi <= Fraction(743, 100)
 
     def test_bound_reads_the_certificate_total(self):
         # (8/sqrt(pi)) * norm_bound * (P_N + tail), enclosed around the total
-        cert = extract(full_stream(), 5)
+        cert = extract(1, 1, 5)
         lo, hi = uniform_bound_enclosure(cert, Fraction(3, 2))
         assert lo < hi
         assert lo * lo * PI.upper <= (12 * cert.total_bound) ** 2 <= hi * hi * PI.lower
@@ -145,14 +169,14 @@ class TestPartialSums:
 
 class TestReport:
     def test_empty_family_vacuous(self):
-        cert = extract(full_stream(), 2)
+        cert = extract(1, 1, 2)
         report = strongly_normal_report(cert, [])
         assert report["verdict"] == "VACUOUS"
         assert report["rows"] == []
         assert "disclaimer" in report
 
     def test_three_pass_rows(self):
-        cert = extract(full_stream(), 3)
+        cert = extract(1, 1, 3)
         report = strongly_normal_report(cert, standard_test_family()[:3])
         assert report["verdict"] == "PASS"
         assert [r["verdict"] for r in report["rows"]] == ["PASS"] * 3
@@ -162,7 +186,7 @@ class TestReport:
             assert row["partial_sums"] == [format_rational(p) for p in sums]
 
     def test_zero_norm_combo_passes_with_zero_bound(self):
-        cert = extract(full_stream(), 2)
+        cert = extract(1, 1, 2)
         report = strongly_normal_report(cert, [TensorCombo(terms=(), name="null")])
         assert report["verdict"] == "PASS"
         assert report["rows"][0]["bound_upper"] == "0"
@@ -175,13 +199,13 @@ class TestReport:
             return central_binomial(m)
 
         monkeypatch.setattr(ks_measure, "central_binomial", counted)
-        cert = extract(full_stream(), 6)
+        cert = extract(1, 1, 6)
         report = strongly_normal_report(cert, standard_test_family())
         assert report["verdict"] == "PASS"
         assert sorted(calls) == [s - 1 for s in cert.indices]
 
     def test_selected_indices_carry_unit_norm(self):
-        cert = extract(full_stream(), 4)
+        cert = extract(1, 1, 4)
         assert all(total_variation(build(s)) == 1 for s in cert.indices)
         report = strongly_normal_report(cert, [])
         assert report["unit_norm_indices"] is True
@@ -189,7 +213,7 @@ class TestReport:
 
 class TestCertificateJson:
     def test_wire_format(self):
-        cert = extract(full_stream(), 4)
+        cert = extract(1, 1, 4)
         doc = certificate_to_json(cert)
         assert doc["rule"] == GREEDY_RULE
         assert doc["indices"] == [1, 16, 81, 256]
