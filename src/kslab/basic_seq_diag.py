@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactnum import EchelonStore, Rational, decimal_str, format_rational
 
@@ -46,8 +45,7 @@ class DegenerateSectionError(ValueError):
     rows are linearly dependent."""
 
 
-@dataclass(frozen=True)
-class FiniteSection:
+class FiniteSection(NamedTuple):
     """Rows = functionals, columns = test functions; exact rational entries."""
 
     rows: tuple[tuple[Rational, ...], ...]

@@ -28,7 +28,6 @@ import itertools
 import math
 import numbers
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 Rational = Fraction
@@ -42,18 +41,17 @@ class Cmp(enum.Enum):
     UNDECIDED = "UNDECIDED"
 
 
-@dataclass(frozen=True)
 class PiEnclosure:
     """A rational interval lower < pi < upper, strict on both sides."""
 
-    lower: Rational
-    upper: Rational
+    __slots__ = ("lower", "upper")
 
-    def __post_init__(self) -> None:
-        if not (0 < self.lower < self.upper):
+    def __init__(self, lower: Rational, upper: Rational):
+        if not (0 < lower < upper):
             raise ValueError("enclosure must satisfy 0 < lower < upper")
-        if self.upper - self.lower > Fraction(1, 10**12):
+        if upper - lower > Fraction(1, 10**12):
             raise ValueError("enclosure wider than 1e-12")
+        self.lower, self.upper = lower, upper
 
 
 # 3.141592653589793 < pi = 3.14159265358979323846... < 3.141592653589794.

@@ -19,22 +19,19 @@ demand from the row index, and only closed forms apply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .exactnum import Dyadic, central_binomial
 
 EXPLICIT_MAX_N = 20
 
 
-@dataclass(frozen=True)
 class KSMeasure:
-    """Immutable sign-cube measure; all evaluations are pure."""
+    """Sign-cube measure with index n; all evaluations are pure."""
 
-    n: int
-    # filled by central_mass; a declared field, so that filling it overwrites
-    # a slot __init__ made instead of adding one to the instance, which would
-    # slow every later attribute load on it (the 2^n-row loops read m often)
-    _central_mass: Dyadic | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("n", "_central_mass")
+
+    def __init__(self, n: int):
+        self.n = n
+        self._central_mass = None  # the Dyadic c_n, once central_mass computes it
 
     @property
     def rows(self) -> int:
@@ -58,8 +55,7 @@ class KSMeasure:
             m = self.n - 1
             k = m // 2
             v = k.bit_count() + (m - k).bit_count() - m.bit_count()
-            c = Dyadic(central_binomial(m) >> v, 1, self.n - v)
-            object.__setattr__(self, "_central_mass", c)
+            self._central_mass = Dyadic(central_binomial(m) >> v, 1, self.n - v)
         return self._central_mass
 
     def row_pattern(self, s: int) -> int:

@@ -33,9 +33,8 @@ Prefix sums at indices past about 14,300 have denominators of more than
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactnum import (
     PI,
@@ -59,8 +58,7 @@ DISCLAIMER = (
 )
 
 
-@dataclass(frozen=True)
-class SubseqCertificate:
+class SubseqCertificate(NamedTuple):
     """Strictly increasing indices with a certified bound on sum 1/sqrt(s_n)."""
 
     indices: tuple[int, ...]

@@ -34,15 +34,19 @@ oracle (tests/oracles.py); the package builds only the canonical measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactnum import Cmp, Dyadic, cmp_sq_below, decimal_str, format_rational
 from .ks_measure import KSMeasure
 
 BRUTE_MAX_N = 4
-# _ADD[d] maps byte c to c + d mod 256, so _ADD[-d] subtracts d
-_ADD = [bytes(range(d, 256)) + bytes(range(d)) for d in range(256)]
+# _ADD[d] maps byte c to c + d mod 256, for the shifts the code reads: the
+# brute force's row sums, |d| <= n <= BRUTE_MAX_N, and the witness's +1
+_ADD = {
+    d: bytes(range(d % 256, 256)) + bytes(range(d % 256))
+    for d in range(-BRUTE_MAX_N, BRUTE_MAX_N + 1)
+}
 # byte of a zero subset sum; |sum| <= n * 2^n <= 64 for n <= BRUTE_MAX_N, so
 # _OFF + sum lies in 0..128 and no byte wraps
 _OFF = 64
@@ -52,16 +56,14 @@ FAIL = "FAIL"
 UNDECIDED = "UNDECIDED"
 
 
-@dataclass(frozen=True)
-class Rectangle:
+class Rectangle(NamedTuple):
     """A x B as bitsets: bit s of row_bits selects row s, likewise columns."""
 
     row_bits: int
     col_bits: int
 
 
-@dataclass(frozen=True)
-class RectangleSupReport:
+class RectangleSupReport(NamedTuple):
     n: int
     sup: Fraction | Dyadic  # Fraction from the brute force, Dyadic from the closed form
     witness: Rectangle | None

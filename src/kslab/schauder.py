@@ -39,9 +39,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .exactnum import EchelonStore, Rational, format_rational, parse_rational
 
@@ -108,13 +107,12 @@ class GeneratorSet:
         return self._vectors[:k]
 
 
-@dataclass(frozen=True)
-class DensityResult:
+class DensityResult(NamedTuple):
     status: str  # DENSE_UP_TO | NOT_DENSE
     m: int
     rank: int
     pivot_generators: tuple[int, ...]  # generator indices witnessing the rank
-    echelon: EchelonStore = field(compare=False, repr=False)  # the scan's elimination
+    echelon: EchelonStore  # the scan's elimination
     failing: tuple[int, ...] = ()  # NOT_DENSE: the least segment {1..k} not covered, k the first gap
 
 
@@ -140,18 +138,24 @@ def density_check(G: GeneratorSet, m: int) -> DensityResult:
     )
 
 
-@dataclass(frozen=True)
-class BasisVector:
+class BasisVector(NamedTuple):
     """b_n on the horizon plus its witnessing generator combination."""
 
     coords: tuple[Rational, ...]  # coordinates 1..H
     combination: tuple[tuple[int, Rational], ...]  # (generator index, weight)
 
 
-@dataclass(frozen=True)
 class TriangularBasis:
-    vectors: tuple[BasisVector, ...]
-    horizon: int
+    """b_1..b_N on a horizon; bases compare by value.  No __slots__:
+    functools.cached_property keeps row_index in the instance __dict__."""
+
+    def __init__(self, vectors: tuple[BasisVector, ...], horizon: int):
+        self.vectors, self.horizon = vectors, horizon
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not TriangularBasis:
+            return NotImplemented
+        return (self.vectors, self.horizon) == (other.vectors, other.horizon)
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -210,8 +214,7 @@ def basis_from_density(density: DensityResult, G: GeneratorSet, horizon: int) ->
     return TriangularBasis(vectors=tuple(vectors), horizon=horizon)
 
 
-@dataclass(frozen=True)
-class CoeffExpansion:
+class CoeffExpansion(NamedTuple):
     target: tuple[Rational, ...]  # y restricted to the basis horizon
     coefficients: tuple[Rational, ...]  # a_1..a_N
     stabilization_log: tuple[int, ...]  # per m: least N' with stable pi_m

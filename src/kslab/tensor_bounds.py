@@ -27,9 +27,9 @@ tests' oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .exactnum import Dyadic, Rational, parse_rational
 from .ks_measure import KSMeasure
@@ -56,22 +56,32 @@ _PROFILES: dict[str, Callable[[KSMeasure], Dyadic]] = {
 }
 
 
-@dataclass(frozen=True)
 class SymmetricTerm:
     """coeff * F_profile (x) g with g constant on the columns.
 
     Defined for every measure index; sup norm |coeff| * |g_const| since all
     named profiles have sup norm 1.  value_at is coeff * g_const times the
-    profile's closed form; no table is built.
+    profile's closed form; no table is built.  Terms compare by value.
     """
 
-    profile: str
-    coeff: Rational = Fraction(1)
-    g_const: Rational = Fraction(1)
+    __slots__ = ("profile", "coeff", "g_const")
 
-    def __post_init__(self) -> None:
-        if self.profile not in _PROFILES:
-            raise ValueError(f"unknown profile {self.profile!r}")
+    def __init__(self, profile: str, coeff: Rational = Fraction(1), g_const: Rational = Fraction(1)):
+        if not isinstance(profile, str) or profile not in _PROFILES:
+            raise ValueError(f"unknown profile {profile!r}")
+        self.profile, self.coeff, self.g_const = profile, coeff, g_const
+
+    def _key(self) -> tuple[str, Rational, Rational]:
+        return self.profile, self.coeff, self.g_const
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if type(other) is SymmetricTerm else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"SymmetricTerm{self._key()!r}"
 
     def sup_norm(self) -> Rational:
         return abs(Fraction(self.coeff)) * abs(Fraction(self.g_const))
@@ -80,8 +90,7 @@ class SymmetricTerm:
         return _PROFILES[self.profile](m) * (Fraction(self.coeff) * Fraction(self.g_const))
 
 
-@dataclass(frozen=True)
-class TensorCombo:
+class TensorCombo(NamedTuple):
     """h = sum of terms; norm_bound = sum of term sup norms >= ||h||_inf."""
 
     terms: tuple[SymmetricTerm, ...]
@@ -101,8 +110,11 @@ def combo_from_json(doc: dict) -> TensorCombo:
     # a key the reader does not read is a typo, not a default: refuse it
     if unknown := sorted(set(doc) - {"name", "terms"}):
         raise ValueError(f"unknown combo keys {unknown}; a combo reads name, terms")
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise ValueError(f"name must be a string, got {json.dumps(name)}")
     terms = []
-    for td in doc["terms"]:
+    for j, td in enumerate(doc["terms"]):
         if not isinstance(td, dict):
             raise ValueError(f"term must be an object, got {td!r}")
         kind = td.get("type", "symmetric")
@@ -110,6 +122,8 @@ def combo_from_json(doc: dict) -> TensorCombo:
             raise ValueError(f"unknown term type {kind!r}")
         if unknown := sorted(set(td) - {"type", "profile", "coeff", "g_const"}):
             raise ValueError(f"unknown term keys {unknown}; a term reads type, profile, coeff, g_const")
+        if "profile" not in td:
+            raise ValueError(f"term {j} has no 'profile' key")
         terms.append(
             SymmetricTerm(
                 profile=td["profile"],
@@ -117,10 +131,18 @@ def combo_from_json(doc: dict) -> TensorCombo:
                 g_const=parse_rational(str(td.get("g_const", "1"))),
             )
         )
-    return TensorCombo(terms=tuple(terms), name=str(doc.get("name", "")))
+    return TensorCombo(terms=tuple(terms), name=name)
 
 
 def family_from_json(doc) -> list[TensorCombo]:
+    """The combinations of a family document; a parse error names the
+    position of the combination it is in, counted from 0."""
     if not isinstance(doc, list):
         raise ValueError("family document must be a list of combos")
-    return [combo_from_json(item) for item in doc]
+    family = []
+    for i, item in enumerate(doc):
+        try:
+            family.append(combo_from_json(item))
+        except ValueError as exc:
+            raise ValueError(f"combo {i}: {exc}") from None
+    return family

@@ -93,12 +93,15 @@ class MemoryGuardError(ValueError):
     """Explicit materialization requested above the memory guard."""
 
 
-@dataclass(frozen=True)
 class PermutedMeasure(KSMeasure):
     """The measure with index n whose row s carries the sign pattern
     patterns[s]; any table of 2^n patterns, repeats allowed."""
 
-    patterns: tuple[int, ...]  # row index -> sign pattern
+    __slots__ = ("patterns",)
+
+    def __init__(self, n: int, patterns: tuple[int, ...]):
+        super().__init__(n)
+        self.patterns = patterns  # row index -> sign pattern
 
     def row_pattern(self, s: int) -> int:
         return self.patterns[s]

@@ -280,6 +280,30 @@ class TestSubseq:
         assert err.startswith("cannot parse family file:") and "\n" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "doc, line",
+        [
+            ([{"name": None, "terms": [{"profile": "majority"}]}], "combo 0: name must be a string, got null"),
+            ([{"name": 7, "terms": [{"profile": "majority"}]}], "combo 0: name must be a string, got 7"),
+            (
+                [{"name": "ok", "terms": [{"profile": "majority"}]}, {"name": "h", "terms": [{"coeff": "1"}]}],
+                "combo 1: term 0 has no 'profile' key",
+            ),
+            ([{"name": "h", "terms": [{"profile": ["majority"]}]}], "combo 0: unknown profile ['majority']"),
+        ],
+        ids=["null-name", "number-name", "no-profile", "list-profile"],
+    )
+    def test_family_parse_error_names_the_combo(self, tmp_path, capsys, doc, line):
+        # a null name would become the row name "None"; a missing or list profile a bare
+        # KeyError or TypeError line that names neither the key nor the combination
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "subseq.json"
+        assert run(["subseq", "--n", "1", "--family", str(family), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"cannot parse family file: {line}\n" and "Traceback" not in err
+        assert not out.exists()
+
     def test_far_negative_stream_start(self, tmp_path):
         # the first pick is 1 whatever the start: no walk up from -10^15
         family = tmp_path / "family.json"
@@ -692,6 +716,20 @@ class TestImports:
         )
         assert proc.returncode == 0, proc.stderr
         assert isolated.read_bytes() == inproc.read_bytes()
+
+    def test_import_loads_no_dataclasses_or_inspect(self):
+        # records are NamedTuples and slotted classes, so a cold start pays
+        # for neither dataclasses nor the inspect, ast and dis it loads;
+        # -S keeps site hooks from preloading either
+        code = (
+            "import sys, kslab.cli, kslab.basic_seq_diag; "
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "[]"
 
     def test_diag_import_loads_no_scipy_or_numpy(self):
         # projection norms come from the exact vertex simplex, with no float library
