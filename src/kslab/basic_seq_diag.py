@@ -15,9 +15,12 @@ over the coefficients c.  Every (m, h) shares the feasible set K, so one
 integer-only vertex simplex per section walks K from optimum to optimum:
 rows are scaled to primitive integer vectors (a positive row scaling leaves
 every norm unchanged), no float enters, and each norm is an exact Fraction.
-The constraints are two-sided, so at any basis p . c <= sum(|mu|) / det on K
-for the simplex multipliers mu; an objective whose bound cannot beat the best
-value of its m is dropped, which leaves every maximum, so every norm, exact.
+Every vertex c the walk reaches lies in K, so its prefix values
+|sum_{i<=m} a_h(i) c_i| over every column h are attained on K and raise the
+floor of every m at once; an optimum is such a value at its own vertex.  The
+constraints are two-sided, so at any basis p . c <= sum(|mu|) / det on K for
+the simplex multipliers mu; an objective whose bound cannot beat its m's
+floor is dropped, which leaves every maximum, so every norm, exact.
 The weak-star limit property of an infinite sequence is not finitely
 checkable; reports carry an explicit caveat and quantify the finite shadow
 only.
@@ -28,6 +31,7 @@ from __future__ import annotations
 import math
 import numbers
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -146,8 +150,9 @@ class _VertexSimplex:
         self.basis[r] = (h, s)
 
     def maximize(self, p: list[int], floor: Fraction) -> list[int] | None:
-        """Pivot to a vertex that maximizes p . c over K and return the
-        multiplier numerators mu = adj^T p: p = sum_r (mu_r / det) s_r a_{h_r}
+        """Pivot to a vertex that maximizes p . c over K (p may be shorter
+        than c: the missing entries are 0) and return the multiplier
+        numerators mu = adj^T p: p = sum_r (mu_r / det) s_r a_{h_r}
         with every mu_r >= 0, so the optimum is sum(mu) / det.  Bland's
         rule: the row with the smallest column among negative multipliers
         leaves.  Return None instead once sum(|mu|) / det, a bound on K at
@@ -162,11 +167,31 @@ class _VertexSimplex:
             self._pivot(min(neg, key=lambda r: self.basis[r][0]), -1)
 
 
+def _raise_floors(lp: _VertexSimplex, per_m: list[Fraction]) -> None:
+    """Raise per_m[m - 1] to max over columns h of |sum_{i<=m} a_h(i) c_i|
+    at the simplex's vertex c, a point of K: each value is attained there,
+    so it is at most ||P_m||."""
+    x, det = lp.point()[: len(per_m)], lp.det
+    best = [0] * len(per_m)
+    for a in lp.cols:
+        best = list(map(max, best, map(abs, accumulate(map(mul, a, x)))))
+    for i, (b, floor) in enumerate(zip(best, per_m)):
+        if b * floor.denominator > floor.numerator * det:
+            per_m[i] = Fraction(b, det)
+
+
 def basis_constant(section: FiniteSection) -> tuple[Fraction, list[Fraction]]:
     """K = max over 1 <= m < N of ||P_m||, plus the per-m norms, exactly.
 
-    Objectives run h outer, m inner, on one simplex, each floored by its m's
-    best value.  N = 1 reports K = 1 by convention (no proper partial sums).
+    Objectives max p . c with p = a_h[:m] run h outer, m inner, on one
+    simplex.  Each vertex it reaches (the first, then each one a maximize
+    call moves to) raises every m's floor to the best prefix value of any
+    column there: the vertex is a point of K, so that value is at most
+    ||P_m||.  An objective is dropped once its dual bound is at most its
+    m's floor, so its optimum cannot raise ||P_m||; an objective that is
+    solved ends at its optimum's vertex, whose value the floor then holds.
+    So each final floor is ||P_m|| exactly.  N = 1 reports K = 1 by
+    convention (no proper partial sums).
     """
     check_section(section)
     n = section.n_functionals
@@ -174,11 +199,13 @@ def basis_constant(section: FiniteSection) -> tuple[Fraction, list[Fraction]]:
         return Fraction(1), [Fraction(1)]
     lp = _VertexSimplex(section.rows)
     per_m = [Fraction(0)] * (n - 1)
+    _raise_floors(lp, per_m)
     for a in lp.cols:
         for m in range(1, n):
-            mu = lp.maximize(a[:m] + [0] * (n - m), per_m[m - 1])
-            if mu is not None:
-                per_m[m - 1] = max(per_m[m - 1], Fraction(sum(mu), lp.det))
+            basis = lp.basis[:]
+            lp.maximize(a[:m], per_m[m - 1])
+            if lp.basis != basis:
+                _raise_floors(lp, per_m)
     return max(per_m), per_m
 
 

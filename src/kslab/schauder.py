@@ -71,6 +71,15 @@ def _validate_sparse(vec: Mapping[int, object]) -> SparseVec:
     return out
 
 
+class _JSONObject(dict):
+    """A parsed JSON object that also keeps its (key, value) pairs in file
+    order, so a repeated key stays visible."""
+
+    def __init__(self, pairs: list[tuple[str, object]]):
+        super().__init__(pairs)
+        self.pairs = pairs
+
+
 class GeneratorSet:
     """A finite indexed family of finitely supported rational sequences.
 
@@ -88,13 +97,17 @@ class GeneratorSet:
             if not line.strip():
                 continue
             try:
-                doc = json.loads(line)
+                doc = json.loads(line, object_pairs_hook=_JSONObject)
                 coords = doc["coords"]
                 if not isinstance(coords, dict):
                     raise ValueError(f"coords must be an object, got {coords!r}")
-                vectors.append(
-                    _validate_sparse({int(k): parse_rational(str(v)) for k, v in coords.items()})
-                )
+                vec: dict[int, Fraction] = {}
+                for key, v in coords.pairs:
+                    k = int(key)
+                    if k in vec:
+                        raise ValueError(f"coordinate {k} given twice")
+                    vec[k] = parse_rational(str(v))
+                vectors.append(_validate_sparse(vec))
             except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
                 raise ValueError(f"generator line {lineno}: {exc}") from exc
         return cls(vectors)

@@ -13,6 +13,7 @@ from kslab.basic_seq_diag import (
     DegenerateSectionError,
     FiniteSection,
     _primitive,
+    _raise_floors,
     _VertexSimplex,
     basis_constant,
     check_section,
@@ -314,6 +315,66 @@ class TestPrunedObjectives:
             calls[0] = 0
             enumeration_maxima(section)
             assert pruned < calls[0]
+
+
+def optimum_floors(section):
+    """basis_constant with floors raised only at optima: an objective's
+    optimum raises its own m's floor, and no other vertex is read."""
+    n = section.n_functionals
+    lp = _VertexSimplex(section.rows)
+    per_m = [Fraction(0)] * (n - 1)
+    for a in lp.cols:
+        for m in range(1, n):
+            mu = lp.maximize(a[:m], per_m[m - 1])
+            if mu is not None:
+                per_m[m - 1] = max(per_m[m - 1], Fraction(sum(mu), lp.det))
+    return per_m
+
+
+class TestVertexFloors:
+    """Each vertex the walk reaches raises the floor of every m to its best
+    prefix value over the columns."""
+
+    def test_fewer_pivots_than_floors_at_optima(self, monkeypatch):
+        # fails when the vertex floors are unwired (the helper a no-op) and
+        # when they only repeat what the optima give
+        pivot = _VertexSimplex._pivot
+        calls = [0]
+
+        def counted(lp, r, sigma):
+            calls[0] += 1
+            pivot(lp, r, sigma)
+
+        def pivots(solve, section):
+            calls[0] = 0
+            result = solve(section)
+            return calls[0], result
+
+        monkeypatch.setattr(_VertexSimplex, "_pivot", counted)
+        for section in diag_sections(6):
+            vertex, (k, per_m) = pivots(basis_constant, section)
+            optima, best = pivots(optimum_floors, section)
+            assert (k, per_m) == (max(best), best)
+            with monkeypatch.context() as patch:
+                patch.setattr("kslab.basic_seq_diag._raise_floors", lambda lp, per_m: None)
+                unwired, _ = pivots(basis_constant, section)
+            assert vertex < optima < unwired
+
+    def test_every_floor_at_most_the_norm(self, monkeypatch):
+        # a floor is a value some point of K attains, so it never passes ||P_m||
+        updates = []
+
+        def checked(lp, per_m):
+            _raise_floors(lp, per_m)
+            assert all(f <= b for f, b in zip(per_m, best)), (per_m, best)
+            updates.append(list(per_m))
+
+        monkeypatch.setattr("kslab.basic_seq_diag._raise_floors", checked)
+        for section in diag_sections(6) + [rescaled_row(diag_sections(1)[0], 3, Fraction(7, 3))]:
+            best = enumeration_maxima(section)
+            updates.clear()
+            assert basis_constant(section) == (max(best), best)
+            assert len(updates) > 1 and updates[-1] == best
 
 
 def gram_det(rows):

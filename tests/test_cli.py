@@ -452,6 +452,22 @@ class TestSchauder:
         assert "generator line 2:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "coords", ['{"1": "2", "01": "3", "2": "1"}', '{"1": "2", " 1": "3"}', '{"1": "2", "1": "3"}']
+    )
+    def test_repeated_coordinate_parse_error(self, tmp_path, capsys, coords):
+        # two keys that name coordinate 1 must not keep the last value silently
+        gens = tmp_path / "gens.jsonl"
+        gens.write_text('{"coords": {"2": "1"}}\n{"coords": %s}\n' % coords, encoding="utf-8")
+        out = tmp_path / "x.json"
+        assert (
+            run(["schauder", "--generators", str(gens), "--n", "2", "--horizon", "2", "--out", str(out)])
+            == 2
+        )
+        err = capsys.readouterr().err.strip()
+        assert "generator line 2: coordinate 1 given twice" in err and "\n" not in err
+        assert not out.exists()
+
     def test_one_elimination_per_run(self, tmp_path, monkeypatch):
         # the basis comes from the density check's echelon store: one store,
         # each scanned generator reduced once

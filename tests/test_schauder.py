@@ -493,6 +493,12 @@ class TestSerialization:
         with pytest.raises(ValueError, match="line 2"):
             GeneratorSet.from_jsonl('{"coords": {"1": "1"}}\n{"coords": {"0": "1"}}\n')
 
+    def test_jsonl_rejects_repeated_coordinate(self):
+        # "1", "01" and " 1" all parse to coordinate 1, as does a repeated key
+        for coords in ('{"1": "2", "01": "3", "2": "1"}', '{"1": "2", " 1": "3"}', '{"1": "2", "1": "3"}'):
+            with pytest.raises(ValueError, match="^generator line 2: coordinate 1 given twice$"):
+                GeneratorSet.from_jsonl('{"coords": {"1": "1"}}\n{"coords": %s}\n' % coords)
+
     def test_basis_and_expansion_json(self):
         gens = GeneratorSet([{1: 1, 2: 1}, {2: 1}])
         basis = build_triangular_basis(gens, 2, 3)
