@@ -251,21 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     if args.command == "verify" and args.n_max < 1:
         parser.error("--n-max must be >= 1")
-    if args.command == "subseq":
-        if args.n < 1:
-            parser.error("--n must be >= 1")
-        if args.stream_step < 1:
-            parser.error("--stream-step must be >= 1")
-    if args.command == "schauder":
-        if args.n < 1:
-            parser.error("--n must be >= 1")
-        if args.horizon < args.n:
-            parser.error("--horizon must be >= --n")
-    if args.command == "sup":
-        if args.n < 1:
-            parser.error("--n must be >= 1")
-        if args.brute and args.n > BRUTE_MAX_N:
-            parser.error(f"--brute is limited to n <= {BRUTE_MAX_N}")
+    if args.command != "verify" and args.n < 1:
+        parser.error("--n must be >= 1")
+    if args.command == "subseq" and args.stream_step < 1:
+        parser.error("--stream-step must be >= 1")
+    if args.command == "schauder" and args.horizon < args.n:
+        parser.error("--horizon must be >= --n")
+    if args.command == "sup" and args.brute and args.n > BRUTE_MAX_N:
+        parser.error(f"--brute is limited to n <= {BRUTE_MAX_N}")
 
 
 def main(argv: list[str] | None = None) -> int:

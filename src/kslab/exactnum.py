@@ -8,8 +8,8 @@ floating point ever enters a certification path.
 
 The exact linear algebra lives here too: EchelonStore, an incremental
 row-echelon form that records how each stored row combines its inputs,
-decides density, builds triangular bases and checks section rank on
-primitive integer rows, building a Fraction only per returned weight.
+decides density, builds triangular bases and checks section rank, all on
+primitive integer rows.
 
 central_binomial gives C(m, floor(m/2)), the numerator of every c_n, by
 Legendre's formula on one shared prime sieve and a balanced product tree,
@@ -320,6 +320,13 @@ def _int_text(v: int) -> str:
     return hex(v) if abs(v) >= HEX_FROM else str(v)
 
 
+def format_ratio(num: int, den: int) -> str:
+    """format_rational(Fraction(num, den)) for ints, den > 0, by one gcd."""
+    g = math.gcd(num, den)
+    text = _int_text(num // g)
+    return text if g == den else f"{text}/{_int_text(den // g)}"
+
+
 def format_rational(q: Rational | Dyadic) -> str:
     """Serialize in lowest terms: "p/q", or "p" when the denominator is 1.
 
@@ -414,14 +421,14 @@ class EchelonStore:
         pivots = {pivot for pivot, _, _ in self.rows}
         return next((k for k in range(1, self.m + 1) if k not in pivots), None)
 
-    def unit_combinations(self) -> list[dict[int, Fraction]]:
+    def unit_combinations(self) -> list[tuple[dict[int, int], int]]:
         """For full rank m: the input combinations whose profiles on 1..m are
         the unit vectors e_1..e_m, by back-substituting the pivot rows from m
         down to 1 (the row pivoting on n is zero before n, so it needs only
         the combinations for n+1..m).  On a fixed set of independent inputs
-        these combinations are unique.  Unit n is int weights U_n over s_n:
-        U_n = L combo - sum_k row[k] (L/s_k) U_k, s_n = L row[n], L the lcm of
-        the s_k row n touches, reduced jointly; Fractions only on return."""
+        these combinations are unique.  Unit n is (U_n, s_n), int weights over
+        s_n > 0, reduced jointly: U_n = L combo - sum_k row[k] (L/s_k) U_k,
+        s_n = L row[n], L the lcm of the s_k row n touches."""
         if self.rank != self.m:
             raise ValueError(f"rank {self.rank} is short of {self.m}")
         by_pivot = {pivot: (row, combo) for pivot, row, combo in self.rows}
@@ -435,7 +442,7 @@ class EchelonStore:
                     _sub_scaled(acc, 1, x * (lcm // units[k][1]), units[k][0])
             g = math.gcd(lcm * row[n], *acc.values()) * (-1 if row[n] < 0 else 1)
             units[n] = ({i: w // g for i, w in acc.items()}, lcm * row[n] // g)
-        return [{i: Fraction(w, units[n][1]) for i, w in units[n][0].items()} for n in range(1, self.m + 1)]
+        return [units[n] for n in range(1, self.m + 1)]
 
 
 def decimal_str(q: Rational | Dyadic) -> str | None:

@@ -14,7 +14,7 @@ From a generator set dense up to N, that store holds one pivot row per
 coordinate 1..N together with the generator combination it equals.
 Back-substituting the rows from N down to 1 gives combinations b_n with
 the unit profile delta_{kn} on all of 1..N, so in particular the profile
-(0, ..., 0, 1) on 1..n; b_n is summed on the horizon in integers.  The
+(0, ..., 0, 1) on 1..n; b_n stays in integers up to its report text.  The
 resulting triangular family expands any target sequence through the
 recursion a_n = y_n - sum_{k<n} a_k * pi_n(b_k), whose partial sums (of the
 nonzero terms only) stabilize coordinatewise: pi_m(S_N') = y_m for N' >= m.
@@ -42,10 +42,9 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .exactnum import EchelonStore, Rational, format_rational, parse_rational
+from .exactnum import EchelonStore, Rational, format_ratio, format_rational, parse_rational
 
 SparseVec = dict[int, Fraction]  # 1-based coordinate -> value, finite support
-_ZERO, _ONE = Fraction(0), Fraction(1)  # shared by every unit head; Fraction is immutable
 
 DENSE_UP_TO = "DENSE_UP_TO"
 NOT_DENSE = "NOT_DENSE"
@@ -54,21 +53,22 @@ NOT_DENSE = "NOT_DENSE"
 class DensityError(ValueError):
     """Rank deficiency while building a basis; names the failing coordinate."""
 
-    def __init__(self, coordinate: int, message: str | None = None):
+    def __init__(self, coordinate: int):
         self.coordinate = coordinate
-        super().__init__(message or f"rank deficiency at coordinate {coordinate}")
+        super().__init__(f"rank deficiency at coordinate {coordinate}")
 
 
-def _validate_sparse(vec: Mapping[int, object]) -> SparseVec:
+def _validate_sparse(pairs: Iterable[tuple[object, object]], parse=Fraction) -> SparseVec:
+    """{int(k): parse(v)} over (k, v) pairs without zeros; rejects k < 1 and a repeated k."""
     out: SparseVec = {}
-    for k, v in vec.items():
+    for k, v in pairs:
         k = int(k)
         if k < 1:
             raise ValueError(f"coordinates are 1-based, got {k}")
-        fv = Fraction(v)
-        if fv:
-            out[k] = fv
-    return out
+        if k in out:
+            raise ValueError(f"coordinate {k} given twice")
+        out[k] = parse(v)
+    return {k: v for k, v in out.items() if v}
 
 
 class _JSONObject(dict):
@@ -87,12 +87,13 @@ class GeneratorSet:
     """
 
     def __init__(self, source: Iterable[Mapping[int, object]]):
-        self._vectors = [_validate_sparse(raw) for raw in source]
+        self._vectors = [_validate_sparse(raw.items()) for raw in source]
 
     @classmethod
     def from_jsonl(cls, text: str) -> "GeneratorSet":
         """One generator per line: {"coords": {"1": "3/2", ...}}."""
         vectors = []
+        parse = lambda v: parse_rational(str(v))
         for lineno, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
@@ -101,16 +102,12 @@ class GeneratorSet:
                 coords = doc["coords"]
                 if not isinstance(coords, dict):
                     raise ValueError(f"coords must be an object, got {coords!r}")
-                vec: dict[int, Fraction] = {}
-                for key, v in coords.pairs:
-                    k = int(key)
-                    if k in vec:
-                        raise ValueError(f"coordinate {k} given twice")
-                    vec[k] = parse_rational(str(v))
-                vectors.append(_validate_sparse(vec))
+                vectors.append(_validate_sparse(coords.pairs, parse))
             except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
                 raise ValueError(f"generator line {lineno}: {exc}") from exc
-        return cls(vectors)
+        gens = cls(())
+        gens._vectors = vectors  # validated line by line above
+        return gens
 
     def __iter__(self) -> Iterator[SparseVec]:
         return iter(self._vectors)
@@ -152,10 +149,13 @@ def density_check(G: GeneratorSet, m: int) -> DensityResult:
 
 
 class BasisVector(NamedTuple):
-    """b_n on the horizon plus its witnessing generator combination."""
+    """b_n on the horizon plus its witnessing generator combination, each as
+    ints over a denominator > 0, jointly in lowest terms."""
 
-    coords: tuple[Rational, ...]  # coordinates 1..H
-    combination: tuple[tuple[int, Rational], ...]  # (generator index, weight)
+    entries: tuple[tuple[int, int], ...]  # (k, x), pi_k(b_n) = x / den != 0, in order of k
+    den: int
+    combination: tuple[tuple[int, int], ...]  # (generator c, w), weight w / weight_den
+    weight_den: int
 
 
 class TriangularBasis:
@@ -180,22 +180,18 @@ class TriangularBasis:
         N = len(self.vectors)
         rows: list[list[tuple[int, Rational]]] = [[] for _ in range(N)]
         for n, vec in enumerate(self.vectors, start=1):
-            for row, v in zip(rows, vec.coords):
-                if v:
-                    row.append((n, v))
+            for k, x in vec.entries:
+                if k > N:
+                    break
+                rows[k - 1].append((n, Fraction(x, vec.den)))
         return tuple(map(tuple, rows))
 
 
 def basis_from_density(density: DensityResult, G: GeneratorSet, horizon: int) -> TriangularBasis:
     """The triangular basis b_1..b_N, N = density.m, from the echelon store
-    the density check of G built, without eliminating again.
-
-    The store holds one pivot row per coordinate 1..N, each made of the
-    first generators independent on 1..N; back-substituting those rows from
-    N down to 1 gives the unique combination of them whose profile on 1..N
-    is the n-th unit vector.  b_n is that combination evaluated on the
-    horizon.  A coordinate without a pivot raises DensityError at the first
-    such coordinate.
+    the density check of G built, without eliminating again: b_n is the
+    store's n-th unit combination evaluated on the horizon.  A coordinate
+    without a pivot raises DensityError at the first such coordinate.
     """
     N = density.m
     if horizon < N:
@@ -210,20 +206,23 @@ def basis_from_density(density: DensityResult, G: GeneratorSet, horizon: int) ->
         scaled.append((d, [(k, v.numerator * (d // v.denominator)) for k, v in g.items() if k <= horizon]))
 
     vectors = []
-    for n, combo in enumerate(store.unit_combinations(), start=1):
-        combination = tuple(sorted(combo.items()))
-        # b_n = sum_c w_c G_c = (1 / den) sum_c (den w_c / D_c) (D_c G_c), all integers
-        den = math.lcm(*(w.denominator * scaled[c][0] for c, w in combination))
-        acc = [0] * horizon
+    for n, (weights, s) in enumerate(store.unit_combinations(), start=1):
+        combination = tuple(sorted(weights.items()))
+        # b_n = (1 / s) sum_c w_c G_c = (1 / den) sum_c w_c (L / D_c) (D_c G_c), den = s L
+        lcm = math.lcm(*(scaled[c][0] for c in weights))
+        acc: dict[int, int] = {}
         for c, w in combination:
-            factor = w.numerator * (den // (w.denominator * scaled[c][0]))
-            for k, x in scaled[c][1]:
-                acc[k - 1] += factor * x
+            d, vec = scaled[c]
+            factor = w * (lcm // d)
+            for k, x in vec:
+                acc[k] = acc.get(k, 0) + factor * x
+        den = s * lcm
         for k in range(1, N + 1):
-            if acc[k - 1] != (den if k == n else 0):
+            if acc.get(k, 0) != (den if k == n else 0):
                 raise AssertionError(f"unit coordinate profile violated at pi_{k}(b_{n})")
-        coords = [_ONE if k == n else _ZERO for k in range(1, N + 1)] + [Fraction(x, den) for x in acc[N:]]
-        vectors.append(BasisVector(coords=tuple(coords), combination=combination))
+        entries = [(k, x) for k, x in sorted(acc.items()) if x]
+        g = math.gcd(den, *(x for _, x in entries))
+        vectors.append(BasisVector(tuple((k, x // g) for k, x in entries), den // g, combination, s))
     return TriangularBasis(vectors=tuple(vectors), horizon=horizon)
 
 
@@ -264,7 +263,7 @@ def expand(y: Sequence, basis: TriangularBasis) -> CoeffExpansion:
 
     log: list[int] = []
     for m, row in enumerate(rows, start=1):
-        partial, last = _ZERO, 0  # pi_m(S_N'), and the last N' whose term moved it
+        partial = last = 0  # pi_m(S_N'), and the last N' whose term moved it
         for n, pi in row:
             if a := nonzero.get(n):
                 partial += a * pi
@@ -276,17 +275,17 @@ def expand(y: Sequence, basis: TriangularBasis) -> CoeffExpansion:
 
 
 def basis_to_json(basis: TriangularBasis) -> dict:
-    return {
-        "horizon": basis.horizon,
-        "vectors": [
-            {
-                "coords": [format_rational(v) for v in vec.coords],
-                "combination": {str(c): format_rational(w) for c, w in vec.combination},
-                "support_size": sum(1 for v in vec.coords if v),
-            }
-            for vec in basis.vectors
-        ],
-    }
+    vectors = []
+    for vec in basis.vectors:
+        coords = ["0"] * basis.horizon
+        for k, x in vec.entries:
+            coords[k - 1] = format_ratio(x, vec.den)
+        vectors.append({
+            "coords": coords,
+            "combination": {str(c): format_ratio(w, vec.weight_den) for c, w in vec.combination},
+            "support_size": len(vec.entries),
+        })
+    return {"horizon": basis.horizon, "vectors": vectors}
 
 
 def expansion_to_json(exp: CoeffExpansion) -> dict:

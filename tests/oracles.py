@@ -40,8 +40,14 @@ reference_grid tabulates an expansion's partial sums against the target at
 every (m, N'), the dense oracle of CoeffExpansion.grid_all_true.
 build_triangular_basis is the density check followed by basis_from_density,
 as the schauder subcommand runs them, and coord reads pi_k(b_n) off a
-basis.  standard_test_family is five fixed unit-norm symmetric combinations,
-and combo_to_json writes one in the family format the subseq subcommand
+basis.  The package keeps each b_n as integers over one denominator;
+densify gives a basis as DenseBasisVector records (Fractions at every
+coordinate of the horizon) and undensify makes a BasisVector from dense
+coordinates.  fraction_basis is basis_from_density as it was built in
+Fractions, one per coordinate past N, and fraction_basis_to_json writes it
+with format_rational: the reference of the integer path's report text.
+standard_test_family is five fixed unit-norm symmetric combinations, and
+combo_to_json writes one in the family format the subseq subcommand
 reads.  greedy_walk applies the summable-subsequence rule to any increasing
 stream one element at a time, the oracle of normal_subseq.extract's closed
 form on the arithmetic stream.
@@ -55,7 +61,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -64,7 +70,14 @@ from kslab.basic_seq_diag import FiniteSection, _VertexSimplex
 from kslab.exactnum import PI, Cmp, Rational, cmp_sq_below, format_rational, sqrt_enclosure
 from kslab.ks_measure import EXPLICIT_MAX_N, KSMeasure, build
 from kslab.rect_sup import Rectangle, RectangleSupReport, bound2_verdict
-from kslab.schauder import GeneratorSet, TriangularBasis, basis_from_density, density_check
+from kslab.schauder import (
+    BasisVector,
+    DensityResult,
+    GeneratorSet,
+    TriangularBasis,
+    basis_from_density,
+    density_check,
+)
 from kslab.tensor_bounds import SymmetricTerm, TensorCombo
 
 LP_TOL = 1e-7  # float tolerance when an exact value is compared with HiGHS
@@ -506,7 +519,87 @@ def reference_grid(coeffs: Sequence, basis: TriangularBasis, y: Sequence) -> dic
 
 def coord(basis: TriangularBasis, n: int, k: int) -> Rational:
     """pi_k(b_n), both 1-based."""
-    return basis.vectors[n - 1].coords[k - 1]
+    vec = basis.vectors[n - 1]
+    return Fraction(dict(vec.entries).get(k, 0), vec.den)
+
+
+class DenseBasisVector(NamedTuple):
+    """b_n as a Fraction at every coordinate 1..H, and its (generator index,
+    Fraction weight) pairs."""
+
+    coords: tuple[Fraction, ...]
+    combination: tuple[tuple[int, Fraction], ...]
+
+
+def densify(basis: TriangularBasis) -> tuple[DenseBasisVector, ...]:
+    """Every vector of basis on its whole horizon."""
+    out = []
+    for vec in basis.vectors:
+        coords = [Fraction(0)] * basis.horizon
+        for k, x in vec.entries:
+            coords[k - 1] = Fraction(x, vec.den)
+        combination = tuple((c, Fraction(w, vec.weight_den)) for c, w in vec.combination)
+        out.append(DenseBasisVector(coords=tuple(coords), combination=combination))
+    return tuple(out)
+
+
+def undensify(coords: Sequence, combination: Sequence[tuple[int, Rational]] = ()) -> BasisVector:
+    """The BasisVector with Rational coordinates 1..H and the given
+    (generator index, weight) pairs, each over the lcm of its denominators
+    (which puts it in joint lowest terms)."""
+    qs = [Fraction(v) for v in coords]
+    ws = [(c, Fraction(w)) for c, w in combination]
+    den = math.lcm(*(q.denominator for q in qs))
+    weight_den = math.lcm(*(w.denominator for _, w in ws))
+    return BasisVector(
+        entries=tuple((k, q.numerator * (den // q.denominator)) for k, q in enumerate(qs, start=1) if q),
+        den=den,
+        combination=tuple((c, w.numerator * (weight_den // w.denominator)) for c, w in ws),
+        weight_den=weight_den,
+    )
+
+
+def fraction_basis(density: DensityResult, G: GeneratorSet, horizon: int) -> tuple[DenseBasisVector, ...]:
+    """basis_from_density on a full-rank store in Fractions: each unit
+    combination as Fraction weights, b_n summed densely on the horizon over
+    the lcm of every weight's denominator times its generator's, one
+    Fraction per coordinate past N.  A profile off the unit vector on 1..N
+    raises AssertionError, as the package does."""
+    N, store = density.m, density.echelon
+    scaled = []  # generator c as (D_c, D_c * G_c on 1..H), D_c the lcm of its denominators
+    for g in G.fetch(store.inputs):
+        d = math.lcm(*(v.denominator for v in g.values()))
+        scaled.append((d, [(k, v.numerator * (d // v.denominator)) for k, v in g.items() if k <= horizon]))
+    vectors = []
+    for n, (weights, s) in enumerate(store.unit_combinations(), start=1):
+        combination = tuple(sorted((c, Fraction(w, s)) for c, w in weights.items()))
+        den = math.lcm(*(w.denominator * scaled[c][0] for c, w in combination))
+        acc = [0] * horizon
+        for c, w in combination:
+            factor = w.numerator * (den // (w.denominator * scaled[c][0]))
+            for k, x in scaled[c][1]:
+                acc[k - 1] += factor * x
+        for k in range(1, N + 1):
+            if acc[k - 1] != (den if k == n else 0):
+                raise AssertionError(f"unit coordinate profile violated at pi_{k}(b_{n})")
+        coords = [Fraction(int(k == n)) for k in range(1, N + 1)] + [Fraction(x, den) for x in acc[N:]]
+        vectors.append(DenseBasisVector(coords=tuple(coords), combination=combination))
+    return tuple(vectors)
+
+
+def fraction_basis_to_json(vectors: Sequence[DenseBasisVector], horizon: int) -> dict:
+    """The basis report of dense vectors, one format_rational per value."""
+    return {
+        "horizon": horizon,
+        "vectors": [
+            {
+                "coords": [format_rational(v) for v in vec.coords],
+                "combination": {str(c): format_rational(w) for c, w in vec.combination},
+                "support_size": sum(1 for v in vec.coords if v),
+            }
+            for vec in vectors
+        ],
+    }
 
 
 def build_triangular_basis(G: GeneratorSet, N: int, horizon: int) -> TriangularBasis:

@@ -38,6 +38,7 @@ from oracles import (
     coefficient_functional,
     coord,
     decay_profile,
+    densify,
     measure,
     random_tensor_probe,
     reference_grid,
@@ -185,7 +186,7 @@ def test_criterion_7_basis_suite():
         functionals = [coefficient_functional(basis, n) for n in range(1, 21)]
         for n, weights in enumerate(functionals, start=1):
             for m_idx in range(1, 21):
-                value = apply_functional(weights, basis.vectors[m_idx - 1].coords[: len(weights)])
+                value = apply_functional(weights, densify(basis)[m_idx - 1].coords[: len(weights)])
                 assert value == (1 if m_idx == n else 0)
         for _ in range(10):
             y = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(30)]

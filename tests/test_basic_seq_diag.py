@@ -28,6 +28,7 @@ from oracles import (
     apply_functional,
     build_triangular_basis,
     coefficient_functional,
+    densify,
     eval_symmetric,
     profile_table,
     projection_norms_highs,
@@ -468,7 +469,7 @@ class TestFunctionalSections:
             weights = coefficient_functional(basis, n)
             rows.append(
                 tuple(
-                    apply_functional(weights, basis.vectors[m - 1].coords[: len(weights)])
+                    apply_functional(weights, densify(basis)[m - 1].coords[: len(weights)])
                     for m in range(1, 5)
                 )
             )

@@ -591,6 +591,21 @@ class TestPinnedReportBytes:
     # explicit-measure guard, and the schauder run is the console-script one.
     VERIFY_24 = "16acce1c408a8a2ed013236e2ebc33f93d4e9cc5567c7714df145b313d9446b1"
     SCHAUDER_3 = "4da1a7f1b19a53d89bf34f676d508a03f143ba91fc29542c430d2ef7d8f35a6b"
+    # Written while basis vectors were still Fractions: eight generators with
+    # denominators 2 and 3 (one dependent, one unused), so the unit weights
+    # and the tail coordinates past N = 6 are rationals with denominators up
+    # to 56, on horizon N + 6.
+    SCHAUDER_RATIONAL = "b7fca91541f9c10e092919c95877798ba9b12d469118538e27bc76e313238c0b"
+    RATIONAL_GENERATORS = (
+        '{"coords": {"1": "2/3", "2": "1/2", "7": "-1/3"}}\n'
+        '{"coords": {"2": "3/2", "3": "-2/3", "8": "1/2"}}\n'
+        '{"coords": {"1": "1/3", "3": "1/2", "9": "2/3"}}\n'
+        '{"coords": {"4": "-3/2", "5": "1/3", "10": "5/2"}}\n'
+        '{"coords": {"1": "1/2", "2": "1/3", "3": "2/3"}}\n'
+        '{"coords": {"5": "2/3", "6": "-1/2", "11": "1/3"}}\n'
+        '{"coords": {"4": "1/3", "6": "3/2", "12": "-2/3"}}\n'
+        '{"coords": {"2": "-1/2", "6": "1/3", "9": "1/2"}}\n'
+    )
     # written while closed-form values were still Fractions: sup at the last
     # explicit index (with its witness) and past the hex cut, and subseq on
     # the console-script family (index 14,641, hex parts) and the standard one.
@@ -635,6 +650,19 @@ class TestPinnedReportBytes:
         argv = ["schauder", "--generators", str(gens), "--n", "3", "--horizon", "4", "--target", str(targets)]
         assert run(argv + ["--out", str(out)]) == 0
         assert self.digest(out) == self.SCHAUDER_3
+
+    def test_schauder_rational(self, tmp_path):
+        gens = tmp_path / "gens.jsonl"
+        gens.write_text(self.RATIONAL_GENERATORS, encoding="utf-8")
+        targets = tmp_path / "targets.json"
+        targets.write_text(
+            '{"targets": [["1/2", "-2/3", "3", "1/3", "0", "5/2", "1", "-1/2"], ["2", "1/3"]]}\n',
+            encoding="utf-8",
+        )
+        out = tmp_path / "basis.json"
+        argv = ["schauder", "--generators", str(gens), "--n", "6", "--horizon", "12", "--target", str(targets)]
+        assert run(argv + ["--out", str(out)]) == 0
+        assert self.digest(out) == self.SCHAUDER_RATIONAL
 
     @pytest.mark.parametrize("args", list(SUP))
     def test_sup(self, tmp_path, args):

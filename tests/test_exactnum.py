@@ -418,8 +418,8 @@ class TestEchelonStore:
                 with pytest.raises(ValueError):
                     store.unit_combinations()
                 continue
-            for n, combo in enumerate(store.unit_combinations(), start=1):
-                assert profile(combo) == [int(k == n) for k in range(1, m + 1)]
+            for n, (weights, den) in enumerate(store.unit_combinations(), start=1):
+                assert profile({i: Fraction(w, den) for i, w in weights.items()}) == [int(k == n) for k in range(1, m + 1)]
 
 
 def _fraction_sub_scaled(target, factor, source):
@@ -527,5 +527,11 @@ class TestIntegerStoreAgainstFractionStore:
                     store.unit_combinations()
                 continue
             full_rank += 1
-            assert store.unit_combinations() == ref.unit_combinations()
+            units, ref_units = store.unit_combinations(), ref.unit_combinations()
+            assert len(units) == len(ref_units) == m
+            for (weights, den), ref_weights in zip(units, ref_units):
+                # int weights over one positive denominator, jointly in lowest terms
+                assert all(type(x) is int for x in (den, *weights.values()))
+                assert den > 0 and math.gcd(den, *weights.values()) == 1
+                assert {i: Fraction(w, den) for i, w in weights.items()} == ref_weights
         assert full_rank >= 200, full_rank

@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kslab import ks_measure
-from kslab.exactnum import PI, central_binomial, format_rational, parse_rational
+from kslab.exactnum import PI, central_binomial, format_rational, parse_rational, sqrt_enclosure
 from kslab.ks_measure import build, total_variation
 from kslab.normal_subseq import (
     GREEDY_RULE,
+    _combo_row,
     certificate_to_json,
     extract,
     strongly_normal_report,
@@ -165,6 +166,52 @@ class TestPartialSums:
         lo, hi = uniform_bound_enclosure(cert, Fraction(3, 2))
         assert lo < hi
         assert lo * lo * PI.upper <= (12 * cert.total_bound) ** 2 <= hi * hi * PI.lower
+
+
+class FixedValues:
+    """A TensorCombo stand-in: its value at a "measure" s is values[s]."""
+
+    def __init__(self, values, norm_bound):
+        self.values, self.norm_bound = values, norm_bound
+
+    def value_at(self, s):
+        return self.values[s]
+
+
+class TestCertifiedBoundsAtTheirEdges:
+    @pytest.mark.parametrize("length", [1, 3, 6])
+    @pytest.mark.parametrize("nb", [Fraction(1), Fraction(3, 7)])
+    def test_combo_row_reads_fail_just_past_the_bound(self, length, nb):
+        # the row certifies last <= 8 nb (P + tail) / sqrt(PI.upper), the
+        # conservative side of 8 nb (P + tail) / sqrt(pi); last partial sums
+        # within 1e-30 of that edge read PASS below it and FAIL above it
+        cert = extract(1, 1, length)
+        inside, outside = sqrt_enclosure(64 * nb * nb * cert.total_bound**2 / PI.upper)
+        for last, verdict in ((inside, "PASS"), (outside, "FAIL")):
+            values = {s: last / length for s in cert.indices[:-1]}
+            values[cert.indices[-1]] = last - sum(values.values(), Fraction(0))
+            row = _combo_row(cert, FixedValues(values, nb), "edge", cert.indices)
+            assert parse_rational(row["partial_sums"][-1]) == last
+            assert row["verdict"] == verdict, (last, verdict)
+
+    @pytest.mark.parametrize("length", [1, 2, 5, 30, 400])
+    def test_tail_bound_covers_the_tail_of_inverse_squares(self, length):
+        # s_n >= n^4 bounds the tail by sum_{n>N} 1/n^2 = pi^2/6 - sum_{n<=N} 1/n^2,
+        # which is at least PI.lower^2/6 - ...; 1/N bounds it by integral comparison
+        tail = extract(1, 1, length).tail_bound
+        head = sum((Fraction(1, n * n) for n in range(1, length + 1)), Fraction(0))
+        assert PI.lower**2 / 6 - head <= tail == Fraction(1, length)
+
+    @pytest.mark.parametrize("length", [1, 4, 32])
+    @pytest.mark.parametrize("nb", [Fraction(1), Fraction(3, 2), Fraction(1, 7)])
+    def test_uniform_bound_enclosure_is_tight(self, length, nb):
+        # lo <= 8 nb T / sqrt(pi) <= hi, decided by squaring against PI, and
+        # the enclosure is no wider than PI's own relative width allows
+        cert = extract(1, 1, length)
+        lo, hi = uniform_bound_enclosure(cert, nb)
+        target_sq = 64 * nb * nb * cert.total_bound**2
+        assert lo * lo * PI.upper <= target_sq <= hi * hi * PI.lower
+        assert 0 < hi - lo <= hi / 10**14
 
 
 class TestReport:

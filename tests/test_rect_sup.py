@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from kslab.exactnum import Cmp
+from kslab.exactnum import PI, Cmp, sqrt_enclosure
 from kslab.ks_measure import EXPLICIT_MAX_N, build
-from kslab.rect_sup import Rectangle, report_to_json, sup_rect_bruteforce, sup_rect_fast
+from kslab.rect_sup import Rectangle, certify_pair, report_to_json, sup_rect_bruteforce, sup_rect_fast
 from oracles import (
     CANONICAL,
     PermutedMeasure,
@@ -217,6 +217,34 @@ class TestCertifyBound2:
             lower_ok=report.lower_ok, upper_ok=report.upper_ok, method="FastPath",
         )
         assert certify_bound2(fake) == "FAIL"
+
+
+class TestCertifyPairAtTheConstants:
+    """Values within about 1e-15 of c / sqrt(pi n), c = 1/2 and 2, on either
+    side of the band that PI's enclosure leaves undecided: c / sqrt(pi n)
+    lies between c / sqrt(PI.upper n) and c / sqrt(PI.lower n)."""
+
+    @staticmethod
+    def near(c, n):
+        """(below, inside, above): below < c / sqrt(PI.upper n), inside in
+        the band, above > c / sqrt(PI.lower n), each within 1e-30 of its edge."""
+        below, inside = sqrt_enclosure(c * c / (PI.upper * n))
+        _, above = sqrt_enclosure(c * c / (PI.lower * n))
+        return below, inside, above
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 10**6])
+    def test_lower_constant_half(self, n):
+        below, inside, above = self.near(Fraction(1, 2), n)
+        assert certify_pair(above, n)[0] is Cmp.CERT_GT
+        assert certify_pair(inside, n)[0] is Cmp.UNDECIDED
+        assert certify_pair(below, n)[0] is Cmp.CERT_LT
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 10**6])
+    def test_upper_constant_two(self, n):
+        below, inside, above = self.near(Fraction(2), n)
+        assert certify_pair(below, n)[1] is Cmp.CERT_LT
+        assert certify_pair(inside, n)[1] is Cmp.UNDECIDED
+        assert certify_pair(above, n)[1] is Cmp.CERT_GT
 
 
 class TestReportJson:

@@ -3,13 +3,14 @@ stabilization verdicts against the dense grid oracle, and coefficient
 functionals, all exact."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from kslab import schauder
 from kslab.schauder import (
-    BasisVector,
     DENSE_UP_TO,
     DensityError,
     GeneratorSet,
@@ -20,7 +21,17 @@ from kslab.schauder import (
     expand,
     expansion_to_json,
 )
-from oracles import apply_functional, build_triangular_basis, coefficient_functional, coord, reference_grid
+from oracles import (
+    apply_functional,
+    build_triangular_basis,
+    coefficient_functional,
+    coord,
+    densify,
+    fraction_basis,
+    fraction_basis_to_json,
+    reference_grid,
+    undensify,
+)
 
 
 def unit_generators(count):
@@ -126,15 +137,15 @@ class TestBuildTriangularBasis:
             expected = tuple(
                 Fraction(1) if k == n else Fraction(0) for k in range(1, 9)
             )
-            assert basis.vectors[n - 1].coords == expected
+            assert densify(basis)[n - 1].coords == expected
 
     def test_two_generator_worked_example(self):
         # b_1 = (e_1 + e_2) - e_2 = e_1 and b_2 = e_2, by a 2x2 exact solve
         gens = GeneratorSet([{1: 1, 2: 1}, {2: 1}])
         basis = build_triangular_basis(gens, 2, 4)
-        assert basis.vectors[0].coords == (1, 0, 0, 0)
-        assert basis.vectors[0].combination == ((0, Fraction(1)), (1, Fraction(-1)))
-        assert basis.vectors[1].coords == (0, 1, 0, 0)
+        assert densify(basis)[0].coords == (1, 0, 0, 0)
+        assert densify(basis)[0].combination == ((0, Fraction(1)), (1, Fraction(-1)))
+        assert densify(basis)[1].coords == (0, 1, 0, 0)
 
     def test_rank_deficiency_names_coordinate(self):
         gens = GeneratorSet([{1: 1, 2: 1}, {2: 1}])
@@ -160,7 +171,7 @@ class TestBuildTriangularBasis:
         gens = random_dense_generators(rng, m=6, horizon=10)
         vectors = gens.fetch(11)  # 6 core + 5 junk
         basis = build_triangular_basis(gens, 6, 10)
-        for vec in basis.vectors:
+        for vec in densify(basis):
             rebuilt = [Fraction(0)] * 10
             for c, w in vec.combination:
                 for k, v in vectors[c].items():
@@ -190,7 +201,7 @@ class TestExpand:
 
     def test_basis_vector_expands_to_unit(self):
         basis = build_triangular_basis(unit_generators(6), 4, 6)
-        y = list(basis.vectors[2].coords)
+        y = list(densify(basis)[2].coords)
         exp = expand(y, basis)
         assert exp.coefficients == (0, 0, 1, 0)
 
@@ -211,9 +222,9 @@ class TestExpand:
         # a handmade triangular basis with nonzero entries above the diagonal
         basis = TriangularBasis(
             vectors=(
-                BasisVector(coords=(Fraction(1), Fraction(2), Fraction(5)), combination=()),
-                BasisVector(coords=(Fraction(0), Fraction(1), Fraction(-3)), combination=()),
-                BasisVector(coords=(Fraction(0), Fraction(0), Fraction(1)), combination=()),
+                undensify((Fraction(1), Fraction(2), Fraction(5))),
+                undensify((Fraction(0), Fraction(1), Fraction(-3))),
+                undensify((Fraction(0), Fraction(0), Fraction(1))),
             ),
             horizon=3,
         )
@@ -230,9 +241,9 @@ class TestExpand:
         # perturbing y at coordinate m changes only a_n for n >= m
         basis = TriangularBasis(
             vectors=(
-                BasisVector(coords=(Fraction(1), Fraction(1), Fraction(1), Fraction(0)), combination=()),
-                BasisVector(coords=(Fraction(0), Fraction(1), Fraction(4), Fraction(0)), combination=()),
-                BasisVector(coords=(Fraction(0), Fraction(0), Fraction(1), Fraction(2)), combination=()),
+                undensify((Fraction(1), Fraction(1), Fraction(1), Fraction(0))),
+                undensify((Fraction(0), Fraction(1), Fraction(4), Fraction(0))),
+                undensify((Fraction(0), Fraction(0), Fraction(1), Fraction(2))),
             ),
             horizon=4,
         )
@@ -256,7 +267,7 @@ class TestStabilization:
     def test_sum_of_two_basis_vectors(self):
         gens = GeneratorSet([{1: 1, 2: 1}, {2: 1, 3: 2}, {3: 1}])
         basis = build_triangular_basis(gens, 3, 5)
-        y = [a + b for a, b in zip(basis.vectors[0].coords, basis.vectors[1].coords)]
+        y = [a + b for a, b in zip(densify(basis)[0].coords, densify(basis)[1].coords)]
         exp = expand(y, basis)
         assert exp.coefficients == (1, 1, 0)
         assert exp.grid_all_true is True
@@ -275,8 +286,8 @@ class TestStabilization:
     def test_stabilization_log_consistent_with_grid(self):
         basis = TriangularBasis(
             vectors=(
-                BasisVector(coords=(Fraction(1), Fraction(3)), combination=()),
-                BasisVector(coords=(Fraction(0), Fraction(1)), combination=()),
+                undensify((Fraction(1), Fraction(3))),
+                undensify((Fraction(0), Fraction(1))),
             ),
             horizon=2,
         )
@@ -321,16 +332,16 @@ def random_handmade_basis(rng, N, horizon, triangular):
             else Fraction(0)
             for k in range(1, horizon + 1)
         ]
-        vectors.append(BasisVector(coords=tuple(coords), combination=()))
+        vectors.append(undensify(coords))
     return TriangularBasis(vectors=tuple(vectors), horizon=horizon)
 
 
 def with_entries(basis, entries):
     """basis with pi_k(b_n) = v for each (n, k) -> v of entries."""
-    coords = [list(vec.coords) for vec in basis.vectors]
+    coords = [list(vec.coords) for vec in densify(basis)]
     for (n, k), v in entries.items():
         coords[n - 1][k - 1] = v
-    vectors = tuple(BasisVector(coords=tuple(c), combination=()) for c in coords)
+    vectors = tuple(undensify(c) for c in coords)
     return TriangularBasis(vectors=vectors, horizon=basis.horizon)
 
 
@@ -419,7 +430,7 @@ class TestRowIndex:
         build = prop.func
 
         class CountingCoords(tuple):
-            """Counts reads of one coordinate pi_k(b_n); iteration is free."""
+            """Counts indexed reads of a vector's entries; iteration is free."""
 
             def __getitem__(self, k):
                 calls["coord"] += 1
@@ -429,7 +440,7 @@ class TestRowIndex:
             calls["index"] += 1
             return build(self)
 
-        vectors = tuple(BasisVector(CountingCoords(v.coords), v.combination) for v in basis.vectors)
+        vectors = tuple(v._replace(entries=CountingCoords(v.entries)) for v in basis.vectors)
         basis = TriangularBasis(vectors=vectors, horizon=basis.horizon)
         monkeypatch.setattr(prop, "func", counting_build)
         targets = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(30)] for _ in range(5)]
@@ -457,22 +468,22 @@ class TestCoefficientFunctional:
         gens = GeneratorSet([{1: 1, 2: 1}, {2: 1}])
         basis = build_triangular_basis(gens, 2, 4)
         weights = coefficient_functional(basis, 2)
-        assert apply_functional(weights, basis.vectors[0].coords) == 0
-        assert apply_functional(weights, basis.vectors[1].coords) == 1
+        assert apply_functional(weights, densify(basis)[0].coords) == 0
+        assert apply_functional(weights, densify(basis)[1].coords) == 1
 
     def test_biorthogonality_on_nontrivial_triangular_basis(self):
         basis = TriangularBasis(
             vectors=(
-                BasisVector(coords=(Fraction(1), Fraction(2), Fraction(-1)), combination=()),
-                BasisVector(coords=(Fraction(0), Fraction(1), Fraction(7)), combination=()),
-                BasisVector(coords=(Fraction(0), Fraction(0), Fraction(1)), combination=()),
+                undensify((Fraction(1), Fraction(2), Fraction(-1))),
+                undensify((Fraction(0), Fraction(1), Fraction(7))),
+                undensify((Fraction(0), Fraction(0), Fraction(1))),
             ),
             horizon=3,
         )
         for n in range(1, 4):
             weights = coefficient_functional(basis, n)
             for m in range(1, 4):
-                value = apply_functional(weights, basis.vectors[m - 1].coords[:n])
+                value = apply_functional(weights, densify(basis)[m - 1].coords[:n])
                 assert value == (1 if m == n else 0)
 
     def test_index_out_of_range(self):
@@ -499,6 +510,24 @@ class TestSerialization:
             with pytest.raises(ValueError, match="^generator line 2: coordinate 1 given twice$"):
                 GeneratorSet.from_jsonl('{"coords": {"1": "1"}}\n{"coords": %s}\n' % coords)
 
+    def test_jsonl_validates_each_generator_once(self, monkeypatch):
+        calls = []
+        validate = schauder._validate_sparse
+
+        def counting(*args):
+            calls.append(args)
+            return validate(*args)
+
+        monkeypatch.setattr(schauder, "_validate_sparse", counting)
+        gens = GeneratorSet.from_jsonl('{"coords": {"1": "1", "3": "0"}}\n{"coords": {"2": "-1/2"}}\n\n')
+        assert len(calls) == 2
+        assert gens.fetch(2) == [{1: 1}, {2: Fraction(-1, 2)}]  # the zero at 3 is dropped
+
+    def test_direct_construction_validates(self):
+        assert GeneratorSet([{1: 0, 2: "3/4"}]).fetch(1) == [{2: Fraction(3, 4)}]
+        with pytest.raises(ValueError, match="1-based"):
+            GeneratorSet([{1: 1}, {0: 1}])
+
     def test_basis_and_expansion_json(self):
         gens = GeneratorSet([{1: 1, 2: 1}, {2: 1}])
         basis = build_triangular_basis(gens, 2, 3)
@@ -511,6 +540,66 @@ class TestSerialization:
         exp_doc = expansion_to_json(exp)
         assert exp_doc["coefficients"] == ["2", "3"]
         assert exp_doc["stabilization_log"] == [1, 2]
+
+
+def dominant_generators(rng, n, horizon, nnz=10, junk=5):
+    """n generators with nnz nonzeros anywhere on the horizon, strictly
+    column diagonally dominant on 1..n (so dense up to n), plus junk; the
+    back-substitution fills in, so every unit combination is dense."""
+    def value():
+        return Fraction(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), rng.randint(1, 3))
+
+    gens = []
+    for k in range(1, n + 1):
+        vec = {c: value() for c in rng.sample([c for c in range(1, horizon + 1) if c != k], nnz - 1)}
+        off = sum(abs(v) for c, v in vec.items() if c <= n)
+        vec[k] = Fraction(rng.choice((-1, 1)) * (math.floor(off) + 1 + rng.randint(0, 3)))
+        gens.append(vec)
+    gens += [{c: value() for c in rng.sample(range(1, horizon + 1), rng.randint(1, 4))} for _ in range(junk)]
+    rng.shuffle(gens)
+    return GeneratorSet(gens)
+
+
+class TestAgainstFractionBuild:
+    """The integer basis against the Fraction build it replaced
+    (oracles.fraction_basis): the same values and the same report text."""
+
+    def check(self, G, N, horizon):
+        density = density_check(G, N)
+        basis = schauder.basis_from_density(density, G, horizon)
+        reference = fraction_basis(density, G, horizon)
+        assert densify(basis) == reference
+        text = json.dumps(basis_to_json(basis), indent=2)
+        assert text == json.dumps(fraction_basis_to_json(reference, horizon), indent=2)
+        for vec in basis.vectors:  # joint lowest terms, positive denominators
+            assert vec.den > 0 and math.gcd(vec.den, *(x for _, x in vec.entries)) == 1
+            assert vec.weight_den > 0 and math.gcd(vec.weight_den, *(w for _, w in vec.combination)) == 1
+            assert all(x for _, x in vec.entries) and [k for k, _ in vec.entries] == sorted(dict(vec.entries))
+        return text
+
+    def test_seeded_random_dense_generators(self):
+        rng = random.Random(1789)
+        rational = 0
+        for _ in range(30):
+            N = rng.randint(1, 12)
+            horizon = N + rng.randint(3, 8)  # room for the tails and the junk
+            text = self.check(random_dense_generators(rng, m=N, horizon=horizon), N, horizon)
+            rational += "/" in text
+        assert rational >= 20, rational
+
+    def test_dense_60_by_90(self):
+        text = self.check(dominant_generators(random.Random(6090), 60, 90), 60, 90)
+        assert text.count("/") > 60 * 30  # rational tails past N and rational weights
+
+    def test_corrupted_store_row_breaks_the_unit_profile(self):
+        G = random_dense_generators(random.Random(515), m=8, horizon=12)
+        density = density_check(G, 8)
+        pivot, row, combo = density.echelon.rows[3]
+        row[pivot] *= 2  # the row no longer equals its recorded combination
+        with pytest.raises(AssertionError, match=r"unit coordinate profile violated at pi_\d+\(b_\d+\)"):
+            schauder.basis_from_density(density, G, 12)
+        with pytest.raises(AssertionError, match="unit coordinate profile violated"):
+            fraction_basis(density, G, 12)
 
 
 def reference_unit_profiles(gens, N):
@@ -564,7 +653,7 @@ def reference_basis(gens, N, horizon):
                 for k, v in gens[c].items():
                     if k <= horizon:
                         coords[k - 1] += weight * v
-        vectors.append(BasisVector(coords=tuple(coords), combination=tuple(combination)))
+        vectors.append(undensify(coords, combination))
     return TriangularBasis(vectors=tuple(vectors), horizon=horizon)
 
 
