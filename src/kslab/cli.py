@@ -199,10 +199,8 @@ def cmd_schauder(args: argparse.Namespace) -> int:
 
 def cmd_sup(args: argparse.Namespace) -> int:
     m = build(args.n)
-    report = sup_rect_bruteforce(m) if args.brute else sup_rect_fast(m)
-    verdict = bound2_verdict(report.lower_ok, report.upper_ok)
-    doc = rect_sup.report_to_json(report)
-    doc["bound2"] = verdict
+    doc = rect_sup.report_to_json(sup_rect_bruteforce(m) if args.brute else sup_rect_fast(m))
+    verdict = doc["bound2"]
     _write_json(args.out, doc)
     print(f"sup(n={args.n}) = {doc['sup_decimal']} [{verdict}] -> {args.out}")
     return 0 if verdict == "PASS" else 1

@@ -3,8 +3,9 @@
 Every certified claim in this package reduces to a comparison between a
 nonnegative rational and a constant of the form (c_num/c_den) / sqrt(pi * n).
 Squaring both sides removes the square root, so the comparison is decided by
-exact integer arithmetic against a fixed rational enclosure of pi.  No
-floating point ever enters a certification path.
+exact integer arithmetic against a fixed rational enclosure of pi.  One
+function, cmp_sq_below, decides every such comparison, subseq's uniform
+bound (n = 1) included.  No floating point ever enters a certification path.
 
 The exact linear algebra lives here too: EchelonStore, an incremental
 row-echelon form that records how each stored row combines its inputs,
@@ -242,14 +243,6 @@ def central_binomial(m: int) -> int:
     return c
 
 
-def sq_terms(r: Rational | Dyadic) -> tuple[int, int]:
-    """(p^2, q^2) for r = p/q in lowest terms.  For a Dyadic, q^2 is odd^2
-    shifted left by 2 exp bits: no huge denominator is ever squared."""
-    if isinstance(r, Dyadic):
-        return r.num * r.num, r.odd * r.odd << 2 * r.exp
-    return r.numerator**2, r.denominator**2
-
-
 def cmp_sq_below(r: Rational | Dyadic, c_num: int, c_den: int, n: int) -> Cmp:
     """Certified comparison of r >= 0 against (c_num/c_den) / sqrt(pi * n).
 
@@ -259,9 +252,10 @@ def cmp_sq_below(r: Rational | Dyadic, c_num: int, c_den: int, n: int) -> Cmp:
     inequality; UNDECIDED when the enclosure is too coarse to decide.
     CERT_LT and CERT_GT are mutually exclusive by construction.
     Each side cross-multiplies integers, p^2 n c_den^2 a against
-    c_num^2 q^2 d for r = p/q and pi's bound a/d (sq_terms), reducing no
-    fraction.  r must be an int, Fraction or Dyadic; a float, whose
-    rounding would decide, raises TypeError.
+    c_num^2 q^2 d for r = p/q and pi's bound a/d, reducing no fraction;
+    a Dyadic's q^2 is odd^2 shifted left by 2 exp bits, so no huge
+    denominator is ever squared.  r must be an int, Fraction or Dyadic; a
+    float, whose rounding would decide, raises TypeError.
     """
     if not isinstance(r, (Dyadic, numbers.Rational)):
         raise TypeError(f"cmp_sq_below requires an int, Fraction or Dyadic r, got {type(r).__name__}")
@@ -273,7 +267,10 @@ def cmp_sq_below(r: Rational | Dyadic, c_num: int, c_den: int, n: int) -> Cmp:
         raise ValueError("cmp_sq_below requires c_den != 0")
     # the small factors multiply first, so each side is one product with
     # the square of a big number
-    p2, q2 = sq_terms(r)
+    if isinstance(r, Dyadic):
+        p2, q2 = r.num * r.num, r.odd * r.odd << 2 * r.exp
+    else:
+        p2, q2 = r.numerator**2, r.denominator**2
     k, c = n * c_den**2, c_num**2
     if p2 * (k * PI.upper.numerator) < q2 * (c * PI.upper.denominator):
         return Cmp.CERT_LT

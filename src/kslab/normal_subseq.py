@@ -10,7 +10,8 @@ so the total bound P_N + 1/N is a purely rational object.
 
 Partial sums sum_{n<=M} |mu_{s_n}(h)| over a tensor combination h are then
 uniformly dominated by (8/sqrt(pi)) * norm_bound * (P_N + tail), certified
-by squared comparison against the pi enclosure.  The partial sums of
+by exactnum.cmp_sq_below at n = 1, the squared comparison against the pi
+enclosure that decides every certified bound.  The partial sums of
 absolute values never decrease, so the report certifies the last one,
 M = N, and with it every prefix.  The exponent 4 is the smallest even
 power making 1/sqrt(n^p) summable with an elementary tail certificate; the
@@ -38,11 +39,12 @@ from typing import NamedTuple, Sequence
 
 from .exactnum import (
     PI,
+    Cmp,
     Rational,
+    cmp_sq_below,
     decimal_str,
     format_rational,
     recip_sqrt_upper,
-    sq_terms,
     sqrt_enclosure,
 )
 from .ks_measure import KSMeasure, build, total_variation
@@ -113,13 +115,9 @@ def _combo_row(cert: SubseqCertificate, h: TensorCombo, name: str, measures: Seq
     and a gcd with the small odd part, never a gcd of the whole sum.  They
     never decrease, so certifying the last one certifies every prefix."""
     partials = list(itertools.accumulate(abs(h.value_at(m)) for m in measures))
-    nb = h.norm_bound
-    total = cert.total_bound
-    # last <= 8 * nb * total / sqrt(pi), certified by squaring:
-    # p^2 <= 64 nb^2 total^2 / pi.upper, cross-multiplied
-    a, b = (64 * nb * nb * total * total / PI.upper).as_integer_ratio()
-    p2, q2 = sq_terms(partials[-1])
-    certified = p2 * b <= a * q2
+    last, nb = partials[-1], h.norm_bound
+    bound = (8 * nb * cert.total_bound).as_integer_ratio()  # last < bound / sqrt(pi), or 0 <= 0
+    certified = not last or cmp_sq_below(last, *bound, 1) is Cmp.CERT_LT
     bound_lower, bound_upper = uniform_bound_enclosure(cert, nb)
     return {
         "combo": name,

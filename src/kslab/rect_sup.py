@@ -23,7 +23,9 @@ rectangles are bitsets.  Two routes compute it:
 The closed form is never trusted on derivation alone: the tests check it
 against the brute-force oracle (n <= 4) and the per-width sums (n <= 300),
 and it is certified against 1/(2 sqrt(pi n)) < sup < 2/sqrt(pi n) at
-every n.
+every n.  A report holds only the supremum; report_to_json certifies it
+once, where the verdict is written, and verify's brute-force cross-check
+reads the oracle's sup alone.
 
 For explicit measures the witness A* is a bytes table over sign patterns
 read as one base-2 integer, with no loop over the 2^n rows (sup_rect_fast).
@@ -67,8 +69,6 @@ class RectangleSupReport(NamedTuple):
     n: int
     sup: Fraction | Dyadic  # Fraction from the brute force, Dyadic from the closed form
     witness: Rectangle | None
-    lower_ok: Cmp
-    upper_ok: Cmp
     method: str  # "BruteForce" | "FastPath"
 
 
@@ -107,12 +107,7 @@ def sup_rect_bruteforce(m: KSMeasure) -> RectangleSupReport:
             best = v
             hits = [i for i in (t.find(_OFF + v), t.find(_OFF - v)) if i >= 0]
             best_rect = Rectangle(min(hits), col_bits)
-    sup = Fraction(best, n << n)
-    lower_ok, upper_ok = certify_pair(sup, n)
-    return RectangleSupReport(
-        n=n, sup=sup, witness=best_rect, lower_ok=lower_ok, upper_ok=upper_ok,
-        method="BruteForce",
-    )
+    return RectangleSupReport(n=n, sup=Fraction(best, n << n), witness=best_rect, method="BruteForce")
 
 
 def sup_rect_fast(m: KSMeasure) -> RectangleSupReport:
@@ -128,8 +123,6 @@ def sup_rect_fast(m: KSMeasure) -> RectangleSupReport:
     row and reversed (row 0 last), the table parses as a base-2 integer.
     """
     n = m.n
-    sup = m.central_mass
-
     witness: Rectangle | None = None
     if m.is_explicit():
         b = n if n % 2 else n - 1
@@ -139,12 +132,7 @@ def sup_rect_fast(m: KSMeasure) -> RectangleSupReport:
         below = (b + 1) // 2  # counts c with 2c < b
         member = minus.translate(b"1" * below + b"0" * (256 - below)) * (1 << (n - b))
         witness = Rectangle(int(m.by_row(member)[::-1], 2), (1 << b) - 1)
-
-    lower_ok, upper_ok = certify_pair(sup, n)
-    return RectangleSupReport(
-        n=n, sup=sup, witness=witness, lower_ok=lower_ok, upper_ok=upper_ok,
-        method="FastPath",
-    )
+    return RectangleSupReport(n=n, sup=m.central_mass, witness=witness, method="FastPath")
 
 
 def bound2_verdict(lower_ok: Cmp, upper_ok: Cmp) -> str:
@@ -157,6 +145,9 @@ def bound2_verdict(lower_ok: Cmp, upper_ok: Cmp) -> str:
 
 
 def report_to_json(report: RectangleSupReport) -> dict:
+    """The report's JSON, with sup certified here, once: the comparisons
+    and, as the last key, their bound2 verdict."""
+    lower_ok, upper_ok = certify_pair(report.sup, report.n)
     witness = None
     if report.witness is not None:
         witness = {
@@ -168,7 +159,8 @@ def report_to_json(report: RectangleSupReport) -> dict:
         "sup": format_rational(report.sup),
         "sup_decimal": decimal_str(report.sup),
         "witness": witness,
-        "lower_ok": report.lower_ok.value,
-        "upper_ok": report.upper_ok.value,
+        "lower_ok": lower_ok.value,
+        "upper_ok": upper_ok.value,
         "method": report.method,
+        "bound2": bound2_verdict(lower_ok, upper_ok),
     }

@@ -14,20 +14,23 @@ From a generator set dense up to N, that store holds one pivot row per
 coordinate 1..N together with the generator combination it equals.
 Back-substituting the rows from N down to 1 gives combinations b_n with
 the unit profile delta_{kn} on all of 1..N, so in particular the profile
-(0, ..., 0, 1) on 1..n; b_n stays in integers up to its report text.  The
-resulting triangular family expands any target sequence through the
-recursion a_n = y_n - sum_{k<n} a_k * pi_n(b_k), whose partial sums (of the
-nonzero terms only) stabilize coordinatewise: pi_m(S_N') = y_m for N' >= m.
-Both the recursion and the stabilization log read the basis's row index
-(TriangularBasis.row_index: per coordinate m, the nonzero pi_m(b_n)),
-built once per basis, so the work per target follows the basis's nonzeros
-rather than all N^2 pairs.  One walk per coordinate m sums the terms
-a_n pi_m(b_n) and logs the last n that moved the sum; the sum differs from
-y_m just before that move and equals it from then on, so the verdict
-pi_m(S_N') = y_m for every m <= N' <= N is read off the log as n <= m.
-The recursion makes each coefficient a_n a finite combination of the
-coordinates y_1..y_n, which is the continuity witness of the coefficient
-functionals; the tests unroll it (tests/oracles.py).
+(0, ..., 0, 1) on 1..n; b_n stays in integers up to its report text.  A
+TriangularBasis holds only such families: it rejects a b_n with an entry
+before n or with pi_n(b_n) != 1.  It expands any target sequence through
+the recursion a_n = y_n - sum_{k<n} a_k * pi_n(b_k), whose partial sums
+(of the nonzero terms only) stabilize coordinatewise: pi_m(S_N') = y_m
+for N' >= m.  The recursion reads the basis's row index
+(TriangularBasis.row_index: per coordinate m, the nonzero pi_m(b_n),
+n <= m, ending with pi_m(b_m) = 1), built with the basis, so the work
+per target follows the basis's nonzeros rather than all N^2 pairs.  Its
+walk of row m reads every term a_n pi_m(b_n) that moves pi_m(S_N'), and
+by the recursion's own definition they sum to y_m, so the same walk logs
+the last n that moved the sum; the sum differs from y_m just before that
+move and equals it from then on, so the verdict pi_m(S_N') = y_m for
+every m <= N' <= N is read off the log as n <= m.  The recursion makes
+each coefficient a_n a finite combination of the coordinates y_1..y_n,
+which is the continuity witness of the coefficient functionals; the
+tests unroll it (tests/oracles.py).
 
 Elements of the sequence space are represented on explicit finite horizons;
 coordinatewise convergence stabilizes after finitely many steps per
@@ -36,7 +39,6 @@ coordinate, so a horizon loses nothing testable.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from fractions import Fraction
@@ -159,11 +161,24 @@ class BasisVector(NamedTuple):
 
 
 class TriangularBasis:
-    """b_1..b_N on a horizon; bases compare by value.  No __slots__:
-    functools.cached_property keeps row_index in the instance __dict__."""
+    """b_1..b_N on a horizon, each zero before n with pi_n(b_n) = 1, else
+    ValueError; bases compare by value.  row_index entry m - 1 lists the
+    nonzero (n, pi_m(b_n)) over n = 1..m in order of n, for each m in 1..N."""
+
+    __slots__ = ("vectors", "horizon", "row_index")
 
     def __init__(self, vectors: tuple[BasisVector, ...], horizon: int):
         self.vectors, self.horizon = vectors, horizon
+        N = len(vectors)
+        rows: list[list[tuple[int, Rational]]] = [[] for _ in range(N)]
+        for n, vec in enumerate(vectors, start=1):
+            if vec.entries[:1] != ((n, vec.den),):
+                raise ValueError(f"b_{n} must vanish before coordinate {n} and have pi_{n}(b_{n}) = 1")
+            for k, x in vec.entries:
+                if k > N:
+                    break
+                rows[k - 1].append((n, Fraction(x, vec.den)))
+        self.row_index = tuple(map(tuple, rows))
 
     def __eq__(self, other) -> bool:
         if type(other) is not TriangularBasis:
@@ -172,19 +187,6 @@ class TriangularBasis:
 
     def __len__(self) -> int:
         return len(self.vectors)
-
-    @functools.cached_property
-    def row_index(self) -> tuple[tuple[tuple[int, Rational], ...], ...]:
-        """Entry m - 1 lists the nonzero (n, pi_m(b_n)) over n = 1..N in order
-        of n, for each coordinate m in 1..N; built once per basis."""
-        N = len(self.vectors)
-        rows: list[list[tuple[int, Rational]]] = [[] for _ in range(N)]
-        for n, vec in enumerate(self.vectors, start=1):
-            for k, x in vec.entries:
-                if k > N:
-                    break
-                rows[k - 1].append((n, Fraction(x, vec.den)))
-        return tuple(map(tuple, rows))
 
 
 def basis_from_density(density: DensityResult, G: GeneratorSet, horizon: int) -> TriangularBasis:
@@ -241,36 +243,28 @@ class CoeffExpansion(NamedTuple):
 
 def expand(y: Sequence, basis: TriangularBasis) -> CoeffExpansion:
     """Coefficients a_1 = y_1, a_n = y_n - sum_{k<n} a_k pi_n(b_k), exact,
-    and the stabilization log, both read off basis.row_index.  A coordinate
-    whose partial sum ends away from y_m raises AssertionError."""
+    and the stabilization log, both off one walk of basis.row_index per n:
+    log[n] is n when a_n != 0, else the last k < n with a_k pi_n(b_k) != 0,
+    else 1.  y needs at least the horizon's coordinates; entries past the
+    horizon are not read."""
     H = basis.horizon
     if len(y) < H:
         raise ValueError(f"target has {len(y)} coordinates, horizon needs {H}")
     yf = tuple(Fraction(v) for v in y[:H])
-    rows = basis.row_index
     coeffs: list[Fraction] = []
+    log: list[int] = []
     nonzero: dict[int, Fraction] = {}  # n -> a_n for a_n != 0
-    for n, row in enumerate(rows, start=1):
-        a_n = yf[n - 1]
-        for k, pik in row:
-            if k >= n:
-                break
+    for n, row in enumerate(basis.row_index, start=1):
+        a_n, last = yf[n - 1], 1  # last: the last N' whose term moved pi_n(S_N')
+        for k, pik in row[:-1]:  # the row ends with (n, 1)
             if a_k := nonzero.get(k):
                 a_n -= a_k * pik
+                last = k
         coeffs.append(a_n)
         if a_n:
             nonzero[n] = a_n
-
-    log: list[int] = []
-    for m, row in enumerate(rows, start=1):
-        partial = last = 0  # pi_m(S_N'), and the last N' whose term moved it
-        for n, pi in row:
-            if a := nonzero.get(n):
-                partial += a * pi
-                last = n
-        if partial != yf[m - 1]:
-            raise AssertionError(f"coordinate {m} never stabilized on the horizon")
-        log.append(max(last, 1))  # before its last move S_N' was not y_m
+            last = n
+        log.append(last)  # before its last move S_N' was not y_n
     return CoeffExpansion(target=yf, coefficients=tuple(coeffs), stabilization_log=tuple(log))
 
 

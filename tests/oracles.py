@@ -221,7 +221,7 @@ def rect_mass(m: KSMeasure, r: Rectangle) -> Rational:
 def certify_bound2(report: RectangleSupReport) -> str:
     """PASS iff 1/(2 sqrt(pi n)) < sup < 2/sqrt(pi n), both rationally
     certified; UNDECIDED signals an insufficient enclosure.  Re-derived from
-    sup, not read from the report's recorded comparisons."""
+    sup alone, apart from report_to_json and certify_pair."""
     if report.sup < 0:
         raise ValueError("supremum must be nonnegative")
     lower_ok = cmp_sq_below(report.sup, 1, 2, report.n)

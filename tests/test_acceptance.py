@@ -21,7 +21,7 @@ from kslab.cli import main as cli_main
 from kslab.exactnum import PI, parse_rational
 from kslab.ks_measure import build, support_size, total_variation
 from kslab.normal_subseq import extract, strongly_normal_report
-from kslab.rect_sup import sup_rect_bruteforce, sup_rect_fast
+from kslab.rect_sup import certify_pair, sup_rect_bruteforce, sup_rect_fast
 from kslab.schauder import (
     DENSE_UP_TO,
     GeneratorSet,
@@ -87,8 +87,9 @@ def test_criterion_2_rectangle_bound_sweep():
         report = sup_rect_fast(build(n))
         verdict = certify_bound2(report)
         assert verdict == "PASS", f"n={n}: {verdict}"
-        assert report.lower_ok.value == "CERT_GT"
-        assert report.upper_ok.value == "CERT_LT"
+        lower_ok, upper_ok = certify_pair(report.sup, n)
+        assert lower_ok.value == "CERT_GT"
+        assert upper_ok.value == "CERT_LT"
 
 
 @criterion(3, "fast path equals brute-force oracle, canonical and 10 seeds", budget_s=120.0)

@@ -21,7 +21,7 @@ from kslab import cli, exactnum
 from kslab.cli import _verify_one, main
 from kslab.exactnum import Cmp, EchelonStore, cmp_sq_below, format_rational, parse_rational
 from kslab.ks_measure import build
-from kslab.rect_sup import BRUTE_MAX_N, Rectangle, sup_rect_bruteforce
+from kslab.rect_sup import Rectangle, sup_rect_bruteforce
 from oracles import (
     certify_bound3,
     combo_to_json,
@@ -91,7 +91,7 @@ class TestVerify:
 
     def test_each_supremum_certified_once(self, tmp_path, monkeypatch):
         # bound2 and bound3 read the comparisons the report already holds:
-        # two per index, plus the brute-force report's own two (n <= BRUTE_MAX_N)
+        # two per index
         calls = []
 
         def counting(*args, **kwargs):
@@ -102,7 +102,7 @@ class TestVerify:
             if name.startswith("kslab.") and hasattr(module, "cmp_sq_below"):
                 monkeypatch.setattr(module, "cmp_sq_below", counting)
         assert run(["verify", "--n-max", "64", "--out", str(tmp_path / "v.json")]) == 0
-        assert len(calls) == 2 * 64 + 2 * BRUTE_MAX_N
+        assert len(calls) == 2 * 64
 
     def test_sweep_factorizes_at_most_once(self, tmp_path, monkeypatch):
         # verify walks m = n - 1 = 0..63 in order: every central binomial but
@@ -404,6 +404,19 @@ class TestSchauder:
         doc = json.loads(out.read_text())
         assert doc["expansions"][0]["coefficients"] == ["2", "3", "5"]
         assert doc["expansions"][0]["grid_all_true"] is True
+
+    def test_target_entries_past_the_horizon_are_dropped(self, tmp_path):
+        # documented behaviour: the report keeps the first --horizon entries
+        # and says nothing of the rest
+        gens = tmp_path / "gens.jsonl"
+        gens.write_text(unit_generator_lines(2), encoding="utf-8")
+        targets = tmp_path / "targets.json"
+        targets.write_text(json.dumps({"targets": [["2", "3", "5", "7"]]}), encoding="utf-8")
+        out = tmp_path / "basis.json"
+        argv = ["schauder", "--generators", str(gens), "--n", "2", "--horizon", "2", "--target", str(targets)]
+        assert run([*argv, "--out", str(out)]) == 0
+        exp = json.loads(out.read_text())["expansions"][0]
+        assert exp["target"] == ["2", "3"] and exp["coefficients"] == ["2", "3"]
 
     def test_parse_error(self, tmp_path):
         gens = tmp_path / "gens.jsonl"

@@ -186,9 +186,9 @@ class TestFastPath:
                 assert report.witness.col_bits == (1 << smallest_b) - 1
 
     def test_certified_at_n64(self):
-        report = sup_rect_fast(build(64))
-        assert report.lower_ok is Cmp.CERT_GT  # vs 1/(2 sqrt(pi) * 8)
-        assert report.upper_ok is Cmp.CERT_LT  # vs 2/(sqrt(pi) * 8)
+        lower_ok, upper_ok = certify_pair(sup_rect_fast(build(64)).sup, 64)
+        assert lower_ok is Cmp.CERT_GT  # vs 1/(2 sqrt(pi) * 8)
+        assert upper_ok is Cmp.CERT_LT  # vs 2/(sqrt(pi) * 8)
 
 
 class TestCertifyBound2:
@@ -203,20 +203,14 @@ class TestCertifyBound2:
         assert certify_bound2(report) == "PASS"
 
     def test_fail_above_upper(self):
-        report = sup_rect_fast(build(1))
-        fake = type(report)(
-            n=1, sup=Fraction(2), witness=None,
-            lower_ok=report.lower_ok, upper_ok=report.upper_ok, method="FastPath",
-        )
+        fake = sup_rect_fast(build(1))._replace(sup=Fraction(2))
         assert certify_bound2(fake) == "FAIL"
+        assert report_to_json(fake)["bound2"] == "FAIL"
 
     def test_fail_below_lower(self):
-        report = sup_rect_fast(build(1))
-        fake = type(report)(
-            n=1, sup=Fraction(1, 100), witness=None,
-            lower_ok=report.lower_ok, upper_ok=report.upper_ok, method="FastPath",
-        )
+        fake = sup_rect_fast(build(1))._replace(sup=Fraction(1, 100))
         assert certify_bound2(fake) == "FAIL"
+        assert report_to_json(fake)["bound2"] == "FAIL"
 
 
 class TestCertifyPairAtTheConstants:
@@ -258,6 +252,7 @@ class TestReportJson:
         assert doc["witness"]["B_bits"] == "0x7"
         assert doc["lower_ok"] == "CERT_GT"
         assert doc["upper_ok"] == "CERT_LT"
+        assert list(doc)[-1] == "bound2" and doc["bound2"] == "PASS"  # certified once, written last
 
     def test_null_witness_serialized(self):
         doc = report_to_json(sup_rect_fast(build(22)))

@@ -321,64 +321,93 @@ def reference_expansion(y, basis):
     return tuple(coeffs), tuple(log)
 
 
-def random_handmade_basis(rng, N, horizon, triangular):
-    """b_n with pi_n(b_n) = 1 and entries in {-1, 0, 1, 2} after n (the
-    paper's triangular profile), and also before n unless triangular."""
-    vectors = []
-    for n in range(1, N + 1):
-        coords = [
+def handmade_coords(rng, N, horizon, triangular):
+    """Dense b_1..b_N with pi_n(b_n) = 1 and entries in {-1, 0, 1, 2} after
+    n (the paper's triangular profile), and also before n unless triangular."""
+    return [
+        [
             Fraction(1) if k == n
             else Fraction(rng.choice([-1, 0, 0, 1, 2])) if k > n or not triangular
             else Fraction(0)
             for k in range(1, horizon + 1)
         ]
-        vectors.append(undensify(coords))
-    return TriangularBasis(vectors=tuple(vectors), horizon=horizon)
+        for n in range(1, N + 1)
+    ]
+
+
+def basis_of(coords, horizon):
+    return TriangularBasis(vectors=tuple(undensify(c) for c in coords), horizon=horizon)
+
+
+def random_handmade_basis(rng, N, horizon):
+    return basis_of(handmade_coords(rng, N, horizon, triangular=True), horizon)
 
 
 def with_entries(basis, entries):
-    """basis with pi_k(b_n) = v for each (n, k) -> v of entries."""
+    """The dense coordinates of basis with pi_k(b_n) = v for each (n, k) -> v of entries."""
     coords = [list(vec.coords) for vec in densify(basis)]
     for (n, k), v in entries.items():
         coords[n - 1][k - 1] = v
-    vectors = tuple(undensify(c) for c in coords)
-    return TriangularBasis(vectors=vectors, horizon=basis.horizon)
+    return coords
+
+
+def first_off_profile(coords):
+    """The least n whose b_n has an entry before n, or None."""
+    return next((n for n, c in enumerate(coords, start=1) if any(c[: n - 1])), None)
+
+
+class TestTriangularContract:
+    @pytest.mark.parametrize(
+        "coords, bad",
+        [
+            ([(1, 0), (1, 1)], 2),  # an entry before the diagonal
+            ([(1, 5, 0), (0, 1, 0), (0, -2, 1)], 3),
+            ([(2, 1)], 1),  # pi_1(b_1) = 2
+            ([(1, 0, 0), (0, Fraction(1, 2), 1)], 2),  # pi_2(b_2) = 1/2
+            ([(1, 0), (0, -1)], 2),  # pi_2(b_2) = -1
+            ([(1, 0, 0), (0, 0, 1)], 2),  # pi_2(b_2) = 0, first entry after it
+            ([(1, 0), (0, 0)], 2),  # b_2 = 0
+        ],
+    )
+    def test_rejected_at_construction(self, coords, bad):
+        message = rf"^b_{bad} must vanish before coordinate {bad} and have pi_{bad}\(b_{bad}\) = 1$"
+        with pytest.raises(ValueError, match=message):
+            basis_of(coords, len(coords[0]))
 
 
 class TestSparseExpansionAgainstDenseLoop:
     def test_handmade_bases_with_entries_off_the_unit_profile(self):
         rng = random.Random(7071)
-        stabilized = moved = failed = 0
+        moved = rejected = 0
         for trial in range(400):
             N = rng.randint(1, 7)
             horizon = N + rng.randint(0, 2)
-            basis = random_handmade_basis(rng, N, horizon, triangular=trial % 2 == 0)
+            basis = random_handmade_basis(rng, N, horizon)
             y = [Fraction(rng.choice([-2, -1, 0, 0, 1, 3]), rng.randint(1, 2)) for _ in range(horizon)]
             coeffs, log = reference_expansion(y, basis)
-            if None in log:
-                with pytest.raises(AssertionError, match=f"coordinate {log.index(None) + 1} never"):
-                    expand(y, basis)
+            exp = expand(y, basis)
+            assert exp.coefficients == coeffs and exp.stabilization_log == log
+            assert exp.grid_all_true is all(reference_grid(coeffs, basis, y).values()) is True
+            moved += sum(1 for m, logged in enumerate(log, start=1) if logged != 1 and m > 1)
+            # entries before the diagonal: a triangular basis cannot hold them
+            if trial % 2:
+                off = handmade_coords(rng, N, horizon, triangular=False)
             else:
-                exp = expand(y, basis)
-                assert exp.coefficients == coeffs and exp.stabilization_log == log
-                assert exp.grid_all_true == all(reference_grid(coeffs, basis, y).values())
-                stabilized += 1
-                moved += sum(1 for m, logged in enumerate(log, start=1) if logged != 1 and m > 1)
-                failed += not exp.grid_all_true
-            nonzero = [n for n, a in enumerate(coeffs, start=1) if a]
-            if trial % 2 == 0 and len(nonzero) >= 2 and nonzero[-2] > 1:
-                # pi_1 terms a_n1 a_n2 and -a_n2 a_n1 cancel, and the recursion
-                # never reads row 1 past the diagonal: the coefficients stay, and
-                # pi_1(S_N') leaves y_1 at n1 and returns at n2, a FAIL verdict
+                # pi_1 terms a_n1 a_n2 and -a_n2 a_n1 would cancel, keeping the
+                # coefficients while pi_1(S_N') leaves y_1 at n1 and returns at n2
+                nonzero = [n for n, a in enumerate(coeffs, start=1) if a]
+                if len(nonzero) < 2 or nonzero[-2] == 1:
+                    continue
                 n1, n2 = nonzero[-2:]
-                paired = with_entries(basis, {(n1, 1): coeffs[n2 - 1], (n2, 1): -coeffs[n1 - 1]})
-                exp = expand(y, paired)
-                assert (exp.coefficients, exp.stabilization_log) == reference_expansion(y, paired)
-                assert exp.stabilization_log[0] == n2
-                assert exp.grid_all_true is all(reference_grid(coeffs, paired, y).values()) is False
-                failed += 1
-        # a FAIL verdict needs an entry before the diagonal: non-triangular bases only
-        assert stabilized >= 200 and moved >= 400 and failed >= 120, (stabilized, moved, failed)
+                off = with_entries(basis, {(n1, 1): coeffs[n2 - 1], (n2, 1): -coeffs[n1 - 1]})
+            bad = first_off_profile(off)
+            if bad is None:
+                assert basis_of(off, horizon).row_index
+                continue
+            with pytest.raises(ValueError, match=f"^b_{bad} must vanish before coordinate {bad}"):
+                basis_of(off, horizon)
+            rejected += 1
+        assert moved >= 400 and rejected >= 120, (moved, rejected)
 
     @pytest.mark.parametrize("kind", ["built", "handmade"])
     def test_larger_bases(self, kind):
@@ -389,7 +418,7 @@ class TestSparseExpansionAgainstDenseLoop:
         if kind == "built":
             basis = build_triangular_basis(random_dense_generators(rng, m=20, horizon=30), 20, 30)
         else:
-            basis = random_handmade_basis(rng, 30, 32, triangular=True)
+            basis = random_handmade_basis(rng, 30, 32)
         for _ in range(4):
             y = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(basis.horizon)]
             coeffs, log = reference_expansion(y, basis)
@@ -410,11 +439,23 @@ class TestRowIndex:
 
     @pytest.mark.parametrize("triangular", [True, False])
     def test_handmade_bases(self, triangular):
+        # with entries before the diagonal allowed, a draw is rejected unless
+        # none came up
         rng = random.Random(f"index-{triangular}")
+        rejected = 0
         for _ in range(50):
             N = rng.randint(1, 9)
-            basis = random_handmade_basis(rng, N, N + rng.randint(0, 3), triangular=triangular)
+            horizon = N + rng.randint(0, 3)
+            coords = handmade_coords(rng, N, horizon, triangular=triangular)
+            bad = first_off_profile(coords)
+            if bad is not None:
+                with pytest.raises(ValueError, match=f"^b_{bad} must vanish"):
+                    basis_of(coords, horizon)
+                rejected += 1
+                continue
+            basis = basis_of(coords, horizon)
             assert basis.row_index == self.dense_nonzeros(basis)
+        assert rejected == 0 if triangular else rejected >= 40, rejected
 
     def test_built_basis(self):
         gens = random_dense_generators(random.Random(2020), m=20, horizon=30)
@@ -422,30 +463,26 @@ class TestRowIndex:
         assert basis.row_index == self.dense_nonzeros(basis)
         assert basis.row_index == tuple(((m, 1),) for m in range(1, 21))  # the unit profile
 
-    def test_expansions_read_only_the_index(self, monkeypatch):
+    def test_expansions_read_only_the_index(self):
         rng = random.Random(606)
         basis = build_triangular_basis(random_dense_generators(rng, m=20, horizon=30), 20, 30)
-        calls = {"coord": 0, "index": 0}
-        prop = TriangularBasis.__dict__["row_index"]
-        build = prop.func
+        reads = 0
 
         class CountingCoords(tuple):
             """Counts indexed reads of a vector's entries; iteration is free."""
 
             def __getitem__(self, k):
-                calls["coord"] += 1
+                nonlocal reads
+                reads += 1
                 return super().__getitem__(k)
-
-        def counting_build(self):
-            calls["index"] += 1
-            return build(self)
 
         vectors = tuple(v._replace(entries=CountingCoords(v.entries)) for v in basis.vectors)
         basis = TriangularBasis(vectors=vectors, horizon=basis.horizon)
-        monkeypatch.setattr(prop, "func", counting_build)
+        index = basis.row_index
+        reads = 0  # the constructor reads each b_n's first entry, for its contract
         targets = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(30)] for _ in range(5)]
         expansions = [expand(y, basis) for y in targets]
-        assert calls == {"coord": 0, "index": 1}
+        assert reads == 0 and basis.row_index is index
         for y, exp in zip(targets, expansions):  # checked after the count: the oracle reads coord
             assert exp.grid_all_true is True
             assert all(reference_grid(exp.coefficients, basis, y).values())

@@ -1,0 +1,160 @@
+"""Mutation probe: does some test fail when a certified statement is loosened?
+
+    python3 tools/mutants.py
+
+Run from anywhere; the script finds the checkout it lives in.  It copies
+``src`` and ``tests`` (and ``pyproject.toml``, for the pytest settings)
+to a temporary directory, checks that ``kslab`` imports from that copy,
+and checks that the unmutated copy passes Tier-1.  Then, for each mutant
+of MUTANTS in turn, it replaces one snippet of one module of the copy,
+runs that module's test file, and runs Tier-1 only when the file does not
+kill the mutant.  A mutant is killed when pytest fails or times out.  Each
+line of output names the outcome, the seconds taken and the mutant.  The
+working tree is never written.
+
+A mutant listed with a reason is a known equivalent: it cannot change any
+result, and the reason says why.  The exit code is 1 when a mutant not
+listed as equivalent survives, 2 when the probe cannot run (the copy does
+not import, or fails unmutated), and 0 otherwise.
+Stdlib only; bytecode writing is off, so a mutated file is always
+recompiled.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 900
+TIER1 = ["--continue-on-collection-errors"]
+
+
+class Mutant(NamedTuple):
+    module: str  # src/kslab/<module>.py, tested by tests/test_<module>.py
+    old: str  # occurs exactly once in the module
+    new: str
+    what: str
+    equivalent: str | None = None  # why no result can change
+
+
+MUTANTS = [
+    # the certified comparison kernel
+    Mutant("exactnum", "p2 * (k * PI.upper.numerator) < q2 * (c * PI.upper.denominator)",
+           "p2 * (k * PI.lower.numerator) < q2 * (c * PI.lower.denominator)",
+           "cmp_sq_below decides CERT_LT on PI.lower"),
+    Mutant("exactnum", "p2 * (k * PI.lower.numerator) > q2 * (c * PI.lower.denominator)",
+           "p2 * (k * PI.upper.numerator) > q2 * (c * PI.upper.denominator)",
+           "cmp_sq_below decides CERT_GT on PI.upper"),
+    Mutant("exactnum", "r.odd * r.odd << 2 * r.exp", "r.odd * r.odd << r.exp",
+           "cmp_sq_below squares a Dyadic's power of two once"),
+    Mutant("exactnum", "return Fraction(t, q * scale), Fraction(t + 1, q * scale)",
+           "return Fraction(t + 1, q * scale), Fraction(t, q * scale)",
+           "sqrt_enclosure swaps lo and hi"),
+    Mutant("exactnum", "Fraction(x0 * x0 + s, 2 * x0 * s)", "Fraction(x0 * x0 + s, 2 * x0 * s + 1)",
+           "recip_sqrt_upper drops below 1/sqrt(s)"),
+    # bound2 and bound3
+    Mutant("rect_sup", "cmp_sq_below(sup, 1, 2, n)", "cmp_sq_below(sup, 1, 3, n)",
+           "bound2's lower constant 1/2 -> 1/3"),
+    Mutant("rect_sup", "cmp_sq_below(sup, 2, 1, n)", "cmp_sq_below(sup, 3, 1, n)",
+           "bound2's upper constant 2 -> 3"),
+    Mutant("rect_sup", "b = n if n % 2 else n - 1", "b = n if n % 2 else n",
+           "witness width n for even n, not the smallest maximizing n - 1"),
+    Mutant("cli", '"PASS" if upper_ok is Cmp.CERT_LT else', '"PASS" if upper_ok is not Cmp.CERT_GT else',
+           "bound3 passes on an undecided upper bound"),
+    # the subsequence certificate
+    Mutant("normal_subseq", "cmp_sq_below(last, *bound, 1)", "cmp_sq_below(last, *bound, Fraction(1, 2))",
+           "_combo_row's verdict loosened by a factor 2 in the squares"),
+    Mutant("normal_subseq", "(8 * nb * cert.total_bound)", "(9 * nb * cert.total_bound)",
+           "_combo_row's factor 8 -> 9"),
+    Mutant("normal_subseq", "certified = not last or cmp_sq_below", "certified = cmp_sq_below",
+           "_combo_row's zero guard dropped"),
+    Mutant("normal_subseq", "tail_bound=Fraction(1, length)", "tail_bound=Fraction(1, length + 1)",
+           "tail_bound 1/N -> 1/(N+1)"),
+    Mutant("normal_subseq", "threshold = max(pick + 1, pos**4)", "threshold = max(pick + 1, pos**3)",
+           "extract's threshold n^4 -> n^3"),
+    Mutant("normal_subseq", "return total / hi_s, total / lo_s", "return total / lo_s, total / hi_s",
+           "uniform_bound_enclosure swaps lo and hi"),
+    # the triangular basis
+    Mutant("schauder", "if vec.entries[:1] != ((n, vec.den),):", "if vec.entries[:1] == ((n, vec.den),):",
+           "TriangularBasis's triangularity check negated"),
+    Mutant("schauder", "            nonzero[n] = a_n\n            last = n\n", "            nonzero[n] = a_n\n",
+           "expand's last = n dropped"),
+    Mutant("schauder", "                last = k\n", "",
+           "expand's last = k dropped"),
+    # the section simplex
+    Mutant("basic_seq_diag", "if b * floor.denominator > floor.numerator * det:",
+           "if b * floor.denominator >= floor.numerator * det:",
+           "_raise_floors raises a floor to an equal value",
+           equivalent="on equality the floor is replaced by an equal Fraction, so every value stays the same"),
+]
+
+
+def run_pytest(copy: Path, env: dict, args: list[str]) -> tuple[bool, float]:
+    """(passed, seconds) of one pytest run in the copy; a timeout fails."""
+    start = time.monotonic()
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *args]
+    try:
+        proc = subprocess.run(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
+        passed = proc.returncode == 0
+    except subprocess.TimeoutExpired:
+        passed = False
+    return passed, time.monotonic() - start
+
+
+def probe(m: Mutant, copy: Path, env: dict) -> tuple[bool, float]:
+    """(survived, seconds) of one mutant; the module is restored after."""
+    path = copy / "src" / "kslab" / f"{m.module}.py"
+    text = path.read_text(encoding="utf-8")
+    if text.count(m.old) != 1:
+        raise SystemExit(f"mutant {m.what!r}: its snippet occurs {text.count(m.old)} times in {m.module}.py")
+    path.write_text(text.replace(m.old, m.new), encoding="utf-8")
+    try:
+        survived, seconds = run_pytest(copy, env, [f"tests/test_{m.module}.py"])
+        if survived:
+            survived, more = run_pytest(copy, env, TIER1)
+            seconds += more
+    finally:
+        path.write_text(text, encoding="utf-8")
+    return survived, seconds
+
+
+def main() -> int:
+    start = time.monotonic()
+    with tempfile.TemporaryDirectory(prefix="kslab-mutants-") as tmp:
+        copy = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name, ignore=skip)
+        shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        found = subprocess.run([sys.executable, "-c", "import kslab; print(kslab.__file__)"],
+                               cwd=copy, env=env, capture_output=True, text=True).stdout.strip()
+        if not found or Path(found).resolve() != (copy / "src" / "kslab" / "__init__.py").resolve():
+            print(f"kslab imports from {found or 'nowhere'}, not from the copy in {copy}", file=sys.stderr)
+            return 2
+        passed, seconds = run_pytest(copy, env, TIER1)
+        if not passed:
+            print(f"the unmutated copy fails Tier-1 ({seconds:.1f} s); no mutant can be judged", file=sys.stderr)
+            return 2
+        print(f"unmutated Tier-1 passes ({seconds:.1f} s); {len(MUTANTS)} mutants")
+        unexplained = 0
+        for m in MUTANTS:
+            survived, seconds = probe(m, copy, env)
+            unexplained += survived and not m.equivalent
+            outcome = "survived" if survived else "killed"
+            note = f"  [equivalent: {m.equivalent}]" if m.equivalent else ""
+            print(f"{outcome:8} {seconds:6.1f} s  {m.module}: {m.what}{note}", flush=True)
+    print(f"{unexplained} survivor(s) not listed as equivalent, in {time.monotonic() - start:.0f} s")
+    return 1 if unexplained else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
