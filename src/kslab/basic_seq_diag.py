@@ -15,6 +15,11 @@ over the coefficients c.  Every (m, h) shares the feasible set K, so one
 integer-only vertex simplex per section walks K from optimum to optimum:
 rows are scaled to primitive integer vectors (a positive row scaling leaves
 every norm unchanged), no float enters, and each norm is an exact Fraction.
+The walk's first vertex decides the rank: its N forced pivots out of the
+origin all meet a constraint exactly when the rows are independent, so a
+section is eliminated once.  A walk pivots by Dantzig's rule (the most
+negative multiplier leaves) while each pivot strictly raises the objective,
+and by Bland's rule from the first pivot that does not, so it never cycles.
 Every vertex c the walk reaches lies in K, so its prefix values
 |sum_{i<=m} a_h(i) c_i| over every column h are attained on K and raise the
 floor of every m at once; an optimum is such a value at its own vertex.  The
@@ -35,7 +40,7 @@ from itertools import accumulate
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .exactnum import EchelonStore, Rational, decimal_str, format_rational
+from .exactnum import Rational, decimal_str, format_rational
 
 CAVEAT = (
     "Finite-section evidence only: projection norms are computed on the "
@@ -66,7 +71,14 @@ class FiniteSection(NamedTuple):
 def check_section(section: FiniteSection) -> None:
     """Raise DegenerateSectionError on an empty section, rows of unequal
     length, a zero row or dependent rows, and TypeError on an entry that is
-    not an int or Fraction (a float would be certified at its binary value)."""
+    not an int or Fraction (a float would be certified at its binary value).
+    The rank is read off the section simplex's first vertex."""
+    _check_entries(section)
+    _VertexSimplex(section.rows)
+
+
+def _check_entries(section: FiniteSection) -> None:
+    """check_section's checks short of the rank."""
     if not section.rows:
         raise DegenerateSectionError("section has no functionals")
     widths = {len(row) for row in section.rows}
@@ -78,9 +90,6 @@ def check_section(section: FiniteSection) -> None:
             raise TypeError(f"functional {i} has a {type(bad).__name__} entry; use int or Fraction")
         if all(v == 0 for v in row):
             raise DegenerateSectionError(f"functional {i} is zero on the test family")
-    store = EchelonStore(section.n_tests)
-    if not all(store.add(dict(enumerate(row, start=1))) for row in section.rows):
-        raise DegenerateSectionError("section rows are linearly dependent")
 
 
 def _primitive(row: Sequence[Rational]) -> list[int]:
@@ -94,8 +103,8 @@ def _primitive(row: Sequence[Rational]) -> list[int]:
 
 class _VertexSimplex:
     """Vertices of K = {c : |a . c| <= 1 for every column a of the primitive
-    integer rows}, for rows independent over Q, walked by a fraction-free
-    simplex (cols holds the columns).
+    integer nonzero rows}, walked by a fraction-free simplex (cols holds the
+    columns).
 
     A vertex is a basis of N (column h, sign s) pairs whose normals s a_h,
     the rows of M, are tight: c = M^-1 1.  M^-1 is adj / det, det > 0 and
@@ -105,6 +114,9 @@ class _VertexSimplex:
     its values.  The first vertex comes from N forced pivots out of the
     origin: row r starts as e_r (c_r = 0, right side 0) and the ray that
     keeps the other rows fixed replaces it by the first constraint it meets.
+    A ray that meets none is a direction d != 0 with a . d = 0 for every
+    column, so the rows are dependent and DegenerateSectionError is raised;
+    if all N pivots succeed, N columns are independent, and so are the rows.
     """
 
     def __init__(self, rows: Sequence[Sequence[Rational]]):
@@ -137,6 +149,8 @@ class _VertexSimplex:
                 num, den = det - s * sum(map(mul, a, x)), abs(y)
                 if best is None or num * best[3] < best[2] * den:
                     best = (h, s, num, den)
+        if best is None:
+            raise DegenerateSectionError("section rows are linearly dependent")
         h, s, _, _ = best
         w = [s * sum(map(mul, self.cols[h], col)) for col in adj]
         new_det = w[r]
@@ -153,10 +167,16 @@ class _VertexSimplex:
         """Pivot to a vertex that maximizes p . c over K (p may be shorter
         than c: the missing entries are 0) and return the multiplier
         numerators mu = adj^T p: p = sum_r (mu_r / det) s_r a_{h_r}
-        with every mu_r >= 0, so the optimum is sum(mu) / det.  Bland's
-        rule: the row with the smallest column among negative multipliers
-        leaves.  Return None instead once sum(|mu|) / det, a bound on K at
-        any basis, is <= floor; at floor 0 that needs mu = 0, already optimal."""
+        with every mu_r >= 0, so the optimum is sum(mu) / det.  Return None
+        instead once sum(|mu|) / det, a bound on K at any basis, is <= floor;
+        at floor 0 that needs mu = 0, already optimal.
+
+        The row with the most negative multiplier leaves (Dantzig's rule)
+        while each pivot strictly raises p . c = sum(mu) / det, so no basis
+        comes back.  From the first pivot that does not, the row with the
+        smallest column among negative multipliers leaves (Bland's rule),
+        which cannot cycle from any basis.  So every call ends."""
+        bland, last = False, None
         while True:
             mu = [sum(map(mul, p, col)) for col in self.adj]
             neg = [r for r in range(len(mu)) if mu[r] < 0]
@@ -164,7 +184,10 @@ class _VertexSimplex:
                 return mu
             if sum(map(abs, mu)) * floor.denominator <= floor.numerator * self.det:
                 return None
-            self._pivot(min(neg, key=lambda r: self.basis[r][0]), -1)
+            value = sum(mu), self.det
+            bland = bland or last is not None and value[0] * last[1] <= last[0] * value[1]
+            last = value
+            self._pivot(min(neg, key=(lambda r: self.basis[r][0]) if bland else mu.__getitem__), -1)
 
 
 def _raise_floors(lp: _VertexSimplex, per_m: list[Fraction]) -> None:
@@ -193,11 +216,11 @@ def basis_constant(section: FiniteSection) -> tuple[Fraction, list[Fraction]]:
     So each final floor is ||P_m|| exactly.  N = 1 reports K = 1 by
     convention (no proper partial sums).
     """
-    check_section(section)
+    _check_entries(section)
     n = section.n_functionals
     if n == 1:
         return Fraction(1), [Fraction(1)]
-    lp = _VertexSimplex(section.rows)
+    lp = _VertexSimplex(section.rows)  # raises on dependent rows
     per_m = [Fraction(0)] * (n - 1)
     _raise_floors(lp, per_m)
     for a in lp.cols:

@@ -9,8 +9,7 @@ bound (n = 1) included.  No floating point ever enters a certification path.
 
 The exact linear algebra lives here too: EchelonStore, an incremental
 row-echelon form that records how each stored row combines its inputs,
-decides density, builds triangular bases and checks section rank, all on
-primitive integer rows.
+decides density and builds triangular bases, all on primitive integer rows.
 
 central_binomial gives C(m, floor(m/2)), the numerator of every c_n, by
 Legendre's formula on one shared prime sieve and a balanced product tree,

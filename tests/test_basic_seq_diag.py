@@ -1,14 +1,18 @@
 """Finite-section diagnostics: projection norms, basis constants, and the
 section builder over measures."""
 
+import ast
 import copy
 import json
 import math
 import random
 from fractions import Fraction
+from operator import mul
+from pathlib import Path
 
 import pytest
 
+from kslab import basic_seq_diag
 from kslab.basic_seq_diag import (
     DegenerateSectionError,
     FiniteSection,
@@ -378,6 +382,101 @@ class TestVertexFloors:
             assert len(updates) > 1 and updates[-1] == best
 
 
+def bland_only_maximize(lp, p, floor):
+    """maximize with Bland's rule from the first pivot: the walk before
+    Dantzig-first pivots, kept to count what the rule saves."""
+    while True:
+        mu = [sum(map(mul, p, col)) for col in lp.adj]
+        neg = [r for r in range(len(mu)) if mu[r] < 0]
+        if not neg:
+            return mu
+        if sum(map(abs, mu)) * floor.denominator <= floor.numerator * lp.det:
+            return None
+        lp._pivot(min(neg, key=lambda r: lp.basis[r][0]), -1)
+
+
+def sign_section(seed, n, f):
+    """A seeded n x f section of independent rows with entries +-1: many
+    vertices where more than n constraints are tight."""
+    rng = random.Random(seed)
+    while True:
+        section = FiniteSection(rows=tuple(tuple(rng.choice((-1, 1)) for _ in range(f)) for _ in range(n)))
+        try:
+            check_section(section)
+        except DegenerateSectionError:
+            continue
+        return section
+
+
+class TestPivotRule:
+    """A walk pivots by Dantzig's rule while p . c strictly rises and by
+    Bland's rule from the first pivot where it does not."""
+
+    def test_fewer_pivots_than_bland_only(self, monkeypatch):
+        # fails when every walk pivots by Bland's rule from its start
+        pivot = _VertexSimplex._pivot
+        calls = [0]
+
+        def counted(lp, r, sigma):
+            calls[0] += 1
+            pivot(lp, r, sigma)
+
+        def pivots(section):
+            calls[0] = 0
+            result = basis_constant(section)
+            return calls[0], result
+
+        monkeypatch.setattr(_VertexSimplex, "_pivot", counted)
+        for section in diag_sections(6):
+            dantzig, result = pivots(section)
+            with monkeypatch.context() as patch:
+                patch.setattr(_VertexSimplex, "maximize", bland_only_maximize)
+                bland, bland_result = pivots(section)
+            assert result == bland_result
+            assert dantzig < bland
+
+    def test_rule_and_fallback_against_enumeration(self, monkeypatch):
+        # replays the rule from outside: before each walk pivot, the leaving
+        # row is the most negative multiplier, or Bland's row once a pivot
+        # of the same call has failed to raise p . c strictly
+        maximize, pivot = _VertexSimplex.maximize, _VertexSimplex._pivot
+        walk = {}
+
+        def watched_maximize(lp, p, floor):
+            walk.update(p=p, bland=False)
+            return maximize(lp, p, floor)
+
+        def watched_pivot(lp, r, sigma):
+            if sigma == 1:  # a forced pivot toward the first vertex
+                return pivot(lp, r, sigma)
+            p = walk["p"]
+            mu = [sum(map(mul, p, col)) for col in lp.adj]
+            if walk["bland"]:
+                assert r == min((i for i in range(len(mu)) if mu[i] < 0), key=lambda i: lp.basis[i][0])
+                walk["fallback"] += 1
+            else:
+                assert mu[r] == min(mu) < 0
+            before = Fraction(sum(map(mul, p, lp.point())), lp.det)
+            pivot(lp, r, sigma)
+            walk["bland"] = walk["bland"] or Fraction(sum(map(mul, p, lp.point())), lp.det) <= before
+
+        monkeypatch.setattr(_VertexSimplex, "maximize", watched_maximize)
+        monkeypatch.setattr(_VertexSimplex, "_pivot", watched_pivot)
+        sections = {
+            "identity": FiniteSection(rows=frac_rows([[int(i == j) for j in range(12)] for i in range(7)])),
+            "rescaled": rescaled_row(diag_sections(1)[0], 3, Fraction(7, 3)),
+            "signs": sign_section(0, 8, 16),
+        }
+        fallback = {}
+        for name, section in sections.items():
+            walk["fallback"] = 0
+            result = basis_constant(section)
+            fallback[name] = walk["fallback"]
+            best = enumeration_maxima(section)
+            assert result == (max(best), best), name
+        assert fallback["signs"] > 0, fallback
+
+
 def gram_det(rows):
     """det(R R^T) by cofactor expansion: nonzero iff the rows are independent."""
     gram = [[sum((a * b for a, b in zip(r, s)), Fraction(0)) for s in rows] for r in rows]
@@ -418,6 +517,50 @@ class TestCheckSectionRank:
                 accepted = False
             assert accepted == independent, rows
         assert min(verdicts.values()) >= 50, verdicts
+
+
+DEPENDENT = r"^section rows are linearly dependent$"
+
+
+class TestRankFromFirstVertex:
+    """The rank is read off the forced pivots of the simplex's first vertex:
+    a ray that meets no constraint lies in the rows' null space.  Every
+    error and message of check_section is kept, on every entry point."""
+
+    @pytest.mark.parametrize(
+        "rows, error, message",
+        [
+            ((), DegenerateSectionError, r"^section has no functionals$"),
+            (((1, 0), (0, 1, 5)), DegenerateSectionError, r"^section rows differ in length: \[2, 3\]$"),
+            (((1, 0), (0, Fraction(1, 2)), (0.1, 1)), TypeError,
+             r"^functional 2 has a float entry; use int or Fraction$"),
+            (((1, 2), (0, 0)), DegenerateSectionError, r"^functional 1 is zero on the test family$"),
+            (((1, 2, 0), (0, 1, 3), (1, 2, 0)), DegenerateSectionError, DEPENDENT),
+            (((1, -2, 3), (0, 1, 1), (Fraction(5, 2), -5, Fraction(15, 2))), DegenerateSectionError, DEPENDENT),
+            (((1, 0), (0, 1), (1, 1)), DegenerateSectionError, DEPENDENT),
+        ],
+        ids=["empty", "unequal-length", "float", "zero-row", "repeated-row", "positive-multiple",
+             "more-functionals-than-tests"],
+    )
+    def test_every_error_and_message(self, rows, error, message):
+        section = FiniteSection(rows=rows)
+        for call in (check_section, basis_constant, section_report):
+            with pytest.raises(error, match=message):
+                call(section)
+
+    def test_sections_are_eliminated_once(self):
+        # the simplex's first vertex is the one elimination of a section
+        tree = ast.parse(Path(basic_seq_diag.__file__).read_text(encoding="utf-8"))
+        named = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named.update(alias.name for alias in node.names)
+        assert "EchelonStore" not in named
+        assert not hasattr(basic_seq_diag, "EchelonStore")
 
 
 class TestSectionOfKs:

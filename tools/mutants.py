@@ -93,6 +93,11 @@ MUTANTS = [
            "if b * floor.denominator >= floor.numerator * det:",
            "_raise_floors raises a floor to an equal value",
            equivalent="on equality the floor is replaced by an equal Fraction, so every value stays the same"),
+    Mutant("basic_seq_diag",
+           '        if best is None:\n            raise DegenerateSectionError("section rows are linearly dependent")\n',
+           "", "the first vertex's dependent-rows raise dropped"),
+    Mutant("basic_seq_diag", "bland, last = False, None", "bland, last = True, None",
+           "maximize starts in Bland mode"),
 ]
 
 
