@@ -68,30 +68,6 @@ class FiniteSection(NamedTuple):
         return len(self.rows[0]) if self.rows else 0
 
 
-def check_section(section: FiniteSection) -> None:
-    """Raise DegenerateSectionError on an empty section, rows of unequal
-    length, a zero row or dependent rows, and TypeError on an entry that is
-    not an int or Fraction (a float would be certified at its binary value).
-    The rank is read off the section simplex's first vertex."""
-    _check_entries(section)
-    _VertexSimplex(section.rows)
-
-
-def _check_entries(section: FiniteSection) -> None:
-    """check_section's checks short of the rank."""
-    if not section.rows:
-        raise DegenerateSectionError("section has no functionals")
-    widths = {len(row) for row in section.rows}
-    if len(widths) > 1:
-        raise DegenerateSectionError(f"section rows differ in length: {sorted(widths)}")
-    for i, row in enumerate(section.rows):
-        bad = next((v for v in row if not isinstance(v, numbers.Rational)), None)
-        if bad is not None:
-            raise TypeError(f"functional {i} has a {type(bad).__name__} entry; use int or Fraction")
-        if all(v == 0 for v in row):
-            raise DegenerateSectionError(f"functional {i} is zero on the test family")
-
-
 def _primitive(row: Sequence[Rational]) -> list[int]:
     """The positive multiple of a nonzero rational row that is an integer
     vector with joint gcd 1."""
@@ -215,8 +191,23 @@ def basis_constant(section: FiniteSection) -> tuple[Fraction, list[Fraction]]:
     solved ends at its optimum's vertex, whose value the floor then holds.
     So each final floor is ||P_m|| exactly.  N = 1 reports K = 1 by
     convention (no proper partial sums).
+
+    Raises DegenerateSectionError on an empty section, rows of unequal
+    length, a zero row or, for N > 1, dependent rows (read off the
+    simplex's first vertex), and TypeError on an entry that is not an int
+    or Fraction (a float would be certified at its binary value).
     """
-    _check_entries(section)
+    if not section.rows:
+        raise DegenerateSectionError("section has no functionals")
+    widths = {len(row) for row in section.rows}
+    if len(widths) > 1:
+        raise DegenerateSectionError(f"section rows differ in length: {sorted(widths)}")
+    for i, row in enumerate(section.rows):
+        bad = next((v for v in row if not isinstance(v, numbers.Rational)), None)
+        if bad is not None:
+            raise TypeError(f"functional {i} has a {type(bad).__name__} entry; use int or Fraction")
+        if all(v == 0 for v in row):
+            raise DegenerateSectionError(f"functional {i} is zero on the test family")
     n = section.n_functionals
     if n == 1:
         return Fraction(1), [Fraction(1)]

@@ -179,7 +179,7 @@ def cmd_schauder(args: argparse.Namespace) -> int:
         )
         return 1
 
-    basis = schauder.basis_from_density(density, gens, args.horizon)
+    basis = schauder.basis_from_density(density, args.horizon)
     doc["basis"] = schauder.basis_to_json(basis)
     expansions = [schauder.expand(vec, basis) for vec in targets]
     doc["expansions"] = [schauder.expansion_to_json(exp) for exp in expansions]

@@ -7,10 +7,6 @@ exact integer arithmetic against a fixed rational enclosure of pi.  One
 function, cmp_sq_below, decides every such comparison, subseq's uniform
 bound (n = 1) included.  No floating point ever enters a certification path.
 
-The exact linear algebra lives here too: EchelonStore, an incremental
-row-echelon form that records how each stored row combines its inputs,
-decides density and builds triangular bases, all on primitive integer rows.
-
 central_binomial gives C(m, floor(m/2)), the numerator of every c_n, by
 Legendre's formula on one shared prime sieve and a balanced product tree,
 or by one Pascal step when m follows the previous call's m.  Dyadic holds
@@ -350,95 +346,6 @@ def parse_rational(text: str) -> Rational:
         return Fraction(int(num, 0), int(den, 0) if slash else 1)
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {text!r}") from exc
-
-
-def _sub_scaled(target: dict[int, int], a: int, b: int, source: dict[int, int]) -> None:
-    """target <- a * target - b * source in place on sparse int vectors, dropping zeros."""
-    if a != 1:
-        for k in target:
-            target[k] *= a
-    for k, x in source.items():
-        nv = target.get(k, 0) - b * x
-        if nv:
-            target[k] = nv
-        else:
-            target.pop(k, None)
-
-
-class EchelonStore:
-    """Row-echelon form of sparse rational vectors restricted to coordinates
-    1..m, built one input at a time; the package's one exact elimination.
-
-    Inputs are numbered 0, 1, ... in the order they are added.  add() reduces
-    an input against the stored rows in storage order and stores the
-    remainder, pivoting on its first nonzero coordinate; an input that
-    reduces to zero depends on earlier ones and is dropped.  The stored rows
-    therefore come from the first independent inputs, and their pivots are
-    the coordinates k whose projection is independent of those on 1..k-1.
-    Each row also records the combination of inputs it equals (a dict from
-    input number to weight), so the stored rows can be solved back into
-    combinations of the original inputs.  Rows and combinations hold ints:
-    inputs are scaled by the lcm of their denominators, reduction
-    cross-multiplies pivots, and rows are primitive (joint gcd 1).
-    """
-
-    def __init__(self, m: int):
-        self.m = m
-        self.inputs = 0
-        self.rows: list[tuple[int, dict[int, int], dict[int, int]]] = []  # (pivot, vector, combination)
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def add(self, vec: dict[int, Rational]) -> bool:
-        """Reduce one input and store it; False when it depends on earlier inputs."""
-        q = {k: Fraction(x) for k, x in vec.items() if k <= self.m and x}
-        d = math.lcm(*(x.denominator for x in q.values()))
-        v = {k: x.numerator * (d // x.denominator) for k, x in q.items()}
-        combo = {self.inputs: d}
-        self.inputs += 1
-        for pivot, row, row_combo in self.rows:
-            coef = v.get(pivot)
-            if coef:
-                g = math.gcd(coef, row[pivot])
-                a, b = row[pivot] // g, coef // g  # a * coef == b * row[pivot]
-                _sub_scaled(v, a, b, row)
-                _sub_scaled(combo, a, b, row_combo)
-        if not v:
-            return False
-        g = math.gcd(*v.values(), *combo.values())
-        v, combo = {k: x // g for k, x in v.items()}, {i: w // g for i, w in combo.items()}
-        self.rows.append((min(v), v, combo))
-        return True
-
-    def first_gap(self) -> int | None:
-        """The least coordinate in 1..m that no stored row pivots on."""
-        pivots = {pivot for pivot, _, _ in self.rows}
-        return next((k for k in range(1, self.m + 1) if k not in pivots), None)
-
-    def unit_combinations(self) -> list[tuple[dict[int, int], int]]:
-        """For full rank m: the input combinations whose profiles on 1..m are
-        the unit vectors e_1..e_m, by back-substituting the pivot rows from m
-        down to 1 (the row pivoting on n is zero before n, so it needs only
-        the combinations for n+1..m).  On a fixed set of independent inputs
-        these combinations are unique.  Unit n is (U_n, s_n), int weights over
-        s_n > 0, reduced jointly: U_n = L combo - sum_k row[k] (L/s_k) U_k,
-        s_n = L row[n], L the lcm of the s_k row n touches."""
-        if self.rank != self.m:
-            raise ValueError(f"rank {self.rank} is short of {self.m}")
-        by_pivot = {pivot: (row, combo) for pivot, row, combo in self.rows}
-        units: dict[int, tuple[dict[int, int], int]] = {}
-        for n in range(self.m, 0, -1):
-            row, combo = by_pivot[n]
-            lcm = math.lcm(*(units[k][1] for k in row if k != n))
-            acc = {i: lcm * w for i, w in combo.items()}
-            for k, x in row.items():
-                if k != n:
-                    _sub_scaled(acc, 1, x * (lcm // units[k][1]), units[k][0])
-            g = math.gcd(lcm * row[n], *acc.values()) * (-1 if row[n] < 0 else 1)
-            units[n] = ({i: w // g for i, w in acc.items()}, lcm * row[n] // g)
-        return [units[n] for n in range(1, self.m + 1)]
 
 
 def decimal_str(q: Rational | Dyadic) -> str | None:

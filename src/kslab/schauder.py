@@ -6,7 +6,7 @@ iff every finite-coordinate projection of it is surjective.  Surjectivity
 onto an initial segment {1..m} implies it for every subset of {1..m}
 (a coordinate subprojection of a surjection is surjective), so the check
 feeds the generators, restricted to 1..m, into one exact row-echelon store
-(exactnum.EchelonStore) until its rank reaches m.  A family that falls
+(EchelonStore, below) until its rank reaches m.  A family that falls
 short names the least segment {1..k} it does not cover, k the store's
 first coordinate without a pivot, so the report stays small at any m.
 
@@ -44,7 +44,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .exactnum import EchelonStore, Rational, format_ratio, format_rational, parse_rational
+from .exactnum import Rational, format_ratio, format_rational, parse_rational
 
 SparseVec = dict[int, Fraction]  # 1-based coordinate -> value, finite support
 
@@ -60,7 +60,14 @@ class DensityError(ValueError):
         super().__init__(f"rank deficiency at coordinate {coordinate}")
 
 
-def _validate_sparse(pairs: Iterable[tuple[object, object]], parse=Fraction) -> SparseVec:
+def _fraction(v: object, entry: str = "GeneratorSet") -> Fraction:
+    """Fraction(v); a float raises TypeError, since its binary value would enter."""
+    if isinstance(v, float):
+        raise TypeError(f"{entry} requires int, Fraction or str values, got float {v!r}")
+    return Fraction(v)
+
+
+def _validate_sparse(pairs: Iterable[tuple[object, object]], parse=_fraction) -> SparseVec:
     """{int(k): parse(v)} over (k, v) pairs without zeros; rejects k < 1 and a repeated k."""
     out: SparseVec = {}
     for k, v in pairs:
@@ -114,9 +121,85 @@ class GeneratorSet:
     def __iter__(self) -> Iterator[SparseVec]:
         return iter(self._vectors)
 
-    def fetch(self, k: int) -> list[SparseVec]:
-        """The first k generators, or all of them when there are fewer."""
-        return self._vectors[:k]
+
+def _sub_scaled(target: dict[int, int], a: int, b: int, source: dict[int, int]) -> None:
+    """target <- a * target - b * source in place on sparse int vectors, dropping zeros."""
+    if a != 1:
+        for k in target:
+            target[k] *= a
+    for k, x in source.items():
+        nv = target.get(k, 0) - b * x
+        if nv:
+            target[k] = nv
+        else:
+            target.pop(k, None)
+
+
+class EchelonStore:
+    """Row-echelon form of sparse rational vectors restricted to coordinates
+    1..m, built one input at a time.
+
+    inputs lists the vectors added, in order; input i is inputs[i].  add()
+    reduces an input against the stored rows in storage order and stores
+    the remainder, pivoting on its first nonzero coordinate; an input that
+    reduces to zero depends on earlier ones and is dropped.  The stored
+    rows therefore come from the first independent inputs, and their
+    pivots are the coordinates k whose projection is independent of those
+    on 1..k-1.  Each row also records the combination of inputs it equals
+    (a dict from input number to weight), so the stored rows can be solved
+    back into combinations of the original inputs.  Rows and combinations
+    hold ints: inputs are scaled by the lcm of their denominators on 1..m,
+    reduction cross-multiplies pivots, and rows are primitive (joint gcd 1).
+    """
+
+    def __init__(self, m: int):
+        self.m = m
+        self.inputs: list[SparseVec] = []
+        self.rows: list[tuple[int, dict[int, int], dict[int, int]]] = []  # (pivot, vector, combination)
+
+    def add(self, vec: SparseVec) -> bool:
+        """Reduce one input and store it; False when it depends on earlier inputs."""
+        q = {k: Fraction(x) for k, x in vec.items() if k <= self.m and x}
+        d = math.lcm(*(x.denominator for x in q.values()))
+        v = {k: x.numerator * (d // x.denominator) for k, x in q.items()}
+        combo = {len(self.inputs): d}
+        self.inputs.append(vec)
+        for pivot, row, row_combo in self.rows:
+            coef = v.get(pivot)
+            if coef:
+                g = math.gcd(coef, row[pivot])
+                a, b = row[pivot] // g, coef // g  # a * coef == b * row[pivot]
+                _sub_scaled(v, a, b, row)
+                _sub_scaled(combo, a, b, row_combo)
+        if not v:
+            return False
+        g = math.gcd(*v.values(), *combo.values())
+        v, combo = {k: x // g for k, x in v.items()}, {i: w // g for i, w in combo.items()}
+        self.rows.append((min(v), v, combo))
+        return True
+
+    def unit_combinations(self) -> list[tuple[dict[int, int], int]]:
+        """For full rank m: the input combinations whose profiles on 1..m are
+        the unit vectors e_1..e_m, by back-substituting the pivot rows from m
+        down to 1 (the row pivoting on n is zero before n, so it needs only
+        the combinations for n+1..m).  On a fixed set of independent inputs
+        these combinations are unique.  Unit n is (U_n, s_n), int weights over
+        s_n > 0, reduced jointly: U_n = L combo - sum_k row[k] (L/s_k) U_k,
+        s_n = L row[n], L the lcm of the s_k row n touches."""
+        if len(self.rows) != self.m:
+            raise ValueError(f"rank {len(self.rows)} is short of {self.m}")
+        by_pivot = {pivot: (row, combo) for pivot, row, combo in self.rows}
+        units: dict[int, tuple[dict[int, int], int]] = {}
+        for n in range(self.m, 0, -1):
+            row, combo = by_pivot[n]
+            lcm = math.lcm(*(units[k][1] for k in row if k != n))
+            acc = {i: lcm * w for i, w in combo.items()}
+            for k, x in row.items():
+                if k != n:
+                    _sub_scaled(acc, 1, x * (lcm // units[k][1]), units[k][0])
+            g = math.gcd(lcm * row[n], *acc.values()) * (-1 if row[n] < 0 else 1)
+            units[n] = ({i: w // g for i, w in acc.items()}, lcm * row[n] // g)
+        return [units[n] for n in range(1, self.m + 1)]
 
 
 class DensityResult(NamedTuple):
@@ -139,15 +222,15 @@ def density_check(G: GeneratorSet, m: int) -> DensityResult:
     store = EchelonStore(m)
     pivots: list[int] = []
     for idx, g in enumerate(G):
-        if store.rank == m:
+        if len(store.rows) == m:
             break
         if store.add(g):
             pivots.append(idx)
-    status = DENSE_UP_TO if store.rank == m else NOT_DENSE
-    return DensityResult(
-        status=status, m=m, rank=store.rank, pivot_generators=tuple(pivots), echelon=store,
-        failing=tuple(range(1, store.first_gap() + 1)) if status == NOT_DENSE else (),
-    )
+    rank = len(store.rows)
+    if rank == m:
+        return DensityResult(DENSE_UP_TO, m, rank, tuple(pivots), store)
+    gap = min(set(range(1, rank + 2)) - {pivot for pivot, _, _ in store.rows})
+    return DensityResult(NOT_DENSE, m, rank, tuple(pivots), store, failing=tuple(range(1, gap + 1)))
 
 
 class BasisVector(NamedTuple):
@@ -189,21 +272,20 @@ class TriangularBasis:
         return len(self.vectors)
 
 
-def basis_from_density(density: DensityResult, G: GeneratorSet, horizon: int) -> TriangularBasis:
+def basis_from_density(density: DensityResult, horizon: int) -> TriangularBasis:
     """The triangular basis b_1..b_N, N = density.m, from the echelon store
-    the density check of G built, without eliminating again: b_n is the
-    store's n-th unit combination evaluated on the horizon.  A coordinate
-    without a pivot raises DensityError at the first such coordinate.
+    of the density check, without eliminating again: b_n is the store's
+    n-th unit combination of the generators it reduced, evaluated on the
+    horizon.  A NOT_DENSE check raises DensityError at its first gap.
     """
     N = density.m
     if horizon < N:
         raise ValueError(f"horizon {horizon} shorter than basis length {N}")
+    if density.status != DENSE_UP_TO:
+        raise DensityError(coordinate=density.failing[-1])
     store = density.echelon
-    gap = store.first_gap()
-    if gap is not None:
-        raise DensityError(coordinate=gap)
     scaled = []  # generator c as (D_c, D_c * G_c on 1..H), D_c the lcm of its denominators
-    for g in G.fetch(store.inputs):
+    for g in store.inputs:
         d = math.lcm(*(v.denominator for v in g.values()))
         scaled.append((d, [(k, v.numerator * (d // v.denominator)) for k, v in g.items() if k <= horizon]))
 
@@ -246,11 +328,12 @@ def expand(y: Sequence, basis: TriangularBasis) -> CoeffExpansion:
     and the stabilization log, both off one walk of basis.row_index per n:
     log[n] is n when a_n != 0, else the last k < n with a_k pi_n(b_k) != 0,
     else 1.  y needs at least the horizon's coordinates; entries past the
-    horizon are not read."""
+    horizon are not read.  An entry is an int, Fraction or str; a float
+    raises TypeError."""
     H = basis.horizon
     if len(y) < H:
         raise ValueError(f"target has {len(y)} coordinates, horizon needs {H}")
-    yf = tuple(Fraction(v) for v in y[:H])
+    yf = tuple(_fraction(v, "expand") for v in y[:H])
     coeffs: list[Fraction] = []
     log: list[int] = []
     nonzero: dict[int, Fraction] = {}  # n -> a_n for a_n != 0

@@ -61,7 +61,8 @@ class SymmetricTerm:
 
     Defined for every measure index; sup norm |coeff| * |g_const| since all
     named profiles have sup norm 1.  value_at is coeff * g_const times the
-    profile's closed form; no table is built.  Terms compare by value.
+    profile's closed form; no table is built.  Terms compare by value; a
+    float coeff or g_const, whose binary value would enter, raises TypeError.
     """
 
     __slots__ = ("profile", "coeff", "g_const")
@@ -69,6 +70,8 @@ class SymmetricTerm:
     def __init__(self, profile: str, coeff: Rational = Fraction(1), g_const: Rational = Fraction(1)):
         if not isinstance(profile, str) or profile not in _PROFILES:
             raise ValueError(f"unknown profile {profile!r}")
+        if isinstance(coeff, float) or isinstance(g_const, float):
+            raise TypeError(f"SymmetricTerm takes no float coeff or g_const, got {coeff!r}, {g_const!r}")
         self.profile, self.coeff, self.g_const = profile, coeff, g_const
 
     def _key(self) -> tuple[str, Rational, Rational]:

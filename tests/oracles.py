@@ -469,7 +469,7 @@ def decay_profile(h: TensorCombo, n_list: Sequence[int]) -> list[DecayRow]:
 
 def section_of_ks(indices: Sequence[int], test_family: Sequence[TensorCombo]) -> FiniteSection:
     """Rows are the exact evaluations of the indexed measures against the
-    family; degeneracy (e.g. an all-zero row) surfaces via check_section."""
+    family; degeneracy (e.g. an all-zero row) surfaces via basis_constant."""
     if not indices:
         raise ValueError("at least one measure index is required")
     if not test_family:
@@ -567,7 +567,7 @@ def fraction_basis(density: DensityResult, G: GeneratorSet, horizon: int) -> tup
     raises AssertionError, as the package does."""
     N, store = density.m, density.echelon
     scaled = []  # generator c as (D_c, D_c * G_c on 1..H), D_c the lcm of its denominators
-    for g in G.fetch(store.inputs):
+    for g in list(G)[: len(store.inputs)]:
         d = math.lcm(*(v.denominator for v in g.values()))
         scaled.append((d, [(k, v.numerator * (d // v.denominator)) for k, v in g.items() if k <= horizon]))
     vectors = []
@@ -610,7 +610,7 @@ def build_triangular_basis(G: GeneratorSet, N: int, horizon: int) -> TriangularB
     DensityError naming the first uncovered coordinate, and N < 1 or a
     horizon shorter than N raise ValueError.
     """
-    return basis_from_density(density_check(G, N), G, horizon)
+    return basis_from_density(density_check(G, N), horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from kslab.basic_seq_diag import (
     _raise_floors,
     _VertexSimplex,
     basis_constant,
-    check_section,
     section_report,
 )
 from kslab.exactnum import parse_rational
@@ -58,7 +57,7 @@ def random_section(rng, n, f):
         )
         section = FiniteSection(rows=rows)
         try:
-            check_section(section)
+            basis_constant(section)
         except DegenerateSectionError:
             continue
         return section
@@ -114,10 +113,9 @@ class TestBasisConstant:
             extra = random_section(rng, 1, f).rows[0]
             extended = FiniteSection(rows=base.rows + (extra,))
             try:
-                check_section(extended)
+                k_ext, _ = basis_constant(extended)
             except DegenerateSectionError:
                 continue
-            k_ext, _ = basis_constant(extended)
             assert k_ext >= k_base - TOL
 
     def test_degenerate_zero_row(self):
@@ -222,11 +220,11 @@ class TestExactNorms:
 
     def test_float_entries_rejected(self):
         section = FiniteSection(rows=((1.0, 0.5), (0.0, 1.0)))
-        for call in (check_section, basis_constant, section_report):
+        for call in (basis_constant, section_report):
             with pytest.raises(TypeError, match="float"):
                 call(section)
         with pytest.raises(TypeError):
-            check_section(FiniteSection(rows=((1, 0), (0, Fraction(1, 2)), (0.1, 1))))
+            basis_constant(FiniteSection(rows=((1, 0), (0, Fraction(1, 2)), (0.1, 1))))
 
 
 def enumeration_maxima(section):
@@ -277,11 +275,11 @@ class TestPrunedObjectives:
             n, f = rng.randint(2, 4), rng.randint(2, 6)
             section = FiniteSection(rows=tuple(tuple(rng.randint(-1, 1) for _ in range(f)) for _ in range(n)))
             try:
-                check_section(section)
+                result = basis_constant(section)
             except DegenerateSectionError:
                 continue
             best = enumeration_maxima(section)
-            assert basis_constant(section) == (max(best), best), section.rows
+            assert result == (max(best), best), section.rows
             checked += 1
 
     def test_pruned_objectives_cannot_raise_the_norm(self, monkeypatch):
@@ -298,8 +296,9 @@ class TestPrunedObjectives:
                 pruned.append(floor)
             return mu
 
+        sections = diag_sections(3)
         monkeypatch.setattr(_VertexSimplex, "maximize", checked)
-        for section in diag_sections(3):
+        for section in sections:
             basis_constant(section)
         assert pruned and all(floor > 0 for floor in pruned)
 
@@ -312,8 +311,9 @@ class TestPrunedObjectives:
             calls[0] += 1
             pivot(lp, r, sigma)
 
+        sections = diag_sections(6)
         monkeypatch.setattr(_VertexSimplex, "_pivot", counted)
-        for section in diag_sections(6):
+        for section in sections:
             calls[0] = 0
             basis_constant(section)
             pruned = calls[0]
@@ -355,8 +355,9 @@ class TestVertexFloors:
             result = solve(section)
             return calls[0], result
 
+        sections = diag_sections(6)
         monkeypatch.setattr(_VertexSimplex, "_pivot", counted)
-        for section in diag_sections(6):
+        for section in sections:
             vertex, (k, per_m) = pivots(basis_constant, section)
             optima, best = pivots(optimum_floors, section)
             assert (k, per_m) == (max(best), best)
@@ -374,8 +375,9 @@ class TestVertexFloors:
             assert all(f <= b for f, b in zip(per_m, best)), (per_m, best)
             updates.append(list(per_m))
 
+        sections = diag_sections(6) + [rescaled_row(diag_sections(1)[0], 3, Fraction(7, 3))]
         monkeypatch.setattr("kslab.basic_seq_diag._raise_floors", checked)
-        for section in diag_sections(6) + [rescaled_row(diag_sections(1)[0], 3, Fraction(7, 3))]:
+        for section in sections:
             best = enumeration_maxima(section)
             updates.clear()
             assert basis_constant(section) == (max(best), best)
@@ -402,7 +404,7 @@ def sign_section(seed, n, f):
     while True:
         section = FiniteSection(rows=tuple(tuple(rng.choice((-1, 1)) for _ in range(f)) for _ in range(n)))
         try:
-            check_section(section)
+            _VertexSimplex(section.rows)  # raises on dependent rows
         except DegenerateSectionError:
             continue
         return section
@@ -426,8 +428,9 @@ class TestPivotRule:
             result = basis_constant(section)
             return calls[0], result
 
+        sections = diag_sections(6)
         monkeypatch.setattr(_VertexSimplex, "_pivot", counted)
-        for section in diag_sections(6):
+        for section in sections:
             dantzig, result = pivots(section)
             with monkeypatch.context() as patch:
                 patch.setattr(_VertexSimplex, "maximize", bland_only_maximize)
@@ -460,13 +463,13 @@ class TestPivotRule:
             pivot(lp, r, sigma)
             walk["bland"] = walk["bland"] or Fraction(sum(map(mul, p, lp.point())), lp.det) <= before
 
-        monkeypatch.setattr(_VertexSimplex, "maximize", watched_maximize)
-        monkeypatch.setattr(_VertexSimplex, "_pivot", watched_pivot)
         sections = {
             "identity": FiniteSection(rows=frac_rows([[int(i == j) for j in range(12)] for i in range(7)])),
             "rescaled": rescaled_row(diag_sections(1)[0], 3, Fraction(7, 3)),
             "signs": sign_section(0, 8, 16),
         }
+        monkeypatch.setattr(_VertexSimplex, "maximize", watched_maximize)
+        monkeypatch.setattr(_VertexSimplex, "_pivot", watched_pivot)
         fallback = {}
         for name, section in sections.items():
             walk["fallback"] = 0
@@ -493,7 +496,7 @@ def gram_det(rows):
     return det(gram)
 
 
-class TestCheckSectionRank:
+class TestSectionRank:
     def test_agrees_with_gram_determinant_oracle(self):
         rng = random.Random(59)
         verdicts = {True: 0, False: 0}
@@ -511,7 +514,7 @@ class TestCheckSectionRank:
             independent = gram_det(rows) != 0
             verdicts[independent] += 1
             try:
-                check_section(FiniteSection(rows=frac_rows(rows)))
+                basis_constant(FiniteSection(rows=frac_rows(rows)))
                 accepted = True
             except DegenerateSectionError:
                 accepted = False
@@ -525,7 +528,7 @@ DEPENDENT = r"^section rows are linearly dependent$"
 class TestRankFromFirstVertex:
     """The rank is read off the forced pivots of the simplex's first vertex:
     a ray that meets no constraint lies in the rows' null space.  Every
-    error and message of check_section is kept, on every entry point."""
+    error and message is raised by both entry points."""
 
     @pytest.mark.parametrize(
         "rows, error, message",
@@ -544,7 +547,7 @@ class TestRankFromFirstVertex:
     )
     def test_every_error_and_message(self, rows, error, message):
         section = FiniteSection(rows=rows)
-        for call in (check_section, basis_constant, section_report):
+        for call in (basis_constant, section_report):
             with pytest.raises(error, match=message):
                 call(section)
 
@@ -570,7 +573,7 @@ class TestSectionOfKs:
         section = section_of_ks([1, 2], family)
         assert all(v == 0 for row in section.rows for v in row)
         with pytest.raises(DegenerateSectionError):
-            check_section(section)
+            basis_constant(section)
 
     def test_exact_table_against_symmetric_oracle(self):
         family = standard_test_family() + [

@@ -19,9 +19,10 @@ from hypothesis import strategies as st
 
 from kslab import cli, exactnum
 from kslab.cli import _verify_one, main
-from kslab.exactnum import Cmp, EchelonStore, cmp_sq_below, format_rational, parse_rational
+from kslab.exactnum import Cmp, cmp_sq_below, format_rational, parse_rational
 from kslab.ks_measure import build
 from kslab.rect_sup import Rectangle, sup_rect_bruteforce
+from kslab.schauder import EchelonStore
 from oracles import (
     certify_bound3,
     combo_to_json,
@@ -619,6 +620,17 @@ class TestPinnedReportBytes:
         '{"coords": {"4": "1/3", "6": "3/2", "12": "-2/3"}}\n'
         '{"coords": {"2": "-1/2", "6": "1/3", "9": "1/2"}}\n'
     )
+    # Written before the echelon store moved into schauder: rational
+    # generators with coordinates past N = 3 and past the horizon 5 (7, 9,
+    # 11, 14), one of them dependent on 1..3, so the horizon cut and the
+    # full-support denominators both shape b_n's tail and weights.
+    SCHAUDER_PAST_HORIZON = "5e4132e5efd3d48223c7aeb75f74cd808fdc5b7a00ab294c9a9f523dd383d972"
+    PAST_HORIZON_GENERATORS = (
+        '{"coords": {"1": "1", "5": "2/3", "11": "3/4"}}\n'
+        '{"coords": {"2": "1/2", "3": "1", "9": "-1/2"}}\n'
+        '{"coords": {"1": "2", "5": "-1/5", "14": "-7/3"}}\n'
+        '{"coords": {"1": "-1/3", "3": "2/5", "4": "1/6", "7": "5/6", "12": "1"}}\n'
+    )
     # written while closed-form values were still Fractions: sup at the last
     # explicit index (with its witness) and past the hex cut, and subseq on
     # the console-script family (index 14,641, hex parts) and the standard one.
@@ -676,6 +688,16 @@ class TestPinnedReportBytes:
         argv = ["schauder", "--generators", str(gens), "--n", "6", "--horizon", "12", "--target", str(targets)]
         assert run(argv + ["--out", str(out)]) == 0
         assert self.digest(out) == self.SCHAUDER_RATIONAL
+
+    def test_schauder_past_horizon(self, tmp_path):
+        gens = tmp_path / "gens.jsonl"
+        gens.write_text(self.PAST_HORIZON_GENERATORS, encoding="utf-8")
+        targets = tmp_path / "targets.json"
+        targets.write_text('{"targets": [["3/2", "-1", "2/7", "0", "4"]]}\n', encoding="utf-8")
+        out = tmp_path / "basis.json"
+        argv = ["schauder", "--generators", str(gens), "--n", "3", "--horizon", "5", "--target", str(targets)]
+        assert run(argv + ["--out", str(out)]) == 0
+        assert self.digest(out) == self.SCHAUDER_PAST_HORIZON
 
     @pytest.mark.parametrize("args", list(SUP))
     def test_sup(self, tmp_path, args):

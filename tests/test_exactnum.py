@@ -1,9 +1,8 @@
 """Exact arithmetic layer: the binomial oracle against a Pascal triangle,
 central binomials (Pascal step and prime factorization) against math.comb,
 certified comparisons against a 50-digit decimal oracle, the Dyadic type
-against Fraction arithmetic and serialization, and the echelon store
-against its own recorded combinations and against a Fraction-row
-reference store; and the package source, which holds no float."""
+against Fraction arithmetic and serialization; and the package source,
+which holds no float."""
 
 import ast
 import math
@@ -22,7 +21,6 @@ from kslab.exactnum import (
     PI,
     Cmp,
     Dyadic,
-    EchelonStore,
     PiEnclosure,
     central_binomial,
     cmp_sq_below,
@@ -381,157 +379,3 @@ class TestPackageSource:
                 elif isinstance(node, ast.ImportFrom) and node.module == "time":
                     found.append(f"{where} from time import")
         assert found == []
-
-
-class TestEchelonStore:
-    def test_dependent_inputs_dropped(self):
-        store = EchelonStore(3)
-        inputs = [{1: 1, 2: 1}, {1: 2, 2: 2}, {2: 1, 3: 5, 9: 4}, {3: 1}]
-        assert [store.add(v) for v in inputs] == [True, False, True, True]
-        assert [pivot for pivot, _, _ in store.rows] == [1, 2, 3]
-        assert store.inputs == 4 and store.first_gap() is None
-
-    def test_rows_and_units_against_recorded_combinations(self):
-        rng = random.Random(8)
-        for _ in range(200):
-            m = rng.randint(1, 6)
-            inputs = [
-                {c: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for c in rng.sample(range(1, m + 3), 2)}
-                for _ in range(rng.randint(1, m + 2))
-            ]
-            store = EchelonStore(m)
-            for v in inputs:
-                store.add(v)
-
-            def profile(combo):
-                out = [Fraction(0)] * m
-                for i, w in combo.items():
-                    for k, x in inputs[i].items():
-                        if k <= m:
-                            out[k - 1] += w * x
-                return out
-
-            for pivot, row, combo in store.rows:
-                assert profile(combo) == [row.get(k, 0) for k in range(1, m + 1)]
-                assert min(row) == pivot
-            if store.first_gap() is not None:
-                with pytest.raises(ValueError):
-                    store.unit_combinations()
-                continue
-            for n, (weights, den) in enumerate(store.unit_combinations(), start=1):
-                assert profile({i: Fraction(w, den) for i, w in weights.items()}) == [int(k == n) for k in range(1, m + 1)]
-
-
-def _fraction_sub_scaled(target, factor, source):
-    """target -= factor * source on sparse vectors, dropping entries that cancel."""
-    for k, x in source.items():
-        nv = target.get(k, 0) - factor * x
-        if nv:
-            target[k] = nv
-        else:
-            target.pop(k, None)
-
-
-class FractionEchelonStore:
-    """Reference store: the same elimination order as EchelonStore on
-    Fraction rows, one Fraction operation per entry update, each pivot row
-    divided out during back-substitution."""
-
-    def __init__(self, m):
-        self.m = m
-        self.inputs = 0
-        self.rows = []  # (pivot, vector, combination)
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-    def add(self, vec):
-        v = {k: Fraction(x) for k, x in vec.items() if k <= self.m and x}
-        combo = {self.inputs: Fraction(1)}
-        self.inputs += 1
-        for pivot, row, row_combo in self.rows:
-            coef = v.get(pivot)
-            if coef:
-                factor = coef / row[pivot]
-                _fraction_sub_scaled(v, factor, row)
-                _fraction_sub_scaled(combo, factor, row_combo)
-        if not v:
-            return False
-        self.rows.append((min(v), v, combo))
-        return True
-
-    def first_gap(self):
-        pivots = {pivot for pivot, _, _ in self.rows}
-        return next((k for k in range(1, self.m + 1) if k not in pivots), None)
-
-    def unit_combinations(self):
-        if self.rank != self.m:
-            raise ValueError(f"rank {self.rank} is short of {self.m}")
-        by_pivot = {pivot: (row, combo) for pivot, row, combo in self.rows}
-        units = {}
-        for n in range(self.m, 0, -1):
-            row, combo = by_pivot[n]
-            acc = dict(combo)
-            for k, x in row.items():
-                if k != n:
-                    _fraction_sub_scaled(acc, x, units[k])
-            units[n] = {i: w / row[n] for i, w in acc.items()}
-        return [units[n] for n in range(1, self.m + 1)]
-
-
-def random_store_inputs(rng, m):
-    """Sparse rational inputs over coordinates 1..m+3 (some beyond m), with
-    denominators up to 10^6, zero inputs, scaled duplicates and rational
-    combinations of two earlier inputs."""
-    def value():
-        den = rng.choice([1, 2, 3, 7, rng.randint(1, 10**6)])
-        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**rng.randint(1, 6)), den)
-
-    inputs = []
-    for _ in range(rng.randint(0, 2 * m + 3)):
-        kind = rng.random()
-        if kind < 0.1:
-            inputs.append(rng.choice([{}, {rng.randint(1, m + 3): 0}]))
-        elif kind < 0.3 and inputs:
-            u, w = rng.choice(inputs), rng.choice(inputs)
-            a, b = value(), rng.choice([0, value()])
-            inputs.append({k: a * u.get(k, 0) + b * w.get(k, 0) for k in set(u) | set(w)})
-        else:
-            coords = rng.sample(range(1, m + 4), k=rng.randint(1, min(m + 3, 4)))
-            inputs.append({k: value() for k in coords})
-    return inputs
-
-
-class TestIntegerStoreAgainstFractionStore:
-    def test_random_input_sets(self):
-        rng = random.Random(20261018)
-        full_rank = 0
-        for _ in range(600):
-            m = rng.randint(1, 8)
-            inputs = random_store_inputs(rng, m)
-            store, ref = EchelonStore(m), FractionEchelonStore(m)
-            assert [store.add(v) for v in inputs] == [ref.add(v) for v in inputs]
-            assert store.rank == ref.rank and store.inputs == ref.inputs
-            assert store.first_gap() == ref.first_gap()
-            for (pivot, row, combo), (ref_pivot, ref_row, ref_combo) in zip(store.rows, ref.rows):
-                assert pivot == ref_pivot
-                assert all(type(x) is int for x in (*row.values(), *combo.values()))
-                assert math.gcd(*row.values(), *combo.values()) == 1  # primitive
-                # the integer row is the reference row times one scalar
-                scale = row[pivot] / ref_row[pivot]
-                assert row == {k: scale * x for k, x in ref_row.items()}
-                assert combo == {i: scale * w for i, w in ref_combo.items()}
-            if store.first_gap() is not None:
-                with pytest.raises(ValueError):
-                    store.unit_combinations()
-                continue
-            full_rank += 1
-            units, ref_units = store.unit_combinations(), ref.unit_combinations()
-            assert len(units) == len(ref_units) == m
-            for (weights, den), ref_weights in zip(units, ref_units):
-                # int weights over one positive denominator, jointly in lowest terms
-                assert all(type(x) is int for x in (den, *weights.values()))
-                assert den > 0 and math.gcd(den, *weights.values()) == 1
-                assert {i: Fraction(w, den) for i, w in weights.items()} == ref_weights
-        assert full_rank >= 200, full_rank

@@ -1,11 +1,14 @@
 """Density checks, triangular basis construction, expansion recursion,
 stabilization verdicts against the dense grid oracle, and coefficient
-functionals, all exact."""
+functionals, all exact; and the echelon store against its own recorded
+combinations and against a Fraction-row reference store."""
 
+import ast
 import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,7 @@ from kslab import schauder
 from kslab.schauder import (
     DENSE_UP_TO,
     DensityError,
+    EchelonStore,
     GeneratorSet,
     NOT_DENSE,
     TriangularBasis,
@@ -92,6 +96,29 @@ class TestDensityCheck:
         assert result.status == NOT_DENSE
         assert result.failing == (1,)
 
+    def test_gap_below_the_rank(self):
+        # pivots 1, 2, 4, 5 of 6: the least uncovered segment is {1, 2, 3}
+        gens = GeneratorSet([{1: 1, 3: 2}, {2: 1}, {4: 1, 3: 0}, {5: 2, 6: 1}, {1: 1, 2: 1, 3: 2, 4: 1}, {5: 4, 6: 2}])
+        result = density_check(gens, 6)
+        assert (result.status, result.rank, result.failing) == (NOT_DENSE, 4, (1, 2, 3))
+
+    def test_failing_segment_ends_at_the_first_gap(self):
+        rng = random.Random(4111)
+        short = 0
+        for _ in range(200):
+            m = rng.randint(1, 7)
+            gens = GeneratorSet(
+                {k: Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for k in rng.sample(range(1, m + 3), 2)}
+                for _ in range(rng.randint(0, m + 1))
+            )
+            result = density_check(gens, m)
+            gap = first_gap(result.echelon)
+            assert (result.status == NOT_DENSE) == (gap is not None)
+            assert result.rank == len(result.echelon.rows)
+            assert result.failing == (tuple(range(1, gap + 1)) if gap else ())
+            short += gap is not None and gap <= result.rank
+        assert short >= 20, short
+
     def test_three_generator_example_with_det_oracle(self):
         vectors = [{1: 1, 2: 1}, {2: 1, 3: 1}, {3: 1}]
         result = density_check(GeneratorSet(vectors), 3)
@@ -118,7 +145,7 @@ class TestDensityCheck:
         # surjective; check rank |F| on random subsets F of {1..m}
         rng = random.Random(123)
         gens = random_dense_generators(rng, m=10, horizon=16)
-        vectors = gens.fetch(15)  # 10 core + 5 junk
+        vectors = list(gens)[:15]  # 10 core + 5 junk
         assert density_check(gens, 10).status == DENSE_UP_TO
         for _ in range(20):
             subset = rng.sample(range(1, 11), k=rng.randint(1, 10))
@@ -169,7 +196,7 @@ class TestBuildTriangularBasis:
     def test_vectors_lie_in_generator_span(self):
         rng = random.Random(31)
         gens = random_dense_generators(rng, m=6, horizon=10)
-        vectors = gens.fetch(11)  # 6 core + 5 junk
+        vectors = list(gens)[:11]  # 6 core + 5 junk
         basis = build_triangular_basis(gens, 6, 10)
         for vec in densify(basis):
             rebuilt = [Fraction(0)] * 10
@@ -533,7 +560,7 @@ class TestSerialization:
     def test_jsonl_ingest(self):
         text = '{"coords": {"1": "1", "2": "1/2"}}\n\n{"coords": {"2": "1"}}\n'
         gens = GeneratorSet.from_jsonl(text)
-        assert gens.fetch(3) == [{1: Fraction(1), 2: Fraction(1, 2)}, {2: Fraction(1)}]
+        assert list(gens) == [{1: Fraction(1), 2: Fraction(1, 2)}, {2: Fraction(1)}]
 
     def test_jsonl_rejects_garbage(self):
         with pytest.raises(ValueError, match="line 1"):
@@ -558,10 +585,24 @@ class TestSerialization:
         monkeypatch.setattr(schauder, "_validate_sparse", counting)
         gens = GeneratorSet.from_jsonl('{"coords": {"1": "1", "3": "0"}}\n{"coords": {"2": "-1/2"}}\n\n')
         assert len(calls) == 2
-        assert gens.fetch(2) == [{1: 1}, {2: Fraction(-1, 2)}]  # the zero at 3 is dropped
+        assert list(gens) == [{1: 1}, {2: Fraction(-1, 2)}]  # the zero at 3 is dropped
+
+    def test_direct_construction_rejects_floats(self):
+        # a float would enter at its binary value, not at 1/10
+        with pytest.raises(TypeError, match="^GeneratorSet requires int, Fraction or str values, got float 0.1$"):
+            GeneratorSet([{1: 0.1}])
+        assert list(GeneratorSet([{1: 1, 2: Fraction(1, 10), 3: "1/10"}])) == [
+            {1: 1, 2: Fraction(1, 10), 3: Fraction(1, 10)}
+        ]
+
+    def test_expand_rejects_float_targets(self):
+        basis = build_triangular_basis(unit_generators(2), 2, 2)
+        with pytest.raises(TypeError, match="^expand requires int, Fraction or str values, got float 0.1$"):
+            expand([0.1, 1], basis)
+        assert expand([Fraction(1, 10), "1/10"], basis).coefficients == (Fraction(1, 10), Fraction(1, 10))
 
     def test_direct_construction_validates(self):
-        assert GeneratorSet([{1: 0, 2: "3/4"}]).fetch(1) == [{2: Fraction(3, 4)}]
+        assert list(GeneratorSet([{1: 0, 2: "3/4"}])) == [{2: Fraction(3, 4)}]
         with pytest.raises(ValueError, match="1-based"):
             GeneratorSet([{1: 1}, {0: 1}])
 
@@ -603,7 +644,7 @@ class TestAgainstFractionBuild:
 
     def check(self, G, N, horizon):
         density = density_check(G, N)
-        basis = schauder.basis_from_density(density, G, horizon)
+        basis = schauder.basis_from_density(density, horizon)
         reference = fraction_basis(density, G, horizon)
         assert densify(basis) == reference
         text = json.dumps(basis_to_json(basis), indent=2)
@@ -634,7 +675,7 @@ class TestAgainstFractionBuild:
         pivot, row, combo = density.echelon.rows[3]
         row[pivot] *= 2  # the row no longer equals its recorded combination
         with pytest.raises(AssertionError, match=r"unit coordinate profile violated at pi_\d+\(b_\d+\)"):
-            schauder.basis_from_density(density, G, 12)
+            schauder.basis_from_density(density, 12)
         with pytest.raises(AssertionError, match="unit coordinate profile violated"):
             fraction_basis(density, G, 12)
 
@@ -748,3 +789,174 @@ class TestAgainstReferenceSolver:
                 continue
             assert json.dumps(basis_to_json(build_triangular_basis(G, N, horizon))) == expected
         assert deficient >= 200, deficient
+
+
+def first_gap(store):
+    """The least coordinate in 1..m that no row of an echelon store pivots on."""
+    pivots = {pivot for pivot, _, _ in store.rows}
+    return next((k for k in range(1, store.m + 1) if k not in pivots), None)
+
+
+class TestEchelonStore:
+    def test_dependent_inputs_dropped(self):
+        store = EchelonStore(3)
+        inputs = [{1: 1, 2: 1}, {1: 2, 2: 2}, {2: 1, 3: 5, 9: 4}, {3: 1}]
+        assert [store.add(v) for v in inputs] == [True, False, True, True]
+        assert [pivot for pivot, _, _ in store.rows] == [1, 2, 3]
+        assert store.inputs == inputs and first_gap(store) is None
+
+    def test_rows_and_units_against_recorded_combinations(self):
+        rng = random.Random(8)
+        for _ in range(200):
+            m = rng.randint(1, 6)
+            inputs = [
+                {c: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for c in rng.sample(range(1, m + 3), 2)}
+                for _ in range(rng.randint(1, m + 2))
+            ]
+            store = EchelonStore(m)
+            for v in inputs:
+                store.add(v)
+
+            def profile(combo):
+                out = [Fraction(0)] * m
+                for i, w in combo.items():
+                    for k, x in inputs[i].items():
+                        if k <= m:
+                            out[k - 1] += w * x
+                return out
+
+            for pivot, row, combo in store.rows:
+                assert profile(combo) == [row.get(k, 0) for k in range(1, m + 1)]
+                assert min(row) == pivot
+            if first_gap(store) is not None:
+                with pytest.raises(ValueError):
+                    store.unit_combinations()
+                continue
+            for n, (weights, den) in enumerate(store.unit_combinations(), start=1):
+                assert profile({i: Fraction(w, den) for i, w in weights.items()}) == [int(k == n) for k in range(1, m + 1)]
+
+
+def _fraction_sub_scaled(target, factor, source):
+    """target -= factor * source on sparse vectors, dropping entries that cancel."""
+    for k, x in source.items():
+        nv = target.get(k, 0) - factor * x
+        if nv:
+            target[k] = nv
+        else:
+            target.pop(k, None)
+
+
+class FractionEchelonStore:
+    """Reference store: the same elimination order as EchelonStore on
+    Fraction rows, one Fraction operation per entry update, each pivot row
+    divided out during back-substitution."""
+
+    def __init__(self, m):
+        self.m = m
+        self.inputs = []
+        self.rows = []  # (pivot, vector, combination)
+
+    def add(self, vec):
+        v = {k: Fraction(x) for k, x in vec.items() if k <= self.m and x}
+        combo = {len(self.inputs): Fraction(1)}
+        self.inputs.append(vec)
+        for pivot, row, row_combo in self.rows:
+            coef = v.get(pivot)
+            if coef:
+                factor = coef / row[pivot]
+                _fraction_sub_scaled(v, factor, row)
+                _fraction_sub_scaled(combo, factor, row_combo)
+        if not v:
+            return False
+        self.rows.append((min(v), v, combo))
+        return True
+
+    def unit_combinations(self):
+        if len(self.rows) != self.m:
+            raise ValueError(f"rank {len(self.rows)} is short of {self.m}")
+        by_pivot = {pivot: (row, combo) for pivot, row, combo in self.rows}
+        units = {}
+        for n in range(self.m, 0, -1):
+            row, combo = by_pivot[n]
+            acc = dict(combo)
+            for k, x in row.items():
+                if k != n:
+                    _fraction_sub_scaled(acc, x, units[k])
+            units[n] = {i: w / row[n] for i, w in acc.items()}
+        return [units[n] for n in range(1, self.m + 1)]
+
+
+def random_store_inputs(rng, m):
+    """Sparse rational inputs over coordinates 1..m+3 (some beyond m), with
+    denominators up to 10^6, zero inputs, scaled duplicates and rational
+    combinations of two earlier inputs."""
+    def value():
+        den = rng.choice([1, 2, 3, 7, rng.randint(1, 10**6)])
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**rng.randint(1, 6)), den)
+
+    inputs = []
+    for _ in range(rng.randint(0, 2 * m + 3)):
+        kind = rng.random()
+        if kind < 0.1:
+            inputs.append(rng.choice([{}, {rng.randint(1, m + 3): 0}]))
+        elif kind < 0.3 and inputs:
+            u, w = rng.choice(inputs), rng.choice(inputs)
+            a, b = value(), rng.choice([0, value()])
+            inputs.append({k: a * u.get(k, 0) + b * w.get(k, 0) for k in set(u) | set(w)})
+        else:
+            coords = rng.sample(range(1, m + 4), k=rng.randint(1, min(m + 3, 4)))
+            inputs.append({k: value() for k in coords})
+    return inputs
+
+
+class TestIntegerStoreAgainstFractionStore:
+    def test_random_input_sets(self):
+        rng = random.Random(20261018)
+        full_rank = 0
+        for _ in range(600):
+            m = rng.randint(1, 8)
+            inputs = random_store_inputs(rng, m)
+            store, ref = EchelonStore(m), FractionEchelonStore(m)
+            assert [store.add(v) for v in inputs] == [ref.add(v) for v in inputs]
+            assert len(store.rows) == len(ref.rows) and store.inputs == ref.inputs == inputs
+            assert first_gap(store) == first_gap(ref)
+            for (pivot, row, combo), (ref_pivot, ref_row, ref_combo) in zip(store.rows, ref.rows):
+                assert pivot == ref_pivot
+                assert all(type(x) is int for x in (*row.values(), *combo.values()))
+                assert math.gcd(*row.values(), *combo.values()) == 1  # primitive
+                # the integer row is the reference row times one scalar
+                scale = row[pivot] / ref_row[pivot]
+                assert row == {k: scale * x for k, x in ref_row.items()}
+                assert combo == {i: scale * w for i, w in ref_combo.items()}
+            if first_gap(store) is not None:
+                with pytest.raises(ValueError):
+                    store.unit_combinations()
+                continue
+            full_rank += 1
+            units, ref_units = store.unit_combinations(), ref.unit_combinations()
+            assert len(units) == len(ref_units) == m
+            for (weights, den), ref_weights in zip(units, ref_units):
+                # int weights over one positive denominator, jointly in lowest terms
+                assert all(type(x) is int for x in (den, *weights.values()))
+                assert den > 0 and math.gcd(den, *weights.values()) == 1
+                assert {i: Fraction(w, den) for i, w in weights.items()} == ref_weights
+        assert full_rank >= 200, full_rank
+
+
+def test_echelon_store_defined_and_named_only_in_schauder():
+    # each exact elimination lives with its one caller: the store in
+    # schauder, the vertex simplex in basic_seq_diag
+    src = Path(schauder.__file__).parent
+    named, defined = set(), set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and node.name == "EchelonStore":
+                defined.add(path.name)
+            elif isinstance(node, ast.Name) and node.id == "EchelonStore":
+                named.add(path.name)
+            elif isinstance(node, ast.Attribute) and node.attr == "EchelonStore":
+                named.add(path.name)
+            elif isinstance(node, ast.alias) and node.name == "EchelonStore":
+                named.add(path.name)
+    assert defined == {"schauder.py"}
+    assert named <= {"schauder.py"}

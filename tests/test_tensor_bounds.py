@@ -228,6 +228,13 @@ class TestCombos:
         with pytest.raises(ValueError):
             SymmetricTerm("no_such_profile")
 
+    def test_float_coefficients_rejected(self):
+        # a float would enter at its binary value, not at 1/10
+        for coeff, g_const in ((0.1, 1), (1, 0.5)):
+            with pytest.raises(TypeError, match="^SymmetricTerm takes no float coeff or g_const, got "):
+                SymmetricTerm("majority", coeff=coeff, g_const=g_const)
+        assert SymmetricTerm("majority", coeff=1, g_const=Fraction(1, 10)).sup_norm() == Fraction(1, 10)
+
     def test_json_roundtrip(self):
         family = standard_test_family()
         family.append(

@@ -88,6 +88,16 @@ MUTANTS = [
            "expand's last = n dropped"),
     Mutant("schauder", "                last = k\n", "",
            "expand's last = k dropped"),
+    Mutant("schauder", "for k, v in g.items() if k <= horizon]", "for k, v in g.items()]",
+           "basis_from_density's horizon filter dropped"),
+    Mutant("schauder", "raise DensityError(coordinate=density.failing[-1])",
+           "raise DensityError(coordinate=density.failing[-1] + 1)",
+           "DensityError's coordinate off by one"),
+    # the echelon store
+    Mutant("schauder", "a, b = row[pivot] // g, coef // g", "b, a = row[pivot] // g, coef // g",
+           "EchelonStore.add's cross-multiplication swaps a and b"),
+    Mutant("schauder", "self.rows.append((min(v), v, combo))", "self.rows.append((max(v), v, combo))",
+           "EchelonStore.add reads the pivot as max(v)"),
     # the section simplex
     Mutant("basic_seq_diag", "if b * floor.denominator > floor.numerator * det:",
            "if b * floor.denominator >= floor.numerator * det:",
