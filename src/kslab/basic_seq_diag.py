@@ -40,13 +40,8 @@ from itertools import accumulate
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .exactnum import Rational, decimal_str, format_rational
-
-CAVEAT = (
-    "Finite-section evidence only: projection norms are computed on the "
-    "span of the listed functionals in the sup-over-family norm. No claim "
-    "is made about any infinite sequence or its weak-star limit behavior."
-)
+from . import report
+from .exactnum import Rational
 
 
 class DegenerateSectionError(ValueError):
@@ -224,14 +219,4 @@ def basis_constant(section: FiniteSection) -> tuple[Fraction, list[Fraction]]:
 
 
 def section_report(section: FiniteSection) -> dict:
-    k, per_m = basis_constant(section)
-    return {
-        "n_functionals": section.n_functionals,
-        "n_tests": section.n_tests,
-        "values": [[format_rational(v) for v in row] for row in section.rows],
-        "basis_constant": decimal_str(k),
-        "per_m_projection_norms": [decimal_str(v) for v in per_m],
-        "basis_constant_exact": format_rational(k),
-        "per_m_projection_norms_exact": [format_rational(v) for v in per_m],
-        "caveat": CAVEAT,
-    }
+    return report.section_report(section, *basis_constant(section))

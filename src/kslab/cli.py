@@ -1,9 +1,5 @@
 """Command-line entry point: construction, verification, extraction, and
-basis workflows, emitting machine-readable JSON reports.
-
-Reports are byte-stable across runs: payloads are exact rational strings
-plus fixed-width decimals, witness bitsets are 0x-hex integers, dict key
-order is fixed, and no wall-clock time is recorded.
+basis workflows, emitting machine-readable JSON reports (kslab.report).
 
 Exit codes: 0 = all certified checks pass; 1 = a mathematical check failed
 or was undecided; 2 = usage or parse error, or an unwritable output file.
@@ -19,14 +15,10 @@ import json
 import sys
 from pathlib import Path
 
-from . import normal_subseq, rect_sup, schauder, tensor_bounds
-from .exactnum import Cmp, decimal_str, format_rational, parse_rational
+from . import normal_subseq, report, schauder, tensor_bounds
+from .exactnum import Cmp
 from .ks_measure import EXPLICIT_MAX_N, build, support_size, total_variation
 from .rect_sup import BRUTE_MAX_N, bound2_verdict, certify_pair, sup_rect_bruteforce, sup_rect_fast
-
-
-def _write_json(path: str, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def _load(path: str, what: str, parse):
@@ -45,42 +37,19 @@ def _load(path: str, what: str, parse):
 
 def _verify_one(n: int) -> dict:
     m = build(n)
-    tv = total_variation(m)
-    supp = support_size(m)
+    tv, supp = total_variation(m), support_size(m)
     # the closed-form supremum c_n, certified; the row writes no witness
     sup = m.central_mass
     lower_ok, upper_ok = certify_pair(sup, n)
+    brute = sup_rect_bruteforce(m).sup if n <= BRUTE_MAX_N else None
     # the tensor supremum is 2 c_n at every vertex (tensor_bounds), and the
     # certified c_n < 2/sqrt(pi n) gives 2 c_n < 8/sqrt(pi n), bound3
     tsup = 2 * sup
-    # c_n = odd / 2^e with e >= 1, so 2 c_n keeps the odd numerator: its
-    # digits, the costly part of either text, are written once
-    sup_text = format_rational(sup)
-    num_text = sup_text.partition("/")[0]
-    tsup_text = num_text if tsup.denominator == 1 else f"{num_text}/{format_rational(tsup.denominator)}"
-    row = {
-        "n": n,
-        "total_variation": format_rational(tv),
-        "tv_ok": tv == 1,
-        "support_size": format_rational(supp),
-        "support_ok": supp == n * (1 << n),
-        "sup": sup_text,
-        "sup_decimal": decimal_str(sup),
-        "lower_ok": lower_ok.value,
-        "upper_ok": upper_ok.value,
-        "bound2": bound2_verdict(lower_ok, upper_ok),
-        "brute_sup": None,
-        "brute_matches": None,
-        "tensor_sup": tsup_text,
-        "tensor_sup_decimal": decimal_str(tsup),
-        "bound3": "PASS" if upper_ok is Cmp.CERT_LT else "UNDECIDED",
-        "tensor_ge_rect": tsup >= sup,
-    }
-    if n <= BRUTE_MAX_N:
-        brute = sup_rect_bruteforce(m)
-        row["brute_sup"] = format_rational(brute.sup)
-        row["brute_matches"] = brute.sup == sup
-    return row
+    return report.verify_row(
+        n, tv, tv == 1, supp, supp == n * (1 << n), sup, lower_ok, upper_ok, bound2_verdict(lower_ok, upper_ok),
+        brute, None if brute is None else brute == sup,
+        tsup, "PASS" if upper_ok is Cmp.CERT_LT else "UNDECIDED", tsup >= sup,
+    )
 
 
 def _row_failure(row: dict) -> str | None:
@@ -103,16 +72,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     n_max = args.n_max
     rows = [_verify_one(n) for n in range(1, n_max + 1)]
     failure = next((f for f in map(_row_failure, rows) if f), None)
-    doc = {
-        "config": {
-            "n_max": n_max,
-            "brute_max": BRUTE_MAX_N,
-            "explicit_max": EXPLICIT_MAX_N,
-        },
-        "checks": rows,
-        "overall": "PASS" if failure is None else "FAIL",
-    }
-    _write_json(args.out, doc)
+    overall = "PASS" if failure is None else "FAIL"
+    report.write_json(args.out, report.verify_report(n_max, BRUTE_MAX_N, EXPLICIT_MAX_N, rows, overall))
     if failure is not None:
         print(f"FAILED check: {failure}", file=sys.stderr)
         return 1
@@ -127,11 +88,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_subseq(args: argparse.Namespace) -> int:
     family = _load(args.family, "family", lambda text: tensor_bounds.family_from_json(json.loads(text)))
     cert = normal_subseq.extract(args.stream_start, args.stream_step, args.n)
-    report = normal_subseq.strongly_normal_report(cert, family)
-    _write_json(args.out, report)
-    verdict = report["verdict"]
-    print(f"subsequence {list(cert.indices)}: verdict {verdict} -> {args.out}")
-    return 0 if verdict in ("PASS", "VACUOUS") else 1
+    result = normal_subseq.strongly_normal_report(cert, family)
+    report.write_json(args.out, report.subseq_report(result))
+    print(f"subsequence {list(cert.indices)}: verdict {result.verdict} -> {args.out}")
+    return 0 if result.verdict in ("PASS", "VACUOUS") else 1
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +106,7 @@ def _parse_targets(text: str, horizon: int) -> list[list]:
     for entry in doc["targets"]:
         if not isinstance(entry, list):
             raise ValueError(f"target must be a list, got {entry!r}")
-        vec = [parse_rational(str(v)) for v in entry]
+        vec = [report.parse_rational(str(v)) for v in entry]
         targets.append(vec + [0] * max(0, horizon - len(vec)))
     return targets
 
@@ -159,33 +119,16 @@ def cmd_schauder(args: argparse.Namespace) -> int:
         else []
     )
     density = schauder.density_check(gens, args.n)
-    doc = {
-        "density": {
-            "status": density.status,
-            "m": density.m,
-            "rank": density.rank,
-            "failing": list(density.failing),
-            "pivot_generators": list(density.pivot_generators),
-        },
-        "basis": None,
-        "expansions": [],
-        "overall": "FAIL",
-    }
     if density.status != schauder.DENSE_UP_TO:
-        _write_json(args.out, doc)
-        print(
-            f"density check {density.status}: rank {density.rank} < {args.n}",
-            file=sys.stderr,
-        )
+        report.write_json(args.out, report.schauder_report(density, None, [], "FAIL"))
+        print(f"density check {density.status}: rank {density.rank} < {args.n}", file=sys.stderr)
         return 1
 
     basis = schauder.basis_from_density(density, args.horizon)
-    doc["basis"] = schauder.basis_to_json(basis)
     expansions = [schauder.expand(vec, basis) for vec in targets]
-    doc["expansions"] = [schauder.expansion_to_json(exp) for exp in expansions]
     all_grids_true = all(exp.grid_all_true for exp in expansions)
-    doc["overall"] = "PASS" if all_grids_true else "FAIL"
-    _write_json(args.out, doc)
+    overall = "PASS" if all_grids_true else "FAIL"
+    report.write_json(args.out, report.schauder_report(density, basis, expansions, overall))
     if not all_grids_true:
         print("stabilization grid has false entries", file=sys.stderr)
         return 1
@@ -199,9 +142,11 @@ def cmd_schauder(args: argparse.Namespace) -> int:
 
 def cmd_sup(args: argparse.Namespace) -> int:
     m = build(args.n)
-    doc = rect_sup.report_to_json(sup_rect_bruteforce(m) if args.brute else sup_rect_fast(m))
-    verdict = doc["bound2"]
-    _write_json(args.out, doc)
+    rect = sup_rect_bruteforce(m) if args.brute else sup_rect_fast(m)
+    lower_ok, upper_ok = certify_pair(rect.sup, rect.n)
+    verdict = bound2_verdict(lower_ok, upper_ok)
+    doc = report.sup_report(rect, lower_ok, upper_ok, verdict)
+    report.write_json(args.out, doc)
     print(f"sup(n={args.n}) = {doc['sup_decimal']} [{verdict}] -> {args.out}")
     return 0 if verdict == "PASS" else 1
 

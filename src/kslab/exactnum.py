@@ -12,8 +12,7 @@ Legendre's formula on one shared prime sieve and a balanced product tree,
 or by one Pascal step when m follows the previous call's m.  Dyadic holds
 c_n and every closed-form value built from it over a power of two times a
 small odd part, so no value pays a gcd of its huge numerator and
-denominator; format_rational and decimal_str serialize it as the equal
-Fraction, byte for byte.
+denominator.
 """
 
 from __future__ import annotations
@@ -58,8 +57,8 @@ PI = PiEnclosure(
     upper=Fraction(3141592653589794, 10**15),
 )
 
-# Fractional decimal digits of every decimal_str payload, and the width
-# 10^-DIGITS of sqrt_enclosure; reports depend on it byte for byte.
+# The width 10^-DIGITS of sqrt_enclosure, and the fractional decimal digits
+# of every report's decimal fields; reports depend on it byte for byte.
 DIGITS = 30
 
 
@@ -299,72 +298,3 @@ def recip_sqrt_upper(s: int) -> Rational:
         raise ValueError(f"recip_sqrt_upper requires s >= 1, got {s}")
     x0 = math.isqrt(s)
     return Fraction(x0 * x0 + s, 2 * x0 * s)
-
-
-# Integers of this magnitude or more have over 4300 decimal digits, past
-# CPython's default int<->str conversion limit; they serialize as 0x hex,
-# which has no limit and converts in linear time.  A fixed constant, so the
-# output never depends on interpreter settings.
-HEX_FROM = 10**4300
-
-
-def _int_text(v: int) -> str:
-    return hex(v) if abs(v) >= HEX_FROM else str(v)
-
-
-def format_ratio(num: int, den: int) -> str:
-    """format_rational(Fraction(num, den)) for ints, den > 0, by one gcd."""
-    g = math.gcd(num, den)
-    text = _int_text(num // g)
-    return text if g == den else f"{text}/{_int_text(den // g)}"
-
-
-def format_rational(q: Rational | Dyadic) -> str:
-    """Serialize in lowest terms: "p/q", or "p" when the denominator is 1.
-
-    A numerator or denominator of magnitude >= HEX_FROM is written as 0x hex
-    ("-0x.../0x..."); everything smaller is plain decimal.  q must be an
-    int, a Fraction or a Dyadic, whose lowest terms an equal Fraction
-    shares, so both write the same text; anything else, a float included,
-    raises TypeError.
-    """
-    if not isinstance(q, (int, Fraction, Dyadic)):
-        raise TypeError(f"format_rational requires an int, Fraction or Dyadic, got {type(q).__name__}")
-    if q.denominator == 1:
-        return _int_text(q.numerator)
-    return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
-
-
-def parse_rational(text: str) -> Rational:
-    """Inverse of format_rational; accepts "p" and "p/q", each part decimal
-    or 0x hex.  Raises ValueError on malformed text, including a zero
-    denominator."""
-    try:
-        if "0x" not in text.lower():
-            return Fraction(text.strip())
-        num, slash, den = text.partition("/")
-        return Fraction(int(num, 0), int(den, 0) if slash else 1)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"zero denominator in {text!r}") from exc
-
-
-def decimal_str(q: Rational | Dyadic) -> str | None:
-    """Decimal expansion with exactly DIGITS fractional digits (truncated
-    toward zero).  Deterministic, used for report payloads only.  A whole
-    part of magnitude >= HEX_FROM has no decimal form a reader's str<->int
-    conversion accepts, so it gives None (JSON null); the report's exact
-    sibling field carries the value.  The cut reads the integer whole part,
-    so a 2^n denominator is never multiplied by HEX_FROM, and a Dyadic's
-    power of two is divided out by a shift.  q must be an int, a Fraction
-    or a Dyadic, as in format_rational."""
-    if isinstance(q, Dyadic):
-        scaled = abs(q.num) * 10**DIGITS // q.odd >> q.exp
-    elif isinstance(q, (int, Fraction)):
-        scaled = abs(q.numerator) * 10**DIGITS // q.denominator
-    else:
-        raise TypeError(f"decimal_str requires an int, Fraction or Dyadic, got {type(q).__name__}")
-    whole, frac = divmod(scaled, 10**DIGITS)
-    if whole >= HEX_FROM:
-        return None
-    sign = "-" if q.numerator < 0 else ""
-    return f"{sign}{whole}.{frac:0{DIGITS}d}"

@@ -27,8 +27,6 @@ exactnum.central_binomial takes one Pascal step where two selected indices
 are consecutive and factorizes the binomial otherwise.  Values and prefix
 sums are exactnum.Dyadic: a denominator is a power of two times a small
 odd part, and no sum takes a gcd of its huge numerator and power of two.
-Prefix sums at indices past about 14,300 have denominators of more than
-4300 digits; exactnum.format_rational writes those parts as 0x hex.
 """
 
 from __future__ import annotations
@@ -37,27 +35,9 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exactnum import (
-    PI,
-    Cmp,
-    Rational,
-    cmp_sq_below,
-    decimal_str,
-    format_rational,
-    recip_sqrt_upper,
-    sqrt_enclosure,
-)
+from .exactnum import PI, Cmp, Dyadic, Rational, cmp_sq_below, recip_sqrt_upper, sqrt_enclosure
 from .ks_measure import KSMeasure, build, total_variation
 from .tensor_bounds import TensorCombo
-
-GREEDY_RULE = "greedy: s_n = first stream element >= max(prev+1, n^4)"
-
-DISCLAIMER = (
-    "Summability is verified only on the supplied tensor-algebra elements. "
-    "Density of the full summability set follows from density of the tensor "
-    "algebra (Stone-Weierstrass) and is not a finitely checkable statement; "
-    "this report makes no claim beyond the listed elements."
-)
 
 
 class SubseqCertificate(NamedTuple):
@@ -106,9 +86,27 @@ def uniform_bound_enclosure(cert: SubseqCertificate, norm_bound: Rational) -> tu
     return total / hi_s, total / lo_s
 
 
-def _combo_row(cert: SubseqCertificate, h: TensorCombo, name: str, measures: Sequence[KSMeasure]) -> dict:
-    """One report row: the exact prefix sums of |mu_{s_n}(h)| over the
-    measures at the selected indices, and their certified uniform bound.
+class ComboRow(NamedTuple):
+    """Exact prefix sums of |mu_{s_n}(h)|, their bound's enclosure, the verdict."""
+
+    combo: str
+    norm_bound: Rational
+    partial_sums: list[Dyadic]
+    bound_lower: Rational
+    bound_upper: Rational
+    verdict: str  # PASS | FAIL
+
+
+class SubseqReport(NamedTuple):
+    certificate: SubseqCertificate
+    unit_norm_indices: bool
+    rows: list[ComboRow]
+    verdict: str  # PASS | FAIL | VACUOUS
+
+
+def _combo_row(cert: SubseqCertificate, h: TensorCombo, name: str, measures: Sequence[KSMeasure]) -> ComboRow:
+    """The exact prefix sums of |mu_{s_n}(h)| over the measures at the
+    selected indices, and their certified uniform bound.
 
     The prefix sums are Dyadics: each step shifts the running sum onto the
     larger power-of-two denominator and reduces by a trailing-zero count
@@ -118,20 +116,10 @@ def _combo_row(cert: SubseqCertificate, h: TensorCombo, name: str, measures: Seq
     last, nb = partials[-1], h.norm_bound
     bound = (8 * nb * cert.total_bound).as_integer_ratio()  # last < bound / sqrt(pi), or 0 <= 0
     certified = not last or cmp_sq_below(last, *bound, 1) is Cmp.CERT_LT
-    bound_lower, bound_upper = uniform_bound_enclosure(cert, nb)
-    return {
-        "combo": name,
-        "norm_bound": format_rational(nb),
-        "partial_sums": [format_rational(p) for p in partials],
-        "partial_sums_decimal": [decimal_str(p) for p in partials],
-        "bound_lower": format_rational(bound_lower),
-        "bound_upper": format_rational(bound_upper),
-        "bound_upper_decimal": decimal_str(bound_upper),
-        "verdict": "PASS" if certified else "FAIL",
-    }
+    return ComboRow(name, nb, partials, *uniform_bound_enclosure(cert, nb), "PASS" if certified else "FAIL")
 
 
-def strongly_normal_report(cert: SubseqCertificate, test_family: Sequence[TensorCombo]) -> dict:
+def strongly_normal_report(cert: SubseqCertificate, test_family: Sequence[TensorCombo]) -> SubseqReport:
     """Per-combination bounded-partial-sum verdicts over the certificate.
 
     Finite evidence only; the report carries an explicit disclaimer field.
@@ -142,25 +130,5 @@ def strongly_normal_report(cert: SubseqCertificate, test_family: Sequence[Tensor
     measures = [build(s) for s in cert.indices]
     unit_norm = all(total_variation(m) == 1 for m in measures)
     rows = [_combo_row(cert, h, h.name or f"combo_{i}", measures) for i, h in enumerate(test_family)]
-    if not rows:
-        verdict = "VACUOUS"
-    elif all(r["verdict"] == "PASS" for r in rows):
-        verdict = "PASS"
-    else:
-        verdict = "FAIL"
-    return {
-        "certificate": certificate_to_json(cert),
-        "unit_norm_indices": unit_norm,
-        "rows": rows,
-        "verdict": verdict,
-        "disclaimer": DISCLAIMER,
-    }
-
-
-def certificate_to_json(cert: SubseqCertificate) -> dict:
-    return {
-        "rule": GREEDY_RULE,
-        "indices": list(cert.indices),
-        "partial_sum_upper": format_rational(cert.partial_sum_upper),
-        "tail_bound": format_rational(cert.tail_bound),
-    }
+    verdict = "PASS" if all(r.verdict == "PASS" for r in rows) else "FAIL"
+    return SubseqReport(cert, unit_norm, rows, verdict if rows else "VACUOUS")

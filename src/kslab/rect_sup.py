@@ -23,9 +23,7 @@ rectangles are bitsets.  Two routes compute it:
 The closed form is never trusted on derivation alone: the tests check it
 against the brute-force oracle (n <= 4) and the per-width sums (n <= 300),
 and it is certified against 1/(2 sqrt(pi n)) < sup < 2/sqrt(pi n) at
-every n.  A report holds only the supremum; report_to_json certifies it
-once, where the verdict is written, and verify's brute-force cross-check
-reads the oracle's sup alone.
+every n.
 
 For explicit measures the witness A* is a bytes table over sign patterns
 read as one base-2 integer, with no loop over the 2^n rows (sup_rect_fast).
@@ -39,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactnum import Cmp, Dyadic, cmp_sq_below, decimal_str, format_rational
+from .exactnum import Cmp, Dyadic, cmp_sq_below
 from .ks_measure import KSMeasure
 
 BRUTE_MAX_N = 4
@@ -142,25 +140,3 @@ def bound2_verdict(lower_ok: Cmp, upper_ok: Cmp) -> str:
     if lower_ok is Cmp.CERT_GT and upper_ok is Cmp.CERT_LT:
         return PASS
     return FAIL
-
-
-def report_to_json(report: RectangleSupReport) -> dict:
-    """The report's JSON, with sup certified here, once: the comparisons
-    and, as the last key, their bound2 verdict."""
-    lower_ok, upper_ok = certify_pair(report.sup, report.n)
-    witness = None
-    if report.witness is not None:
-        witness = {
-            "A_bits": hex(report.witness.row_bits),
-            "B_bits": hex(report.witness.col_bits),
-        }
-    return {
-        "n": report.n,
-        "sup": format_rational(report.sup),
-        "sup_decimal": decimal_str(report.sup),
-        "witness": witness,
-        "lower_ok": lower_ok.value,
-        "upper_ok": upper_ok.value,
-        "method": report.method,
-        "bound2": bound2_verdict(lower_ok, upper_ok),
-    }

@@ -1,0 +1,244 @@
+"""Report text: every document kslab writes, and the rational text in it.
+
+The library computes the exact values and decides every verdict; the
+writers here only turn those records into dicts in a fixed key order, and
+write_json writes them.  Payloads are exact rational strings plus
+fixed-width decimals, witness bitsets are 0x-hex integers, and no
+wall-clock time is recorded, so a report is byte-stable across runs.  A
+rational is "p/q" in lowest terms, or "p"; a part of 4300 digits or more
+(a 2^n denominator past about n = 14,300) is 0x hex.  parse_rational reads
+that text back; the CLI reads every rational of its input files with it.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from fractions import Fraction
+from pathlib import Path
+from typing import TYPE_CHECKING
+
+from .exactnum import DIGITS, Cmp, Dyadic, Rational
+
+if TYPE_CHECKING:
+    from .basic_seq_diag import FiniteSection
+    from .normal_subseq import ComboRow, SubseqCertificate, SubseqReport
+    from .rect_sup import RectangleSupReport
+    from .schauder import CoeffExpansion, DensityResult, TriangularBasis
+
+GREEDY_RULE = "greedy: s_n = first stream element >= max(prev+1, n^4)"
+
+DISCLAIMER = (
+    "Summability is verified only on the supplied tensor-algebra elements. "
+    "Density of the full summability set follows from density of the tensor "
+    "algebra (Stone-Weierstrass) and is not a finitely checkable statement; "
+    "this report makes no claim beyond the listed elements."
+)
+
+CAVEAT = (
+    "Finite-section evidence only: projection norms are computed on the "
+    "span of the listed functionals in the sup-over-family norm. No claim "
+    "is made about any infinite sequence or its weak-star limit behavior."
+)
+
+# Integers of this magnitude or more have over 4300 decimal digits, past
+# CPython's default int<->str conversion limit; they serialize as 0x hex,
+# which has no limit and converts in linear time.  A fixed constant, so the
+# output never depends on interpreter settings.
+HEX_FROM = 10**4300
+
+
+def _int_text(v: int) -> str:
+    return hex(v) if abs(v) >= HEX_FROM else str(v)
+
+
+def format_ratio(num: int, den: int) -> str:
+    """format_rational(Fraction(num, den)) for ints, den > 0, by one gcd."""
+    g = math.gcd(num, den)
+    text = _int_text(num // g)
+    return text if g == den else f"{text}/{_int_text(den // g)}"
+
+
+def format_rational(q: Rational | Dyadic) -> str:
+    """Serialize in lowest terms: "p/q", or "p" when the denominator is 1.
+
+    A numerator or denominator of magnitude >= HEX_FROM is written as 0x hex
+    ("-0x.../0x..."); everything smaller is plain decimal.  q must be an
+    int, a Fraction or a Dyadic, whose lowest terms an equal Fraction
+    shares, so both write the same text; anything else, a float included,
+    raises TypeError.
+    """
+    if not isinstance(q, (int, Fraction, Dyadic)):
+        raise TypeError(f"format_rational requires an int, Fraction or Dyadic, got {type(q).__name__}")
+    if q.denominator == 1:
+        return _int_text(q.numerator)
+    return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
+
+
+def parse_rational(text: str) -> Rational:
+    """Inverse of format_rational; accepts "p" and "p/q", each part decimal
+    or 0x hex.  Raises ValueError on malformed text, including a zero
+    denominator."""
+    try:
+        if "0x" not in text.lower():
+            return Fraction(text.strip())
+        num, slash, den = text.partition("/")
+        return Fraction(int(num, 0), int(den, 0) if slash else 1)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
+
+
+def decimal_str(q: Rational | Dyadic) -> str | None:
+    """Decimal expansion with exactly DIGITS fractional digits (truncated
+    toward zero).  A whole part of magnitude >= HEX_FROM has no decimal
+    form a reader's str<->int conversion accepts, so it gives None (JSON
+    null); the report's exact sibling field carries the value.  The cut
+    reads the integer whole part, so a 2^n denominator is never multiplied
+    by HEX_FROM, and a Dyadic's power of two is divided out by a shift.  q
+    must be an int, a Fraction or a Dyadic, as in format_rational."""
+    if isinstance(q, Dyadic):
+        scaled = abs(q.num) * 10**DIGITS // q.odd >> q.exp
+    elif isinstance(q, (int, Fraction)):
+        scaled = abs(q.numerator) * 10**DIGITS // q.denominator
+    else:
+        raise TypeError(f"decimal_str requires an int, Fraction or Dyadic, got {type(q).__name__}")
+    whole, frac = divmod(scaled, 10**DIGITS)
+    if whole >= HEX_FROM:
+        return None
+    sign = "-" if q.numerator < 0 else ""
+    return f"{sign}{whole}.{frac:0{DIGITS}d}"
+
+
+def write_json(path: str, doc: dict) -> None:
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+
+
+def _certified(sup: Rational | Dyadic, lower_ok: Cmp, upper_ok: Cmp, bound2: str) -> dict:
+    """The fields a verify row and a sup report share: a supremum, its two
+    certified comparisons and their bound2 verdict."""
+    return {"sup": format_rational(sup), "sup_decimal": decimal_str(sup),
+            "lower_ok": lower_ok.value, "upper_ok": upper_ok.value, "bound2": bound2}
+
+
+def verify_row(n, tv, tv_ok, supp, support_ok, sup, lower_ok, upper_ok, bound2,
+               brute_sup, brute_matches, tsup, bound3, tensor_ge_rect) -> dict:
+    """One verify row from its values and verdicts, given in key order."""
+    certified = _certified(sup, lower_ok, upper_ok, bound2)
+    # c_n = odd / 2^e with e >= 1, so 2 c_n keeps the odd numerator: its
+    # digits, the costly part of either text, are written once
+    num_text = certified["sup"].partition("/")[0]
+    tsup_text = num_text if tsup.denominator == 1 else f"{num_text}/{format_rational(tsup.denominator)}"
+    return {
+        "n": n,
+        "total_variation": format_rational(tv),
+        "tv_ok": tv_ok,
+        "support_size": format_rational(supp),
+        "support_ok": support_ok,
+        **certified,
+        "brute_sup": None if brute_sup is None else format_rational(brute_sup),
+        "brute_matches": brute_matches,
+        "tensor_sup": tsup_text,
+        "tensor_sup_decimal": decimal_str(tsup),
+        "bound3": bound3,
+        "tensor_ge_rect": tensor_ge_rect,
+    }
+
+
+def verify_report(n_max: int, brute_max: int, explicit_max: int, rows: list[dict], overall: str) -> dict:
+    config = {"n_max": n_max, "brute_max": brute_max, "explicit_max": explicit_max}
+    return {"config": config, "checks": rows, "overall": overall}
+
+
+_SUP_KEYS = ("n", "sup", "sup_decimal", "witness", "lower_ok", "upper_ok", "method", "bound2")
+
+
+def sup_report(rect: RectangleSupReport, lower_ok: Cmp, upper_ok: Cmp, bound2: str) -> dict:
+    """The supremum with its witness bitsets, if one was built, and its
+    certified comparisons, in _SUP_KEYS order: bound2 last."""
+    w = rect.witness
+    witness = None if w is None else {"A_bits": hex(w.row_bits), "B_bits": hex(w.col_bits)}
+    doc = _certified(rect.sup, lower_ok, upper_ok, bound2)
+    doc.update(n=rect.n, witness=witness, method=rect.method)
+    return {key: doc[key] for key in _SUP_KEYS}
+
+
+def schauder_report(density: DensityResult, basis: TriangularBasis | None,
+                    expansions: list[CoeffExpansion], overall: str) -> dict:
+    """The density check, then the basis (None short of density) and the expansions."""
+    d = density
+    return {
+        "density": {"status": d.status, "m": d.m, "rank": d.rank, "failing": list(d.failing),
+                    "pivot_generators": list(d.pivot_generators)},
+        "basis": None if basis is None else basis_to_json(basis),
+        "expansions": [expansion_to_json(exp) for exp in expansions],
+        "overall": overall,
+    }
+
+
+def basis_to_json(basis: TriangularBasis) -> dict:
+    vectors = []
+    for vec in basis.vectors:
+        coords = ["0"] * basis.horizon
+        for k, x in vec.entries:
+            coords[k - 1] = format_ratio(x, vec.den)
+        vectors.append({
+            "coords": coords,
+            "combination": {str(c): format_ratio(w, vec.weight_den) for c, w in vec.combination},
+            "support_size": len(vec.entries),
+        })
+    return {"horizon": basis.horizon, "vectors": vectors}
+
+
+def expansion_to_json(exp: CoeffExpansion) -> dict:
+    return {
+        "coefficients": [format_rational(a) for a in exp.coefficients],
+        "stabilization_log": list(exp.stabilization_log),
+        "target": [format_rational(v) for v in exp.target],
+        "grid_all_true": exp.grid_all_true,
+    }
+
+
+def combo_row(row: ComboRow) -> dict:
+    return {
+        "combo": row.combo,
+        "norm_bound": format_rational(row.norm_bound),
+        "partial_sums": [format_rational(p) for p in row.partial_sums],
+        "partial_sums_decimal": [decimal_str(p) for p in row.partial_sums],
+        "bound_lower": format_rational(row.bound_lower),
+        "bound_upper": format_rational(row.bound_upper),
+        "bound_upper_decimal": decimal_str(row.bound_upper),
+        "verdict": row.verdict,
+    }
+
+
+def subseq_report(result: SubseqReport) -> dict:
+    return {
+        "certificate": certificate_to_json(result.certificate),
+        "unit_norm_indices": result.unit_norm_indices,
+        "rows": [combo_row(row) for row in result.rows],
+        "verdict": result.verdict,
+        "disclaimer": DISCLAIMER,
+    }
+
+
+def certificate_to_json(cert: SubseqCertificate) -> dict:
+    return {
+        "rule": GREEDY_RULE,
+        "indices": list(cert.indices),
+        "partial_sum_upper": format_rational(cert.partial_sum_upper),
+        "tail_bound": format_rational(cert.tail_bound),
+    }
+
+
+def section_report(section: FiniteSection, k: Fraction, per_m: list[Fraction]) -> dict:
+    """A section with its basis constant k and per-m projection norms."""
+    return {
+        "n_functionals": section.n_functionals,
+        "n_tests": section.n_tests,
+        "values": [[format_rational(v) for v in row] for row in section.rows],
+        "basis_constant": decimal_str(k),
+        "per_m_projection_norms": [decimal_str(v) for v in per_m],
+        "basis_constant_exact": format_rational(k),
+        "per_m_projection_norms_exact": [format_rational(v) for v in per_m],
+        "caveat": CAVEAT,
+    }

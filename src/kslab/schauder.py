@@ -44,7 +44,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .exactnum import Rational, format_ratio, format_rational, parse_rational
+from .exactnum import Rational
+from .report import parse_rational
 
 SparseVec = dict[int, Fraction]  # 1-based coordinate -> value, finite support
 
@@ -349,26 +350,3 @@ def expand(y: Sequence, basis: TriangularBasis) -> CoeffExpansion:
             last = n
         log.append(last)  # before its last move S_N' was not y_n
     return CoeffExpansion(target=yf, coefficients=tuple(coeffs), stabilization_log=tuple(log))
-
-
-def basis_to_json(basis: TriangularBasis) -> dict:
-    vectors = []
-    for vec in basis.vectors:
-        coords = ["0"] * basis.horizon
-        for k, x in vec.entries:
-            coords[k - 1] = format_ratio(x, vec.den)
-        vectors.append({
-            "coords": coords,
-            "combination": {str(c): format_ratio(w, vec.weight_den) for c, w in vec.combination},
-            "support_size": len(vec.entries),
-        })
-    return {"horizon": basis.horizon, "vectors": vectors}
-
-
-def expansion_to_json(exp: CoeffExpansion) -> dict:
-    return {
-        "coefficients": [format_rational(a) for a in exp.coefficients],
-        "stabilization_log": list(exp.stabilization_log),
-        "target": [format_rational(v) for v in exp.target],
-        "grid_all_true": exp.grid_all_true,
-    }

@@ -31,7 +31,8 @@ import json
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .exactnum import Dyadic, Rational, parse_rational
+from .exactnum import Dyadic, Rational
+from .report import parse_rational
 from .ks_measure import KSMeasure
 
 
@@ -61,8 +62,8 @@ class SymmetricTerm:
 
     Defined for every measure index; sup norm |coeff| * |g_const| since all
     named profiles have sup norm 1.  value_at is coeff * g_const times the
-    profile's closed form; no table is built.  Terms compare by value; a
-    float coeff or g_const, whose binary value would enter, raises TypeError.
+    profile's closed form; no table is built.  coeff and g_const are held as
+    Fractions, so terms compare by value; a float raises TypeError.
     """
 
     __slots__ = ("profile", "coeff", "g_const")
@@ -72,7 +73,7 @@ class SymmetricTerm:
             raise ValueError(f"unknown profile {profile!r}")
         if isinstance(coeff, float) or isinstance(g_const, float):
             raise TypeError(f"SymmetricTerm takes no float coeff or g_const, got {coeff!r}, {g_const!r}")
-        self.profile, self.coeff, self.g_const = profile, coeff, g_const
+        self.profile, self.coeff, self.g_const = profile, Fraction(coeff), Fraction(g_const)
 
     def _key(self) -> tuple[str, Rational, Rational]:
         return self.profile, self.coeff, self.g_const
@@ -87,10 +88,10 @@ class SymmetricTerm:
         return f"SymmetricTerm{self._key()!r}"
 
     def sup_norm(self) -> Rational:
-        return abs(Fraction(self.coeff)) * abs(Fraction(self.g_const))
+        return abs(self.coeff) * abs(self.g_const)
 
     def value_at(self, m: KSMeasure) -> Dyadic:
-        return _PROFILES[self.profile](m) * (Fraction(self.coeff) * Fraction(self.g_const))
+        return _PROFILES[self.profile](m) * (self.coeff * self.g_const)
 
 
 class TensorCombo(NamedTuple):

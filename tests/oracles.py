@@ -32,6 +32,8 @@ random_tensor_probe samples the unit cube in floating point; it can never
 exceed tensor_sup_exact.  profile_table and eval_symmetric evaluate a named
 plus-count profile from its table, the oracle of the closed forms, and
 decay_profile certifies |mu_n(h)| <= (8/sqrt(pi n)) * norm_bound row by row.
+random_section draws a seeded section of independent rational rows, and
+diag_sections the 7 x 12 sections of the diag benchmark at seed 41.
 section_of_ks tabulates a family on measure indices; the standard family's
 values lie in span{c_n, 1/n}, so such sections of three or more indices are
 dependent and the package builds none.  coefficient_functional unrolls the
@@ -66,10 +68,11 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from kslab.basic_seq_diag import FiniteSection, _VertexSimplex
-from kslab.exactnum import PI, Cmp, Rational, cmp_sq_below, format_rational, sqrt_enclosure
+from kslab.basic_seq_diag import DegenerateSectionError, FiniteSection, _VertexSimplex, basis_constant
+from kslab.exactnum import PI, Cmp, Rational, cmp_sq_below, sqrt_enclosure
 from kslab.ks_measure import EXPLICIT_MAX_N, KSMeasure, build
 from kslab.rect_sup import Rectangle, RectangleSupReport, bound2_verdict
+from kslab.report import format_rational
 from kslab.schauder import (
     BasisVector,
     DensityResult,
@@ -221,7 +224,7 @@ def rect_mass(m: KSMeasure, r: Rectangle) -> Rational:
 def certify_bound2(report: RectangleSupReport) -> str:
     """PASS iff 1/(2 sqrt(pi n)) < sup < 2/sqrt(pi n), both rationally
     certified; UNDECIDED signals an insufficient enclosure.  Re-derived from
-    sup alone, apart from report_to_json and certify_pair."""
+    sup alone, apart from certify_pair."""
     if report.sup < 0:
         raise ValueError("supremum must be nonnegative")
     lower_ok = cmp_sq_below(report.sup, 1, 2, report.n)
@@ -465,6 +468,29 @@ def decay_profile(h: TensorCombo, n_list: Sequence[int]) -> list[DecayRow]:
 
 # ---------------------------------------------------------------------------
 # Sections over measures and coefficient functionals
+
+
+def random_section(rng: random.Random, n: int, f: int) -> FiniteSection:
+    """An n x f section of independent rows, entries p/q with |p| <= 9 and
+    1 <= q <= 5 drawn from rng; a draw with dependent rows is drawn again."""
+    while True:
+        rows = tuple(
+            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(f))
+            for _ in range(n)
+        )
+        section = FiniteSection(rows=rows)
+        try:
+            basis_constant(section)
+        except DegenerateSectionError:
+            continue
+        return section
+
+
+def diag_sections(count: int) -> list[FiniteSection]:
+    """The first `count` 7 x 12 sections drawn from Random("diag-41"); the
+    first is the first random section of the diag benchmark at seed 41."""
+    rng = random.Random("diag-41")
+    return [random_section(rng, 7, 12) for _ in range(count)]
 
 
 def section_of_ks(indices: Sequence[int], test_family: Sequence[TensorCombo]) -> FiniteSection:

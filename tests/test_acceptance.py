@@ -17,10 +17,11 @@ from kslab.basic_seq_diag import (
     basis_constant,
 )
 from kslab.cli import main as cli_main
-from kslab.exactnum import PI, parse_rational
+from kslab.exactnum import PI
 from kslab.ks_measure import build, support_size, total_variation
 from kslab.normal_subseq import extract, strongly_normal_report
 from kslab.rect_sup import certify_pair, sup_rect_bruteforce, sup_rect_fast
+from kslab.report import parse_rational, subseq_report
 from kslab.schauder import (
     DENSE_UP_TO,
     GeneratorSet,
@@ -39,6 +40,7 @@ from oracles import (
     decay_profile,
     densify,
     measure,
+    random_section,
     random_tensor_probe,
     reference_grid,
     standard_test_family,
@@ -149,7 +151,7 @@ def test_criterion_6_certificate():
     assert cert.indices == (1, 16, 81, 256, 625, 1296, 2401, 4096)
     # P_8 + tail <= pi^2/6 + 1/8, certified against the enclosure lower end
     assert cert.partial_sum_upper + cert.tail_bound <= PI.lower**2 / 6 + Fraction(1, 8)
-    report = strongly_normal_report(cert, standard_test_family())
+    report = subseq_report(strongly_normal_report(cert, standard_test_family()))
     for row in report["rows"]:
         assert row["verdict"] == "PASS"  # every prefix within (8/sqrt(pi)) * (P_8 + tail)
         sums = [parse_rational(p) for p in row["partial_sums"]]
@@ -195,20 +197,6 @@ def test_criterion_7_basis_suite():
             assert all(reference_grid(exp.coefficients, basis, y).values())
 
 
-def _random_section(rng, n, f):
-    while True:
-        rows = tuple(
-            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(f))
-            for _ in range(n)
-        )
-        section = FiniteSection(rows=rows)
-        try:
-            basis_constant(section)
-        except DegenerateSectionError:
-            continue
-        return section
-
-
 @criterion(8, "diagnostics: identity K=1, rescaling invariance, monotone growth")
 def test_criterion_8_diagnostics():
     for size in (2, 5, 8):
@@ -224,7 +212,7 @@ def test_criterion_8_diagnostics():
     for trial in range(100):
         n = rng.randint(2, 7) if trial < 95 else 7
         f = rng.randint(n, 12) if trial < 95 else 12
-        section = _random_section(rng, n, f)
+        section = random_section(rng, n, f)
         k_base, per_m = basis_constant(section)
         assert k_base >= 1.0 - LP_TOL
 
@@ -239,7 +227,7 @@ def test_criterion_8_diagnostics():
         assert per_m_scaled == per_m
 
         # appending a functional never decreases the constant
-        extra = _random_section(rng, 1, f).rows[0]
+        extra = random_section(rng, 1, f).rows[0]
         extended = FiniteSection(rows=section.rows + (extra,))
         try:
             k_ext, _ = basis_constant(extended)

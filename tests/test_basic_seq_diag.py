@@ -22,8 +22,8 @@ from kslab.basic_seq_diag import (
     basis_constant,
     section_report,
 )
-from kslab.exactnum import parse_rational
 from kslab.ks_measure import build
+from kslab.report import parse_rational
 from kslab.schauder import GeneratorSet
 from kslab.tensor_bounds import SymmetricTerm, TensorCombo
 from oracles import (
@@ -32,9 +32,11 @@ from oracles import (
     build_triangular_basis,
     coefficient_functional,
     densify,
+    diag_sections,
     eval_symmetric,
     profile_table,
     projection_norms_highs,
+    random_section,
     section_of_ks,
     simplex_optima,
     standard_test_family,
@@ -45,22 +47,6 @@ TOL = 1e-9
 
 def frac_rows(rows):
     return tuple(tuple(Fraction(v) for v in row) for row in rows)
-
-
-def random_section(rng, n, f):
-    while True:
-        rows = frac_rows(
-            [
-                [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(f)]
-                for _ in range(n)
-            ]
-        )
-        section = FiniteSection(rows=rows)
-        try:
-            basis_constant(section)
-        except DegenerateSectionError:
-            continue
-        return section
 
 
 class TestBasisConstant:
@@ -138,13 +124,6 @@ class TestBasisConstant:
         # be reported as dependent because the width is read off row 0
         with pytest.raises(DegenerateSectionError, match="differ in length"):
             section_report(FiniteSection(rows=frac_rows(rows)))
-
-
-def diag_sections(count):
-    """The first `count` 7 x 12 sections drawn from Random("diag-41"); the
-    first is the first random section of the diag benchmark at seed 41."""
-    rng = random.Random("diag-41")
-    return [random_section(rng, 7, 12) for _ in range(count)]
 
 
 class TestExactNorms:

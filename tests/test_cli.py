@@ -18,14 +18,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kslab import cli, exactnum
+from kslab.basic_seq_diag import section_report
 from kslab.cli import _verify_one, main
-from kslab.exactnum import Cmp, cmp_sq_below, format_rational, parse_rational
+from kslab.exactnum import Cmp, cmp_sq_below
 from kslab.ks_measure import build
 from kslab.rect_sup import Rectangle, sup_rect_bruteforce
+from kslab.report import format_rational, parse_rational
 from kslab.schauder import EchelonStore
 from oracles import (
     certify_bound3,
     combo_to_json,
+    diag_sections,
     eval_symmetric,
     greedy_walk,
     profile_table,
@@ -654,6 +657,11 @@ class TestPinnedReportBytes:
         "--n 3 --stream-start 20000": "80804c50ef0f43d5d63b15efc0765d04ed54389f3c276807832a8dfe6519ff59",
     }
 
+    # Written before the report writers moved into kslab.report: the first
+    # 7 x 12 section of the diag benchmark at seed 41, written as the
+    # benchmark writes it (json.dumps with indent 2 and a newline).
+    SECTION_7X12 = "8ff6ac1c1fc7f0c3264a622c7df1d4814f6b6bd789f6f26ad0cbd79ab0540f76"
+
     @staticmethod
     def digest(path):
         return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -730,6 +738,10 @@ class TestPinnedReportBytes:
         assert run(["subseq", *args.split(), "--family", str(family), "--out", str(out)]) == 0
         assert self.digest(out) == self.SUBSEQ_STREAM[args]
 
+    def test_section_report(self):
+        text = json.dumps(section_report(diag_sections(1)[0]), indent=2) + "\n"
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.SECTION_7X12
+
 
 class TestOutputErrors:
     @pytest.mark.parametrize("argv", [["verify", "--n-max", "2"], ["sup", "--n", "3"]])
@@ -746,6 +758,106 @@ class TestOutputErrors:
         err = capsys.readouterr().err
         assert "unrecognized arguments" in err and "Traceback" not in err
         assert not out.exists()
+
+
+# nonzero rationals in every spelling a file may use (a JSON number reads as
+# its text), values no parser accepts, and text that is never valid JSON
+RATIONALS = st.sampled_from(["1", "-2/3", "0x10", " 3 ", "1.5", "1e3", "5/4", 0.5, -7])
+BAD_VALUES = st.sampled_from(["1/0", "x", "", "1//2", None, True, [1], {}])
+BAD_OPTIONS = st.sampled_from(["0", "-1", "x", "", "1.5", "0x3"])
+JUNK = st.text(alphabet='[]":,0123456789/-.abcx \n', max_size=40).map(lambda s: "{" + s)
+
+
+@st.composite
+def schauder_runs(draw):
+    """A dense family on 1..n+1 (generator k has a nonzero coordinate k,
+    then random ones after it), shuffled, with at most one fault: generator
+    1 missing (exit 1), or a malformed line, option or target file (exit 2)."""
+    n = draw(st.integers(1, 4))
+    horizon = n + draw(st.integers(0, 3))
+    fault = draw(st.sampled_from(["none", "none", "none", "missing", "line", "n", "horizon", "target"]))
+    lines = []
+    for k in range(1, n + 2):
+        coords = {str(k): draw(RATIONALS)}
+        for extra in draw(st.lists(st.integers(k + 1, k + 6), max_size=3)):
+            coords[str(extra)] = draw(RATIONALS)
+        lines.append(json.dumps({"coords": coords}))
+    if fault == "missing":
+        lines.pop(0)
+    lines = draw(st.permutations(lines))
+    if fault == "line":
+        bad = st.one_of(JUNK, BAD_VALUES.map(lambda v: json.dumps({"coords": {"1": v}})),
+                        st.sampled_from(['{"coords": {"0": "1"}}', '{"coords": {"1": "1", "01": "2"}}', "[1]"]))
+        lines.insert(draw(st.integers(0, len(lines))), draw(bad))
+    options = {"n": str(n), "horizon": str(horizon)}
+    if fault in options:
+        options[fault] = draw(st.one_of(BAD_OPTIONS, st.just(str(n - 1))))
+    argv = ["schauder", "--generators", "gens.jsonl", "--n", options["n"], "--horizon", options["horizon"]]
+    files = {"gens.jsonl": "\n".join(lines) + "\n"}
+    if fault == "target" or draw(st.booleans()):
+        targets = st.lists(st.lists(RATIONALS, max_size=horizon + 2), max_size=3)
+        bad = st.one_of(JUNK, st.lists(BAD_VALUES, min_size=1, max_size=2).map(lambda v: {"targets": [v]}),
+                        st.sampled_from([{"targets": "1"}, [["1"]], {"targets": [1]}]))
+        doc = draw(bad) if fault == "target" else {"targets": draw(targets)}
+        files["targets.json"] = doc if isinstance(doc, str) else json.dumps(doc)
+        argv += ["--target", "targets.json"]
+    if fault == "n" and options["n"] == str(n - 1) != "0":
+        fault = "none"  # a shorter basis of the same family
+    return argv, files, {"none": 0, "missing": 1}.get(fault, 2)
+
+
+@st.composite
+def cli_runs(draw):
+    """(argv without --out, {file name: text}, expected exit code) for
+    verify, sup or schauder."""
+    command = draw(st.sampled_from(["verify", "sup", "schauder", "schauder"]))
+    value = draw(st.one_of(st.integers(1, 9).map(str), BAD_OPTIONS))
+    valid = value.isdigit() and int(value) >= 1
+    if command == "verify":
+        return ["verify", "--n-max", value], {}, 0 if valid else 2
+    if command == "sup":
+        brute = draw(st.booleans())
+        return ["sup", "--n", value] + ["--brute"] * brute, {}, 0 if valid and (not brute or int(value) <= 4) else 2
+    return draw(schauder_runs())
+
+
+def exact_texts(doc, key=None):
+    """Every exact or decimal text of a report, with its key: each string but
+    the verdict words and the witness bitsets."""
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from exact_texts(v, k)
+    elif isinstance(doc, list):
+        for v in doc:
+            yield from exact_texts(v, key)
+    elif isinstance(doc, str) and key not in {"lower_ok", "upper_ok", "bound2", "bound3", "method",
+                                              "status", "overall", "A_bits", "B_bits"}:
+        yield key, doc
+
+
+class TestCliContract:
+    @settings(max_examples=150, deadline=None)
+    @given(run_spec=cli_runs())
+    def test_exit_codes_and_reports(self, tmp_path_factory, run_spec):
+        # every input ends in its exit code, 0, 1 or 2, with no traceback, and
+        # an exit-0 report reads back through the report layer's parse side
+        argv, files, expected = run_spec
+        tmp = tmp_path_factory.mktemp("contract")
+        for name, text in files.items():
+            (tmp / name).write_text(text, encoding="utf-8")
+        argv = [str(tmp / a) if a in files else a for a in argv]
+        out = tmp / "report.json"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(argv + ["--out", str(out)])
+        assert code == expected and "Traceback" not in err.getvalue(), (argv, files, err.getvalue())
+        if code == 2:
+            assert not out.exists()
+        if code == 0:
+            for key, text in exact_texts(json.loads(out.read_text(encoding="utf-8"))):
+                value = parse_rational(text)
+                if not key.endswith("_decimal"):
+                    assert format_rational(value) == text, (key, text)
 
 
 class TestErrorBoundary:

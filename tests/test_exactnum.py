@@ -1,13 +1,11 @@
 """Exact arithmetic layer: the binomial oracle against a Pascal triangle,
 central binomials (Pascal step and prime factorization) against math.comb,
 certified comparisons against a 50-digit decimal oracle, the Dyadic type
-against Fraction arithmetic and serialization; and the package source,
-which holds no float."""
+against Fraction arithmetic; and the package source, which holds no float."""
 
 import ast
 import math
 import random
-from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,16 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kslab.exactnum import (
-    HEX_FROM,
     PI,
     Cmp,
     Dyadic,
     PiEnclosure,
     central_binomial,
     cmp_sq_below,
-    decimal_str,
-    format_rational,
-    parse_rational,
     recip_sqrt_upper,
     sqrt_enclosure,
 )
@@ -203,94 +197,6 @@ class TestSqrtHelpers:
             recip_sqrt_upper(0)
 
 
-class TestSerialization:
-    def test_format(self):
-        assert format_rational(Fraction(3, 16)) == "3/16"
-        assert format_rational(Fraction(5)) == "5"
-        assert format_rational(Fraction(-7, 2)) == "-7/2"
-        # parts past the 4300 digits CPython converts to str by default are hex
-        assert format_rational(Fraction(HEX_FROM - 1)) == "9" * 4300
-        assert format_rational(Fraction(-1, HEX_FROM)) == "-1/" + hex(HEX_FROM)
-
-    @given(st.fractions(min_value=-100, max_value=100))
-    def test_roundtrip(self, q):
-        assert parse_rational(format_rational(q)) == q
-
-    @pytest.mark.parametrize(
-        "q",
-        [
-            Fraction(HEX_FROM - 1),
-            Fraction(-(HEX_FROM - 1), 3),
-            Fraction(7, HEX_FROM - 1),
-            Fraction(HEX_FROM),
-            Fraction(-HEX_FROM - 1, 3),
-            Fraction(-7, 2**15000),
-            Fraction(3**9100, 2**15000),
-        ],
-    )
-    def test_roundtrip_at_the_hex_threshold(self, q):
-        text = format_rational(q)
-        parts = text.lstrip("-").split("/")
-        for part, v in zip(parts, (q.numerator, q.denominator)):
-            assert part.startswith("0x") == (abs(v) >= HEX_FROM)
-        assert parse_rational(text) == q
-
-    @pytest.mark.parametrize("text", ["1/0", " -3/0 ", "0x1/0x0", "-0x5/0"])
-    def test_zero_denominator_is_value_error(self, text):
-        with pytest.raises(ValueError):
-            parse_rational(text)
-
-    def test_decimal_str(self):
-        assert decimal_str(Fraction(1, 2)) == "0.5" + "0" * 29
-        assert decimal_str(Fraction(-1, 3)) == "-0." + "3" * 30
-        assert len(decimal_str(Fraction(1, 7)).split(".")[1]) == 30
-
-    @pytest.mark.parametrize("q", [0.1, 1.0, float("nan"), Decimal("0.1"), "1/3", 1j])
-    def test_inexact_values_rejected(self, q):
-        # format_rational(0.1) once wrote 0.1's binary value, 3602879701896397/2**55
-        for call in (format_rational, decimal_str):
-            with pytest.raises(TypeError, match=type(q).__name__):
-                call(q)
-
-    @pytest.mark.parametrize(
-        "v",
-        [0, 7, -12, HEX_FROM - 1, -HEX_FROM, 3**9100, Fraction(-7, 2**15000), Fraction(3**9100, 5)],
-        ids=["zero", "int", "negative", "below-hex", "hex", "big-int", "hex-denominator", "hex-numerator"],
-    )
-    def test_int_and_fraction_output_unchanged(self, v):
-        # an int and the equal Fraction serialize alike, decimal or hex
-        q = Fraction(v)
-        assert format_rational(v) == format_rational(q)
-        assert decimal_str(v) == decimal_str(q)
-        num = hex(q.numerator) if abs(q.numerator) >= HEX_FROM else str(q.numerator)
-        den = hex(q.denominator) if q.denominator >= HEX_FROM else str(q.denominator)
-        assert format_rational(v) == (num if q.denominator == 1 else f"{num}/{den}")
-        assert format_rational(-5) == "-5" and decimal_str(-5) == "-5." + "0" * 30
-
-    def test_decimal_whole_part_past_str_digit_limit(self):
-        # a whole part of 4300 digits or more has no decimal form that
-        # parse_rational or float() reads, so the field is null (None) and
-        # the exact sibling field, in format_rational's hex, carries the value
-        assert decimal_str(3**9100) is None
-        assert decimal_str(-Fraction(3**9100 * 8 + 5, 8)) is None
-        assert decimal_str(Fraction(HEX_FROM * 3 + 1, 3)) is None
-        assert decimal_str(HEX_FROM - 1) == "9" * 4300 + "." + "0" * 30
-        below = decimal_str(-Fraction(HEX_FROM * 8 - 3, 8))
-        assert below == "-" + "9" * 4300 + ".625" + "0" * 27
-        assert parse_rational(below) == -Fraction(HEX_FROM * 8 - 3, 8)
-
-    @pytest.mark.parametrize("sign", [1, -1])
-    @pytest.mark.parametrize("den", [3, 7, 12])
-    def test_decimal_cut_reads_the_whole_part(self, den, sign):
-        # a non-dyadic denominator, the whole part just below and at the cut
-        rest = den - 1
-        below = sign * Fraction((HEX_FROM - 1) * den + rest, den)
-        digits = "9" * 4300 + "." + f"{rest * 10**30 // den:030d}"
-        assert decimal_str(below) == ("-" if sign < 0 else "") + digits
-        assert decimal_str(sign * Fraction(HEX_FROM * den + rest, den)) is None
-        assert decimal_str(sign * Fraction(HEX_FROM * den, den)) is None
-
-
 def fractions_over_dyadic_denominators():
     """Fractions whose denominator is a small odd part times a power of two."""
     den = st.builds(lambda odd, e: odd << e, st.integers(1, 45), st.integers(0, 70))
@@ -329,26 +235,6 @@ class TestDyadic:
         with pytest.raises(TypeError):
             Dyadic(1, 2) + 0.5
         assert Dyadic(1, 2) != "1/2"
-
-    @pytest.mark.parametrize(
-        "q",
-        [
-            Fraction(0),
-            Fraction(-5),
-            Fraction(3, 16),
-            Fraction(-7, 24),
-            Fraction(-7, 2**15000),
-            Fraction(3**9100, 2**15000),
-            Fraction(3**9100, 5 * 2**15000),
-            Fraction(HEX_FROM * 2 - 1, 2),
-            Fraction(-(HEX_FROM * 2 + 1), 2),
-        ],
-    )
-    def test_serializes_as_the_equal_fraction(self, q):
-        d = Dyadic(q.numerator, q.denominator)
-        assert format_rational(d) == format_rational(q)
-        assert decimal_str(d) == decimal_str(q)
-        assert parse_rational(format_rational(d)) == d
 
     @settings(max_examples=200)
     @given(

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kslab.exactnum import HEX_FROM, Dyadic, decimal_str, format_rational
+from kslab.exactnum import Dyadic
 from kslab.ks_measure import EXPLICIT_MAX_N, KSMeasure, build, support_size, total_variation
+from kslab.report import HEX_FROM, decimal_str, format_rational
 from oracles import (
     CANONICAL,
     MemoryGuardError,

@@ -10,15 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kslab import ks_measure
-from kslab.exactnum import PI, central_binomial, format_rational, parse_rational, sqrt_enclosure
+from kslab.exactnum import PI, central_binomial, sqrt_enclosure
 from kslab.ks_measure import build, total_variation
-from kslab.normal_subseq import (
+from kslab.normal_subseq import _combo_row, extract, strongly_normal_report, uniform_bound_enclosure
+from kslab.report import (
     GREEDY_RULE,
-    _combo_row,
     certificate_to_json,
-    extract,
-    strongly_normal_report,
-    uniform_bound_enclosure,
+    combo_row,
+    format_rational,
+    parse_rational,
+    subseq_report,
 )
 from kslab.tensor_bounds import SymmetricTerm, TensorCombo
 from oracles import eval_symmetric, greedy_walk, profile_table, standard_test_family
@@ -26,7 +27,7 @@ from oracles import eval_symmetric, greedy_walk, profile_table, standard_test_fa
 
 def partial_sum_check(cert, h):
     """The report row of h over the whole certificate, its exact fields read back."""
-    row = strongly_normal_report(cert, [h])["rows"][0]
+    row = subseq_report(strongly_normal_report(cert, [h]))["rows"][0]
     return SimpleNamespace(
         partial_sums=tuple(map(parse_rational, row["partial_sums"])),
         bound_lower=parse_rational(row["bound_lower"]),
@@ -190,7 +191,7 @@ class TestCertifiedBoundsAtTheirEdges:
         for last, verdict in ((inside, "PASS"), (outside, "FAIL")):
             values = {s: last / length for s in cert.indices[:-1]}
             values[cert.indices[-1]] = last - sum(values.values(), Fraction(0))
-            row = _combo_row(cert, FixedValues(values, nb), "edge", cert.indices)
+            row = combo_row(_combo_row(cert, FixedValues(values, nb), "edge", cert.indices))
             assert parse_rational(row["partial_sums"][-1]) == last
             assert row["verdict"] == verdict, (last, verdict)
 
@@ -217,14 +218,14 @@ class TestCertifiedBoundsAtTheirEdges:
 class TestReport:
     def test_empty_family_vacuous(self):
         cert = extract(1, 1, 2)
-        report = strongly_normal_report(cert, [])
+        report = subseq_report(strongly_normal_report(cert, []))
         assert report["verdict"] == "VACUOUS"
         assert report["rows"] == []
         assert "disclaimer" in report
 
     def test_three_pass_rows(self):
         cert = extract(1, 1, 3)
-        report = strongly_normal_report(cert, standard_test_family()[:3])
+        report = subseq_report(strongly_normal_report(cert, standard_test_family()[:3]))
         assert report["verdict"] == "PASS"
         assert [r["verdict"] for r in report["rows"]] == ["PASS"] * 3
         # rows re-derivable from the closed-form values at each index
@@ -234,7 +235,7 @@ class TestReport:
 
     def test_zero_norm_combo_passes_with_zero_bound(self):
         cert = extract(1, 1, 2)
-        report = strongly_normal_report(cert, [TensorCombo(terms=(), name="null")])
+        report = subseq_report(strongly_normal_report(cert, [TensorCombo(terms=(), name="null")]))
         assert report["verdict"] == "PASS"
         assert report["rows"][0]["bound_upper"] == "0"
 
@@ -247,14 +248,14 @@ class TestReport:
 
         monkeypatch.setattr(ks_measure, "central_binomial", counted)
         cert = extract(1, 1, 6)
-        report = strongly_normal_report(cert, standard_test_family())
+        report = subseq_report(strongly_normal_report(cert, standard_test_family()))
         assert report["verdict"] == "PASS"
         assert sorted(calls) == [s - 1 for s in cert.indices]
 
     def test_selected_indices_carry_unit_norm(self):
         cert = extract(1, 1, 4)
         assert all(total_variation(build(s)) == 1 for s in cert.indices)
-        report = strongly_normal_report(cert, [])
+        report = subseq_report(strongly_normal_report(cert, []))
         assert report["unit_norm_indices"] is True
 
 

@@ -9,7 +9,8 @@ import pytest
 
 from kslab.exactnum import PI, Cmp, sqrt_enclosure
 from kslab.ks_measure import EXPLICIT_MAX_N, build
-from kslab.rect_sup import Rectangle, certify_pair, report_to_json, sup_rect_bruteforce, sup_rect_fast
+from kslab.rect_sup import Rectangle, bound2_verdict, certify_pair, sup_rect_bruteforce, sup_rect_fast
+from kslab.report import sup_report
 from oracles import (
     CANONICAL,
     PermutedMeasure,
@@ -19,6 +20,13 @@ from oracles import (
     measure,
     rect_mass,
 )
+
+
+def sup_json(report):
+    """The sup report as the sup subcommand writes it: sup certified once
+    by certify_pair, then written with its bound2 verdict."""
+    lower_ok, upper_ok = certify_pair(report.sup, report.n)
+    return sup_report(report, lower_ok, upper_ok, bound2_verdict(lower_ok, upper_ok))
 
 
 @functools.cache
@@ -205,12 +213,12 @@ class TestCertifyBound2:
     def test_fail_above_upper(self):
         fake = sup_rect_fast(build(1))._replace(sup=Fraction(2))
         assert certify_bound2(fake) == "FAIL"
-        assert report_to_json(fake)["bound2"] == "FAIL"
+        assert sup_json(fake)["bound2"] == "FAIL"
 
     def test_fail_below_lower(self):
         fake = sup_rect_fast(build(1))._replace(sup=Fraction(1, 100))
         assert certify_bound2(fake) == "FAIL"
-        assert report_to_json(fake)["bound2"] == "FAIL"
+        assert sup_json(fake)["bound2"] == "FAIL"
 
 
 class TestCertifyPairAtTheConstants:
@@ -243,7 +251,7 @@ class TestCertifyPairAtTheConstants:
 
 class TestReportJson:
     def test_shape_and_values(self):
-        doc = report_to_json(sup_rect_fast(build(4)))
+        doc = sup_json(sup_rect_fast(build(4)))
         assert doc["n"] == 4
         assert doc["sup"] == "3/16"
         assert doc["sup_decimal"].startswith("0.1875")
@@ -255,5 +263,5 @@ class TestReportJson:
         assert list(doc)[-1] == "bound2" and doc["bound2"] == "PASS"  # certified once, written last
 
     def test_null_witness_serialized(self):
-        doc = report_to_json(sup_rect_fast(build(22)))
+        doc = sup_json(sup_rect_fast(build(22)))
         assert doc["witness"] is None

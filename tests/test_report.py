@@ -1,0 +1,174 @@
+"""The report layer: rational text and its parse side (format_rational,
+format_ratio, decimal_str, parse_rational) for ints, Fractions and Dyadics
+on both sides of the hex cut; and the package source, in which no module
+but kslab.report writes rational text."""
+
+import ast
+from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from kslab.exactnum import Dyadic
+from kslab.report import HEX_FROM, decimal_str, format_ratio, format_rational, parse_rational
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "kslab"
+
+
+class TestSerialization:
+    def test_format(self):
+        assert format_rational(Fraction(3, 16)) == "3/16"
+        assert format_rational(Fraction(5)) == "5"
+        assert format_rational(Fraction(-7, 2)) == "-7/2"
+        # parts past the 4300 digits CPython converts to str by default are hex
+        assert format_rational(Fraction(HEX_FROM - 1)) == "9" * 4300
+        assert format_rational(Fraction(-1, HEX_FROM)) == "-1/" + hex(HEX_FROM)
+
+    @given(st.fractions(min_value=-100, max_value=100))
+    def test_roundtrip(self, q):
+        assert parse_rational(format_rational(q)) == q
+
+    @pytest.mark.parametrize(
+        "q",
+        [
+            Fraction(HEX_FROM - 1),
+            Fraction(-(HEX_FROM - 1), 3),
+            Fraction(7, HEX_FROM - 1),
+            Fraction(HEX_FROM),
+            Fraction(-HEX_FROM - 1, 3),
+            Fraction(-7, 2**15000),
+            Fraction(3**9100, 2**15000),
+        ],
+    )
+    def test_roundtrip_at_the_hex_threshold(self, q):
+        text = format_rational(q)
+        parts = text.lstrip("-").split("/")
+        for part, v in zip(parts, (q.numerator, q.denominator)):
+            assert part.startswith("0x") == (abs(v) >= HEX_FROM)
+        assert parse_rational(text) == q
+
+    @pytest.mark.parametrize("text", ["1/0", " -3/0 ", "0x1/0x0", "-0x5/0"])
+    def test_zero_denominator_is_value_error(self, text):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+
+    def test_decimal_str(self):
+        assert decimal_str(Fraction(1, 2)) == "0.5" + "0" * 29
+        assert decimal_str(Fraction(-1, 3)) == "-0." + "3" * 30
+        assert len(decimal_str(Fraction(1, 7)).split(".")[1]) == 30
+
+    @pytest.mark.parametrize("q", [0.1, 1.0, float("nan"), Decimal("0.1"), "1/3", 1j])
+    def test_inexact_values_rejected(self, q):
+        # format_rational(0.1) once wrote 0.1's binary value, 3602879701896397/2**55
+        for call in (format_rational, decimal_str):
+            with pytest.raises(TypeError, match=type(q).__name__):
+                call(q)
+
+    @pytest.mark.parametrize(
+        "v",
+        [0, 7, -12, HEX_FROM - 1, -HEX_FROM, 3**9100, Fraction(-7, 2**15000), Fraction(3**9100, 5)],
+        ids=["zero", "int", "negative", "below-hex", "hex", "big-int", "hex-denominator", "hex-numerator"],
+    )
+    def test_int_and_fraction_output_unchanged(self, v):
+        # an int and the equal Fraction serialize alike, decimal or hex
+        q = Fraction(v)
+        assert format_rational(v) == format_rational(q)
+        assert decimal_str(v) == decimal_str(q)
+        num = hex(q.numerator) if abs(q.numerator) >= HEX_FROM else str(q.numerator)
+        den = hex(q.denominator) if q.denominator >= HEX_FROM else str(q.denominator)
+        assert format_rational(v) == (num if q.denominator == 1 else f"{num}/{den}")
+        assert format_rational(-5) == "-5" and decimal_str(-5) == "-5." + "0" * 30
+
+    def test_decimal_whole_part_past_str_digit_limit(self):
+        # a whole part of 4300 digits or more has no decimal form that
+        # parse_rational or float() reads, so the field is null (None) and
+        # the exact sibling field, in format_rational's hex, carries the value
+        assert decimal_str(3**9100) is None
+        assert decimal_str(-Fraction(3**9100 * 8 + 5, 8)) is None
+        assert decimal_str(Fraction(HEX_FROM * 3 + 1, 3)) is None
+        assert decimal_str(HEX_FROM - 1) == "9" * 4300 + "." + "0" * 30
+        below = decimal_str(-Fraction(HEX_FROM * 8 - 3, 8))
+        assert below == "-" + "9" * 4300 + ".625" + "0" * 27
+        assert parse_rational(below) == -Fraction(HEX_FROM * 8 - 3, 8)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("den", [3, 7, 12])
+    def test_decimal_cut_reads_the_whole_part(self, den, sign):
+        # a non-dyadic denominator, the whole part just below and at the cut
+        rest = den - 1
+        below = sign * Fraction((HEX_FROM - 1) * den + rest, den)
+        digits = "9" * 4300 + "." + f"{rest * 10**30 // den:030d}"
+        assert decimal_str(below) == ("-" if sign < 0 else "") + digits
+        assert decimal_str(sign * Fraction(HEX_FROM * den + rest, den)) is None
+        assert decimal_str(sign * Fraction(HEX_FROM * den, den)) is None
+
+
+class TestDyadic:
+    @pytest.mark.parametrize(
+        "q",
+        [
+            Fraction(0),
+            Fraction(-5),
+            Fraction(3, 16),
+            Fraction(-7, 24),
+            Fraction(-7, 2**15000),
+            Fraction(3**9100, 2**15000),
+            Fraction(3**9100, 5 * 2**15000),
+            Fraction(HEX_FROM * 2 - 1, 2),
+            Fraction(-(HEX_FROM * 2 + 1), 2),
+        ],
+    )
+    def test_serializes_as_the_equal_fraction(self, q):
+        d = Dyadic(q.numerator, q.denominator)
+        assert format_rational(d) == format_rational(q)
+        assert decimal_str(d) == decimal_str(q)
+        assert parse_rational(format_rational(d)) == d
+
+
+class TestFormatRatio:
+    @pytest.mark.parametrize(
+        "num, den",
+        [(0, 5), (6, 3), (-6, 3), (7, 1), (4, 6), (-9, 12), (HEX_FROM, 1), (3 * HEX_FROM, 3), (1, HEX_FROM + 1)],
+        ids=["zero", "divides", "negative-divides", "integer", "reduces", "negative", "hex", "hex-divides", "hex-den"],
+    )
+    def test_matches_format_rational(self, num, den):
+        # the text of num/den in lowest terms: a denominator that divides
+        # num leaves the integer alone, as format_rational writes it
+        assert format_ratio(num, den) == format_rational(Fraction(num, den))
+
+    @given(st.integers(-(10**6), 10**6), st.integers(1, 10**3), st.integers(1, 50))
+    def test_any_common_factor(self, num, den, g):
+        assert format_ratio(num * g, den * g) == format_rational(Fraction(num, den))
+
+
+class TestOneWriter:
+    TEXT = {"format_rational", "format_ratio", "decimal_str"}
+    MOVED = TEXT | {"parse_rational", "HEX_FROM", "_int_text"}
+
+    def test_only_report_writes_rational_text(self):
+        calls = []
+        for path in sorted(SRC.glob("*.py")):
+            if path.name == "report.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    if name in self.TEXT:
+                        calls.append(f"{path.name}:{node.lineno} {name}")
+        assert calls == []
+
+    def test_exactnum_keeps_numbers_only(self):
+        tree = ast.parse((SRC / "exactnum.py").read_text(encoding="utf-8"))
+        defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assigned = {t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets if isinstance(t, ast.Name)}
+        assert (defined | assigned) & self.MOVED == set()
+
+    def test_report_imports_only_exactnum_at_run_time(self):
+        # a reader of reports (or of CLI input files) loads the parse side
+        # without the library that computes the values
+        tree = ast.parse((SRC / "report.py").read_text(encoding="utf-8"))
+        modules = {node.module for node in tree.body if isinstance(node, ast.ImportFrom) and node.level}
+        assert modules == {"exactnum"}

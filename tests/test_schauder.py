@@ -20,11 +20,10 @@ from kslab.schauder import (
     GeneratorSet,
     NOT_DENSE,
     TriangularBasis,
-    basis_to_json,
     density_check,
     expand,
-    expansion_to_json,
 )
+from kslab.report import basis_to_json, expansion_to_json
 from oracles import (
     apply_functional,
     build_triangular_basis,

@@ -235,6 +235,14 @@ class TestCombos:
                 SymmetricTerm("majority", coeff=coeff, g_const=g_const)
         assert SymmetricTerm("majority", coeff=1, g_const=Fraction(1, 10)).sup_norm() == Fraction(1, 10)
 
+    def test_terms_compare_by_value(self):
+        # "1/2", 3 and the Fractions they name are one term: equal, one hash
+        text = SymmetricTerm("majority", coeff="1/2", g_const=3)
+        exact = SymmetricTerm("majority", coeff=Fraction(1, 2), g_const=Fraction(3))
+        assert text == exact and hash(text) == hash(exact)
+        assert type(text.coeff) is Fraction and type(text.g_const) is Fraction
+        assert len({text, exact, SymmetricTerm("majority", coeff="2/4", g_const="3")}) == 1
+
     def test_json_roundtrip(self):
         family = standard_test_family()
         family.append(

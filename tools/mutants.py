@@ -59,6 +59,21 @@ MUTANTS = [
            "sqrt_enclosure swaps lo and hi"),
     Mutant("exactnum", "Fraction(x0 * x0 + s, 2 * x0 * s)", "Fraction(x0 * x0 + s, 2 * x0 * s + 1)",
            "recip_sqrt_upper drops below 1/sqrt(s)"),
+    # the report layer's text
+    Mutant("report", "hex(v) if abs(v) >= HEX_FROM else str(v)", "hex(v) if abs(v) > HEX_FROM else str(v)",
+           "an integer part of exactly HEX_FROM is written in decimal"),
+    Mutant("report", "    if whole >= HEX_FROM:\n", "    if whole > HEX_FROM:\n",
+           "decimal_str writes a whole part of exactly HEX_FROM"),
+    Mutant("report", "scaled = abs(q.numerator) * 10**DIGITS // q.denominator",
+           "scaled = (2 * abs(q.numerator) * 10**DIGITS + q.denominator) // (2 * q.denominator)",
+           "decimal_str rounds a Fraction's last digit instead of truncating"),
+    Mutant("report", "scaled = abs(q.num) * 10**DIGITS // q.odd >> q.exp",
+           "scaled = (abs(q.num) * 10**DIGITS // q.odd + (1 << q.exp >> 1)) >> q.exp",
+           "decimal_str rounds a Dyadic's last digit instead of truncating"),
+    Mutant("report", "return text if g == den else", "return text if den == 1 else",
+           "format_ratio writes p/1 when the denominator divides the numerator"),
+    Mutant("report", "num_text if tsup.denominator == 1 else", "num_text if tsup.denominator <= 2 else",
+           "the verify row's tensor_sup drops a denominator of 2"),
     # bound2 and bound3
     Mutant("rect_sup", "cmp_sq_below(sup, 1, 2, n)", "cmp_sq_below(sup, 1, 3, n)",
            "bound2's lower constant 1/2 -> 1/3"),
