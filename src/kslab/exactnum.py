@@ -2,10 +2,10 @@
 
 Every certified claim in this package reduces to a comparison between a
 nonnegative rational and a constant of the form (c_num/c_den) / sqrt(pi * n).
-Squaring both sides removes the square root, so the comparison is decided by
-exact integer arithmetic against a fixed rational enclosure of pi.  One
-function, cmp_sq_below, decides every such comparison, subseq's uniform
-bound (n = 1) included.  No floating point ever enters a certification path.
+Squaring both sides removes the square root, so exact integer arithmetic
+against a fixed rational enclosure of pi decides it; no root of pi is taken.
+cmp_sq_below decides every such comparison, subseq's bound (n = 1) too.
+No floating point ever enters a certification path.
 
 central_binomial gives C(m, floor(m/2)), the numerator of every c_n, by
 Legendre's formula on one shared prime sieve and a balanced product tree,
@@ -56,10 +56,6 @@ PI = PiEnclosure(
     lower=Fraction(3141592653589793, 10**15),
     upper=Fraction(3141592653589794, 10**15),
 )
-
-# The width 10^-DIGITS of sqrt_enclosure, and the fractional decimal digits
-# of every report's decimal fields; reports depend on it byte for byte.
-DIGITS = 30
 
 
 def _twos(x: int) -> int:
@@ -271,21 +267,6 @@ def cmp_sq_below(r: Rational | Dyadic, c_num: int, c_den: int, n: int) -> Cmp:
     if p2 * (k * PI.lower.numerator) > q2 * (c * PI.lower.denominator):
         return Cmp.CERT_GT
     return Cmp.UNDECIDED
-
-
-def sqrt_enclosure(x: Rational) -> tuple[Rational, Rational]:
-    """Rational (lo, hi) with lo <= sqrt(x) <= hi, width about 10^-DIGITS.
-
-    sqrt(p/q) = sqrt(p*q)/q, and isqrt gives floor(S*sqrt(p*q)) exactly.
-    """
-    if x < 0:
-        raise ValueError("sqrt_enclosure requires x >= 0")
-    if x == 0:
-        return Fraction(0), Fraction(0)
-    p, q = x.numerator, x.denominator
-    scale = 10**DIGITS
-    t = math.isqrt(p * q * scale * scale)
-    return Fraction(t, q * scale), Fraction(t + 1, q * scale)
 
 
 def recip_sqrt_upper(s: int) -> Rational:

@@ -9,14 +9,14 @@ comparison.  The certificate records rational upper enclosures of each
 so the total bound P_N + 1/N is a purely rational object.
 
 Partial sums sum_{n<=M} |mu_{s_n}(h)| over a tensor combination h are then
-uniformly dominated by (8/sqrt(pi)) * norm_bound * (P_N + tail), certified
-by exactnum.cmp_sq_below at n = 1, the squared comparison against the pi
-enclosure that decides every certified bound.  The partial sums of
-absolute values never decrease, so the report certifies the last one,
-M = N, and with it every prefix.  The exponent 4 is the smallest even
-power making 1/sqrt(n^p) summable with an elementary tail certificate; the
-rule is one admissible selection, chosen here for its closed-form tail,
-and reports label it as such.
+uniformly dominated by (8/sqrt(pi)) * norm_bound * (P_N + tail).  They
+never decrease, so a row certifies the last one, and every prefix with it,
+by one squared comparison against the pi enclosure (cmp_sq_below, n = 1):
+PASS iff last = 0 or last^2 * PI.upper < (8 norm_bound (P_N + tail))^2.
+The report writes these exact inputs, not the bound.  The exponent 4 is
+the smallest even power making 1/sqrt(n^p) summable with an elementary
+tail certificate; the rule is one admissible selection, chosen here for
+its closed-form tail, and reports label it as such.
 
 The report builds the measure at each selected index once and evaluates
 every combination on it.  Every term is a symmetric profile defined at
@@ -35,8 +35,8 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exactnum import PI, Cmp, Dyadic, Rational, cmp_sq_below, recip_sqrt_upper, sqrt_enclosure
-from .ks_measure import KSMeasure, build, total_variation
+from .exactnum import Cmp, Dyadic, Rational, cmp_sq_below, recip_sqrt_upper
+from .ks_measure import KSMeasure, build
 from .tensor_bounds import TensorCombo
 
 
@@ -78,57 +78,44 @@ def extract(start: int, step: int, length: int) -> SubseqCertificate:
     )
 
 
-def uniform_bound_enclosure(cert: SubseqCertificate, norm_bound: Rational) -> tuple[Rational, Rational]:
-    """Rational enclosure of (8/sqrt(pi)) * norm_bound * (P_N + tail)."""
-    total = 8 * Fraction(norm_bound) * cert.total_bound
-    lo_s, _ = sqrt_enclosure(PI.lower)
-    _, hi_s = sqrt_enclosure(PI.upper)
-    return total / hi_s, total / lo_s
-
-
 class ComboRow(NamedTuple):
-    """Exact prefix sums of |mu_{s_n}(h)|, their bound's enclosure, the verdict."""
+    """Exact prefix sums of |mu_{s_n}(h)| and the verdict on their bound."""
 
     combo: str
     norm_bound: Rational
     partial_sums: list[Dyadic]
-    bound_lower: Rational
-    bound_upper: Rational
     verdict: str  # PASS | FAIL
 
 
 class SubseqReport(NamedTuple):
     certificate: SubseqCertificate
-    unit_norm_indices: bool
     rows: list[ComboRow]
     verdict: str  # PASS | FAIL | VACUOUS
 
 
 def _combo_row(cert: SubseqCertificate, h: TensorCombo, name: str, measures: Sequence[KSMeasure]) -> ComboRow:
     """The exact prefix sums of |mu_{s_n}(h)| over the measures at the
-    selected indices, and their certified uniform bound.
+    selected indices, and the verdict on their certified uniform bound.
 
     The prefix sums are Dyadics: each step shifts the running sum onto the
     larger power-of-two denominator and reduces by a trailing-zero count
-    and a gcd with the small odd part, never a gcd of the whole sum.  They
-    never decrease, so certifying the last one certifies every prefix."""
+    and a gcd with the small odd part, never a gcd of the whole sum."""
     partials = list(itertools.accumulate(abs(h.value_at(m)) for m in measures))
     last, nb = partials[-1], h.norm_bound
     bound = (8 * nb * cert.total_bound).as_integer_ratio()  # last < bound / sqrt(pi), or 0 <= 0
     certified = not last or cmp_sq_below(last, *bound, 1) is Cmp.CERT_LT
-    return ComboRow(name, nb, partials, *uniform_bound_enclosure(cert, nb), "PASS" if certified else "FAIL")
+    return ComboRow(name, nb, partials, "PASS" if certified else "FAIL")
 
 
 def strongly_normal_report(cert: SubseqCertificate, test_family: Sequence[TensorCombo]) -> SubseqReport:
     """Per-combination bounded-partial-sum verdicts over the certificate.
 
     Finite evidence only; the report carries an explicit disclaimer field.
-    Each selected index's measure is built once, checked to carry unit
-    norm, and shared by every combination, so the central binomial behind
-    the closed-form profile values is computed once per index.
+    Each selected index's measure is built once and shared by every
+    combination, so the central binomial behind the closed-form profile
+    values is computed once per index.
     """
     measures = [build(s) for s in cert.indices]
-    unit_norm = all(total_variation(m) == 1 for m in measures)
     rows = [_combo_row(cert, h, h.name or f"combo_{i}", measures) for i, h in enumerate(test_family)]
     verdict = "PASS" if all(r.verdict == "PASS" for r in rows) else "FAIL"
-    return SubseqReport(cert, unit_norm, rows, verdict if rows else "VACUOUS")
+    return SubseqReport(cert, rows, verdict if rows else "VACUOUS")

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .exactnum import DIGITS, Cmp, Dyadic, Rational
+from .exactnum import Cmp, Dyadic, Rational
 
 if TYPE_CHECKING:
     from .basic_seq_diag import FiniteSection
@@ -40,6 +41,8 @@ CAVEAT = (
     "span of the listed functionals in the sup-over-family norm. No claim "
     "is made about any infinite sequence or its weak-star limit behavior."
 )
+
+DIGITS = 30  # fractional digits of every decimal field; reports depend on it byte for byte
 
 # Integers of this magnitude or more have over 4300 decimal digits, past
 # CPython's default int<->str conversion limit; they serialize as 0x hex,
@@ -75,15 +78,23 @@ def format_rational(q: Rational | Dyadic) -> str:
     return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
 
 
+# Text with a 0x part: a sign only before the numerator, each part 0x hex
+# or decimal, no space at the "/"; Fraction reads decimal text alike.  A
+# pattern string, compiled (and cached by re) on the first hex text only.
+_PART = r"(?:0x[0-9a-f]+|[0-9]+)"
+_HEX_RATIONAL = rf"\s*([+-]?{_PART})(?:/({_PART}))?\s*"
+
+
 def parse_rational(text: str) -> Rational:
     """Inverse of format_rational; accepts "p" and "p/q", each part decimal
-    or 0x hex.  Raises ValueError on malformed text, including a zero
-    denominator."""
+    or 0x hex, a sign only on p.  Raises ValueError on malformed text,
+    including a zero denominator."""
     try:
         if "0x" not in text.lower():
             return Fraction(text.strip())
-        num, slash, den = text.partition("/")
-        return Fraction(int(num, 0), int(den, 0) if slash else 1)
+        if (match := re.fullmatch(_HEX_RATIONAL, text, re.IGNORECASE)) is None:
+            raise ValueError(f"malformed rational {text!r}")
+        return Fraction(*(int(part, 16 if "x" in part.lower() else 10) for part in match.groups("1")))
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {text!r}") from exc
 
@@ -204,9 +215,6 @@ def combo_row(row: ComboRow) -> dict:
         "norm_bound": format_rational(row.norm_bound),
         "partial_sums": [format_rational(p) for p in row.partial_sums],
         "partial_sums_decimal": [decimal_str(p) for p in row.partial_sums],
-        "bound_lower": format_rational(row.bound_lower),
-        "bound_upper": format_rational(row.bound_upper),
-        "bound_upper_decimal": decimal_str(row.bound_upper),
         "verdict": row.verdict,
     }
 
@@ -214,7 +222,6 @@ def combo_row(row: ComboRow) -> dict:
 def subseq_report(result: SubseqReport) -> dict:
     return {
         "certificate": certificate_to_json(result.certificate),
-        "unit_norm_indices": result.unit_norm_indices,
         "rows": [combo_row(row) for row in result.rows],
         "verdict": result.verdict,
         "disclaimer": DISCLAIMER,

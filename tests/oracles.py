@@ -31,7 +31,10 @@ the package reports as 2 c_n in closed form, and certify_bound3 certifies
 random_tensor_probe samples the unit cube in floating point; it can never
 exceed tensor_sup_exact.  profile_table and eval_symmetric evaluate a named
 plus-count profile from its table, the oracle of the closed forms, and
-decay_profile certifies |mu_n(h)| <= (8/sqrt(pi n)) * norm_bound row by row.
+decay_profile certifies |mu_n(h)| <= (8/sqrt(pi n)) * norm_bound row by row,
+with the rational enclosure of that bound from sqrt_enclosure, an isqrt
+bracket of a square root; the package squares every comparison instead and
+encloses no square root.
 random_section draws a seeded section of independent rational rows, and
 diag_sections the 7 x 12 sections of the diag benchmark at seed 41.
 section_of_ks tabulates a family on measure indices; the standard family's
@@ -69,7 +72,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from kslab.basic_seq_diag import DegenerateSectionError, FiniteSection, _VertexSimplex, basis_constant
-from kslab.exactnum import PI, Cmp, Rational, cmp_sq_below, sqrt_enclosure
+from kslab.exactnum import PI, Cmp, Rational, cmp_sq_below
 from kslab.ks_measure import EXPLICIT_MAX_N, KSMeasure, build
 from kslab.rect_sup import Rectangle, RectangleSupReport, bound2_verdict
 from kslab.report import format_rational
@@ -421,6 +424,23 @@ def eval_symmetric(m: KSMeasure, F: Sequence, gsum: Rational) -> Rational:
 
 # ---------------------------------------------------------------------------
 # Decay rows
+
+SQRT_DIGITS = 30  # sqrt_enclosure's width is about 10^-SQRT_DIGITS
+
+
+def sqrt_enclosure(x: Rational) -> tuple[Rational, Rational]:
+    """Rational (lo, hi) with lo <= sqrt(x) <= hi, width about 10^-SQRT_DIGITS.
+
+    sqrt(p/q) = sqrt(p*q)/q, and isqrt gives floor(S*sqrt(p*q)) exactly.
+    """
+    if x < 0:
+        raise ValueError("sqrt_enclosure requires x >= 0")
+    if x == 0:
+        return Fraction(0), Fraction(0)
+    p, q = x.numerator, x.denominator
+    scale = 10**SQRT_DIGITS
+    t = math.isqrt(p * q * scale * scale)
+    return Fraction(t, q * scale), Fraction(t + 1, q * scale)
 
 
 @dataclass(frozen=True)

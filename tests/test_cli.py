@@ -14,13 +14,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kslab import cli, exactnum
 from kslab.basic_seq_diag import section_report
 from kslab.cli import _verify_one, main
-from kslab.exactnum import Cmp, cmp_sq_below
+from kslab.exactnum import PI, Cmp, cmp_sq_below
 from kslab.ks_measure import build
 from kslab.rect_sup import Rectangle, sup_rect_bruteforce
 from kslab.report import format_rational, parse_rational
@@ -635,8 +635,7 @@ class TestPinnedReportBytes:
         '{"coords": {"1": "-1/3", "3": "2/5", "4": "1/6", "7": "5/6", "12": "1"}}\n'
     )
     # written while closed-form values were still Fractions: sup at the last
-    # explicit index (with its witness) and past the hex cut, and subseq on
-    # the console-script family (index 14,641, hex parts) and the standard one.
+    # explicit index (with its witness) and past the hex cut.
     # Written while KSMeasure still took a bijection: the brute force at
     # n = 4, which reads row_pattern, and the odd-width witness at n = 13,
     # which reads by_row.  Keys are the sup arguments after --n.
@@ -646,15 +645,22 @@ class TestPinnedReportBytes:
         "20": "789b0803ac10640ff4fbad6994e8791e23d9367bee8860c36c353c95e5a418dc",
         "100000": "57046aff8f70810859e9cd3f256822e027fbc2c376adee535afa486fab77ee31",
     }
-    SUBSEQ_11_SIGN = "37f7080219757a8b9b4725fc93bda72e2988652dcc28b566b7c7d5f71ecbeabf"
-    SUBSEQ_10_STANDARD = "d674cc44512b73223031b656469133034a0ab942d63e5d95297ed27a5147e777"
-    # Written while extract still walked the stream one element at a time:
-    # an arithmetic stream whose picks need the ceiling division (3, 17, 87,
-    # ..., 6562), and a start past every n^4 threshold.  Keys are the subseq
-    # arguments; both runs read the standard family.
+    # subseq on the console-script family (index 14,641, hex parts) and the
+    # standard one.  Re-pinned when the rows' bound enclosure (bound_lower,
+    # bound_upper, bound_upper_decimal) and unit_norm_indices left the
+    # report: each is the sha256 of the earlier report with those keys
+    # deleted and rewritten by json.dumps(doc, indent=2) + "\n", so every
+    # other byte, the verdicts included, is as it was.
+    SUBSEQ_11_SIGN = "9a00f09c8fd0494d7729e2320dcffc081eb8c3ecba6e0ef02c936e6bdfd4883d"
+    SUBSEQ_10_STANDARD = "de4a630fa67c9bf546e5f980bdf2333af5c097aacafa15f1966af033a13842c6"
+    # Written while extract still walked the stream one element at a time,
+    # and re-pinned as above: an arithmetic stream whose picks need the
+    # ceiling division (3, 17, 87, ..., 6562), and a start past every n^4
+    # threshold.  Keys are the subseq arguments; both runs read the standard
+    # family.
     SUBSEQ_STREAM = {
-        "--n 9 --stream-start 3 --stream-step 7": "fd5a35d0479e5bee7829ca22bb9062d3f1cc986959c7fe2742df3d242e775f8e",
-        "--n 3 --stream-start 20000": "80804c50ef0f43d5d63b15efc0765d04ed54389f3c276807832a8dfe6519ff59",
+        "--n 9 --stream-start 3 --stream-step 7": "3c9514201b37b356b86fb42b16b43ed97e3077aed9e648d1eec82b5aeef4bc27",
+        "--n 3 --stream-start 20000": "86d3636897f32c0763ae0a94cfab5935a589f3bfcf8a79ca73f4405d1c42387f",
     }
 
     # Written before the report writers moved into kslab.report: the first
@@ -806,6 +812,76 @@ def schauder_runs(draw):
     return argv, files, {"none": 0, "missing": 1}.get(fault, 2)
 
 
+PROFILES = ["sign_centered", "linear_centered", "abs_centered", "majority", "constant_one"]
+# family coefficients: decimal, hex and mixed text, zero, JSON numbers; and
+# values no parser accepts, a zero denominator and the signed or spaced
+# hex forms included
+COEFFS = st.sampled_from(["1", "-2/3", " 3 ", "1.5", "1e3", "0x10", "-0x3/0x4", "3/0x10", "0", 0.5, -7, 0, 2])
+BAD_COEFFS = st.one_of(
+    BAD_VALUES, st.sampled_from(["0x1/0x0", "0x1/-0x2", "0x5/+0x2", "0x3 / 0x4", "1/-2"])
+)
+
+
+@st.composite
+def subseq_runs(draw):
+    """A family of up to three combinations for subseq --n <= 4, with at
+    most one fault: an unknown profile, a malformed coefficient, a name
+    that is not a string, an unknown key, or the list wrapped in an object
+    (exit 2).  Every well-formed family passes (exit 0): at n <= 4 each
+    partial sum is at most 1.34 norm_bound, and the bound
+    8 norm_bound (P + tail) / sqrt(pi) is at least 4.5 norm_bound."""
+    fault = draw(st.sampled_from(["none", "none", "none", "profile", "coeff", "name", "key", "wrap"]))
+    combos = []
+    for _ in range(draw(st.integers(0, 3))):
+        terms = []
+        for _ in range(draw(st.integers(0, 3))):
+            term = {"type": "symmetric"} if draw(st.booleans()) else {}
+            term["profile"] = draw(st.sampled_from(PROFILES))
+            for key in ("coeff", "g_const"):
+                if draw(st.booleans()):
+                    term[key] = draw(COEFFS)
+            terms.append(term)
+        combo = {"terms": terms}
+        if draw(st.booleans()):
+            combo["name"] = draw(st.text(max_size=4))
+        combos.append(combo)
+    if fault in ("profile", "coeff", "name", "key"):
+        if not combos:
+            combos.append({"terms": []})
+        combo = draw(st.sampled_from(combos))
+        if fault == "profile":
+            combo["terms"].append({"profile": draw(st.sampled_from(["Majority", "sign", "", 3, None]))})
+        elif fault == "coeff":
+            key = draw(st.sampled_from(["coeff", "g_const"]))
+            combo["terms"].append({"profile": "majority", key: draw(BAD_COEFFS)})
+        elif fault == "name":
+            combo["name"] = draw(st.sampled_from([None, 0, 1.5, ["sgn"]]))
+        elif draw(st.booleans()):
+            combo["terms"].append({"profile": "majority", "coef": "1/2"})
+        else:
+            combo["weight"] = "1"
+    doc = {"family": combos} if fault == "wrap" else combos
+    argv = ["subseq", "--n", str(draw(st.integers(1, 4))), "--family", "family.json"]
+    return argv, {"family.json": json.dumps(doc)}, 0 if fault == "none" else 2
+
+
+def rederived_verdicts(doc):
+    """Each row's verdict from the report's own exact fields, in integers:
+    PASS iff last = 0 or last^2 PI.upper < (8 nb (P + tail))^2; and the
+    overall verdict they give."""
+    cert = doc["certificate"]
+    total = parse_rational(cert["partial_sum_upper"]) + parse_rational(cert["tail_bound"])
+    rows = []
+    for row in doc["rows"]:
+        last = parse_rational(row["partial_sums"][-1])
+        bound = 8 * parse_rational(row["norm_bound"]) * total
+        lhs = last.numerator**2 * bound.denominator**2 * PI.upper.numerator
+        rhs = bound.numerator**2 * last.denominator**2 * PI.upper.denominator
+        rows.append("PASS" if last == 0 or lhs < rhs else "FAIL")
+    overall = "VACUOUS" if not rows else "PASS" if set(rows) == {"PASS"} else "FAIL"
+    return rows, overall
+
+
 @st.composite
 def cli_runs(draw):
     """(argv without --out, {file name: text}, expected exit code) for
@@ -819,6 +895,19 @@ def cli_runs(draw):
         brute = draw(st.booleans())
         return ["sup", "--n", value] + ["--brute"] * brute, {}, 0 if valid and (not brute or int(value) <= 4) else 2
     return draw(schauder_runs())
+
+
+def run_quietly(run_spec, tmp):
+    """Write the run's files into tmp and run it: (exit code, stderr, report path)."""
+    argv, files, _ = run_spec
+    for name, text in files.items():
+        (tmp / name).write_text(text, encoding="utf-8")
+    argv = [str(tmp / a) if a in files else a for a in argv]
+    out = tmp / "report.json"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run(argv + ["--out", str(out)])
+    return code, err.getvalue(), out
 
 
 def exact_texts(doc, key=None):
@@ -841,16 +930,8 @@ class TestCliContract:
     def test_exit_codes_and_reports(self, tmp_path_factory, run_spec):
         # every input ends in its exit code, 0, 1 or 2, with no traceback, and
         # an exit-0 report reads back through the report layer's parse side
-        argv, files, expected = run_spec
-        tmp = tmp_path_factory.mktemp("contract")
-        for name, text in files.items():
-            (tmp / name).write_text(text, encoding="utf-8")
-        argv = [str(tmp / a) if a in files else a for a in argv]
-        out = tmp / "report.json"
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = run(argv + ["--out", str(out)])
-        assert code == expected and "Traceback" not in err.getvalue(), (argv, files, err.getvalue())
+        code, err, out = run_quietly(run_spec, tmp_path_factory.mktemp("contract"))
+        assert code == run_spec[2] and "Traceback" not in err, (run_spec, err)
         if code == 2:
             assert not out.exists()
         if code == 0:
@@ -858,6 +939,29 @@ class TestCliContract:
                 value = parse_rational(text)
                 if not key.endswith("_decimal"):
                     assert format_rational(value) == text, (key, text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(run_spec=subseq_runs())
+    # a signed hex denominator once read as a negative coefficient
+    @example(run_spec=(["subseq", "--n", "2", "--family", "family.json"],
+                       {"family.json": '[{"terms": [{"profile": "majority", "coeff": "0x1/-0x2"}]}]'}, 2))
+    def test_family_documents(self, tmp_path_factory, run_spec):
+        # a family file ends in its exit code with no traceback, exit 2
+        # writes no report, and every verdict of a report re-derives from
+        # its exact fields alone: norm_bound, the last partial sum, and the
+        # certificate's partial_sum_upper and tail_bound
+        code, err, out = run_quietly(run_spec, tmp_path_factory.mktemp("family"))
+        assert code == run_spec[2] and "Traceback" not in err, (run_spec, err)
+        if code == 2:
+            assert not out.exists()
+            return
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        rows, overall = rederived_verdicts(doc)
+        assert [row["verdict"] for row in doc["rows"]] == rows
+        assert doc["verdict"] == overall and (code == 0) == (overall != "FAIL")
+        n = int(run_spec[0][2])
+        assert len(rows) == len(json.loads(run_spec[1]["family.json"]))
+        assert all(len(row["partial_sums"]) == n for row in doc["rows"])
 
 
 class TestErrorBoundary:

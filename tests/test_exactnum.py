@@ -1,4 +1,5 @@
 """Exact arithmetic layer: the binomial oracle against a Pascal triangle,
+the sqrt_enclosure oracle against squaring,
 central binomials (Pascal step and prime factorization) against math.comb,
 certified comparisons against a 50-digit decimal oracle, the Dyadic type
 against Fraction arithmetic; and the package source, which holds no float."""
@@ -22,9 +23,8 @@ from kslab.exactnum import (
     central_binomial,
     cmp_sq_below,
     recip_sqrt_upper,
-    sqrt_enclosure,
 )
-from oracles import binomial
+from oracles import binomial, sqrt_enclosure
 
 
 def pascal_row(n: int) -> list[int]:

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kslab import ks_measure
-from kslab.exactnum import PI, central_binomial, sqrt_enclosure
+from kslab.exactnum import PI, central_binomial
 from kslab.ks_measure import build, total_variation
-from kslab.normal_subseq import _combo_row, extract, strongly_normal_report, uniform_bound_enclosure
+from kslab.normal_subseq import _combo_row, extract, strongly_normal_report
 from kslab.report import (
     GREEDY_RULE,
     certificate_to_json,
@@ -22,16 +22,15 @@ from kslab.report import (
     subseq_report,
 )
 from kslab.tensor_bounds import SymmetricTerm, TensorCombo
-from oracles import eval_symmetric, greedy_walk, profile_table, standard_test_family
+from oracles import eval_symmetric, greedy_walk, profile_table, sqrt_enclosure, standard_test_family
 
 
 def partial_sum_check(cert, h):
     """The report row of h over the whole certificate, its exact fields read back."""
     row = subseq_report(strongly_normal_report(cert, [h]))["rows"][0]
     return SimpleNamespace(
+        norm_bound=parse_rational(row["norm_bound"]),
         partial_sums=tuple(map(parse_rational, row["partial_sums"])),
-        bound_lower=parse_rational(row["bound_lower"]),
-        bound_upper=parse_rational(row["bound_upper"]),
         certified=row["verdict"] == "PASS",
     )
 
@@ -106,14 +105,14 @@ class TestPartialSums:
         check = partial_sum_check(cert, TensorCombo(terms=(), name="zero"))
         assert check.partial_sums == (0, 0, 0)
         assert check.certified
-        assert check.bound_lower == check.bound_upper == 0
+        assert check.norm_bound == 0  # so the bound 8 nb (P + tail) / sqrt(pi) is 0
 
     def test_constant_profile_vanishes_with_positive_bound(self):
         cert = extract(1, 1, 3)
         h = TensorCombo(terms=(SymmetricTerm("constant_one"),), name="ones")
         check = partial_sum_check(cert, h)
         assert all(p == 0 for p in check.partial_sums)
-        assert check.bound_lower > 0
+        assert check.norm_bound > 0 and cert.total_bound > 0
 
     def test_partial_sums_nondecreasing_and_certified(self):
         cert = extract(1, 1, 4)
@@ -122,7 +121,8 @@ class TestPartialSums:
             ps = check.partial_sums
             assert all(a <= b for a, b in zip(ps, ps[1:]))
             assert check.certified
-            assert ps[-1] <= check.bound_upper
+            # ps[-1] < 8 nb (P + tail) / sqrt(pi), squared against PI.upper > pi
+            assert ps[-1] ** 2 * PI.upper <= (8 * h.norm_bound * cert.total_bound) ** 2
 
     @pytest.mark.parametrize(
         "coeffs", [(1, -1), (Fraction(1, 4), Fraction(3, 2))], ids=["minus-majority", "quarter-three-halves"]
@@ -156,17 +156,10 @@ class TestPartialSums:
         assert check.certified
 
     def test_uniform_bound_below_743_hundredths_of_ten(self):
-        # with norm_bound 1 the bound tends to (8/sqrt(pi)) * pi^2/6 < 7.43
+        # with norm_bound 1 the bound tends to (8/sqrt(pi)) * pi^2/6 < 7.43;
+        # 8 T / sqrt(pi) <= 7.43 follows from (8 T)^2 <= 7.43^2 PI.lower < 7.43^2 pi
         cert = extract(1, 1, 32)
-        _, hi = uniform_bound_enclosure(cert, Fraction(1))
-        assert hi <= Fraction(743, 100)
-
-    def test_bound_reads_the_certificate_total(self):
-        # (8/sqrt(pi)) * norm_bound * (P_N + tail), enclosed around the total
-        cert = extract(1, 1, 5)
-        lo, hi = uniform_bound_enclosure(cert, Fraction(3, 2))
-        assert lo < hi
-        assert lo * lo * PI.upper <= (12 * cert.total_bound) ** 2 <= hi * hi * PI.lower
+        assert (8 * cert.total_bound) ** 2 <= Fraction(743, 100) ** 2 * PI.lower
 
 
 class FixedValues:
@@ -203,17 +196,6 @@ class TestCertifiedBoundsAtTheirEdges:
         head = sum((Fraction(1, n * n) for n in range(1, length + 1)), Fraction(0))
         assert PI.lower**2 / 6 - head <= tail == Fraction(1, length)
 
-    @pytest.mark.parametrize("length", [1, 4, 32])
-    @pytest.mark.parametrize("nb", [Fraction(1), Fraction(3, 2), Fraction(1, 7)])
-    def test_uniform_bound_enclosure_is_tight(self, length, nb):
-        # lo <= 8 nb T / sqrt(pi) <= hi, decided by squaring against PI, and
-        # the enclosure is no wider than PI's own relative width allows
-        cert = extract(1, 1, length)
-        lo, hi = uniform_bound_enclosure(cert, nb)
-        target_sq = 64 * nb * nb * cert.total_bound**2
-        assert lo * lo * PI.upper <= target_sq <= hi * hi * PI.lower
-        assert 0 < hi - lo <= hi / 10**14
-
 
 class TestReport:
     def test_empty_family_vacuous(self):
@@ -237,7 +219,8 @@ class TestReport:
         cert = extract(1, 1, 2)
         report = subseq_report(strongly_normal_report(cert, [TensorCombo(terms=(), name="null")]))
         assert report["verdict"] == "PASS"
-        assert report["rows"][0]["bound_upper"] == "0"
+        assert report["rows"][0]["norm_bound"] == "0"
+        assert report["rows"][0]["verdict"] == "PASS"
 
     def test_one_binomial_per_index_for_the_standard_family(self, monkeypatch):
         calls = []
@@ -255,8 +238,6 @@ class TestReport:
     def test_selected_indices_carry_unit_norm(self):
         cert = extract(1, 1, 4)
         assert all(total_variation(build(s)) == 1 for s in cert.indices)
-        report = subseq_report(strongly_normal_report(cert, []))
-        assert report["unit_norm_indices"] is True
 
 
 class TestCertificateJson:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from kslab.exactnum import PI, Cmp, sqrt_enclosure
+from kslab.exactnum import PI, Cmp
 from kslab.ks_measure import EXPLICIT_MAX_N, build
 from kslab.rect_sup import Rectangle, bound2_verdict, certify_pair, sup_rect_bruteforce, sup_rect_fast
 from kslab.report import sup_report
@@ -19,6 +19,7 @@ from oracles import (
     certify_bound2,
     measure,
     rect_mass,
+    sqrt_enclosure,
 )
 
 

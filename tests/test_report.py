@@ -55,6 +55,23 @@ class TestSerialization:
         with pytest.raises(ValueError):
             parse_rational(text)
 
+    @pytest.mark.parametrize(
+        "text", ["1/-2", "3 / 4", "0x1/-0x2", "0x5/+0x2", "0x3 / 0x4", "0x3/ 0x4", "0x3 /0x4", "0b1/0x2"]
+    )
+    def test_one_grammar_with_or_without_hex(self, text):
+        # a sign only before the numerator and no space at the "/", whether
+        # or not a part is hex; 0x1/-0x2 once read as -1/2
+        with pytest.raises(ValueError):
+            parse_rational(text)
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("-0x1f/0x100", Fraction(-31, 256)), ("3/0x10", Fraction(3, 16)), ("0x10/3", Fraction(16, 3)),
+         ("+0x5/2", Fraction(5, 2)), (" 0X1F ", Fraction(31)), ("-0x0", Fraction(0))],
+    )
+    def test_hex_and_mixed_parts(self, text, value):
+        assert parse_rational(text) == value
+
     def test_decimal_str(self):
         assert decimal_str(Fraction(1, 2)) == "0.5" + "0" * 29
         assert decimal_str(Fraction(-1, 3)) == "-0." + "3" * 30

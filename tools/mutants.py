@@ -54,9 +54,6 @@ MUTANTS = [
            "cmp_sq_below decides CERT_GT on PI.upper"),
     Mutant("exactnum", "r.odd * r.odd << 2 * r.exp", "r.odd * r.odd << r.exp",
            "cmp_sq_below squares a Dyadic's power of two once"),
-    Mutant("exactnum", "return Fraction(t, q * scale), Fraction(t + 1, q * scale)",
-           "return Fraction(t + 1, q * scale), Fraction(t, q * scale)",
-           "sqrt_enclosure swaps lo and hi"),
     Mutant("exactnum", "Fraction(x0 * x0 + s, 2 * x0 * s)", "Fraction(x0 * x0 + s, 2 * x0 * s + 1)",
            "recip_sqrt_upper drops below 1/sqrt(s)"),
     # the report layer's text
@@ -94,8 +91,11 @@ MUTANTS = [
            "tail_bound 1/N -> 1/(N+1)"),
     Mutant("normal_subseq", "threshold = max(pick + 1, pos**4)", "threshold = max(pick + 1, pos**3)",
            "extract's threshold n^4 -> n^3"),
-    Mutant("normal_subseq", "return total / hi_s, total / lo_s", "return total / lo_s, total / hi_s",
-           "uniform_bound_enclosure swaps lo and hi"),
+    Mutant("normal_subseq", "return self.partial_sum_upper + self.tail_bound", "return self.partial_sum_upper",
+           "total_bound drops tail_bound"),
+    Mutant("normal_subseq", "partial_sum_upper=sum(recips, Fraction(0))",
+           "partial_sum_upper=sum(recips[1:], Fraction(0))",
+           "extract's partial_sum_upper drops the first position"),
     # the triangular basis
     Mutant("schauder", "if vec.entries[:1] != ((n, vec.den),):", "if vec.entries[:1] == ((n, vec.den),):",
            "TriangularBasis's triangularity check negated"),
