@@ -11,6 +11,7 @@ family term is defined at every index, so evaluation never fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -154,7 +155,10 @@ def cmd_sup(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The kslab parser, built on the first call and shared by every main
+    call of the process; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="kslab",
         description="Exact construction and certification of sign-cube measures.",

@@ -25,8 +25,9 @@ against the brute-force oracle (n <= 4) and the per-width sums (n <= 300),
 and it is certified against 1/(2 sqrt(pi n)) < sup < 2/sqrt(pi n) at
 every n.
 
-For explicit measures the witness A* is a bytes table over sign patterns
-read as one base-2 integer, with no loop over the 2^n rows (sup_rect_fast).
+For explicit measures the witness A* is a 0/1 bytes table over sign
+patterns packed into one integer by eight byte-strided slices, with no
+loop over the 2^n rows (sup_rect_fast).
 Both routes read the rows only through KSMeasure.row_pattern and by_row,
 so the tests also run them on row-permuted and repeated-row tables, a test
 oracle (tests/oracles.py); the package builds only the canonical measure.
@@ -116,9 +117,11 @@ def sup_rect_fast(m: KSMeasure) -> RectangleSupReport:
     positive partial sum, i.e. fewer than b/2 minus signs there) is
     materialized only for explicit measures, for the smallest maximizing
     width b.  The minus counts of the 2^b patterns double b times (patterns
-    with bit k set count one more), a threshold table maps them to ASCII
-    '1'/'0', repeated 2^(n-b) times for the columns outside B; reindexed by
-    row and reversed (row 0 last), the table parses as a base-2 integer.
+    with bit k set count one more), a threshold table maps them to bytes
+    1/0, repeated 2^(n-b) times for the columns outside B, and reindexed by
+    row.  Every eighth byte from byte i, read as a little-endian integer,
+    holds rows i, i+8, ... at bits 0, 8, ...; the eight such integers,
+    shifted by i, pack the table into A's bitset.
     """
     n = m.n
     witness: Rectangle | None = None
@@ -128,8 +131,9 @@ def sup_rect_fast(m: KSMeasure) -> RectangleSupReport:
         for _ in range(b):
             minus += minus.translate(_ADD[1])  # counts stay <= b, so none wraps
         below = (b + 1) // 2  # counts c with 2c < b
-        member = minus.translate(b"1" * below + b"0" * (256 - below)) * (1 << (n - b))
-        witness = Rectangle(int(m.by_row(member)[::-1], 2), (1 << b) - 1)
+        member = m.by_row(minus.translate(b"\1" * below + b"\0" * (256 - below)) * (1 << (n - b)))
+        rows = sum(int.from_bytes(member[i::8], "little") << i for i in range(8))
+        witness = Rectangle(rows, (1 << b) - 1)
     return RectangleSupReport(n=n, sup=m.central_mass, witness=witness, method="FastPath")
 
 

@@ -7,15 +7,25 @@ fixed-width decimals, witness bitsets are 0x-hex integers, and no
 wall-clock time is recorded, so a report is byte-stable across runs.  A
 rational is "p/q" in lowest terms, or "p"; a part of 4300 digits or more
 (a 2^n denominator past about n = 14,300) is 0x hex.  parse_rational reads
-that text back; the CLI reads every rational of its input files with it.
+that text back; the CLI reads every rational of its input files with it,
+and refuses a decimal exponent past 4300 in magnitude.
+
+write_json writes json.dumps(doc, indent=2) plus a newline, byte for byte,
+through CPython's C encoder, which json.dumps uses only without an
+indent.  A scalar, an empty container, or one whose items are all scalars
+is one call of a C encoder whose item separator carries the newline and
+the indent of its depth (one encoder per depth, cached); only containers
+that hold containers are walked in Python.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
 from fractions import Fraction
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -44,11 +54,12 @@ CAVEAT = (
 
 DIGITS = 30  # fractional digits of every decimal field; reports depend on it byte for byte
 
-# Integers of this magnitude or more have over 4300 decimal digits, past
-# CPython's default int<->str conversion limit; they serialize as 0x hex,
-# which has no limit and converts in linear time.  A fixed constant, so the
-# output never depends on interpreter settings.
-HEX_FROM = 10**4300
+# CPython's default int<->str conversion limit, in digits.  Integers of
+# magnitude HEX_FROM or more have more digits than that; they serialize as
+# 0x hex, which has no limit and converts in linear time.  A fixed
+# constant, so the output never depends on interpreter settings.
+STR_DIGITS = 4300
+HEX_FROM = 10**STR_DIGITS
 
 
 def _int_text(v: int) -> str:
@@ -87,14 +98,22 @@ _HEX_RATIONAL = rf"\s*([+-]?{_PART})(?:/({_PART}))?\s*"
 
 def parse_rational(text: str) -> Rational:
     """Inverse of format_rational; accepts "p" and "p/q", each part decimal
-    or 0x hex, a sign only on p.  Raises ValueError on malformed text,
-    including a zero denominator."""
+    or 0x hex, a sign only on p, and decimal text as Fraction reads it.
+    Raises ValueError on malformed text, including a zero denominator and
+    an exponent past STR_DIGITS in magnitude: Fraction expands an exponent
+    in full, so "1e999999999" would build a billion-digit integer."""
+    lowered = text.lower()
     try:
-        if "0x" not in text.lower():
+        if "0x" not in lowered:
+            # an exponent text of STR_DIGITS digits or fewer converts fast at
+            # any int<->str limit, and a longer one is refused unread
+            exp = re.search(r"e[+-]?(\d[\d_]*)", lowered) if "e" in lowered else None
+            if exp and (len(digits := exp[1].replace("_", "")) > STR_DIGITS or int(digits) > STR_DIGITS):
+                raise ValueError(f"exponent past {STR_DIGITS} in magnitude in {text!r}")
             return Fraction(text.strip())
-        if (match := re.fullmatch(_HEX_RATIONAL, text, re.IGNORECASE)) is None:
+        if (match := re.fullmatch(_HEX_RATIONAL, lowered)) is None:
             raise ValueError(f"malformed rational {text!r}")
-        return Fraction(*(int(part, 16 if "x" in part.lower() else 10) for part in match.groups("1")))
+        return Fraction(*(int(part, 16 if "x" in part else 10) for part in match.groups("1")))
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {text!r}") from exc
 
@@ -120,8 +139,50 @@ def decimal_str(q: Rational | Dyadic) -> str | None:
     return f"{sign}{whole}.{frac:0{DIGITS}d}"
 
 
+_SCALARS = {str, int, float, bool, type(None)}
+_INDENT = "  "
+
+
+@functools.cache
+def _flat_encoder(depth: int):
+    """The C encoder of a scalar or a flat container whose items sit at depth."""
+    return c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None,
+                          ": ", ",\n" + _INDENT * depth, False, False, True)
+
+
+def _key(k) -> str:
+    """A dict key as json.dumps writes it: a str, or the JSON text of an
+    int, float, bool or None, in quotes; any other key raises TypeError."""
+    if not isinstance(k, str):
+        if not isinstance(k, (int, float)) and k is not None:
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+        k = json.dumps(k)
+    return encode_basestring_ascii(k)
+
+
+def _encode(o, depth: int, out: list[str]) -> None:
+    """Append the indent=2 text of o, nested depth levels deep, to out."""
+    is_dict = isinstance(o, dict)
+    items = o.values() if is_dict else o if isinstance(o, (list, tuple)) else ()
+    pad, inner = "\n" + _INDENT * depth, "\n" + _INDENT * (depth + 1)
+    if not items or set(map(type, items)) <= _SCALARS:
+        text = "".join(_flat_encoder(depth + 1)(o, 0))
+        out.append(f"{text[0]}{inner}{text[1:-1]}{pad}{text[-1]}" if items else text)
+        return
+    heads = [f"{_key(k)}: " for k in o] if is_dict else [""] * len(items)
+    out.append("{" if is_dict else "[")
+    for i, (head, v) in enumerate(zip(heads, items)):
+        out.append(f"{',' if i else ''}{inner}{head}")
+        _encode(v, depth + 1, out)
+    out.append(pad + ("}" if is_dict else "]"))
+
+
 def write_json(path: str, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    """Write json.dumps(doc, indent=2) and a newline, through _encode."""
+    out: list[str] = []
+    _encode(doc, 0, out)
+    out.append("\n")
+    Path(path).write_text("".join(out), encoding="utf-8")
 
 
 def _certified(sup: Rational | Dyadic, lower_ok: Cmp, upper_ok: Cmp, bound2: str) -> dict:

@@ -18,6 +18,10 @@ binomial is C(n, k) by math.comb, the reference of the Pascal-triangle
 tests and of the per-width sums; the package needs only the central
 binomials, from exactnum.central_binomial.
 
+text_witness_rows is the fast witness's row bitset as sup_rect_fast read
+it before it packed bytes: an ASCII '1'/'0' table by row, reversed and
+parsed as one base-2 integer.
+
 rect_mass sums a rectangle's atoms one row at a time, certify_bound2
 re-derives the bound2 verdict from a report's sup alone, and atom_list
 materializes every atom of an explicit measure for the total-variation and
@@ -200,6 +204,22 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+def text_witness_rows(m: KSMeasure) -> int:
+    """Rows with fewer than b/2 minus signs among the first b columns (b = n
+    for odd n, n - 1 for even n), as an ASCII table over sign patterns: the
+    minus counts double b times, a threshold maps them to '1'/'0', the table
+    repeats for the other columns, and by row, reversed (row 0 last), it
+    parses as a base-2 integer."""
+    n = m.n
+    b = n if n % 2 else n - 1
+    minus = b"\0"
+    for _ in range(b):
+        minus += minus.translate(bytes(range(1, 256)) + b"\0")
+    below = (b + 1) // 2
+    member = minus.translate(b"1" * below + b"0" * (256 - below)) * (1 << (n - b))
+    return int(m.by_row(member)[::-1], 2)
 
 
 def rect_mass(m: KSMeasure, r: Rectangle) -> Rational:

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -764,6 +765,58 @@ class TestOutputErrors:
         err = capsys.readouterr().err
         assert "unrecognized arguments" in err and "Traceback" not in err
         assert not out.exists()
+
+
+class TestExponentLimit:
+    # each input file's rationals go through parse_rational, which refuses
+    # an exponent past 4300 in magnitude before Fraction expands it
+    @pytest.mark.parametrize("where", ["family", "generators", "target"])
+    @pytest.mark.parametrize("text", ["1e999999999", "-1E-4301"])
+    def test_huge_exponent_parse_error(self, tmp_path, capsys, where, text):
+        family, gens, targets = tmp_path / "family.json", tmp_path / "gens.jsonl", tmp_path / "targets.json"
+        value = {"family": "1", "generators": "1", "target": "1", where: text}
+        family.write_text(json.dumps([{"name": "c", "terms": [{"profile": "majority", "coeff": value["family"]}]}]),
+                          encoding="utf-8")
+        gens.write_text('{"coords": {"1": "%s"}}\n{"coords": {"2": "1"}}\n' % value["generators"], encoding="utf-8")
+        targets.write_text(json.dumps({"targets": [["2", value["target"]]]}), encoding="utf-8")
+        out = tmp_path / "x.json"
+        argv = (["subseq", "--n", "2", "--family", str(family)] if where == "family" else
+                ["schauder", "--generators", str(gens), "--n", "2", "--horizon", "2", "--target", str(targets)])
+        start = time.perf_counter()
+        assert run(argv + ["--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"cannot parse {where} file:") and "exponent past 4300" in err
+        assert "\n" not in err and "Traceback" not in err
+        assert not out.exists()
+
+
+class TestParserReuse:
+    def test_main_three_times_in_one_process(self, tmp_path, capsys):
+        # a usage error, a good run and the usage error again, against fresh
+        # processes: the one parser of the process keeps nothing between calls
+        bad = ["sup", "--n", "5", "--brute", "--out", str(tmp_path / "bad.json")]
+        good = ["sup", "--n", "13", "--out", str(tmp_path / "inproc.json")]
+        cli.build_parser.cache_clear()
+        got = []
+        for argv in (bad, good, bad):
+            code = main(argv)
+            captured = capsys.readouterr()
+            got.append((code, captured.out, captured.err))
+        assert cli.build_parser.cache_info().misses == 1
+        assert cli.build_parser.cache_info().hits == 2
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        fresh = []
+        for argv in (bad, [*good[:-1], str(tmp_path / "fresh.json")]):
+            proc = subprocess.run([sys.executable, "-m", "kslab.cli", *argv], env=env, capture_output=True, text=True)
+            fresh.append((proc.returncode, proc.stdout, proc.stderr))
+        assert got[0] == got[2] == fresh[0]
+        assert fresh[0][0] == 2 and fresh[0][1] == ""
+        assert [line.startswith("usage:") for line in fresh[0][2].splitlines()] == [True, False]
+        assert got[1][0] == fresh[1][0] == 0
+        assert got[1][1].replace("inproc.json", "fresh.json") == fresh[1][1]
+        assert (tmp_path / "inproc.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+        assert not (tmp_path / "bad.json").exists()
 
 
 # nonzero rationals in every spelling a file may use (a JSON number reads as

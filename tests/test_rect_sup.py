@@ -20,6 +20,7 @@ from oracles import (
     measure,
     rect_mass,
     sqrt_enclosure,
+    text_witness_rows,
 )
 
 
@@ -172,6 +173,19 @@ class TestFastPath:
         for n, bijection in cases + [(17, CANONICAL), (20, CANONICAL)]:
             m = measure(n, bijection)
             assert sup_rect_fast(m).witness == per_row_witness(m), (n, bijection)
+
+    @pytest.mark.parametrize("n", range(1, EXPLICIT_MAX_N + 1))
+    def test_packed_witness_matches_text_oracle(self, n):
+        # the bytes packing against the base-2 parse it replaced, on the
+        # canonical rows, a seeded shuffle and (to n = 16) a table with
+        # repeats; at n <= 2 the table is shorter than the eight slices
+        tables = [measure(n, CANONICAL), measure(n, RowPermutation(n))]
+        if n <= 16:
+            tables.append(PermutedMeasure(n, tuple(random.Random(-n).choices(range(1 << n), k=1 << n))))
+        for m in tables:
+            witness = sup_rect_fast(m).witness
+            assert witness.row_bits == text_witness_rows(m), (n, m.row_pattern(0))
+            assert witness.col_bits == (1 << (n if n % 2 else n - 1)) - 1
 
     def test_no_witness_above_explicit_scale(self):
         report = sup_rect_fast(build(24))

@@ -1,19 +1,22 @@
 """The report layer: rational text and its parse side (format_rational,
 format_ratio, decimal_str, parse_rational) for ints, Fractions and Dyadics
-on both sides of the hex cut; and the package source, in which no module
-but kslab.report writes rational text."""
+on both sides of the hex cut; write_json against json.dumps(indent=2); and
+the package source, in which no module but kslab.report writes rational
+text."""
 
 import ast
+import json
+import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kslab.exactnum import Dyadic
-from kslab.report import HEX_FROM, decimal_str, format_ratio, format_rational, parse_rational
+from kslab.report import HEX_FROM, decimal_str, format_ratio, format_rational, parse_rational, write_json
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kslab"
 
@@ -71,6 +74,27 @@ class TestSerialization:
     )
     def test_hex_and_mixed_parts(self, text, value):
         assert parse_rational(text) == value
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("1e4300", Fraction(10**4300)), ("-2E-4300", Fraction(-2, 10**4300)), ("1.5e+0_4_300", Fraction(15 * 10**4299)),
+         ("3e0000000000004300", Fraction(3 * 10**4300)), ("7e-0", Fraction(7)), ("1.25", Fraction(5, 4))],
+    )
+    def test_exponent_up_to_the_digit_limit(self, text, value):
+        assert parse_rational(text) == value
+
+    @pytest.mark.parametrize(
+        "text", ["1e4301", "-1E-4301", "2.5e+4_301", "1e999999999", "1e-999999999", "1e" + "9" * 5000,
+                 "1e\u0664\u0663\u0660\u0661", "1e" + "0" * 4300 + "1"],
+    )
+    def test_exponent_past_the_digit_limit(self, text):
+        # Fraction expands the exponent in full: "1e999999999" would be a
+        # billion-digit integer.  An exponent text longer than the limit,
+        # zeros and all, is refused unread.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exponent past 4300"):
+            parse_rational(text)
+        assert time.perf_counter() - start < 0.1
 
     def test_decimal_str(self):
         assert decimal_str(Fraction(1, 2)) == "0.5" + "0" * 29
@@ -189,3 +213,62 @@ class TestOneWriter:
         tree = ast.parse((SRC / "report.py").read_text(encoding="utf-8"))
         modules = {node.module for node in tree.body if isinstance(node, ast.ImportFrom) and node.level}
         assert modules == {"exactnum"}
+
+
+# JSON scalars of every kind a writer meets: strings with quotes,
+# backslashes, control and non-ASCII characters (surrogates included),
+# ints past 2^64 and up to 4294 digits, floats with NaN and the infinities
+STRINGS = st.text(alphabet=st.sampled_from('a"\\/\x00\x07\n\t\x1f\x7f\u00e9\u2028\ud800\U0001f600 ')) | st.text()
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(0, 9000).map(lambda k: (-3) ** k), st.floats(), STRINGS,
+)
+KEYS = st.one_of(STRINGS, st.integers(), st.booleans(), st.none(), st.floats())
+
+
+def documents(keys):
+    """Nested dicts, lists and tuples over SCALARS, empty ones at every depth."""
+    return st.recursive(
+        SCALARS,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple), st.dictionaries(keys, inner, max_size=4)
+        ),
+        max_leaves=40,
+    )
+
+
+@pytest.fixture(scope="module")
+def report_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("write_json") / "doc.json"
+
+
+class TestWriteJson:
+    @given(doc=documents(STRINGS))
+    @example(doc={"a": [[], {}, [[{}], ()]], "b": {"c": [], "d": {"e": ()}}, "": None})
+    @example(doc={"witness": {"A_bits": hex(3**9000)}, "rows": [{"sup": "1/2", "n": 10**40, "ok": True}]})
+    @example(doc=[])
+    @example(doc="top-level \"scalar\"")
+    def test_equals_json_dumps_indent_2(self, report_path, doc):
+        write_json(report_path, doc)
+        assert report_path.read_text(encoding="utf-8") == json.dumps(doc, indent=2) + "\n"
+
+    @given(doc=documents(KEYS))
+    @example(doc={1: {2.5: [], None: {True: "x"}}, False: [1], float("nan"): {"-Infinity": 0}})
+    def test_non_str_keys_written_as_json_dumps_writes_them(self, report_path, doc):
+        # no report has one; an int, float, bool or None key becomes the
+        # quoted JSON text of its value, flat or nested, as in json.dumps
+        write_json(report_path, doc)
+        assert report_path.read_text(encoding="utf-8") == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "doc", [{(1, 2): 1}, {"a": {(1, 2): [1]}}, [{"k": {b"x": {}}}]], ids=["flat", "nested", "in-list"]
+    )
+    def test_other_keys_raise_type_error(self, report_path, doc):
+        with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
+            write_json(report_path, doc)
+
+    @pytest.mark.parametrize("doc", [{"a": {1, 2}}, [[b"x"]], {"a": [Fraction(1, 2), []]}])
+    def test_unencodable_values_raise_type_error(self, report_path, doc):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            write_json(report_path, doc)

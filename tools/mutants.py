@@ -71,6 +71,10 @@ MUTANTS = [
            "format_ratio writes p/1 when the denominator divides the numerator"),
     Mutant("report", "num_text if tsup.denominator == 1 else", "num_text if tsup.denominator <= 2 else",
            "the verify row's tensor_sup drops a denominator of 2"),
+    # the indent=2 writer
+    Mutant("report", '_INDENT = "  "', '_INDENT = " "', "write_json indents one space per level"),
+    Mutant("report", "set(map(type, items)) <= _SCALARS", "set(map(type, items)) <= _SCALARS | {dict}",
+           "write_json sends a list of dicts to the flat C encoder"),
     # bound2 and bound3
     Mutant("rect_sup", "cmp_sq_below(sup, 1, 2, n)", "cmp_sq_below(sup, 1, 3, n)",
            "bound2's lower constant 1/2 -> 1/3"),
@@ -78,6 +82,8 @@ MUTANTS = [
            "bound2's upper constant 2 -> 3"),
     Mutant("rect_sup", "b = n if n % 2 else n - 1", "b = n if n % 2 else n",
            "witness width n for even n, not the smallest maximizing n - 1"),
+    Mutant("rect_sup", "<< i for i in range(8)", "<< i + 1 for i in range(8)",
+           "the witness's byte-strided slices shifted one bit too far"),
     Mutant("cli", '"PASS" if upper_ok is Cmp.CERT_LT else', '"PASS" if upper_ok is not Cmp.CERT_GT else',
            "bound3 passes on an undecided upper bound"),
     # the subsequence certificate
