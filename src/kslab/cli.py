@@ -6,15 +6,21 @@ or was undecided; 2 = usage or parse error, or an unwritable output file.
 main is the one place that turns a failure into an exit code: an input
 file that cannot be read or parsed exits 2 through _load, and every
 family term is defined at every index, so evaluation never fails.
+
+COMMANDS is the one place where subcommands and options are defined;
+parse_args reads argv against it as the argparse parser it replaced did
+(unique prefixes, "--flag=value", the last repeated value wins, usage
+errors exit 2), without importing argparse, gettext or locale.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
+import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from typing import NoReturn
 
 from . import normal_subseq, report, schauder, tensor_bounds
 from .exactnum import Cmp
@@ -24,10 +30,11 @@ from .rect_sup import BRUTE_MAX_N, bound2_verdict, certify_pair, sup_rect_brutef
 
 def _load(path: str, what: str, parse):
     """parse() of the text of the file at path; a file that cannot be read
-    or parsed prints one line and exits 2."""
+    or parsed, or is nested past the recursion limit, prints one line and
+    exits 2."""
     try:
         return parse(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         print(f"cannot parse {what} file: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
 
@@ -69,7 +76,7 @@ def _row_failure(row: dict) -> str | None:
     return None
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     n_max = args.n_max
     rows = [_verify_one(n) for n in range(1, n_max + 1)]
     failure = next((f for f in map(_row_failure, rows) if f), None)
@@ -86,7 +93,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # subseq
 
 
-def cmd_subseq(args: argparse.Namespace) -> int:
+def cmd_subseq(args: SimpleNamespace) -> int:
     family = _load(args.family, "family", lambda text: tensor_bounds.family_from_json(json.loads(text)))
     cert = normal_subseq.extract(args.stream_start, args.stream_step, args.n)
     result = normal_subseq.strongly_normal_report(cert, family)
@@ -112,7 +119,7 @@ def _parse_targets(text: str, horizon: int) -> list[list]:
     return targets
 
 
-def cmd_schauder(args: argparse.Namespace) -> int:
+def cmd_schauder(args: SimpleNamespace) -> int:
     gens = _load(args.generators, "generators", schauder.GeneratorSet.from_jsonl)
     targets = (
         _load(args.target, "target", lambda text: _parse_targets(text, args.horizon))
@@ -141,7 +148,7 @@ def cmd_schauder(args: argparse.Namespace) -> int:
 # sup
 
 
-def cmd_sup(args: argparse.Namespace) -> int:
+def cmd_sup(args: SimpleNamespace) -> int:
     m = build(args.n)
     rect = sup_rect_bruteforce(m) if args.brute else sup_rect_fast(m)
     lower_ok, upper_ok = certify_pair(rect.sup, rect.n)
@@ -155,66 +162,168 @@ def cmd_sup(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The kslab parser, built on the first call and shared by every main
-    call of the process; parse_args keeps no state between calls."""
-    parser = argparse.ArgumentParser(
-        prog="kslab",
-        description="Exact construction and certification of sign-cube measures.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()  # the default of an option that must be given
 
-    p = sub.add_parser("verify", help="full bound-verification sweep over n = 1..n_max")
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("subseq", help="extract a summable subsequence and verify a family")
-    p.add_argument("--n", type=int, required=True, help="certificate length")
-    p.add_argument("--family", required=True, help="JSON file with tensor combinations")
-    p.add_argument("--out", required=True)
-    p.add_argument("--stream-start", type=int, default=1)
-    p.add_argument("--stream-step", type=int, default=1)
-    p.set_defaults(func=cmd_subseq)
-
-    p = sub.add_parser("schauder", help="density check and triangular basis construction")
-    p.add_argument("--generators", required=True, help="JSONL file, one generator per line")
-    p.add_argument("--n", type=int, required=True, help="basis length")
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--target", default=None, help="optional JSON file of expansion targets")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_schauder)
-
-    p = sub.add_parser("sup", help="rectangle supremum report for a single index")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--brute", action="store_true")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sup)
-
-    return parser
+# The one place where options are defined: per subcommand its help and its
+# options, flag: (type, default or REQUIRED, help); a bool option is a flag
+# that takes no value, and cmd_<name> runs subcommand <name>.
+COMMANDS = {
+    "verify": ("full bound-verification sweep over n = 1..n_max", {
+        "--n-max": (int, REQUIRED, "last index of the sweep"),
+        "--out": (str, REQUIRED, "report file")}),
+    "subseq": ("extract a summable subsequence and verify a family", {
+        "--n": (int, REQUIRED, "certificate length"),
+        "--family": (str, REQUIRED, "JSON file with tensor combinations"),
+        "--out": (str, REQUIRED, "report file"),
+        "--stream-start": (int, 1, "first element of the arithmetic stream"),
+        "--stream-step": (int, 1, "step of the arithmetic stream")}),
+    "schauder": ("density check and triangular basis construction", {
+        "--generators": (str, REQUIRED, "JSONL file, one generator per line"),
+        "--n": (int, REQUIRED, "basis length"),
+        "--horizon": (int, REQUIRED, "coordinates kept per basis vector"),
+        "--target": (str, None, "optional JSON file of expansion targets"),
+        "--out": (str, REQUIRED, "report file")}),
+    "sup": ("rectangle supremum report for a single index", {
+        "--n": (int, REQUIRED, "index of the measure"),
+        "--brute": (bool, False, f"enumerate every rectangle (n <= {BRUTE_MAX_N})"),
+        "--out": (str, REQUIRED, "report file")}),
+}
+_DESCRIPTION = "Exact construction and certification of sign-cube measures."
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's, "$" included
 
 
-def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _word(flag: str, kind: type) -> str:
+    return flag if kind is bool else f"{flag} {_dest(flag).upper()}"
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: kslab [-h] {%s} ..." % ",".join(COMMANDS)
+    words = (_word(f, t) if d is REQUIRED else f"[{_word(f, t)}]" for f, (t, d, _) in COMMANDS[command][1].items())
+    return " ".join((f"usage: kslab {command} [-h]", *words))
+
+
+def _error(command: str | None, message: str) -> NoReturn:
+    print(_usage(command), f"kslab{' ' + command if command else ''}: error: {message}", sep="\n", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _help(command: str | None, flag: str, text: str | None) -> NoReturn:
+    """Print the help and exit 0; text glued to -h or --help is an error,
+    but -hh is -h -h, as in argparse."""
+    left = text.lstrip("h") if flag == "-h" and text is not None else text
+    if left is not None and (left or not text):
+        _error(command, f"argument -h/--help: ignored explicit argument {left!r}")
+    if command is None:
+        head, rows = _DESCRIPTION, [(name, about) for name, (about, _) in COMMANDS.items()]
+    else:
+        head, options = COMMANDS[command]
+        rows = [(_word(f, t), f"{h} (default {d})" if type(d) is int else h) for f, (t, d, h) in options.items()]
+    rows.insert(0, ("-h, --help", "show this help and exit"))
+    width = 2 + max(len(row[0]) for row in rows)
+    print(_usage(command), "", head, "", *(f"  {a:<{width}}{b}" for a, b in rows), sep="\n")
+    raise SystemExit(0)
+
+
+def _classify(arg: str, command: str | None) -> tuple[str | None, str | None] | None:
+    """None when arg is a value, else (flag or None when unknown, the text
+    after "=" or None); a unique prefix names its flag."""
+    flags = ("-h", "--help", *(COMMANDS[command][1] if command else ()))
+    if arg[:1] != "-" or arg == "-":
+        return None
+    name, eq, text = arg.partition("=")
+    if arg in flags or (eq and name in flags):
+        return (name, text if eq else None)
+    if arg[1] == "-":
+        found = [(flag, text if eq else None) for flag in flags if flag.startswith(name)]
+    else:  # a single dash: -h with text glued on, or no flag
+        found = [("-h", arg[2:])] if arg.startswith("-h") else []
+    if len(found) > 1:
+        _error(command, f"ambiguous option: {arg} could match {', '.join(flag for flag, _ in found)}")
+    if found:
+        return found[0]
+    return None if _NEGATIVE_NUMBER.match(arg) or " " in arg else (None, None)
+
+
+def _read(argv: list[str], command: str | None) -> tuple[dict, list[str], int]:
+    """(option values, unrecognized arguments, index where reading stopped);
+    before the subcommand, its name stops the reading.  Every argument is
+    classified before any is read, so an ambiguous prefix is reported
+    first; "--" is no value, and all after it are values."""
+    options = COMMANDS[command][1] if command else {}
+    values = {_dest(flag): default for flag, (_, default, _) in options.items()}
+    cut = argv.index("--") if "--" in argv else len(argv)
+    kinds = [_classify(arg, command) for arg in argv[:cut]] + [(None, None)] + [None] * len(argv)
+    extras, j = [], 0
+    while j < len(argv) and (command or kinds[j] and j != cut):
+        flag, text = kinds[j] or (None, None)
+        kind = options.get(flag, (None,))[0]
+        if flag is None:
+            extras.append(argv[j])
+        elif kind is None:
+            _help(command, flag, text)
+        elif kind is bool and text is not None:
+            _error(command, f"argument {flag}: ignored explicit argument {text!r}")
+        elif kind is bool:
+            values[_dest(flag)] = True
+        else:
+            if text is None:
+                if j + 1 == len(argv) or kinds[j + 1] is not None:
+                    _error(command, f"argument {flag}: expected one argument")
+                j += 1
+                text = argv[j]
+            try:
+                values[_dest(flag)] = kind(text)
+            except ValueError:
+                _error(command, f"argument {flag}: invalid {kind.__name__} value: {text!r}")
+        j += 1
+    return values, extras, j
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The options of argv, read against COMMANDS as argparse read them:
+    "--flag value" or "--flag=value", the last of a repeated option wins,
+    a value starts with "-" only as a negative number, and -h/--help
+    prints help and exits 0.  A usage error prints the usage line and one
+    "error:" line to stderr and exits 2."""
+    _, extras, i = _read(argv, None)
+    if argv[i:] in ([], ["--"]):
+        _error(None, "the following arguments are required: command")
+    if (command := argv[i]) not in COMMANDS:
+        _error(None, f"argument command: invalid choice: {command!r} (choose from {', '.join(map(repr, COMMANDS))})")
+    values, more, _ = _read(argv[i + 1 :], command)
+    if missing := [flag for flag in COMMANDS[command][1] if values[_dest(flag)] is REQUIRED]:
+        _error(command, f"the following arguments are required: {', '.join(missing)}")
+    if extras + more:
+        _error(None, f"unrecognized arguments: {' '.join(extras + more)}")
+    return SimpleNamespace(command=command, **values)
+
+
+def _validate(args: SimpleNamespace) -> None:
+    """The range checks, each a usage error of the subcommand."""
     if args.command == "verify" and args.n_max < 1:
-        parser.error("--n-max must be >= 1")
+        _error(args.command, "--n-max must be >= 1")
     if args.command != "verify" and args.n < 1:
-        parser.error("--n must be >= 1")
+        _error(args.command, "--n must be >= 1")
     if args.command == "subseq" and args.stream_step < 1:
-        parser.error("--stream-step must be >= 1")
+        _error(args.command, "--stream-step must be >= 1")
     if args.command == "schauder" and args.horizon < args.n:
-        parser.error("--horizon must be >= --n")
+        _error(args.command, "--horizon must be >= --n")
     if args.command == "sup" and args.brute and args.n > BRUTE_MAX_N:
-        parser.error(f"--brute is limited to n <= {BRUTE_MAX_N}")
+        _error(args.command, f"--brute is limited to n <= {BRUTE_MAX_N}")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        _validate(args, parser)
-        return args.func(args)
-    except SystemExit as exc:  # usage errors, and input files _load cannot parse
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        _validate(args)
+        # looked up by name at call time, so a wrapper bound over cmd_<name> runs
+        return globals()[f"cmd_{args.command}"](args)
+    except SystemExit as exc:  # usage errors, help, and input files _load cannot parse
         return int(exc.code or 0)
     except OSError as exc:  # _load reports every read error, so this is a write
         print(f"cannot write output: {exc}", file=sys.stderr)

@@ -90,18 +90,23 @@ def format_rational(q: Rational | Dyadic) -> str:
 
 
 # Text with a 0x part: a sign only before the numerator, each part 0x hex
-# or decimal, no space at the "/"; Fraction reads decimal text alike.  A
-# pattern string, compiled (and cached by re) on the first hex text only.
+# or decimal, no space at the "/".  A pattern string, compiled (and cached
+# by re) on the first hex text only.
 _PART = r"(?:0x[0-9a-f]+|[0-9]+)"
 _HEX_RATIONAL = rf"\s*([+-]?{_PART})(?:/({_PART}))?\s*"
+# Decimal text, checked before Fraction reads it: "p/q" alike, or a decimal
+# with an optional exponent, in ASCII digits; Fraction alone would also read
+# "_" between digits and non-ASCII digits.
+_DECIMAL_RATIONAL = re.compile(r"\s*[+-]?(?=\.?[0-9])[0-9]*(?:/[0-9]+|(?:\.[0-9]*)?(?:e[+-]?[0-9]+)?)\s*")
 
 
 def parse_rational(text: str) -> Rational:
     """Inverse of format_rational; accepts "p" and "p/q", each part decimal
-    or 0x hex, a sign only on p, and decimal text as Fraction reads it.
-    Raises ValueError on malformed text, including a zero denominator and
-    an exponent past STR_DIGITS in magnitude: Fraction expands an exponent
-    in full, so "1e999999999" would build a billion-digit integer."""
+    or 0x hex, a sign only on p, and a decimal with an exponent, in ASCII
+    digits with no "_" between them.  Raises ValueError on malformed text,
+    including a zero denominator and an exponent past STR_DIGITS in
+    magnitude: Fraction expands an exponent in full, so "1e999999999"
+    would build a billion-digit integer."""
     lowered = text.lower()
     try:
         if "0x" not in lowered:
@@ -110,6 +115,8 @@ def parse_rational(text: str) -> Rational:
             exp = re.search(r"e[+-]?(\d[\d_]*)", lowered) if "e" in lowered else None
             if exp and (len(digits := exp[1].replace("_", "")) > STR_DIGITS or int(digits) > STR_DIGITS):
                 raise ValueError(f"exponent past {STR_DIGITS} in magnitude in {text!r}")
+            if _DECIMAL_RATIONAL.fullmatch(lowered) is None:
+                raise ValueError(f"malformed rational {text!r}")
             return Fraction(text.strip())
         if (match := re.fullmatch(_HEX_RATIONAL, lowered)) is None:
             raise ValueError(f"malformed rational {text!r}")

@@ -61,9 +61,16 @@ reads.  greedy_walk applies the summable-subsequence rule to any increasing
 stream one element at a time, the oracle of normal_subseq.extract's closed
 form on the arithmetic stream.
 
+argparse_parser is the argparse parser kslab.cli used before it read argv
+against its own option table, and argparse_parse runs it with the range
+checks it ran after: the reference of kslab.cli.parse_args.
+
 NumPy and SciPy are test dependencies only; kslab itself needs neither.
 """
 
+import argparse
+import contextlib
+import io
 import math
 import numbers
 import operator
@@ -78,7 +85,7 @@ from scipy.optimize import linprog
 from kslab.basic_seq_diag import DegenerateSectionError, FiniteSection, _VertexSimplex, basis_constant
 from kslab.exactnum import PI, Cmp, Rational, cmp_sq_below
 from kslab.ks_measure import EXPLICIT_MAX_N, KSMeasure, build
-from kslab.rect_sup import Rectangle, RectangleSupReport, bound2_verdict
+from kslab.rect_sup import BRUTE_MAX_N, Rectangle, RectangleSupReport, bound2_verdict
 from kslab.report import format_rational
 from kslab.schauder import (
     BasisVector,
@@ -728,3 +735,64 @@ def greedy_walk(stream: Iterable[int], length: int) -> tuple[int, ...]:
         pick = next(x for x in it if x >= threshold)
         picks.append(pick)
     return tuple(picks)
+
+
+# ---------------------------------------------------------------------------
+# The argparse front end
+
+
+def argparse_parser() -> argparse.ArgumentParser:
+    """The kslab parser as argparse built it; the subcommands set no func."""
+    parser = argparse.ArgumentParser(
+        prog="kslab",
+        description="Exact construction and certification of sign-cube measures.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("verify", help="full bound-verification sweep over n = 1..n_max")
+    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--out", required=True)
+
+    p = sub.add_parser("subseq", help="extract a summable subsequence and verify a family")
+    p.add_argument("--n", type=int, required=True, help="certificate length")
+    p.add_argument("--family", required=True, help="JSON file with tensor combinations")
+    p.add_argument("--out", required=True)
+    p.add_argument("--stream-start", type=int, default=1)
+    p.add_argument("--stream-step", type=int, default=1)
+
+    p = sub.add_parser("schauder", help="density check and triangular basis construction")
+    p.add_argument("--generators", required=True, help="JSONL file, one generator per line")
+    p.add_argument("--n", type=int, required=True, help="basis length")
+    p.add_argument("--horizon", type=int, required=True)
+    p.add_argument("--target", default=None, help="optional JSON file of expansion targets")
+    p.add_argument("--out", required=True)
+
+    p = sub.add_parser("sup", help="rectangle supremum report for a single index")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--brute", action="store_true")
+    p.add_argument("--out", required=True)
+
+    return parser
+
+
+def argparse_parse(argv: list[str]) -> tuple[int, dict | None, str]:
+    """(exit code, option values or None, stderr) of argv through
+    argparse_parser and the range checks; a range check failed through the
+    top-level parser.error, so its usage line is the top-level one."""
+    parser, err = argparse_parser(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            args = parser.parse_args(argv)
+            if args.command == "verify" and args.n_max < 1:
+                parser.error("--n-max must be >= 1")
+            if args.command != "verify" and args.n < 1:
+                parser.error("--n must be >= 1")
+            if args.command == "subseq" and args.stream_step < 1:
+                parser.error("--stream-step must be >= 1")
+            if args.command == "schauder" and args.horizon < args.n:
+                parser.error("--horizon must be >= --n")
+            if args.command == "sup" and args.brute and args.n > BRUTE_MAX_N:
+                parser.error(f"--brute is limited to n <= {BRUTE_MAX_N}")
+        except SystemExit as exc:
+            return int(exc.code or 0), None, err.getvalue()
+    return 0, vars(args), err.getvalue()

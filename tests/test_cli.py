@@ -27,6 +27,7 @@ from kslab.rect_sup import Rectangle, sup_rect_bruteforce
 from kslab.report import format_rational, parse_rational
 from kslab.schauder import EchelonStore
 from oracles import (
+    argparse_parse,
     certify_bound3,
     combo_to_json,
     diag_sections,
@@ -791,20 +792,57 @@ class TestExponentLimit:
         assert not out.exists()
 
 
+def input_files_run(tmp_path, where, text):
+    """argv without --out that reads the family, generators or target file
+    written with text in place of one value, the others well formed."""
+    family, gens, targets = tmp_path / "family.json", tmp_path / "gens.jsonl", tmp_path / "targets.json"
+    family.write_text(json.dumps([{"name": "c", "terms": [{"profile": "majority", "coeff": "1"}]}]), encoding="utf-8")
+    gens.write_text('{"coords": {"1": "1"}}\n{"coords": {"2": "1"}}\n', encoding="utf-8")
+    targets.write_text(json.dumps({"targets": [["2", "1"]]}), encoding="utf-8")
+    {"family": family, "generators": gens, "target": targets}[where].write_text(text, encoding="utf-8")
+    if where == "family":
+        return ["subseq", "--n", "2", "--family", str(family)]
+    return ["schauder", "--generators", str(gens), "--n", "2", "--horizon", "2", "--target", str(targets)]
+
+
+class TestInputFileGrammar:
+    @pytest.mark.parametrize("where", ["family", "generators", "target"])
+    def test_deep_nesting_parse_error(self, tmp_path, capsys, where):
+        # json.loads raises RecursionError past the interpreter's recursion
+        # limit; it is a file that cannot be parsed, not a failed check
+        out = tmp_path / "x.json"
+        argv = input_files_run(tmp_path, where, "[" * 200_000 + "]" * 200_000)
+        assert run(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot parse {where} file:") and err.count("\n") == 1
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("where", ["family", "generators", "target"])
+    @pytest.mark.parametrize("value", ["1_0/3", "\u0663/4", "1e1_0", "2/\u0663"])
+    def test_decimal_text_in_ascii_digits_only(self, tmp_path, capsys, where, value):
+        docs = {
+            "family": json.dumps([{"name": "c", "terms": [{"profile": "majority", "coeff": value}]}]),
+            "generators": json.dumps({"coords": {"1": value}}) + '\n{"coords": {"2": "1"}}\n',
+            "target": json.dumps({"targets": [["2", value]]}),
+        }
+        out = tmp_path / "x.json"
+        assert run(input_files_run(tmp_path, where, docs[where]) + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot parse {where} file:") and "malformed rational" in err
+        assert err.count("\n") == 1 and not out.exists()
+
+
 class TestParserReuse:
     def test_main_three_times_in_one_process(self, tmp_path, capsys):
         # a usage error, a good run and the usage error again, against fresh
-        # processes: the one parser of the process keeps nothing between calls
+        # processes: the parser keeps nothing between calls
         bad = ["sup", "--n", "5", "--brute", "--out", str(tmp_path / "bad.json")]
         good = ["sup", "--n", "13", "--out", str(tmp_path / "inproc.json")]
-        cli.build_parser.cache_clear()
         got = []
         for argv in (bad, good, bad):
             code = main(argv)
             captured = capsys.readouterr()
             got.append((code, captured.out, captured.err))
-        assert cli.build_parser.cache_info().misses == 1
-        assert cli.build_parser.cache_info().hits == 2
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         fresh = []
         for argv in (bad, [*good[:-1], str(tmp_path / "fresh.json")]):
@@ -817,6 +855,127 @@ class TestParserReuse:
         assert got[1][1].replace("inproc.json", "fresh.json") == fresh[1][1]
         assert (tmp_path / "inproc.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
         assert not (tmp_path / "bad.json").exists()
+
+
+# The argv vocabulary of the front-end property: every subcommand and flag,
+# prefixes (--n names --n-max under verify; --st, --h and --stream are
+# ambiguous somewhere), and values that look like options, negative numbers,
+# hex, a non-ASCII digit, "-", "--" and text with a space.
+CLI_COMMANDS = list(cli.COMMANDS)
+CLI_FLAGS = sorted({flag for _, options in cli.COMMANDS.values() for flag in options}) + [
+    "-h", "--help", "--st", "--h", "--stream"]
+CLI_VALUES = ["5", "-1", "-.5", "-x", "0x3", "\u0663", "-", "--", "a b", "-h"]
+# argparse reads "--out=--" as an empty list (it drops the "--"), with which
+# the commands then failed; the table parser reads the text "--" there
+# (TestFrontEnd.test_explicit_double_dash), so the property leaves it out
+CLI_TOKENS = st.one_of(
+    st.sampled_from(CLI_COMMANDS + CLI_FLAGS + CLI_VALUES),
+    st.tuples(st.sampled_from(CLI_FLAGS), st.sampled_from([v for v in CLI_VALUES if v != "--"])).map("=".join),
+)
+# the range checks: argparse failed them through the top-level parser, the
+# table parser through the subcommand's, with the same message
+RANGE_ERRORS = {"--n-max must be >= 1", "--n must be >= 1", "--stream-step must be >= 1",
+                "--horizon must be >= --n", "--brute is limited to n <= 4"}
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand (or not), often with its required options, then up to
+    six tokens of the vocabulary."""
+    argv = []
+    if draw(st.integers(0, 9)):
+        command = draw(st.sampled_from(CLI_COMMANDS))
+        argv.append(command)
+        if draw(st.booleans()):
+            for flag, (_, default, _) in cli.COMMANDS[command][1].items():
+                if default is cli.REQUIRED:
+                    argv += [flag, draw(st.sampled_from(["1", "2", "5"]))]
+    return argv + draw(st.lists(CLI_TOKENS, max_size=6))
+
+
+def parse_quietly(argv):
+    """(exit code, option values or None, stderr) of argv through the table
+    parser and the range checks."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            args = cli.parse_args(argv)
+            cli._validate(args)
+        except SystemExit as exc:
+            return int(exc.code or 0), None, err.getvalue()
+    return 0, vars(args), err.getvalue()
+
+
+class TestFrontEnd:
+    @settings(max_examples=400, deadline=None)
+    @given(argv=cli_argvs())
+    @example(argv=["verify", "--n", "3", "--out", "5"])
+    @example(argv=["schauder", "--h"])
+    @example(argv=["sup", "--n", "3", "--out", "--brute"])
+    @example(argv=["subseq", "--st", "5", "--n", "1", "--family", "5", "--out", "5"])
+    @example(argv=["sup", "--out", "-.5", "--n=-1"])
+    @example(argv=["--", "sup"])
+    def test_matches_the_argparse_parser(self, argv):
+        # same exit code, the same values on success, and on exit 2 one
+        # usage line and one error line, argparse's own where argparse
+        # failed the parse (its usage line may wrap)
+        code, values, err = parse_quietly(argv)
+        want_code, want_values, want_err = argparse_parse(argv)
+        assert code == want_code, (argv, err, want_err)
+        assert values == want_values, argv
+        if code != 2:
+            assert err == want_err == "", argv
+            return
+        lines, want = err.splitlines(), want_err.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("usage: kslab") and ": error: " in lines[1], err
+        message = want[-1].partition(": error: ")[2]
+        if message in RANGE_ERRORS:
+            assert lines == [cli._usage(argv[0]), f"kslab {argv[0]}: error: {message}"], argv
+        else:
+            assert lines == [" ".join(" ".join(want[:-1]).split()), want[-1]], argv
+
+    def test_prefix_equals_and_last_value_wins(self):
+        args = cli.parse_args(["verify", "--n", "3", "--ou=a", "--out", "b", "--n-max=7"])
+        assert vars(args) == {"command": "verify", "n_max": 7, "out": "b"}
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["subseq", "--st", "3"], "kslab subseq: error: ambiguous option: --st could match --stream-start, --stream-step"),
+            (["schauder", "--h=2"], "kslab schauder: error: ambiguous option: --h=2 could match --help, --horizon"),
+            (["sup", "--n", "3"], "kslab sup: error: the following arguments are required: --out"),
+            (["sup", "--n", "3", "--brute=1", "--out", "x"], "kslab sup: error: argument --brute: ignored explicit argument '1'"),
+            (["sup", "--n", "x", "--out", "o"], "kslab sup: error: argument --n: invalid int value: 'x'"),
+            (["sup", "--n", "3", "--out", "-x"], "kslab sup: error: argument --out: expected one argument"),
+            (["sup", "--n", "0", "--out", "o"], "kslab sup: error: --n must be >= 1"),
+            (["sup", "--n", "3", "--out", "o", "7"], "kslab: error: unrecognized arguments: 7"),
+            (["size"], "kslab: error: argument command: invalid choice: 'size' "
+                       "(choose from 'verify', 'subseq', 'schauder', 'sup')"),
+        ],
+    )
+    def test_usage_errors(self, capsys, argv, line):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[1:] == [line] and err[0] == cli._usage(argv[0] if line.startswith("kslab " + argv[0]) else None)
+
+    def test_value_starting_with_a_dash_is_refused(self, tmp_path, monkeypatch, capsys):
+        # "--brute" is the next option, not a file name; "-" and "-1" are values
+        monkeypatch.chdir(tmp_path)
+        assert main(["sup", "--n", "3", "--out", "--brute"]) == 2
+        assert list(tmp_path.iterdir()) == []
+        assert vars(cli.parse_args(["subseq", "--n", "1", "--family", "-", "--out", "-1"]))["out"] == "-1"
+
+    def test_explicit_double_dash(self):
+        assert cli.parse_args(["sup", "--n", "3", "--out=--"]).out == "--"
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["sup", "--he"], ["schauder", "-h", "--n", "x"]])
+    def test_help_exits_0(self, capsys, argv):
+        assert main(argv) == 0
+        command = argv[0] if argv[0] in cli.COMMANDS else None
+        out = capsys.readouterr().out
+        assert out.startswith(cli._usage(command) + "\n")
+        names = list(cli.COMMANDS[command][1] if command else cli.COMMANDS)
+        assert all(f"  {name}" in out for name in names)
 
 
 # nonzero rationals in every spelling a file may use (a JSON number reads as
@@ -1072,6 +1231,19 @@ class TestImports:
         code = (
             "import sys, kslab.cli, kslab.basic_seq_diag; "
             "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "[]"
+
+    def test_cli_import_loads_no_argparse_gettext_or_locale(self):
+        # kslab.cli reads argv against its own table: argparse loads gettext,
+        # whose first message loads locale, about 2-3 ms of a cold start
+        code = (
+            "import sys; before = set(sys.modules); import kslab.cli; "
+            "print(sorted({'argparse', 'gettext', 'locale'} & (set(sys.modules) - before)))"
         )
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         proc = subprocess.run(

@@ -77,7 +77,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "text, value",
-        [("1e4300", Fraction(10**4300)), ("-2E-4300", Fraction(-2, 10**4300)), ("1.5e+0_4_300", Fraction(15 * 10**4299)),
+        [("1e4300", Fraction(10**4300)), ("-2E-4300", Fraction(-2, 10**4300)), ("1.5e+04300", Fraction(15 * 10**4299)),
          ("3e0000000000004300", Fraction(3 * 10**4300)), ("7e-0", Fraction(7)), ("1.25", Fraction(5, 4))],
     )
     def test_exponent_up_to_the_digit_limit(self, text, value):
@@ -95,6 +95,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match="exponent past 4300"):
             parse_rational(text)
         assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize(
+        "text", ["1_0/3", "1_0", "1.5_0", "1e1_0", "1.5e+0_4_300", "\u0663/4", "3/\u0664", "\u0663", "1e\u0663",
+                 "1.\u0665", "\uff13", "1\u00b2"],
+    )
+    def test_decimal_text_in_ascii_digits_only(self, text):
+        # the hex branch reads [0-9] only; decimal text is held to the same
+        # digits, though Fraction would read "_" separators and any Unicode
+        # decimal digit ("1_0/3" as 10/3, "\u0663/4" as 3/4)
+        with pytest.raises(ValueError, match="malformed rational"):
+            parse_rational(text)
 
     def test_decimal_str(self):
         assert decimal_str(Fraction(1, 2)) == "0.5" + "0" * 29

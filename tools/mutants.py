@@ -86,6 +86,11 @@ MUTANTS = [
            "the witness's byte-strided slices shifted one bit too far"),
     Mutant("cli", '"PASS" if upper_ok is Cmp.CERT_LT else', '"PASS" if upper_ok is not Cmp.CERT_GT else',
            "bound3 passes on an undecided upper bound"),
+    # the option table's parser
+    Mutant("cli", "    if missing := [", "    if False and [", "the required-option check is skipped"),
+    Mutant("cli", "    if len(found) > 1:\n", "    if False:\n", "an ambiguous prefix resolves to its first match"),
+    Mutant("cli", "if j + 1 == len(argv) or kinds[j + 1] is not None:", "if j + 1 == len(argv):",
+           "an option reads the next argument as its value even when it starts with -"),
     # the subsequence certificate
     Mutant("normal_subseq", "cmp_sq_below(last, *bound, 1)", "cmp_sq_below(last, *bound, Fraction(1, 2))",
            "_combo_row's verdict loosened by a factor 2 in the squares"),
