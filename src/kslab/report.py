@@ -66,11 +66,18 @@ def _int_text(v: int) -> str:
     return hex(v) if abs(v) >= HEX_FROM else str(v)
 
 
-def format_ratio(num: int, den: int) -> str:
-    """format_rational(Fraction(num, den)) for ints, den > 0, by one gcd."""
-    g = math.gcd(num, den)
-    text = _int_text(num // g)
-    return text if g == den else f"{text}/{_int_text(den // g)}"
+def format_ratios(nums: list[int], den: int) -> list[str]:
+    """[format_rational(Fraction(x, den)) for x in nums] for ints, den > 0,
+    by one gcd the size of den per list: with P the product of nums and
+    h = gcd(den, P mod den), gcd(x, den) = gcd(x, h) for each x in nums, as
+    gcd(x, h) divides x and h, which divides den, and g = gcd(x, den)
+    divides x, so P, and den, so P mod den, so h.  h is usually small."""
+    prod = 1
+    for x in nums:
+        prod = prod * x % den
+    h = math.gcd(den, prod)
+    gs = [math.gcd(x, h) for x in nums]
+    return [_int_text(x // g) + ("" if g == den else f"/{_int_text(den // g)}") for x, g in zip(nums, gs)]
 
 
 def format_rational(q: Rational | Dyadic) -> str:
@@ -94,10 +101,10 @@ def format_rational(q: Rational | Dyadic) -> str:
 # by re) on the first hex text only.
 _PART = r"(?:0x[0-9a-f]+|[0-9]+)"
 _HEX_RATIONAL = rf"\s*([+-]?{_PART})(?:/({_PART}))?\s*"
-# Decimal text, checked before Fraction reads it: "p/q" alike, or a decimal
-# with an optional exponent, in ASCII digits; Fraction alone would also read
-# "_" between digits and non-ASCII digits.
-_DECIMAL_RATIONAL = re.compile(r"\s*[+-]?(?=\.?[0-9])[0-9]*(?:/[0-9]+|(?:\.[0-9]*)?(?:e[+-]?[0-9]+)?)\s*")
+# Decimal text: "p/q" alike, or a decimal with an optional exponent, in ASCII
+# digits (Fraction alone would also read "_" between digits and non-ASCII
+# digits).  Its groups are p, q and the point and exponent ("" without them).
+_DECIMAL_RATIONAL = re.compile(r"\s*([+-]?(?=\.?[0-9])[0-9]*)(?:/([0-9]+)|((?:\.[0-9]*)?(?:e[+-]?[0-9]+)?))\s*")
 
 
 def parse_rational(text: str) -> Rational:
@@ -106,7 +113,8 @@ def parse_rational(text: str) -> Rational:
     digits with no "_" between them.  Raises ValueError on malformed text,
     including a zero denominator and an exponent past STR_DIGITS in
     magnitude: Fraction expands an exponent in full, so "1e999999999"
-    would build a billion-digit integer."""
+    would build a billion-digit integer.  Decimal "p" and "p/q" are read
+    off the pattern's groups; Fraction reads only a point or exponent."""
     lowered = text.lower()
     try:
         if "0x" not in lowered:
@@ -115,9 +123,10 @@ def parse_rational(text: str) -> Rational:
             exp = re.search(r"e[+-]?(\d[\d_]*)", lowered) if "e" in lowered else None
             if exp and (len(digits := exp[1].replace("_", "")) > STR_DIGITS or int(digits) > STR_DIGITS):
                 raise ValueError(f"exponent past {STR_DIGITS} in magnitude in {text!r}")
-            if _DECIMAL_RATIONAL.fullmatch(lowered) is None:
+            if (match := _DECIMAL_RATIONAL.fullmatch(lowered)) is None:
                 raise ValueError(f"malformed rational {text!r}")
-            return Fraction(text.strip())
+            num, den, point_or_exp = match.groups()
+            return Fraction(text.strip()) if point_or_exp else Fraction(int(num), int(den or 1))
         if (match := re.fullmatch(_HEX_RATIONAL, lowered)) is None:
             raise ValueError(f"malformed rational {text!r}")
         return Fraction(*(int(part, 16 if "x" in part else 10) for part in match.groups("1")))
@@ -258,11 +267,12 @@ def basis_to_json(basis: TriangularBasis) -> dict:
     vectors = []
     for vec in basis.vectors:
         coords = ["0"] * basis.horizon
-        for k, x in vec.entries:
-            coords[k - 1] = format_ratio(x, vec.den)
+        for (k, _), text in zip(vec.entries, format_ratios([x for _, x in vec.entries], vec.den)):
+            coords[k - 1] = text
+        weights = format_ratios([w for _, w in vec.combination], vec.weight_den)
         vectors.append({
             "coords": coords,
-            "combination": {str(c): format_ratio(w, vec.weight_den) for c, w in vec.combination},
+            "combination": {str(c): text for (c, _), text in zip(vec.combination, weights)},
             "support_size": len(vec.entries),
         })
     return {"horizon": basis.horizon, "vectors": vectors}

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -62,16 +63,25 @@ class DensityError(ValueError):
 
 
 def _fraction(v: object, entry: str = "GeneratorSet") -> Fraction:
-    """Fraction(v); a float raises TypeError, since its binary value would enter."""
+    """v as a Fraction: a Fraction itself, unchanged, else Fraction(v); a
+    float raises TypeError, since its binary value would enter."""
+    if isinstance(v, Fraction):
+        return v
     if isinstance(v, float):
         raise TypeError(f"{entry} requires int, Fraction or str values, got float {v!r}")
     return Fraction(v)
 
 
+# A coordinate key's text in ASCII digits; int() alone reads "_" and any Unicode digit
+_COORDINATE = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
 def _validate_sparse(pairs: Iterable[tuple[object, object]], parse=_fraction) -> SparseVec:
-    """{int(k): parse(v)} over (k, v) pairs without zeros; rejects k < 1 and a repeated k."""
+    """{int(k): parse(v)} over (k, v) pairs without zeros; rejects a malformed str k, k < 1 and a repeated k."""
     out: SparseVec = {}
     for k, v in pairs:
+        if isinstance(k, str) and _COORDINATE.fullmatch(k) is None:
+            raise ValueError(f"malformed coordinate {k!r}")
         k = int(k)
         if k < 1:
             raise ValueError(f"coordinates are 1-based, got {k}")
@@ -159,10 +169,10 @@ class EchelonStore:
         self.rows: list[tuple[int, dict[int, int], dict[int, int]]] = []  # (pivot, vector, combination)
 
     def add(self, vec: SparseVec) -> bool:
-        """Reduce one input and store it; False when it depends on earlier inputs."""
-        q = {k: Fraction(x) for k, x in vec.items() if k <= self.m and x}
-        d = math.lcm(*(x.denominator for x in q.values()))
-        v = {k: x.numerator * (d // x.denominator) for k, x in q.items()}
+        """Reduce one input (Fraction or int values) and store it; False when it depends on earlier inputs."""
+        q = [(k, x) for k, x in vec.items() if k <= self.m and x]
+        d = math.lcm(*(x.denominator for _, x in q))
+        v = {k: x.numerator * (d // x.denominator) for k, x in q}
         combo = {len(self.inputs): d}
         self.inputs.append(vec)
         for pivot, row, row_combo in self.rows:

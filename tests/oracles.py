@@ -65,6 +65,10 @@ argparse_parser is the argparse parser kslab.cli used before it read argv
 against its own option table, and argparse_parse runs it with the range
 checks it ran after: the reference of kslab.cli.parse_args.
 
+parse_rational_by_fraction is report.parse_rational as it read decimal text
+before it took p and q from its pattern's groups: the same checks, then
+Fraction parsing the stripped text a second time.
+
 NumPy and SciPy are test dependencies only; kslab itself needs neither.
 """
 
@@ -75,6 +79,7 @@ import math
 import numbers
 import operator
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -86,7 +91,7 @@ from kslab.basic_seq_diag import DegenerateSectionError, FiniteSection, _VertexS
 from kslab.exactnum import PI, Cmp, Rational, cmp_sq_below
 from kslab.ks_measure import EXPLICIT_MAX_N, KSMeasure, build
 from kslab.rect_sup import BRUTE_MAX_N, Rectangle, RectangleSupReport, bound2_verdict
-from kslab.report import format_rational
+from kslab.report import _HEX_RATIONAL, STR_DIGITS, format_rational
 from kslab.schauder import (
     BasisVector,
     DensityResult,
@@ -796,3 +801,24 @@ def argparse_parse(argv: list[str]) -> tuple[int, dict | None, str]:
         except SystemExit as exc:
             return int(exc.code or 0), None, err.getvalue()
     return 0, vars(args), err.getvalue()
+
+
+_DECIMAL_RATIONAL = re.compile(r"\s*[+-]?(?=\.?[0-9])[0-9]*(?:/[0-9]+|(?:\.[0-9]*)?(?:e[+-]?[0-9]+)?)\s*")
+
+
+def parse_rational_by_fraction(text: str) -> Rational:
+    """report.parse_rational with its decimal text read by Fraction(text)."""
+    lowered = text.lower()
+    try:
+        if "0x" not in lowered:
+            exp = re.search(r"e[+-]?(\d[\d_]*)", lowered) if "e" in lowered else None
+            if exp and (len(digits := exp[1].replace("_", "")) > STR_DIGITS or int(digits) > STR_DIGITS):
+                raise ValueError(f"exponent past {STR_DIGITS} in magnitude in {text!r}")
+            if _DECIMAL_RATIONAL.fullmatch(lowered) is None:
+                raise ValueError(f"malformed rational {text!r}")
+            return Fraction(text.strip())
+        if (match := re.fullmatch(_HEX_RATIONAL, lowered)) is None:
+            raise ValueError(f"malformed rational {text!r}")
+        return Fraction(*(int(part, 16 if "x" in part else 10) for part in match.groups("1")))
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc

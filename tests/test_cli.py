@@ -831,6 +831,15 @@ class TestInputFileGrammar:
         assert err.startswith(f"cannot parse {where} file:") and "malformed rational" in err
         assert err.count("\n") == 1 and not out.exists()
 
+    @pytest.mark.parametrize("key", ["1_0", "\u0663", "x"])
+    def test_coordinate_keys_in_ascii_digits_only(self, tmp_path, capsys, key):
+        out = tmp_path / "x.json"
+        gens = json.dumps({"coords": {key: "1"}}) + '\n{"coords": {"2": "1"}}\n'
+        assert run(input_files_run(tmp_path, "generators", gens) + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"cannot parse generators file: generator line 1: malformed coordinate {key!r}\n"
+        assert not out.exists()
+
 
 class TestParserReuse:
     def test_main_three_times_in_one_process(self, tmp_path, capsys):

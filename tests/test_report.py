@@ -1,11 +1,12 @@
 """The report layer: rational text and its parse side (format_rational,
-format_ratio, decimal_str, parse_rational) for ints, Fractions and Dyadics
+format_ratios, decimal_str, parse_rational) for ints, Fractions and Dyadics
 on both sides of the hex cut; write_json against json.dumps(indent=2); and
 the package source, in which no module but kslab.report writes rational
 text."""
 
 import ast
 import json
+import math
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -16,7 +17,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kslab.exactnum import Dyadic
-from kslab.report import HEX_FROM, decimal_str, format_ratio, format_rational, parse_rational, write_json
+from kslab.report import HEX_FROM, decimal_str, format_ratios, format_rational, parse_rational, write_json
+from oracles import parse_rational_by_fraction
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kslab"
 
@@ -107,6 +109,44 @@ class TestSerialization:
         with pytest.raises(ValueError, match="malformed rational"):
             parse_rational(text)
 
+    @given(
+        st.tuples(
+            st.sampled_from(["", " ", "\t", "\n", " \u2003"]), st.sampled_from(["", "+", "-", "--", "+-"]),
+            st.text("0", max_size=3), st.text("0123456789", max_size=6),
+            st.sampled_from(["", "/", "/0", "/00", "/7", "/03", "/-2", "/ 3", "/1_0", "/\u0663", ".", ".5", "e3",
+                             "E-2", "e+04", ".25e-1", "e", "/3.5", "/2e1", "_1", "\u0663", "x"]),
+            st.sampled_from(["", " ", "\n\t"]),
+        ).map("".join)
+        | st.text(" +-/.e0123456789_\u0663", max_size=10)
+    )
+    @example("1/0")
+    @example("0/00")
+    @example(" -000/0 ")
+    @example("1.")
+    @example(".5")
+    @example("-.5e-3")
+    @example("1e5")
+    @example("0/1")
+    @example("9" * 4300)
+    @example("-" + "9" * 4301)
+    @example("0" * 4300 + "1")
+    @example("1/" + "7" * 4300)
+    @example("1/" + "7" * 4301)
+    @example("8" * 4301 + "/0")
+    @example("5" * 4301 + ".5")
+    def test_decimal_text_read_once_as_by_fraction(self, text):
+        # "p" and "p/q" are read from the pattern's groups, the rest by
+        # Fraction; either way, the value or the error is the one Fraction
+        # gave parsing the stripped text a second time
+        def outcome(parse):
+            try:
+                value = parse(text)
+            except Exception as exc:
+                return type(exc), str(exc)
+            return type(value), value
+
+        assert outcome(parse_rational) == outcome(parse_rational_by_fraction)
+
     def test_decimal_str(self):
         assert decimal_str(Fraction(1, 2)) == "0.5" + "0" * 29
         assert decimal_str(Fraction(-1, 3)) == "-0." + "3" * 30
@@ -189,15 +229,48 @@ class TestFormatRatio:
     def test_matches_format_rational(self, num, den):
         # the text of num/den in lowest terms: a denominator that divides
         # num leaves the integer alone, as format_rational writes it
-        assert format_ratio(num, den) == format_rational(Fraction(num, den))
+        assert format_ratios([num], den) == [format_rational(Fraction(num, den))]
 
     @given(st.integers(-(10**6), 10**6), st.integers(1, 10**3), st.integers(1, 50))
     def test_any_common_factor(self, num, den, g):
-        assert format_ratio(num * g, den * g) == format_rational(Fraction(num, den))
+        assert format_ratios([num * g], den * g) == [format_rational(Fraction(num, den))]
+
+    @pytest.mark.parametrize(
+        "nums, den",
+        [([2**260, 3**170, 5, -(2**7) * 3**99], 2**260 * 3**100),
+         ([6 * 3**200, 7, 0, -1], 6 * 3**200),
+         ([HEX_FROM * 3, -HEX_FROM, 9, 2], 6 * HEX_FROM),
+         ([3**9100, -(3**9101) * 5, 7], 5 * 3**9101),
+         ([], 7)],
+        ids=["product-multiple-of-den", "zero-entry", "hex-numerators", "hex-den-shares-hex-factor", "empty"],
+    )
+    def test_lists_sharing_a_large_factor_with_den(self, nums, den):
+        # each list's product is a multiple of den (h = den), so every
+        # entry's own gcd with den is read off h
+        prod = math.prod(nums)
+        assert not nums or math.gcd(den, prod % den) == den
+        assert format_ratios(nums, den) == [format_rational(Fraction(x, den)) for x in nums]
+
+    def test_entries_do_not_share_each_others_factors(self):
+        # h collects factors of den from every entry; each entry keeps only its own
+        assert format_ratios([2, 3, 5], 30) == ["1/15", "1/10", "1/6"]
+        assert format_ratios([4, 9], 6) == ["2/3", "3/2"]
+
+    @given(
+        st.lists(st.tuples(st.integers(-(10**40), 10**40), st.integers(0, 3), st.integers(1, 10**6)), max_size=8),
+        st.integers(0, 120), st.integers(0, 60), st.integers(1, 10**30),
+    )
+    @example(pairs=[(1, 0, 1)], twos=4300 * 4, threes=0, rest=1)
+    @example(pairs=[(3**9100, 0, 1), (-1, 0, 1)], twos=0, threes=9101, rest=1)
+    def test_each_entry_as_format_rational(self, pairs, twos, threes, rest):
+        # entries drawn to share factors with den: x times a divisor of den
+        den = 2**twos * 3**threes * rest
+        nums = [a * math.gcd(den, 6**e * c) for a, e, c in pairs]
+        assert format_ratios(nums, den) == [format_rational(Fraction(x, den)) for x in nums]
 
 
 class TestOneWriter:
-    TEXT = {"format_rational", "format_ratio", "decimal_str"}
+    TEXT = {"format_rational", "format_ratios", "decimal_str"}
     MOVED = TEXT | {"parse_rational", "HEX_FROM", "_int_text"}
 
     def test_only_report_writes_rational_text(self):

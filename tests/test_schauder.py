@@ -7,6 +7,7 @@ import ast
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -573,6 +574,22 @@ class TestSerialization:
             with pytest.raises(ValueError, match="^generator line 2: coordinate 1 given twice$"):
                 GeneratorSet.from_jsonl('{"coords": {"1": "1"}}\n{"coords": %s}\n' % coords)
 
+    @pytest.mark.parametrize("key", ["1_0", "\u0663", "x", "", "1.0", "0x1", "1 0", "\uff11"])
+    def test_jsonl_coordinate_keys_in_ascii_digits_only(self, key):
+        # int() alone would read "1_0" as 10 and "\u0663" as 3
+        line = json.dumps({"coords": {key: "1", "2": "1"}})
+        with pytest.raises(ValueError, match=f"^generator line 2: malformed coordinate {re.escape(repr(key))}$"):
+            GeneratorSet.from_jsonl('{"coords": {"1": "1"}}\n' + line + "\n")
+
+    def test_jsonl_coordinate_keys_keep_sign_space_and_zeros(self):
+        gens = GeneratorSet.from_jsonl('{"coords": {" 1": "1", "+2": "2", "03": "3", "4\\n": "4"}}\n')
+        assert list(gens) == [{1: 1, 2: 2, 3: 3, 4: 4}]
+        with pytest.raises(ValueError, match="^generator line 1: coordinate 2 given twice$"):
+            GeneratorSet.from_jsonl('{"coords": {"2": "1", "+2": "1"}}')
+        for key in ("-1", " -0", "0"):
+            with pytest.raises(ValueError, match="^generator line 1: coordinates are 1-based"):
+                GeneratorSet.from_jsonl(json.dumps({"coords": {key: "1"}}))
+
     def test_jsonl_validates_each_generator_once(self, monkeypatch):
         calls = []
         validate = schauder._validate_sparse
@@ -599,6 +616,13 @@ class TestSerialization:
         with pytest.raises(TypeError, match="^expand requires int, Fraction or str values, got float 0.1$"):
             expand([0.1, 1], basis)
         assert expand([Fraction(1, 10), "1/10"], basis).coefficients == (Fraction(1, 10), Fraction(1, 10))
+
+    def test_fraction_values_pass_unwrapped(self):
+        q = Fraction(-3, 7)
+        assert schauder._fraction(q) is q
+        assert schauder._fraction(2) == Fraction(2) and schauder._fraction("1/3") == Fraction(1, 3)
+        with pytest.raises(TypeError, match="float"):
+            schauder._fraction(0.5)
 
     def test_direct_construction_validates(self):
         assert list(GeneratorSet([{1: 0, 2: "3/4"}])) == [{2: Fraction(3, 4)}]

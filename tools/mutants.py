@@ -67,8 +67,11 @@ MUTANTS = [
     Mutant("report", "scaled = abs(q.num) * 10**DIGITS // q.odd >> q.exp",
            "scaled = (abs(q.num) * 10**DIGITS // q.odd + (1 << q.exp >> 1)) >> q.exp",
            "decimal_str rounds a Dyadic's last digit instead of truncating"),
-    Mutant("report", "return text if g == den else", "return text if den == 1 else",
-           "format_ratio writes p/1 when the denominator divides the numerator"),
+    Mutant("report", "(\"\" if g == den else", "(\"\" if den == 1 else",
+           "format_ratios writes p/1 when the denominator divides the numerator"),
+    Mutant("report", "prod = prod * x % den", "prod = x % den",
+           "format_ratios reads the shared factor off the last entry only"),
+    Mutant("report", "int(den or 1)", "1", "parse_rational drops the denominator of decimal p/q text"),
     Mutant("report", "num_text if tsup.denominator == 1 else", "num_text if tsup.denominator <= 2 else",
            "the verify row's tensor_sup drops a denominator of 2"),
     # the indent=2 writer
