@@ -15,7 +15,6 @@ errors exit 2), without importing argparse, gettext or locale.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from pathlib import Path
@@ -94,7 +93,7 @@ def cmd_verify(args: SimpleNamespace) -> int:
 
 
 def cmd_subseq(args: SimpleNamespace) -> int:
-    family = _load(args.family, "family", lambda text: tensor_bounds.family_from_json(json.loads(text)))
+    family = _load(args.family, "family", lambda text: tensor_bounds.family_from_json(report.read_json(text)))
     cert = normal_subseq.extract(args.stream_start, args.stream_step, args.n)
     result = normal_subseq.strongly_normal_report(cert, family)
     report.write_json(args.out, report.subseq_report(result))
@@ -107,14 +106,14 @@ def cmd_subseq(args: SimpleNamespace) -> int:
 
 
 def _parse_targets(text: str, horizon: int) -> list[list]:
-    doc = json.loads(text)
+    doc = report.read_json(text)
     if not isinstance(doc, dict) or not isinstance(doc.get("targets"), list):
         raise ValueError("target document must be an object with a 'targets' list")
     targets = []
     for entry in doc["targets"]:
         if not isinstance(entry, list):
-            raise ValueError(f"target must be a list, got {entry!r}")
-        vec = [report.parse_rational(str(v)) for v in entry]
+            raise ValueError(f"target must be a list, got {report.describe(entry)}")
+        vec = [report.rational(v, "target") for v in entry]
         targets.append(vec + [0] * max(0, horizon - len(vec)))
     return targets
 

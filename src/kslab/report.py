@@ -7,8 +7,8 @@ fixed-width decimals, witness bitsets are 0x-hex integers, and no
 wall-clock time is recorded, so a report is byte-stable across runs.  A
 rational is "p/q" in lowest terms, or "p"; a part of 4300 digits or more
 (a 2^n denominator past about n = 14,300) is 0x hex.  parse_rational reads
-that text back; the CLI reads every rational of its input files with it,
-and refuses a decimal exponent past 4300 in magnitude.
+that text back, read_json every input file, and rational every value a
+file or a library constructor is given.
 
 write_json writes json.dumps(doc, indent=2) plus a newline, byte for byte,
 through CPython's C encoder, which json.dumps uses only without an
@@ -132,6 +132,46 @@ def parse_rational(text: str) -> Rational:
         return Fraction(*(int(part, 16 if "x" in part else 10) for part in match.groups("1")))
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {text!r}") from exc
+
+
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen: set[str] = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))  # the first key given twice
+        raise ValueError(f"key {key!r} given twice")
+    return doc
+
+
+# The one reader of every input file: each number is parse_rational of the
+# text the file wrote, never a float, so NaN and Infinity are malformed;
+# ValueError on any malformed text and on a key repeated in one object.
+read_json = json.JSONDecoder(parse_float=parse_rational, parse_int=parse_rational,
+                             parse_constant=parse_rational, object_pairs_hook=_object).decode
+
+
+_JSON_TYPES = {type(None): "null", bool: "boolean", Fraction: "number", int: "number", list: "array", dict: "object"}
+
+
+def describe(v: object) -> str:
+    """v in an error line: a str or a float by its repr, any other value by
+    the name of its JSON type (of its Python type outside JSON)."""
+    if isinstance(v, str):
+        return repr(v)
+    return f"float {v!r}" if isinstance(v, float) else _JSON_TYPES.get(type(v), type(v).__name__)
+
+
+def rational(v: object, entry: str) -> Fraction:
+    """v as a Fraction: a Fraction unchanged, an int exactly, a str through
+    parse_rational; anything else, a bool or a float included, raises
+    TypeError naming entry, the reader."""
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, str):
+        return parse_rational(v)
+    if type(v) is int:  # not a bool
+        return Fraction(v)
+    raise TypeError(f"{entry} requires int, Fraction or str values, got {describe(v)}")
 
 
 def decimal_str(q: Rational | Dyadic) -> str | None:

@@ -39,14 +39,13 @@ coordinate, so a horizon loses nothing testable.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .exactnum import Rational
-from .report import parse_rational
+from .report import describe, rational, read_json
 
 SparseVec = dict[int, Fraction]  # 1-based coordinate -> value, finite support
 
@@ -62,42 +61,23 @@ class DensityError(ValueError):
         super().__init__(f"rank deficiency at coordinate {coordinate}")
 
 
-def _fraction(v: object, entry: str = "GeneratorSet") -> Fraction:
-    """v as a Fraction: a Fraction itself, unchanged, else Fraction(v); a
-    float raises TypeError, since its binary value would enter."""
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, float):
-        raise TypeError(f"{entry} requires int, Fraction or str values, got float {v!r}")
-    return Fraction(v)
-
-
 # A coordinate key's text in ASCII digits; int() alone reads "_" and any Unicode digit
 _COORDINATE = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
-def _validate_sparse(pairs: Iterable[tuple[object, object]], parse=_fraction) -> SparseVec:
-    """{int(k): parse(v)} over (k, v) pairs without zeros; rejects a malformed str k, k < 1 and a repeated k."""
+def _validate_sparse(pairs: Iterable[tuple[object, object]]) -> SparseVec:
+    """{int(k): rational(v)} over (k, v) pairs without zeros; rejects k not int or ASCII digits, k < 1, a repeat."""
     out: SparseVec = {}
     for k, v in pairs:
-        if isinstance(k, str) and _COORDINATE.fullmatch(k) is None:
+        if type(k) is not int and not (isinstance(k, str) and _COORDINATE.fullmatch(k)):
             raise ValueError(f"malformed coordinate {k!r}")
         k = int(k)
         if k < 1:
             raise ValueError(f"coordinates are 1-based, got {k}")
         if k in out:
             raise ValueError(f"coordinate {k} given twice")
-        out[k] = parse(v)
+        out[k] = rational(v, "GeneratorSet")
     return {k: v for k, v in out.items() if v}
-
-
-class _JSONObject(dict):
-    """A parsed JSON object that also keeps its (key, value) pairs in file
-    order, so a repeated key stays visible."""
-
-    def __init__(self, pairs: list[tuple[str, object]]):
-        super().__init__(pairs)
-        self.pairs = pairs
 
 
 class GeneratorSet:
@@ -111,23 +91,24 @@ class GeneratorSet:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "GeneratorSet":
-        """One generator per line: {"coords": {"1": "3/2", ...}}."""
-        vectors = []
-        parse = lambda v: parse_rational(str(v))
-        for lineno, line in enumerate(text.splitlines(), 1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line, object_pairs_hook=_JSONObject)
-                coords = doc["coords"]
-                if not isinstance(coords, dict):
-                    raise ValueError(f"coords must be an object, got {coords!r}")
-                vectors.append(_validate_sparse(coords.pairs, parse))
-            except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
-                raise ValueError(f"generator line {lineno}: {exc}") from exc
-        gens = cls(())
-        gens._vectors = vectors  # validated line by line above
-        return gens
+        """One generator per line: {"coords": {"1": "3/2", ...}}; an error
+        names its line, which __init__ validates as soon as it is read."""
+        lineno = 0
+
+        def lines() -> Iterator[dict]:
+            nonlocal lineno
+            for lineno, line in enumerate(text.splitlines(), 1):
+                if line.strip():
+                    doc = read_json(line)
+                    coords = doc.get("coords") if isinstance(doc, dict) else doc
+                    if not isinstance(coords, dict):
+                        raise ValueError(f"a generator is an object with a 'coords' object, got {describe(coords)}")
+                    yield coords
+
+        try:
+            return cls(lines())
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"generator line {lineno}: {exc}") from exc
 
     def __iter__(self) -> Iterator[SparseVec]:
         return iter(self._vectors)
@@ -339,12 +320,12 @@ def expand(y: Sequence, basis: TriangularBasis) -> CoeffExpansion:
     and the stabilization log, both off one walk of basis.row_index per n:
     log[n] is n when a_n != 0, else the last k < n with a_k pi_n(b_k) != 0,
     else 1.  y needs at least the horizon's coordinates; entries past the
-    horizon are not read.  An entry is an int, Fraction or str; a float
-    raises TypeError."""
+    horizon are not read.  An entry is an int, Fraction or str, read by
+    report.rational; anything else, a float included, raises TypeError."""
     H = basis.horizon
     if len(y) < H:
         raise ValueError(f"target has {len(y)} coordinates, horizon needs {H}")
-    yf = tuple(_fraction(v, "expand") for v in y[:H])
+    yf = tuple(rational(v, "expand") for v in y[:H])
     coeffs: list[Fraction] = []
     log: list[int] = []
     nonzero: dict[int, Fraction] = {}  # n -> a_n for a_n != 0

@@ -27,12 +27,11 @@ tests' oracle.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .exactnum import Dyadic, Rational
-from .report import parse_rational
+from .report import describe, rational
 from .ks_measure import KSMeasure
 
 
@@ -70,10 +69,10 @@ class SymmetricTerm:
 
     def __init__(self, profile: str, coeff: Rational = Fraction(1), g_const: Rational = Fraction(1)):
         if not isinstance(profile, str) or profile not in _PROFILES:
-            raise ValueError(f"unknown profile {profile!r}")
+            raise ValueError(f"unknown profile {describe(profile)}")
         if isinstance(coeff, float) or isinstance(g_const, float):
             raise TypeError(f"SymmetricTerm takes no float coeff or g_const, got {coeff!r}, {g_const!r}")
-        self.profile, self.coeff, self.g_const = profile, Fraction(coeff), Fraction(g_const)
+        self.profile, self.coeff, self.g_const = profile, rational(coeff, "coeff"), rational(g_const, "g_const")
 
     def _key(self) -> tuple[str, Rational, Rational]:
         return self.profile, self.coeff, self.g_const
@@ -116,25 +115,19 @@ def combo_from_json(doc: dict) -> TensorCombo:
         raise ValueError(f"unknown combo keys {unknown}; a combo reads name, terms")
     name = doc.get("name", "")
     if not isinstance(name, str):
-        raise ValueError(f"name must be a string, got {json.dumps(name)}")
+        raise ValueError(f"name must be a string, got {describe(name)}")
     terms = []
     for j, td in enumerate(doc["terms"]):
         if not isinstance(td, dict):
-            raise ValueError(f"term must be an object, got {td!r}")
+            raise ValueError(f"term must be an object, got {describe(td)}")
         kind = td.get("type", "symmetric")
         if kind != "symmetric":
-            raise ValueError(f"unknown term type {kind!r}")
+            raise ValueError(f"unknown term type {describe(kind)}")
         if unknown := sorted(set(td) - {"type", "profile", "coeff", "g_const"}):
             raise ValueError(f"unknown term keys {unknown}; a term reads type, profile, coeff, g_const")
         if "profile" not in td:
             raise ValueError(f"term {j} has no 'profile' key")
-        terms.append(
-            SymmetricTerm(
-                profile=td["profile"],
-                coeff=parse_rational(str(td.get("coeff", "1"))),
-                g_const=parse_rational(str(td.get("g_const", "1"))),
-            )
-        )
+        terms.append(SymmetricTerm(td["profile"], td.get("coeff", 1), td.get("g_const", 1)))
     return TensorCombo(terms=tuple(terms), name=name)
 
 
@@ -147,6 +140,6 @@ def family_from_json(doc) -> list[TensorCombo]:
     for i, item in enumerate(doc):
         try:
             family.append(combo_from_json(item))
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             raise ValueError(f"combo {i}: {exc}") from None
     return family

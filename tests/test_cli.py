@@ -26,6 +26,7 @@ from kslab.ks_measure import build
 from kslab.rect_sup import Rectangle, sup_rect_bruteforce
 from kslab.report import format_rational, parse_rational
 from kslab.schauder import EchelonStore
+from test_report import JSON_NUMBERS
 from oracles import (
     argparse_parse,
     certify_bound3,
@@ -290,12 +291,12 @@ class TestSubseq:
         "doc, line",
         [
             ([{"name": None, "terms": [{"profile": "majority"}]}], "combo 0: name must be a string, got null"),
-            ([{"name": 7, "terms": [{"profile": "majority"}]}], "combo 0: name must be a string, got 7"),
+            ([{"name": 7, "terms": [{"profile": "majority"}]}], "combo 0: name must be a string, got number"),
             (
                 [{"name": "ok", "terms": [{"profile": "majority"}]}, {"name": "h", "terms": [{"coeff": "1"}]}],
                 "combo 1: term 0 has no 'profile' key",
             ),
-            ([{"name": "h", "terms": [{"profile": ["majority"]}]}], "combo 0: unknown profile ['majority']"),
+            ([{"name": "h", "terms": [{"profile": ["majority"]}]}], "combo 0: unknown profile array"),
         ],
         ids=["null-name", "number-name", "no-profile", "list-profile"],
     )
@@ -472,9 +473,13 @@ class TestSchauder:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "coords", ['{"1": "2", "01": "3", "2": "1"}', '{"1": "2", " 1": "3"}', '{"1": "2", "1": "3"}']
+        "coords, message",
+        [pytest.param(coords, message, id=coords) for coords, message in (
+            ('{"1": "2", "01": "3", "2": "1"}', "coordinate 1 given twice"),
+            ('{"1": "2", " 1": "3"}', "coordinate 1 given twice"),
+            ('{"1": "2", "1": "3"}', "key '1' given twice"))],  # the JSON reader's refusal
     )
-    def test_repeated_coordinate_parse_error(self, tmp_path, capsys, coords):
+    def test_repeated_coordinate_parse_error(self, tmp_path, capsys, coords, message):
         # two keys that name coordinate 1 must not keep the last value silently
         gens = tmp_path / "gens.jsonl"
         gens.write_text('{"coords": {"2": "1"}}\n{"coords": %s}\n' % coords, encoding="utf-8")
@@ -484,7 +489,7 @@ class TestSchauder:
             == 2
         )
         err = capsys.readouterr().err.strip()
-        assert "generator line 2: coordinate 1 given twice" in err and "\n" not in err
+        assert err == f"cannot parse generators file: generator line 2: {message}"
         assert not out.exists()
 
     def test_one_elimination_per_run(self, tmp_path, monkeypatch):
@@ -838,6 +843,86 @@ class TestInputFileGrammar:
         assert run(input_files_run(tmp_path, "generators", gens) + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == f"cannot parse generators file: generator line 1: malformed coordinate {key!r}\n"
+        assert not out.exists()
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(text=JSON_NUMBERS)
+    @example(text="12345678901234567890.5")
+    @example(text="1e400")
+    @example(text="-0")
+    @example(text="NaN")
+    @pytest.mark.parametrize("where", ["family", "generators", "target"])
+    def test_json_numbers_read_from_their_text(self, tmp_path_factory, where, text):
+        # a JSON number in any input file is the value parse_rational gives
+        # its literal text, or the run exits 2 with one line and no report
+        docs = {
+            "family": '[{"name": "c", "terms": [{"profile": "majority", "coeff": %s}]}]' % text,
+            "generators": '{"coords": {"1": %s}}\n{"coords": {"2": "1"}}\n' % text,
+            "target": '{"targets": [[%s]]}' % text,
+        }
+        tmp = tmp_path_factory.mktemp("numbers")
+        out = tmp / "x.json"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(input_files_run(tmp, where, docs[where]) + ["--out", str(out)])
+        try:
+            value = parse_rational(text)
+        except ValueError:
+            assert code == 2 and err.getvalue().startswith(f"cannot parse {where} file:"), (code, err.getvalue())
+            assert err.getvalue().count("\n") == 1 and not out.exists()
+            return
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        if where == "family":
+            assert code == 0 and doc["rows"][0]["norm_bound"] == format_rational(abs(value))
+        elif where == "target":
+            assert code == 0 and doc["expansions"][0]["target"] == [format_rational(value), "0"]
+        elif value:  # b_1 is g_1 / value
+            assert code == 0 and doc["basis"]["vectors"][0]["combination"] == {"0": format_rational(1 / value)}
+        else:
+            assert code == 1 and doc["density"]["status"] == "NOT_DENSE"
+
+    @pytest.mark.parametrize(
+        "where, text, line",
+        [
+            ("family", '[{"name": "c", "terms": [{"profile": "majority", "coeff": "1", "coeff": "2"}]}]',
+             "key 'coeff' given twice"),
+            ("target", '{"targets": [["1"]], "targets": [["2"]]}', "key 'targets' given twice"),
+            ("generators", '{"coords": {"1": "1"}, "coords": {"2": "1"}}\n',
+             "generator line 1: key 'coords' given twice"),
+        ],
+    )
+    def test_repeated_key_parse_error(self, tmp_path, capsys, where, text, line):
+        # json alone keeps the last value of a repeated key
+        out = tmp_path / "x.json"
+        assert run(input_files_run(tmp_path, where, text) + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"cannot parse {where} file: {line}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "where, text, line",
+        [
+            ("family", '[{"name": 1.5, "terms": []}]', "combo 0: name must be a string, got number"),
+            ("family", '[{"terms": [{"profile": 3}]}]', "combo 0: unknown profile number"),
+            ("family", '[{"terms": [{"type": 2, "profile": "majority"}]}]', "combo 0: unknown term type number"),
+            ("family", '[{"terms": [[1]]}]', "combo 0: term must be an object, got array"),
+            ("family", '[{"terms": [{"profile": "majority", "g_const": true}]}]',
+             "combo 0: g_const requires int, Fraction or str values, got boolean"),
+            ("target", '{"targets": [1]}', "target must be a list, got number"),
+            ("target", '{"targets": [[null]]}', "target requires int, Fraction or str values, got null"),
+            ("generators", "3\n", "generator line 1: a generator is an object with a 'coords' object, got number"),
+            ("generators", '{"coords": [1]}\n',
+             "generator line 1: a generator is an object with a 'coords' object, got array"),
+            ("generators", '{"coords": {"1": {}}}\n',
+             "generator line 1: GeneratorSet requires int, Fraction or str values, got object"),
+        ],
+    )
+    def test_refusal_names_the_json_type(self, tmp_path, capsys, where, text, line):
+        # a decoded number is a Fraction: no error line shows its repr, or a
+        # TypeError text of the encoder or a subscript
+        out = tmp_path / "x.json"
+        assert run(input_files_run(tmp_path, where, text) + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"cannot parse {where} file: {line}\n"
         assert not out.exists()
 
 

@@ -1,12 +1,14 @@
 """The report layer: rational text and its parse side (format_rational,
 format_ratios, decimal_str, parse_rational) for ints, Fractions and Dyadics
-on both sides of the hex cut; write_json against json.dumps(indent=2); and
-the package source, in which no module but kslab.report writes rational
-text."""
+on both sides of the hex cut; the input reader (read_json, rational) on
+JSON number literals, constants and repeated keys; write_json against
+json.dumps(indent=2); and the package source, in which no module but
+kslab.report writes rational text or decodes JSON."""
 
 import ast
 import json
 import math
+import re
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -17,7 +19,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kslab.exactnum import Dyadic
-from kslab.report import HEX_FROM, decimal_str, format_ratios, format_rational, parse_rational, write_json
+from kslab.report import (
+    HEX_FROM, decimal_str, describe, format_ratios, format_rational, parse_rational, rational, read_json, write_json,
+)
 from oracles import parse_rational_by_fraction
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kslab"
@@ -269,6 +273,76 @@ class TestFormatRatio:
         assert format_ratios(nums, den) == [format_rational(Fraction(x, den)) for x in nums]
 
 
+# JSON number literals: integers, fractions and exponents of any length in
+# the JSON grammar, -0, parts both sides of the 4300-digit limit, and the
+# constants Python's json module reads though JSON has none
+JSON_NUMBERS = st.one_of(
+    st.from_regex(r"-?(0|[1-9][0-9]{0,30})(\.[0-9]{1,30})?([eE][+-]?[0-9]{1,4})?", fullmatch=True),
+    st.sampled_from(["-0", "-0.0", "0.1", "1E400", "1e4300", "1e4301", "-2.5E-4301", "12345678901234567890.5",
+                     "NaN", "Infinity", "-Infinity"]),
+    st.integers(4295, 4305).map(lambda k: "7" * k),
+    st.integers(4295, 4305).map(lambda k: "-0." + "3" * k),
+)
+
+
+class TestReadJson:
+    @given(JSON_NUMBERS)
+    @example("12345678901234567890.5")
+    @example("1e400")
+    @example("1e4301")
+    @example("NaN")
+    def test_numbers_read_from_their_text(self, text):
+        # every number is the value parse_rational gives its literal text, or
+        # the same ValueError; a float never holds it, and a constant is refused
+        try:
+            want = parse_rational(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                read_json(f'{{"x": [{text}]}}')
+            return
+        got = read_json(f'{{"x": [{text}]}}')["x"][0]
+        assert type(got) is Fraction and got == want
+
+    def test_exact_where_a_float_is_not(self):
+        assert read_json("[0.1, 12345678901234567890.5, 1e400, -0]") == [
+            Fraction(1, 10), Fraction(24691357802469135781, 2), 10**400, 0]
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_constants_refused(self, constant):
+        with pytest.raises(ValueError, match=f"^malformed rational {re.escape(repr(constant))}$"):
+            read_json(f'{{"coeff": {constant}}}')
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [('{"a": 1, "a": 1}', "a"), ('[{"b": {"c": 1, "d": 2, "c": 3}}]', "c"),
+         ('{"x": 1, "y": 2, "y": 3, "x": 4}', "y")],
+    )
+    def test_repeated_key_refused(self, text, key):
+        # at any depth, naming the first key given twice
+        with pytest.raises(ValueError, match=f"^key {key!r} given twice$"):
+            read_json(text)
+
+    def test_documents_otherwise_as_json_reads_them(self):
+        text = '{"a": [true, false, null, "1/3", {}], "b": {"c": []}}'
+        assert read_json(text) == json.loads(text)
+        assert type(read_json("7")) is Fraction
+
+    def test_rational(self):
+        q = Fraction(-3, 7)
+        assert rational(q, "x") is q and rational(10**5000, "x") == 10**5000 and rational(" 0x10 ", "x") == 16
+        for v, name in ((True, "boolean"), (None, "null"), ([1], "array"), ({}, "object"), (0.5, "float 0.5"),
+                        (Decimal(1), "Decimal"), (1j, "complex")):
+            with pytest.raises(TypeError, match=f"^x requires int, Fraction or str values, got {re.escape(name)}$"):
+                rational(v, "x")
+        for text in ("1_0", "\u0663", "NaN", "inf"):
+            with pytest.raises(ValueError, match="^malformed rational "):
+                rational(text, "x")
+
+    def test_describe_names_json_types(self):
+        assert [describe(v) for v in (None, True, Fraction(1, 2), 3, [1], {"a": 1}, "x", 0.1)] == [
+            "null", "boolean", "number", "number", "array", "object", "'x'", "float 0.1"]
+
+
 class TestOneWriter:
     TEXT = {"format_rational", "format_ratios", "decimal_str"}
     MOVED = TEXT | {"parse_rational", "HEX_FROM", "_int_text"}
@@ -284,6 +358,20 @@ class TestOneWriter:
                     if name in self.TEXT:
                         calls.append(f"{path.name}:{node.lineno} {name}")
         assert calls == []
+
+    def test_only_report_decodes_json(self):
+        # one decoder for every input file: no other module imports json,
+        # and no value is read through str() of what a decoder returned
+        found = []
+        for path in sorted(SRC.glob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            if "parse_rational(str(" in text:
+                found.append(f"{path.name} parse_rational(str(")
+            if path.name != "report.py":
+                for node in ast.walk(ast.parse(text)):
+                    if isinstance(node, ast.Import) and "json" in [alias.name for alias in node.names]:
+                        found.append(f"{path.name}:{node.lineno} import json")
+        assert found == []
 
     def test_exactnum_keeps_numbers_only(self):
         tree = ast.parse((SRC / "exactnum.py").read_text(encoding="utf-8"))

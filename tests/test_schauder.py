@@ -24,7 +24,7 @@ from kslab.schauder import (
     density_check,
     expand,
 )
-from kslab.report import basis_to_json, expansion_to_json
+from kslab.report import basis_to_json, expansion_to_json, rational
 from oracles import (
     apply_functional,
     build_triangular_basis,
@@ -569,9 +569,11 @@ class TestSerialization:
             GeneratorSet.from_jsonl('{"coords": {"1": "1"}}\n{"coords": {"0": "1"}}\n')
 
     def test_jsonl_rejects_repeated_coordinate(self):
-        # "1", "01" and " 1" all parse to coordinate 1, as does a repeated key
-        for coords in ('{"1": "2", "01": "3", "2": "1"}', '{"1": "2", " 1": "3"}', '{"1": "2", "1": "3"}'):
-            with pytest.raises(ValueError, match="^generator line 2: coordinate 1 given twice$"):
+        # "1", "01" and " 1" all parse to coordinate 1; the JSON reader refuses a repeated key
+        for coords, message in (('{"1": "2", "01": "3", "2": "1"}', "coordinate 1 given twice"),
+                                ('{"1": "2", " 1": "3"}', "coordinate 1 given twice"),
+                                ('{"1": "2", "1": "3"}', "key '1' given twice")):
+            with pytest.raises(ValueError, match=f"^generator line 2: {message}$"):
                 GeneratorSet.from_jsonl('{"coords": {"1": "1"}}\n{"coords": %s}\n' % coords)
 
     @pytest.mark.parametrize("key", ["1_0", "\u0663", "x", "", "1.0", "0x1", "1 0", "\uff11"])
@@ -619,10 +621,29 @@ class TestSerialization:
 
     def test_fraction_values_pass_unwrapped(self):
         q = Fraction(-3, 7)
-        assert schauder._fraction(q) is q
-        assert schauder._fraction(2) == Fraction(2) and schauder._fraction("1/3") == Fraction(1, 3)
+        assert rational(q, "expand") is q
+        assert rational(2, "expand") == Fraction(2) and rational("1/3", "expand") == Fraction(1, 3)
         with pytest.raises(TypeError, match="float"):
-            schauder._fraction(0.5)
+            rational(0.5, "expand")
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0663", " 1e1_0"])
+    def test_library_values_under_the_file_grammar(self, value):
+        # int() and Fraction() alone would read "1_0" as 10 and "\u0663" as 3
+        with pytest.raises(ValueError, match="^malformed rational "):
+            GeneratorSet([{1: value}])
+        with pytest.raises(ValueError, match="^malformed rational "):
+            expand([value, "1"], build_triangular_basis(unit_generators(2), 2, 2))
+
+    def test_booleans_refused(self):
+        # a bool is an int to Python, but no rational a caller means
+        basis = build_triangular_basis(unit_generators(2), 2, 2)
+        with pytest.raises(TypeError, match="^GeneratorSet requires int, Fraction or str values, got boolean$"):
+            GeneratorSet([{1: True}])
+        with pytest.raises(TypeError, match="^expand requires int, Fraction or str values, got boolean$"):
+            expand([1, False], basis)
+        for key in (True, 1.0, 1.5):
+            with pytest.raises(ValueError, match=f"^malformed coordinate {key!r}$"):
+                GeneratorSet([{key: 1}])
 
     def test_direct_construction_validates(self):
         assert list(GeneratorSet([{1: 0, 2: "3/4"}])) == [{2: Fraction(3, 4)}]

@@ -235,6 +235,19 @@ class TestCombos:
                 SymmetricTerm("majority", coeff=coeff, g_const=g_const)
         assert SymmetricTerm("majority", coeff=1, g_const=Fraction(1, 10)).sup_norm() == Fraction(1, 10)
 
+    @pytest.mark.parametrize("value", ["1_0", "\u0663"])
+    def test_library_values_under_the_file_grammar(self, value):
+        # Fraction() alone would read "1_0" as 10 and "\u0663" as 3
+        for coeff, g_const in ((value, 1), (1, value)):
+            with pytest.raises(ValueError, match="^malformed rational "):
+                SymmetricTerm("majority", coeff, g_const)
+
+    def test_booleans_refused(self):
+        with pytest.raises(TypeError, match="^coeff requires int, Fraction or str values, got boolean$"):
+            SymmetricTerm("majority", True)
+        with pytest.raises(TypeError, match="^g_const requires int, Fraction or str values, got boolean$"):
+            SymmetricTerm("majority", 1, False)
+
     def test_terms_compare_by_value(self):
         # "1/2", 3 and the Fractions they name are one term: equal, one hash
         text = SymmetricTerm("majority", coeff="1/2", g_const=3)

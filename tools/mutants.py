@@ -72,6 +72,11 @@ MUTANTS = [
     Mutant("report", "prod = prod * x % den", "prod = x % den",
            "format_ratios reads the shared factor off the last entry only"),
     Mutant("report", "int(den or 1)", "1", "parse_rational drops the denominator of decimal p/q text"),
+    # the input reader
+    Mutant("report", "parse_float=parse_rational", "parse_float=lambda s: parse_rational(str(float(s)))",
+           "read_json reads a JSON fraction or exponent through a float"),
+    Mutant("report", "    if len(doc) < len(pairs):\n", "    if False:\n",
+           "read_json keeps the last value of a repeated key"),
     Mutant("report", "num_text if tsup.denominator == 1 else", "num_text if tsup.denominator <= 2 else",
            "the verify row's tensor_sup drops a denominator of 2"),
     # the indent=2 writer
