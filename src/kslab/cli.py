@@ -105,26 +105,14 @@ def cmd_subseq(args: SimpleNamespace) -> int:
 # schauder
 
 
-def _parse_targets(text: str, horizon: int) -> list[list]:
-    doc = report.read_json(text)
-    if not isinstance(doc, dict) or not isinstance(doc.get("targets"), list):
-        raise ValueError("target document must be an object with a 'targets' list")
-    targets = []
-    for entry in doc["targets"]:
-        if not isinstance(entry, list):
-            raise ValueError(f"target must be a list, got {report.describe(entry)}")
-        vec = [report.rational(v, "target") for v in entry]
-        targets.append(vec + [0] * max(0, horizon - len(vec)))
-    return targets
+def _parse_targets(text: str) -> list[list]:
+    (entries,) = report.fields(report.read_json(text), "target document", targets=(list, ...))
+    return [report.rationals(entry, "target") for entry in entries]
 
 
 def cmd_schauder(args: SimpleNamespace) -> int:
     gens = _load(args.generators, "generators", schauder.GeneratorSet.from_jsonl)
-    targets = (
-        _load(args.target, "target", lambda text: _parse_targets(text, args.horizon))
-        if args.target
-        else []
-    )
+    targets = _load(args.target, "target", _parse_targets) if args.target else []
     density = schauder.density_check(gens, args.n)
     if density.status != schauder.DENSE_UP_TO:
         report.write_json(args.out, report.schauder_report(density, None, [], "FAIL"))
@@ -132,7 +120,7 @@ def cmd_schauder(args: SimpleNamespace) -> int:
         return 1
 
     basis = schauder.basis_from_density(density, args.horizon)
-    expansions = [schauder.expand(vec, basis) for vec in targets]
+    expansions = [schauder.expand(vec + [0] * (args.horizon - len(vec)), basis) for vec in targets]
     all_grids_true = all(exp.grid_all_true for exp in expansions)
     overall = "PASS" if all_grids_true else "FAIL"
     report.write_json(args.out, report.schauder_report(density, basis, expansions, overall))

@@ -7,8 +7,8 @@ fixed-width decimals, witness bitsets are 0x-hex integers, and no
 wall-clock time is recorded, so a report is byte-stable across runs.  A
 rational is "p/q" in lowest terms, or "p"; a part of 4300 digits or more
 (a 2^n denominator past about n = 14,300) is 0x hex.  parse_rational reads
-that text back, read_json every input file, and rational every value a
-file or a library constructor is given.
+that text back; read_json reads every input file, fields the keys of every
+input object and rational every value a file or a constructor is given.
 
 write_json writes json.dumps(doc, indent=2) plus a newline, byte for byte,
 through CPython's C encoder, which json.dumps uses only without an
@@ -96,42 +96,54 @@ def format_rational(q: Rational | Dyadic) -> str:
     return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
 
 
-# Text with a 0x part: a sign only before the numerator, each part 0x hex
-# or decimal, no space at the "/".  A pattern string, compiled (and cached
-# by re) on the first hex text only.
-_PART = r"(?:0x[0-9a-f]+|[0-9]+)"
-_HEX_RATIONAL = rf"\s*([+-]?{_PART})(?:/({_PART}))?\s*"
-# Decimal text: "p/q" alike, or a decimal with an optional exponent, in ASCII
-# digits (Fraction alone would also read "_" between digits and non-ASCII
-# digits).  Its groups are p, q and the point and exponent ("" without them).
-_DECIMAL_RATIONAL = re.compile(r"\s*([+-]?(?=\.?[0-9])[0-9]*)(?:/([0-9]+)|((?:\.[0-9]*)?(?:e[+-]?[0-9]+)?))\s*")
+# The one grammar of a rational's text, matched lowercased: a sign, then "p"
+# or "p/q", each part 0x hex or ASCII decimal, or else a decimal with a
+# point or an exponent (Fraction would also read "_" and Unicode digits).
+# Groups: sign, p, q, and the decimal's whole part, point digits, exponent.
+_RATIONAL = re.compile(r"\s*([+-]?)(?:(0x[0-9a-f]+|[0-9]+)(?:/(0x[0-9a-f]+|[0-9]+))?"
+                       r"|(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?(?:e([+-]?[0-9]+))?)\s*")
 
 
-def parse_rational(text: str) -> Rational:
-    """Inverse of format_rational; accepts "p" and "p/q", each part decimal
-    or 0x hex, a sign only on p, and a decimal with an exponent, in ASCII
-    digits with no "_" between them.  Raises ValueError on malformed text,
-    including a zero denominator and an exponent past STR_DIGITS in
-    magnitude: Fraction expands an exponent in full, so "1e999999999"
-    would build a billion-digit integer.  Decimal "p" and "p/q" are read
-    off the pattern's groups; Fraction reads only a point or exponent."""
-    lowered = text.lower()
-    try:
-        if "0x" not in lowered:
-            # an exponent text of STR_DIGITS digits or fewer converts fast at
-            # any int<->str limit, and a longer one is refused unread
-            exp = re.search(r"e[+-]?(\d[\d_]*)", lowered) if "e" in lowered else None
-            if exp and (len(digits := exp[1].replace("_", "")) > STR_DIGITS or int(digits) > STR_DIGITS):
-                raise ValueError(f"exponent past {STR_DIGITS} in magnitude in {text!r}")
-            if (match := _DECIMAL_RATIONAL.fullmatch(lowered)) is None:
-                raise ValueError(f"malformed rational {text!r}")
-            num, den, point_or_exp = match.groups()
-            return Fraction(text.strip()) if point_or_exp else Fraction(int(num), int(den or 1))
-        if (match := re.fullmatch(_HEX_RATIONAL, lowered)) is None:
-            raise ValueError(f"malformed rational {text!r}")
-        return Fraction(*(int(part, 16 if "x" in part else 10) for part in match.groups("1")))
-    except ZeroDivisionError as exc:
-        raise ValueError(f"zero denominator in {text!r}") from exc
+def _part(digits: str, text: str, advice: str = "; write it in 0x hex") -> int:
+    """One part of text: 0x hex, or decimal of at most STR_DIGITS digits,
+    the most CPython converts by default (and fast); else ValueError."""
+    if "x" in digits:
+        return int(digits, 16)
+    if len(digits) > STR_DIGITS:
+        raise ValueError(f"decimal part past {STR_DIGITS} digits in {text!r}{advice}")
+    return int(digits)
+
+
+def parse_rational(text: str) -> Fraction:
+    """Inverse of format_rational: text's value, built from its _RATIONAL
+    groups.  ValueError on malformed text, a zero denominator, a decimal part
+    past STR_DIGITS digits, and an exponent past STR_DIGITS in magnitude or
+    digits, which would expand in full ("1e999999999": a billion digits)."""
+    if (match := _RATIONAL.fullmatch(text.lower())) is None:
+        raise ValueError(f"malformed rational {text!r}")
+    sign, num, den, whole, point, exp = match.groups()
+    if num is not None:
+        num, den = _part(num, text), _part(den, text) if den else 1
+        if not den:
+            raise ValueError(f"zero denominator in {text!r}")
+    else:  # whole.point times 10^exp
+        if exp and (len(exp.lstrip("+-")) > STR_DIGITS or abs(int(exp)) > STR_DIGITS):
+            raise ValueError(f"exponent past {STR_DIGITS} in magnitude in {text!r}")
+        point, shift = point or "", int(exp or 0)
+        num = _part(whole or "0", text) * 10 ** len(point) + _part(point or "0", text)
+        num, den = num * 10 ** max(0, shift - len(point)), 10 ** max(0, len(point) - shift)
+    return Fraction(-num if sign == "-" else num, den)
+
+
+def coordinate(k: object) -> int:
+    """A generator coordinate key: an int (not a bool), or text that is one
+    decimal part "p" of the _RATIONAL grammar; else ValueError."""
+    if type(k) is int:
+        return k
+    match = _RATIONAL.fullmatch(k) if isinstance(k, str) else None
+    if not (match and match[2] and match[2].isdigit() and match[3] is None):
+        raise ValueError(f"malformed coordinate {k!r}")
+    return _part(match[2], k, "") * (-1 if match[1] == "-" else 1)
 
 
 def _object(pairs: list[tuple[str, object]]) -> dict:
@@ -163,8 +175,7 @@ def describe(v: object) -> str:
 
 def rational(v: object, entry: str) -> Fraction:
     """v as a Fraction: a Fraction unchanged, an int exactly, a str through
-    parse_rational; anything else, a bool or a float included, raises
-    TypeError naming entry, the reader."""
+    parse_rational; anything else (a bool, a float) is a TypeError naming entry."""
     if isinstance(v, Fraction):
         return v
     if isinstance(v, str):
@@ -172,6 +183,35 @@ def rational(v: object, entry: str) -> Fraction:
     if type(v) is int:  # not a bool
         return Fraction(v)
     raise TypeError(f"{entry} requires int, Fraction or str values, got {describe(v)}")
+
+
+def rationals(v: object, entry: str) -> list[Fraction]:
+    """A list v as a list of rational values; anything else raises TypeError."""
+    if not isinstance(v, list):
+        raise TypeError(f"{entry} must be a list, got {describe(v)}")
+    return [rational(x, entry) for x in v]
+
+
+_A_TYPE = {str: "a string", list: "a list", dict: "an object"}
+
+
+def fields(doc: object, what: str, **spec: tuple[type, object]) -> list:
+    """The one key check of every input object: the values of doc's keys in
+    the order of spec, key=(type, default), object for a value its reader
+    checks, default ... for a required key.  ValueError when doc is no
+    object, or a key is not in spec, missing, or of another type."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be an object, got {describe(doc)}")
+    if unknown := [key for key in doc if key not in spec]:
+        raise ValueError(f"unknown {what} key {unknown[0]!r}; a {what} reads {', '.join(spec)}")
+    values = []
+    for key, (kind, default) in spec.items():
+        if (v := doc.get(key, default)) is ...:
+            raise ValueError(f"{what} has no {key!r} key")
+        if not isinstance(v, kind):
+            raise ValueError(f"{key} must be {_A_TYPE[kind]}, got {describe(v)}")
+        values.append(v)
+    return values
 
 
 def decimal_str(q: Rational | Dyadic) -> str | None:

@@ -40,12 +40,11 @@ coordinate, so a horizon loses nothing testable.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .exactnum import Rational
-from .report import describe, rational, read_json
+from .report import coordinate, fields, rational, read_json
 
 SparseVec = dict[int, Fraction]  # 1-based coordinate -> value, finite support
 
@@ -61,18 +60,11 @@ class DensityError(ValueError):
         super().__init__(f"rank deficiency at coordinate {coordinate}")
 
 
-# A coordinate key's text in ASCII digits; int() alone reads "_" and any Unicode digit
-_COORDINATE = re.compile(r"\s*[+-]?[0-9]+\s*")
-
-
 def _validate_sparse(pairs: Iterable[tuple[object, object]]) -> SparseVec:
-    """{int(k): rational(v)} over (k, v) pairs without zeros; rejects k not int or ASCII digits, k < 1, a repeat."""
+    """{coordinate(k): rational(v)} over (k, v) pairs without zeros; rejects k < 1 and a repeat."""
     out: SparseVec = {}
     for k, v in pairs:
-        if type(k) is not int and not (isinstance(k, str) and _COORDINATE.fullmatch(k)):
-            raise ValueError(f"malformed coordinate {k!r}")
-        k = int(k)
-        if k < 1:
+        if (k := coordinate(k)) < 1:
             raise ValueError(f"coordinates are 1-based, got {k}")
         if k in out:
             raise ValueError(f"coordinate {k} given twice")
@@ -92,23 +84,16 @@ class GeneratorSet:
     @classmethod
     def from_jsonl(cls, text: str) -> "GeneratorSet":
         """One generator per line: {"coords": {"1": "3/2", ...}}; an error
-        names its line, which __init__ validates as soon as it is read."""
-        lineno = 0
-
-        def lines() -> Iterator[dict]:
-            nonlocal lineno
-            for lineno, line in enumerate(text.splitlines(), 1):
+        names its line, each validated as soon as it is read."""
+        gens = cls(())
+        for lineno, line in enumerate(text.splitlines(), 1):
+            try:
                 if line.strip():
-                    doc = read_json(line)
-                    coords = doc.get("coords") if isinstance(doc, dict) else doc
-                    if not isinstance(coords, dict):
-                        raise ValueError(f"a generator is an object with a 'coords' object, got {describe(coords)}")
-                    yield coords
-
-        try:
-            return cls(lines())
-        except (ValueError, TypeError) as exc:
-            raise ValueError(f"generator line {lineno}: {exc}") from exc
+                    coords = fields(read_json(line), "generator", coords=(dict, ...))[0]
+                    gens._vectors.append(_validate_sparse(coords.items()))
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"generator line {lineno}: {exc}") from exc
+        return gens
 
     def __iter__(self) -> Iterator[SparseVec]:
         return iter(self._vectors)

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .exactnum import Dyadic, Rational
-from .report import describe, rational
+from .report import describe, fields, rational
 from .ks_measure import KSMeasure
 
 
@@ -70,8 +70,6 @@ class SymmetricTerm:
     def __init__(self, profile: str, coeff: Rational = Fraction(1), g_const: Rational = Fraction(1)):
         if not isinstance(profile, str) or profile not in _PROFILES:
             raise ValueError(f"unknown profile {describe(profile)}")
-        if isinstance(coeff, float) or isinstance(g_const, float):
-            raise TypeError(f"SymmetricTerm takes no float coeff or g_const, got {coeff!r}, {g_const!r}")
         self.profile, self.coeff, self.g_const = profile, rational(coeff, "coeff"), rational(g_const, "g_const")
 
     def _key(self) -> tuple[str, Rational, Rational]:
@@ -107,28 +105,16 @@ class TensorCombo(NamedTuple):
         return sum((t.value_at(m) for t in self.terms), Dyadic(0))
 
 
-def combo_from_json(doc: dict) -> TensorCombo:
-    if not isinstance(doc, dict) or not isinstance(doc.get("terms"), list):
-        raise ValueError("combo document must be an object with a 'terms' list")
-    # a key the reader does not read is a typo, not a default: refuse it
-    if unknown := sorted(set(doc) - {"name", "terms"}):
-        raise ValueError(f"unknown combo keys {unknown}; a combo reads name, terms")
-    name = doc.get("name", "")
-    if not isinstance(name, str):
-        raise ValueError(f"name must be a string, got {describe(name)}")
-    terms = []
-    for j, td in enumerate(doc["terms"]):
-        if not isinstance(td, dict):
-            raise ValueError(f"term must be an object, got {describe(td)}")
-        kind = td.get("type", "symmetric")
+def combo_from_json(doc) -> TensorCombo:
+    name, terms = fields(doc, "combo", name=(str, ""), terms=(list, ...))
+    combo = []
+    for td in terms:
+        kind, profile, coeff, g_const = fields(
+            td, "term", type=(object, "symmetric"), profile=(object, ...), coeff=(object, 1), g_const=(object, 1))
         if kind != "symmetric":
             raise ValueError(f"unknown term type {describe(kind)}")
-        if unknown := sorted(set(td) - {"type", "profile", "coeff", "g_const"}):
-            raise ValueError(f"unknown term keys {unknown}; a term reads type, profile, coeff, g_const")
-        if "profile" not in td:
-            raise ValueError(f"term {j} has no 'profile' key")
-        terms.append(SymmetricTerm(td["profile"], td.get("coeff", 1), td.get("g_const", 1)))
-    return TensorCombo(terms=tuple(terms), name=name)
+        combo.append(SymmetricTerm(profile, coeff, g_const))
+    return TensorCombo(terms=tuple(combo), name=name)
 
 
 def family_from_json(doc) -> list[TensorCombo]:

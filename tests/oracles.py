@@ -65,9 +65,10 @@ argparse_parser is the argparse parser kslab.cli used before it read argv
 against its own option table, and argparse_parse runs it with the range
 checks it ran after: the reference of kslab.cli.parse_args.
 
-parse_rational_by_fraction is report.parse_rational as it read decimal text
-before it took p and q from its pattern's groups: the same checks, then
-Fraction parsing the stripped text a second time.
+parse_rational_by_fraction is report.parse_rational as it read text before
+it built every value from one pattern's groups: an exponent pre-scan, a
+decimal pattern and a hex pattern, then Fraction parsing the stripped
+decimal text a second time, under CPython's own int digit limit.
 
 NumPy and SciPy are test dependencies only; kslab itself needs neither.
 """
@@ -91,7 +92,7 @@ from kslab.basic_seq_diag import DegenerateSectionError, FiniteSection, _VertexS
 from kslab.exactnum import PI, Cmp, Rational, cmp_sq_below
 from kslab.ks_measure import EXPLICIT_MAX_N, KSMeasure, build
 from kslab.rect_sup import BRUTE_MAX_N, Rectangle, RectangleSupReport, bound2_verdict
-from kslab.report import _HEX_RATIONAL, STR_DIGITS, format_rational
+from kslab.report import STR_DIGITS, format_rational
 from kslab.schauder import (
     BasisVector,
     DensityResult,
@@ -803,7 +804,9 @@ def argparse_parse(argv: list[str]) -> tuple[int, dict | None, str]:
     return 0, vars(args), err.getvalue()
 
 
-_DECIMAL_RATIONAL = re.compile(r"\s*[+-]?(?=\.?[0-9])[0-9]*(?:/[0-9]+|(?:\.[0-9]*)?(?:e[+-]?[0-9]+)?)\s*")
+_PART = r"(?:0x[0-9a-f]+|[0-9]+)"
+_HEX_RATIONAL = rf"\s*([+-]?{_PART})(?:/({_PART}))?\s*"
+DECIMAL_RATIONAL = re.compile(r"\s*[+-]?(?=\.?[0-9])[0-9]*(?:/[0-9]+|(?:\.[0-9]*)?(?:e[+-]?[0-9]+)?)\s*")
 
 
 def parse_rational_by_fraction(text: str) -> Rational:
@@ -814,7 +817,7 @@ def parse_rational_by_fraction(text: str) -> Rational:
             exp = re.search(r"e[+-]?(\d[\d_]*)", lowered) if "e" in lowered else None
             if exp and (len(digits := exp[1].replace("_", "")) > STR_DIGITS or int(digits) > STR_DIGITS):
                 raise ValueError(f"exponent past {STR_DIGITS} in magnitude in {text!r}")
-            if _DECIMAL_RATIONAL.fullmatch(lowered) is None:
+            if DECIMAL_RATIONAL.fullmatch(lowered) is None:
                 raise ValueError(f"malformed rational {text!r}")
             return Fraction(text.strip())
         if (match := re.fullmatch(_HEX_RATIONAL, lowered)) is None:

@@ -26,7 +26,7 @@ from kslab.ks_measure import build
 from kslab.rect_sup import Rectangle, sup_rect_bruteforce
 from kslab.report import format_rational, parse_rational
 from kslab.schauder import EchelonStore
-from test_report import JSON_NUMBERS
+from test_report import DIGIT_PARTS, JSON_NUMBERS, repdigit
 from oracles import (
     argparse_parse,
     certify_bound3,
@@ -208,20 +208,19 @@ class TestSubseq:
     @pytest.mark.parametrize("n", ["1", "2"])
     def test_explicit_term_family_parse_error(self, tmp_path, capsys, n):
         # a value table pinned to one index is no test function on the whole
-        # space, so it is refused on reading, whatever the certificate length
+        # space, so it is refused on reading, whatever the certificate length:
+        # its keys are no term keys, and with a term's keys its type is unknown
         family = tmp_path / "family.json"
-        family.write_text(
-            json.dumps(
-                [{"name": "pinned", "terms": [{"type": "explicit", "n": 1, "f": ["1", "-1"], "g": ["1"]}]}]
-            ),
-            encoding="utf-8",
-        )
         out = tmp_path / "subseq.json"
-        assert run(["subseq", "--n", n, "--family", str(family), "--out", str(out)]) == 2
-        err = capsys.readouterr().err.strip()
-        assert err.startswith("cannot parse family file:") and "unknown term type 'explicit'" in err
-        assert "\n" not in err
-        assert not out.exists()
+        for term, line in (
+            ({"type": "explicit", "n": 1, "f": ["1", "-1"], "g": ["1"]},
+             "combo 0: unknown term key 'n'; a term reads type, profile, coeff, g_const"),
+            ({"type": "explicit", "profile": "majority"}, "combo 0: unknown term type 'explicit'"),
+        ):
+            family.write_text(json.dumps([{"name": "pinned", "terms": [term]}]), encoding="utf-8")
+            assert run(["subseq", "--n", n, "--family", str(family), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"cannot parse family file: {line}\n"
+            assert not out.exists()
 
     def test_even_stream_option(self, tmp_path):
         family = tmp_path / "family.json"
@@ -294,7 +293,7 @@ class TestSubseq:
             ([{"name": 7, "terms": [{"profile": "majority"}]}], "combo 0: name must be a string, got number"),
             (
                 [{"name": "ok", "terms": [{"profile": "majority"}]}, {"name": "h", "terms": [{"coeff": "1"}]}],
-                "combo 1: term 0 has no 'profile' key",
+                "combo 1: term has no 'profile' key",
             ),
             ([{"name": "h", "terms": [{"profile": ["majority"]}]}], "combo 0: unknown profile array"),
         ],
@@ -810,6 +809,33 @@ def input_files_run(tmp_path, where, text):
     return ["schauder", "--generators", str(gens), "--n", "2", "--horizon", "2", "--target", str(targets)]
 
 
+# The four input objects: (file, the object's name in an error line, the
+# line's prefix, a well-formed document holding the object).  KEYS_READ
+# lists the keys each reads in its error line's order; READ_TYPES the JSON
+# types each key's reader reads.
+INPUT_OBJECTS = {
+    "combo": ("family", "combo", "combo 0: ", [{"name": "c", "terms": [{"profile": "majority"}]}]),
+    "term": ("family", "term", "combo 0: ", [{"name": "c", "terms": [{"profile": "majority", "coeff": "1"}]}]),
+    "generator line": ("generators", "generator", "generator line 1: ", {"coords": {"1": "1"}}),
+    "target document": ("target", "target document", "", {"targets": [["2", "1"]]}),
+}
+KEYS_READ = {"combo": ["name", "terms"], "term": ["type", "profile", "coeff", "g_const"],
+             "generator line": ["coords"], "target document": ["targets"]}
+READ_TYPES = {"name": {"string"}, "terms": {"array"}, "type": {"string"}, "profile": {"string"},
+              "coeff": {"number", "string"}, "g_const": {"number", "string"}, "coords": {"object"},
+              "targets": {"array"}}
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 5), st.text(max_size=4), st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+
+
+def json_type(v) -> str:
+    if v is None or isinstance(v, bool):
+        return "null" if v is None else "boolean"
+    return {int: "number", str: "string", list: "array", dict: "object"}[type(v)]
+
+
 class TestInputFileGrammar:
     @pytest.mark.parametrize("where", ["family", "generators", "target"])
     def test_deep_nesting_parse_error(self, tmp_path, capsys, where):
@@ -910,9 +936,8 @@ class TestInputFileGrammar:
              "combo 0: g_const requires int, Fraction or str values, got boolean"),
             ("target", '{"targets": [1]}', "target must be a list, got number"),
             ("target", '{"targets": [[null]]}', "target requires int, Fraction or str values, got null"),
-            ("generators", "3\n", "generator line 1: a generator is an object with a 'coords' object, got number"),
-            ("generators", '{"coords": [1]}\n',
-             "generator line 1: a generator is an object with a 'coords' object, got array"),
+            ("generators", "3\n", "generator line 1: generator must be an object, got number"),
+            ("generators", '{"coords": [1]}\n', "generator line 1: coords must be an object, got array"),
             ("generators", '{"coords": {"1": {}}}\n',
              "generator line 1: GeneratorSet requires int, Fraction or str values, got object"),
         ],
@@ -924,6 +949,104 @@ class TestInputFileGrammar:
         assert run(input_files_run(tmp_path, where, text) + ["--out", str(out)]) == 2
         assert capsys.readouterr().err == f"cannot parse {where} file: {line}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, text, argv, line",
+        [("g.jsonl", '{"coords": {"1": "1"}, "weight": "2"}\n', ["--generators", "g.jsonl"],
+          "cannot parse generators file: generator line 1: unknown generator key 'weight'; a generator reads coords"),
+         ("t.json", '{"targets": [["5"]], "target": [["7"]]}', ["--target", "t.json"],
+          "cannot parse target file: unknown target document key 'target'; a target document reads targets")],
+        ids=["generator-line", "target-document"],
+    )
+    def test_unknown_key_refused(self, tmp_path, capsys, monkeypatch, name, text, argv, line):
+        # a misspelt key beside coords or targets was dropped with exit 0
+        monkeypatch.chdir(tmp_path)
+        Path("g.jsonl").write_text('{"coords": {"1": "1"}}\n', encoding="utf-8")
+        Path("t.json").write_text('{"targets": [["5"]]}', encoding="utf-8")
+        Path(name).write_text(text, encoding="utf-8")
+        argv = ["schauder", "--generators", "g.jsonl", "--n", "1", "--horizon", "1", "--target", "t.json", *argv]
+        assert run(argv + ["--out", "o.json"]) == 2
+        assert capsys.readouterr().err == line + "\n"
+        assert not Path("o.json").exists()
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("kind", INPUT_OBJECTS)
+    def test_every_input_object_refuses_an_unread_key_or_type(self, tmp_path_factory, kind, data):
+        # an undocumented key, or a documented key holding a value of a JSON
+        # type its reader does not read, in a combo, a term, a generator line
+        # or the target document: exit 2, one line naming the key, no report
+        where, what, prefix, base = INPUT_OBJECTS[kind]
+        doc = json.loads(json.dumps(base))
+        obj = doc[0]["terms"][0] if kind == "term" else doc[0] if kind == "combo" else doc
+        if data.draw(st.booleans(), label="unknown key"):
+            key = data.draw(st.text(max_size=6).filter(lambda k: k not in KEYS_READ[kind]), label="key")
+            obj[key] = data.draw(JSON_VALUES, label="value")
+            reads = ", ".join(KEYS_READ[kind])
+            expected = f"cannot parse {where} file: {prefix}unknown {what} key {key!r}; a {what} reads {reads}\n"
+        else:
+            key = data.draw(st.sampled_from(KEYS_READ[kind]), label="key")
+            obj[key] = data.draw(JSON_VALUES.filter(lambda v: json_type(v) not in READ_TYPES[key]), label="value")
+            expected = None
+        text = json.dumps(doc) + ("\n" if where == "generators" else "")
+        tmp = tmp_path_factory.mktemp("keys")
+        out = tmp / "x.json"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(input_files_run(tmp, where, text) + ["--out", str(out)])
+        line = err.getvalue()
+        assert code == 2 and line.count("\n") == 1 and not out.exists(), (code, line)
+        assert line == expected if expected else line.startswith(f"cannot parse {where} file: {prefix}") and key in line
+
+    @pytest.mark.parametrize("digits", [4300, 4301])
+    @pytest.mark.parametrize(
+        "where, position",
+        [(where, position) for where in ("family", "generators", "target")
+         for position in (*DIGIT_PARTS, "exponent digits", "JSON integer literal")]
+        + [("generators", "coordinate key")],
+    )
+    def test_decimal_parts_at_and_past_the_limit(self, tmp_path, capsys, where, position, digits):
+        # a part of 4300 digits reads exactly; one more is kslab's own line,
+        # never CPython's int limit text, which points at a Python API
+        if position == "coordinate key":
+            key = "0" * (digits - 1) + "1"
+            value, literal, text = Fraction(1), '"1"', key
+        elif position == "exponent digits":
+            text = "1e" + "0" * (digits - 1) + "1"
+            value, literal, key = Fraction(10), f'"{text}"', "1"
+        elif position == "JSON integer literal":
+            text = "7" * digits
+            value, literal, key = Fraction(repdigit(7, digits)), text, "1"
+        else:
+            text, value = DIGIT_PARTS[position](digits)
+            literal, key = f'"{text}"', "1"
+        docs = {
+            "family": '[{"name": "c", "terms": [{"profile": "majority", "coeff": %s}]}]' % literal,
+            "generators": '{"coords": {"%s": %s}}\n{"coords": {"2": "1"}}\n' % (key, literal),
+            "target": '{"targets": [[%s]]}' % literal,
+        }
+        out = tmp_path / "x.json"
+        code = run(input_files_run(tmp_path, where, docs[where]) + ["--out", str(out)])
+        err = capsys.readouterr().err
+        if digits == 4301:
+            # a family's number literal is refused as the file is decoded, before any combo is read
+            prefix = {"family": "" if literal == text else "combo 0: ",
+                      "generators": "generator line 1: "}.get(where, "")
+            if position == "exponent digits":
+                rest = f"exponent past 4300 in magnitude in {text!r}"
+            else:
+                rest = f"decimal part past 4300 digits in {text!r}" + ("" if position == "coordinate key" else
+                                                                        "; write it in 0x hex")
+            assert code == 2 and err == f"cannot parse {where} file: {prefix}{rest}\n" and not out.exists()
+            return
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert code == 0 and err == ""
+        if where == "family":
+            assert doc["rows"][0]["norm_bound"] == format_rational(abs(value))
+        elif where == "target":
+            assert doc["expansions"][0]["target"] == [format_rational(value), "0"]
+        else:
+            assert doc["basis"]["vectors"][0]["combination"] == {"0": format_rational(1 / value)}
 
 
 class TestParserReuse:

@@ -6,9 +6,11 @@ json.dumps(indent=2); and the package source, in which no module but
 kslab.report writes rational text or decodes JSON."""
 
 import ast
+import contextlib
 import json
 import math
 import re
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -20,11 +22,23 @@ from hypothesis import strategies as st
 
 from kslab.exactnum import Dyadic
 from kslab.report import (
-    HEX_FROM, decimal_str, describe, format_ratios, format_rational, parse_rational, rational, read_json, write_json,
+    HEX_FROM, coordinate, decimal_str, describe, fields, format_ratios, format_rational, parse_rational, rational,
+    rationals, read_json, write_json,
 )
-from oracles import parse_rational_by_fraction
+from oracles import DECIMAL_RATIONAL, parse_rational_by_fraction
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kslab"
+
+
+@contextlib.contextmanager
+def unlimited_int_digits():
+    """CPython's int<->str digit limit lifted for the block."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestSerialization:
@@ -89,16 +103,22 @@ class TestSerialization:
     def test_exponent_up_to_the_digit_limit(self, text, value):
         assert parse_rational(text) == value
 
+    # an exponent with "_" or non-ASCII digits is no exponent of the one
+    # pattern, so it is malformed before its size is read
+    MALFORMED = {"2.5e+4_301", "1e\u0664\u0663\u0660\u0661"}
+
     @pytest.mark.parametrize(
         "text", ["1e4301", "-1E-4301", "2.5e+4_301", "1e999999999", "1e-999999999", "1e" + "9" * 5000,
                  "1e\u0664\u0663\u0660\u0661", "1e" + "0" * 4300 + "1"],
     )
     def test_exponent_past_the_digit_limit(self, text):
-        # Fraction expands the exponent in full: "1e999999999" would be a
-        # billion-digit integer.  An exponent text longer than the limit,
-        # zeros and all, is refused unread.
+        # expanded in full, "1e999999999" would be a billion-digit integer.
+        # An exponent text longer than the limit, zeros and all, is refused
+        # unread.
+        line = f"malformed rational {text!r}" if text in self.MALFORMED else \
+            f"exponent past 4300 in magnitude in {text!r}"
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="exponent past 4300"):
+        with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
             parse_rational(text)
         assert time.perf_counter() - start < 0.1
 
@@ -138,10 +158,19 @@ class TestSerialization:
     @example("1/" + "7" * 4301)
     @example("8" * 4301 + "/0")
     @example("5" * 4301 + ".5")
+    @example("9" * 4300 + ".5")
+    @example("1." + "3" * 4300)
+    @example("1." + "3" * 4301)
+    @example("2.5e+4_301")
+    @example("1e9_999/")
     def test_decimal_text_read_once_as_by_fraction(self, text):
-        # "p" and "p/q" are read from the pattern's groups, the rest by
-        # Fraction; either way, the value or the error is the one Fraction
-        # gave parsing the stripped text a second time
+        # every value is built from the one pattern's groups, and every text
+        # the parent reader accepted reads the value Fraction gave it.  The
+        # errors are the parent's but for two rewordings: a decimal part past
+        # 4300 digits is kslab's own line, where the parent raised CPython's
+        # int limit, and an exponent the parent's pre-scan refused in text
+        # its decimal pattern did not match is malformed.  Without that
+        # limit, the parent reads each text kslab reads, to the same value.
         def outcome(parse):
             try:
                 value = parse(text)
@@ -149,7 +178,18 @@ class TestSerialization:
                 return type(exc), str(exc)
             return type(value), value
 
-        assert outcome(parse_rational) == outcome(parse_rational_by_fraction)
+        new, old = outcome(parse_rational), outcome(parse_rational_by_fraction)
+        if old[0] is ValueError and old[1].startswith("Exceeds the limit (4300 digits)"):
+            with unlimited_int_digits():
+                old = outcome(parse_rational_by_fraction)
+            longest = max(map(len, re.findall("[0-9]+", text)))
+            part = (ValueError, f"decimal part past 4300 digits in {text!r}; write it in 0x hex")
+            assert new == (old if longest <= 4300 else part)
+        elif old[0] is ValueError and old[1].startswith("exponent past") and new[1].startswith("malformed"):
+            assert DECIMAL_RATIONAL.fullmatch(text.lower()) is None
+            assert new == (ValueError, f"malformed rational {text!r}")
+        else:
+            assert new == old
 
     def test_decimal_str(self):
         assert decimal_str(Fraction(1, 2)) == "0.5" + "0" * 29
@@ -343,6 +383,96 @@ class TestReadJson:
             "null", "boolean", "number", "number", "array", "object", "'x'", "float 0.1"]
 
 
+def repdigit(d: int, k: int) -> int:
+    """The k-digit integer ddd...d, built without a str of k digits."""
+    return d * (10**k - 1) // 9
+
+
+# a part at the 4300-digit limit and one digit past it, in each position of
+# the grammar: (text with the part k digits long, its value)
+DIGIT_PARTS = {
+    "numerator": lambda k: ("-" + "7" * k + "/3", -Fraction(repdigit(7, k), 3)),
+    "denominator": lambda k: ("2/" + "7" * k, Fraction(2, repdigit(7, k))),
+    "whole part": lambda k: ("7" * k + ".5", repdigit(7, k) + Fraction(1, 2)),
+    "fraction": lambda k: ("1." + "3" * k, 1 + Fraction(repdigit(3, k), 10**k)),
+    "integer": lambda k: ("7" * k, Fraction(repdigit(7, k))),
+}
+
+
+class TestDecimalPartLimit:
+    @pytest.mark.parametrize("where", DIGIT_PARTS)
+    def test_part_at_the_limit_reads_exactly(self, where):
+        text, value = DIGIT_PARTS[where](4300)
+        assert parse_rational(text) == value and rational(read_json(f'["{text}"]')[0], "x") == value
+
+    @pytest.mark.parametrize("where", DIGIT_PARTS)
+    def test_part_past_the_limit_in_kslab_words(self, where):
+        # not CPython's "Exceeds the limit ... sys.set_int_max_str_digits()"
+        text, _ = DIGIT_PARTS[where](4301)
+        with pytest.raises(ValueError, match=f"^decimal part past 4300 digits in {re.escape(repr(text))}; "
+                                             "write it in 0x hex$"):
+            parse_rational(text)
+
+    def test_json_integer_literal(self):
+        assert read_json("[" + "7" * 4300 + "]") == [repdigit(7, 4300)]
+        with pytest.raises(ValueError, match="^decimal part past 4300 digits in '7{4301}'; write it in 0x hex$"):
+            read_json("[" + "7" * 4301 + "]")
+
+    def test_exponent_digits(self):
+        # the exponent has its own limit: 4300 digits, and 4300 in magnitude
+        assert parse_rational("1e" + "0" * 4299 + "1") == 10
+        with pytest.raises(ValueError, match="^exponent past 4300 in magnitude in "):
+            parse_rational("1e" + "0" * 4300 + "1")
+
+    def test_the_same_value_in_hex(self):
+        big = repdigit(7, 4301)
+        assert parse_rational(hex(big)) == big and parse_rational(f"1/{hex(big)}") == Fraction(1, big)
+
+    def test_coordinate_key(self):
+        assert coordinate("0" * 4299 + "7") == 7 and coordinate(" +" + "0" * 4300) == 0
+        with pytest.raises(ValueError, match="^decimal part past 4300 digits in '0{4300}7'$"):
+            coordinate("0" * 4300 + "7")
+
+
+class TestFields:
+    SPEC = {"name": (str, ""), "terms": (list, ...), "coeff": (object, 1)}
+
+    def test_values_in_spec_order_with_defaults(self):
+        assert fields({"terms": [], "name": "h"}, "combo", **self.SPEC) == ["h", [], 1]
+        assert fields({"coeff": None, "terms": [1]}, "combo", **self.SPEC) == ["", [1], None]
+
+    @pytest.mark.parametrize(
+        "doc, line",
+        [([], "combo must be an object, got array"),
+         ("x", "combo must be an object, got 'x'"),
+         ({"terms": [], "x": 1, "nmae": "h"}, "unknown combo key 'x'; a combo reads name, terms, coeff"),
+         ({"nmae": "h", "terms": []}, "unknown combo key 'nmae'; a combo reads name, terms, coeff"),
+         ({"name": "h"}, "combo has no 'terms' key"),
+         ({"name": None, "terms": []}, "name must be a string, got null"),
+         ({"terms": {}}, "terms must be a list, got object"),
+         ({"terms": "[]"}, "terms must be a list, got '[]'")],
+        ids=["array", "string", "unknown-key", "typo", "missing", "null-name", "object-terms", "string-terms"],
+    )
+    def test_every_refusal_names_what_is_wrong(self, doc, line):
+        with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
+            fields(doc, "combo", **self.SPEC)
+
+    @given(st.text(), st.sampled_from([None, True, Fraction(1), "x", [], {}]))
+    def test_any_key_not_in_spec_refused(self, key, value):
+        doc = {"terms": [], key: value}
+        if key in self.SPEC:
+            fields(doc, "combo", **self.SPEC)
+            return
+        with pytest.raises(ValueError, match=f"^unknown combo key {re.escape(repr(key))};"):
+            fields(doc, "combo", **self.SPEC)
+
+    def test_rationals(self):
+        assert rationals(["1/2", 3, Fraction(1, 3)], "target") == [Fraction(1, 2), 3, Fraction(1, 3)]
+        for v, name in ((None, "null"), ({}, "object"), (Fraction(1), "number"), ("12", "'12'")):
+            with pytest.raises(TypeError, match=f"^target must be a list, got {re.escape(name)}$"):
+                rationals(v, "target")
+
+
 class TestOneWriter:
     TEXT = {"format_rational", "format_ratios", "decimal_str"}
     MOVED = TEXT | {"parse_rational", "HEX_FROM", "_int_text"}
@@ -378,6 +508,76 @@ class TestOneWriter:
         defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
         assigned = {t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets if isinstance(t, ast.Name)}
         assert (defined | assigned) & self.MOVED == set()
+
+    def test_no_fraction_of_text(self):
+        # every value is built from the one pattern's groups: no Fraction
+        # call in the package reads a str literal, an f-string, a method's
+        # result (text.strip()) or a parameter annotated str
+        def text_like(arg, params):
+            return (isinstance(arg, ast.Constant) and isinstance(arg.value, str) or isinstance(arg, ast.JoinedStr)
+                    or isinstance(arg, ast.Call) and isinstance(arg.func, ast.Attribute)
+                    or isinstance(arg, ast.Name) and arg.id in params)
+
+        found = []
+        for path in sorted(SRC.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            scopes = [(tree, set())] + [
+                (f, {a.arg for a in f.args.args + f.args.kwonlyargs if getattr(a.annotation, "id", None) == "str"})
+                for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+            for scope, params in scopes:
+                for node in ast.walk(scope):
+                    if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Fraction"
+                            and any(text_like(arg, params) for arg in node.args)):
+                        found.append(f"{path.name}:{node.lineno}")
+        assert found == []
+
+    def test_parse_rational_calls_fraction_on_ints_only(self, monkeypatch):
+        import kslab.report
+
+        def fraction(*args):
+            assert all(type(arg) is int for arg in args), args
+            return Fraction(*args)
+
+        monkeypatch.setattr(kslab.report, "Fraction", fraction)
+        texts = {"3/4": Fraction(3, 4), " -0x1F/0x10 ": Fraction(-31, 16), "1.25e-3": Fraction(1, 800), ".5": 0.5,
+                 "-7": -7, "2e3": 2000, "+0x5/2": Fraction(5, 2), "0.1": Fraction(1, 10)}
+        assert {text: parse_rational(text) for text in texts} == texts
+
+    def test_only_report_checks_input_keys(self):
+        # fields is the one key check of every input object: no other module
+        # looks a str key up with .get, asks isinstance(..., dict) or takes a
+        # set difference, and no function that reads input (calls read_json
+        # or fields) tests a str key with in or subscripts one
+        def reads_input(func):
+            return any(isinstance(n, ast.Call) and getattr(n.func, "id", getattr(n.func, "attr", None))
+                       in ("read_json", "fields") for n in ast.walk(func))
+
+        def is_str(node):
+            return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+        found = []
+        for path in sorted(SRC.glob("*.py")):
+            if path.name == "report.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "get" and node.args[:1] \
+                        and is_str(node.args[0]):
+                    found.append(f"{path.name}:{node.lineno} .get")
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" \
+                        and "dict" in ast.unparse(node.args[1]):
+                    found.append(f"{path.name}:{node.lineno} isinstance dict")
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) and isinstance(node.right, ast.Set):
+                    found.append(f"{path.name}:{node.lineno} set difference")
+            for func in ast.walk(tree):
+                if isinstance(func, ast.FunctionDef) and reads_input(func):
+                    for node in ast.walk(func):
+                        if isinstance(node, ast.Compare) and is_str(node.left) \
+                                and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops):
+                            found.append(f"{path.name}:{node.lineno} in")
+                        if isinstance(node, ast.Subscript) and is_str(node.slice):
+                            found.append(f"{path.name}:{node.lineno} subscript")
+        assert found == []
 
     def test_report_imports_only_exactnum_at_run_time(self):
         # a reader of reports (or of CLI input files) loads the parse side

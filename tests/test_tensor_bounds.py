@@ -229,9 +229,11 @@ class TestCombos:
             SymmetricTerm("no_such_profile")
 
     def test_float_coefficients_rejected(self):
-        # a float would enter at its binary value, not at 1/10
-        for coeff, g_const in ((0.1, 1), (1, 0.5)):
-            with pytest.raises(TypeError, match="^SymmetricTerm takes no float coeff or g_const, got "):
+        # a float would enter at its binary value, not at 1/10; report.rational,
+        # which reads both values, refuses it and names the value it reads
+        for coeff, g_const, line in ((0.1, 1, "coeff requires int, Fraction or str values, got float 0.1"),
+                                     (1, 0.5, "g_const requires int, Fraction or str values, got float 0.5")):
+            with pytest.raises(TypeError, match=f"^{line}$"):
                 SymmetricTerm("majority", coeff=coeff, g_const=g_const)
         assert SymmetricTerm("majority", coeff=1, g_const=Fraction(1, 10)).sup_norm() == Fraction(1, 10)
 
@@ -274,10 +276,14 @@ class TestCombos:
     def test_family_parse_errors(self):
         with pytest.raises(ValueError):
             family_from_json({"not_combos": []})
-        # a value table pinned to one index is no term: only symmetric profiles parse
+        # a value table pinned to one index is no term: its keys are no term
+        # keys, and with a term's keys only symmetric profiles parse
         explicit = {"type": "explicit", "n": 1, "f": ["1", "-1"], "g": ["1"]}
-        with pytest.raises(ValueError, match="unknown term type 'explicit'"):
+        with pytest.raises(ValueError, match=r"^combo 0: unknown term key 'n'; a term reads type, profile, coeff, "
+                                             r"g_const$"):
             family_from_json([{"terms": [explicit]}])
+        with pytest.raises(ValueError, match=r"^combo 0: unknown term type 'explicit'$"):
+            family_from_json([{"terms": [{"type": "explicit", "profile": "majority"}]}])
 
 
 class TestDecayProfile:

@@ -71,12 +71,16 @@ MUTANTS = [
            "format_ratios writes p/1 when the denominator divides the numerator"),
     Mutant("report", "prod = prod * x % den", "prod = x % den",
            "format_ratios reads the shared factor off the last entry only"),
-    Mutant("report", "int(den or 1)", "1", "parse_rational drops the denominator of decimal p/q text"),
+    Mutant("report", "_part(den, text) if den else 1", "1", "parse_rational drops the denominator of p/q text"),
+    Mutant("report", "    if len(digits) > STR_DIGITS:\n", "    if len(digits) >= STR_DIGITS:\n",
+           "a decimal part of exactly 4300 digits is refused"),
     # the input reader
     Mutant("report", "parse_float=parse_rational", "parse_float=lambda s: parse_rational(str(float(s)))",
            "read_json reads a JSON fraction or exponent through a float"),
     Mutant("report", "    if len(doc) < len(pairs):\n", "    if False:\n",
            "read_json keeps the last value of a repeated key"),
+    Mutant("report", "    if unknown := [key for key in doc if key not in spec]:\n", "    if unknown := []:\n",
+           "fields admits any key"),
     Mutant("report", "num_text if tsup.denominator == 1 else", "num_text if tsup.denominator <= 2 else",
            "the verify row's tensor_sup drops a denominator of 2"),
     # the indent=2 writer
