@@ -4,15 +4,18 @@ Every certified claim in this package reduces to a comparison between a
 nonnegative rational and a constant of the form (c_num/c_den) / sqrt(pi * n).
 Squaring both sides removes the square root, so exact integer arithmetic
 against a fixed rational enclosure of pi decides it; no root of pi is taken.
-cmp_sq_below decides every such comparison, subseq's bound (n = 1) too.
-No floating point ever enters a certification path.
+cmp_sq_below decides every such comparison, subseq's bound (n = 1) too,
+on a numerator's leading 64 bits unless the value lies within about 2^-60
+of a threshold.  No floating point ever enters a certification path.
 
-central_binomial gives C(m, floor(m/2)), the numerator of every c_n, by
-Legendre's formula on one shared prime sieve and a balanced product tree,
-or by one Pascal step when m follows the previous call's m.  Dyadic holds
-c_n and every closed-form value built from it over a power of two times a
-small odd part, so no value pays a gcd of its huge numerator and
-denominator.
+central_binomial gives C(m, floor(m/2)), the numerator of every c_n, from
+its prime factorization on one shared sieve, multiplied by a balanced
+product tree: Legendre's exponent for each prime up to sqrt(m), and above
+it whole slices of the sieve, the primes that enter once by Kummer's carry
+count; or by one Pascal step when m follows the previous call's m.
+Dyadic holds c_n and every closed-form value built from it over a power of
+two times a small odd part, so no value pays a gcd of its huge numerator
+and denominator.
 """
 
 from __future__ import annotations
@@ -178,6 +181,7 @@ _last = (0, 1)
 
 
 def _primes_upto(m: int) -> list[int]:
+    """The shared sieve's primes, every prime up to m among them."""
     global _sieve
     top, primes = _sieve
     if m > top:
@@ -189,30 +193,46 @@ def _primes_upto(m: int) -> list[int]:
                 sieve[p * p :: p] = bytes(len(range(p * p, top + 1, p)))
         primes = list(itertools.compress(range(top + 1), sieve))
         _sieve = (top, primes)
-    return primes[: bisect.bisect_right(primes, m)]
+    return primes
 
 
 def _product(xs: list[int]) -> int:
     """Product by a balanced tree, so every multiplication pairs operands of
-    similar size."""
+    similar size; each level multiplies neighbours in one map and carries
+    an odd last entry up as it is."""
     while len(xs) > 2:
-        xs = [math.prod(xs[i : i + 2]) for i in range(0, len(xs), 2)]
+        xs = [*map(operator.mul, xs[::2], xs[1::2]), *xs[len(xs) & ~1 :]]
     return math.prod(xs)
 
 
 def _factorized(m: int) -> int:
-    """C(m, k), k = floor(m/2), from its prime factorization: p enters with
-    Legendre's exponent sum_i floor(m/p^i) - floor(k/p^i) - floor((m-k)/p^i)."""
-    k = m // 2
+    """C(m, k), k = floor(m/2), from the prime factorization of the even
+    central binomial C(e, e/2), e = m rounded up to even; an odd m takes
+    C(m, k) = C(m + 1, k + 1) / 2.
+
+    A prime p <= sqrt(e) enters with Legendre's exponent
+    sum_i floor(e/p^i) - 2 floor(e/(2 p^i)).  A larger p has p^2 > e, so
+    its exponent is floor(e/p) mod 2 (the carry count of Kummer's theorem
+    in base p): the primes in (e/(q+1), e/q] for odd q, one slice of the
+    sieve each, enter once and every other prime not at all.
+    """
+    e = m + (m & 1)
+    primes, r, k = _primes_upto(e), math.isqrt(e), e // 2
     powers = []
-    for p in _primes_upto(m):
-        e, q = 0, p
-        while q <= m:
-            e += m // q - k // q - (m - k) // q
+    for p in primes[: bisect.bisect_right(primes, r)]:
+        x, q = 0, p
+        while q <= e:
+            x += e // q - 2 * (k // q)
             q *= p
-        if e:
-            powers.append(p**e)
-    return _product(powers)
+        if x:
+            powers.append(p**x)
+    q = 1
+    while (hi := e // q) > r:
+        lo = max(e // (q + 1), r)
+        powers += primes[bisect.bisect_right(primes, lo) : bisect.bisect_right(primes, hi)]
+        q += 2
+    c = _product(powers)
+    return c >> 1 if m & 1 else c
 
 
 def central_binomial(m: int) -> int:
@@ -233,6 +253,17 @@ def central_binomial(m: int) -> int:
     return c
 
 
+def _cmp_exact(p: int, q2: int, ku: int, cu: int, kl: int, cl: int) -> Cmp:
+    """cmp_sq_below's verdict from the whole square of p, for r^2 = p^2 / q2:
+    CERT_LT iff p^2 ku < q2 cu, CERT_GT iff p^2 kl > q2 cl."""
+    p2 = p * p
+    if p2 * ku < q2 * cu:
+        return Cmp.CERT_LT
+    if p2 * kl > q2 * cl:
+        return Cmp.CERT_GT
+    return Cmp.UNDECIDED
+
+
 def cmp_sq_below(r: Rational | Dyadic, c_num: int, c_den: int, n: int) -> Cmp:
     """Certified comparison of r >= 0 against (c_num/c_den) / sqrt(pi * n).
 
@@ -246,6 +277,14 @@ def cmp_sq_below(r: Rational | Dyadic, c_num: int, c_den: int, n: int) -> Cmp:
     a Dyadic's q^2 is odd^2 shifted left by 2 exp bits, so no huge
     denominator is ever squared.  r must be an int, Fraction or Dyadic; a
     float, whose rounding would decide, raises TypeError.
+
+    A numerator p past 64 bits is first bracketed by its leading bits, the
+    floating-point filter of Shewchuk's adaptive predicates done in
+    integers: with lo = p >> t, lo^2 <= p^2 / 4^t < (lo + 1)^2, and a side
+    is decided when both ends of the bracket fall on one side of its
+    threshold, the powers of two moved to one side as a shift.  Only a
+    bracket that straddles a threshold, r within about 2^-60 of it
+    relatively, squares p (_cmp_exact); c_n is decided on 64 bits at every n.
     """
     if not isinstance(r, (Dyadic, numbers.Rational)):
         raise TypeError(f"cmp_sq_below requires an int, Fraction or Dyadic r, got {type(r).__name__}")
@@ -255,18 +294,32 @@ def cmp_sq_below(r: Rational | Dyadic, c_num: int, c_den: int, n: int) -> Cmp:
         raise ValueError(f"cmp_sq_below requires r >= 0, got r={r}")
     if c_den == 0:
         raise ValueError("cmp_sq_below requires c_den != 0")
-    # the small factors multiply first, so each side is one product with
-    # the square of a big number
     if isinstance(r, Dyadic):
-        p2, q2 = r.num * r.num, r.odd * r.odd << 2 * r.exp
+        p, q, e = r.num, r.odd, r.exp
     else:
-        p2, q2 = r.numerator**2, r.denominator**2
+        p, q, e = r.numerator, r.denominator, 0
+    # r = p / (q 2^e): CERT_LT iff p^2 ku < q^2 4^e cu, CERT_GT iff p^2 kl > q^2 4^e cl
     k, c = n * c_den**2, c_num**2
-    if p2 * (k * PI.upper.numerator) < q2 * (c * PI.upper.denominator):
-        return Cmp.CERT_LT
-    if p2 * (k * PI.lower.numerator) > q2 * (c * PI.lower.denominator):
-        return Cmp.CERT_GT
-    return Cmp.UNDECIDED
+    ku, cu = k * PI.upper.numerator, c * PI.upper.denominator
+    kl, cl = k * PI.lower.numerator, c * PI.lower.denominator
+    t = p.bit_length() - 64
+    if t > 0:
+        # over 4^t, p^2 lies in [lo^2, (lo+1)^2) and q^2 4^e is q^2 2^s; the
+        # shift goes on whichever side keeps it nonnegative
+        lo, s = p >> t, 2 * e - 2 * t
+        lo2, hi2, q2 = lo * lo, (lo + 1) * (lo + 1), q * q
+        if s >= 0:
+            q2 <<= s
+        else:
+            lo2, hi2 = lo2 << -s, hi2 << -s
+        if hi2 * ku <= q2 * cu:
+            return Cmp.CERT_LT
+        if lo2 * ku >= q2 * cu:
+            if lo2 * kl > q2 * cl:
+                return Cmp.CERT_GT
+            if hi2 * kl <= q2 * cl:
+                return Cmp.UNDECIDED
+    return _cmp_exact(p, q * q << 2 * e, ku, cu, kl, cl)
 
 
 def recip_sqrt_upper(s: int) -> Rational:

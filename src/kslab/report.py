@@ -104,13 +104,22 @@ _RATIONAL = re.compile(r"\s*([+-]?)(?:(0x[0-9a-f]+|[0-9]+)(?:/(0x[0-9a-f]+|[0-9]
                        r"|(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?(?:e([+-]?[0-9]+))?)\s*")
 
 
+def _quote(text: object) -> str:
+    """text in an error line: its repr, or for a str past 80 characters its
+    first and last 20 around "..." and then its length, so a refused
+    4301-digit part costs one short line, not four kilobytes."""
+    if isinstance(text, str) and len(text) > 80:
+        return f"{text[:20] + '...' + text[-20:]!r} ({len(text)} characters)"
+    return repr(text)
+
+
 def _part(digits: str, text: str, advice: str = "; write it in 0x hex") -> int:
     """One part of text: 0x hex, or decimal of at most STR_DIGITS digits,
     the most CPython converts by default (and fast); else ValueError."""
     if "x" in digits:
         return int(digits, 16)
     if len(digits) > STR_DIGITS:
-        raise ValueError(f"decimal part past {STR_DIGITS} digits in {text!r}{advice}")
+        raise ValueError(f"decimal part past {STR_DIGITS} digits in {_quote(text)}{advice}")
     return int(digits)
 
 
@@ -120,15 +129,15 @@ def parse_rational(text: str) -> Fraction:
     past STR_DIGITS digits, and an exponent past STR_DIGITS in magnitude or
     digits, which would expand in full ("1e999999999": a billion digits)."""
     if (match := _RATIONAL.fullmatch(text.lower())) is None:
-        raise ValueError(f"malformed rational {text!r}")
+        raise ValueError(f"malformed rational {_quote(text)}")
     sign, num, den, whole, point, exp = match.groups()
     if num is not None:
         num, den = _part(num, text), _part(den, text) if den else 1
         if not den:
-            raise ValueError(f"zero denominator in {text!r}")
+            raise ValueError(f"zero denominator in {_quote(text)}")
     else:  # whole.point times 10^exp
         if exp and (len(exp.lstrip("+-")) > STR_DIGITS or abs(int(exp)) > STR_DIGITS):
-            raise ValueError(f"exponent past {STR_DIGITS} in magnitude in {text!r}")
+            raise ValueError(f"exponent past {STR_DIGITS} in magnitude in {_quote(text)}")
         point, shift = point or "", int(exp or 0)
         num = _part(whole or "0", text) * 10 ** len(point) + _part(point or "0", text)
         num, den = num * 10 ** max(0, shift - len(point)), 10 ** max(0, len(point) - shift)
@@ -142,7 +151,7 @@ def coordinate(k: object) -> int:
         return k
     match = _RATIONAL.fullmatch(k) if isinstance(k, str) else None
     if not (match and match[2] and match[2].isdigit() and match[3] is None):
-        raise ValueError(f"malformed coordinate {k!r}")
+        raise ValueError(f"malformed coordinate {_quote(k)}")
     return _part(match[2], k, "") * (-1 if match[1] == "-" else 1)
 
 

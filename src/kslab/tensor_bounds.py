@@ -60,17 +60,20 @@ class SymmetricTerm:
     """coeff * F_profile (x) g with g constant on the columns.
 
     Defined for every measure index; sup norm |coeff| * |g_const| since all
-    named profiles have sup norm 1.  value_at is coeff * g_const times the
-    profile's closed form; no table is built.  coeff and g_const are held as
-    Fractions, so terms compare by value; a float raises TypeError.
+    named profiles have sup norm 1.  value_at is the profile's closed form
+    times scale = coeff * g_const, a Dyadic formed once here; no table is
+    built.  coeff and g_const are held as Fractions, so terms compare by
+    value (scale is not read there); a float raises TypeError.
     """
 
-    __slots__ = ("profile", "coeff", "g_const")
+    __slots__ = ("profile", "coeff", "g_const", "scale")
 
     def __init__(self, profile: str, coeff: Rational = Fraction(1), g_const: Rational = Fraction(1)):
         if not isinstance(profile, str) or profile not in _PROFILES:
             raise ValueError(f"unknown profile {describe(profile)}")
         self.profile, self.coeff, self.g_const = profile, rational(coeff, "coeff"), rational(g_const, "g_const")
+        scale = self.coeff * self.g_const
+        self.scale = Dyadic(scale.numerator, scale.denominator)
 
     def _key(self) -> tuple[str, Rational, Rational]:
         return self.profile, self.coeff, self.g_const
@@ -88,7 +91,7 @@ class SymmetricTerm:
         return abs(self.coeff) * abs(self.g_const)
 
     def value_at(self, m: KSMeasure) -> Dyadic:
-        return _PROFILES[self.profile](m) * (self.coeff * self.g_const)
+        return _PROFILES[self.profile](m) * self.scale
 
 
 class TensorCombo(NamedTuple):

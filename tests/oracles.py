@@ -65,6 +65,14 @@ argparse_parser is the argparse parser kslab.cli used before it read argv
 against its own option table, and argparse_parse runs it with the range
 checks it ran after: the reference of kslab.cli.parse_args.
 
+cmp_sq_below_exact is exactnum.cmp_sq_below as it decided before it
+filtered on leading bits: both squared comparisons on the whole square of
+the numerator, the reference of the filter.
+
+quoted is how an error line quotes the text it refuses: whole up to 80
+characters, else its first and last 20 characters around "..." and its
+length.
+
 parse_rational_by_fraction is report.parse_rational as it read text before
 it built every value from one pattern's groups: an exponent pre-scan, a
 decimal pattern and a hex pattern, then Fraction parsing the stripped
@@ -89,7 +97,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from kslab.basic_seq_diag import DegenerateSectionError, FiniteSection, _VertexSimplex, basis_constant
-from kslab.exactnum import PI, Cmp, Rational, cmp_sq_below
+from kslab.exactnum import PI, Cmp, Dyadic, Rational, cmp_sq_below
 from kslab.ks_measure import EXPLICIT_MAX_N, KSMeasure, build
 from kslab.rect_sup import BRUTE_MAX_N, Rectangle, RectangleSupReport, bound2_verdict
 from kslab.report import STR_DIGITS, format_rational
@@ -807,6 +815,25 @@ def argparse_parse(argv: list[str]) -> tuple[int, dict | None, str]:
 _PART = r"(?:0x[0-9a-f]+|[0-9]+)"
 _HEX_RATIONAL = rf"\s*([+-]?{_PART})(?:/({_PART}))?\s*"
 DECIMAL_RATIONAL = re.compile(r"\s*[+-]?(?=\.?[0-9])[0-9]*(?:/[0-9]+|(?:\.[0-9]*)?(?:e[+-]?[0-9]+)?)\s*")
+
+
+def cmp_sq_below_exact(r: Rational | Dyadic, c_num: int, c_den: int, n: int) -> Cmp:
+    if isinstance(r, Dyadic):
+        p2, q2 = r.num * r.num, r.odd * r.odd << 2 * r.exp
+    else:
+        p2, q2 = r.numerator**2, r.denominator**2
+    k, c = n * c_den**2, c_num**2
+    if p2 * (k * PI.upper.numerator) < q2 * (c * PI.upper.denominator):
+        return Cmp.CERT_LT
+    if p2 * (k * PI.lower.numerator) > q2 * (c * PI.lower.denominator):
+        return Cmp.CERT_GT
+    return Cmp.UNDECIDED
+
+
+def quoted(text: str) -> str:
+    if len(text) <= 80:
+        return repr(text)
+    return repr(text[:20] + "..." + text[-20:]) + f" ({len(text)} characters)"
 
 
 def parse_rational_by_fraction(text: str) -> Rational:

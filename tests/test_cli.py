@@ -35,6 +35,7 @@ from oracles import (
     eval_symmetric,
     greedy_walk,
     profile_table,
+    quoted,
     rect_mass,
     standard_test_family,
     tensor_sup_exact,
@@ -1032,12 +1033,15 @@ class TestInputFileGrammar:
             # a family's number literal is refused as the file is decoded, before any combo is read
             prefix = {"family": "" if literal == text else "combo 0: ",
                       "generators": "generator line 1: "}.get(where, "")
+            # the line quotes the 4301-or-more-character text by its first and
+            # last 20 characters and its length, not whole
             if position == "exponent digits":
-                rest = f"exponent past 4300 in magnitude in {text!r}"
+                rest = f"exponent past 4300 in magnitude in {quoted(text)}"
             else:
-                rest = f"decimal part past 4300 digits in {text!r}" + ("" if position == "coordinate key" else
-                                                                        "; write it in 0x hex")
+                advice = "" if position == "coordinate key" else "; write it in 0x hex"
+                rest = f"decimal part past 4300 digits in {quoted(text)}{advice}"
             assert code == 2 and err == f"cannot parse {where} file: {prefix}{rest}\n" and not out.exists()
+            assert len(err) <= 200
             return
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert code == 0 and err == ""

@@ -1,8 +1,10 @@
 """Exact arithmetic layer: the binomial oracle against a Pascal triangle,
 the sqrt_enclosure oracle against squaring,
 central binomials (Pascal step and prime factorization) against math.comb,
-certified comparisons against a 50-digit decimal oracle, the Dyadic type
-against Fraction arithmetic; and the package source, which holds no float."""
+certified comparisons against a 50-digit decimal oracle and their
+leading-bit filter against the exact squares (oracles.cmp_sq_below_exact),
+the Dyadic type against Fraction arithmetic; and the package source, which
+holds no float."""
 
 import ast
 import math
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kslab import exactnum
 from kslab.exactnum import (
     PI,
     Cmp,
@@ -24,7 +27,8 @@ from kslab.exactnum import (
     cmp_sq_below,
     recip_sqrt_upper,
 )
-from oracles import binomial, sqrt_enclosure
+from kslab.ks_measure import build
+from oracles import binomial, cmp_sq_below_exact, sqrt_enclosure
 
 
 def pascal_row(n: int) -> list[int]:
@@ -71,9 +75,11 @@ class TestCentralBinomial:
         for m in values[::-1] + shuffled:
             assert central_binomial(m) == math.comb(m, m // 2), m
 
-    @pytest.mark.parametrize("m", [1 << 17, (1 << 17) + 1, 99991, 99992])
+    @pytest.mark.parametrize("m", [1 << 17, (1 << 17) + 1, 99991, 99992, 10**5, 10**5 + 1, 2 * 10**5 + 1])
     def test_large_both_parities(self, m):
-        # 99991 is prime; each m is factorized, then reached by the step from m - 1
+        # 99991 is prime; each m is factorized, then reached by the step from
+        # m - 1.  An even m is the factorization as it is; an odd m halves
+        # the binomial of m + 1
         expected = math.comb(m, m // 2)
         central_binomial(0)
         assert central_binomial(m) == expected
@@ -83,6 +89,25 @@ class TestCentralBinomial:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             central_binomial(-1)
+
+    def test_factorized_against_math_comb(self):
+        for m in range(5001):
+            assert exactnum._factorized(m) == math.comb(m, m // 2), m
+
+    def test_odd_m_is_one_factorization(self, monkeypatch):
+        # C(m, k) = C(m + 1, k + 1) / 2 within the call for m, not by a
+        # second call for m + 1
+        calls = []
+        factorize = exactnum._factorized
+
+        def counting(m):
+            calls.append(m)
+            return factorize(m)
+
+        central_binomial(0)
+        monkeypatch.setattr(exactnum, "_factorized", counting)
+        assert central_binomial(10001) == math.comb(10001, 5000)
+        assert calls == [10001]
 
 
 class TestPiEnclosure:
@@ -173,6 +198,63 @@ class TestCmpSqBelow:
             assert r_mp < target
         elif verdict is Cmp.CERT_GT:
             assert r_mp > target
+
+
+# the constants certify_pair (1/2 and 2) and bound3 (8) compare against
+CONSTANTS = [(1, 2), (2, 1), (8, 1)]
+
+
+def count_exact(monkeypatch) -> list:
+    """A list that gains an entry each time cmp_sq_below squares a numerator."""
+    calls = []
+    exact = exactnum._cmp_exact
+
+    def counting(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(exactnum, "_cmp_exact", counting)
+    return calls
+
+
+class TestLeadingBitFilter:
+    def test_central_masses_up_to_ten_thousand(self, monkeypatch):
+        # c_n and 2 c_n at every n <= 10^4 and each constant: the exact
+        # verdict, and the filter alone decides every numerator past 64 bits
+        calls = count_exact(monkeypatch)
+        small = 0
+        for n in range(1, 10**4 + 1):
+            c = build(n).central_mass
+            for r in (c, 2 * c):
+                for c_num, c_den in CONSTANTS:
+                    assert cmp_sq_below(r, c_num, c_den, n) is cmp_sq_below_exact(r, c_num, c_den, n), (n, r)
+                small += len(CONSTANTS) * (r.num.bit_length() <= 64)
+        assert small and len(calls) == small
+
+    @pytest.mark.parametrize("kind", [Dyadic, Fraction])
+    def test_within_two_to_minus_sixty_of_each_threshold(self, monkeypatch, kind):
+        # r^2 at a threshold is c^2 / (pi's bound n).  Numerators within 3
+        # units of its root over a denominator of 100 to 400 bits leave the
+        # 64-bit bracket straddling it, so each one is squared; others lie
+        # at a relative distance of up to 2^-60 and are held to the same verdict
+        rng = random.Random(f"leading-bits-{kind.__name__}")
+        calls = count_exact(monkeypatch)
+        for _ in range(60):
+            c_num, c_den = rng.choice(CONSTANTS)
+            n = rng.choice([1, 2, 7, 1000, rng.randint(1, 10**6)])
+            t = Fraction(c_num, c_den) ** 2 / (rng.choice([PI.upper, PI.lower]) * n)
+            bits = rng.randint(100, 400)
+            den = 1 << bits if kind is Dyadic else rng.randrange(1 << bits, 1 << bits + 1) | 1
+            root = math.isqrt(t.numerator * den * den // t.denominator)
+            for p in range(root - 2, root + 4):
+                before = len(calls)
+                r = kind(p, den)
+                assert r.numerator.bit_length() > 64
+                assert cmp_sq_below(r, c_num, c_den, n) is cmp_sq_below_exact(r, c_num, c_den, n), (r, c_num, n)
+                assert len(calls) == before + 1
+            for _ in range(6):
+                r = kind(root + (root * rng.randint(-(2**30), 2**30) >> 90), den)
+                assert cmp_sq_below(r, c_num, c_den, n) is cmp_sq_below_exact(r, c_num, c_den, n), (r, c_num, n)
 
 
 class TestSqrtHelpers:

@@ -25,7 +25,7 @@ from kslab.report import (
     HEX_FROM, coordinate, decimal_str, describe, fields, format_ratios, format_rational, parse_rational, rational,
     rationals, read_json, write_json,
 )
-from oracles import DECIMAL_RATIONAL, parse_rational_by_fraction
+from oracles import DECIMAL_RATIONAL, parse_rational_by_fraction, quoted
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kslab"
 
@@ -106,6 +106,8 @@ class TestSerialization:
     # an exponent with "_" or non-ASCII digits is no exponent of the one
     # pattern, so it is malformed before its size is read
     MALFORMED = {"2.5e+4_301", "1e\u0664\u0663\u0660\u0661"}
+    LONG = {"1e" + "9" * 5000: "'1e" + "9" * 18 + "..." + "9" * 20 + "' (5002 characters)",
+            "1e" + "0" * 4300 + "1": "'1e" + "0" * 18 + "..." + "0" * 19 + "1' (4303 characters)"}
 
     @pytest.mark.parametrize(
         "text", ["1e4301", "-1E-4301", "2.5e+4_301", "1e999999999", "1e-999999999", "1e" + "9" * 5000,
@@ -114,13 +116,16 @@ class TestSerialization:
     def test_exponent_past_the_digit_limit(self, text):
         # expanded in full, "1e999999999" would be a billion-digit integer.
         # An exponent text longer than the limit, zeros and all, is refused
-        # unread.
-        line = f"malformed rational {text!r}" if text in self.MALFORMED else \
-            f"exponent past 4300 in magnitude in {text!r}"
+        # unread, and the line quotes a text past 80 characters by its first
+        # and last 20 characters and its length
+        where = self.LONG.get(text, repr(text))
+        line = f"malformed rational {where}" if text in self.MALFORMED else \
+            f"exponent past 4300 in magnitude in {where}"
         start = time.perf_counter()
-        with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(line)}$") as refused:
             parse_rational(text)
         assert time.perf_counter() - start < 0.1
+        assert len(str(refused.value)) <= 120
 
     @pytest.mark.parametrize(
         "text", ["1_0/3", "1_0", "1.5_0", "1e1_0", "1.5e+0_4_300", "\u0663/4", "3/\u0664", "\u0663", "1e\u0663",
@@ -171,11 +176,13 @@ class TestSerialization:
         # int limit, and an exponent the parent's pre-scan refused in text
         # its decimal pattern did not match is malformed.  Without that
         # limit, the parent reads each text kslab reads, to the same value.
+        # Every line quotes a text past 80 characters by its two ends and
+        # its length (quoted), where the parent quoted it whole.
         def outcome(parse):
             try:
                 value = parse(text)
             except Exception as exc:
-                return type(exc), str(exc)
+                return type(exc), str(exc).replace(repr(text), quoted(text))
             return type(value), value
 
         new, old = outcome(parse_rational), outcome(parse_rational_by_fraction)
@@ -183,11 +190,11 @@ class TestSerialization:
             with unlimited_int_digits():
                 old = outcome(parse_rational_by_fraction)
             longest = max(map(len, re.findall("[0-9]+", text)))
-            part = (ValueError, f"decimal part past 4300 digits in {text!r}; write it in 0x hex")
+            part = (ValueError, f"decimal part past 4300 digits in {quoted(text)}; write it in 0x hex")
             assert new == (old if longest <= 4300 else part)
         elif old[0] is ValueError and old[1].startswith("exponent past") and new[1].startswith("malformed"):
             assert DECIMAL_RATIONAL.fullmatch(text.lower()) is None
-            assert new == (ValueError, f"malformed rational {text!r}")
+            assert new == (ValueError, f"malformed rational {quoted(text)}")
         else:
             assert new == old
 
@@ -409,13 +416,14 @@ class TestDecimalPartLimit:
     def test_part_past_the_limit_in_kslab_words(self, where):
         # not CPython's "Exceeds the limit ... sys.set_int_max_str_digits()"
         text, _ = DIGIT_PARTS[where](4301)
-        with pytest.raises(ValueError, match=f"^decimal part past 4300 digits in {re.escape(repr(text))}; "
+        with pytest.raises(ValueError, match=f"^decimal part past 4300 digits in {re.escape(quoted(text))}; "
                                              "write it in 0x hex$"):
             parse_rational(text)
 
     def test_json_integer_literal(self):
         assert read_json("[" + "7" * 4300 + "]") == [repdigit(7, 4300)]
-        with pytest.raises(ValueError, match="^decimal part past 4300 digits in '7{4301}'; write it in 0x hex$"):
+        with pytest.raises(ValueError, match="^decimal part past 4300 digits in '7{20}\\.\\.\\.7{20}' "
+                                             "\\(4301 characters\\); write it in 0x hex$"):
             read_json("[" + "7" * 4301 + "]")
 
     def test_exponent_digits(self):
@@ -430,7 +438,8 @@ class TestDecimalPartLimit:
 
     def test_coordinate_key(self):
         assert coordinate("0" * 4299 + "7") == 7 and coordinate(" +" + "0" * 4300) == 0
-        with pytest.raises(ValueError, match="^decimal part past 4300 digits in '0{4300}7'$"):
+        with pytest.raises(ValueError, match="^decimal part past 4300 digits in '0{20}\\.\\.\\.0{19}7' "
+                                             "\\(4301 characters\\)$"):
             coordinate("0" * 4300 + "7")
 
 

@@ -46,14 +46,24 @@ class Mutant(NamedTuple):
 
 MUTANTS = [
     # the certified comparison kernel
-    Mutant("exactnum", "p2 * (k * PI.upper.numerator) < q2 * (c * PI.upper.denominator)",
-           "p2 * (k * PI.lower.numerator) < q2 * (c * PI.lower.denominator)",
+    Mutant("exactnum", "ku, cu = k * PI.upper.numerator, c * PI.upper.denominator",
+           "ku, cu = k * PI.lower.numerator, c * PI.lower.denominator",
            "cmp_sq_below decides CERT_LT on PI.lower"),
-    Mutant("exactnum", "p2 * (k * PI.lower.numerator) > q2 * (c * PI.lower.denominator)",
-           "p2 * (k * PI.upper.numerator) > q2 * (c * PI.upper.denominator)",
+    Mutant("exactnum", "kl, cl = k * PI.lower.numerator, c * PI.lower.denominator",
+           "kl, cl = k * PI.upper.numerator, c * PI.upper.denominator",
            "cmp_sq_below decides CERT_GT on PI.upper"),
-    Mutant("exactnum", "r.odd * r.odd << 2 * r.exp", "r.odd * r.odd << r.exp",
+    Mutant("exactnum", "q * q << 2 * e", "q * q << e",
            "cmp_sq_below squares a Dyadic's power of two once"),
+    # its leading-bit filter
+    Mutant("exactnum", "lo, s = p >> t, 2 * e - 2 * t", "lo, s = p >> t, 2 * e - t",
+           "the filter moves the numerator's power of two 2^t, not 4^t"),
+    Mutant("exactnum", "(lo + 1) * (lo + 1)", "lo * lo",
+           "the filter's bracket closes at lo^2, not (lo + 1)^2"),
+    # the central binomial's factorization
+    Mutant("exactnum", "        q += 2\n", "        q += 1\n",
+           "_factorized takes the primes of even quotients e // p too"),
+    Mutant("exactnum", "return c >> 1 if m & 1 else c", "return c",
+           "_factorized keeps C(m + 1, k + 1) for odd m, not half of it"),
     Mutant("exactnum", "Fraction(x0 * x0 + s, 2 * x0 * s)", "Fraction(x0 * x0 + s, 2 * x0 * s + 1)",
            "recip_sqrt_upper drops below 1/sqrt(s)"),
     # the report layer's text
