@@ -3,7 +3,7 @@
 The measure with index n lives on K_n x L_n with |K_n| = 2^n rows and
 |L_n| = n columns.  A bijection from rows onto the full sign cube {-1,+1}^n
 assigns each atom (s, j) the weight sign(s, j) / (n * 2^n).  Every quantity
-this package certifies (total variation, rectangle masses, tensor
+this package reports (total variation, rectangle masses, tensor
 functionals) is a function of this finite atomic data, so the grid is all
 that is ever modeled, and none depends on which bijection is used.
 
@@ -76,18 +76,3 @@ def build(n: int) -> KSMeasure:
         raise ValueError(f"measure index must be >= 1, got n={n}")
     return KSMeasure(n)
 
-
-def total_variation(m: KSMeasure) -> Dyadic:
-    """Sum of |weight| over all atoms: n * 2^n atoms of magnitude 1/(n * 2^n), so 1.
-
-    Every sign has magnitude 1 at every index, so no atom is read; the
-    tests check it against the materialized atom list (tests/oracles.py).
-    As a Dyadic, the count over n * 2^n reduces by a trailing-zero count
-    and a gcd of the odd part of n alone.
-    """
-    return Dyadic(m.n << m.n, m.n << m.n)
-
-
-def support_size(m: KSMeasure) -> int:
-    """Number of atoms with nonzero weight: every atom, n * 2^n."""
-    return m.n << m.n

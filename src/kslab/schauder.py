@@ -292,20 +292,14 @@ class CoeffExpansion(NamedTuple):
     coefficients: tuple[Rational, ...]  # a_1..a_N
     stabilization_log: tuple[int, ...]  # per m: least N' with stable pi_m
 
-    @property
-    def grid_all_true(self) -> bool:
-        """pi_m(S_N') == y_m at every m <= N' <= N: the partial sum at m
-        differs from y_m just before its last move, so this holds iff every
-        coordinate m is stable from N' = m on."""
-        return all(logged <= m for m, logged in enumerate(self.stabilization_log, start=1))
-
 
 def expand(y: Sequence, basis: TriangularBasis) -> CoeffExpansion:
     """Coefficients a_1 = y_1, a_n = y_n - sum_{k<n} a_k pi_n(b_k), exact,
     and the stabilization log, both off one walk of basis.row_index per n:
     log[n] is n when a_n != 0, else the last k < n with a_k pi_n(b_k) != 0,
-    else 1.  y needs at least the horizon's coordinates; entries past the
-    horizon are not read.  An entry is an int, Fraction or str, read by
+    else 1, so log[n] <= n: pi_n(S_N') == y_n at every n <= N' <= N, and a
+    report's grid_all_true is the constant true.  y needs at least the
+    horizon's coordinates; entries past the horizon are not read.  An entry is an int, Fraction or str, read by
     report.rational; anything else, a float included, raises TypeError."""
     H = basis.horizon
     if len(y) < H:

@@ -24,10 +24,12 @@ parsed as one base-2 integer.
 
 rect_mass sums a rectangle's atoms one row at a time, certify_bound2
 re-derives the bound2 verdict from a report's sup alone, and atom_list
-materializes every atom of an explicit measure for the total-variation and
-support checks; sign reads one atom's sign.  eval_tensor applies an
-explicit measure to f (x) g given as full value tables, the reference of
-every closed-form term value; the package holds no such table.
+materializes every atom of an explicit measure; atom_mass_and_support
+walks the same atoms for the total variation and support size that a
+verify row writes as constants.  sign reads one atom's sign.
+eval_tensor applies an explicit measure to f (x) g given as full value
+tables, the reference of every closed-form term value; the package holds
+no such table.
 
 tensor_sup_exact enumerates all 2^n vertices of the tensor supremum, which
 the package reports as 2 c_n in closed form, and certify_bound3 certifies
@@ -46,7 +48,7 @@ values lie in span{c_n, 1/n}, so such sections of three or more indices are
 dependent and the package builds none.  coefficient_functional unrolls the
 expansion recursion of a triangular basis into coordinate weights, and
 reference_grid tabulates an expansion's partial sums against the target at
-every (m, N'), the dense oracle of CoeffExpansion.grid_all_true.
+every (m, N'), the dense oracle of the grid_all_true a report writes.
 build_triangular_basis is the density check followed by basis_from_density,
 as the schauder subcommand runs them, and coord reads pi_k(b_n) off a
 basis.  The package keeps each b_n as integers over one denominator;
@@ -89,9 +91,10 @@ import numbers
 import operator
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -283,17 +286,31 @@ def sign(m: KSMeasure, s: int, j: int) -> int:
     return -1 if (m.row_pattern(s) >> j) & 1 else 1
 
 
-def atom_list(m: KSMeasure) -> list[tuple[tuple[int, int], Rational]]:
-    """Every atom ((s, j), weight) of an explicit measure."""
+def iter_atoms(m: KSMeasure) -> Iterator[tuple[tuple[int, int], Rational]]:
+    """Every atom ((s, j), weight) of an explicit measure, row by row."""
     if not m.is_explicit():
         raise MemoryGuardError(f"atom list limited to n <= {EXPLICIT_MAX_N}, got n={m.n}")
     w = scale(m)
-    atoms = []
+    neg = -w
     for s in range(m.rows):
         p = m.row_pattern(s)
         for j in range(m.n):
-            atoms.append(((s, j), -w if (p >> j) & 1 else w))
-    return atoms
+            yield (s, j), neg if (p >> j) & 1 else w
+
+
+def atom_list(m: KSMeasure) -> list[tuple[tuple[int, int], Rational]]:
+    """Every atom ((s, j), weight) of an explicit measure."""
+    return list(iter_atoms(m))
+
+
+def atom_mass_and_support(m: KSMeasure) -> tuple[Rational, int]:
+    """(sum of |weight|, number of atoms of nonzero weight) over every atom
+    of an explicit measure.  Weights are tallied by numerator and
+    denominator, so the sum makes one Fraction per distinct weight, not one
+    per atom: n = 16 has a million atoms."""
+    tally = Counter((w.numerator, w.denominator) for _, w in iter_atoms(m))
+    mass = sum((abs(Fraction(p, q)) * count for (p, q), count in tally.items()), Fraction(0))
+    return mass, sum(count for (p, _), count in tally.items() if p)
 
 
 def eval_tensor(m: KSMeasure, f: Sequence, g: Sequence) -> Rational:

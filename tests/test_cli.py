@@ -157,6 +157,38 @@ class TestVerify:
         assert row["bound3"] == "UNDECIDED" and row["tensor_sup"] == "3/8"
         assert cli._row_failure(row) is not None
 
+    @pytest.mark.parametrize("lower_ok", [Cmp.UNDECIDED, Cmp.CERT_LT])
+    def test_bound2_failure_alone_fails_the_sweep(self, tmp_path, capsys, monkeypatch, lower_ok):
+        # only c_n > 1/(2 sqrt(pi n)) is lost, at n = 3: bound3 still passes,
+        # so the sweep fails on bound2, and sup on the same verdict
+        certify = cli.certify_pair
+        monkeypatch.setattr(cli, "certify_pair",
+                            lambda sup, n: (lower_ok, certify(sup, n)[1]) if n == 3 else certify(sup, n))
+        out = tmp_path / "verify.json"
+        assert run(["verify", "--n-max", "5", "--out", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        assert doc["overall"] == "FAIL"
+        assert [row["bound3"] for row in doc["checks"]] == ["PASS"] * 5
+        assert capsys.readouterr().err == f"FAILED check: bound2(n=3)={doc['checks'][2]['bound2']}\n"
+        assert doc["checks"][2]["bound2"] != "PASS"
+        assert run(["sup", "--n", "3", "--out", str(tmp_path / "sup.json")]) == 1
+        assert json.loads((tmp_path / "sup.json").read_text())["bound2"] != "PASS"
+
+    def test_brute_force_disagreement_fails_the_sweep(self, tmp_path, capsys, monkeypatch):
+        # a brute-force supremum 1/2^n off the closed form at n = 3
+        brute = cli.sup_rect_bruteforce
+
+        def off(m):
+            rect = brute(m)
+            return rect._replace(sup=rect.sup + Fraction(1, 1 << m.n)) if m.n == 3 else rect
+
+        monkeypatch.setattr(cli, "sup_rect_bruteforce", off)
+        out = tmp_path / "verify.json"
+        assert run(["verify", "--n-max", "4", "--out", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        assert doc["overall"] == "FAIL" and doc["checks"][2]["brute_matches"] is False
+        assert capsys.readouterr().err == "FAILED check: brute_vs_fast(n=3)\n"
+
 
 class TestSubseq:
     def test_full_stream_report(self, tmp_path):
@@ -969,6 +1001,26 @@ class TestInputFileGrammar:
         assert run(argv + ["--out", "o.json"]) == 2
         assert capsys.readouterr().err == line + "\n"
         assert not Path("o.json").exists()
+
+    LONG = "p" * 4990 + "0123456789"  # a 5000-character profile name or key
+
+    @pytest.mark.parametrize(
+        "where, text, line",
+        [("family", json.dumps([{"name": "c", "terms": [{"profile": LONG}]}]),
+          f"combo 0: unknown profile {quoted(LONG)}"),
+         ("generators", json.dumps({"coords": {"1": "1"}, LONG: "2"}) + "\n",
+          f"generator line 1: unknown generator key {quoted(LONG)}; a generator reads coords"),
+         ("target", '{"targets": [["1"]], "%s": 1, "%s": 2}' % (LONG, LONG), f"key {quoted(LONG)} given twice")],
+        ids=["unknown-profile", "unknown-key", "repeated-key"],
+    )
+    def test_long_name_or_key_quoted_short(self, tmp_path, capsys, where, text, line):
+        # the line quotes 20 characters at each end and gives the length,
+        # not five kilobytes of the name
+        out = tmp_path / "x.json"
+        assert run(input_files_run(tmp_path, where, text) + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"cannot parse {where} file: {line}\n"
+        assert len(err.encode()) < 200 and "(5000 characters)" in err and not out.exists()
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from kslab import ks_measure
 from kslab.exactnum import PI, central_binomial
-from kslab.ks_measure import build, total_variation
+from kslab.ks_measure import build
 from kslab.normal_subseq import _combo_row, extract, strongly_normal_report
 from kslab.report import (
     GREEDY_RULE,
@@ -234,10 +234,6 @@ class TestReport:
         report = subseq_report(strongly_normal_report(cert, standard_test_family()))
         assert report["verdict"] == "PASS"
         assert sorted(calls) == [s - 1 for s in cert.indices]
-
-    def test_selected_indices_carry_unit_norm(self):
-        cert = extract(1, 1, 4)
-        assert all(total_variation(build(s)) == 1 for s in cert.indices)
 
 
 class TestCertificateJson:

@@ -261,7 +261,6 @@ class TestExpand:
         a2 = y[1] - a1 * coord(basis, 1, 2)
         a3 = y[2] - a1 * coord(basis, 1, 3) - a2 * coord(basis, 2, 3)
         assert exp.coefficients == (a1, a2, a3)
-        assert exp.grid_all_true is True
         assert all(reference_grid(exp.coefficients, basis, y).values())
 
     def test_triangular_dependence_of_coefficients(self):
@@ -288,7 +287,6 @@ class TestStabilization:
         basis = build_triangular_basis(unit_generators(8), 6, 8)
         y = [Fraction(i * i - 3, 2) for i in range(1, 9)]
         exp = expand(y, basis)
-        assert exp.grid_all_true is True
         assert all(reference_grid(exp.coefficients, basis, y).values())
 
     def test_sum_of_two_basis_vectors(self):
@@ -297,7 +295,6 @@ class TestStabilization:
         y = [a + b for a, b in zip(densify(basis)[0].coords, densify(basis)[1].coords)]
         exp = expand(y, basis)
         assert exp.coefficients == (1, 1, 0)
-        assert exp.grid_all_true is True
         assert all(reference_grid(exp.coefficients, basis, y).values())
 
     def test_random_rational_targets(self):
@@ -307,7 +304,6 @@ class TestStabilization:
         for _ in range(5):
             y = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(20)]
             exp = expand(y, basis)
-            assert exp.grid_all_true is True
             assert all(reference_grid(exp.coefficients, basis, y).values())
 
     def test_stabilization_log_consistent_with_grid(self):
@@ -325,7 +321,7 @@ class TestStabilization:
             assert logged <= max(m, 1)
             for np_ in range(m, len(basis) + 1):
                 assert grid[(m, np_)] == (np_ >= logged)
-        assert exp.grid_all_true is all(grid.values()) is True
+        assert all(grid.values())
 
 
 def reference_expansion(y, basis):
@@ -414,7 +410,7 @@ class TestSparseExpansionAgainstDenseLoop:
             coeffs, log = reference_expansion(y, basis)
             exp = expand(y, basis)
             assert exp.coefficients == coeffs and exp.stabilization_log == log
-            assert exp.grid_all_true is all(reference_grid(coeffs, basis, y).values()) is True
+            assert all(reference_grid(coeffs, basis, y).values())
             moved += sum(1 for m, logged in enumerate(log, start=1) if logged != 1 and m > 1)
             # entries before the diagonal: a triangular basis cannot hold them
             if trial % 2:
@@ -451,7 +447,6 @@ class TestSparseExpansionAgainstDenseLoop:
             coeffs, log = reference_expansion(y, basis)
             exp = expand(y, basis)
             assert exp.coefficients == coeffs and exp.stabilization_log == log
-            assert exp.grid_all_true is True
             assert all(reference_grid(coeffs, basis, y).values())
         if kind == "handmade":  # the recursion reads entries off the unit profile
             assert sum(map(len, basis.row_index)) > 2 * len(basis)
@@ -511,7 +506,6 @@ class TestRowIndex:
         expansions = [expand(y, basis) for y in targets]
         assert reads == 0 and basis.row_index is index
         for y, exp in zip(targets, expansions):  # checked after the count: the oracle reads coord
-            assert exp.grid_all_true is True
             assert all(reference_grid(exp.coefficients, basis, y).values())
 
 

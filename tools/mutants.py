@@ -108,6 +108,12 @@ MUTANTS = [
            "the witness's byte-strided slices shifted one bit too far"),
     Mutant("cli", '"PASS" if upper_ok is Cmp.CERT_LT else', '"PASS" if upper_ok is not Cmp.CERT_GT else',
            "bound3 passes on an undecided upper bound"),
+    # the verdicts that fail a run
+    Mutant("cli", '    if row["bound2"] != "PASS":\n        return f"bound2(n={row[\'n\']})={row[\'bound2\']}"\n', "",
+           "a verify row that fails bound2 alone passes the sweep"),
+    Mutant("cli", '    if row["brute_matches"] is False:\n        return f"brute_vs_fast(n={row[\'n\']})"\n', "",
+           "a brute-force supremum off the closed form passes the sweep"),
+    Mutant("cli", 'return 0 if verdict == "PASS" else 1', "return 0", "sup exits 0 on a bound2 verdict short of PASS"),
     # the option table's parser
     Mutant("cli", "    if missing := [", "    if False and [", "the required-option check is skipped"),
     Mutant("cli", "    if len(found) > 1:\n", "    if False:\n", "an ambiguous prefix resolves to its first match"),
