@@ -62,9 +62,10 @@ class KSMeasure:
         """The sign pattern of row s: the row index itself."""
         return s
 
-    def by_row(self, table: bytes) -> bytes:
-        """A byte table over sign patterns reindexed by row: entry s is table[row_pattern(s)]."""
-        return table
+    def by_row(self, bits: int) -> int:
+        """A bitset over sign patterns as a bitset over rows: bit s is bit
+        row_pattern(s) of bits, so the identity here."""
+        return bits
 
     def is_explicit(self) -> bool:
         return self.n <= EXPLICIT_MAX_N

@@ -25,9 +25,9 @@ against the brute-force oracle (n <= 4) and the per-width sums (n <= 300),
 and it is certified against 1/(2 sqrt(pi n)) < sup < 2/sqrt(pi n) at
 every n.
 
-For explicit measures the witness A* is a 0/1 bytes table over sign
-patterns packed into one integer by eight byte-strided slices, with no
-loop over the 2^n rows (sup_rect_fast).
+For explicit measures the witness A* is built as a bitset over sign
+patterns one byte (eight patterns) at a time, with no loop over the 2^n
+rows (sup_rect_fast), and KSMeasure.by_row maps it to rows.
 Both routes read the rows only through KSMeasure.row_pattern and by_row,
 so the tests also run them on row-permuted and repeated-row tables, a test
 oracle (tests/oracles.py); the package builds only the canonical measure.
@@ -116,24 +116,28 @@ def sup_rect_fast(m: KSMeasure) -> RectangleSupReport:
     Works at every index.  A witness (B = first b columns, A = rows with
     positive partial sum, i.e. fewer than b/2 minus signs there) is
     materialized only for explicit measures, for the smallest maximizing
-    width b.  The minus counts of the 2^b patterns double b times (patterns
-    with bit k set count one more), a threshold table maps them to bytes
-    1/0, repeated 2^(n-b) times for the columns outside B, and reindexed by
-    row.  Every eighth byte from byte i, read as a little-endian integer,
-    holds rows i, i+8, ... at bits 0, 8, ...; the eight such integers,
-    shifted by i, pack the table into A's bitset.
+    width b.  Patterns 8h..8h+7 share their bits from 3 up, so byte h of
+    A's bitset over the 2^b patterns is the mask of the p < 8 with
+    popcount(p) + c < b/2, c the minus count of h.  Those counts double
+    b - 3 times (h with bit k set counts one more), one translate maps
+    them to masks, and the bytes read as one little-endian integer; for
+    even n the column outside B repeats it 2^b bits up.  At b = 1 the one
+    byte h = 0 holds the mask of pattern 0 alone.  by_row maps the bitset
+    over patterns to rows.
     """
     n = m.n
     witness: Rectangle | None = None
     if m.is_explicit():
         b = n if n % 2 else n - 1
         minus = b"\0"
-        for _ in range(b):
-            minus += minus.translate(_ADD[1])  # counts stay <= b, so none wraps
+        for _ in range(b - 3):
+            minus += minus.translate(_ADD[1])  # counts stay <= b - 3, so none wraps
         below = (b + 1) // 2  # counts c with 2c < b
-        member = m.by_row(minus.translate(b"\1" * below + b"\0" * (256 - below)) * (1 << (n - b)))
-        rows = sum(int.from_bytes(member[i::8], "little") << i for i in range(8))
-        witness = Rectangle(rows, (1 << b) - 1)
+        masks = bytes(sum(1 << p for p in range(8) if p.bit_count() + c < below) for c in range(below))
+        rows = int.from_bytes(minus.translate(masks + bytes(256 - below)), "little")
+        if b < n:
+            rows |= rows << (1 << b)
+        witness = Rectangle(m.by_row(rows), (1 << b) - 1)
     return RectangleSupReport(n=n, sup=m.central_mass, witness=witness, method="FastPath")
 
 

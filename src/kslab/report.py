@@ -7,8 +7,9 @@ fixed-width decimals, witness bitsets are 0x-hex integers, and no
 wall-clock time is recorded, so a report is byte-stable across runs.  A
 rational is "p/q" in lowest terms, or "p"; a part of 4300 digits or more
 (a 2^n denominator past about n = 14,300) is 0x hex.  parse_rational reads
-that text back; read_json reads every input file, fields the keys of every
-input object and rational every value a file or a constructor is given.
+that text back; read_json reads every input file, keeping each number's
+text, fields the keys of every input object and rational every value a file
+or a constructor is given.
 
 write_json writes json.dumps(doc, indent=2) plus a newline, byte for byte,
 through CPython's C encoder, which json.dumps uses only without an
@@ -71,13 +72,15 @@ def format_ratios(nums: list[int], den: int) -> list[str]:
     by one gcd the size of den per list: with P the product of nums and
     h = gcd(den, P mod den), gcd(x, den) = gcd(x, h) for each x in nums, as
     gcd(x, h) divides x and h, which divides den, and g = gcd(x, den)
-    divides x, so P, and den, so P mod den, so h.  h is usually small."""
+    divides x, so P, and den, so P mod den, so h.  h is usually small, so
+    few g occur, and each one's "/q" text is built once."""
     prod = 1
     for x in nums:
         prod = prod * x % den
     h = math.gcd(den, prod)
     gs = [math.gcd(x, h) for x in nums]
-    return [_int_text(x // g) + ("" if g == den else f"/{_int_text(den // g)}") for x, g in zip(nums, gs)]
+    tails = {g: ("" if g == den else f"/{_int_text(den // g)}") for g in set(gs)}
+    return [_int_text(x // g) + tails[g] for x, g in zip(nums, gs)]
 
 
 def format_rational(q: Rational | Dyadic) -> str:
@@ -164,14 +167,26 @@ def _object(pairs: list[tuple[str, object]]) -> dict:
     return doc
 
 
-# The one reader of every input file: each number is parse_rational of the
-# text the file wrote, never a float, so NaN and Infinity are malformed;
-# ValueError on any malformed text and on a key repeated in one object.
-read_json = json.JSONDecoder(parse_float=parse_rational, parse_int=parse_rational,
-                             parse_constant=parse_rational, object_pairs_hook=_object).decode
+class Number:
+    """A JSON number literal (NaN and the infinities included) as the file
+    wrote it; rational reads its value where the document is walked, so a
+    refused literal is reported where it stands, as the same text quoted
+    would be, and is never a float."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
 
 
-_JSON_TYPES = {type(None): "null", bool: "boolean", Fraction: "number", int: "number", list: "array", dict: "object"}
+# The one reader of every input file: each number is kept as its Number
+# text; ValueError on malformed JSON and on a key repeated in one object.
+read_json = json.JSONDecoder(parse_float=Number, parse_int=Number, parse_constant=Number,
+                             object_pairs_hook=_object).decode
+
+
+_JSON_TYPES = {type(None): "null", bool: "boolean", Fraction: "number", int: "number", Number: "number",
+               list: "array", dict: "object"}
 
 
 def describe(v: object) -> str:
@@ -183,12 +198,15 @@ def describe(v: object) -> str:
 
 
 def rational(v: object, entry: str) -> Fraction:
-    """v as a Fraction: a Fraction unchanged, an int exactly, a str through
-    parse_rational; anything else (a bool, a float) is a TypeError naming entry."""
+    """v as a Fraction: a Fraction unchanged, an int exactly, a str or a
+    Number through parse_rational of its text; anything else (a bool, a
+    float) is a TypeError naming entry."""
     if isinstance(v, Fraction):
         return v
     if isinstance(v, str):
         return parse_rational(v)
+    if isinstance(v, Number):
+        return parse_rational(v.text)
     if type(v) is int:  # not a bool
         return Fraction(v)
     raise TypeError(f"{entry} requires int, Fraction or str values, got {describe(v)}")

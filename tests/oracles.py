@@ -19,8 +19,9 @@ tests and of the per-width sums; the package needs only the central
 binomials, from exactnum.central_binomial.
 
 text_witness_rows is the fast witness's row bitset as sup_rect_fast read
-it before it packed bytes: an ASCII '1'/'0' table by row, reversed and
-parsed as one base-2 integer.
+it before it packed bytes: an ASCII '1'/'0' table over sign patterns, read
+by row through row_pattern alone (not through by_row, the seam under
+test), reversed and parsed as one base-2 integer.
 
 rect_mass sums a rectangle's atoms one row at a time, certify_bound2
 re-derives the bound2 verdict from a report's sup alone, and atom_list
@@ -153,8 +154,10 @@ class PermutedMeasure(KSMeasure):
     def row_pattern(self, s: int) -> int:
         return self.patterns[s]
 
-    def by_row(self, table: bytes) -> bytes:
-        return bytes(map(table.__getitem__, self.patterns))
+    def by_row(self, bits: int) -> int:
+        # unpacked to '0'/'1' by pattern (bit p at index p), reindexed, repacked
+        table = format(bits, f"0{self.rows}b")[::-1]
+        return int("".join(map(table.__getitem__, self.patterns))[::-1], 2)
 
 
 def measure(n: int, bijection: Canonical | RowPermutation) -> KSMeasure:
@@ -234,16 +237,16 @@ def text_witness_rows(m: KSMeasure) -> int:
     """Rows with fewer than b/2 minus signs among the first b columns (b = n
     for odd n, n - 1 for even n), as an ASCII table over sign patterns: the
     minus counts double b times, a threshold maps them to '1'/'0', the table
-    repeats for the other columns, and by row, reversed (row 0 last), it
-    parses as a base-2 integer."""
+    repeats for the other columns, and read by row through row_pattern
+    alone, reversed (row 0 last), it parses as a base-2 integer."""
     n = m.n
     b = n if n % 2 else n - 1
     minus = b"\0"
     for _ in range(b):
         minus += minus.translate(bytes(range(1, 256)) + b"\0")
     below = (b + 1) // 2
-    member = minus.translate(b"1" * below + b"0" * (256 - below)) * (1 << (n - b))
-    return int(m.by_row(member)[::-1], 2)
+    member = (minus.translate(b"1" * below + b"0" * (256 - below)) * (1 << (n - b))).decode()
+    return int("".join(member[m.row_pattern(s)] for s in range(m.rows))[::-1], 2)
 
 
 def rect_mass(m: KSMeasure, r: Rectangle) -> Rational:

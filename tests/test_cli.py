@@ -677,8 +677,13 @@ class TestPinnedReportBytes:
     # explicit index (with its witness) and past the hex cut.
     # Written while KSMeasure still took a bijection: the brute force at
     # n = 4, which reads row_pattern, and the odd-width witness at n = 13,
-    # which reads by_row.  Keys are the sup arguments after --n.
+    # which reads by_row.  Keys are the sup arguments after --n.  Written
+    # while the witness was still a bytes table per pattern: n = 1, 2
+    # (width b = 1, a one-byte bitset) and n = 3 (b = 3, one minus count).
     SUP = {
+        "1": "56e5a27b594eb44877d6b94facf7b96ad06ed93978c4afaebca80ab76ea28292",
+        "2": "dfb49a95be426dd60865f66c8908108893e8b4b31c994ea6e760a78ee49d24a0",
+        "3": "ae7dc7dd4194f107e2a4d42ae313a0b0c7588154fae06e2697f48e5e797e9562",
         "4 --brute": "365fbea61bc8487c7b1d414d09d54ac5bc2b779efd56abf14a5dd8db2faba9c0",
         "13": "e3af4a32c6f43dd3786de388a3ab8ac4e42d0334ae5e985ac61e410740c8a060",
         "20": "789b0803ac10640ff4fbad6994e8791e23d9367bee8860c36c353c95e5a418dc",
@@ -895,6 +900,28 @@ class TestInputFileGrammar:
         assert err.startswith(f"cannot parse {where} file:") and "malformed rational" in err
         assert err.count("\n") == 1 and not out.exists()
 
+    @pytest.mark.parametrize("where", ["family", "generators", "target"])
+    @pytest.mark.parametrize("literal", ["NaN", "-Infinity", pytest.param("7" * 4301, id="4301 digits"), "1e4301"])
+    def test_number_literal_refused_as_its_quoted_text(self, tmp_path, capsys, where, literal):
+        # a JSON number is read where its value is read, so a refused literal
+        # gives the same line, position included, as its text in quotes
+        def docs(value):
+            return {
+                "family": '[{"name": "a", "terms": [{"profile": "majority"}]},'
+                          ' {"name": "c", "terms": [{"profile": "majority", "coeff": %s}]}]' % value,
+                "generators": '{"coords": {"1": "1"}}\n{"coords": {"2": %s}}\n' % value,
+                "target": '{"targets": [["2"], ["1", %s]]}' % value,
+            }[where]
+
+        errs = []
+        for value in (literal, f'"{literal}"'):
+            out = tmp_path / "x.json"
+            assert run(input_files_run(tmp_path, where, docs(value)) + ["--out", str(out)]) == 2
+            errs.append(capsys.readouterr().err)
+            assert not out.exists()
+        prefix = {"family": "combo 1: ", "generators": "generator line 2: "}.get(where, "")
+        assert errs[0] == errs[1] and errs[0].startswith(f"cannot parse {where} file: {prefix}")
+
     @pytest.mark.parametrize("key", ["1_0", "\u0663", "x"])
     def test_coordinate_keys_in_ascii_digits_only(self, tmp_path, capsys, key):
         out = tmp_path / "x.json"
@@ -1082,9 +1109,8 @@ class TestInputFileGrammar:
         code = run(input_files_run(tmp_path, where, docs[where]) + ["--out", str(out)])
         err = capsys.readouterr().err
         if digits == 4301:
-            # a family's number literal is refused as the file is decoded, before any combo is read
-            prefix = {"family": "" if literal == text else "combo 0: ",
-                      "generators": "generator line 1: "}.get(where, "")
+            # a number literal is refused where its combo is read, as the same text quoted is
+            prefix = {"family": "combo 0: ", "generators": "generator line 1: "}.get(where, "")
             # the line quotes the 4301-or-more-character text by its first and
             # last 20 characters and its length, not whole
             if position == "exponent digits":

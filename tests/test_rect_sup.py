@@ -176,9 +176,9 @@ class TestFastPath:
 
     @pytest.mark.parametrize("n", range(1, EXPLICIT_MAX_N + 1))
     def test_packed_witness_matches_text_oracle(self, n):
-        # the bytes packing against the base-2 parse it replaced, on the
-        # canonical rows, a seeded shuffle and (to n = 16) a table with
-        # repeats; at n <= 2 the table is shorter than the eight slices
+        # the packed bitset against the base-2 parse of a '1'/'0' table by
+        # row, on the canonical rows, a seeded shuffle and (to n = 16) a table
+        # with repeats; n <= 2 (b = 1) and n = 3, 4 (b = 3) build one byte
         tables = [measure(n, CANONICAL), measure(n, RowPermutation(n))]
         if n <= 16:
             tables.append(PermutedMeasure(n, tuple(random.Random(-n).choices(range(1 << n), k=1 << n))))
@@ -186,6 +186,22 @@ class TestFastPath:
             witness = sup_rect_fast(m).witness
             assert witness.row_bits == text_witness_rows(m), (n, m.row_pattern(0))
             assert witness.col_bits == (1 << (n if n % 2 else n - 1)) - 1
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_permuted_by_row_matches_per_row_loop(self, n):
+        # the oracle's seam: bit s of by_row(bits) is bit row_pattern(s) of
+        # bits, on a seeded shuffle and a table with repeats
+        rng = random.Random(n)
+        tables = [measure(n, RowPermutation(n + 1)),
+                  PermutedMeasure(n, tuple(rng.choices(range(1 << n), k=1 << n)))]
+        for m in tables:
+            for bits in (0, (1 << m.rows) - 1, 1 << rng.randrange(m.rows), rng.getrandbits(m.rows)):
+                data = bits.to_bytes((m.rows + 7) // 8, "little")
+                buf = bytearray(len(data))
+                for s in range(m.rows):
+                    p = m.row_pattern(s)
+                    buf[s >> 3] |= (data[p >> 3] >> (p & 7) & 1) << (s & 7)
+                assert m.by_row(bits) == int.from_bytes(bytes(buf), "little"), (n, bits)
 
     def test_no_witness_above_explicit_scale(self):
         report = sup_rect_fast(build(24))

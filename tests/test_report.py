@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 
 from kslab.exactnum import Dyadic
 from kslab.report import (
-    HEX_FROM, coordinate, decimal_str, describe, fields, format_ratios, format_rational, parse_rational, rational,
-    rationals, read_json, write_json,
+    HEX_FROM, Number, coordinate, decimal_str, describe, fields, format_ratios, format_rational, parse_rational,
+    rational, rationals, read_json, write_json,
 )
 from oracles import DECIMAL_RATIONAL, parse_rational_by_fraction, quoted
 
@@ -339,25 +339,28 @@ class TestReadJson:
     @example("1e4301")
     @example("NaN")
     def test_numbers_read_from_their_text(self, text):
-        # every number is the value parse_rational gives its literal text, or
-        # the same ValueError; a float never holds it, and a constant is refused
+        # read_json keeps every number as its literal text, and rational reads
+        # it as the value parse_rational gives that text, or the same
+        # ValueError; a float never holds it, and a constant is refused
+        got = read_json(f'{{"x": [{text}]}}')["x"][0]
+        assert type(got) is Number and got.text == text
         try:
             want = parse_rational(text)
         except ValueError as exc:
             with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-                read_json(f'{{"x": [{text}]}}')
+                rational(got, "x")
             return
-        got = read_json(f'{{"x": [{text}]}}')["x"][0]
-        assert type(got) is Fraction and got == want
+        assert type(rational(got, "x")) is Fraction and rational(got, "x") == want
 
     def test_exact_where_a_float_is_not(self):
-        assert read_json("[0.1, 12345678901234567890.5, 1e400, -0]") == [
+        assert rationals(read_json("[0.1, 12345678901234567890.5, 1e400, -0]"), "x") == [
             Fraction(1, 10), Fraction(24691357802469135781, 2), 10**400, 0]
 
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_constants_refused(self, constant):
+        doc = read_json(f'{{"coeff": {constant}}}')
         with pytest.raises(ValueError, match=f"^malformed rational {re.escape(repr(constant))}$"):
-            read_json(f'{{"coeff": {constant}}}')
+            rational(doc["coeff"], "coeff")
 
     @pytest.mark.parametrize(
         "text, key",
@@ -372,7 +375,7 @@ class TestReadJson:
     def test_documents_otherwise_as_json_reads_them(self):
         text = '{"a": [true, false, null, "1/3", {}], "b": {"c": []}}'
         assert read_json(text) == json.loads(text)
-        assert type(read_json("7")) is Fraction
+        assert type(read_json("7")) is Number and describe(read_json("7")) == "number"
 
     def test_rational(self):
         q = Fraction(-3, 7)
@@ -421,10 +424,11 @@ class TestDecimalPartLimit:
             parse_rational(text)
 
     def test_json_integer_literal(self):
-        assert read_json("[" + "7" * 4300 + "]") == [repdigit(7, 4300)]
+        assert rationals(read_json("[" + "7" * 4300 + "]"), "x") == [repdigit(7, 4300)]
+        doc = read_json("[" + "7" * 4301 + "]")
         with pytest.raises(ValueError, match="^decimal part past 4300 digits in '7{20}\\.\\.\\.7{20}' "
                                              "\\(4301 characters\\); write it in 0x hex$"):
-            read_json("[" + "7" * 4301 + "]")
+            rationals(doc, "x")
 
     def test_exponent_digits(self):
         # the exponent has its own limit: 4300 digits, and 4300 in magnitude
@@ -472,7 +476,8 @@ class TestFields:
         if key in self.SPEC:
             fields(doc, "combo", **self.SPEC)
             return
-        with pytest.raises(ValueError, match=f"^unknown combo key {re.escape(repr(key))};"):
+        # a key past 80 characters is quoted by its ends and its length
+        with pytest.raises(ValueError, match=f"^unknown combo key {re.escape(quoted(key))};"):
             fields(doc, "combo", **self.SPEC)
 
     def test_rationals(self):

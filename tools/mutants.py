@@ -85,7 +85,7 @@ MUTANTS = [
     Mutant("report", "    if len(digits) > STR_DIGITS:\n", "    if len(digits) >= STR_DIGITS:\n",
            "a decimal part of exactly 4300 digits is refused"),
     # the input reader
-    Mutant("report", "parse_float=parse_rational", "parse_float=lambda s: parse_rational(str(float(s)))",
+    Mutant("report", "parse_float=Number", "parse_float=lambda s: Number(str(float(s)))",
            "read_json reads a JSON fraction or exponent through a float"),
     Mutant("report", "    if len(doc) < len(pairs):\n", "    if False:\n",
            "read_json keeps the last value of a repeated key"),
@@ -104,8 +104,8 @@ MUTANTS = [
            "bound2's upper constant 2 -> 3"),
     Mutant("rect_sup", "b = n if n % 2 else n - 1", "b = n if n % 2 else n",
            "witness width n for even n, not the smallest maximizing n - 1"),
-    Mutant("rect_sup", "<< i for i in range(8)", "<< i + 1 for i in range(8)",
-           "the witness's byte-strided slices shifted one bit too far"),
+    Mutant("rect_sup", "p.bit_count() + c < below", "p.bit_count() + c <= below",
+           "the witness's byte masks admit a pattern with b/2 minus signs or more"),
     Mutant("cli", '"PASS" if upper_ok is Cmp.CERT_LT else', '"PASS" if upper_ok is not Cmp.CERT_GT else',
            "bound3 passes on an undecided upper bound"),
     # the verdicts that fail a run
