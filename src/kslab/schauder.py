@@ -6,13 +6,15 @@ iff every finite-coordinate projection of it is surjective.  Surjectivity
 onto an initial segment {1..m} implies it for every subset of {1..m}
 (a coordinate subprojection of a surjection is surjective), so the check
 feeds the generators, restricted to 1..m, into one exact row-echelon store
-(EchelonStore, below) until its rank reaches m.  A family that falls
-short names the least segment {1..k} it does not cover, k the store's
-first coordinate without a pivot, so the report stays small at any m.
+(EchelonStore, below) until its rank reaches m, pivoting first on the
+coordinates that the fewest generators touch (a fill-reducing order:
+Markowitz 1957, Tinney & Walker 1967).  A family that falls short names
+the least segment {1..k} it does not cover, k the first gap of a rescan
+in the natural order, so the report stays small at any m.
 
 From a generator set dense up to N, that store holds one pivot row per
 coordinate 1..N together with the generator combination it equals.
-Back-substituting the rows from N down to 1 gives combinations b_n with
+Back-substituting the rows, last stored first, gives combinations b_n with
 the unit profile delta_{kn} on all of 1..N, so in particular the profile
 (0, ..., 0, 1) on 1..n; b_n stays in integers up to its report text.  A
 TriangularBasis holds only such families: it rejects a b_n with an entry
@@ -40,8 +42,9 @@ coordinate, so a horizon loses nothing testable.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .exactnum import Rational
 from .report import coordinate, fields, rational, read_json
@@ -118,9 +121,11 @@ class EchelonStore:
 
     inputs lists the vectors added, in order; input i is inputs[i].  add()
     reduces an input against the stored rows in storage order and stores
-    the remainder, pivoting on its first nonzero coordinate; an input that
-    reduces to zero depends on earlier ones and is dropped.  The stored
-    rows therefore come from the first independent inputs, and their
+    the remainder, pivoting on its first nonzero coordinate in the order of
+    key (a sort key on the coordinates the inputs touch; None is 1, 2, ...);
+    an input that reduces to zero depends on earlier ones and is dropped.
+    So each row is zero at the pivots stored before it.  The stored rows
+    come from the first independent inputs, and in the natural order their
     pivots are the coordinates k whose projection is independent of those
     on 1..k-1.  Each row also records the combination of inputs it equals
     (a dict from input number to weight), so the stored rows can be solved
@@ -129,8 +134,8 @@ class EchelonStore:
     reduction cross-multiplies pivots, and rows are primitive (joint gcd 1).
     """
 
-    def __init__(self, m: int):
-        self.m = m
+    def __init__(self, m: int, key: Callable[[int], int] | None = None):
+        self.m, self.key = m, key
         self.inputs: list[SparseVec] = []
         self.rows: list[tuple[int, dict[int, int], dict[int, int]]] = []  # (pivot, vector, combination)
 
@@ -152,23 +157,22 @@ class EchelonStore:
             return False
         g = math.gcd(*v.values(), *combo.values())
         v, combo = {k: x // g for k, x in v.items()}, {i: w // g for i, w in combo.items()}
-        self.rows.append((min(v), v, combo))
+        self.rows.append((min(v, key=self.key), v, combo))
         return True
 
     def unit_combinations(self) -> list[tuple[dict[int, int], int]]:
         """For full rank m: the input combinations whose profiles on 1..m are
-        the unit vectors e_1..e_m, by back-substituting the pivot rows from m
-        down to 1 (the row pivoting on n is zero before n, so it needs only
-        the combinations for n+1..m).  On a fixed set of independent inputs
-        these combinations are unique.  Unit n is (U_n, s_n), int weights over
+        the unit vectors e_1..e_m, by back-substituting the pivot rows last
+        stored first (a row is zero at the pivots stored before it, so it
+        needs only the combinations of those stored after it).  On a fixed
+        set of independent inputs these combinations are unique, in any
+        pivot order.  Unit n is (U_n, s_n), int weights over
         s_n > 0, reduced jointly: U_n = L combo - sum_k row[k] (L/s_k) U_k,
         s_n = L row[n], L the lcm of the s_k row n touches."""
         if len(self.rows) != self.m:
             raise ValueError(f"rank {len(self.rows)} is short of {self.m}")
-        by_pivot = {pivot: (row, combo) for pivot, row, combo in self.rows}
         units: dict[int, tuple[dict[int, int], int]] = {}
-        for n in range(self.m, 0, -1):
-            row, combo = by_pivot[n]
+        for n, row, combo in reversed(self.rows):
             lcm = math.lcm(*(units[k][1] for k in row if k != n))
             acc = {i: lcm * w for i, w in combo.items()}
             for k, x in row.items():
@@ -184,7 +188,7 @@ class DensityResult(NamedTuple):
     m: int
     rank: int
     pivot_generators: tuple[int, ...]  # generator indices witnessing the rank
-    echelon: EchelonStore  # the scan's elimination
+    echelon: EchelonStore  # the scan's elimination; natural order when NOT_DENSE
     failing: tuple[int, ...] = ()  # NOT_DENSE: the least segment {1..k} not covered, k the first gap
 
 
@@ -192,20 +196,25 @@ def density_check(G: GeneratorSet, m: int) -> DensityResult:
     """Decide surjectivity of the projection onto coordinates 1..m.
 
     Feeds the generators in order into one EchelonStore over 1..m until its
-    rank reaches m; a family that ends first is NOT_DENSE.
+    rank reaches m; a family that ends first is NOT_DENSE.  Pivots go first
+    to the coordinates <= m that the fewest generators touch, ties to the
+    smaller; rank and basis do not depend on the order, but the first gap
+    does, so a NOT_DENSE scan is repeated in the natural order.
     """
     if m < 1:
         raise ValueError(f"segment length must be >= 1, got {m}")
-    store = EchelonStore(m)
-    pivots: list[int] = []
-    for idx, g in enumerate(G):
+    count = Counter(k for g in G for k in g if k <= m)
+    order = {k: i for i, k in enumerate(sorted(count, key=lambda k: (count[k], k)))}
+    for key in (order.__getitem__, None):
+        store, pivots = EchelonStore(m, key), []
+        for idx, g in enumerate(G):
+            if len(store.rows) == m:
+                break
+            if store.add(g):
+                pivots.append(idx)
         if len(store.rows) == m:
-            break
-        if store.add(g):
-            pivots.append(idx)
+            return DensityResult(DENSE_UP_TO, m, m, tuple(pivots), store)
     rank = len(store.rows)
-    if rank == m:
-        return DensityResult(DENSE_UP_TO, m, rank, tuple(pivots), store)
     gap = min(set(range(1, rank + 2)) - {pivot for pivot, _, _ in store.rows})
     return DensityResult(NOT_DENSE, m, rank, tuple(pivots), store, failing=tuple(range(1, gap + 1)))
 

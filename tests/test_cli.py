@@ -25,7 +25,7 @@ from kslab.exactnum import PI, Cmp, cmp_sq_below
 from kslab.ks_measure import build
 from kslab.rect_sup import Rectangle, sup_rect_bruteforce
 from kslab.report import format_rational, parse_rational
-from kslab.schauder import EchelonStore
+from kslab.schauder import EchelonStore, GeneratorSet, density_check
 from test_report import DIGIT_PARTS, JSON_NUMBERS, repdigit
 from oracles import (
     argparse_parse,
@@ -530,9 +530,9 @@ class TestSchauder:
         stores, adds = [], []
         init, add = EchelonStore.__init__, EchelonStore.add
 
-        def counting_init(self, m):
+        def counting_init(self, m, key=None):
             stores.append(m)
-            init(self, m)
+            init(self, m, key)
 
         def counting_add(self, vec):
             adds.append(vec)
@@ -662,6 +662,29 @@ class TestPinnedReportBytes:
         '{"coords": {"4": "1/3", "6": "3/2", "12": "-2/3"}}\n'
         '{"coords": {"2": "-1/2", "6": "1/3", "9": "1/2"}}\n'
     )
+    # Written while the echelon store still pivoted on each row's first
+    # nonzero coordinate: twelve generators with denominators 2 and 3, N = 10
+    # on horizon N + 4.  Generator 7 repeats generator 3 on 1..10 (dependent)
+    # and generator 11 is never scanned; the fill-reducing order pivots five
+    # of the ten stored rows on other coordinates than the natural order.
+    SCHAUDER_PIVOT_ORDER = "3fca6a92861eda24f39734f10d8f30f42458c9fc4b23c30e0875d16eae499649"
+    PIVOT_ORDER_GENERATORS = (
+        '{"coords": {"1": "1/2", "7": "5/3", "13": "2/3"}}\n'
+        '{"coords": {"2": "2/3", "7": "-2/3", "13": "-3/2"}}\n'
+        '{"coords": {"3": "1/3", "4": "-1/2", "9": "2/3"}}\n'
+        '{"coords": {"4": "1/3", "5": "2/3", "9": "1", "13": "-5/2"}}\n'
+        '{"coords": {"5": "4/3", "12": "-1/2"}}\n'
+        '{"coords": {"6": "3/2", "8": "-1/2", "9": "-2/3"}}\n'
+        '{"coords": {"7": "-3/2", "10": "-1/3", "11": "5/3"}}\n'
+        '{"coords": {"4": "1/3", "5": "2/3", "9": "1", "12": "-5/2"}}\n'
+        '{"coords": {"8": "2/3", "9": "1/2", "14": "5/3"}}\n'
+        '{"coords": {"2": "3/2", "9": "1"}}\n'
+        '{"coords": {"10": "4/3", "11": "1/2", "13": "-5/2", "14": "-3/2"}}\n'
+        '{"coords": {"1": "-2/3", "4": "1", "12": "-1/2"}}\n'
+    )
+    PIVOT_ORDER_TARGETS = (
+        '{"targets": [["1/2", "-2/3", "3", "1/3", "0", "5/2", "1", "-1/2", "2", "-3/2", "1/3", "0", "4", "-1"]]}\n'
+    )
     # Written before the echelon store moved into schauder: rational
     # generators with coordinates past N = 3 and past the horizon 5 (7, 9,
     # 11, 14), one of them dependent on 1..3, so the horizon cut and the
@@ -756,6 +779,21 @@ class TestPinnedReportBytes:
         argv = ["schauder", "--generators", str(gens), "--n", "3", "--horizon", "5", "--target", str(targets)]
         assert run(argv + ["--out", str(out)]) == 0
         assert self.digest(out) == self.SCHAUDER_PAST_HORIZON
+
+    def test_schauder_pivot_order(self, tmp_path):
+        gens = tmp_path / "gens.jsonl"
+        gens.write_text(self.PIVOT_ORDER_GENERATORS, encoding="utf-8")
+        targets = tmp_path / "targets.json"
+        targets.write_text(self.PIVOT_ORDER_TARGETS, encoding="utf-8")
+        out = tmp_path / "basis.json"
+        argv = ["schauder", "--generators", str(gens), "--n", "10", "--horizon", "14", "--target", str(targets)]
+        assert run(argv + ["--out", str(out)]) == 0
+        assert self.digest(out) == self.SCHAUDER_PIVOT_ORDER
+        G = GeneratorSet.from_jsonl(self.PIVOT_ORDER_GENERATORS)
+        natural = EchelonStore(10)
+        for g in G:
+            natural.add(g)
+        assert [p for p, _, _ in density_check(G, 10).echelon.rows] != [p for p, _, _ in natural.rows]
 
     @pytest.mark.parametrize("args", list(SUP))
     def test_sup(self, tmp_path, args):

@@ -835,6 +835,88 @@ def first_gap(store):
     return next((k for k in range(1, store.m + 1) if k not in pivots), None)
 
 
+def fill_order(G, m):
+    """The documented pivot order as a key: coordinates <= m that fewer
+    generators touch first, ties to the smaller coordinate; untouched
+    coordinates are not ranked."""
+    touched = sorted({k for g in G for k in g if k <= m}, key=lambda k: (sum(k in g for g in G), k))
+    return {k: i for i, k in enumerate(touched)}.__getitem__
+
+
+def scanned(G, m, key=None):
+    """An EchelonStore(m, key) fed the generators until its rank reaches m."""
+    store = EchelonStore(m, key)
+    for g in G:
+        if len(store.rows) == m:
+            break
+        store.add(g)
+    return store
+
+
+def pivots_of(store):
+    return [pivot for pivot, _, _ in store.rows]
+
+
+class TestFillReducingOrder:
+    """density_check's store pivots in the fill-reducing order, and its basis
+    and NOT_DENSE gap equal those of the natural first-nonzero order."""
+
+    def dense_sets(self):
+        rng = random.Random(3636)
+        for i in range(240):
+            N = rng.randint(1, 12)
+            horizon = N + rng.randint(3, 8)
+            if i % 2:
+                yield random_dense_generators(rng, m=N, horizon=horizon), N, horizon
+            else:
+                yield dominant_generators(rng, N, horizon, nnz=rng.randint(2, 5), junk=rng.randint(0, 3)), N, horizon
+        yield dominant_generators(random.Random(6090), 60, 90), 60, 90
+
+    def test_basis_equals_the_natural_order_basis(self):
+        differ = 0
+        for G, N, horizon in self.dense_sets():
+            density = density_check(G, N)
+            assert density.status == DENSE_UP_TO
+            store, natural = density.echelon, scanned(G, N)
+            assert pivots_of(store) == pivots_of(scanned(G, N, fill_order(G, N)))
+            assert store.inputs == natural.inputs
+            assert store.unit_combinations() == natural.unit_combinations()
+            basis = schauder.basis_from_density(density, horizon)
+            assert basis.vectors == schauder.basis_from_density(density._replace(echelon=natural), horizon).vectors
+            differ += pivots_of(store) != pivots_of(natural)
+        assert differ >= 50, differ
+
+    def test_rows_vanish_before_their_pivot_in_the_order(self):
+        for G, N, _ in self.dense_sets():
+            store = density_check(G, N).echelon
+            earlier = set()
+            for pivot, row, _ in store.rows:
+                assert min(row, key=store.key) == pivot
+                assert not earlier & set(row)  # zero at every earlier pivot
+                earlier.add(pivot)
+
+    def test_not_dense_gap_is_the_natural_first_gap(self):
+        rng = random.Random(9136)
+        moved = 0
+        for _ in range(400):
+            N = rng.randint(2, 8)
+            G = GeneratorSet(  # at most N generators, so most sets fall short
+                {k: Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3)) for k in rng.sample(range(1, N + 3), 3)}
+                for _ in range(rng.randint(1, N))
+            )
+            result = density_check(G, N)
+            natural = scanned(G, N)
+            assert result.rank == len(natural.rows)
+            if result.status == DENSE_UP_TO:
+                assert first_gap(natural) is None
+                continue
+            gap = first_gap(natural)
+            assert result.failing == tuple(range(1, gap + 1))
+            assert pivots_of(result.echelon) == pivots_of(natural)
+            moved += first_gap(scanned(G, N, fill_order(G, N))) != gap
+        assert moved >= 30, moved
+
+
 class TestEchelonStore:
     def test_dependent_inputs_dropped(self):
         store = EchelonStore(3)
@@ -844,16 +926,19 @@ class TestEchelonStore:
         assert store.inputs == inputs and first_gap(store) is None
 
     def test_rows_and_units_against_recorded_combinations(self):
-        rng = random.Random(8)
+        # each set in the natural order and in a random order of 1..m
+        rng, order_rng = random.Random(8), random.Random(9)
         for _ in range(200):
             m = rng.randint(1, 6)
             inputs = [
                 {c: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for c in rng.sample(range(1, m + 3), 2)}
                 for _ in range(rng.randint(1, m + 2))
             ]
-            store = EchelonStore(m)
-            for v in inputs:
-                store.add(v)
+            ranks = order_rng.sample(range(m), m)
+            stores = [EchelonStore(m), EchelonStore(m, dict(zip(range(1, m + 1), ranks)).__getitem__)]
+            for store in stores:
+                for v in inputs:
+                    store.add(v)
 
             def profile(combo):
                 out = [Fraction(0)] * m
@@ -863,14 +948,18 @@ class TestEchelonStore:
                             out[k - 1] += w * x
                 return out
 
-            for pivot, row, combo in store.rows:
-                assert profile(combo) == [row.get(k, 0) for k in range(1, m + 1)]
-                assert min(row) == pivot
-            if first_gap(store) is not None:
-                with pytest.raises(ValueError):
-                    store.unit_combinations()
+            for store in stores:
+                for pivot, row, combo in store.rows:
+                    assert profile(combo) == [row.get(k, 0) for k in range(1, m + 1)]
+                    assert min(row, key=store.key) == pivot  # zero before the pivot in the store's order
+            if first_gap(stores[0]) is not None:
+                for store in stores:
+                    with pytest.raises(ValueError):
+                        store.unit_combinations()
                 continue
-            for n, (weights, den) in enumerate(store.unit_combinations(), start=1):
+            units = stores[0].unit_combinations()
+            assert stores[1].unit_combinations() == units
+            for n, (weights, den) in enumerate(units, start=1):
                 assert profile({i: Fraction(w, den) for i, w in weights.items()}) == [int(k == n) for k in range(1, m + 1)]
 
 

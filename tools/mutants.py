@@ -150,8 +150,13 @@ MUTANTS = [
     # the echelon store
     Mutant("schauder", "a, b = row[pivot] // g, coef // g", "b, a = row[pivot] // g, coef // g",
            "EchelonStore.add's cross-multiplication swaps a and b"),
-    Mutant("schauder", "self.rows.append((min(v), v, combo))", "self.rows.append((max(v), v, combo))",
-           "EchelonStore.add reads the pivot as max(v)"),
+    Mutant("schauder", "self.rows.append((min(v, key=self.key), v, combo))",
+           "self.rows.append((max(v, key=self.key), v, combo))",
+           "EchelonStore.add reads the pivot as the last nonzero coordinate in its order"),
+    Mutant("schauder", "for n, row, combo in reversed(self.rows):", "for n, row, combo in self.rows:",
+           "unit_combinations back-substitutes in insertion order"),
+    Mutant("schauder", "for key in (order.__getitem__, None):", "for key in (order.__getitem__,):",
+           "density_check reads the NOT_DENSE gap off the fill-ordered scan"),
     # the section simplex
     Mutant("basic_seq_diag", "if b * floor.denominator > floor.numerator * det:",
            "if b * floor.denominator >= floor.numerator * det:",
