@@ -48,12 +48,13 @@ def _verify_one(n: int) -> dict:
     sup = m.central_mass
     lower_ok, upper_ok = certify_pair(sup, n)
     brute = sup_rect_bruteforce(m).sup if n <= BRUTE_MAX_N else None
-    # the tensor supremum is 2 c_n at every vertex (tensor_bounds), and the
-    # certified c_n < 2/sqrt(pi n) gives 2 c_n < 8/sqrt(pi n), bound3
+    # the tensor supremum is 2 c_n at every vertex (tensor_bounds; the row
+    # writes it from sup), and the certified c_n < 2/sqrt(pi n) gives
+    # 2 c_n < 8/sqrt(pi n), bound3
     return report.verify_row(
         n, sup, lower_ok, upper_ok, bound2_verdict(lower_ok, upper_ok),
         brute, None if brute is None else brute == sup,
-        2 * sup, "PASS" if upper_ok is Cmp.CERT_LT else "UNDECIDED",
+        "PASS" if upper_ok is Cmp.CERT_LT else "UNDECIDED",
     )
 
 

@@ -255,10 +255,16 @@ def decimal_str(q: Rational | Dyadic) -> str | None:
         scaled = abs(q.numerator) * 10**DIGITS // q.denominator
     else:
         raise TypeError(f"decimal_str requires an int, Fraction or Dyadic, got {type(q).__name__}")
+    return _decimal(scaled, "-" if q.numerator < 0 else "")
+
+
+def _decimal(scaled: int, sign: str = "") -> str | None:
+    """decimal_str's cut: sign and scaled / 10^DIGITS with DIGITS fractional
+    digits, scaled >= 0 a magnitude times 10^DIGITS, truncated; None when
+    the whole part is HEX_FROM or more."""
     whole, frac = divmod(scaled, 10**DIGITS)
     if whole >= HEX_FROM:
         return None
-    sign = "-" if q.numerator < 0 else ""
     return f"{sign}{whole}.{frac:0{DIGITS}d}"
 
 
@@ -308,34 +314,33 @@ def write_json(path: str, doc: dict) -> None:
     Path(path).write_text("".join(out), encoding="utf-8")
 
 
-def _certified(sup: Rational | Dyadic, lower_ok: Cmp, upper_ok: Cmp, bound2: str) -> dict:
-    """The fields a verify row and a sup report share: a supremum, its two
-    certified comparisons and their bound2 verdict."""
-    return {"sup": format_rational(sup), "sup_decimal": decimal_str(sup),
-            "lower_ok": lower_ok.value, "upper_ok": upper_ok.value, "bound2": bound2}
-
-
-def verify_row(n, sup, lower_ok, upper_ok, bound2, brute_sup, brute_matches, tsup, bound3) -> dict:
+def verify_row(n, sup: Dyadic, lower_ok, upper_ok, bound2, brute_sup, brute_matches, bound3) -> dict:
     """One verify row from the values and verdicts that vary, in key order.
     The other fields hold by construction and are written as the constants
     they are: each of the n 2^n atoms weighs 1/(n 2^n) in magnitude, and
-    tsup = 2 c_n >= c_n >= 0; the tests check both on the atoms."""
-    certified = _certified(sup, lower_ok, upper_ok, bound2)
-    # c_n = odd / 2^e with e >= 1, so 2 c_n keeps the odd numerator: its
-    # digits, the costly part of either text, are written once
-    num_text = certified["sup"].partition("/")[0]
-    tsup_text = num_text if tsup.denominator == 1 else f"{num_text}/{format_rational(tsup.denominator)}"
+    the tensor supremum 2 c_n >= c_n >= 0; the tests check both on the atoms.
+
+    sup is the Dyadic c_n = num / 2^e, num odd; e >= 1, since the power of
+    two in C(n-1, floor((n-1)/2)) counts the carries of adding its two
+    halves in base 2 (Kummer), fewer than n.  So 2 c_n = num / 2^(e-1):
+    both exact fields share num's text, and both decimals num 10^DIGITS."""
+    num, e = sup.num, sup.exp
+    num_text, scaled = _int_text(num), num * 10**DIGITS
     return {
         "n": n,
         "total_variation": "1",
         "tv_ok": True,
         "support_size": _int_text(n << n),
         "support_ok": True,
-        **certified,
+        "sup": f"{num_text}/{_int_text(1 << e)}",
+        "sup_decimal": _decimal(scaled >> e),
+        "lower_ok": lower_ok.value,
+        "upper_ok": upper_ok.value,
+        "bound2": bound2,
         "brute_sup": None if brute_sup is None else format_rational(brute_sup),
         "brute_matches": brute_matches,
-        "tensor_sup": tsup_text,
-        "tensor_sup_decimal": decimal_str(tsup),
+        "tensor_sup": num_text if e == 1 else f"{num_text}/{_int_text(1 << e - 1)}",
+        "tensor_sup_decimal": _decimal(scaled >> e - 1),
         "bound3": bound3,
         "tensor_ge_rect": True,
     }
@@ -346,17 +351,13 @@ def verify_report(n_max: int, brute_max: int, explicit_max: int, rows: list[dict
     return {"config": config, "checks": rows, "overall": overall}
 
 
-_SUP_KEYS = ("n", "sup", "sup_decimal", "witness", "lower_ok", "upper_ok", "method", "bound2")
-
-
 def sup_report(rect: RectangleSupReport, lower_ok: Cmp, upper_ok: Cmp, bound2: str) -> dict:
     """The supremum with its witness bitsets, if one was built, and its
-    certified comparisons, in _SUP_KEYS order: bound2 last."""
+    certified comparisons: bound2 last."""
     w = rect.witness
     witness = None if w is None else {"A_bits": hex(w.row_bits), "B_bits": hex(w.col_bits)}
-    doc = _certified(rect.sup, lower_ok, upper_ok, bound2)
-    doc.update(n=rect.n, witness=witness, method=rect.method)
-    return {key: doc[key] for key in _SUP_KEYS}
+    return {"n": rect.n, "sup": format_rational(rect.sup), "sup_decimal": decimal_str(rect.sup), "witness": witness,
+            "lower_ok": lower_ok.value, "upper_ok": upper_ok.value, "method": rect.method, "bound2": bound2}
 
 
 def schauder_report(density: DensityResult, basis: TriangularBasis | None,

@@ -26,7 +26,7 @@ from kslab.ks_measure import build
 from kslab.rect_sup import Rectangle, sup_rect_bruteforce
 from kslab.report import format_rational, parse_rational
 from kslab.schauder import EchelonStore, GeneratorSet, density_check
-from test_report import DIGIT_PARTS, JSON_NUMBERS, repdigit
+from test_report import DIGIT_PARTS, JSON_NUMBERS, repdigit, row_texts_by_fraction
 from oracles import (
     argparse_parse,
     certify_bound3,
@@ -79,10 +79,14 @@ class TestVerify:
         assert all(row["brute_matches"] for row in doc["checks"])
 
     def test_row_encodes_past_str_digit_limit(self):
-        # n * 2^n and the 2^n denominator of sup exceed 4300 digits here
+        # n * 2^n and the power-of-two denominators of sup and tensor_sup
+        # exceed 4300 digits here, so all three are 0x hex
         row = _verify_one(15000)
         assert parse_rational(row["support_size"]) == 15000 << 15000
-        assert parse_rational(row["sup"]) == Fraction(math.comb(14999, 7499), 1 << 15000)
+        expected = row_texts_by_fraction(15000)
+        assert {key: row[key] for key in expected} == expected
+        assert row["sup"].partition("/")[2].startswith("0x")
+        assert row["tensor_sup"].partition("/")[2].startswith("0x")
         assert row["bound2"] == "PASS"
 
     def test_zero_n_max_usage_error(self, tmp_path):
@@ -646,6 +650,10 @@ class TestPinnedReportBytes:
     # a byte of them fails here.  verify --n-max 24 crosses the n <= 20
     # explicit-measure guard, and the schauder run is the console-script one.
     VERIFY_24 = "16acce1c408a8a2ed013236e2ebc33f93d4e9cc5567c7714df145b313d9446b1"
+    # Written while the verify row still built 2 c_n and wrote it through
+    # format_rational and decimal_str: verify --n-max 1024, the size the
+    # sweep benchmark runs.
+    VERIFY_1024 = "72faadb5d4f67a874a4b00aeffb5818fd0d44b61b355db186363cbec20471da5"
     SCHAUDER_3 = "4da1a7f1b19a53d89bf34f676d508a03f143ba91fc29542c430d2ef7d8f35a6b"
     # Written while basis vectors were still Fractions: eight generators with
     # denominators 2 and 3 (one dependent, one unused), so the unit weights
@@ -739,10 +747,11 @@ class TestPinnedReportBytes:
     def digest(path):
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
-    def test_verify(self, tmp_path):
+    @pytest.mark.parametrize("n_max, pinned", [(24, VERIFY_24), (1024, VERIFY_1024)])
+    def test_verify(self, tmp_path, n_max, pinned):
         out = tmp_path / "verify.json"
-        assert run(["verify", "--n-max", "24", "--out", str(out)]) == 0
-        assert self.digest(out) == self.VERIFY_24
+        assert run(["verify", "--n-max", str(n_max), "--out", str(out)]) == 0
+        assert self.digest(out) == pinned
 
     def test_schauder_with_target(self, tmp_path):
         gens = tmp_path / "gens.jsonl"

@@ -1,7 +1,8 @@
 """The report layer: rational text and its parse side (format_rational,
 format_ratios, decimal_str, parse_rational) for ints, Fractions and Dyadics
-on both sides of the hex cut; the input reader (read_json, rational) on
-JSON number literals, constants and repeated keys; write_json against
+on both sides of the hex cut; verify's row texts of c_n and 2 c_n against
+the same Fractions' texts; the input reader (read_json, rational) on JSON
+number literals, constants and repeated keys; write_json against
 json.dumps(indent=2); and the package source, in which no module but
 kslab.report writes rational text or decodes JSON."""
 
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from kslab.cli import _verify_one
 from kslab.exactnum import Dyadic
 from kslab.report import (
     HEX_FROM, Number, coordinate, decimal_str, describe, fields, format_ratios, format_rational, parse_rational,
@@ -247,6 +249,25 @@ class TestSerialization:
         assert decimal_str(below) == ("-" if sign < 0 else "") + digits
         assert decimal_str(sign * Fraction(HEX_FROM * den + rest, den)) is None
         assert decimal_str(sign * Fraction(HEX_FROM * den, den)) is None
+
+
+def row_texts_by_fraction(n: int) -> dict:
+    """sup, sup_decimal, tensor_sup and tensor_sup_decimal of verify's row n,
+    from c_n = C(n-1, floor((n-1)/2)) / 2^n and 2 c_n as Fractions, through
+    format_rational and decimal_str."""
+    c = Fraction(math.comb(n - 1, (n - 1) // 2), 1 << n)
+    return {"sup": format_rational(c), "sup_decimal": decimal_str(c),
+            "tensor_sup": format_rational(2 * c), "tensor_sup_decimal": decimal_str(2 * c)}
+
+
+class TestVerifyRowTexts:
+    def test_as_the_fractions_write_them(self):
+        # the row writes c_n and 2 c_n from c_n's numerator and power of two;
+        # 2 c_n is the integer 1 at n = 1, and 1/2 at n = 2 and 3
+        for n in (*range(1, 301), 1024):
+            expected = row_texts_by_fraction(n)
+            row = _verify_one(n)
+            assert {key: row[key] for key in expected} == expected, n
 
 
 class TestDyadic:

@@ -91,7 +91,11 @@ MUTANTS = [
            "read_json keeps the last value of a repeated key"),
     Mutant("report", "    if unknown := [key for key in doc if key not in spec]:\n", "    if unknown := []:\n",
            "fields admits any key"),
-    Mutant("report", "num_text if tsup.denominator == 1 else", "num_text if tsup.denominator <= 2 else",
+    Mutant("report", "f\"{num_text}/{_int_text(1 << e - 1)}\"", "f\"{num_text}/{_int_text(1 << e)}\"",
+           "the verify row's tensor_sup keeps c_n's denominator"),
+    Mutant("report", "_decimal(scaled >> e - 1)", "_decimal(scaled >> e)",
+           "the verify row's tensor_sup_decimal keeps c_n's shift"),
+    Mutant("report", "num_text if e == 1 else", "num_text if e <= 2 else",
            "the verify row's tensor_sup drops a denominator of 2"),
     # the indent=2 writer
     Mutant("report", '_INDENT = "  "', '_INDENT = " "', "write_json indents one space per level"),
