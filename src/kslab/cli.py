@@ -24,7 +24,7 @@ from typing import NoReturn
 from . import normal_subseq, report, schauder, tensor_bounds
 from .exactnum import Cmp
 from .ks_measure import EXPLICIT_MAX_N, build
-from .rect_sup import BRUTE_MAX_N, bound2_verdict, certify_pair, sup_rect_bruteforce, sup_rect_fast
+from .rect_sup import BRUTE_MAX_N, bound2_verdict, certify_pair, certify_run, sup_rect_bruteforce, sup_rect_fast
 
 
 def _load(path: str, what: str, parse):
@@ -42,20 +42,25 @@ def _load(path: str, what: str, parse):
 # verify
 
 
-def _verify_one(n: int) -> dict:
-    m = build(n)
-    # the closed-form supremum c_n, certified; the row writes no witness
-    sup = m.central_mass
-    lower_ok, upper_ok = certify_pair(sup, n)
-    brute = sup_rect_bruteforce(m).sup if n <= BRUTE_MAX_N else None
-    # the tensor supremum is 2 c_n at every vertex (tensor_bounds; the row
-    # writes it from sup), and the certified c_n < 2/sqrt(pi n) gives
-    # 2 c_n < 8/sqrt(pi n), bound3
-    return report.verify_row(
-        n, sup, lower_ok, upper_ok, bound2_verdict(lower_ok, upper_ok),
-        brute, None if brute is None else brute == sup,
-        "PASS" if upper_ok is Cmp.CERT_LT else "UNDECIDED",
-    )
+def _verify_run(first: int, last: int) -> list[dict]:
+    """The rows n = first..last of one pair {2j, 2j + 1}, which share
+    c_n = C(2j, j) / 2^(2j+1): one binomial, one set of texts, and one
+    certified comparison per side (certify_run)."""
+    # the closed-form supremum c_n, certified; the rows write no witness
+    sup = build(first).central_mass
+    texts = report.sup_texts(sup)
+    rows = []
+    for n, (lower_ok, upper_ok) in enumerate(certify_run(sup, first, last), start=first):
+        brute = sup_rect_bruteforce(build(n)).sup if n <= BRUTE_MAX_N else None
+        # the tensor supremum is 2 c_n at every vertex (tensor_bounds; the
+        # row writes it from sup), and the certified c_n < 2/sqrt(pi n)
+        # gives 2 c_n < 8/sqrt(pi n), bound3
+        rows.append(report.verify_row(
+            n, texts, lower_ok, upper_ok, bound2_verdict(lower_ok, upper_ok),
+            brute, None if brute is None else brute == sup,
+            "PASS" if upper_ok is Cmp.CERT_LT else "UNDECIDED",
+        ))
+    return rows
 
 
 def _row_failure(row: dict) -> str | None:
@@ -70,7 +75,7 @@ def _row_failure(row: dict) -> str | None:
 
 def cmd_verify(args: SimpleNamespace) -> int:
     n_max = args.n_max
-    rows = [_verify_one(n) for n in range(1, n_max + 1)]
+    rows = [row for j in range(n_max // 2 + 1) for row in _verify_run(max(2 * j, 1), min(2 * j + 1, n_max))]
     failure = next((f for f in map(_row_failure, rows) if f), None)
     overall = "PASS" if failure is None else "FAIL"
     report.write_json(args.out, report.verify_report(n_max, BRUTE_MAX_N, EXPLICIT_MAX_N, rows, overall))

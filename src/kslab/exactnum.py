@@ -9,10 +9,13 @@ on a numerator's leading 64 bits unless the value lies within about 2^-60
 of a threshold.  No floating point ever enters a certification path.
 
 central_binomial gives C(m, floor(m/2)), the numerator of every c_n, from
-its prime factorization on one shared sieve, multiplied by a balanced
-product tree: Legendre's exponent for each prime up to sqrt(m), and above
-it whole slices of the sieve, the primes that enter once by Kummer's carry
-count; or by one Pascal step when m follows the previous call's m.
+the even central binomial E(j) = C(2j, j), j = ceil(m/2): E(j) itself for
+even m and half of it for odd m, so m = 2j - 1 and m = 2j share one E(j).
+E(j) is one Pascal step from E(j - 1) when j follows the previous call's
+j, and otherwise its prime factorization on one shared sieve, multiplied
+by a balanced product tree: Legendre's exponent for each prime up to
+sqrt(2j), and above it whole slices of the sieve, the primes that enter
+once by Kummer's carry count.
 Dyadic holds c_n and every closed-form value built from it over a power of
 two times a small odd part, so no value pays a gcd of its huge numerator
 and denominator.
@@ -176,7 +179,7 @@ numbers.Rational.register(Dyadic)
 # run; a larger m regrows it to at least double, so a run sieves O(log m)
 # times.  Each module-level cache is one tuple, read and replaced whole.
 _sieve: tuple[int, list[int]] = (1, [])
-# (m, C(m, floor(m/2))) of the last central_binomial call
+# (j, C(2j, j)) of the last central_binomial call
 _last = (0, 1)
 
 
@@ -205,10 +208,8 @@ def _product(xs: list[int]) -> int:
     return math.prod(xs)
 
 
-def _factorized(m: int) -> int:
-    """C(m, k), k = floor(m/2), from the prime factorization of the even
-    central binomial C(e, e/2), e = m rounded up to even; an odd m takes
-    C(m, k) = C(m + 1, k + 1) / 2.
+def _factorized(e: int) -> int:
+    """C(e, e/2) for even e >= 0 from its prime factorization.
 
     A prime p <= sqrt(e) enters with Legendre's exponent
     sum_i floor(e/p^i) - 2 floor(e/(2 p^i)).  A larger p has p^2 > e, so
@@ -216,7 +217,6 @@ def _factorized(m: int) -> int:
     in base p): the primes in (e/(q+1), e/q] for odd q, one slice of the
     sieve each, enter once and every other prime not at all.
     """
-    e = m + (m & 1)
     primes, r, k = _primes_upto(e), math.isqrt(e), e // 2
     powers = []
     for p in primes[: bisect.bisect_right(primes, r)]:
@@ -231,26 +231,27 @@ def _factorized(m: int) -> int:
         lo = max(e // (q + 1), r)
         powers += primes[bisect.bisect_right(primes, lo) : bisect.bisect_right(primes, hi)]
         q += 2
-    c = _product(powers)
-    return c >> 1 if m & 1 else c
+    return _product(powers)
 
 
 def central_binomial(m: int) -> int:
-    """C(m, floor(m/2)) for m >= 0.
+    """C(m, floor(m/2)) for m >= 0: E(j) = C(2j, j) with j = ceil(m/2)
+    for even m, and E(j) / 2 = C(2j - 1, j - 1) for odd m.
 
-    The call after the one for m - 1 takes one Pascal step,
-    C(m, floor(m/2)) = C(m-1, floor((m-1)/2)) * m / ceil(m/2), an exact
-    division; any other m is factorized (_factorized).
+    The call whose j follows the previous call's takes one Pascal step,
+    E(j) = E(j-1) * (4j - 2) / j, an exact division; a call with the
+    previous j reuses its E(j), and any other j is factorized
+    (_factorized).
     """
     global _last
     if m < 0:
         raise ValueError(f"central_binomial requires m >= 0, got m={m}")
-    last_m, last_c = _last
-    if m == last_m:
-        return last_c
-    c = last_c * m // (m - m // 2) if m == last_m + 1 else _factorized(m)
-    _last = (m, c)
-    return c
+    j = (m + 1) // 2
+    last_j, c = _last
+    if j != last_j:
+        c = c * (4 * j - 2) // j if j == last_j + 1 else _factorized(2 * j)
+        _last = (j, c)
+    return c >> 1 if m & 1 else c
 
 
 def _cmp_exact(p: int, q2: int, ku: int, cu: int, kl: int, cl: int) -> Cmp:

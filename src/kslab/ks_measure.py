@@ -43,9 +43,10 @@ class KSMeasure:
 
         The rectangle supremum, half the tensor supremum, and by Abel
         summation the value of every named plus-count profile that jumps
-        at the middle.  The binomial comes from exactnum.central_binomial:
-        one Pascal step from the previous index when the measures are built
-        in increasing order (a verify sweep), otherwise the prime
+        at the middle.  The binomial comes from exactnum.central_binomial,
+        which derives it from C(2j, j), j = floor(n/2), shared by indices 2j
+        and 2j + 1: one Pascal step from the previous j when the measures
+        are built in increasing order (a verify sweep), otherwise the prime
         factorization.  Its lowest terms need no gcd: by Kummer's theorem
         the binomial C(m, k) holds 2 to the power s(k) + s(m-k) - s(m), s
         the binary digit sum, so c_n = (C >> v) / 2^(n-v), an exact Dyadic

@@ -23,10 +23,12 @@ every combination on it.  Every term is a symmetric profile defined at
 every index, so evaluation cannot fail; each takes its closed form in
 c_n = C(n-1, floor((n-1)/2)) / 2^n (see tensor_bounds), which the measure
 computes once, so a family costs one central binomial per index:
-exactnum.central_binomial takes one Pascal step where two selected indices
-are consecutive and factorizes the binomial otherwise.  Values and prefix
-sums are exactnum.Dyadic: a denominator is a power of two times a small
-odd part, and no sum takes a gcd of its huge numerator and power of two.
+exactnum.central_binomial derives it at a selected index s from
+C(2j, j), j = floor(s/2), which it factorizes, reaches by one Pascal step
+when the previous selected index had j - 1, or reuses when it had j.
+Values and prefix sums are exactnum.Dyadic: a denominator is a power of
+two times a small odd part, and no sum takes a gcd of its huge numerator
+and power of two.
 """
 
 from __future__ import annotations

@@ -35,6 +35,7 @@ oracle (tests/oracles.py); the package builds only the canonical measure.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -71,11 +72,26 @@ class RectangleSupReport(NamedTuple):
     method: str  # "BruteForce" | "FastPath"
 
 
+def certify_run(sup: Fraction | Dyadic, first: int, last: int) -> list[tuple[Cmp, Cmp]]:
+    """(lower_ok, upper_ok) at each n = first..last: sup against
+    1/(2 sqrt(pi n)) and 2/sqrt(pi n).
+
+    cmp_sq_below is CERT_LT iff r^2 n A < B, and otherwise CERT_GT iff
+    r^2 n C > D, with A >= C > 0 from pi's enclosure; both sides grow with
+    n.  So a CERT_GT at first holds at every larger n, and a CERT_LT at
+    last at every smaller n: the lower comparison is made at first, the
+    upper at last, and a verdict these two do not give by its own call.
+    """
+    lower = functools.partial(cmp_sq_below, sup, 1, 2)  # want CERT_GT vs 1/(2 sqrt(pi n))
+    upper = functools.partial(cmp_sq_below, sup, 2, 1)  # want CERT_LT vs 2/sqrt(pi n)
+    low, up = lower(first), upper(last)
+    return [(low if low is Cmp.CERT_GT or n == first else lower(n),
+             up if up is Cmp.CERT_LT or n == last else upper(n)) for n in range(first, last + 1)]
+
+
 def certify_pair(sup: Fraction | Dyadic, n: int) -> tuple[Cmp, Cmp]:
-    """(lower_ok, upper_ok): sup against 1/(2 sqrt(pi n)) and 2/sqrt(pi n)."""
-    lower_ok = cmp_sq_below(sup, 1, 2, n)  # want CERT_GT vs 1/(2 sqrt(pi n))
-    upper_ok = cmp_sq_below(sup, 2, 1, n)  # want CERT_LT vs 2/sqrt(pi n)
-    return lower_ok, upper_ok
+    """(lower_ok, upper_ok) at n: certify_run's one-index case."""
+    return certify_run(sup, n, n)[0]
 
 
 def sup_rect_bruteforce(m: KSMeasure) -> RectangleSupReport:

@@ -314,11 +314,9 @@ def write_json(path: str, doc: dict) -> None:
     Path(path).write_text("".join(out), encoding="utf-8")
 
 
-def verify_row(n, sup: Dyadic, lower_ok, upper_ok, bound2, brute_sup, brute_matches, bound3) -> dict:
-    """One verify row from the values and verdicts that vary, in key order.
-    The other fields hold by construction and are written as the constants
-    they are: each of the n 2^n atoms weighs 1/(n 2^n) in magnitude, and
-    the tensor supremum 2 c_n >= c_n >= 0; the tests check both on the atoms.
+def sup_texts(sup: Dyadic) -> tuple[str, str | None, str, str | None]:
+    """The verify row's sup, sup_decimal, tensor_sup and tensor_sup_decimal
+    of c_n, which rows 2j and 2j + 1 share.
 
     sup is the Dyadic c_n = num / 2^e, num odd; e >= 1, since the power of
     two in C(n-1, floor((n-1)/2)) counts the carries of adding its two
@@ -326,21 +324,32 @@ def verify_row(n, sup: Dyadic, lower_ok, upper_ok, bound2, brute_sup, brute_matc
     both exact fields share num's text, and both decimals num 10^DIGITS."""
     num, e = sup.num, sup.exp
     num_text, scaled = _int_text(num), num * 10**DIGITS
+    return (f"{num_text}/{_int_text(1 << e)}", _decimal(scaled >> e),
+            num_text if e == 1 else f"{num_text}/{_int_text(1 << e - 1)}", _decimal(scaled >> e - 1))
+
+
+def verify_row(n, texts, lower_ok, upper_ok, bound2, brute_sup, brute_matches, bound3) -> dict:
+    """One verify row from the values and verdicts that vary, in key order;
+    texts is sup_texts of the row's c_n.  The other fields hold by
+    construction and are written as the constants they are: each of the
+    n 2^n atoms weighs 1/(n 2^n) in magnitude, and the tensor supremum
+    2 c_n >= c_n >= 0; the tests check both on the atoms."""
+    sup, sup_decimal, tensor_sup, tensor_sup_decimal = texts
     return {
         "n": n,
         "total_variation": "1",
         "tv_ok": True,
         "support_size": _int_text(n << n),
         "support_ok": True,
-        "sup": f"{num_text}/{_int_text(1 << e)}",
-        "sup_decimal": _decimal(scaled >> e),
+        "sup": sup,
+        "sup_decimal": sup_decimal,
         "lower_ok": lower_ok.value,
         "upper_ok": upper_ok.value,
         "bound2": bound2,
         "brute_sup": None if brute_sup is None else format_rational(brute_sup),
         "brute_matches": brute_matches,
-        "tensor_sup": num_text if e == 1 else f"{num_text}/{_int_text(1 << e - 1)}",
-        "tensor_sup_decimal": _decimal(scaled >> e - 1),
+        "tensor_sup": tensor_sup,
+        "tensor_sup_decimal": tensor_sup_decimal,
         "bound3": bound3,
         "tensor_ge_rect": True,
     }

@@ -16,7 +16,7 @@ from kslab.basic_seq_diag import (
     FiniteSection,
     basis_constant,
 )
-from kslab.cli import _verify_one
+from kslab.cli import _verify_run
 from kslab.cli import main as cli_main
 from kslab.exactnum import PI
 from kslab.ks_measure import build
@@ -75,7 +75,7 @@ def test_criterion_1_mass_and_support():
     # a verify row writes both facts as the constants they are; at explicit
     # scale the atoms agree with them
     for n in (*range(1, 17), 32, 256, 4096):
-        row = _verify_one(n)
+        row = _verify_run(n, n)[0]
         assert row["tv_ok"] is row["support_ok"] is True
         assert parse_rational(row["total_variation"]) == 1
         assert parse_rational(row["support_size"]) == n * (1 << n)

@@ -18,9 +18,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kslab import cli, exactnum
+from kslab import cli, exactnum, rect_sup
 from kslab.basic_seq_diag import section_report
-from kslab.cli import _verify_one, main
+from kslab.cli import _verify_run, main
 from kslab.exactnum import PI, Cmp, cmp_sq_below
 from kslab.ks_measure import build
 from kslab.rect_sup import Rectangle, sup_rect_bruteforce
@@ -81,7 +81,7 @@ class TestVerify:
     def test_row_encodes_past_str_digit_limit(self):
         # n * 2^n and the power-of-two denominators of sup and tensor_sup
         # exceed 4300 digits here, so all three are 0x hex
-        row = _verify_one(15000)
+        row = _verify_run(15000, 15000)[0]
         assert parse_rational(row["support_size"]) == 15000 << 15000
         expected = row_texts_by_fraction(15000)
         assert {key: row[key] for key in expected} == expected
@@ -102,8 +102,8 @@ class TestVerify:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_each_supremum_certified_once(self, tmp_path, monkeypatch):
-        # bound2 and bound3 read the comparisons the report already holds:
-        # two per index
+        # bound2 and bound3 read the comparisons the report already holds,
+        # and rows 2j and 2j + 1 share c_n: two per distinct c_n, j = 0..32
         calls = []
 
         def counting(*args, **kwargs):
@@ -114,11 +114,12 @@ class TestVerify:
             if name.startswith("kslab.") and hasattr(module, "cmp_sq_below"):
                 monkeypatch.setattr(module, "cmp_sq_below", counting)
         assert run(["verify", "--n-max", "64", "--out", str(tmp_path / "v.json")]) == 0
-        assert len(calls) == 2 * 64
+        assert len(calls) == 2 * (64 // 2 + 1)
 
     def test_sweep_factorizes_at_most_once(self, tmp_path, monkeypatch):
-        # verify walks m = n - 1 = 0..63 in order: every central binomial but
-        # possibly the first is one Pascal step from the one before
+        # verify walks j = 0..32 in order, one central binomial C(2j, j) each:
+        # every one but possibly the first is one Pascal step from the one
+        # before
         factorized = []
         factorize = exactnum._factorized
 
@@ -134,6 +135,18 @@ class TestVerify:
         assert [parse_rational(r["sup"]) for r in rows] == [
             Fraction(math.comb(n - 1, (n - 1) // 2), 1 << n) for n in range(1, 65)
         ]
+
+    def test_run_verdicts_are_per_index_verdicts(self, tmp_path):
+        # each row's lower_ok and upper_ok, read off its pair's one comparison
+        # per side, are certify_pair's at that row's own n, on c_n built
+        # from math.comb
+        out = tmp_path / "verify.json"
+        assert run(["verify", "--n-max", "4000", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["checks"]
+        assert len(rows) == 4000
+        for n, row in enumerate(rows, start=1):
+            c = Fraction(math.comb(n - 1, (n - 1) // 2), 1 << n)
+            assert (row["lower_ok"], row["upper_ok"]) == tuple(v.value for v in rect_sup.certify_pair(c, n)), n
 
     def test_tensor_columns_at_every_index(self, tmp_path):
         # the tensor supremum is 2 sup at every n; bound3 agrees with its own
@@ -151,23 +164,36 @@ class TestVerify:
             if n <= 12:
                 assert tsup == tensor_sup_exact(build(n)), n
 
+    @staticmethod
+    def inject(monkeypatch, at, lower_ok=None, upper_ok=None):
+        """Replace the lower_ok or upper_ok certify_run gives at n = at, in
+        verify's run and in sup's certify_pair."""
+        certify = rect_sup.certify_run
+
+        def injected(sup, first, last):
+            return [((lower_ok or lo) if n == at else lo, (upper_ok or up) if n == at else up)
+                    for n, (lo, up) in enumerate(certify(sup, first, last), start=first)]
+
+        monkeypatch.setattr(cli, "certify_run", injected)
+        monkeypatch.setattr(rect_sup, "certify_run", injected)
+
     @pytest.mark.parametrize("upper_ok", [Cmp.UNDECIDED, Cmp.CERT_GT])
     def test_bound3_needs_certified_upper_bound(self, monkeypatch, upper_ok):
         # bound3 rests on the certified c_n < 2/sqrt(pi n) alone; without it
-        # 2 c_n < 8/sqrt(pi n) is not claimed, and the row fails
-        certify = cli.certify_pair
-        monkeypatch.setattr(cli, "certify_pair", lambda sup, n: (certify(sup, n)[0], upper_ok))
-        row = _verify_one(5)
+        # 2 c_n < 8/sqrt(pi n) is not claimed, and the row fails, while row
+        # 4, which shares c_n, keeps its certified bound
+        self.inject(monkeypatch, 5, upper_ok=upper_ok)
+        row4, row = _verify_run(4, 5)
         assert row["bound3"] == "UNDECIDED" and row["tensor_sup"] == "3/8"
         assert cli._row_failure(row) is not None
+        assert row4["bound3"] == "PASS" and row4["tensor_sup"] == "3/8"
+        assert cli._row_failure(row4) is None
 
     @pytest.mark.parametrize("lower_ok", [Cmp.UNDECIDED, Cmp.CERT_LT])
     def test_bound2_failure_alone_fails_the_sweep(self, tmp_path, capsys, monkeypatch, lower_ok):
         # only c_n > 1/(2 sqrt(pi n)) is lost, at n = 3: bound3 still passes,
         # so the sweep fails on bound2, and sup on the same verdict
-        certify = cli.certify_pair
-        monkeypatch.setattr(cli, "certify_pair",
-                            lambda sup, n: (lower_ok, certify(sup, n)[1]) if n == 3 else certify(sup, n))
+        self.inject(monkeypatch, 3, lower_ok=lower_ok)
         out = tmp_path / "verify.json"
         assert run(["verify", "--n-max", "5", "--out", str(out)]) == 1
         doc = json.loads(out.read_text())
@@ -654,6 +680,11 @@ class TestPinnedReportBytes:
     # format_rational and decimal_str: verify --n-max 1024, the size the
     # sweep benchmark runs.
     VERIFY_1024 = "72faadb5d4f67a874a4b00aeffb5818fd0d44b61b355db186363cbec20471da5"
+    # Written while each verify row still certified and wrote its own c_n:
+    # --n-max 1, the lone row of j = 0, and --n-max 1025, whose last pair
+    # {1024, 1025} is full (an even n-max ends on a lone row 2j).
+    VERIFY_1 = "351e163d5190563e9da50262a51f437186d2750c604b30d87ea6ac5afbcd1bae"
+    VERIFY_1025 = "397c4f00a7310486bc8a48563c7e7309dcab9300947cd408a2f110f7d6dde211"
     SCHAUDER_3 = "4da1a7f1b19a53d89bf34f676d508a03f143ba91fc29542c430d2ef7d8f35a6b"
     # Written while basis vectors were still Fractions: eight generators with
     # denominators 2 and 3 (one dependent, one unused), so the unit weights
@@ -747,7 +778,8 @@ class TestPinnedReportBytes:
     def digest(path):
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
-    @pytest.mark.parametrize("n_max, pinned", [(24, VERIFY_24), (1024, VERIFY_1024)])
+    @pytest.mark.parametrize("n_max, pinned", [(1, VERIFY_1), (24, VERIFY_24), (1024, VERIFY_1024),
+                                               (1025, VERIFY_1025)])
     def test_verify(self, tmp_path, n_max, pinned):
         out = tmp_path / "verify.json"
         assert run(["verify", "--n-max", str(n_max), "--out", str(out)]) == 0

@@ -77,9 +77,10 @@ class TestCentralBinomial:
 
     @pytest.mark.parametrize("m", [1 << 17, (1 << 17) + 1, 99991, 99992, 10**5, 10**5 + 1, 2 * 10**5 + 1])
     def test_large_both_parities(self, m):
-        # 99991 is prime; each m is factorized, then reached by the step from
-        # m - 1.  An even m is the factorization as it is; an odd m halves
-        # the binomial of m + 1
+        # 99991 is prime; each m is factorized, then reached from m - 1, by
+        # the Pascal step for even m and by the shared C(m + 1, (m + 1)/2)
+        # for odd m.  An even m is the factorization as it is; an odd m
+        # halves the binomial of m + 1
         expected = math.comb(m, m // 2)
         central_binomial(0)
         assert central_binomial(m) == expected
@@ -91,12 +92,13 @@ class TestCentralBinomial:
             central_binomial(-1)
 
     def test_factorized_against_math_comb(self):
-        for m in range(5001):
+        # central_binomial factorizes even arguments only
+        for m in range(0, 5001, 2):
             assert exactnum._factorized(m) == math.comb(m, m // 2), m
 
     def test_odd_m_is_one_factorization(self, monkeypatch):
-        # C(m, k) = C(m + 1, k + 1) / 2 within the call for m, not by a
-        # second call for m + 1
+        # C(m, k) = C(m + 1, k + 1) / 2 from the one factorization of
+        # m + 1, which m + 1 then reuses
         calls = []
         factorize = exactnum._factorized
 
@@ -107,7 +109,8 @@ class TestCentralBinomial:
         central_binomial(0)
         monkeypatch.setattr(exactnum, "_factorized", counting)
         assert central_binomial(10001) == math.comb(10001, 5000)
-        assert calls == [10001]
+        assert central_binomial(10002) == math.comb(10002, 5001)
+        assert calls == [10002]
 
 
 class TestPiEnclosure:

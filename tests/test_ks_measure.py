@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kslab.exactnum import Dyadic
-from kslab.cli import _verify_one
+from kslab.cli import _verify_run
 from kslab.ks_measure import EXPLICIT_MAX_N, KSMeasure, build
 from kslab.report import HEX_FROM, decimal_str, format_rational, parse_rational
 from oracles import (
@@ -78,27 +78,27 @@ class TestTotalVariationAndSupport:
     # constants they are; the atoms of the measure agree with them
 
     def test_tv_n1(self):
-        assert _verify_one(1)["total_variation"] == "1"
+        assert _verify_run(1, 1)[0]["total_variation"] == "1"
         assert atom_mass_and_support(build(1))[0] == 1
 
     def test_tv_n12(self):
-        assert _verify_one(12)["total_variation"] == "1"
+        assert _verify_run(12, 12)[0]["total_variation"] == "1"
         assert atom_mass_and_support(build(12))[0] == 1
 
     def test_tv_n4096_implicit(self):
         # no atom table past EXPLICIT_MAX_N: the row's constant stands alone
-        assert _verify_one(4096)["total_variation"] == "1"
+        assert _verify_run(4096, 4096)[0]["total_variation"] == "1"
         with pytest.raises(MemoryGuardError):
             atom_mass_and_support(build(4096))
 
     def test_support_sizes(self):
         for n, size in ((1, 2), (3, 24), (10, 10240)):
-            assert _verify_one(n)["support_size"] == str(size)
+            assert _verify_run(n, n)[0]["support_size"] == str(size)
             assert atom_mass_and_support(build(n))[1] == size
 
     def test_explicit_support_counts_atoms(self):
         m = measure(5, RowPermutation(2))
-        assert atom_mass_and_support(m)[1] == int(_verify_one(5)["support_size"]) == 5 * 32
+        assert atom_mass_and_support(m)[1] == int(_verify_run(5, 5)[0]["support_size"]) == 5 * 32
 
 
 class TestCentralMass:
@@ -227,7 +227,7 @@ class TestSignedMeasureView:
     @pytest.mark.parametrize("bijection", [CANONICAL, RowPermutation(7), RowPermutation(8)])
     def test_atom_list_matches_mass_and_support_formulas(self, bijection):
         for n in range(1, 11):
-            row = _verify_one(n)
+            row = _verify_run(n, n)[0]
             atoms = atom_list(measure(n, bijection))
             assert sum(abs(w) for _, w in atoms) == parse_rational(row["total_variation"]) == 1
             assert len({k for k, w in atoms if w}) == len(atoms) == parse_rational(row["support_size"]) == n << n

@@ -2,14 +2,18 @@
 validity, per-width monotonicity, and certified two-sided bounds."""
 
 import functools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from kslab.exactnum import PI, Cmp
+from kslab import rect_sup
+from kslab.exactnum import PI, Cmp, Dyadic, cmp_sq_below
 from kslab.ks_measure import EXPLICIT_MAX_N, build
-from kslab.rect_sup import Rectangle, bound2_verdict, certify_pair, sup_rect_bruteforce, sup_rect_fast
+from kslab.rect_sup import Rectangle, bound2_verdict, certify_pair, certify_run, sup_rect_bruteforce, sup_rect_fast
 from kslab.report import sup_report
 from oracles import (
     CANONICAL,
@@ -278,6 +282,53 @@ class TestCertifyPairAtTheConstants:
         assert certify_pair(below, n)[1] is Cmp.CERT_LT
         assert certify_pair(inside, n)[1] is Cmp.UNDECIDED
         assert certify_pair(above, n)[1] is Cmp.CERT_GT
+
+
+@st.composite
+def near_a_threshold(draw):
+    """(r, first, last), last - first <= 3, r an int, Fraction or Dyadic
+    within 2^-40 of c / sqrt(pi n0), c = 1/2 or 2, for some n0 in
+    first..last: r = p / (q 2^60), p off the threshold's numerator by k q,
+    |k| <= 2^20."""
+    first = draw(st.integers(min_value=1, max_value=10**6))
+    last = first + draw(st.integers(min_value=0, max_value=3))
+    n0 = draw(st.integers(min_value=first, max_value=last))
+    c = draw(st.sampled_from([Fraction(1, 2), Fraction(2)]))
+    q = draw(st.integers(min_value=1, max_value=1 << 20))
+    den = q << 60
+    # floor(den c / sqrt(pi n0)) on pi's midpoint, within about 1e-15 of it relatively
+    pi = (PI.lower + PI.upper) / 2
+    square = den * den * c * c / (pi * n0)
+    p = math.isqrt(square.numerator // square.denominator) + draw(st.integers(-(1 << 20), 1 << 20)) * q
+    kind = draw(st.sampled_from([Fraction, Dyadic]))
+    return (Fraction(p, den) if kind is Fraction else Dyadic(p, q, 60)), first, last
+
+
+class TestCertifyRun:
+    """certify_run reads the lower verdict at first and the upper at last;
+    near a threshold the other indices fall back to their own comparison,
+    which c_n never needs."""
+
+    @given(near_a_threshold())
+    @example((Fraction(0), 1, 4))
+    @example((Dyadic(0), 5, 5))
+    @example((Fraction(1, 2), 1, 2))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_certify_pair_at_each_index(self, case):
+        r, first, last = case
+        assert certify_run(r, first, last) == [certify_pair(r, n) for n in range(first, last + 1)]
+
+    def test_c_n_takes_one_comparison_per_side(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return cmp_sq_below(*args)
+
+        monkeypatch.setattr(rect_sup, "cmp_sq_below", counting)
+        sup = build(1024).central_mass
+        assert certify_run(sup, 1024, 1025) == [(Cmp.CERT_GT, Cmp.CERT_LT)] * 2
+        assert calls == [(sup, 1, 2, 1024), (sup, 2, 1, 1025)]
 
 
 class TestReportJson:

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from kslab.cli import _verify_one
+from kslab.cli import _verify_run
 from kslab.exactnum import Dyadic
 from kslab.report import (
     HEX_FROM, Number, coordinate, decimal_str, describe, fields, format_ratios, format_rational, parse_rational,
@@ -266,7 +266,7 @@ class TestVerifyRowTexts:
         # 2 c_n is the integer 1 at n = 1, and 1/2 at n = 2 and 3
         for n in (*range(1, 301), 1024):
             expected = row_texts_by_fraction(n)
-            row = _verify_one(n)
+            row = _verify_run(n, n)[0]
             assert {key: row[key] for key in expected} == expected, n
 
 

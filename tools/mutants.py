@@ -63,7 +63,9 @@ MUTANTS = [
     Mutant("exactnum", "        q += 2\n", "        q += 1\n",
            "_factorized takes the primes of even quotients e // p too"),
     Mutant("exactnum", "return c >> 1 if m & 1 else c", "return c",
-           "_factorized keeps C(m + 1, k + 1) for odd m, not half of it"),
+           "central_binomial keeps C(2j, j) for odd m, not half of it"),
+    Mutant("exactnum", "c * (4 * j - 2) // j", "c * (4 * j + 2) // j",
+           "central_binomial's Pascal step multiplies by 4j + 2, not 4j - 2"),
     Mutant("exactnum", "Fraction(x0 * x0 + s, 2 * x0 * s)", "Fraction(x0 * x0 + s, 2 * x0 * s + 1)",
            "recip_sqrt_upper drops below 1/sqrt(s)"),
     # the report layer's text
@@ -102,10 +104,14 @@ MUTANTS = [
     Mutant("report", "set(map(type, items)) <= _SCALARS", "set(map(type, items)) <= _SCALARS | {dict}",
            "write_json sends a list of dicts to the flat C encoder"),
     # bound2 and bound3
-    Mutant("rect_sup", "cmp_sq_below(sup, 1, 2, n)", "cmp_sq_below(sup, 1, 3, n)",
+    Mutant("rect_sup", "partial(cmp_sq_below, sup, 1, 2)", "partial(cmp_sq_below, sup, 1, 3)",
            "bound2's lower constant 1/2 -> 1/3"),
-    Mutant("rect_sup", "cmp_sq_below(sup, 2, 1, n)", "cmp_sq_below(sup, 3, 1, n)",
+    Mutant("rect_sup", "partial(cmp_sq_below, sup, 2, 1)", "partial(cmp_sq_below, sup, 3, 1)",
            "bound2's upper constant 2 -> 3"),
+    Mutant("rect_sup", "low if low is Cmp.CERT_GT or n == first else lower(n)", "low",
+           "certify_run carries the lower verdict at first to larger n whatever it is"),
+    Mutant("rect_sup", "up if up is Cmp.CERT_LT or n == last else upper(n)", "up",
+           "certify_run carries the upper verdict at last to smaller n whatever it is"),
     Mutant("rect_sup", "b = n if n % 2 else n - 1", "b = n if n % 2 else n",
            "witness width n for even n, not the smallest maximizing n - 1"),
     Mutant("rect_sup", "p.bit_count() + c < below", "p.bit_count() + c <= below",
