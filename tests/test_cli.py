@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kslab import cli, exactnum, rect_sup
+from kslab import cli, exactnum, ks_measure, rect_sup
 from kslab.basic_seq_diag import section_report
 from kslab.cli import _verify_run, main
 from kslab.exactnum import PI, Cmp, cmp_sq_below
@@ -135,6 +135,20 @@ class TestVerify:
         assert [parse_rational(r["sup"]) for r in rows] == [
             Fraction(math.comb(n - 1, (n - 1) // 2), 1 << n) for n in range(1, 65)
         ]
+
+    def test_one_binomial_per_pair(self, tmp_path, monkeypatch):
+        # rows 2j and 2j + 1 read one c_n, built at the pair's first index:
+        # m = n - 1 = 0, 1, 3, ..., 2j - 1, one per j and in order, so each
+        # is one Pascal step from the one before
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return exactnum.central_binomial(m)
+
+        monkeypatch.setattr(ks_measure, "central_binomial", counting)
+        assert run(["verify", "--n-max", "65", "--out", str(tmp_path / "v.json")]) == 0
+        assert calls == [0] + [2 * j - 1 for j in range(1, 33)]
 
     def test_run_verdicts_are_per_index_verdicts(self, tmp_path):
         # each row's lower_ok and upper_ok, read off its pair's one comparison

@@ -286,10 +286,10 @@ class TestCertifyPairAtTheConstants:
 
 @st.composite
 def near_a_threshold(draw):
-    """(r, first, last), last - first <= 3, r an int, Fraction or Dyadic
-    within 2^-40 of c / sqrt(pi n0), c = 1/2 or 2, for some n0 in
-    first..last: r = p / (q 2^60), p off the threshold's numerator by k q,
-    |k| <= 2^20."""
+    """(r, first, last), last - first <= 3, r a Fraction or Dyadic within
+    2^-40 of c / sqrt(pi n0), c = 1/2 or 2, for some n0 in first..last:
+    r = p / (q 2^60), p off the threshold's numerator by k q, |k| <= 2^20.
+    The examples of the test add r = 0."""
     first = draw(st.integers(min_value=1, max_value=10**6))
     last = first + draw(st.integers(min_value=0, max_value=3))
     n0 = draw(st.integers(min_value=first, max_value=last))
