@@ -8,14 +8,12 @@ cmp_sq_below decides every such comparison, subseq's bound (n = 1) too,
 on a numerator's leading 64 bits unless the value lies within about 2^-60
 of a threshold.  No floating point ever enters a certification path.
 
-central_binomial gives C(m, floor(m/2)), the numerator of every c_n, from
-the even central binomial E(j) = C(2j, j), j = ceil(m/2): E(j) itself for
-even m and half of it for odd m, so m = 2j - 1 and m = 2j share one E(j).
-E(j) is one Pascal step from E(j - 1) when j follows the previous call's
-j, and otherwise its prime factorization on one shared sieve, multiplied
-by a balanced product tree: Legendre's exponent for each prime up to
-sqrt(2j), and above it whole slices of the sieve, the primes that enter
-once by Kummer's carry count.
+central_binomial(j) gives C(2j, j), the numerator of every c_n with
+j = floor(n/2).  It is one Pascal step from C(2j - 2, j - 1) when j
+follows the previous call's j, and otherwise its prime factorization on
+one shared sieve, multiplied by a balanced product tree: Legendre's
+exponent for each prime up to sqrt(2j), and above it whole slices of the
+sieve, the primes that enter once by Kummer's carry count.
 Dyadic holds c_n and every closed-form value built from it over a power of
 two times a small odd part, so no value pays a gcd of its huge numerator
 and denominator.
@@ -176,7 +174,7 @@ numbers.Rational.register(Dyadic)
 
 
 # (top, the primes up to top), shared by every central_binomial call of a
-# run; a larger m regrows it to at least double, so a run sieves O(log m)
+# run; a larger 2j regrows it to at least double, so a run sieves O(log j)
 # times.  Each module-level cache is one tuple, read and replaced whole.
 _sieve: tuple[int, list[int]] = (1, [])
 # (j, C(2j, j)) of the last central_binomial call
@@ -208,21 +206,22 @@ def _product(xs: list[int]) -> int:
     return math.prod(xs)
 
 
-def _factorized(e: int) -> int:
-    """C(e, e/2) for even e >= 0 from its prime factorization.
+def _factorized(j: int) -> int:
+    """C(2j, j) for j >= 0 from its prime factorization.
 
-    A prime p <= sqrt(e) enters with Legendre's exponent
-    sum_i floor(e/p^i) - 2 floor(e/(2 p^i)).  A larger p has p^2 > e, so
-    its exponent is floor(e/p) mod 2 (the carry count of Kummer's theorem
-    in base p): the primes in (e/(q+1), e/q] for odd q, one slice of the
+    With e = 2j, a prime p <= sqrt(e) enters with Legendre's exponent
+    sum_i floor(e/p^i) - 2 floor(j/p^i).  A larger p has p^2 > e, so its
+    exponent is floor(e/p) mod 2 (the carry count of Kummer's theorem in
+    base p): the primes in (e/(q+1), e/q] for odd q, one slice of the
     sieve each, enter once and every other prime not at all.
     """
-    primes, r, k = _primes_upto(e), math.isqrt(e), e // 2
+    e = 2 * j
+    primes, r = _primes_upto(e), math.isqrt(e)
     powers = []
     for p in primes[: bisect.bisect_right(primes, r)]:
         x, q = 0, p
         while q <= e:
-            x += e // q - 2 * (k // q)
+            x += e // q - 2 * (j // q)
             q *= p
         if x:
             powers.append(p**x)
@@ -234,24 +233,22 @@ def _factorized(e: int) -> int:
     return _product(powers)
 
 
-def central_binomial(m: int) -> int:
-    """C(m, floor(m/2)) for m >= 0: E(j) = C(2j, j) with j = ceil(m/2)
-    for even m, and E(j) / 2 = C(2j - 1, j - 1) for odd m.
+def central_binomial(j: int) -> int:
+    """C(2j, j) for j >= 0.
 
     The call whose j follows the previous call's takes one Pascal step,
-    E(j) = E(j-1) * (4j - 2) / j, an exact division; a call with the
-    previous j reuses its E(j), and any other j is factorized
-    (_factorized).
+    C(2j, j) = C(2j - 2, j - 1) * (4j - 2) / j, an exact division; a call
+    with the previous j returns its value again, and any other j is
+    factorized (_factorized).
     """
     global _last
-    if m < 0:
-        raise ValueError(f"central_binomial requires m >= 0, got m={m}")
-    j = (m + 1) // 2
+    if j < 0:
+        raise ValueError(f"central_binomial requires j >= 0, got j={j}")
     last_j, c = _last
     if j != last_j:
-        c = c * (4 * j - 2) // j if j == last_j + 1 else _factorized(2 * j)
+        c = c * (4 * j - 2) // j if j == last_j + 1 else _factorized(j)
         _last = (j, c)
-    return c >> 1 if m & 1 else c
+    return c
 
 
 def _cmp_exact(p: int, q2: int, ku: int, cu: int, kl: int, cl: int) -> Cmp:

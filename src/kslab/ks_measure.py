@@ -39,24 +39,23 @@ class KSMeasure:
 
     @property
     def central_mass(self) -> Dyadic:
-        """c_n = C(n-1, floor((n-1)/2)) / 2^n, computed once per measure.
+        """c_n = C(2j, j) / 2^(2j+1), j = floor(n/2), computed once per measure.
 
         The rectangle supremum, half the tensor supremum, and by Abel
         summation the value of every named plus-count profile that jumps
-        at the middle.  The binomial comes from exactnum.central_binomial,
-        which derives it from C(2j, j), j = floor(n/2), shared by indices 2j
-        and 2j + 1: one Pascal step from the previous j when the measures
-        are built in increasing order (a verify sweep), otherwise the prime
-        factorization.  Its lowest terms need no gcd: by Kummer's theorem
-        the binomial C(m, k) holds 2 to the power s(k) + s(m-k) - s(m), s
-        the binary digit sum, so c_n = (C >> v) / 2^(n-v), an exact Dyadic
-        with an odd numerator.
+        at the middle; it equals C(n-1, floor((n-1)/2)) / 2^n, and indices
+        2j and 2j + 1 share it.  The binomial comes from
+        exactnum.central_binomial: one Pascal step from the previous j when
+        the measures are built in increasing order (a verify sweep),
+        otherwise the prime factorization.  Its lowest terms need no gcd:
+        by Kummer's theorem C(2j, j) holds 2 to the power v = s(j), the
+        carries in j + j (s the binary digit sum), so
+        c_n = (C >> v) / 2^(2j+1-v), an exact Dyadic with an odd numerator.
         """
         if self._central_mass is None:
-            m = self.n - 1
-            k = m // 2
-            v = k.bit_count() + (m - k).bit_count() - m.bit_count()
-            self._central_mass = Dyadic(central_binomial(m) >> v, 1, self.n - v)
+            j = self.n // 2
+            v = j.bit_count()
+            self._central_mass = Dyadic(central_binomial(j) >> v, 1, 2 * j + 1 - v)
         return self._central_mass
 
     def row_pattern(self, s: int) -> int:

@@ -21,11 +21,10 @@ its closed-form tail, and reports label it as such.
 The report builds the measure at each selected index once and evaluates
 every combination on it.  Every term is a symmetric profile defined at
 every index, so evaluation cannot fail; each takes its closed form in
-c_n = C(n-1, floor((n-1)/2)) / 2^n (see tensor_bounds), which the measure
-computes once, so a family costs one central binomial per index:
-exactnum.central_binomial derives it at a selected index s from
-C(2j, j), j = floor(s/2), which it factorizes, reaches by one Pascal step
-when the previous selected index had j - 1, or reuses when it had j.
+c_n = C(2j, j) / 2^(2j+1), j = floor(n/2) (see tensor_bounds), which the
+measure computes once, so a family costs one central binomial per index:
+exactnum.central_binomial(j) factorizes C(2j, j), reaches it by one Pascal
+step when the previous selected index had j - 1, or reuses it when it had j.
 Values and prefix sums are exactnum.Dyadic: a denominator is a power of
 two times a small odd part, and no sum takes a gcd of its huge numerator
 and power of two.

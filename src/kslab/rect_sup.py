@@ -16,7 +16,7 @@ rectangles are bitsets.  Two routes compute it:
   does not decrease in b and ties only at b = 2k-1, 2k, so the widest
   rectangles win:
 
-      sup = C(n-1, floor((n-1)/2)) / 2^n,
+      sup = C(n-1, floor((n-1)/2)) / 2^n = C(2j, j) / 2^(2j+1),  j = floor(n/2),
 
   attained first at b = n for odd n and b = n-1 for even n.
 
@@ -126,8 +126,8 @@ def sup_rect_bruteforce(m: KSMeasure) -> RectangleSupReport:
 
 
 def sup_rect_fast(m: KSMeasure) -> RectangleSupReport:
-    """Closed-form supremum C(n-1, floor((n-1)/2)) / 2^n, the measure's
-    Dyadic central_mass.
+    """Closed-form supremum c_n = C(2j, j) / 2^(2j+1), j = floor(n/2), the
+    measure's Dyadic central_mass.
 
     Works at every index.  A witness (B = first b columns, A = rows with
     positive partial sum, i.e. fewer than b/2 minus signs there) is

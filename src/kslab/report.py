@@ -318,10 +318,10 @@ def sup_texts(sup: Dyadic) -> tuple[str, str | None, str, str | None]:
     """The verify row's sup, sup_decimal, tensor_sup and tensor_sup_decimal
     of c_n, which rows 2j and 2j + 1 share.
 
-    sup is the Dyadic c_n = num / 2^e, num odd; e >= 1, since the power of
-    two in C(n-1, floor((n-1)/2)) counts the carries of adding its two
-    halves in base 2 (Kummer), fewer than n.  So 2 c_n = num / 2^(e-1):
-    both exact fields share num's text, and both decimals num 10^DIGITS."""
+    sup is the Dyadic c_n = num / 2^e, num odd, with e = 2j + 1 - s(j) >= 1
+    for j = floor(n/2) and s the binary digit sum, since s(j) <= j.  So
+    2 c_n = num / 2^(e-1): both exact fields share num's text, and both
+    decimals num 10^DIGITS."""
     num, e = sup.num, sup.exp
     num_text, scaled = _int_text(num), num * 10**DIGITS
     return (f"{num_text}/{_int_text(1 << e)}", _decimal(scaled >> e),

@@ -2,9 +2,10 @@
 every measure index, plus the closed form of the tensor supremum.
 
 The supremum of |mu_n(f (x) g)| over the sup-norm unit cubes is 2 c_n,
-with c_n = C(n-1, floor((n-1)/2)) / 2^n the rectangle supremum.  For fixed
-g the optimal f is the sign of each row's inner sum, and the objective is
-then convex in g, so the maximum is attained at a vertex g of {-1,+1}^n.
+with c_n = C(2j, j) / 2^(2j+1), j = floor(n/2), the rectangle supremum.
+For fixed g the optimal f is the sign of each row's inner sum, and the
+objective is then convex in g, so the maximum is attained at a vertex g
+of {-1,+1}^n.
 A row with sign pattern p has inner sum n - 2|p ^ g|, and the rows run
 over the whole sign cube, so XOR by g permutes them: every vertex has the
 value sum_x |n - 2|x|| / (n 2^n) = E|S_n| / n = 2 c_n, S_n a sum of n

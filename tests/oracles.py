@@ -16,7 +16,7 @@ by their dual bound: every (m, h) solved to optimality.
 
 binomial is C(n, k) by math.comb, the reference of the Pascal-triangle
 tests and of the per-width sums; the package needs only the central
-binomials, from exactnum.central_binomial.
+binomials C(2j, j), from exactnum.central_binomial(j).
 
 text_witness_rows is the fast witness's row bitset as sup_rect_fast read
 it before it packed bytes: an ASCII '1'/'0' table over sign patterns, read

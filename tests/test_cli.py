@@ -138,17 +138,17 @@ class TestVerify:
 
     def test_one_binomial_per_pair(self, tmp_path, monkeypatch):
         # rows 2j and 2j + 1 read one c_n, built at the pair's first index:
-        # m = n - 1 = 0, 1, 3, ..., 2j - 1, one per j and in order, so each
-        # is one Pascal step from the one before
+        # j = 0, 1, ..., 32, one call per j and in order, so each is one
+        # Pascal step from the one before
         calls = []
 
-        def counting(m):
-            calls.append(m)
-            return exactnum.central_binomial(m)
+        def counting(j):
+            calls.append(j)
+            return exactnum.central_binomial(j)
 
         monkeypatch.setattr(ks_measure, "central_binomial", counting)
         assert run(["verify", "--n-max", "65", "--out", str(tmp_path / "v.json")]) == 0
-        assert calls == [0] + [2 * j - 1 for j in range(1, 33)]
+        assert calls == list(range(33))
 
     def test_run_verdicts_are_per_index_verdicts(self, tmp_path):
         # each row's lower_ok and upper_ok, read off its pair's one comparison
@@ -756,6 +756,8 @@ class TestPinnedReportBytes:
     # which reads by_row.  Keys are the sup arguments after --n.  Written
     # while the witness was still a bytes table per pattern: n = 1, 2
     # (width b = 1, a one-byte bitset) and n = 3 (b = 3, one minus count).
+    # Written while c_n was still read off C(n-1, floor((n-1)/2)): n = 100001
+    # has j = 50000, the c_n of n = 100000.
     SUP = {
         "1": "56e5a27b594eb44877d6b94facf7b96ad06ed93978c4afaebca80ab76ea28292",
         "2": "dfb49a95be426dd60865f66c8908108893e8b4b31c994ea6e760a78ee49d24a0",
@@ -764,6 +766,7 @@ class TestPinnedReportBytes:
         "13": "e3af4a32c6f43dd3786de388a3ab8ac4e42d0334ae5e985ac61e410740c8a060",
         "20": "789b0803ac10640ff4fbad6994e8791e23d9367bee8860c36c353c95e5a418dc",
         "100000": "57046aff8f70810859e9cd3f256822e027fbc2c376adee535afa486fab77ee31",
+        "100001": "7d627ecb3de43e8f731597ac13c89c919eb4463a42a4f156d3fb55acbca31c73",
     }
     # subseq on the console-script family (index 14,641, hex parts) and the
     # standard one.  Re-pinned when the rows' bound enclosure (bound_lower,

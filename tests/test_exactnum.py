@@ -65,52 +65,48 @@ class TestBinomial:
 
 class TestCentralBinomial:
     def test_ascending_takes_pascal_steps(self):
-        for m in range(2001):
-            assert central_binomial(m) == math.comb(m, m // 2), m
+        for j in range(1001):
+            assert central_binomial(j) == math.comb(2 * j, j), j
 
     def test_descending_and_shuffled_factorize(self):
-        values = list(range(2001))
+        values = list(range(1001))
         shuffled = values * 2
         random.Random(1985).shuffle(shuffled)
-        for m in values[::-1] + shuffled:
-            assert central_binomial(m) == math.comb(m, m // 2), m
+        for j in values[::-1] + shuffled:
+            assert central_binomial(j) == math.comb(2 * j, j), j
 
-    @pytest.mark.parametrize("m", [1 << 17, (1 << 17) + 1, 99991, 99992, 10**5, 10**5 + 1, 2 * 10**5 + 1])
-    def test_large_both_parities(self, m):
-        # 99991 is prime; each m is factorized, then reached from m - 1, by
-        # the Pascal step for even m and by the shared C(m + 1, (m + 1)/2)
-        # for odd m.  An even m is the factorization as it is; an odd m
-        # halves the binomial of m + 1
-        expected = math.comb(m, m // 2)
+    @pytest.mark.parametrize("j", [1 << 16, (1 << 16) + 1, 49999, 50000, 50001, 10**5 + 1])
+    def test_large(self, j):
+        # each j is factorized, then reached from j - 1 by one Pascal step;
+        # 49999 is prime, so that step divides by a prime
+        expected = math.comb(2 * j, j)
         central_binomial(0)
-        assert central_binomial(m) == expected
-        central_binomial(m - 1)
-        assert central_binomial(m) == expected
+        assert central_binomial(j) == expected
+        central_binomial(j - 1)
+        assert central_binomial(j) == expected
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="j >= 0"):
             central_binomial(-1)
 
     def test_factorized_against_math_comb(self):
-        # central_binomial factorizes even arguments only
-        for m in range(0, 5001, 2):
-            assert exactnum._factorized(m) == math.comb(m, m // 2), m
+        for j in range(2501):
+            assert exactnum._factorized(j) == math.comb(2 * j, j), j
 
-    def test_odd_m_is_one_factorization(self, monkeypatch):
-        # C(m, k) = C(m + 1, k + 1) / 2 from the one factorization of
-        # m + 1, which m + 1 then reuses
+    def test_indices_2j_and_2j_plus_1_share_one_factorization(self, monkeypatch):
+        # c_n for n = 10002 and 10003 is C(10002, 5001) / 2^10003: one
+        # factorization of j = 5001, which the second index reuses
         calls = []
         factorize = exactnum._factorized
 
-        def counting(m):
-            calls.append(m)
-            return factorize(m)
+        def counting(j):
+            calls.append(j)
+            return factorize(j)
 
         central_binomial(0)
         monkeypatch.setattr(exactnum, "_factorized", counting)
-        assert central_binomial(10001) == math.comb(10001, 5000)
-        assert central_binomial(10002) == math.comb(10002, 5001)
-        assert calls == [10002]
+        assert build(10002).central_mass == build(10003).central_mass == Fraction(math.comb(10002, 5001), 1 << 10003)
+        assert calls == [5001]
 
 
 class TestPiEnclosure:

@@ -117,6 +117,14 @@ class TestCentralMass:
             assert format_rational(c).endswith(hex(1 << c.exp)) == (1 << c.exp >= HEX_FROM), n
             assert decimal_str(c) == decimal_str(q), n
 
+    def test_exponent_is_one_popcount(self):
+        # C(2j, j) holds 2^s(j), s(j) the carries in j + j, so c_n is an odd
+        # numerator over 2^(2j + 1 - s(j)), j = floor(n/2)
+        for n in range(1, 4097):
+            c, j = build(n).central_mass, n // 2
+            assert c.num % 2 == 1 and c.odd == 1 and c.exp == 2 * j + 1 - j.bit_count(), n
+            assert c == Fraction(math.comb(n - 1, (n - 1) // 2), 2**n), n
+
 
 class TestEvalTensor:
     def test_two_atom_sum(self):

@@ -62,12 +62,13 @@ MUTANTS = [
     # the central binomial's factorization
     Mutant("exactnum", "        q += 2\n", "        q += 1\n",
            "_factorized takes the primes of even quotients e // p too"),
-    Mutant("exactnum", "return c >> 1 if m & 1 else c", "return c",
-           "central_binomial keeps C(2j, j) for odd m, not half of it"),
     Mutant("exactnum", "c * (4 * j - 2) // j", "c * (4 * j + 2) // j",
            "central_binomial's Pascal step multiplies by 4j + 2, not 4j - 2"),
     Mutant("exactnum", "Fraction(x0 * x0 + s, 2 * x0 * s)", "Fraction(x0 * x0 + s, 2 * x0 * s + 1)",
            "recip_sqrt_upper drops below 1/sqrt(s)"),
+    # c_n's lowest terms
+    Mutant("ks_measure", "2 * j + 1 - v", "2 * j - v",
+           "central_mass divides C(2j, j) >> s(j) by 2^(2j - s(j)), not 2^(2j + 1 - s(j))"),
     # the report layer's text
     Mutant("report", "hex(v) if abs(v) >= HEX_FROM else str(v)", "hex(v) if abs(v) > HEX_FROM else str(v)",
            "an integer part of exactly HEX_FROM is written in decimal"),
