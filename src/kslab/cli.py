@@ -1,11 +1,13 @@
 """Command-line entry point: construction, verification, extraction, and
 basis workflows, emitting machine-readable JSON reports (kslab.report).
 
-Exit codes: 0 = all certified checks pass; 1 = a mathematical check failed
-or was undecided; 2 = usage or parse error, or an unwritable output file.
-main is the one place that turns a failure into an exit code: an input
-file that cannot be read or parsed exits 2 through _load, and every
-family term is defined at every index, so evaluation never fails.
+Exit codes: 0 = all certified checks pass; 1 = a check failed, was
+undecided, or could not be computed in the memory available; 2 = usage or
+parse error, or an unwritable output file.  main is the one place that
+turns a failure into an exit code: an input file that cannot be read or
+parsed exits 2 through _load, a MemoryError prints one line and writes no
+report, and every family term is defined at every index, so evaluation
+never fails otherwise.
 
 COMMANDS is the one place where subcommands and options are defined;
 parse_args reads argv against it as the argparse parser it replaced did
@@ -308,6 +310,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # _load reports every read error, so this is a write
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # exact values past memory; each report is written after its values
+        print(f"kslab {args.command}: not computable in the memory available", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

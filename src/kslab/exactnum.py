@@ -187,7 +187,8 @@ def _primes_upto(m: int) -> list[int]:
     top, primes = _sieve
     if m > top:
         top = max(m, 2 * top)
-        sieve = bytearray([1]) * (top + 1)
+        sieve = bytearray(b"\1")
+        sieve *= top + 1  # in place: a failed bytearray * k prints a SystemError line on CPython 3.11
         sieve[:2] = b"\0\0"
         for p in range(2, math.isqrt(top) + 1):
             if sieve[p]:

@@ -9,12 +9,12 @@ that is ever modeled, and none depends on which bijection is used.
 
 Rows are encoded as bit patterns: bit j of the pattern set means
 sign(s, j) = -1.  The package builds the canonical bijection, which uses the
-row index itself as the pattern.  row_pattern and by_row are the one place
-the bijection is read; the tests override them with row permutations and
-arbitrary row tables (tests/oracles.py).  The index alone decides what can
-be materialized: up to EXPLICIT_MAX_N the measure is explicit (full row
-tables); above it the atom table is unmaterializable, signs are computed on
-demand from the row index, and only closed forms apply.
+row index itself as the pattern.  row_pattern is the one place the
+bijection is read; the tests override it with row permutations and
+arbitrary row tables (tests/oracles.py).  The package materializes no row
+table at any index, so only closed forms apply; EXPLICIT_MAX_N is the
+largest index at which the tests materialize one, and in the package it
+only fills the verify report's config.explicit_max and decides nothing.
 """
 
 from __future__ import annotations
@@ -61,14 +61,6 @@ class KSMeasure:
     def row_pattern(self, s: int) -> int:
         """The sign pattern of row s: the row index itself."""
         return s
-
-    def by_row(self, bits: int) -> int:
-        """A bitset over sign patterns as a bitset over rows: bit s is bit
-        row_pattern(s) of bits, so the identity here."""
-        return bits
-
-    def is_explicit(self) -> bool:
-        return self.n <= EXPLICIT_MAX_N
 
 
 def build(n: int) -> KSMeasure:

@@ -25,12 +25,13 @@ against the brute-force oracle (n <= 4) and the per-width sums (n <= 300),
 and it is certified against 1/(2 sqrt(pi n)) < sup < 2/sqrt(pi n) at
 every n.
 
-For explicit measures the witness A* is built as a bitset over sign
-patterns one byte (eight patterns) at a time, with no loop over the 2^n
-rows (sup_rect_fast), and KSMeasure.by_row maps it to rows.
-Both routes read the rows only through KSMeasure.row_pattern and by_row,
-so the tests also run them on row-permuted and repeated-row tables, a test
-oracle (tests/oracles.py); the package builds only the canonical measure.
+The witness names that maximizer at every n: B = the first b = (n - 1) | 1
+columns and A = the rows with at most (b - 1)/2 minus signs on B
+(RectangleSupReport.witness), and a report writes its two integers.  The
+brute force reads the rows only through KSMeasure.row_pattern, so the tests
+also run it on row-permuted and repeated-row tables, and materialize the
+rule on them, in a test oracle (tests/oracles.py); the package builds only
+the canonical measure.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from .exactnum import Cmp, Dyadic, cmp_sq_below
 from .ks_measure import KSMeasure
 
 BRUTE_MAX_N = 4
-# _ADD[d] maps byte c to c + d mod 256, for the shifts the code reads: the
-# brute force's row sums, |d| <= n <= BRUTE_MAX_N, and the witness's +1
+# _ADD[d] maps byte c to c + d mod 256, for the brute force's row sums,
+# |d| <= n <= BRUTE_MAX_N
 _ADD = {
     d: bytes(range(d % 256, 256)) + bytes(range(d % 256))
     for d in range(-BRUTE_MAX_N, BRUTE_MAX_N + 1)
@@ -58,18 +59,20 @@ FAIL = "FAIL"
 UNDECIDED = "UNDECIDED"
 
 
-class Rectangle(NamedTuple):
-    """A x B as bitsets: bit s of row_bits selects row s, likewise columns."""
-
-    row_bits: int
-    col_bits: int
-
-
 class RectangleSupReport(NamedTuple):
     n: int
     sup: Fraction | Dyadic  # Fraction from the brute force, Dyadic from the closed form
-    witness: Rectangle | None
     method: str  # "BruteForce" | "FastPath"
+
+    @property
+    def witness(self) -> tuple[int, int]:
+        """(b, k): B = the first b columns, A = the rows with at most k minus
+        signs on B, under any bijection of the rows onto the sign cube.
+        b = (n - 1) | 1 is the smallest maximizing width (n for odd n, n - 1
+        for even n) and k = (b - 1)/2, so A is the rows with positive
+        partial sum over B."""
+        b = (self.n - 1) | 1
+        return b, (b - 1) // 2
 
 
 def certify_run(sup: Fraction | Dyadic, first: int, last: int) -> list[tuple[Cmp, Cmp]]:
@@ -99,16 +102,14 @@ def sup_rect_bruteforce(m: KSMeasure) -> RectangleSupReport:
 
     For each B, byte A of the table t is _OFF plus the signed count over
     A x B: appending t shifted by row i's signed count sets bit i of A.  The
-    largest |sum| is the largest v with _OFF + v or _OFF - v in t.  Ties
-    are broken by the lexicographically smallest (B, A) bit pattern, which
-    is the natural iteration order.  Guarded at n <= 4.
+    largest |sum| is the largest v with _OFF + v or _OFF - v in t.  Guarded
+    at n <= 4.
     """
     n = m.n
     if n > BRUTE_MAX_N:
         raise ValueError(f"brute force limited to n <= {BRUTE_MAX_N}, got n={n}")
     rows = m.rows
-    best = -1
-    best_rect = Rectangle(0, 0)
+    best = 0
     for col_bits in range(1 << n):
         b = col_bits.bit_count()
         sig = [b - 2 * (m.row_pattern(s) & col_bits).bit_count() for s in range(rows)]
@@ -118,43 +119,14 @@ def sup_rect_bruteforce(m: KSMeasure) -> RectangleSupReport:
         v = sum(map(abs, sig))
         while _OFF + v not in t and _OFF - v not in t:
             v -= 1
-        if v > best:
-            best = v
-            hits = [i for i in (t.find(_OFF + v), t.find(_OFF - v)) if i >= 0]
-            best_rect = Rectangle(min(hits), col_bits)
-    return RectangleSupReport(n=n, sup=Fraction(best, n << n), witness=best_rect, method="BruteForce")
+        best = max(best, v)
+    return RectangleSupReport(n=n, sup=Fraction(best, n << n), method="BruteForce")
 
 
 def sup_rect_fast(m: KSMeasure) -> RectangleSupReport:
     """Closed-form supremum c_n = C(2j, j) / 2^(2j+1), j = floor(n/2), the
-    measure's Dyadic central_mass.
-
-    Works at every index.  A witness (B = first b columns, A = rows with
-    positive partial sum, i.e. fewer than b/2 minus signs there) is
-    materialized only for explicit measures, for the smallest maximizing
-    width b.  Patterns 8h..8h+7 share their bits from 3 up, so byte h of
-    A's bitset over the 2^b patterns is the mask of the p < 8 with
-    popcount(p) + c < b/2, c the minus count of h.  Those counts double
-    b - 3 times (h with bit k set counts one more), one translate maps
-    them to masks, and the bytes read as one little-endian integer; for
-    even n the column outside B repeats it 2^b bits up.  At b = 1 the one
-    byte h = 0 holds the mask of pattern 0 alone.  by_row maps the bitset
-    over patterns to rows.
-    """
-    n = m.n
-    witness: Rectangle | None = None
-    if m.is_explicit():
-        b = n if n % 2 else n - 1
-        minus = b"\0"
-        for _ in range(b - 3):
-            minus += minus.translate(_ADD[1])  # counts stay <= b - 3, so none wraps
-        below = (b + 1) // 2  # counts c with 2c < b
-        masks = bytes(sum(1 << p for p in range(8) if p.bit_count() + c < below) for c in range(below))
-        rows = int.from_bytes(minus.translate(masks + bytes(256 - below)), "little")
-        if b < n:
-            rows |= rows << (1 << b)
-        witness = Rectangle(m.by_row(rows), (1 << b) - 1)
-    return RectangleSupReport(n=n, sup=m.central_mass, witness=witness, method="FastPath")
+    measure's Dyadic central_mass.  Works at every index."""
+    return RectangleSupReport(n=m.n, sup=m.central_mass, method="FastPath")
 
 
 def bound2_verdict(lower_ok: Cmp, upper_ok: Cmp) -> str:

@@ -3,13 +3,12 @@
 The library computes the exact values and decides every verdict; the
 writers here only turn those records into dicts in a fixed key order, and
 write_json writes them.  Payloads are exact rational strings plus
-fixed-width decimals, witness bitsets are 0x-hex integers, and no
-wall-clock time is recorded, so a report is byte-stable across runs.  A
-rational is "p/q" in lowest terms, or "p"; a part of 4300 digits or more
-(a 2^n denominator past about n = 14,300) is 0x hex.  parse_rational reads
-that text back; read_json reads every input file, keeping each number's
-text, fields the keys of every input object and rational every value a file
-or a constructor is given.
+fixed-width decimals, and no wall-clock time is recorded, so a report is
+byte-stable across runs.  A rational is "p/q" in lowest terms, or "p"; a
+part of 4300 digits or more (a 2^n denominator past about n = 14,300) is
+0x hex.  parse_rational reads that text back; read_json reads every input
+file, keeping each number's text, fields the keys of every input object and
+rational every value a file or a constructor is given.
 
 write_json writes json.dumps(doc, indent=2) plus a newline, byte for byte,
 through CPython's C encoder, which json.dumps uses only without an
@@ -361,11 +360,11 @@ def verify_report(n_max: int, brute_max: int, explicit_max: int, rows: list[dict
 
 
 def sup_report(rect: RectangleSupReport, lower_ok: Cmp, upper_ok: Cmp, bound2: str) -> dict:
-    """The supremum with its witness bitsets, if one was built, and its
-    certified comparisons: bound2 last."""
-    w = rect.witness
-    witness = None if w is None else {"A_bits": hex(w.row_bits), "B_bits": hex(w.col_bits)}
-    return {"n": rect.n, "sup": format_rational(rect.sup), "sup_decimal": decimal_str(rect.sup), "witness": witness,
+    """The supremum with its witness rule and its certified comparisons:
+    bound2 last."""
+    columns, max_minus = rect.witness
+    return {"n": rect.n, "sup": format_rational(rect.sup), "sup_decimal": decimal_str(rect.sup),
+            "witness": {"columns": columns, "max_minus": max_minus},
             "lower_ok": lower_ok.value, "upper_ok": upper_ok.value, "method": rect.method, "bound2": bound2}
 
 

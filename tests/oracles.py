@@ -3,11 +3,11 @@
 PermutedMeasure is a sign-cube measure whose rows carry an arbitrary table
 of sign patterns: a seeded shuffle of the canonical rows (RowPermutation,
 under the MemoryGuardError guard at n <= EXPLICIT_MAX_N) or any table, with
-repeats and gaps allowed.  It overrides KSMeasure.row_pattern and by_row,
-the one seam through which the package reads rows, so the brute-force
-rectangle supremum, the fast witness and every oracle below run the package
-code on it; measure(n, bijection) builds it, or the package's canonical
-measure for CANONICAL.  scale is the weight magnitude 1/(n 2^n) of an atom.
+repeats and gaps allowed.  It overrides KSMeasure.row_pattern, the one seam
+through which the package reads rows, so the brute-force rectangle supremum
+and every oracle below run the package code on it; measure(n, bijection)
+builds it, or the package's canonical measure for CANONICAL.  scale is the
+weight magnitude 1/(n 2^n) of an atom.
 
 projection_norms_highs is the LP layer basic_seq_diag used before its
 exact vertex simplex: one SciPy HiGHS linprog per (m, h).  simplex_optima
@@ -18,10 +18,10 @@ binomial is C(n, k) by math.comb, the reference of the Pascal-triangle
 tests and of the per-width sums; the package needs only the central
 binomials C(2j, j), from exactnum.central_binomial(j).
 
-text_witness_rows is the fast witness's row bitset as sup_rect_fast read
-it before it packed bytes: an ASCII '1'/'0' table over sign patterns, read
-by row through row_pattern alone (not through by_row, the seam under
-test), reversed and parsed as one base-2 integer.
+Rectangle is A x B as bitsets over rows and columns.  rule_rows
+materializes the witness rule a sup report writes, (columns, max_minus),
+as that rectangle, one row at a time through row_pattern; the package
+builds no bitset.
 
 rect_mass sums a rectangle's atoms one row at a time, certify_bound2
 re-derives the bound2 verdict from a report's sup alone, and atom_list
@@ -103,7 +103,7 @@ from scipy.optimize import linprog
 from kslab.basic_seq_diag import DegenerateSectionError, FiniteSection, _VertexSimplex, basis_constant
 from kslab.exactnum import PI, Cmp, Dyadic, Rational, cmp_sq_below
 from kslab.ks_measure import EXPLICIT_MAX_N, KSMeasure, build
-from kslab.rect_sup import BRUTE_MAX_N, Rectangle, RectangleSupReport, bound2_verdict
+from kslab.rect_sup import BRUTE_MAX_N, RectangleSupReport, bound2_verdict
 from kslab.report import STR_DIGITS, format_rational
 from kslab.schauder import (
     BasisVector,
@@ -153,11 +153,6 @@ class PermutedMeasure(KSMeasure):
 
     def row_pattern(self, s: int) -> int:
         return self.patterns[s]
-
-    def by_row(self, bits: int) -> int:
-        # unpacked to '0'/'1' by pattern (bit p at index p), reindexed, repacked
-        table = format(bits, f"0{self.rows}b")[::-1]
-        return int("".join(map(table.__getitem__, self.patterns))[::-1], 2)
 
 
 def measure(n: int, bijection: Canonical | RowPermutation) -> KSMeasure:
@@ -233,20 +228,22 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def text_witness_rows(m: KSMeasure) -> int:
-    """Rows with fewer than b/2 minus signs among the first b columns (b = n
-    for odd n, n - 1 for even n), as an ASCII table over sign patterns: the
-    minus counts double b times, a threshold maps them to '1'/'0', the table
-    repeats for the other columns, and read by row through row_pattern
-    alone, reversed (row 0 last), it parses as a base-2 integer."""
-    n = m.n
-    b = n if n % 2 else n - 1
-    minus = b"\0"
-    for _ in range(b):
-        minus += minus.translate(bytes(range(1, 256)) + b"\0")
-    below = (b + 1) // 2
-    member = (minus.translate(b"1" * below + b"0" * (256 - below)) * (1 << (n - b))).decode()
-    return int("".join(member[m.row_pattern(s)] for s in range(m.rows))[::-1], 2)
+class Rectangle(NamedTuple):
+    """A x B as bitsets: bit s of row_bits selects row s, likewise columns."""
+
+    row_bits: int
+    col_bits: int
+
+
+def rule_rows(m: KSMeasure, columns: int, max_minus: int) -> Rectangle:
+    """The witness rule as a rectangle: B = the first columns columns, A =
+    the rows with at most max_minus minus signs on B, by a loop over rows."""
+    col_bits = (1 << columns) - 1
+    buf = bytearray((m.rows + 7) // 8)
+    for s in range(m.rows):
+        if (m.row_pattern(s) & col_bits).bit_count() <= max_minus:
+            buf[s >> 3] |= 1 << (s & 7)
+    return Rectangle(int.from_bytes(bytes(buf), "little"), col_bits)
 
 
 def rect_mass(m: KSMeasure, r: Rectangle) -> Rational:
@@ -291,7 +288,7 @@ def sign(m: KSMeasure, s: int, j: int) -> int:
 
 def iter_atoms(m: KSMeasure) -> Iterator[tuple[tuple[int, int], Rational]]:
     """Every atom ((s, j), weight) of an explicit measure, row by row."""
-    if not m.is_explicit():
+    if m.n > EXPLICIT_MAX_N:
         raise MemoryGuardError(f"atom list limited to n <= {EXPLICIT_MAX_N}, got n={m.n}")
     w = scale(m)
     neg = -w
@@ -322,7 +319,7 @@ def eval_tensor(m: KSMeasure, f: Sequence, g: Sequence) -> Rational:
     Requires an explicit measure (f is a table over all 2^n rows).
     Exact when the inputs are rational.
     """
-    if not m.is_explicit():
+    if m.n > EXPLICIT_MAX_N:
         raise ValueError("eval_tensor needs an explicit measure (f is a full row table)")
     if len(f) != m.rows:
         raise ValueError(f"f has {len(f)} entries, expected {m.rows}")
@@ -359,7 +356,7 @@ def random_tensor_probe(m: KSMeasure, trials: int, seed: int) -> float:
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if not m.is_explicit():
+    if m.n > EXPLICIT_MAX_N:
         raise ValueError("random_tensor_probe needs an explicit measure")
     rng = np.random.default_rng(seed)
     signs = _sign_matrix(m).astype(np.float64)

@@ -23,7 +23,7 @@ from kslab.basic_seq_diag import section_report
 from kslab.cli import _verify_run, main
 from kslab.exactnum import PI, Cmp, cmp_sq_below
 from kslab.ks_measure import build
-from kslab.rect_sup import Rectangle, sup_rect_bruteforce
+from kslab.rect_sup import sup_rect_bruteforce
 from kslab.report import format_rational, parse_rational
 from kslab.schauder import EchelonStore, GeneratorSet, density_check
 from test_report import DIGIT_PARTS, JSON_NUMBERS, repdigit, row_texts_by_fraction
@@ -37,6 +37,7 @@ from oracles import (
     profile_table,
     quoted,
     rect_mass,
+    rule_rows,
     standard_test_family,
     tensor_sup_exact,
 )
@@ -673,14 +674,12 @@ class TestSup:
     def test_brute_guard_is_usage_error(self, tmp_path):
         assert run(["sup", "--n", "5", "--brute", "--out", str(tmp_path / "x.json")]) == 2
 
-    def test_witness_hex_round_trip_above_str_digit_limit(self, tmp_path):
-        # A_bits has 2^14 bits, more than 4300 decimal digits
+    def test_witness_rule_read_from_report_attains_sup(self, tmp_path):
+        # the written rule, materialized over the 2^14 rows
         out = tmp_path / "sup.json"
         assert run(["sup", "--n", "14", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        witness = doc["witness"]
-        assert witness["A_bits"].startswith("0x") and witness["B_bits"].startswith("0x")
-        rect = Rectangle(int(witness["A_bits"], 16), int(witness["B_bits"], 16))
+        rect = rule_rows(build(14), doc["witness"]["columns"], doc["witness"]["max_minus"])
         assert format_rational(abs(rect_mass(build(14), rect))) == doc["sup"]
 
 
@@ -749,24 +748,25 @@ class TestPinnedReportBytes:
         '{"coords": {"1": "2", "5": "-1/5", "14": "-7/3"}}\n'
         '{"coords": {"1": "-1/3", "3": "2/5", "4": "1/6", "7": "5/6", "12": "1"}}\n'
     )
-    # written while closed-form values were still Fractions: sup at the last
-    # explicit index (with its witness) and past the hex cut.
-    # Written while KSMeasure still took a bijection: the brute force at
-    # n = 4, which reads row_pattern, and the odd-width witness at n = 13,
-    # which reads by_row.  Keys are the sup arguments after --n.  Written
-    # while the witness was still a bytes table per pattern: n = 1, 2
-    # (width b = 1, a one-byte bitset) and n = 3 (b = 3, one minus count).
-    # Written while c_n was still read off C(n-1, floor((n-1)/2)): n = 100001
-    # has j = 50000, the c_n of n = 100000.
+    # sup at n = 1, 2 (witness width b = 1) and 3 (b = 3), the brute force
+    # at n = 4, which reads row_pattern, the odd width n = 13, the last
+    # explicit index 20, and past the hex cut at n = 100000 and 100001, which
+    # share j = 50000 and its c_n.  Keys are the sup arguments after --n.
+    # Re-pinned when the witness bitsets (A_bits, B_bits) gave way to the
+    # rule {"columns": b, "max_minus": k}: each is the sha256 of the earlier
+    # report, written while the witness was still a 2^n-bit hex set for
+    # n <= 20 and null above, with witness replaced by the rule and
+    # rewritten by json.dumps(doc, indent=2) + "\n", so every other byte is
+    # as it was.
     SUP = {
-        "1": "56e5a27b594eb44877d6b94facf7b96ad06ed93978c4afaebca80ab76ea28292",
-        "2": "dfb49a95be426dd60865f66c8908108893e8b4b31c994ea6e760a78ee49d24a0",
-        "3": "ae7dc7dd4194f107e2a4d42ae313a0b0c7588154fae06e2697f48e5e797e9562",
-        "4 --brute": "365fbea61bc8487c7b1d414d09d54ac5bc2b779efd56abf14a5dd8db2faba9c0",
-        "13": "e3af4a32c6f43dd3786de388a3ab8ac4e42d0334ae5e985ac61e410740c8a060",
-        "20": "789b0803ac10640ff4fbad6994e8791e23d9367bee8860c36c353c95e5a418dc",
-        "100000": "57046aff8f70810859e9cd3f256822e027fbc2c376adee535afa486fab77ee31",
-        "100001": "7d627ecb3de43e8f731597ac13c89c919eb4463a42a4f156d3fb55acbca31c73",
+        "1": "f80fdd5e46ace5a6cd75dd861c64451a108046f40cb2d55d46f3fc3c0e6d464a",
+        "2": "d753e2a920896c6024fa452528d6365d785d277bd3013d9f995402d335bdfe99",
+        "3": "14815e743f67d1d6363a3ca6f63a0bbdc319452e56400750fc4a561515da233f",
+        "4 --brute": "788ac1ca91f52b550c9a40c3deb370f06c07311129670297f1b8568b3a1f299b",
+        "13": "650ed5454dfcf4f08297b8d95de166818030bd4fb716ea3ceb0f4c065731c69a",
+        "20": "18e3253d8ba036f28424254739ae9722324b75420ea06aaa9c140c423a6ffdfe",
+        "100000": "d44ff190861c8b8ebf4abe5950bedccf6b2753ea173224bf8f78228664ad52da",
+        "100001": "8205399c02eb6b9ccf6db436f6af12f279c2581e340deccacfa4aa8e56ac9ad0",
     }
     # subseq on the console-script family (index 14,641, hex parts) and the
     # standard one.  Re-pinned when the rows' bound enclosure (bound_lower,
@@ -1519,7 +1519,7 @@ def run_quietly(run_spec, tmp):
 
 def exact_texts(doc, key=None):
     """Every exact or decimal text of a report, with its key: each string but
-    the verdict words and the witness bitsets."""
+    the verdict words."""
     if isinstance(doc, dict):
         for k, v in doc.items():
             yield from exact_texts(v, k)
@@ -1527,7 +1527,7 @@ def exact_texts(doc, key=None):
         for v in doc:
             yield from exact_texts(v, key)
     elif isinstance(doc, str) and key not in {"lower_ok", "upper_ok", "bound2", "bound3", "method",
-                                              "status", "overall", "A_bits", "B_bits"}:
+                                              "status", "overall"}:
         yield key, doc
 
 
@@ -1582,6 +1582,23 @@ class TestErrorBoundary:
             assert not any(isinstance(node, ast.Try) for node in nodes), f.name
             returns = [node.value for node in nodes if isinstance(node, ast.Return)]
             assert not any(isinstance(v, ast.Constant) and v.value == 2 for v in returns), f.name
+
+    def test_memory_error_is_one_line_and_exit_1(self, tmp_path):
+        # c_n at n = 10^15 sieves primes in a bytearray that a 1 GB address
+        # space, capped in the child alone, cannot hold: one stderr line
+        # naming the command, exit 1 and no report
+        resource = pytest.importorskip("resource")
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        out = tmp_path / "sup.json"
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-m", "kslab.cli", "sup", "--n", str(10**15), "--out", str(out)],
+                              env=env, capture_output=True, text=True, preexec_fn=cap)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.splitlines() == ["kslab sup: not computable in the memory available"]
+        assert not out.exists()
 
 
 class TestImports:

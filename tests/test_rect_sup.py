@@ -1,5 +1,6 @@
-"""Rectangle suprema: brute-force and per-width oracle agreement, witness
-validity, per-width monotonicity, and certified two-sided bounds."""
+"""Rectangle suprema: brute-force and per-width oracle agreement, the
+witness rule's mass, per-width monotonicity, and certified two-sided
+bounds."""
 
 import functools
 import math
@@ -13,18 +14,19 @@ from hypothesis import strategies as st
 from kslab import rect_sup
 from kslab.exactnum import PI, Cmp, Dyadic, cmp_sq_below
 from kslab.ks_measure import EXPLICIT_MAX_N, build
-from kslab.rect_sup import Rectangle, bound2_verdict, certify_pair, certify_run, sup_rect_bruteforce, sup_rect_fast
-from kslab.report import sup_report
+from kslab.rect_sup import bound2_verdict, certify_pair, certify_run, sup_rect_bruteforce, sup_rect_fast
+from kslab.report import format_rational, sup_report
 from oracles import (
     CANONICAL,
     PermutedMeasure,
+    Rectangle,
     RowPermutation,
     binomial,
     certify_bound2,
     measure,
     rect_mass,
+    rule_rows,
     sqrt_enclosure,
-    text_witness_rows,
 )
 
 
@@ -52,20 +54,6 @@ def per_width_values(n):
     is positive_part_sum(b) / (n 2^b).
     """
     return [Fraction(positive_part_sum(b), n << b) for b in range(1, n + 1)]
-
-
-def per_row_witness(m):
-    """Oracle: the witness by a loop over rows, setting bit s when row s has
-    fewer than b/2 minus signs among the first b columns (b = n for odd n,
-    n - 1 for even n)."""
-    b = m.n if m.n % 2 else m.n - 1
-    col_bits = (1 << b) - 1
-    buf = bytearray((m.rows + 7) // 8)
-    for s in range(m.rows):
-        minus = (m.row_pattern(s) & col_bits).bit_count()
-        if b - 2 * minus > 0:
-            buf[s >> 3] |= 1 << (s & 7)
-    return Rectangle(int.from_bytes(bytes(buf), "little"), col_bits)
 
 
 class TestRectMass:
@@ -104,48 +92,41 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             sup_rect_bruteforce(build(5))
 
-    def test_witness_attains_supremum(self):
-        for n in (1, 2, 3):
-            report = sup_rect_bruteforce(build(n))
-            assert abs(rect_mass(build(n), report.witness)) == report.sup
-
-    def test_witness_lexicographic_tiebreak(self):
-        # iterate (B, A) ascending: the stored witness must be the first
-        # attaining pair, so no smaller (B, A) may attain the supremum
+    def test_matches_exhaustive_rectangle_search(self):
+        # the byte-table search against |rect_mass| over every (A, B), on the
+        # canonical rows, row permutations and row tables that repeat and
+        # miss patterns: positive and negative maxima differ, so both sign
+        # searches of the table must work
         rng = random.Random(12)
         measures = [
             measure(n, bijection)
             for n in (1, 2, 3)
             for bijection in (CANONICAL, RowPermutation(1), RowPermutation(2), RowPermutation(3))
         ]
-        # row tables that repeat and miss patterns: positive and negative
-        # maxima differ, so both table searches must work
         measures += [
             PermutedMeasure(n, tuple(rng.randrange(1 << n) for _ in range(1 << n)))
             for n in (1, 2, 3)
             for _ in range(4)
         ]
         for m in measures:
-            report = sup_rect_bruteforce(m)
-            w = report.witness
-            assert abs(rect_mass(m, w)) == report.sup
-            for col_bits in range(w.col_bits + 1):
-                a_limit = w.row_bits if col_bits == w.col_bits else 1 << m.rows
-                for row_bits in range(a_limit):
-                    assert abs(rect_mass(m, Rectangle(row_bits, col_bits))) < report.sup
+            exhaustive = max(abs(rect_mass(m, Rectangle(row_bits, col_bits)))
+                             for col_bits in range(1 << m.n) for row_bits in range(1 << m.rows))
+            assert sup_rect_bruteforce(m).sup == exhaustive, m.n
 
     def test_canonical_witnesses_pinned(self):
+        # the bitsets the brute force's first maximizer had, before reports
+        # wrote the rule
         pinned = {1: (0x1, 0x1), 2: (0x5, 0x1), 3: (0x17, 0x7), 4: (0x1717, 0x7)}
         for n, (a_bits, b_bits) in pinned.items():
-            assert sup_rect_bruteforce(build(n)).witness == Rectangle(a_bits, b_bits), n
+            m = build(n)
+            assert rule_rows(m, *sup_rect_bruteforce(m).witness) == Rectangle(a_bits, b_bits), n
 
     def test_constant_tables_reach_the_offset_bound(self):
         # every row alike: |sum| reaches n * 2^n = 64 at A = all rows, B = all
         # columns, the most the byte table's offset allows, with either sign
         for pattern in (0x0, 0xF):
             m = PermutedMeasure(4, (pattern,) * 16)
-            report = sup_rect_bruteforce(m)
-            assert report.sup == 1 and report.witness == Rectangle(0xFFFF, 0xF)
+            assert sup_rect_bruteforce(m).sup == 1
 
     def test_permutation_leaves_supremum(self):
         for n in (1, 2, 3):
@@ -161,56 +142,18 @@ class TestFastPath:
                 m = measure(n, bijection)
                 assert sup_rect_fast(m).sup == sup_rect_bruteforce(m).sup
 
-    def test_fast_witness_attains_supremum(self):
-        # every n where the witness is materializable, up to the guard
-        for n in (1, 2, 5, 8, 12, 16, 20):
-            m = measure(n, RowPermutation(4) if n <= 8 else CANONICAL)
-            report = sup_rect_fast(m)
-            assert abs(rect_mass(m, report.witness)) == report.sup
-
-    def test_witness_matches_per_row_oracle(self):
-        cases = [
-            (n, bijection)
-            for n in range(1, 17)
-            for bijection in (CANONICAL, RowPermutation(7), RowPermutation(8))
-        ]
-        for n, bijection in cases + [(17, CANONICAL), (20, CANONICAL)]:
-            m = measure(n, bijection)
-            assert sup_rect_fast(m).witness == per_row_witness(m), (n, bijection)
-
     @pytest.mark.parametrize("n", range(1, EXPLICIT_MAX_N + 1))
-    def test_packed_witness_matches_text_oracle(self, n):
-        # the packed bitset against the base-2 parse of a '1'/'0' table by
-        # row, on the canonical rows, a seeded shuffle and (to n = 16) a table
-        # with repeats; n <= 2 (b = 1) and n = 3, 4 (b = 3) build one byte
-        tables = [measure(n, CANONICAL), measure(n, RowPermutation(n))]
-        if n <= 16:
-            tables.append(PermutedMeasure(n, tuple(random.Random(-n).choices(range(1 << n), k=1 << n))))
-        for m in tables:
-            witness = sup_rect_fast(m).witness
-            assert witness.row_bits == text_witness_rows(m), (n, m.row_pattern(0))
-            assert witness.col_bits == (1 << (n if n % 2 else n - 1)) - 1
+    def test_witness_rule_attains_supremum(self, n):
+        # the rule the report writes, materialized on the canonical rows and
+        # a seeded shuffle: its exact mass is sup
+        doc = sup_json(sup_rect_fast(build(n)))
+        rule = doc["witness"]["columns"], doc["witness"]["max_minus"]
+        for m in (build(n), measure(n, RowPermutation(n))):
+            assert format_rational(abs(rect_mass(m, rule_rows(m, *rule)))) == doc["sup"], m.row_pattern(0)
 
-    @pytest.mark.parametrize("n", range(1, 17))
-    def test_permuted_by_row_matches_per_row_loop(self, n):
-        # the oracle's seam: bit s of by_row(bits) is bit row_pattern(s) of
-        # bits, on a seeded shuffle and a table with repeats
-        rng = random.Random(n)
-        tables = [measure(n, RowPermutation(n + 1)),
-                  PermutedMeasure(n, tuple(rng.choices(range(1 << n), k=1 << n)))]
-        for m in tables:
-            for bits in (0, (1 << m.rows) - 1, 1 << rng.randrange(m.rows), rng.getrandbits(m.rows)):
-                data = bits.to_bytes((m.rows + 7) // 8, "little")
-                buf = bytearray(len(data))
-                for s in range(m.rows):
-                    p = m.row_pattern(s)
-                    buf[s >> 3] |= (data[p >> 3] >> (p & 7) & 1) << (s & 7)
-                assert m.by_row(bits) == int.from_bytes(bytes(buf), "little"), (n, bits)
-
-    def test_no_witness_above_explicit_scale(self):
-        report = sup_rect_fast(build(24))
-        assert report.witness is None
-        assert report.sup > 0
+    def test_witness_rule_above_explicit_scale(self):
+        for n, b in ((22, 21), (24, 23), (10**6, 10**6 - 1)):
+            assert sup_rect_fast(build(n)).witness == (b, (b - 1) // 2)
 
     def test_per_width_values_nondecreasing(self):
         for n in (1, 2, 3, 8, 33):
@@ -224,9 +167,7 @@ class TestFastPath:
             values = per_width_values(n)
             report = sup_rect_fast(build(n))
             assert report.sup == max(values)
-            if n <= EXPLICIT_MAX_N:
-                smallest_b = values.index(report.sup) + 1
-                assert report.witness.col_bits == (1 << smallest_b) - 1
+            assert report.witness[0] == values.index(report.sup) + 1
 
     def test_certified_at_n64(self):
         lower_ok, upper_ok = certify_pair(sup_rect_fast(build(64)).sup, 64)
@@ -338,12 +279,12 @@ class TestReportJson:
         assert doc["sup"] == "3/16"
         assert doc["sup_decimal"].startswith("0.1875")
         assert doc["method"] == "FastPath"
-        assert set(doc["witness"]) == {"A_bits", "B_bits"}
-        assert doc["witness"]["B_bits"] == "0x7"
+        assert doc["witness"] == {"columns": 3, "max_minus": 1}
         assert doc["lower_ok"] == "CERT_GT"
         assert doc["upper_ok"] == "CERT_LT"
         assert list(doc)[-1] == "bound2" and doc["bound2"] == "PASS"  # certified once, written last
 
-    def test_null_witness_serialized(self):
-        doc = sup_json(sup_rect_fast(build(22)))
-        assert doc["witness"] is None
+    def test_rule_serialized_at_every_index(self):
+        assert sup_json(sup_rect_bruteforce(build(4)))["witness"] == {"columns": 3, "max_minus": 1}
+        for n, b in ((22, 21), (24, 23), (10**6, 10**6 - 1)):
+            assert sup_json(sup_rect_fast(build(n)))["witness"] == {"columns": b, "max_minus": (b - 1) // 2}

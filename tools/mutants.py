@@ -113,10 +113,10 @@ MUTANTS = [
            "certify_run carries the lower verdict at first to larger n whatever it is"),
     Mutant("rect_sup", "up if up is Cmp.CERT_LT or n == last else upper(n)", "up",
            "certify_run carries the upper verdict at last to smaller n whatever it is"),
-    Mutant("rect_sup", "b = n if n % 2 else n - 1", "b = n if n % 2 else n",
-           "witness width n for even n, not the smallest maximizing n - 1"),
-    Mutant("rect_sup", "p.bit_count() + c < below", "p.bit_count() + c <= below",
-           "the witness's byte masks admit a pattern with b/2 minus signs or more"),
+    Mutant("rect_sup", "b = (self.n - 1) | 1", "b = self.n | 1",
+           "witness width n + 1 for even n, not the smallest maximizing n - 1"),
+    Mutant("rect_sup", "return b, (b - 1) // 2", "return b, (b + 1) // 2",
+           "the witness admits rows with (b + 1)/2 minus signs on B"),
     Mutant("cli", '"PASS" if upper_ok is Cmp.CERT_LT else', '"PASS" if upper_ok is not Cmp.CERT_GT else',
            "bound3 passes on an undecided upper bound"),
     # the verdicts that fail a run
