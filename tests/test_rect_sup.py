@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from kslab import rect_sup
 from kslab.exactnum import PI, Cmp, Dyadic, cmp_sq_below
 from kslab.ks_measure import EXPLICIT_MAX_N, build
-from kslab.rect_sup import bound2_verdict, certify_pair, certify_run, sup_rect_bruteforce, sup_rect_fast
+from kslab.rect_sup import BRUTE_MAX_N, bound2_verdict, certify_pair, certify_run, sup_rect_bruteforce, sup_rect_fast
 from kslab.report import format_rational, sup_report
 from oracles import (
     CANONICAL,
@@ -113,6 +113,16 @@ class TestBruteForce:
                              for col_bits in range(1 << m.n) for row_bits in range(1 << m.rows))
             assert sup_rect_bruteforce(m).sup == exhaustive, m.n
 
+    def test_witness_attains_supremum(self):
+        # the rule the brute force writes against its own exhaustive search,
+        # not the closed form, on the canonical rows and seeded shuffles at
+        # every n it runs
+        for n in range(1, BRUTE_MAX_N + 1):
+            for bijection in (CANONICAL, RowPermutation(1), RowPermutation(2)):
+                m = measure(n, bijection)
+                report = sup_rect_bruteforce(m)
+                assert abs(rect_mass(m, rule_rows(m, *report.witness))) == report.sup, (n, bijection)
+
     def test_canonical_witnesses_pinned(self):
         # the bitsets the brute force's first maximizer had, before reports
         # wrote the rule
@@ -142,14 +152,15 @@ class TestFastPath:
                 m = measure(n, bijection)
                 assert sup_rect_fast(m).sup == sup_rect_bruteforce(m).sup
 
+    @pytest.mark.parametrize("rows", ["canonical", "shuffled"])
     @pytest.mark.parametrize("n", range(1, EXPLICIT_MAX_N + 1))
-    def test_witness_rule_attains_supremum(self, n):
-        # the rule the report writes, materialized on the canonical rows and
+    def test_witness_rule_attains_supremum(self, n, rows):
+        # the rule the report writes, materialized on the canonical rows or
         # a seeded shuffle: its exact mass is sup
         doc = sup_json(sup_rect_fast(build(n)))
         rule = doc["witness"]["columns"], doc["witness"]["max_minus"]
-        for m in (build(n), measure(n, RowPermutation(n))):
-            assert format_rational(abs(rect_mass(m, rule_rows(m, *rule)))) == doc["sup"], m.row_pattern(0)
+        m = measure(n, CANONICAL if rows == "canonical" else RowPermutation(n))
+        assert format_rational(abs(rect_mass(m, rule_rows(m, *rule)))) == doc["sup"]
 
     def test_witness_rule_above_explicit_scale(self):
         for n, b in ((22, 21), (24, 23), (10**6, 10**6 - 1)):
